@@ -251,6 +251,7 @@ impl Workload for BurstyMember {
 mod tests {
     use super::*;
     use machine::{Machine, MachineConfig};
+    use simcore::Joules;
 
     fn run_bursty(seed: u64, horizon_s: u64) -> machine::RunReport {
         let mut rng = SimRng::new(seed);
@@ -280,7 +281,7 @@ mod tests {
         let a = run_bursty(1, 240);
         let b = run_bursty(2, 240);
         assert!(
-            (a.total_j - b.total_j).abs() > 1.0,
+            (a.total_j - b.total_j).abs() > Joules(1.0),
             "seeds produced identical energy: {} vs {}",
             a.total_j,
             b.total_j
@@ -291,7 +292,7 @@ mod tests {
     fn same_seed_is_deterministic() {
         let a = run_bursty(3, 240);
         let b = run_bursty(3, 240);
-        assert!((a.total_j - b.total_j).abs() < 1e-9);
+        assert!((a.total_j - b.total_j).abs() < Joules(1e-9));
     }
 
     #[test]

@@ -333,6 +333,7 @@ pub fn composite_members(
 mod tests {
     use super::*;
     use machine::{Machine, MachineConfig};
+    use simcore::Joules;
 
     fn run_composite(iterations: usize, pm: bool, lowest: bool) -> machine::RunReport {
         let mut rng = SimRng::new(7);
@@ -369,7 +370,7 @@ mod tests {
     fn all_legs_appear_in_profile() {
         let report = run_composite(2, false, false);
         for bucket in ["janus", "netscape", "anvil"] {
-            assert!(report.bucket_j(bucket) > 0.0, "missing {bucket}");
+            assert!(report.bucket_j(bucket) > Joules(0.0), "missing {bucket}");
         }
     }
 

@@ -253,6 +253,7 @@ mod tests {
     use super::*;
     use crate::datasets::MAPS;
     use machine::{Machine, MachineConfig};
+    use simcore::Joules;
 
     fn view(fidelity: MapFidelity, pm: bool, think_s: f64) -> machine::RunReport {
         let mut rng = SimRng::new(1);
@@ -306,7 +307,7 @@ mod tests {
 
     #[test]
     fn combined_filter_and_crop_is_cheapest() {
-        let rows: Vec<f64> = MapFidelity::ladder()
+        let rows: Vec<Joules> = MapFidelity::ladder()
             .into_iter()
             .rev()
             .map(|f| view(f, true, 5.0).total_j)
@@ -329,13 +330,16 @@ mod tests {
             "nonlinear: {slope1} vs {slope2}"
         );
         // The baseline slope is the full-on idle power.
-        assert!((slope1 - 10.28).abs() < 0.3, "slope {slope1}");
+        assert!(
+            (slope1 - Joules(10.28)).abs() < Joules(0.3),
+            "slope {slope1}"
+        );
     }
 
     #[test]
     fn zero_think_time_works() {
         let report = view(MapFidelity::full(), true, 0.0);
-        assert!(report.total_j > 0.0);
+        assert!(report.total_j > Joules(0.0));
         assert!(report.duration_s() < 12.0);
     }
 

@@ -7,10 +7,9 @@
 //! play one minute of video). Units use relative think times so they can
 //! be built before their execution instant is known.
 //!
-//! Quantities here follow the D4 unit-suffix discipline (`_j`, `_w`,
-//! `_s`, …), which is what lets simlint's U1 pass infer a dimension for
-//! every expression and reject joules-plus-watts arithmetic statically
-//! (DESIGN.md §16).
+//! Plain-`f64` quantities here name their unit in a suffix (`_s`,
+//! `_bps`, …); energies and powers elsewhere carry the `simcore` unit
+//! types instead (DESIGN.md §11).
 
 use hw560x::cpu::intensity;
 use machine::Activity;

@@ -301,6 +301,7 @@ mod tests {
     use super::*;
     use crate::datasets::VIDEO_CLIPS;
     use machine::{Machine, MachineConfig};
+    use simcore::Joules;
 
     fn short_clip() -> VideoClip {
         VideoClip {
@@ -372,7 +373,7 @@ mod tests {
 
     #[test]
     fn combined_is_cheapest() {
-        let rows: Vec<f64> = [
+        let rows: Vec<Joules> = [
             VideoVariant::Full,
             VideoVariant::PremiereB,
             VideoVariant::PremiereC,

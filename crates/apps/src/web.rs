@@ -245,6 +245,7 @@ mod tests {
     use super::*;
     use crate::datasets::WEB_IMAGES;
     use machine::{Machine, MachineConfig};
+    use simcore::Joules;
 
     fn browse(image: WebImage, fidelity: WebFidelity, pm: bool) -> machine::RunReport {
         let mut rng = SimRng::new(1);
@@ -304,13 +305,13 @@ mod tests {
     #[test]
     fn proxy_bucket_appears_in_profile() {
         let report = browse(WEB_IMAGES[0], WebFidelity::Full, true);
-        assert!(report.bucket_j("proxy") > 0.0);
-        assert!(report.bucket_j("netscape") > 0.0);
+        assert!(report.bucket_j("proxy") > Joules(0.0));
+        assert!(report.bucket_j("netscape") > Joules(0.0));
     }
 
     #[test]
     fn ladder_is_monotone_in_energy() {
-        let rows: Vec<f64> = WebFidelity::ladder()
+        let rows: Vec<Joules> = WebFidelity::ladder()
             .into_iter()
             .rev()
             .map(|f| browse(WEB_IMAGES[0], f, true).total_j)

@@ -13,6 +13,7 @@
 
 use hw560x::PlatformSpec;
 use machine::RunReport;
+use simcore::Joules;
 
 use crate::zone::{WindowRect, ZoneGrid};
 
@@ -22,12 +23,12 @@ pub fn dim_ratio() -> f64 {
     spec.display_dim_w / spec.display_bright_w
 }
 
-/// Projected total energy of a run on a zoned display, J.
+/// Projected total energy of a run on a zoned display.
 ///
 /// `report` is a run on the conventional display; the projection scales
 /// its display energy so lit zones stay bright and unlit zones drop to
 /// the dim level.
-pub fn zoned_energy_j(report: &RunReport, grid: ZoneGrid, window: WindowRect) -> f64 {
+pub fn zoned_energy_j(report: &RunReport, grid: ZoneGrid, window: WindowRect) -> Joules {
     let lit = grid.zones_snapped(window);
     let frac = grid.lit_fraction(lit);
     let factor = frac + (1.0 - frac) * dim_ratio();
@@ -41,10 +42,10 @@ pub struct Projection {
     pub zones_lit: u32,
     /// Total zones.
     pub zones_total: u32,
-    /// Projected total energy, J.
-    pub energy_j: f64,
-    /// Energy saved relative to the unzoned run, J.
-    pub saved_j: f64,
+    /// Projected total energy.
+    pub energy_j: Joules,
+    /// Energy saved relative to the unzoned run.
+    pub saved_j: Joules,
 }
 
 /// Projects a run report onto a zoned display.
@@ -67,16 +68,16 @@ mod tests {
     fn report(total_j: f64, display_j: f64) -> RunReport {
         RunReport {
             end: SimTime::from_secs(100),
-            total_j,
+            total_j: Joules(total_j),
             buckets: vec![],
             components: ComponentTotals {
-                display_j,
+                display_j: Joules(display_j),
                 ..Default::default()
             },
             detail: vec![],
             fidelity: vec![],
             exhausted: false,
-            residual_j: f64::INFINITY,
+            residual_j: Joules::INFINITY,
             bytes_carried: 0,
             rpc_timeouts: 0,
             rpc_retries: 0,
@@ -89,7 +90,10 @@ mod tests {
         let e = zoned_energy_j(&r, ZoneGrid::four_zone(), crate::VIDEO_FULL_WINDOW);
         // factor = 1/4 + 3/4 * dim_ratio; saving = 400 * (1 - factor).
         let expected = 1000.0 - 400.0 * 0.75 * (1.0 - dim_ratio());
-        assert!((e - expected).abs() < 1e-9, "{e} vs {expected}");
+        assert!(
+            (e - Joules(expected)).abs() < Joules(1e-9),
+            "{e} vs {expected}"
+        );
     }
 
     #[test]
@@ -97,7 +101,7 @@ mod tests {
         let r = report(1000.0, 400.0);
         let p = project_report(&r, ZoneGrid::four_zone(), WindowRect::full_screen());
         assert_eq!(p.zones_lit, 4);
-        assert!((p.saved_j).abs() < 1e-9);
+        assert!((p.saved_j).abs() < Joules(1e-9));
     }
 
     #[test]
@@ -114,16 +118,16 @@ mod tests {
         let p = project_report(&r, ZoneGrid::eight_zone(), crate::MAP_LOWEST_WINDOW);
         assert_eq!(p.zones_lit, 3);
         assert_eq!(p.zones_total, 8);
-        assert!((p.energy_j + p.saved_j - r.total_j).abs() < 1e-9);
+        assert!((p.energy_j + p.saved_j - r.total_j).abs() < Joules(1e-9));
         // 150 * (5/8) * (1 - dim_ratio) saved.
         let expected = 150.0 * (5.0 / 8.0) * (1.0 - dim_ratio());
-        assert!((p.saved_j - expected).abs() < 1e-9);
+        assert!((p.saved_j - Joules(expected)).abs() < Joules(1e-9));
     }
 
     #[test]
     fn single_zone_grid_is_identity() {
         let r = report(800.0, 300.0);
         let e = zoned_energy_j(&r, ZoneGrid::single(), crate::VIDEO_FULL_WINDOW);
-        assert!((e - 800.0).abs() < 1e-9);
+        assert!((e - Joules(800.0)).abs() < Joules(1e-9));
     }
 }

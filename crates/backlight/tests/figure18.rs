@@ -22,6 +22,7 @@ use backlight::{
     VIDEO_REDUCED_WINDOW,
 };
 use machine::{ComponentTotals, RunReport};
+use simcore::Joules;
 use simcore::SimTime;
 
 /// A synthetic measurement with a chosen display share.
@@ -29,16 +30,16 @@ fn report_with_display_share(share: f64) -> RunReport {
     let total_j = 1000.0;
     RunReport {
         end: SimTime::from_secs(100),
-        total_j,
+        total_j: Joules(total_j),
         buckets: vec![],
         components: ComponentTotals {
-            display_j: total_j * share,
+            display_j: Joules(total_j * share),
             ..Default::default()
         },
         detail: vec![],
         fidelity: vec![],
         exhausted: false,
-        residual_j: f64::INFINITY,
+        residual_j: Joules(f64::INFINITY),
         bytes_carried: 0,
         rpc_timeouts: 0,
         rpc_retries: 0,
@@ -133,7 +134,7 @@ fn one_zone_display_is_the_identity_projection() {
         let p = project_report(&r, ZoneGrid::single(), window);
         assert_eq!(p.zones_lit, 1);
         assert!(
-            p.saved_j.abs() < 1e-9 && (p.energy_j - r.total_j).abs() < 1e-9,
+            p.saved_j.abs() < Joules(1e-9) && (p.energy_j - r.total_j).abs() < Joules(1e-9),
             "single-zone projection moved energy: {p:?}"
         );
     }
@@ -147,7 +148,7 @@ fn all_zones_lit_saves_nothing() {
     for grid in [ZoneGrid::four_zone(), ZoneGrid::eight_zone()] {
         let e = zoned_energy_j(&r, grid, WindowRect::full_screen());
         assert!(
-            (e - r.total_j).abs() < 1e-9,
+            (e - r.total_j).abs() < Joules(1e-9),
             "{}x{} grid saved energy with all zones lit",
             grid.cols,
             grid.rows
@@ -161,7 +162,10 @@ fn all_zones_lit_saves_nothing() {
 fn savings_are_bounded_by_display_energy() {
     let dark = report_with_display_share(0.0);
     let p = project_report(&dark, ZoneGrid::eight_zone(), VIDEO_REDUCED_WINDOW);
-    assert!(p.saved_j.abs() < 1e-9, "saved energy without a display");
+    assert!(
+        p.saved_j.abs() < Joules(1e-9),
+        "saved energy without a display"
+    );
 
     let bright = report_with_display_share(0.64);
     for grid in [ZoneGrid::four_zone(), ZoneGrid::eight_zone()] {
@@ -169,7 +173,7 @@ fn savings_are_bounded_by_display_energy() {
             let p = project_report(&bright, grid, window);
             let ceiling = bright.components.display_j * (1.0 - dim_ratio());
             assert!(
-                p.saved_j >= 0.0 && p.saved_j <= ceiling + 1e-9,
+                p.saved_j >= Joules(0.0) && p.saved_j <= ceiling + Joules(1e-9),
                 "saving {} outside [0, {ceiling}]",
                 p.saved_j
             );

@@ -1,46 +1,36 @@
 #![forbid(unsafe_code)]
-//! Benchmark support: a dependency-free timing harness for the per-figure
-//! benches in `benches/`, and [`Stopwatch`] — the workspace's single
-//! sanctioned wall-clock source.
+#![expect(
+    clippy::disallowed_types,
+    reason = "this crate is the workspace's one sanctioned wall-clock source"
+)]
+//! Benchmark support: [`Stopwatch`], the workspace's single sanctioned
+//! wall-clock source, and the thread-scaling [`sweep`] behind the
+//! `bench` CLI verb.
 //!
-//! Each bench target regenerates one table or figure of the paper with a
-//! reduced trial count, so `cargo bench` doubles as an end-to-end check
-//! that every experiment still runs and as a performance baseline for the
-//! simulator itself. The harness is deliberately minimal (no external
-//! crates): it warms up, runs a fixed number of timed iterations, and
-//! prints min/mean/max wall-clock times.
-//!
-//! Everything inside the simulation reads time from `simcore::SimTime`;
-//! simlint rule D1 forbids `std::time` there — and rule P1 makes the ban
-//! transitive over the call graph, so the waivers here double as purity
-//! boundaries: callers of [`Stopwatch`] stay clean because the waiver's
-//! reason is precisely that wall-clock reach stops at measurement.
-//! Measuring how long the simulator itself takes is the one legitimate
-//! wall-clock use, so it is concentrated here, behind waivers that this
-//! doc comment justifies. The sweep module also parses committed
+//! Everything inside the simulation reads time from `simcore::SimTime`.
+//! The workspace `clippy.toml` bans `std::time::Instant` everywhere
+//! (`disallowed-types`) and `Stopwatch::start` outside this crate
+//! (`disallowed-methods`), so every wall-clock reading in the workspace
+//! is either here or at a call site carrying an
+//! `#[expect(clippy::disallowed_methods, reason = "…")]`. Inside the
+//! workspace only `experiments` may depend on this crate; the crate-graph
+//! test pins that, so no simulation crate can reach the wall clock
+//! through a helper. The sweep module also parses committed
 //! `bench_sweep/v1` baselines back in and compares speedups, powering
 //! the `bench --check` regression gate.
 
-/// The workspace's single sanctioned wall-clock escape hatch (simlint
-/// D1): measures real elapsed time for benches and CLI progress lines.
+/// The workspace's single sanctioned wall-clock escape hatch: measures
+/// real elapsed time for the bench sweep and CLI progress lines.
 /// Simulation code must never touch it — simulated time is `SimTime`.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {
-    // simlint: allow(D1) — this type IS the sanctioned wall-clock source
     t0: std::time::Instant,
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Stopwatch::start()
-    }
 }
 
 impl Stopwatch {
     /// Starts timing now (in real time).
     pub fn start() -> Self {
         Stopwatch {
-            // simlint: allow(D1) — the one place the workspace reads the wall clock
             t0: std::time::Instant::now(),
         }
     }
@@ -51,24 +41,6 @@ impl Stopwatch {
     }
 }
 
-/// Times `f` over `iters` iterations (after one warm-up call) and prints
-/// a one-line summary. Use `std::hint::black_box` inside `f` to keep the
-/// optimizer honest.
-pub fn run_bench(name: &str, iters: usize, mut f: impl FnMut()) {
-    assert!(iters > 0, "bench needs at least one iteration");
-    f(); // warm-up
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let sw = Stopwatch::start();
-        f();
-        samples.push(sw.elapsed_s());
-    }
-    let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().copied().fold(0.0f64, f64::max);
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    println!("{name}: mean {mean:.4} s, min {min:.4} s, max {max:.4} s ({iters} iters)");
-}
-
 pub mod sweep;
 
 #[cfg(test)]
@@ -76,13 +48,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn run_bench_executes_the_closure() {
-        let mut n = 0usize;
-        run_bench("noop", 3, || n += 1);
-        assert_eq!(n, 4, "warm-up plus three timed iterations");
-    }
-
-    #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the sanctioned clock")]
     fn stopwatch_monotone() {
         let sw = Stopwatch::start();
         let a = sw.elapsed_s();

@@ -85,6 +85,10 @@ pub fn median(samples: &[f64]) -> f64 {
 
 /// Times `f` over `reps` iterations (after one untimed warm-up) and
 /// returns `(median_ms, min_ms)`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the sweep times real execution by design"
+)]
 pub fn time_reps(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
     assert!(reps > 0, "bench needs at least one repetition");
     f(); // warm-up: fault in code and allocator state
@@ -289,6 +293,7 @@ pub fn render_sweep_table(records: &[BenchRecord]) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 
@@ -300,6 +305,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_methods, reason = "tests the sanctioned clock")]
     fn time_reps_runs_warmup_plus_reps() {
         let mut n = 0usize;
         let (med, min) = time_reps(3, || n += 1);

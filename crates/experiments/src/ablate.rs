@@ -17,7 +17,7 @@
 
 use hw560x::{DeviceStates, PlatformPower, PlatformSpec};
 use odyssey::GoalConfig;
-use simcore::{SimDuration, SimRng};
+use simcore::{Joules, SimDuration, SimRng, Watts};
 
 use crate::fig19::INITIAL_ENERGY_J;
 use crate::goalrig::{run_composite_goal_custom, GoalRun};
@@ -34,8 +34,8 @@ pub struct AblationRow {
     pub variant: &'static str,
     /// Whether the goal was met.
     pub goal_met: bool,
-    /// Residual energy, J.
-    pub residual_j: f64,
+    /// Residual energy.
+    pub residual_j: Joules,
     /// Total fidelity changes across applications.
     pub total_adaptations: usize,
     /// Upgrades issued by the controller.
@@ -49,8 +49,8 @@ pub struct AblationRow {
 pub struct Ablation {
     /// Controller rows: paper, no-hysteresis, no-upgrade-cap, reversed.
     pub rows: Vec<AblationRow>,
-    /// Full-on platform power with / without the superlinearity term, W.
-    pub superlinearity: (f64, f64),
+    /// Full-on platform power with / without the superlinearity term.
+    pub superlinearity: (Watts, Watts),
 }
 
 impl Ablation {
@@ -72,12 +72,15 @@ fn summarize(variant: &'static str, run: &GoalRun) -> AblationRow {
         .iter()
         .map(|a| run.adaptations_of(a))
         .sum();
+    #[expect(
+        clippy::expect_used,
+        reason = "the goalrig machine always registers the netscape workload"
+    )]
     let web = run
         .report
         .fidelity
         .iter()
         .find(|s| s.name() == "netscape")
-        // simlint: allow(D5) — the goalrig machine always registers the netscape workload
         .expect("web series");
     let pts = web.resample(SimDuration::from_secs(10), run.report.end);
     let web_mean_level = if pts.is_empty() {
@@ -224,6 +227,6 @@ mod tests {
     fn superlinearity_magnitude() {
         let a = study();
         let delta = a.superlinearity.0 - a.superlinearity.1;
-        assert!((delta - 0.21).abs() < 0.01, "delta {delta}");
+        assert!((delta - Watts(0.21)).abs() < Watts(0.01), "delta {delta}");
     }
 }

@@ -6,7 +6,7 @@
 //! inside each bar.
 
 use machine::RunReport;
-use simcore::TrialStats;
+use simcore::{Joules, TrialStats};
 
 use crate::table::{self, Table};
 
@@ -19,10 +19,10 @@ pub struct Bar {
     pub condition: String,
     /// Energy statistics over trials.
     pub stats: TrialStats,
-    /// Mean energy per software bucket (the bar's shading), J.
-    pub buckets: Vec<(String, f64)>,
-    /// Mean display energy, J (used by the zoned-backlight projection).
-    pub display_j: f64,
+    /// Mean energy per software bucket (the bar's shading).
+    pub buckets: Vec<(String, Joules)>,
+    /// Mean display energy (used by the zoned-backlight projection).
+    pub display_j: Joules,
 }
 
 /// A full grouped-bar chart.
@@ -242,6 +242,6 @@ mod tests {
         let c = chart();
         let bar = c.bar("obj1", "Baseline");
         let idle = bar.buckets.iter().find(|(n, _)| n == "Idle").unwrap().1;
-        assert!((idle - 102.8).abs() < 0.1);
+        assert!((idle - Joules(102.8)).abs() < Joules(0.1));
     }
 }

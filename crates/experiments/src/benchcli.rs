@@ -82,8 +82,10 @@ pub struct SweepOutcome {
 /// each, after a warm-up) and cross-checks parallel digests against
 /// serial. Thread count 1 is always measured first as the speedup
 /// baseline, even if absent from `thread_counts`.
-// simlint: allow(P1) — the bench sweep times real execution by design;
-// wall-clock reach stops here, no simulation result depends on it
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench sweep times real execution by design; wall-clock reach stops here, no simulation result depends on it"
+)]
 pub fn run_sweep(trials: &Trials, thread_counts: &[usize], reps: usize) -> SweepOutcome {
     let mut counts: Vec<usize> = thread_counts.to_vec();
     if !counts.contains(&1) {

@@ -80,11 +80,18 @@ pub struct Chaos {
 
 impl Chaos {
     /// The cell for an intensity/controller pair.
+    #[expect(
+        clippy::expect_used,
+        reason = "run_sweep populates every (intensity, hardened) cell"
+    )]
+    #[expect(
+        clippy::float_cmp,
+        reason = "intensities are looked up by the exact keys the sweep stored"
+    )]
     pub fn cell(&self, intensity: f64, hardened: bool) -> &ChaosCell {
         self.cells
             .iter()
             .find(|c| c.intensity == intensity && c.hardened == hardened)
-            // simlint: allow(D5) — run_sweep populates every (intensity, hardened) cell
             .expect("cell present")
     }
 }
@@ -191,8 +198,8 @@ fn reduce_cell(
             (goal_s as f64 - dur.min(goal_s as f64)) / goal_s as f64 * 100.0
         };
         shortfall.push(short);
-        residual.push(run.report.residual_j);
-        energy.push(run.report.total_j);
+        residual.push(run.report.residual_j.0);
+        energy.push(run.report.total_j.0);
         adaptations.push((run.outcome.degrades + run.outcome.upgrades) as f64);
         timeouts.push(run.report.rpc_timeouts as f64);
         retries.push(run.report.rpc_retries as f64);
@@ -268,6 +275,7 @@ pub fn render(trials: &Trials) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

@@ -324,6 +324,7 @@ pub fn write_results(dir: &Path, threads: usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::Joules;
 
     #[test]
     fn fig2_profile_has_nested_video_paths() {
@@ -340,7 +341,7 @@ mod tests {
             .iter()
             .find(|r| r.path == "video_playback/frame_pipeline")
             .expect("pipeline row");
-        assert!(pipeline.inclusive_energy_j > 0.0);
+        assert!(pipeline.inclusive_energy_j > Joules(0.0));
         assert_eq!(pipeline.samples, 0, "interior node sampled as a leaf");
     }
 

@@ -86,11 +86,11 @@ pub struct Fig15 {
 impl Fig15 {
     /// Extra energy the video adds, as a fraction of isolation energy.
     pub fn added_fraction(&self, regime: Regime) -> f64 {
+        #[expect(clippy::expect_used, reason = "run() always measures both regimes")]
         let (_, iso, conc) = self
             .pairs
             .iter()
             .find(|(r, _, _)| *r == regime)
-            // simlint: allow(D5) — run() always measures both regimes
             .expect("regime present");
         conc.mean / iso.mean - 1.0
     }

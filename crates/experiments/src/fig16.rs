@@ -83,6 +83,10 @@ pub struct Fig16 {
 
 impl Fig16 {
     /// (min, max) normalized energy for a row and condition.
+    #[expect(
+        clippy::expect_used,
+        reason = "rows carry a band for every condition by construction"
+    )]
     pub fn band_of(&self, app: &str, think_s: Option<f64>, c: Condition) -> (f64, f64) {
         let row = self
             .rows
@@ -93,7 +97,6 @@ impl Fig16 {
             .iter()
             .find(|(rc, _, _)| *rc == c)
             .map(|(_, lo, hi)| (*lo, *hi))
-            // simlint: allow(D5) — rows carry a band for every condition by construction
             .expect("condition present")
     }
 

@@ -59,7 +59,7 @@ fn measure(
     let reports = run_trials(trials, label, build);
     Measured {
         total_j: crate::harness::energy_stats(&reports).mean,
-        display_j: mean_display_j(&reports),
+        display_j: mean_display_j(&reports).0,
     }
 }
 

@@ -48,11 +48,11 @@ impl Fig19 {
     /// # Panics
     ///
     /// Panics if the goal was not run.
+    #[expect(clippy::expect_used, reason = "documented # Panics accessor")]
     pub fn trace(&self, goal_s: u64) -> &GoalTrace {
         self.traces
             .iter()
             .find(|t| t.goal_s == goal_s)
-            // simlint: allow(D5) — documented # Panics accessor
             .expect("goal present")
     }
 }
@@ -141,7 +141,7 @@ mod tests {
         for t in &f.traces {
             assert!(t.run.outcome.goal_met, "goal {}s missed", t.goal_s);
             assert!(!t.run.report.exhausted);
-            let residue_frac = t.run.report.residual_j / INITIAL_ENERGY_J;
+            let residue_frac = t.run.report.residual_j.0 / INITIAL_ENERGY_J;
             assert!(
                 residue_frac < 0.10,
                 "goal {}s left {:.1}% residue",

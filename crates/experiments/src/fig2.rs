@@ -77,7 +77,7 @@ mod tests {
     fn sampled_totals_match_exact_energy_within_noise() {
         let p = run(&Trials::single());
         // 30 s of full-fidelity baseline playback at ~12 W.
-        let total = p.total_energy_j();
+        let total = p.total_energy_j().0;
         assert!(
             (250.0..=450.0).contains(&total),
             "sampled total {total} J implausible"

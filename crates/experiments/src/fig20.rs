@@ -63,7 +63,7 @@ pub fn run_goals(trials: &Trials, goals: &[u64], initial_energy_j: f64) -> Fig20
                 if run.outcome.goal_met {
                     met += 1;
                 }
-                residuals.push(run.report.residual_j);
+                residuals.push(run.report.residual_j.0);
                 for (k, app) in APPS.iter().enumerate() {
                     adapt[k].push(run.adaptations_of(app) as f64);
                 }
@@ -118,6 +118,7 @@ pub fn render(trials: &Trials) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

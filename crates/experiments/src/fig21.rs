@@ -49,11 +49,11 @@ impl Fig21 {
     /// # Panics
     ///
     /// Panics if absent.
+    #[expect(clippy::expect_used, reason = "documented # Panics accessor")]
     pub fn row(&self, half_life: f64) -> &HalfLifeRow {
         self.rows
             .iter()
             .find(|r| (r.half_life - half_life).abs() < 1e-12)
-            // simlint: allow(D5) — documented # Panics accessor
             .expect("half-life present")
     }
 }
@@ -81,7 +81,7 @@ pub fn run_half_lives(trials: &Trials, half_lives: &[f64]) -> Fig21 {
                 if run.outcome.goal_met {
                     met += 1;
                 }
-                residuals.push(run.report.residual_j);
+                residuals.push(run.report.residual_j.0);
                 let mut total = 0usize;
                 for (k, app) in APPS.iter().enumerate() {
                     let n = run.adaptations_of(app);

@@ -8,7 +8,7 @@
 //! must meet the time goal despite the burstiness.
 
 use odyssey::GoalConfig;
-use simcore::{SimDuration, SimRng};
+use simcore::{Joules, SimDuration, SimRng};
 
 use crate::fig20::APPS;
 use crate::goalrig::{run_bursty_goal, GoalRun};
@@ -33,8 +33,8 @@ pub struct BurstyTrial {
     pub trial: usize,
     /// Whether the supply lasted the goal.
     pub goal_met: bool,
-    /// Residual energy, J.
-    pub residual_j: f64,
+    /// Residual energy.
+    pub residual_j: Joules,
     /// Adaptations per application, in [`crate::fig20::APPS`] order.
     pub adaptations: Vec<usize>,
 }
@@ -130,7 +130,7 @@ mod tests {
         for t in &f.trials {
             if t.goal_met {
                 assert!(
-                    t.residual_j < INITIAL_ENERGY_J * 0.25,
+                    t.residual_j < Joules(INITIAL_ENERGY_J * 0.25),
                     "trial {} residual {:.0} J too conservative",
                     t.trial,
                     t.residual_j

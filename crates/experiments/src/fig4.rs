@@ -7,6 +7,7 @@
 //! actually metering idle machine runs in each state.
 
 use hw560x::{DeviceStates, DiskState, DisplayState, PlatformPower, PlatformSpec, RadioState};
+use simcore::Watts;
 
 use crate::table::Table;
 
@@ -17,8 +18,8 @@ pub struct PowerRow {
     pub component: &'static str,
     /// State name.
     pub state: &'static str,
-    /// Power, W.
-    pub power_w: f64,
+    /// Power.
+    pub power_w: Watts,
 }
 
 /// The regenerated Figure 4.
@@ -27,11 +28,11 @@ pub struct Fig4 {
     /// Component/state rows.
     pub rows: Vec<PowerRow>,
     /// Total with screen brightest, disk and network idle (paper: 10.28).
-    pub full_on_w: f64,
+    pub full_on_w: Watts,
     /// Background: display dim, WaveLAN & disk standby (paper: 5.60).
-    pub background_w: f64,
+    pub background_w: Watts,
     /// Disk, screen and network "off" (paper table's last row, ≈3.47).
-    pub all_off_w: f64,
+    pub all_off_w: Watts,
 }
 
 /// Regenerates the table from the platform model.
@@ -141,9 +142,9 @@ mod tests {
     #[test]
     fn anchors_match_paper() {
         let f = run();
-        assert!((f.full_on_w - 10.28).abs() < 0.01);
-        assert!((f.background_w - 5.60).abs() < 0.01);
-        assert!((f.all_off_w - 3.47).abs() < 0.01);
+        assert!((f.full_on_w.0 - 10.28).abs() < 0.01);
+        assert!((f.background_w.0 - 5.60).abs() < 0.01);
+        assert!((f.all_off_w.0 - 3.47).abs() < 0.01);
     }
 
     #[test]

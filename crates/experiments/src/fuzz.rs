@@ -34,6 +34,7 @@ use simcore::{SimDuration, SimRng, SimTime};
 use simserve::{ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth};
 
 use crate::serve;
+use simcore::Joules;
 
 /// Batch size hostile streams are fed in (matches the serve verb).
 const BATCH: usize = 64;
@@ -138,8 +139,8 @@ fn mutate_once(samples: &mut Vec<Sample>, alt: &[Sample], rng: &mut SimRng) -> &
                 let mut flood = Vec::with_capacity(burst as usize);
                 for k in 0..burst {
                     let cmd = match rng.uniform_u64(0, 4) {
-                        0 => ReconfigCommand::BudgetJ(f64::NAN),
-                        1 => ReconfigCommand::BudgetJ(-1e18),
+                        0 => ReconfigCommand::BudgetJ(Joules(f64::NAN)),
+                        1 => ReconfigCommand::BudgetJ(Joules(-1e18)),
                         2 => ReconfigCommand::Horizon(SimTime::ZERO),
                         3 => ReconfigCommand::Quarantine(usize::MAX),
                         _ => ReconfigCommand::Goal(SimDuration::from_micros(k)),

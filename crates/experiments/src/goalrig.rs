@@ -17,7 +17,7 @@ use odyssey_apps::bursty::{BurstyMember, BurstyRole};
 use odyssey_apps::composite::{composite_members, CompositeMode};
 use odyssey_apps::datasets::VIDEO_CLIPS;
 use odyssey_apps::VideoPlayer;
-use simcore::{SimDuration, SimRng, SimTime, TimeSeries};
+use simcore::{SimDuration, SimRng, SimTime, TimeSeries, Watts};
 
 /// Everything an experiment needs from one goal-directed run.
 #[derive(Clone, Debug)]
@@ -135,6 +135,7 @@ fn run_composite_goal_full(
 }
 
 /// Runs the Section 5.4 bursty workload under a goal controller.
+#[expect(clippy::expect_used, reason = "BurstyRole::all() includes Video")]
 pub fn run_bursty_goal(cfg: GoalConfig, rng: &mut SimRng) -> GoalRun {
     let goal = cfg.goal;
     let horizon = SimTime::ZERO + goal * 2 + SimDuration::from_secs(600);
@@ -152,11 +153,13 @@ pub fn run_bursty_goal(cfg: GoalConfig, rng: &mut SimRng) -> GoalRun {
         }
         pids.push((role, pid));
     }
-    // simlint: allow(D5) — the loop above adds a pid for every BurstyRole
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the loop above adds a pid for every BurstyRole"
+    )]
     let pid_of = |r: BurstyRole| pids.iter().find(|(x, _)| *x == r).unwrap().1;
     let priorities = PriorityTable::new(vec![
         pid_of(BurstyRole::Speech),
-        // simlint: allow(D5) — BurstyRole::all() includes Video
         video_pid.expect("video present"),
         pid_of(BurstyRole::Map),
         pid_of(BurstyRole::Web),
@@ -178,9 +181,15 @@ pub fn finish(
     // The controller stops the run at the goal; the horizon is a safety
     // net against runaway workloads. The run goes through the service
     // API's batch mode — same engine as the always-on `serve` path.
-    // simlint: allow(D5) — adopt/run on a fresh session cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "adopt/run on a fresh session cannot fail"
+    )]
     let mut session = simserve::Session::adopt(m).expect("adopt fresh machine");
-    // simlint: allow(D5) — first run of a fresh session cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "first run of a fresh session cannot fail"
+    )]
     let report = session.run_until(horizon).expect("run adopted session");
     GoalRun {
         outcome: handle.outcome(),
@@ -192,7 +201,7 @@ pub fn finish(
 
 /// Mean power of the workload at pinned fidelity, measured over `secs`
 /// seconds without a controller — used to find feasible goal ranges.
-pub fn uncontrolled_power_w(lowest: bool, secs: u64, rng: &mut SimRng) -> f64 {
+pub fn uncontrolled_power_w(lowest: bool, secs: u64, rng: &mut SimRng) -> Watts {
     let horizon = SimTime::from_secs(secs);
     let mut m = Machine::new(MachineConfig::default());
     for member in composite_members(
@@ -216,7 +225,7 @@ pub fn uncontrolled_power_w(lowest: bool, secs: u64, rng: &mut SimRng) -> f64 {
     }
     m.add_background_process(Box::new(video));
     let report = m.run_until(horizon);
-    report.total_j / report.duration_s()
+    report.total_j / report.end.since(SimTime::ZERO)
 }
 
 #[cfg(test)]
@@ -226,8 +235,8 @@ mod tests {
     #[test]
     fn workload_power_brackets_are_sane() {
         let mut rng = SimRng::new(1);
-        let full = uncontrolled_power_w(false, 120, &mut rng);
-        let low = uncontrolled_power_w(true, 120, &mut rng);
+        let full = uncontrolled_power_w(false, 120, &mut rng).0;
+        let low = uncontrolled_power_w(true, 120, &mut rng).0;
         assert!(
             low < full,
             "lowest fidelity power {low} not below full {full}"
@@ -344,8 +353,8 @@ mod envelope_probe {
     #[ignore]
     fn print_power_envelope() {
         let mut rng = SimRng::new(7);
-        let full = uncontrolled_power_w(false, 300, &mut rng);
-        let low = uncontrolled_power_w(true, 300, &mut rng);
+        let full = uncontrolled_power_w(false, 300, &mut rng).0;
+        let low = uncontrolled_power_w(true, 300, &mut rng).0;
         eprintln!(
             "ENVELOPE full={full:.2} W low={low:.2} W ratio={:.3}",
             full / low

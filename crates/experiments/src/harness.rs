@@ -18,7 +18,7 @@
 //! share one engine: a batch trial is just a session nobody reconfigures.
 
 use machine::{Machine, RunReport};
-use simcore::{SimRng, TrialStats};
+use simcore::{Joules, SimRng, TrialStats};
 use simserve::Session;
 
 /// Trial configuration for an experiment.
@@ -81,6 +81,10 @@ impl Trials {
 /// often runs much longer than one that coasts), so the pool is pinned
 /// to grain 1: each chunk is a single trial, and a worker stuck on a
 /// long trial never holds undone trials hostage.
+#[expect(
+    clippy::expect_used,
+    reason = "first run of a fresh session cannot fail"
+)]
 pub fn run_trials(
     trials: &Trials,
     label: &str,
@@ -95,9 +99,11 @@ pub fn run_trials(
     simcore::par::map_stats(&cfg, &streams, |_, stream| {
         let mut rng = stream.clone();
         let machine = build(&mut rng);
-        // simlint: allow(D5) — adopt/run on a fresh session cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "adopt/run on a fresh session cannot fail"
+        )]
         let mut session = Session::adopt(machine).expect("adopt fresh machine");
-        // simlint: allow(D5) — first run of a fresh session cannot fail
         session.run_to_completion().expect("run adopted session")
     })
     .0
@@ -105,18 +111,22 @@ pub fn run_trials(
 
 /// Total-energy statistics over a set of reports.
 pub fn energy_stats(reports: &[RunReport]) -> TrialStats {
-    let values: Vec<f64> = reports.iter().map(|r| r.total_j).collect();
+    let values: Vec<f64> = reports.iter().map(|r| r.total_j.0).collect();
     TrialStats::from_values(&values)
 }
 
-/// Mean energy attributed to `bucket` across reports, J.
-pub fn mean_bucket_j(reports: &[RunReport], bucket: &str) -> f64 {
-    reports.iter().map(|r| r.bucket_j(bucket)).sum::<f64>() / reports.len() as f64
+/// Mean energy attributed to `bucket` across reports.
+pub fn mean_bucket_j(reports: &[RunReport], bucket: &str) -> Joules {
+    reports.iter().map(|r| r.bucket_j(bucket)).sum::<Joules>() / reports.len() as f64
 }
 
-/// Mean display energy across reports, J (for zoned-backlight projection).
-pub fn mean_display_j(reports: &[RunReport]) -> f64 {
-    reports.iter().map(|r| r.components.display_j).sum::<f64>() / reports.len() as f64
+/// Mean display energy across reports (for zoned-backlight projection).
+pub fn mean_display_j(reports: &[RunReport]) -> Joules {
+    reports
+        .iter()
+        .map(|r| r.components.display_j)
+        .sum::<Joules>()
+        / reports.len() as f64
 }
 
 /// Percentage saving of `new` relative to `old`.
@@ -129,6 +139,7 @@ pub fn saving_pct(old: f64, new: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use machine::workload::ScriptedWorkload;
@@ -225,7 +236,7 @@ mod tests {
     fn bucket_mean() {
         let reports = run_trials(&Trials::quick(), "b", build_idle);
         let idle = mean_bucket_j(&reports, "Idle");
-        assert!((idle - 2.0 * 10.28).abs() < 0.1);
-        assert_eq!(mean_bucket_j(&reports, "none"), 0.0);
+        assert!((idle - Joules(2.0 * 10.28)).abs() < Joules(0.1));
+        assert_eq!(mean_bucket_j(&reports, "none"), Joules(0.0));
     }
 }

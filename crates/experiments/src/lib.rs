@@ -55,6 +55,9 @@ pub mod fuzz;
 pub mod goalrig;
 pub mod harness;
 pub mod headline;
+#[cfg(clippy)]
+#[doc(hidden)]
+pub mod lint_controls;
 pub mod sec54;
 pub mod serve;
 pub mod supervise;

@@ -91,8 +91,10 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-// simlint: allow(P1) — reports wall-clock duration of the serve torture
-// run for the operator; the timing never feeds a simulation result
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reports wall-clock duration of the serve torture run for the operator; the timing never feeds a simulation result"
+)]
 fn run_serve_verb(seed: u64, multiple: u32, scenario: &str, sessions: usize, threads: usize) {
     let sw = bench::Stopwatch::start();
     match serve::run_verb(seed, multiple, scenario, sessions, threads) {
@@ -114,8 +116,10 @@ fn run_serve_verb(seed: u64, multiple: u32, scenario: &str, sessions: usize, thr
     }
 }
 
-// simlint: allow(P1) — reports wall-clock duration of the fuzz run for
-// the operator; the timing never feeds a simulation result
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reports wall-clock duration of the fuzz run for the operator; the timing never feeds a simulation result"
+)]
 fn run_fuzz_verb(seed: u64, streams: usize, threads: usize, scenario: &str) {
     let sw = bench::Stopwatch::start();
     match fuzz::run_verb(seed, streams, threads, scenario) {
@@ -182,8 +186,10 @@ fn render(id: &str, trials: &Trials) -> String {
     }
 }
 
-// simlint: allow(P1) — the bench verb exists to time real execution;
-// wall-clock reach is its contract, and it stops at this boundary
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the bench verb exists to time real execution; wall-clock reach is its contract, and it stops at this boundary"
+)]
 fn run_bench_verb(
     trials: &Trials,
     thread_counts: &[usize],
@@ -254,8 +260,10 @@ fn run_bench_verb(
     }
 }
 
-// simlint: allow(P1) — the CLI prints per-figure wall time for the
-// operator; figure bytes come from the deterministic render alone
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI prints per-figure wall time for the operator; figure bytes come from the deterministic render alone"
+)]
 fn main() {
     let mut trials = Trials::default().with_threads(simcore::par::available_threads());
     let mut thread_counts: Option<Vec<usize>> = None;

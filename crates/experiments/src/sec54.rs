@@ -13,7 +13,7 @@
 //! until late in each trial.
 
 use odyssey::GoalConfig;
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{Joules, SimDuration, SimRng, SimTime};
 
 use crate::fig20::APPS;
 use crate::goalrig::run_bursty_goal;
@@ -42,8 +42,8 @@ pub struct LongTrial {
     pub trial: usize,
     /// Whether the supply lasted to the extended goal.
     pub goal_met: bool,
-    /// Residual energy at the end, J.
-    pub residual_j: f64,
+    /// Residual energy at the end.
+    pub residual_j: Joules,
     /// Wall-clock duration, seconds.
     pub duration_s: f64,
     /// Adaptations per application.

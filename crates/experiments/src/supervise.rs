@@ -28,12 +28,13 @@ use odyssey_apps::composite::{composite_members, CompositeMode};
 use odyssey_apps::datasets::VIDEO_CLIPS;
 use odyssey_apps::{Misbehavior, VideoPlayer};
 use simcore::fault::{FaultSchedule, FaultWindow};
-use simcore::{SimDuration, SimRng, SimTime, TrialStats};
+use simcore::{SimDuration, SimRng, SimTime, TrialStats, Watts};
 
 use crate::chaos::{CHAOS_ENERGY_J, GOAL_S};
 use crate::goalrig::composite_horizon;
 use crate::harness::Trials;
 use crate::table::Table;
+use simcore::Joules;
 
 /// The swept misbehaving-app counts.
 pub const KS: [usize; 5] = [0, 1, 2, 3, 4];
@@ -52,10 +53,10 @@ const CRASH_AT: SimTime = SimTime::from_secs(300);
 /// trips the overdraw factor. Speech is the inversion the paper
 /// documents: its lowest fidelity is *local* recognition, which draws
 /// more CPU power than shipping the utterance to a server.
-const DECLARED_SPEECH: [f64; 2] = [6.5, 2.5];
-const DECLARED_VIDEO: [f64; 4] = [0.5, 0.8, 1.2, 2.0];
-const DECLARED_MAP: [f64; 4] = [0.4, 0.7, 1.1, 2.2];
-const DECLARED_WEB: [f64; 5] = [0.1, 0.15, 0.2, 0.3, 0.5];
+const DECLARED_SPEECH: [Watts; 2] = [Watts(6.5), Watts(2.5)];
+const DECLARED_VIDEO: [Watts; 4] = [Watts(0.5), Watts(0.8), Watts(1.2), Watts(2.0)];
+const DECLARED_MAP: [Watts; 4] = [Watts(0.4), Watts(0.7), Watts(1.1), Watts(2.2)];
+const DECLARED_WEB: [Watts; 5] = [Watts(0.1), Watts(0.15), Watts(0.2), Watts(0.3), Watts(0.5)];
 
 /// One (k, supervised) cell of the sweep.
 #[derive(Clone, Debug)]
@@ -105,11 +106,14 @@ pub struct Supervise {
 
 impl Supervise {
     /// The cell for a (k, supervised) pair.
+    #[expect(
+        clippy::expect_used,
+        reason = "the sweep populates every (k, supervised) cell"
+    )]
     pub fn cell(&self, k: usize, supervised: bool) -> &SuperviseCell {
         self.cells
             .iter()
             .find(|c| c.k == k && c.supervised == supervised)
-            // simlint: allow(D5) — the sweep populates every (k, supervised) cell
             .expect("cell present")
     }
 }
@@ -141,7 +145,7 @@ pub fn build_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRig {
     let goal = SimDuration::from_secs(GOAL_S);
     let horizon = composite_horizon(goal);
     let mut m = Machine::new(MachineConfig {
-        source: EnergySource::battery(CHAOS_ENERGY_J),
+        source: EnergySource::battery(Joules(CHAOS_ENERGY_J)),
         monitor_overhead_w: MONITOR_OVERHEAD_W,
         ..Default::default()
     });
@@ -220,9 +224,15 @@ pub fn build_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRig {
 
 fn run_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRun {
     let rig = build_one(k, supervised, rng);
-    // simlint: allow(D5) — adopt/run on a fresh session cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "adopt/run on a fresh session cannot fail"
+    )]
     let mut session = simserve::Session::adopt(rig.machine).expect("adopt fresh machine");
-    // simlint: allow(D5) — first run of a fresh session cannot fail
+    #[expect(
+        clippy::expect_used,
+        reason = "first run of a fresh session cannot fail"
+    )]
     let report = session.run_until(rig.horizon).expect("run adopted session");
     SuperRun {
         outcome: rig.goal.outcome(),
@@ -303,8 +313,8 @@ fn reduce_cell(trials: &Trials, k: usize, supervised: bool, runs: &[SuperRun]) -
         } else {
             (GOAL_S as f64 - dur.min(GOAL_S as f64)) / GOAL_S as f64 * 100.0
         });
-        residual.push(run.report.residual_j);
-        energy.push(run.report.total_j);
+        residual.push(run.report.residual_j.0);
+        energy.push(run.report.total_j.0);
         hangs.push(run.stats.hang_strikes as f64);
         ignores.push(run.stats.ignore_strikes as f64);
         overdraws.push(run.stats.overdraw_strikes as f64);
@@ -312,7 +322,7 @@ fn reduce_cell(trials: &Trials, k: usize, supervised: bool, runs: &[SuperRun]) -
         quarantines.push(run.stats.quarantines as f64);
         restarts.push(run.stats.restarts as f64);
         crash_releases.push(run.stats.crash_releases as f64);
-        redistributed.push(run.stats.redistributed_w);
+        redistributed.push(run.stats.redistributed_w.0);
     }
     SuperviseCell {
         k,
@@ -393,6 +403,7 @@ pub fn render(trials: &Trials) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 
@@ -480,8 +491,8 @@ mod power_probe {
                 let e = view.attributed_energy_j(pid);
                 if let Some(p) = self.feed.observe(i, now, e) {
                     let mut max = self.max.borrow_mut();
-                    if p > max[i] {
-                        max[i] = p;
+                    if p.0 > max[i] {
+                        max[i] = p.0;
                     }
                 }
             }

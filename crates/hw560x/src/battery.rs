@@ -7,7 +7,7 @@
 //! an initial energy value (12,000 J, 13,000 J, or 90,000 J) and the
 //! experiment ends when the workload completes or the supply reaches zero.
 
-use simcore::{fault::hash_noise, SimTime};
+use simcore::{fault::hash_noise, Joules, SimTime, Watts};
 
 /// An energy supply being drained by the platform.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -17,19 +17,19 @@ pub enum EnergySource {
     /// Finite store with the given remaining energy, J.
     Battery {
         /// Energy remaining, J.
-        remaining_j: f64,
+        remaining_j: Joules,
     },
 }
 
 impl EnergySource {
-    /// Creates a finite supply with `initial_j` Joules.
+    /// Creates a finite supply holding `initial_j`.
     ///
     /// # Panics
     ///
     /// Panics if `initial_j` is negative or not finite.
-    pub fn battery(initial_j: f64) -> Self {
+    pub fn battery(initial_j: Joules) -> Self {
         assert!(
-            initial_j.is_finite() && initial_j >= 0.0,
+            initial_j.is_finite() && initial_j >= Joules::ZERO,
             "invalid initial energy: {initial_j}"
         );
         EnergySource::Battery {
@@ -43,9 +43,9 @@ impl EnergySource {
     /// # Panics
     ///
     /// Panics if `joules` is negative or not finite.
-    pub fn drain(&mut self, joules: f64) -> f64 {
+    pub fn drain(&mut self, joules: Joules) -> Joules {
         assert!(
-            joules.is_finite() && joules >= 0.0,
+            joules.is_finite() && joules >= Joules::ZERO,
             "invalid drain: {joules}"
         );
         match self {
@@ -58,10 +58,10 @@ impl EnergySource {
         }
     }
 
-    /// Energy remaining, J (`f64::INFINITY` for an external supply).
-    pub fn remaining_j(&self) -> f64 {
+    /// Energy remaining (`Joules::INFINITY` for an external supply).
+    pub fn remaining_j(&self) -> Joules {
         match self {
-            EnergySource::External => f64::INFINITY,
+            EnergySource::External => Joules::INFINITY,
             EnergySource::Battery { remaining_j } => *remaining_j,
         }
     }
@@ -70,7 +70,7 @@ impl EnergySource {
     pub fn is_exhausted(&self) -> bool {
         match self {
             EnergySource::External => false,
-            EnergySource::Battery { remaining_j } => *remaining_j <= 0.0,
+            EnergySource::Battery { remaining_j } => *remaining_j <= Joules::ZERO,
         }
     }
 }
@@ -94,12 +94,12 @@ pub struct BatteryGauge {
     pub seed: u64,
     /// Proportional calibration bias: +0.1 reads 10% optimistic.
     pub bias_frac: f64,
-    /// Coulomb-counter drift, J of over-report per simulated second.
-    pub drift_j_per_s: f64,
+    /// Coulomb-counter drift: J of over-report per simulated second.
+    pub drift_j_per_s: Watts,
     /// Standard-deviation-scale read noise as a fraction of the reading.
     pub noise_frac: f64,
-    /// Reporting quantum, J (readings are floored to a multiple of it).
-    pub quantum_j: f64,
+    /// Reporting quantum (readings are floored to a multiple of it).
+    pub quantum_j: Joules,
 }
 
 impl BatteryGauge {
@@ -108,9 +108,9 @@ impl BatteryGauge {
         BatteryGauge {
             seed: 0,
             bias_frac: 0.0,
-            drift_j_per_s: 0.0,
+            drift_j_per_s: Watts::ZERO,
             noise_frac: 0.0,
-            quantum_j: 0.0,
+            quantum_j: Joules::ZERO,
         }
     }
 
@@ -131,105 +131,110 @@ impl BatteryGauge {
         BatteryGauge {
             seed,
             bias_frac: 0.20 * intensity,
-            drift_j_per_s: 0.5 * intensity,
+            drift_j_per_s: Watts(0.5 * intensity),
             noise_frac: 0.02 * intensity,
-            quantum_j: 50.0 * intensity,
+            quantum_j: Joules(50.0 * intensity),
         }
     }
 
     /// True when the gauge introduces no error at all.
     pub fn is_ideal(&self) -> bool {
         self.bias_frac == 0.0
-            && self.drift_j_per_s == 0.0
+            && self.drift_j_per_s == Watts::ZERO
             && self.noise_frac == 0.0
-            && self.quantum_j == 0.0
+            && self.quantum_j == Joules::ZERO
     }
 
     /// What the gauge reports at `now` when the cell truly holds
     /// `true_j`. Deterministic in `(now, true_j)`; never negative; an
     /// infinite `true_j` (external supply) passes through untouched.
-    pub fn read(&self, now: SimTime, true_j: f64) -> f64 {
-        if self.is_ideal() || true_j.is_infinite() {
+    pub fn read(&self, now: SimTime, true_j: Joules) -> Joules {
+        if self.is_ideal() || true_j.0.is_infinite() {
             return true_j;
         }
-        let mut v = true_j * (1.0 + self.bias_frac) + self.drift_j_per_s * now.as_secs_f64();
+        let mut v = true_j * (1.0 + self.bias_frac) + self.drift_j_per_s * now.since(SimTime::ZERO);
         if self.noise_frac > 0.0 {
             // One noise draw per 100 ms bucket so back-to-back reads agree.
             let tick = now.as_micros() / 100_000;
-            v *= 1.0 + self.noise_frac * hash_noise(self.seed, tick);
+            v = v * (1.0 + self.noise_frac * hash_noise(self.seed, tick));
         }
-        if self.quantum_j > 0.0 {
+        if self.quantum_j > Joules::ZERO {
             v = (v / self.quantum_j).floor() * self.quantum_j;
         }
-        v.max(0.0)
+        v.max(Joules::ZERO)
     }
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use simcore::SimDuration;
 
+    fn j(v: f64) -> Joules {
+        Joules(v)
+    }
+
     #[test]
     fn external_is_never_exhausted() {
         let mut s = EnergySource::External;
-        assert_eq!(s.drain(1e9), 1e9);
+        assert_eq!(s.drain(j(1e9)), j(1e9));
         assert!(!s.is_exhausted());
-        assert_eq!(s.remaining_j(), f64::INFINITY);
+        assert_eq!(s.remaining_j(), Joules::INFINITY);
     }
 
     #[test]
     fn battery_drains_to_zero() {
-        let mut s = EnergySource::battery(100.0);
-        assert_eq!(s.drain(60.0), 60.0);
-        assert!((s.remaining_j() - 40.0).abs() < 1e-12);
+        let mut s = EnergySource::battery(j(100.0));
+        assert_eq!(s.drain(j(60.0)), j(60.0));
+        assert!((s.remaining_j() - j(40.0)).abs() < j(1e-12));
         assert!(!s.is_exhausted());
         // Over-draw is clamped to what remains.
-        assert_eq!(s.drain(60.0), 40.0);
+        assert_eq!(s.drain(j(60.0)), j(40.0));
         assert!(s.is_exhausted());
-        assert_eq!(s.drain(1.0), 0.0);
+        assert_eq!(s.drain(j(1.0)), j(0.0));
     }
 
     #[test]
     fn zero_capacity_battery_is_exhausted() {
-        let s = EnergySource::battery(0.0);
+        let s = EnergySource::battery(j(0.0));
         assert!(s.is_exhausted());
     }
 
     #[test]
     #[should_panic(expected = "invalid initial energy")]
     fn negative_capacity_panics() {
-        let _ = EnergySource::battery(-1.0);
+        let _ = EnergySource::battery(j(-1.0));
     }
 
     #[test]
     #[should_panic(expected = "invalid drain")]
     fn negative_drain_panics() {
-        EnergySource::External.drain(-1.0);
+        EnergySource::External.drain(j(-1.0));
     }
 
     #[test]
     fn ideal_gauge_is_transparent() {
         let g = BatteryGauge::ideal();
         assert!(g.is_ideal());
-        assert_eq!(g.read(SimTime::from_secs(100), 5_000.0), 5_000.0);
-        assert_eq!(g.read(SimTime::ZERO, f64::INFINITY), f64::INFINITY);
+        assert_eq!(g.read(SimTime::from_secs(100), j(5_000.0)), j(5_000.0));
+        assert_eq!(g.read(SimTime::ZERO, Joules::INFINITY), Joules::INFINITY);
     }
 
     #[test]
     fn hostile_gauge_reads_optimistic_and_deterministic() {
         let g = BatteryGauge::hostile(7, 1.0);
         let now = SimTime::from_secs(600);
-        let a = g.read(now, 6_000.0);
-        let b = g.read(now, 6_000.0);
+        let a = g.read(now, j(6_000.0));
+        let b = g.read(now, j(6_000.0));
         assert_eq!(a, b, "same instant, same reading");
         // Bias +20% and drift +0.5 J/s dominate the ±2% noise.
-        assert!(a > 6_000.0, "hostile gauge should over-report: {a}");
+        assert!(a > j(6_000.0), "hostile gauge should over-report: {a}");
         // Quantized to 50 J steps.
-        assert_eq!(a % 50.0, 0.0);
+        assert_eq!(a.0 % 50.0, 0.0);
         // Noise means two different instants read differently even at
         // equal true energy (drift aside).
-        let later = g.read(now + SimDuration::from_secs(1), 6_000.0);
+        let later = g.read(now + SimDuration::from_secs(1), j(6_000.0));
         assert_ne!(a, later);
     }
 
@@ -237,8 +242,8 @@ mod tests {
     fn gauge_never_goes_negative() {
         let g = BatteryGauge::hostile(3, 1.0);
         for s in 0..100 {
-            let v = g.read(SimTime::from_secs(s), 1.0);
-            assert!(v >= 0.0, "{v}");
+            let v = g.read(SimTime::from_secs(s), j(1.0));
+            assert!(v >= Joules::ZERO, "{v}");
         }
     }
 

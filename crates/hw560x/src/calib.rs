@@ -23,7 +23,7 @@
 //! Pentium MMX 233 plus its memory system under a cache-hostile search
 //! workload plausibly draws that much above halt at the wall.
 
-use simcore::SimDuration;
+use simcore::{Joules, SimDuration, Watts};
 
 /// Power model parameters for one client platform.
 ///
@@ -33,29 +33,29 @@ use simcore::SimDuration;
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlatformSpec {
     /// Display backlight at full brightness, W.
-    pub display_bright_w: f64,
+    pub display_bright_w: Watts,
     /// Display backlight dimmed, W.
-    pub display_dim_w: f64,
+    pub display_dim_w: Watts,
     /// WaveLAN interface awake but not transferring, W.
-    pub radio_idle_w: f64,
+    pub radio_idle_w: Watts,
     /// WaveLAN interface in standby, W.
-    pub radio_standby_w: f64,
+    pub radio_standby_w: Watts,
     /// WaveLAN interface actively transmitting/receiving, W.
-    pub radio_active_w: f64,
+    pub radio_active_w: Watts,
     /// Disk spinning but idle, W.
-    pub disk_idle_w: f64,
+    pub disk_idle_w: Watts,
     /// Disk in standby (spun down), W.
-    pub disk_standby_w: f64,
+    pub disk_standby_w: Watts,
     /// Disk servicing requests, W.
-    pub disk_active_w: f64,
+    pub disk_active_w: Watts,
     /// Disk power while spinning up, W.
-    pub disk_spinup_w: f64,
+    pub disk_spinup_w: Watts,
     /// Time to spin the disk up from standby.
     pub disk_spinup_time: SimDuration,
     /// Everything else (CPU in halt, chipset, DRAM refresh, regulators), W.
-    pub base_other_w: f64,
+    pub base_other_w: Watts,
     /// Additional power of CPU + memory system at full load, W.
-    pub cpu_max_excess_w: f64,
+    pub cpu_max_excess_w: Watts,
     /// Superlinearity coefficient: measured total exceeds the component sum
     /// by this fraction of the sum's excess over `base_other_w`.
     pub superlinear_coeff: f64,
@@ -69,24 +69,24 @@ pub struct PlatformSpec {
 /// only about 14% of the nominal energy in the IBM 560X battery"; 12,000 /
 /// 0.14 ≈ 86 kJ, and Section 5.4's 90,000 J supply "roughly matches a
 /// fully-charged ThinkPad 560X battery".
-pub const NOMINAL_BATTERY_J: f64 = 90_000.0;
+pub const NOMINAL_BATTERY_J: Joules = Joules(90_000.0);
 
 impl Default for PlatformSpec {
     fn default() -> Self {
         PlatformSpec {
-            display_bright_w: 4.54,
+            display_bright_w: Watts(4.54),
             // Derived from identity (2); see `background_identity` test.
-            display_dim_w: 2.066,
-            radio_idle_w: 1.54,
-            radio_standby_w: 0.18,
-            radio_active_w: 2.90,
-            disk_idle_w: 0.95,
-            disk_standby_w: 0.24,
-            disk_active_w: 2.25,
-            disk_spinup_w: 3.00,
+            display_dim_w: Watts(2.066),
+            radio_idle_w: Watts(1.54),
+            radio_standby_w: Watts(0.18),
+            radio_active_w: Watts(2.90),
+            disk_idle_w: Watts(0.95),
+            disk_standby_w: Watts(0.24),
+            disk_active_w: Watts(2.25),
+            disk_spinup_w: Watts(3.00),
             disk_spinup_time: SimDuration::from_millis(1500),
-            base_other_w: 3.04,
-            cpu_max_excess_w: 9.5,
+            base_other_w: Watts(3.04),
+            cpu_max_excess_w: Watts(9.5),
             superlinear_coeff: 0.0299,
             disk_rate_bps: 3.0e6,
         }
@@ -120,6 +120,7 @@ mod tests {
             radio,
             cpu_load: 0.0,
         })
+        .0
     }
 
     /// Identity (1): screen brightest, disk and network idle → 10.28 W.
@@ -156,7 +157,7 @@ mod tests {
     #[test]
     fn display_share_of_background() {
         let spec = PlatformSpec::default();
-        let frac = spec.display_dim_w / 5.60;
+        let frac = spec.display_dim_w.0 / 5.60;
         assert!(
             (0.33..=0.40).contains(&frac),
             "dim display fraction {frac} outside the 'nearly 35%' band"
@@ -169,7 +170,7 @@ mod tests {
         let spec = PlatformSpec::default();
         let sum = spec.display_bright_w + spec.radio_idle_w + spec.disk_idle_w + spec.base_other_w;
         let total = power(DisplayState::Bright, DiskState::Idle, RadioState::Idle);
-        assert!(((total - sum) - 0.21).abs() < 0.01);
+        assert!(((total - sum.0) - 0.21).abs() < 0.01);
     }
 
     /// Ablated spec has no superlinearity.
@@ -184,6 +185,6 @@ mod tests {
             radio: RadioState::Idle,
             cpu_load: 0.0,
         });
-        assert!((total - sum).abs() < 1e-12);
+        assert!((total - sum).abs() < Watts(1e-12));
     }
 }

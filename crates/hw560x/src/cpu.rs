@@ -9,6 +9,7 @@
 //! platform's maximum CPU excess power.
 
 use crate::calib::PlatformSpec;
+use simcore::Watts;
 
 /// Returns the CPU + memory excess power over halt, W, at `load`.
 ///
@@ -21,10 +22,10 @@ use crate::calib::PlatformSpec;
 /// use hw560x::PlatformSpec;
 ///
 /// let spec = PlatformSpec::default();
-/// assert_eq!(hw560x::cpu::excess_power_w(&spec, 0.0), 0.0);
+/// assert_eq!(hw560x::cpu::excess_power_w(&spec, 0.0), simcore::Watts::ZERO);
 /// assert_eq!(hw560x::cpu::excess_power_w(&spec, 1.0), spec.cpu_max_excess_w);
 /// ```
-pub fn excess_power_w(spec: &PlatformSpec, load: f64) -> f64 {
+pub fn excess_power_w(spec: &PlatformSpec, load: f64) -> Watts {
     spec.cpu_max_excess_w * load.clamp(0.0, 1.0)
 }
 
@@ -54,11 +55,12 @@ pub mod intensity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::Watts;
 
     #[test]
     fn load_is_clamped() {
         let spec = PlatformSpec::default();
-        assert_eq!(excess_power_w(&spec, -1.0), 0.0);
+        assert_eq!(excess_power_w(&spec, -1.0), Watts::ZERO);
         assert_eq!(excess_power_w(&spec, 2.0), spec.cpu_max_excess_w);
     }
 
@@ -66,7 +68,7 @@ mod tests {
     fn power_is_linear_in_load() {
         let spec = PlatformSpec::default();
         let half = excess_power_w(&spec, 0.5);
-        assert!((half - spec.cpu_max_excess_w / 2.0).abs() < 1e-12);
+        assert!((half - spec.cpu_max_excess_w / 2.0).abs() < Watts(1e-12));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use simcore::{SimDuration, SimTime};
 
 use crate::calib::PlatformSpec;
+use simcore::Watts;
 
 /// Disk power state.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -26,7 +27,7 @@ pub enum DiskState {
 
 impl DiskState {
     /// Power drawn in this state, W.
-    pub fn power_w(self, spec: &PlatformSpec) -> f64 {
+    pub fn power_w(self, spec: &PlatformSpec) -> Watts {
         match self {
             DiskState::Active => spec.disk_active_w,
             DiskState::Idle => spec.disk_idle_w,

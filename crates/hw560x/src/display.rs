@@ -7,6 +7,7 @@
 //! states; the zoned projection lives in the `backlight` crate.
 
 use crate::calib::PlatformSpec;
+use simcore::Watts;
 
 /// Backlight state.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -21,11 +22,11 @@ pub enum DisplayState {
 
 impl DisplayState {
     /// Power drawn in this state, W.
-    pub fn power_w(self, spec: &PlatformSpec) -> f64 {
+    pub fn power_w(self, spec: &PlatformSpec) -> Watts {
         match self {
             DisplayState::Bright => spec.display_bright_w,
             DisplayState::Dim => spec.display_dim_w,
-            DisplayState::Off => 0.0,
+            DisplayState::Off => Watts::ZERO,
         }
     }
 
@@ -101,6 +102,7 @@ impl DisplayModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::Watts;
 
     #[test]
     fn power_ordering_matches_state_ordering() {
@@ -109,7 +111,7 @@ mod tests {
             DisplayState::Off.power_w(&spec) < DisplayState::Dim.power_w(&spec)
                 && DisplayState::Dim.power_w(&spec) < DisplayState::Bright.power_w(&spec)
         );
-        assert_eq!(DisplayState::Off.power_w(&spec), 0.0);
+        assert_eq!(DisplayState::Off.power_w(&spec), Watts::ZERO);
     }
 
     #[test]

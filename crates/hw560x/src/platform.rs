@@ -7,6 +7,8 @@
 //! proportional to the component sum's excess over the base, which
 //! reproduces both of the paper's anchor totals (see `calib`).
 
+use simcore::Watts;
+
 use crate::calib::PlatformSpec;
 use crate::cpu;
 use crate::disk::DiskState;
@@ -54,22 +56,22 @@ impl DeviceStates {
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PowerBreakdown {
     /// Display backlight.
-    pub display_w: f64,
+    pub display_w: Watts,
     /// Disk.
-    pub disk_w: f64,
+    pub disk_w: Watts,
     /// WaveLAN radio.
-    pub radio_w: f64,
+    pub radio_w: Watts,
     /// CPU + memory excess over halt.
-    pub cpu_w: f64,
+    pub cpu_w: Watts,
     /// Chipset, DRAM refresh, regulators, CPU halt.
-    pub base_w: f64,
+    pub base_w: Watts,
     /// Superlinear correction.
-    pub superlinear_w: f64,
+    pub superlinear_w: Watts,
 }
 
 impl PowerBreakdown {
     /// Total platform power, W.
-    pub fn total_w(&self) -> f64 {
+    pub fn total_w(&self) -> Watts {
         self.display_w + self.disk_w + self.radio_w + self.cpu_w + self.base_w + self.superlinear_w
     }
 }
@@ -111,7 +113,7 @@ impl PlatformPower {
     }
 
     /// Total platform power at the given states, W.
-    pub fn power_w(&self, s: &DeviceStates) -> f64 {
+    pub fn power_w(&self, s: &DeviceStates) -> Watts {
         self.breakdown(s).total_w()
     }
 }
@@ -134,14 +136,14 @@ mod tests {
             cpu_load: 0.7,
         };
         let b = m.breakdown(&s);
-        assert!((b.total_w() - m.power_w(&s)).abs() < 1e-12);
+        assert!((b.total_w() - m.power_w(&s)).abs() < Watts(1e-12));
     }
 
     #[test]
     fn reference_states_match_paper() {
         let m = model();
-        assert!((m.power_w(&DeviceStates::full_on_idle()) - 10.28).abs() < 0.01);
-        assert!((m.power_w(&DeviceStates::background()) - 5.60).abs() < 0.01);
+        assert!((m.power_w(&DeviceStates::full_on_idle()).0 - 10.28).abs() < 0.01);
+        assert!((m.power_w(&DeviceStates::background()).0 - 5.60).abs() < 0.01);
     }
 
     #[test]

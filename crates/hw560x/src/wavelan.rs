@@ -10,6 +10,7 @@
 //! power management is disabled, in which case it never drops below Idle.
 
 use crate::calib::PlatformSpec;
+use simcore::Watts;
 
 /// Radio power state.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -24,7 +25,7 @@ pub enum RadioState {
 
 impl RadioState {
     /// Power drawn in this state, W.
-    pub fn power_w(self, spec: &PlatformSpec) -> f64 {
+    pub fn power_w(self, spec: &PlatformSpec) -> Watts {
         match self {
             RadioState::Active => spec.radio_active_w,
             RadioState::Idle => spec.radio_idle_w,

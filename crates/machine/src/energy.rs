@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use hw560x::platform::PowerBreakdown;
-use simcore::{SimTime, TimeSeries};
+use simcore::{Joules, SimDuration, SimTime, TimeSeries, Watts};
 
 use crate::observer::ShareEntry;
 
@@ -21,22 +21,22 @@ use crate::observer::ShareEntry;
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ComponentTotals {
     /// Display backlight.
-    pub display_j: f64,
+    pub display_j: Joules,
     /// Disk.
-    pub disk_j: f64,
+    pub disk_j: Joules,
     /// WaveLAN radio.
-    pub radio_j: f64,
+    pub radio_j: Joules,
     /// CPU + memory excess over halt.
-    pub cpu_j: f64,
+    pub cpu_j: Joules,
     /// Base (chipset, DRAM refresh, CPU halt).
-    pub base_j: f64,
+    pub base_j: Joules,
     /// Superlinear correction.
-    pub superlinear_j: f64,
+    pub superlinear_j: Joules,
 }
 
 impl ComponentTotals {
-    /// Sum over all components, J.
-    pub fn total_j(&self) -> f64 {
+    /// Sum over all components.
+    pub fn total_j(&self) -> Joules {
         self.display_j + self.disk_j + self.radio_j + self.cpu_j + self.base_j + self.superlinear_j
     }
 }
@@ -50,47 +50,47 @@ pub struct ProcDetail {
     pub procedure: &'static str,
     /// Attributed CPU-occupancy time, seconds.
     pub cpu_secs: f64,
-    /// Attributed energy, J.
-    pub energy_j: f64,
+    /// Attributed energy.
+    pub energy_j: Joules,
 }
 
 #[derive(Debug, Default)]
 pub(crate) struct Ledger {
-    total_j: f64,
+    total_j: Joules,
     // BTreeMaps, not hash maps: the ledger is replayed state, and its
     // iteration order must not depend on the process's hash seed.
-    buckets: BTreeMap<&'static str, f64>,
-    detail: BTreeMap<(&'static str, &'static str), (f64, f64)>,
+    buckets: BTreeMap<&'static str, Joules>,
+    detail: BTreeMap<(&'static str, &'static str), (f64, Joules)>,
     components: ComponentTotals,
 }
 
 impl Ledger {
-    pub(crate) fn total_j(&self) -> f64 {
+    pub(crate) fn total_j(&self) -> Joules {
         self.total_j
     }
 
     pub(crate) fn add(
         &mut self,
-        dt_secs: f64,
-        power_w: f64,
+        dt: SimDuration,
+        power_w: Watts,
         b: &PowerBreakdown,
         shares: &[ShareEntry],
     ) {
-        debug_assert!(dt_secs >= 0.0);
-        let energy = power_w * dt_secs;
+        let dt_secs = dt.as_secs_f64();
+        let energy = power_w * dt;
         self.total_j += energy;
-        self.components.display_j += b.display_w * dt_secs;
-        self.components.disk_j += b.disk_w * dt_secs;
-        self.components.radio_j += b.radio_w * dt_secs;
-        self.components.cpu_j += b.cpu_w * dt_secs;
-        self.components.base_j += b.base_w * dt_secs;
-        self.components.superlinear_j += b.superlinear_w * dt_secs;
+        self.components.display_j += b.display_w * dt;
+        self.components.disk_j += b.disk_w * dt;
+        self.components.radio_j += b.radio_w * dt;
+        self.components.cpu_j += b.cpu_w * dt;
+        self.components.base_j += b.base_w * dt;
+        self.components.superlinear_j += b.superlinear_w * dt;
         for s in shares {
-            *self.buckets.entry(s.bucket).or_insert(0.0) += energy * s.fraction;
+            *self.buckets.entry(s.bucket).or_insert(Joules::ZERO) += energy * s.fraction;
             let d = self
                 .detail
                 .entry((s.bucket, s.procedure))
-                .or_insert((0.0, 0.0));
+                .or_insert((0.0, Joules::ZERO));
             d.0 += dt_secs * s.fraction;
             d.1 += energy * s.fraction;
         }
@@ -99,15 +99,15 @@ impl Ledger {
     /// Energy attributed to one bucket so far, J (0 when absent). This is
     /// the live PowerScope-attribution feed the supervisor cross-checks
     /// declarations against.
-    pub(crate) fn bucket_j(&self, name: &str) -> f64 {
-        self.buckets.get(name).copied().unwrap_or(0.0)
+    pub(crate) fn bucket_j(&self, name: &str) -> Joules {
+        self.buckets.get(name).copied().unwrap_or(Joules::ZERO)
     }
 
     /// The procedure with the most attributed energy inside one bucket,
     /// with its energy, J — the live counterpart of the profile detail's
     /// top row (ties break toward the lexicographically first name, so
     /// the answer is replay-stable).
-    pub(crate) fn hot_procedure_j(&self, bucket: &str) -> Option<(&'static str, f64)> {
+    pub(crate) fn hot_procedure_j(&self, bucket: &str) -> Option<(&'static str, Joules)> {
         self.detail
             .iter()
             .filter(|((b, _), _)| *b == bucket)
@@ -115,8 +115,8 @@ impl Ledger {
             .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(a.0)))
     }
 
-    pub(crate) fn snapshot_buckets(&self) -> Vec<(String, f64)> {
-        let mut v: Vec<(String, f64)> = self
+    pub(crate) fn snapshot_buckets(&self) -> Vec<(String, Joules)> {
+        let mut v: Vec<(String, Joules)> = self
             .buckets
             .iter()
             .map(|(k, e)| (k.to_string(), *e))
@@ -149,36 +149,36 @@ impl Ledger {
     }
 
     pub(crate) fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_f64(self.total_j);
+        w.put_f64(self.total_j.0);
         w.put_usize(self.buckets.len());
         for (name, j) in &self.buckets {
             w.put_str(name);
-            w.put_f64(*j);
+            w.put_f64(j.0);
         }
         w.put_usize(self.detail.len());
         for ((process, procedure), (secs, j)) in &self.detail {
             w.put_str(process);
             w.put_str(procedure);
             w.put_f64(*secs);
-            w.put_f64(*j);
+            w.put_f64(j.0);
         }
-        w.put_f64(self.components.display_j);
-        w.put_f64(self.components.disk_j);
-        w.put_f64(self.components.radio_j);
-        w.put_f64(self.components.cpu_j);
-        w.put_f64(self.components.base_j);
-        w.put_f64(self.components.superlinear_j);
+        w.put_f64(self.components.display_j.0);
+        w.put_f64(self.components.disk_j.0);
+        w.put_f64(self.components.radio_j.0);
+        w.put_f64(self.components.cpu_j.0);
+        w.put_f64(self.components.base_j.0);
+        w.put_f64(self.components.superlinear_j.0);
     }
 
     pub(crate) fn thaw_from(
         r: &mut simcore::SnapshotReader<'_>,
     ) -> Result<Ledger, simcore::SnapshotError> {
-        let total_j = r.take_f64()?;
+        let total_j = Joules(r.take_f64()?);
         let n = r.take_usize()?;
         let mut buckets = BTreeMap::new();
         for _ in 0..n {
             let name = r.take_static_str()?;
-            buckets.insert(name, r.take_f64()?);
+            buckets.insert(name, Joules(r.take_f64()?));
         }
         let n = r.take_usize()?;
         let mut detail = BTreeMap::new();
@@ -186,16 +186,16 @@ impl Ledger {
             let process = r.take_static_str()?;
             let procedure = r.take_static_str()?;
             let secs = r.take_f64()?;
-            let j = r.take_f64()?;
+            let j = Joules(r.take_f64()?);
             detail.insert((process, procedure), (secs, j));
         }
         let components = ComponentTotals {
-            display_j: r.take_f64()?,
-            disk_j: r.take_f64()?,
-            radio_j: r.take_f64()?,
-            cpu_j: r.take_f64()?,
-            base_j: r.take_f64()?,
-            superlinear_j: r.take_f64()?,
+            display_j: Joules(r.take_f64()?),
+            disk_j: Joules(r.take_f64()?),
+            radio_j: Joules(r.take_f64()?),
+            cpu_j: Joules(r.take_f64()?),
+            base_j: Joules(r.take_f64()?),
+            superlinear_j: Joules(r.take_f64()?),
         };
         Ok(Ledger {
             total_j,
@@ -211,10 +211,10 @@ impl Ledger {
 pub struct RunReport {
     /// Instant the run ended.
     pub end: SimTime,
-    /// Total energy consumed, J.
-    pub total_j: f64,
+    /// Total energy consumed.
+    pub total_j: Joules,
     /// Energy per software bucket, sorted descending.
-    pub buckets: Vec<(String, f64)>,
+    pub buckets: Vec<(String, Joules)>,
     /// Energy per hardware component.
     pub components: ComponentTotals,
     /// Energy and CPU time per `(process, procedure)` pair.
@@ -225,7 +225,7 @@ pub struct RunReport {
     /// True if a finite energy supply ran out before the workload ended.
     pub exhausted: bool,
     /// Energy remaining in the supply at the end (∞ for external).
-    pub residual_j: f64,
+    pub residual_j: Joules,
     /// Bytes carried over the wireless link (including aborted attempts).
     pub bytes_carried: u64,
     /// RPC attempts aborted by the retry policy's timeout.
@@ -235,13 +235,13 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Energy attributed to `bucket`, J (0 when absent).
-    pub fn bucket_j(&self, bucket: &str) -> f64 {
+    /// Energy attributed to `bucket` (0 when absent).
+    pub fn bucket_j(&self, bucket: &str) -> Joules {
         self.buckets
             .iter()
             .find(|(b, _)| b == bucket)
             .map(|(_, e)| *e)
-            .unwrap_or(0.0)
+            .unwrap_or(Joules::ZERO)
     }
 
     /// Total adaptations (fidelity changes) performed by `workload`.
@@ -260,6 +260,7 @@ impl RunReport {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::{BUCKET_IDLE, BUCKET_WAVELAN};
@@ -276,38 +277,43 @@ mod tests {
     fn ledger_conserves_energy_across_buckets() {
         let mut l = Ledger::default();
         let b = PowerBreakdown {
-            base_w: 10.0,
+            base_w: Watts(10.0),
             ..Default::default()
         };
         l.add(
-            2.0,
-            10.0,
+            SimDuration::from_secs(2),
+            Watts(10.0),
             &b,
             &[share(BUCKET_IDLE, 0.75), share(BUCKET_WAVELAN, 0.25)],
         );
-        assert!((l.total_j() - 20.0).abs() < 1e-12);
+        assert!((l.total_j() - Joules(20.0)).abs() < Joules(1e-12));
         let buckets = l.snapshot_buckets();
-        let sum: f64 = buckets.iter().map(|(_, e)| e).sum();
-        assert!((sum - 20.0).abs() < 1e-12);
+        let sum: Joules = buckets.iter().map(|(_, e)| e).sum();
+        assert!((sum - Joules(20.0)).abs() < Joules(1e-12));
         assert_eq!(buckets[0].0, BUCKET_IDLE);
-        assert!((buckets[0].1 - 15.0).abs() < 1e-12);
+        assert!((buckets[0].1 - Joules(15.0)).abs() < Joules(1e-12));
     }
 
     #[test]
     fn component_totals_track_breakdown() {
         let mut l = Ledger::default();
         let b = PowerBreakdown {
-            display_w: 4.0,
-            disk_w: 1.0,
-            radio_w: 2.0,
-            cpu_w: 3.0,
-            base_w: 5.0,
-            superlinear_w: 0.5,
+            display_w: Watts(4.0),
+            disk_w: Watts(1.0),
+            radio_w: Watts(2.0),
+            cpu_w: Watts(3.0),
+            base_w: Watts(5.0),
+            superlinear_w: Watts(0.5),
         };
-        l.add(4.0, b.total_w(), &b, &[share(BUCKET_IDLE, 1.0)]);
+        l.add(
+            SimDuration::from_secs(4),
+            b.total_w(),
+            &b,
+            &[share(BUCKET_IDLE, 1.0)],
+        );
         let c = l.components();
-        assert!((c.display_j - 16.0).abs() < 1e-12);
-        assert!((c.total_j() - l.total_j()).abs() < 1e-9);
+        assert!((c.display_j - Joules(16.0)).abs() < Joules(1e-12));
+        assert!((c.total_j() - l.total_j()).abs() < Joules(1e-9));
     }
 
     #[test]
@@ -315,12 +321,17 @@ mod tests {
         let mut l = Ledger::default();
         let b = PowerBreakdown::default();
         for _ in 0..3 {
-            l.add(1.0, 5.0, &b, &[share("janus", 1.0)]);
+            l.add(
+                SimDuration::from_secs(1),
+                Watts(5.0),
+                &b,
+                &[share("janus", 1.0)],
+            );
         }
         let d = l.snapshot_detail();
         assert_eq!(d.len(), 1);
         assert!((d[0].cpu_secs - 3.0).abs() < 1e-12);
-        assert!((d[0].energy_j - 15.0).abs() < 1e-12);
+        assert!((d[0].energy_j - Joules(15.0)).abs() < Joules(1e-12));
     }
 
     #[test]
@@ -335,11 +346,11 @@ mod tests {
         let b = PowerBreakdown::default();
         let mut forward = Ledger::default();
         for n in names {
-            forward.add(1.0, 5.0, &b, &[share(n, 1.0)]);
+            forward.add(SimDuration::from_secs(1), Watts(5.0), &b, &[share(n, 1.0)]);
         }
         let mut reversed = Ledger::default();
         for n in names.iter().rev() {
-            reversed.add(1.0, 5.0, &b, &[share(n, 1.0)]);
+            reversed.add(SimDuration::from_secs(1), Watts(5.0), &b, &[share(n, 1.0)]);
         }
         assert_eq!(forward.snapshot_buckets(), reversed.snapshot_buckets());
         assert_eq!(forward.snapshot_detail(), reversed.snapshot_detail());
@@ -356,19 +367,22 @@ mod tests {
     fn report_lookup_helpers() {
         let report = RunReport {
             end: SimTime::from_secs(10),
-            total_j: 50.0,
-            buckets: vec![("Idle".into(), 30.0), ("xanim".into(), 20.0)],
+            total_j: Joules(50.0),
+            buckets: vec![
+                ("Idle".into(), Joules(30.0)),
+                ("xanim".into(), Joules(20.0)),
+            ],
             components: ComponentTotals::default(),
             detail: vec![],
             fidelity: vec![],
             exhausted: false,
-            residual_j: f64::INFINITY,
+            residual_j: Joules(f64::INFINITY),
             bytes_carried: 0,
             rpc_timeouts: 0,
             rpc_retries: 0,
         };
-        assert_eq!(report.bucket_j("xanim"), 20.0);
-        assert_eq!(report.bucket_j("nope"), 0.0);
+        assert_eq!(report.bucket_j("xanim"), Joules(20.0));
+        assert_eq!(report.bucket_j("nope"), Joules(0.0));
         assert_eq!(report.adaptations_of("xanim"), 0);
         assert_eq!(report.duration_s(), 10.0);
     }

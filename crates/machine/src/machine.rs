@@ -23,7 +23,8 @@ use hw560x::{
 use netsim::{FlowId, LinkFaultTimeline, SharedLink, RPC_LATENCY, WAVELAN_CAPACITY_BPS};
 use simcore::event::EventId;
 use simcore::{
-    EventQueue, SimDuration, SimRng, SimTime, TimeSeries, TraceCategory, TraceEvent, TraceHandle,
+    EventQueue, Joules, SimDuration, SimRng, SimTime, TimeSeries, TraceCategory, TraceEvent,
+    TraceHandle, Watts,
 };
 
 use crate::activity::{Activity, AdaptDirection, FidelityView, Step};
@@ -90,10 +91,10 @@ pub struct MachineConfig {
     pub link_bps: f64,
     /// Energy supply.
     pub source: EnergySource,
-    /// Constant power drawn by energy monitoring itself, W (Section
-    /// 5.1.4: ~10 mW for SmartBattery-class measurement plus ~4 mW for
-    /// demand prediction). Zero when no monitor is deployed.
-    pub monitor_overhead_w: f64,
+    /// Constant power drawn by energy monitoring itself (Section 5.1.4:
+    /// ~10 mW for SmartBattery-class measurement plus ~4 mW for demand
+    /// prediction). Zero when no monitor is deployed.
+    pub monitor_overhead_w: Watts,
     /// Substrate fault model; [`FaultConfig::clean`] (the default)
     /// reproduces the paper's bench conditions exactly.
     pub faults: FaultConfig,
@@ -106,7 +107,7 @@ impl Default for MachineConfig {
             pm: PmPolicy::enabled(),
             link_bps: WAVELAN_CAPACITY_BPS,
             source: EnergySource::External,
-            monitor_overhead_w: 0.0,
+            monitor_overhead_w: Watts::ZERO,
             faults: FaultConfig::clean(),
         }
     }
@@ -180,16 +181,16 @@ impl MachineView<'_> {
         self.m.clock
     }
 
-    /// Total energy consumed since the run began, J.
-    pub fn energy_consumed_j(&self) -> f64 {
+    /// Total energy consumed since the run began.
+    pub fn energy_consumed_j(&self) -> Joules {
         self.m.ledger.total_j()
     }
 
-    /// Energy remaining in the supply as the battery gauge reports it, J
+    /// Energy remaining in the supply as the battery gauge reports it
     /// (∞ for an external supply). Under a faulty gauge this is what a
     /// deployed controller would actually see; use
     /// [`MachineView::true_residual_j`] for ground truth.
-    pub fn residual_j(&self) -> f64 {
+    pub fn residual_j(&self) -> Joules {
         self.m
             .cfg
             .faults
@@ -197,9 +198,9 @@ impl MachineView<'_> {
             .read(self.m.clock, self.m.source.remaining_j())
     }
 
-    /// Ground-truth energy remaining in the supply, J. Only rigs and
-    /// tests should read this; controllers see [`MachineView::residual_j`].
-    pub fn true_residual_j(&self) -> f64 {
+    /// Ground-truth energy remaining in the supply. Only rigs and tests
+    /// should read this; controllers see [`MachineView::residual_j`].
+    pub fn true_residual_j(&self) -> Joules {
         self.m.source.remaining_j()
     }
 
@@ -266,15 +267,15 @@ impl MachineView<'_> {
     /// demand against. Idle (think-time) power is attributed to the Idle
     /// bucket, not the process, so a blocked app reads near zero here
     /// while a hung spin does not.
-    pub fn attributed_energy_j(&self, pid: Pid) -> f64 {
+    pub fn attributed_energy_j(&self, pid: Pid) -> Joules {
         self.m.ledger.bucket_j(self.m.procs[pid.0].workload.name())
     }
 
     /// The procedure PowerScope attribution bills most of the process's
-    /// energy to so far, with that energy, J — the demand-accounting
+    /// energy to so far, with that energy — the demand-accounting
     /// detail a supervisor cites when it strikes an app whose power
     /// exceeds its declaration. `None` before any energy is attributed.
-    pub fn attributed_hot_procedure(&self, pid: Pid) -> Option<(&'static str, f64)> {
+    pub fn attributed_hot_procedure(&self, pid: Pid) -> Option<(&'static str, Joules)> {
         self.m
             .ledger
             .hot_procedure_j(self.m.procs[pid.0].workload.name())
@@ -914,7 +915,10 @@ impl Machine {
                     break;
                 }
             }
-            // simlint: allow(D5) — peek_time just returned Some; the queue cannot be empty here
+            #[expect(
+                clippy::expect_used,
+                reason = "peek_time just returned Some; the queue cannot be empty here"
+            )]
             let (t, ev) = self.queue.pop().expect("peeked event vanished");
             self.advance_to(t);
             if self.stopped {
@@ -1077,8 +1081,7 @@ impl Machine {
         breakdown.base_w += self.cfg.monitor_overhead_w;
         let power_w = breakdown.total_w();
         let mut t1 = t;
-        let dt = t.since(self.clock).as_secs_f64();
-        let needed = power_w * dt;
+        let needed = power_w * t.since(self.clock);
         let mut ran_dry = false;
         if self.source.remaining_j() < needed {
             // The supply runs out mid-interval; integrate only to the
@@ -1089,8 +1092,8 @@ impl Machine {
             self.stopped = true;
             ran_dry = true;
         }
-        let dt1 = t1.since(self.clock).as_secs_f64();
-        if dt1 > 0.0 {
+        let dt1 = t1.since(self.clock);
+        if !dt1.is_zero() {
             self.source.drain(power_w * dt1);
             self.ledger.add(dt1, power_w, &breakdown, &self.share_buf);
             if self.trace_enabled(TraceCategory::Energy) {
@@ -1104,7 +1107,7 @@ impl Machine {
                             t1,
                             TraceEvent::EnergyDelta {
                                 bucket: s.bucket,
-                                energy_j: energy * s.fraction,
+                                energy_j: (energy * s.fraction).0,
                             },
                         );
                     }
@@ -1125,7 +1128,7 @@ impl Machine {
         self.clock = t1;
         if ran_dry {
             self.trace_emit(TraceEvent::SupplyExhausted {
-                residual_j: self.source.remaining_j(),
+                residual_j: self.source.remaining_j().0,
             });
         }
     }
@@ -1427,8 +1430,8 @@ impl Machine {
     pub fn state_digest(&self) -> u64 {
         let mut h = simcore::SnapshotHasher::new();
         h.write_u64(self.clock.as_micros());
-        h.write_f64(self.ledger.total_j());
-        h.write_f64(self.source.remaining_j());
+        h.write_f64(self.ledger.total_j().0);
+        h.write_f64(self.source.remaining_j().0);
         h.write_u64(self.exhausted as u64);
         h.write_u64(self.rpc_timeouts);
         h.write_u64(self.rpc_retries);
@@ -1442,7 +1445,7 @@ impl Machine {
             c.base_j,
             c.superlinear_j,
         ] {
-            h.write_f64(v);
+            h.write_f64(v.0);
         }
         h.write_u64(self.procs.len() as u64);
         for p in &self.procs {
@@ -1554,7 +1557,7 @@ impl Machine {
             EnergySource::External => w.put_u64(0),
             EnergySource::Battery { remaining_j } => {
                 w.put_u64(1);
-                w.put_f64(remaining_j);
+                w.put_f64(remaining_j.0);
             }
         }
         w.put_usize(self.hooks.len());
@@ -1685,8 +1688,8 @@ impl Machine {
         self.source = match r.take_u64()? {
             0 => EnergySource::External,
             1 => {
-                let remaining_j = r.take_f64()?;
-                if !remaining_j.is_finite() || remaining_j < 0.0 {
+                let remaining_j = Joules(r.take_f64()?);
+                if !remaining_j.is_finite() || remaining_j < Joules::ZERO {
                     return Err(simcore::SnapshotError::Corrupt("battery residual"));
                 }
                 EnergySource::Battery { remaining_j }
@@ -1749,7 +1752,10 @@ impl Machine {
     }
 
     fn on_cpu_done(&mut self) {
-        // simlint: allow(D5) — CpuDone is only scheduled while a slice is running
+        #[expect(
+            clippy::expect_used,
+            reason = "CpuDone is only scheduled while a slice is running"
+        )]
         let (src, slice) = self.current.take().expect("CpuDone without current");
         match src {
             Source::Proc(pid) => {
@@ -1770,10 +1776,13 @@ impl Machine {
                 }
             }
             Source::XServer => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "scheduler invariant: the X source only runs with queued jobs"
+                )]
                 let front = self
                     .x_queue
                     .front_mut()
-                    // simlint: allow(D5) — scheduler invariant: the X source only runs with queued jobs
                     .expect("X running with empty queue");
                 front.remaining = front.remaining.saturating_sub(slice);
                 if front.remaining.is_zero() {
@@ -1908,7 +1917,10 @@ impl Machine {
             name: self.procs[pid.0].workload.name(),
             attempt: self.procs[pid.0].attempts as u64 + 1,
         });
-        // simlint: allow(D5) — RpcTimeout events are only scheduled when a retry policy exists
+        #[expect(
+            clippy::expect_used,
+            reason = "RpcTimeout events are only scheduled when a retry policy exists"
+        )]
         let policy = self.cfg.faults.rpc.expect("RpcTimeout without a policy");
         let backoff = policy.backoff_after(self.procs[pid.0].attempts);
         self.procs[pid.0].state = ProcState::NetBackoff(plan);
@@ -1938,7 +1950,10 @@ impl Machine {
         self.link_event = None;
         self.link.advance(self.clock);
         while let Some(flow) = self.link.take_completed() {
-            // simlint: allow(D5) — every completed flow was registered by start_flow
+            #[expect(
+                clippy::expect_used,
+                reason = "every completed flow was registered by start_flow"
+            )]
             let ctx = self.flows.remove(&flow).expect("completed unknown flow");
             let pid = ctx.pid;
             self.procs[pid.0].flow = None;
@@ -1997,7 +2012,10 @@ impl Machine {
     // ---- Hooks -------------------------------------------------------------
 
     fn on_hook_tick(&mut self, i: usize) {
-        // simlint: allow(D5) — hooks are leased out one tick at a time; re-entry is a bug worth crashing on
+        #[expect(
+            clippy::expect_used,
+            reason = "hooks are leased out one tick at a time; re-entry is a bug worth crashing on"
+        )]
         let mut hook = self.hooks[i].hook.take().expect("hook re-entered");
         let now = self.clock;
         hook.on_tick(now, &mut MachineView { m: self });
@@ -2144,7 +2162,7 @@ mod tests {
             "checkpoint hook state carried through the snapshot"
         );
         assert!(
-            (restored_report.total_j - base_report.total_j).abs() < 1e-9,
+            (restored_report.total_j - base_report.total_j).abs() < Joules(1e-9),
             "ledger carried through the snapshot: {} vs {}",
             restored_report.total_j,
             base_report.total_j
@@ -2193,7 +2211,7 @@ mod tests {
         let mut m = idle_machine(PmPolicy::disabled());
         let report = m.run_until(SimTime::from_secs(10));
         assert!(
-            (report.total_j - 102.8).abs() < 0.1,
+            (report.total_j - Joules(102.8)).abs() < Joules(0.1),
             "got {} J",
             report.total_j
         );
@@ -2206,7 +2224,7 @@ mod tests {
     fn idle_pm_power_is_all_off() {
         let mut m = idle_machine(PmPolicy::enabled());
         let report = m.run_until(SimTime::from_secs(100));
-        let avg = report.total_j / 100.0;
+        let avg = report.total_j.0 / 100.0;
         // Display off (no demand), disk and radio in standby: ≈ 3.47 W.
         assert!((3.4..=3.6).contains(&avg), "avg power {avg}");
     }
@@ -2233,14 +2251,14 @@ mod tests {
         // Full-on idle 10.28 W + 9.5 W CPU + superlinearity on the CPU.
         let expected_power = 10.28 + 9.5 * (1.0 + 0.0299);
         assert!(
-            (report.total_j - expected_power * 5.0).abs() < 0.5,
+            (report.total_j - Joules(expected_power * 5.0)).abs() < Joules(0.5),
             "total {} vs expected {}",
             report.total_j,
             expected_power * 5.0
         );
         let burner = report.bucket_j("burner");
         assert!(
-            (burner - report.total_j).abs() < 1e-6,
+            (burner - report.total_j).abs() < Joules(1e-6),
             "all energy attributed to the running process"
         );
         assert_eq!(report.detail[0].process, "burner");
@@ -2267,7 +2285,7 @@ mod tests {
         assert!((report.duration_s() - 4.0).abs() < 0.05);
         let a = report.bucket_j("a");
         let b = report.bucket_j("b");
-        assert!((a - b).abs() < 0.5, "a={a} b={b}");
+        assert!((a - b).abs() < Joules(0.5), "a={a} b={b}");
     }
 
     /// An RPC blocks the caller for at least the physical minimum and the
@@ -2302,8 +2320,8 @@ mod tests {
         assert!(report.duration_s() < min + 0.1);
         // Energy was attributed to WaveLAN interrupts and Odyssey during
         // the transfer phases.
-        assert!(report.bucket_j(BUCKET_WAVELAN) > 0.0);
-        assert!(report.bucket_j(BUCKET_ODYSSEY) > 0.0);
+        assert!(report.bucket_j(BUCKET_WAVELAN) > Joules(0.0));
+        assert!(report.bucket_j(BUCKET_ODYSSEY) > Joules(0.0));
     }
 
     /// A bulk fetch takes bytes/bandwidth and drives radio-active power.
@@ -2337,7 +2355,7 @@ mod tests {
             }],
         )));
         let report = m.run();
-        assert!((report.bucket_j(BUCKET_IDLE) - report.total_j).abs() < 1e-9);
+        assert!((report.bucket_j(BUCKET_IDLE) - report.total_j).abs() < Joules(1e-9));
     }
 
     /// Under PM, a long think period dims the display after the timeout.
@@ -2354,7 +2372,7 @@ mod tests {
         // 10 s bright (4.54 W) then 20 s dim (2.066 W) on the display.
         let expected_display = 10.0 * 4.54 + 20.0 * 2.066;
         assert!(
-            (report.components.display_j - expected_display).abs() < 0.5,
+            (report.components.display_j - Joules(expected_display)).abs() < Joules(0.5),
             "display {} vs {}",
             report.components.display_j,
             expected_display
@@ -2372,7 +2390,7 @@ mod tests {
             }],
         )));
         let report = m.run();
-        assert!((report.components.display_j - 30.0 * 4.54).abs() < 0.01);
+        assert!((report.components.display_j - Joules(30.0 * 4.54)).abs() < Joules(0.01));
     }
 
     /// Disk reads spin the disk up from standby and back down after the
@@ -2404,7 +2422,7 @@ mod tests {
         let d = report.components.disk_j;
         let expected = 20.0 * 0.24 + 1.5 * 3.0 + 1.0 * 2.25 + 10.0 * 0.95 + 27.5 * 0.24;
         assert!(
-            (d - expected).abs() < 1.0,
+            (d - Joules(expected)).abs() < Joules(1.0),
             "disk energy {d} vs expected {expected}"
         );
         assert!((report.duration_s() - 60.0).abs() < 0.01);
@@ -2428,7 +2446,7 @@ mod tests {
         )));
         let report = m.run();
         assert!((report.duration_s() - 4.0).abs() < 0.01);
-        assert!(report.bucket_j(BUCKET_X) > 0.0);
+        assert!(report.bucket_j(BUCKET_X) > Joules(0.0));
         let x_detail = report
             .detail
             .iter()
@@ -2442,7 +2460,7 @@ mod tests {
     fn battery_exhaustion_stops_run() {
         let mut m = Machine::new(MachineConfig {
             pm: PmPolicy::disabled(),
-            source: EnergySource::battery(102.8), // exactly 10 s of idle.
+            source: EnergySource::battery(Joules(102.8)), // exactly 10 s of idle.
             ..Default::default()
         });
         m.add_process(Box::new(ScriptedWorkload::new(
@@ -2460,7 +2478,7 @@ mod tests {
         );
         // Exhaustion time is rounded to the microsecond grid, so a few
         // µJ may remain.
-        assert!(report.residual_j.abs() < 1e-3);
+        assert!(report.residual_j.abs() < Joules(1e-3));
     }
 
     /// Hooks fire on their period and can stop the run.
@@ -2575,7 +2593,7 @@ mod tests {
         let report = m.run();
         let observed = shared.borrow().total_j();
         assert!(
-            (observed - report.total_j).abs() < 1e-9,
+            (observed - report.total_j).abs() < Joules(1e-9),
             "observer {observed} vs ledger {}",
             report.total_j
         );
@@ -2606,10 +2624,10 @@ mod tests {
             ],
         )));
         let report = m.run();
-        let sum: f64 = report.buckets.iter().map(|(_, e)| e).sum();
-        assert!((sum - report.total_j).abs() < 1e-6);
+        let sum: Joules = report.buckets.iter().map(|(_, e)| e).sum();
+        assert!((sum - report.total_j).abs() < Joules(1e-6));
         let comp = report.components.total_j();
-        assert!((comp - report.total_j).abs() < 1e-6);
+        assert!((comp - report.total_j).abs() < Joules(1e-6));
     }
 
     /// run_until integrates the tail even with no events pending.
@@ -2633,7 +2651,7 @@ mod tests {
     fn monitor_overhead_is_accounted() {
         let mut m = Machine::new(MachineConfig {
             pm: PmPolicy::disabled(),
-            monitor_overhead_w: 0.014,
+            monitor_overhead_w: Watts(0.014),
             ..Default::default()
         });
         m.add_process(Box::new(ScriptedWorkload::idle_for(
@@ -2643,7 +2661,7 @@ mod tests {
         let report = m.run();
         // 100 s of full-on idle plus 1.4 J of monitoring.
         assert!(
-            (report.total_j - (1028.0 + 1.4)).abs() < 0.5,
+            (report.total_j - Joules(1028.0 + 1.4)).abs() < Joules(0.5),
             "total {}",
             report.total_j
         );
@@ -2724,8 +2742,8 @@ mod tests {
         }
         impl ControlHook for Reader {
             fn on_tick(&mut self, _now: SimTime, view: &mut MachineView<'_>) {
-                self.gauged = view.residual_j();
-                self.truth = view.true_residual_j();
+                self.gauged = view.residual_j().0;
+                self.truth = view.true_residual_j().0;
                 view.request_stop();
             }
         }
@@ -2741,7 +2759,7 @@ mod tests {
         }
         let mut m = Machine::new(MachineConfig {
             pm: PmPolicy::disabled(),
-            source: EnergySource::battery(10_000.0),
+            source: EnergySource::battery(Joules(10_000.0)),
             faults: FaultConfig {
                 gauge: BatteryGauge::hostile(3, 1.0),
                 ..FaultConfig::clean()

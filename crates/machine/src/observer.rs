@@ -7,7 +7,7 @@
 
 use hw560x::platform::PowerBreakdown;
 use hw560x::{DeviceStates, DiskState, DisplayState, RadioState};
-use simcore::SimTime;
+use simcore::{Joules, SimTime, Watts};
 
 /// One attribution share within an interval.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,8 +27,8 @@ pub struct IntervalRecord<'a> {
     pub t0: SimTime,
     /// Interval end (exclusive).
     pub t1: SimTime,
-    /// Platform power over the interval, W.
-    pub power_w: f64,
+    /// Platform power over the interval.
+    pub power_w: Watts,
     /// Per-component decomposition of `power_w`.
     pub breakdown: PowerBreakdown,
     /// Device states in force.
@@ -43,9 +43,9 @@ impl IntervalRecord<'_> {
         self.t1.since(self.t0).as_secs_f64()
     }
 
-    /// Energy consumed over the interval, J.
-    pub fn energy_j(&self) -> f64 {
-        self.power_w * self.dt_secs()
+    /// Energy consumed over the interval.
+    pub fn energy_j(&self) -> Joules {
+        self.power_w * self.t1.since(self.t0)
     }
 }
 
@@ -59,7 +59,7 @@ pub trait IntervalObserver {
 /// ledger must agree with it exactly (used by conservation tests).
 #[derive(Debug, Default)]
 pub struct EnergyProbe {
-    total_j: f64,
+    total_j: Joules,
     intervals: usize,
     last_end: Option<SimTime>,
 }
@@ -70,8 +70,8 @@ impl EnergyProbe {
         Self::default()
     }
 
-    /// Total energy observed, J.
-    pub fn total_j(&self) -> f64 {
+    /// Total energy observed.
+    pub fn total_j(&self) -> Joules {
         self.total_j
     }
 
@@ -131,7 +131,7 @@ mod tests {
             states,
             shares: &shares,
         };
-        assert!((rec.energy_j() - 2.0 * 10.28).abs() < 0.03);
+        assert!((rec.energy_j() - Joules(2.0 * 10.28)).abs() < Joules(0.03));
         assert!((rec.dt_secs() - 2.0).abs() < 1e-12);
     }
 
@@ -148,7 +148,7 @@ mod tests {
             let rec = IntervalRecord {
                 t0: SimTime::from_secs(i),
                 t1: SimTime::from_secs(i + 1),
-                power_w: 10.0,
+                power_w: Watts(10.0),
                 breakdown: PowerBreakdown::default(),
                 states,
                 shares: &shares,
@@ -156,7 +156,7 @@ mod tests {
             probe.on_interval(&rec);
         }
         assert_eq!(probe.intervals(), 4);
-        assert!((probe.total_j() - 40.0).abs() < 1e-12);
+        assert!((probe.total_j() - Joules(40.0)).abs() < Joules(1e-12));
     }
 
     #[test]
@@ -166,7 +166,7 @@ mod tests {
         let rec = IntervalRecord {
             t0: SimTime::ZERO,
             t1: SimTime::from_secs(1),
-            power_w: 1.0,
+            power_w: Watts(1.0),
             breakdown: PowerBreakdown::default(),
             states: idle_states(),
             shares: &[],

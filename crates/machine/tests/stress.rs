@@ -10,6 +10,7 @@ use machine::{
     Activity, AdaptDirection, ControlHook, FidelityView, Machine, MachineConfig, MachineView, Step,
     Workload,
 };
+use simcore::Joules;
 use simcore::{SimDuration, SimTime};
 
 fn cpu(ms: u64, intensity: f64) -> Activity {
@@ -28,7 +29,7 @@ fn battery_dies_mid_transfer() {
         pm: PmPolicy::disabled(),
         // With an active transfer the platform draws ~12.5 W, so 40 J
         // dies about 3.2 s into the 4-second fetch.
-        source: EnergySource::battery(40.0),
+        source: EnergySource::battery(Joules(40.0)),
         ..Default::default()
     });
     m.add_process(Box::new(ScriptedWorkload::new(
@@ -42,9 +43,9 @@ fn battery_dies_mid_transfer() {
     assert!(report.exhausted);
     assert!(report.duration_s() < 4.0, "ran past the transfer");
     assert!(report.duration_s() > 2.0, "died implausibly early");
-    let sum: f64 = report.buckets.iter().map(|(_, j)| j).sum();
-    assert!((sum - report.total_j).abs() < 1e-6);
-    assert!((report.total_j - 40.0).abs() < 1e-3);
+    let sum: Joules = report.buckets.iter().map(|(_, j)| j).sum();
+    assert!((sum - report.total_j).abs() < Joules(1e-6));
+    assert!((report.total_j - Joules(40.0)).abs() < Joules(1e-3));
 }
 
 /// Eight CPU-hungry processes share the machine; accounting balances and
@@ -58,7 +59,7 @@ fn heavy_multiprogramming_is_fair() {
     }
     let report = m.run();
     assert!((report.duration_s() - 16.0).abs() < 0.2);
-    let energies: Vec<f64> = NAMES.iter().map(|n| report.bucket_j(n)).collect();
+    let energies: Vec<f64> = NAMES.iter().map(|n| report.bucket_j(n).0).collect();
     let mean = energies.iter().sum::<f64>() / energies.len() as f64;
     for (name, e) in NAMES.iter().zip(&energies) {
         assert!(
@@ -132,8 +133,8 @@ fn thrashing_controller_is_safe() {
         (90..=101).contains(&changes),
         "unexpected change count {changes}"
     );
-    let sum: f64 = report.buckets.iter().map(|(_, j)| j).sum();
-    assert!((sum - report.total_j).abs() < 1e-6);
+    let sum: Joules = report.buckets.iter().map(|(_, j)| j).sum();
+    assert!((sum - report.total_j).abs() < Joules(1e-6));
 }
 
 /// The passive bandwidth estimator reports the full link rate when alone
@@ -234,7 +235,7 @@ fn cpu_as_attribution() {
     let report = m.run();
     let lib = report.bucket_j("library");
     let own = report.bucket_j("frontend");
-    assert!(lib > 0.0 && own > 0.0);
+    assert!(lib > Joules(0.0) && own > Joules(0.0));
     assert!((lib - own).abs() / own < 0.01, "lib {lib} vs own {own}");
     assert!(report
         .detail
@@ -248,12 +249,12 @@ fn cpu_as_attribution() {
 fn empty_machines() {
     let mut m = Machine::new(MachineConfig::baseline());
     let report = m.run();
-    assert_eq!(report.total_j, 0.0);
+    assert_eq!(report.total_j, Joules(0.0));
     assert_eq!(report.end, SimTime::ZERO);
 
     let mut m = Machine::new(MachineConfig::default());
     let report = m.run_until(SimTime::from_secs(50));
-    assert!((report.total_j - 50.0 * 3.47).abs() < 0.5);
+    assert!((report.total_j - Joules(50.0 * 3.47)).abs() < Joules(0.5));
 }
 
 /// Display demand composition across heterogeneous workloads: the screen
@@ -281,7 +282,7 @@ fn display_demand_composition() {
     let report = m.run();
     // Display bright exactly while the visual app lives: 10 s * 4.54 W.
     assert!(
-        (report.components.display_j - 45.4).abs() < 0.5,
+        (report.components.display_j - Joules(45.4)).abs() < Joules(0.5),
         "display energy {}",
         report.components.display_j
     );

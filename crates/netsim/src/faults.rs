@@ -185,6 +185,7 @@ impl LinkFaultTimeline {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

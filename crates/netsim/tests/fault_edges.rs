@@ -3,6 +3,8 @@
 //! outages, resume with their bytes intact, and never gain or lose
 //! traffic to bookkeeping.
 
+#![expect(clippy::float_cmp, reason = "tests pin exact values")]
+
 use netsim::{LinkFaultTimeline, SharedLink};
 use simcore::fault::{FaultSchedule, FaultWindow};
 use simcore::{SimDuration, SimTime};

@@ -11,7 +11,7 @@
 //! from the goal α is large (stable; transients ignored), close to the
 //! goal α shrinks (agile; the margin for error is small).
 
-use simcore::SimDuration;
+use simcore::{Joules, SimDuration, Watts};
 
 /// Exponential smoother with a time-remaining-scaled half-life.
 #[derive(Clone, Copy, Debug)]
@@ -20,7 +20,7 @@ pub struct Smoother {
     half_life_frac: f64,
     /// Sample period, seconds.
     period_s: f64,
-    value: Option<f64>,
+    value: Option<Watts>,
 }
 
 impl Smoother {
@@ -62,9 +62,9 @@ impl Smoother {
     /// # Panics
     ///
     /// Panics on non-finite or negative samples.
-    pub fn update(&mut self, sample_w: f64, remaining_s: f64) -> f64 {
+    pub fn update(&mut self, sample_w: Watts, remaining_s: f64) -> Watts {
         assert!(
-            sample_w.is_finite() && sample_w >= 0.0,
+            sample_w.is_finite() && sample_w >= Watts::ZERO,
             "invalid power sample: {sample_w}"
         );
         let new = match self.value {
@@ -78,8 +78,8 @@ impl Smoother {
         new
     }
 
-    /// Current smoothed power, W.
-    pub fn value(&self) -> Option<f64> {
+    /// Current smoothed power.
+    pub fn value(&self) -> Option<Watts> {
         self.value
     }
 
@@ -91,7 +91,7 @@ impl Smoother {
     /// Encodes the smoothed value (the parameters are construction-time)
     /// into a snapshot payload.
     pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_opt_f64(self.value);
+        w.put_opt_f64(self.value.map(|p| p.0));
     }
 
     /// Restores the state written by [`Self::freeze_into`].
@@ -99,22 +99,22 @@ impl Smoother {
         &mut self,
         r: &mut simcore::SnapshotReader<'_>,
     ) -> Result<(), simcore::SnapshotError> {
-        self.value = r.take_opt_f64()?;
+        self.value = r.take_opt_f64()?.map(Watts);
         Ok(())
     }
 }
 
 /// Predicted future energy demand: smoothed power times time remaining.
-pub fn predicted_demand_j(smoothed_w: f64, remaining_s: f64) -> f64 {
-    smoothed_w * remaining_s.max(0.0)
+pub fn predicted_demand_j(smoothed_w: Watts, remaining: SimDuration) -> Joules {
+    smoothed_w * remaining
 }
 
 /// One application's standing demand declaration.
 #[derive(Clone, Debug, PartialEq)]
 struct DemandEntry {
-    /// Declared sustained power at each fidelity level, W, index 0 =
+    /// Declared sustained power at each fidelity level, index 0 =
     /// lowest fidelity.
-    declared_w: Vec<f64>,
+    declared_w: Vec<Watts>,
     /// The fidelity level the application currently claims to run at.
     claimed_level: usize,
     /// False once the entry has been released (app exited or was
@@ -148,10 +148,12 @@ impl DemandLedger {
     ///
     /// Panics if `declared_w` is empty, contains a non-finite or negative
     /// value, or `claimed_level` is out of range.
-    pub fn declare(&mut self, idx: usize, declared_w: Vec<f64>, claimed_level: usize) {
+    pub fn declare(&mut self, idx: usize, declared_w: Vec<Watts>, claimed_level: usize) {
         assert!(!declared_w.is_empty(), "empty demand declaration");
         assert!(
-            declared_w.iter().all(|w| w.is_finite() && *w >= 0.0),
+            declared_w
+                .iter()
+                .all(|w| w.is_finite() && *w >= Watts::ZERO),
             "invalid declared power: {declared_w:?}"
         );
         assert!(
@@ -184,7 +186,7 @@ impl DemandLedger {
     /// Releases the declaration for `idx` (app exit, crash GC, or
     /// quarantine). Returns the watts freed, or `None` if there was no
     /// active entry — calling it twice is a no-op, not a double-free.
-    pub fn release(&mut self, idx: usize) -> Option<f64> {
+    pub fn release(&mut self, idx: usize) -> Option<Watts> {
         match self.entries.get_mut(&idx) {
             Some(e) if e.active => {
                 e.active = false;
@@ -208,9 +210,9 @@ impl DemandLedger {
         }
     }
 
-    /// Declared power for `idx` at its claimed level, W; `None` when
-    /// absent or released.
-    pub fn declared_w(&self, idx: usize) -> Option<f64> {
+    /// Declared power for `idx` at its claimed level; `None` when absent
+    /// or released.
+    pub fn declared_w(&self, idx: usize) -> Option<Watts> {
         self.entries
             .get(&idx)
             .filter(|e| e.active)
@@ -230,8 +232,8 @@ impl DemandLedger {
         self.entries.get(&idx).is_some_and(|e| e.active)
     }
 
-    /// Sum of declared power over all active entries, W.
-    pub fn total_declared_w(&self) -> f64 {
+    /// Sum of declared power over all active entries.
+    pub fn total_declared_w(&self) -> Watts {
         self.entries
             .values()
             .filter(|e| e.active)
@@ -246,7 +248,7 @@ impl DemandLedger {
             w.put_usize(*idx);
             w.put_usize(e.declared_w.len());
             for power in &e.declared_w {
-                w.put_f64(*power);
+                w.put_f64(power.0);
             }
             w.put_usize(e.claimed_level);
             w.put_bool(e.active);
@@ -269,7 +271,7 @@ impl DemandLedger {
                 if !power.is_finite() || power < 0.0 {
                     return Err(simcore::SnapshotError::Corrupt("declared power"));
                 }
-                declared_w.push(power);
+                declared_w.push(Watts(power));
             }
             let claimed_level = r.take_usize()?;
             if claimed_level >= declared_w.len() {
@@ -317,8 +319,8 @@ mod tests {
     #[test]
     fn first_sample_is_taken_verbatim() {
         let mut s = smoother(0.10);
-        assert_eq!(s.update(7.5, 1000.0), 7.5);
-        assert_eq!(s.value(), Some(7.5));
+        assert_eq!(s.update(Watts(7.5), 1000.0), Watts(7.5));
+        assert_eq!(s.value(), Some(Watts(7.5)));
     }
 
     #[test]
@@ -327,12 +329,12 @@ mod tests {
         // Feed a step from 10 W to 0 W: after 100 s (1000 samples) the
         // smoothed value should be half the step.
         let mut s = smoother(0.10);
-        s.update(10.0, 1000.0);
-        let mut v = 10.0;
+        s.update(Watts(10.0), 1000.0);
+        let mut v = Watts(10.0);
         for _ in 0..1000 {
-            v = s.update(0.0, 1000.0);
+            v = s.update(Watts(0.0), 1000.0);
         }
-        assert!((v - 5.0).abs() < 0.05, "after one half-life: {v}");
+        assert!((v.0 - 5.0).abs() < 0.05, "after one half-life: {v}");
     }
 
     #[test]
@@ -365,33 +367,39 @@ mod tests {
     fn converges_to_constant_input() {
         let mut s = smoother(0.10);
         for _ in 0..5000 {
-            s.update(8.2, 500.0);
+            s.update(Watts(8.2), 500.0);
         }
-        assert!((s.value().unwrap() - 8.2).abs() < 1e-9);
+        assert!((s.value().unwrap() - Watts(8.2)).abs() < Watts(1e-9));
     }
 
     #[test]
     fn demand_is_power_times_remaining() {
-        assert_eq!(predicted_demand_j(10.0, 600.0), 6000.0);
-        assert_eq!(predicted_demand_j(10.0, -5.0), 0.0);
+        assert_eq!(
+            predicted_demand_j(Watts(10.0), SimDuration::from_secs(600)),
+            Joules(6000.0)
+        );
+        assert_eq!(
+            predicted_demand_j(Watts(10.0), SimDuration::ZERO),
+            Joules(0.0)
+        );
     }
 
     #[test]
     fn reset_clears() {
         let mut s = smoother(0.10);
-        s.update(5.0, 100.0);
+        s.update(Watts(5.0), 100.0);
         s.reset();
         assert_eq!(s.value(), None);
-        assert_eq!(s.update(1.0, 100.0), 1.0);
+        assert_eq!(s.update(Watts(1.0), 100.0), Watts(1.0));
     }
 
     #[test]
     fn ledger_tracks_claimed_level() {
         let mut l = DemandLedger::new();
-        l.declare(0, vec![1.0, 2.0, 4.0], 2);
-        assert_eq!(l.declared_w(0), Some(4.0));
+        l.declare(0, vec![Watts(1.0), Watts(2.0), Watts(4.0)], 2);
+        assert_eq!(l.declared_w(0), Some(Watts(4.0)));
         assert!(l.set_claimed_level(0, 0));
-        assert_eq!(l.declared_w(0), Some(1.0));
+        assert_eq!(l.declared_w(0), Some(Watts(1.0)));
         assert!(!l.set_claimed_level(0, 3));
         assert!(!l.set_claimed_level(9, 0));
     }
@@ -399,11 +407,11 @@ mod tests {
     #[test]
     fn release_frees_demand_exactly_once() {
         let mut l = DemandLedger::new();
-        l.declare(0, vec![2.0, 5.0], 1);
-        l.declare(1, vec![3.0], 0);
-        assert!((l.total_declared_w() - 8.0).abs() < 1e-12);
-        assert_eq!(l.release(0), Some(5.0));
-        assert!((l.total_declared_w() - 3.0).abs() < 1e-12);
+        l.declare(0, vec![Watts(2.0), Watts(5.0)], 1);
+        l.declare(1, vec![Watts(3.0)], 0);
+        assert!((l.total_declared_w() - Watts(8.0)).abs() < Watts(1e-12));
+        assert_eq!(l.release(0), Some(Watts(5.0)));
+        assert!((l.total_declared_w() - Watts(3.0)).abs() < Watts(1e-12));
         // Double release is a no-op, not a double-free.
         assert_eq!(l.release(0), None);
         assert!(!l.is_active(0));
@@ -416,25 +424,25 @@ mod tests {
     #[test]
     fn crashed_app_without_release_is_a_leak_until_collected() {
         let mut l = DemandLedger::new();
-        l.declare(0, vec![2.0], 0);
-        l.declare(1, vec![6.0], 0);
+        l.declare(0, vec![Watts(2.0)], 0);
+        l.declare(1, vec![Watts(6.0)], 0);
         let done = |idx: usize| idx == 1; // process 1 crashed
         assert_eq!(l.leaked(done), vec![1]);
-        assert!((l.total_declared_w() - 8.0).abs() < 1e-12);
-        assert_eq!(l.release(1), Some(6.0));
+        assert!((l.total_declared_w() - Watts(8.0)).abs() < Watts(1e-12));
+        assert_eq!(l.release(1), Some(Watts(6.0)));
         assert!(l.leaked(done).is_empty());
-        assert!((l.total_declared_w() - 2.0).abs() < 1e-12);
+        assert!((l.total_declared_w() - Watts(2.0)).abs() < Watts(1e-12));
     }
 
     #[test]
     fn reinstate_reactivates_at_recovery_level() {
         let mut l = DemandLedger::new();
-        l.declare(0, vec![1.0, 3.0], 1);
+        l.declare(0, vec![Watts(1.0), Watts(3.0)], 1);
         assert!(!l.reinstate(0, 0), "active entries cannot be reinstated");
         l.release(0);
         assert!(!l.reinstate(0, 5), "out-of-range level rejected");
         assert!(l.reinstate(0, 0));
-        assert_eq!(l.declared_w(0), Some(1.0));
+        assert_eq!(l.declared_w(0), Some(Watts(1.0)));
         assert_eq!(l.claimed_level(0), Some(0));
     }
 }

@@ -49,7 +49,10 @@ impl FidelitySpace {
                 l.name
             );
         }
-        // simlint: allow(D5) — an empty fidelity ladder is a construction bug; this panic is the validation
+        #[expect(
+            clippy::expect_used,
+            reason = "an empty fidelity ladder is a construction bug; this panic is the validation"
+        )]
         let top = levels.last().expect("non-empty");
         assert!(
             (top.data_ratio - 1.0).abs() < 1e-9,
@@ -89,6 +92,7 @@ impl FidelitySpace {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

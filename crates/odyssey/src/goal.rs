@@ -22,23 +22,23 @@ use std::rc::Rc;
 
 use machine::{AdaptDirection, ControlHook, MachineView};
 use powerscope::{FaultyEnergySensor, MeterFaultPlan, OnlinePowerMeter};
-use simcore::{SimDuration, SimTime, TimeSeries, TraceEvent};
+use simcore::{Joules, SimDuration, SimTime, TimeSeries, TraceEvent, Watts};
 
 use crate::demand::{predicted_demand_j, Smoother};
 use crate::priority::PriorityTable;
 
-/// Power overhead of deployed energy monitoring, W (Section 5.1.4: "we
+/// Power overhead of deployed energy monitoring (Section 5.1.4: "we
 /// expect that the total power overhead imposed by our solution will be
 /// less than 14 mW — only 0.25% of the background power consumption of
 /// our laptop"). Set [`machine::MachineConfig::monitor_overhead_w`] to
 /// this when attaching a [`GoalController`].
-pub const MONITOR_OVERHEAD_W: f64 = 0.014;
+pub const MONITOR_OVERHEAD_W: Watts = Watts(0.014);
 
 /// Configuration of a goal-directed adaptation run.
 #[derive(Clone, Debug)]
 pub struct GoalConfig {
-    /// Initial energy value given to Odyssey, J.
-    pub initial_energy_j: f64,
+    /// Initial energy value given to Odyssey.
+    pub initial_energy_j: Joules,
     /// Desired battery duration (deadline measured from run start).
     pub goal: SimDuration,
     /// Smoothing half-life as a fraction of time remaining (paper: 0.10).
@@ -95,9 +95,9 @@ pub struct Hardening {
     /// Skip decisions when the newest accepted power sample is older
     /// than this.
     pub stale_after: SimDuration,
-    /// Physical power envelope `[min, max]` W; accepted samples are
+    /// Physical power envelope `[min, max]`; accepted samples are
     /// clamped into it before smoothing.
-    pub power_clamp_w: (f64, f64),
+    pub power_clamp_w: (Watts, Watts),
     /// Consecutive deficit decisions required before degrading.
     pub degrade_persistence: usize,
     /// Cross-check the gauge against metered consumption, taking the
@@ -117,7 +117,7 @@ impl Hardening {
     pub fn standard() -> Self {
         Hardening {
             stale_after: SimDuration::from_secs(2),
-            power_clamp_w: (1.0, 30.0),
+            power_clamp_w: (Watts(1.0), Watts(30.0)),
             degrade_persistence: 2,
             use_energy_cross_check: true,
             reserve_frac: 0.05,
@@ -126,10 +126,11 @@ impl Hardening {
 }
 
 impl GoalConfig {
-    /// The paper's parameters for a given supply and duration.
+    /// The paper's parameters for a supply of `initial_energy_j` joules
+    /// and a duration.
     pub fn paper(initial_energy_j: f64, goal: SimDuration) -> Self {
         GoalConfig {
-            initial_energy_j,
+            initial_energy_j: Joules(initial_energy_j),
             goal,
             half_life_frac: 0.10,
             hysteresis_supply_frac: 0.05,
@@ -202,7 +203,7 @@ struct Shared {
     posted_goal: Option<SimDuration>,
     /// A live budget revision posted through the handle: replaces the
     /// initial energy value at the controller's next tick.
-    posted_budget_j: Option<f64>,
+    posted_budget_j: Option<Joules>,
 }
 
 /// Caller-side handle to inspect a controller after the run. Cloneable so
@@ -273,7 +274,7 @@ impl GoalHandle {
     /// budget reserve, and the energy cross-check — becomes `budget_j`.
     /// The last post before the tick wins. Callers validate positivity
     /// and finiteness; the controller applies whatever was posted.
-    pub fn post_budget_revision_j(&self, budget_j: f64) {
+    pub fn post_budget_revision_j(&self, budget_j: Joules) {
         self.shared.borrow_mut().posted_budget_j = Some(budget_j);
     }
 }
@@ -290,10 +291,10 @@ impl GoalHandle {
 /// use machine::workload::ScriptedWorkload;
 /// use machine::{Machine, MachineConfig};
 /// use odyssey::{GoalConfig, GoalController, PriorityTable};
-/// use simcore::{SimDuration, SimTime};
+/// use simcore::{Joules, SimDuration, SimTime};
 ///
 /// let mut m = Machine::new(MachineConfig {
-///     source: EnergySource::battery(150.0),
+///     source: EnergySource::battery(Joules(150.0)),
 ///     ..Default::default()
 /// });
 /// let pid = m.add_process(Box::new(ScriptedWorkload::idle_for(
@@ -322,10 +323,10 @@ pub struct GoalController {
     sensor: FaultyEnergySensor,
     /// Instant of the last accepted (non-dropped) power sample.
     last_sample_at: Option<SimTime>,
-    /// Last accepted cumulative-energy reading, J (for the cross-check).
-    last_metered_j: f64,
+    /// Last accepted cumulative-energy reading (for the cross-check).
+    last_metered_j: Joules,
     /// Monotone non-increasing envelope of gauge readings (hardened).
-    supply_floor: f64,
+    supply_floor: Joules,
     /// Consecutive deficit decisions (hardened degrade persistence).
     deficit_streak: usize,
     shared: Rc<RefCell<Shared>>,
@@ -366,8 +367,8 @@ impl GoalController {
             last_upgrade: None,
             sensor: FaultyEnergySensor::new(cfg.meter_faults),
             last_sample_at: None,
-            last_metered_j: 0.0,
-            supply_floor: f64::INFINITY,
+            last_metered_j: Joules::ZERO,
+            supply_floor: Joules::INFINITY,
             deficit_streak: 0,
             shared: shared.clone(),
             cfg,
@@ -404,7 +405,7 @@ impl GoalController {
     /// energy, so upward jumps are sensor artifacts — and (b) the initial
     /// energy value minus everything the on-line meter has seen consumed,
     /// then withholds the budget reserve from the result.
-    fn estimate_supply(&mut self, gauge_j: f64) -> f64 {
+    fn estimate_supply(&mut self, gauge_j: Joules) -> Joules {
         let Some(h) = self.cfg.hardening else {
             return gauge_j;
         };
@@ -413,10 +414,11 @@ impl GoalController {
         }
         let mut supply = self.supply_floor;
         if h.use_energy_cross_check {
-            supply = supply.min((self.cfg.initial_energy_j - self.last_metered_j).max(0.0));
+            supply =
+                supply.min((self.cfg.initial_energy_j - self.last_metered_j).max(Joules::ZERO));
         }
         if supply.is_finite() {
-            supply = (supply - h.reserve_frac * self.cfg.initial_energy_j).max(0.0);
+            supply = (supply - h.reserve_frac * self.cfg.initial_energy_j).max(Joules::ZERO);
         }
         supply
     }
@@ -436,16 +438,15 @@ impl GoalController {
             }
         }
         let supply = self.estimate_supply(view.residual_j());
-        let remaining_s = self.deadline.saturating_since(now).as_secs_f64();
-        let demand = predicted_demand_j(power, remaining_s);
+        let demand = predicted_demand_j(power, self.deadline.saturating_since(now));
         {
             let mut s = self.shared.borrow_mut();
-            s.supply.record(now, supply);
-            s.demand.record(now, demand);
+            s.supply.record(now, supply.0);
+            s.demand.record(now, demand.0);
         }
         view.emit_trace(TraceEvent::GoalBudget {
-            supply_j: supply,
-            demand_j: demand,
+            supply_j: supply.0,
+            demand_j: demand.0,
         });
         let procs = view.processes();
         if demand > supply {
@@ -511,7 +512,7 @@ impl ControlHook for GoalController {
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
         // The only mutable piece of cfg: a posted budget revision
         // replaces the initial energy value.
-        w.put_f64(self.cfg.initial_energy_j);
+        w.put_f64(self.cfg.initial_energy_j.0);
         w.put_time(self.deadline);
         w.put_usize(self.next_extension);
         self.meter.freeze_into(w);
@@ -520,8 +521,8 @@ impl ControlHook for GoalController {
         w.put_opt_time(self.last_upgrade);
         self.sensor.freeze_into(w);
         w.put_opt_time(self.last_sample_at);
-        w.put_f64(self.last_metered_j);
-        w.put_f64(self.supply_floor);
+        w.put_f64(self.last_metered_j.0);
+        w.put_f64(self.supply_floor.0);
         w.put_usize(self.deficit_streak);
         let s = self.shared.borrow();
         s.supply.freeze_into(w);
@@ -544,12 +545,12 @@ impl ControlHook for GoalController {
                 w.put_duration(goal);
             }
         }
-        w.put_opt_f64(s.posted_budget_j);
+        w.put_opt_f64(s.posted_budget_j.map(|j| j.0));
         Ok(())
     }
 
     fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        self.cfg.initial_energy_j = r.take_f64()?;
+        self.cfg.initial_energy_j = Joules(r.take_f64()?);
         self.deadline = r.take_time()?;
         let next_extension = r.take_usize()?;
         if next_extension > self.cfg.extensions.len() {
@@ -562,8 +563,8 @@ impl ControlHook for GoalController {
         self.last_upgrade = r.take_opt_time()?;
         self.sensor.thaw_from(r)?;
         self.last_sample_at = r.take_opt_time()?;
-        self.last_metered_j = r.take_f64()?;
-        self.supply_floor = r.take_f64()?;
+        self.last_metered_j = Joules(r.take_f64()?);
+        self.supply_floor = Joules(r.take_f64()?);
         self.deficit_streak = r.take_usize()?;
         let mut s = self.shared.borrow_mut();
         s.supply = simcore::TimeSeries::thaw_from(r)?;
@@ -590,7 +591,7 @@ impl ControlHook for GoalController {
             1 => Some(r.take_duration()?),
             _ => return Err(simcore::SnapshotError::Corrupt("posted goal tag")),
         };
-        s.posted_budget_j = r.take_opt_f64()?;
+        s.posted_budget_j = r.take_opt_f64()?.map(Joules);
         Ok(())
     }
 
@@ -605,11 +606,11 @@ impl ControlHook for GoalController {
                 if let Some(mut p) = self.meter.update(now, metered) {
                     if let Some(h) = self.cfg.hardening {
                         let raw = p;
-                        p = p.clamp(h.power_clamp_w.0, h.power_clamp_w.1);
+                        p = Watts(p.0.clamp(h.power_clamp_w.0 .0, h.power_clamp_w.1 .0));
                         if p != raw {
                             view.emit_trace(TraceEvent::GoalClamp {
-                                raw_power_w: raw,
-                                power_w: p,
+                                raw_power_w: raw.0,
+                                power_w: p.0,
                             });
                         }
                     }
@@ -718,7 +719,7 @@ mod tests {
         let mut cfg = GoalConfig::paper(initial_j, SimDuration::from_secs(goal_s));
         cfg.warmup = SimDuration::from_secs(1);
         let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(initial_j),
+            source: EnergySource::battery(Joules(initial_j)),
             ..Default::default()
         });
         let pid = m.add_process(Box::new(DutyCycle {
@@ -819,7 +820,7 @@ mod tests {
         let cfg = GoalConfig::paper(4000.0, SimDuration::from_secs(300))
             .with_extension(SimTime::from_secs(100), SimDuration::from_secs(400));
         let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(4000.0),
+            source: EnergySource::battery(Joules(4000.0)),
             ..Default::default()
         });
         let pid = m.add_process(Box::new(DutyCycle {
@@ -843,7 +844,7 @@ mod tests {
     fn posted_goal_revision_moves_the_deadline() {
         let cfg = GoalConfig::paper(4000.0, SimDuration::from_secs(300));
         let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(4000.0),
+            source: EnergySource::battery(Joules(4000.0)),
             ..Default::default()
         });
         let pid = m.add_process(Box::new(DutyCycle {
@@ -871,7 +872,7 @@ mod tests {
     fn posted_budget_revision_is_consumed() {
         let cfg = GoalConfig::paper(2000.0, SimDuration::from_secs(300));
         let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(2000.0),
+            source: EnergySource::battery(Joules(2000.0)),
             ..Default::default()
         });
         let pid = m.add_process(Box::new(DutyCycle {
@@ -881,12 +882,12 @@ mod tests {
         let (handle, hook) = GoalController::new(cfg.clone(), PriorityTable::new(vec![pid]));
         m.add_hook(cfg.sample_period, hook);
         m.run_until(SimTime::from_secs(50));
-        handle.post_budget_revision_j(1500.0);
+        handle.post_budget_revision_j(Joules(1500.0));
         let report = m.run_until(SimTime::from_secs(600));
         // The run still terminates deterministically; the revision is
         // consumed (posting again is a fresh request, not an error).
         assert!(handle.outcome().goal_met || report.exhausted);
-        handle.post_budget_revision_j(1000.0);
+        handle.post_budget_revision_j(Joules(1000.0));
     }
 
     /// Against a gauge that reads 20% optimistic and drifts higher, the
@@ -904,7 +905,7 @@ mod tests {
                 cfg = cfg.with_hardening(Hardening::standard());
             }
             let mut m = Machine::new(MachineConfig {
-                source: EnergySource::battery(2000.0),
+                source: EnergySource::battery(Joules(2000.0)),
                 faults: FaultConfig {
                     gauge: BatteryGauge::hostile(9, 1.0),
                     ..FaultConfig::clean()
@@ -941,13 +942,13 @@ mod tests {
             .with_meter_faults(MeterFaultPlan {
                 seed: 17,
                 drop_p: 0.95,
-                jitter_j: 0.5,
-                quantum_j: 1.0,
+                jitter_j: Joules(0.5),
+                quantum_j: Joules(1.0),
             })
             .with_hardening(Hardening::standard());
         cfg.warmup = SimDuration::from_secs(1);
         let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(4000.0),
+            source: EnergySource::battery(Joules(4000.0)),
             ..Default::default()
         });
         let pid = m.add_process(Box::new(DutyCycle {
@@ -971,7 +972,7 @@ mod tests {
         let mut cfg = GoalConfig::paper(50.0, SimDuration::from_secs(60));
         cfg.warmup = SimDuration::from_secs(1);
         let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(50.0),
+            source: EnergySource::battery(Joules(50.0)),
             ..Default::default()
         });
         let pid = m.add_process(Box::new(ScriptedWorkload::idle_for(

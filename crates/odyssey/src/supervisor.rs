@@ -37,7 +37,7 @@ use std::rc::Rc;
 
 use machine::{AdaptDirection, ControlHook, MachineView, Pid};
 use powerscope::AttributionFeed;
-use simcore::{SimDuration, SimTime, TraceEvent};
+use simcore::{SimDuration, SimTime, TraceEvent, Watts};
 
 use crate::demand::DemandLedger;
 use crate::goal::GoalHandle;
@@ -53,9 +53,9 @@ pub struct SupervisorConfig {
     /// An app that has not polled for this long while drawing power is
     /// hung. Must exceed the longest honest CPU burst any workload emits.
     pub watchdog: SimDuration,
-    /// Minimum attributed power, W, for hang and overdraw detection — a
+    /// Minimum attributed power for hang and overdraw detection — a
     /// blocked app attributes ~0 W and must never strike.
-    pub hang_power_w: f64,
+    pub hang_power_w: Watts,
     /// Overdraw threshold: strike when attributed power exceeds declared
     /// power at the claimed level times this factor.
     pub overdraw_factor: f64,
@@ -86,7 +86,7 @@ impl SupervisorConfig {
             period: SimDuration::from_secs(1),
             warmup: SimDuration::from_secs(30),
             watchdog: SimDuration::from_secs(30),
-            hang_power_w: 1.0,
+            hang_power_w: Watts(1.0),
             overdraw_factor: 1.6,
             response_window: SimDuration::from_secs(10),
             clamp_factor: 0.5,
@@ -127,7 +127,7 @@ pub struct SupervisorStats {
     pub crash_releases: usize,
     /// Declared watts released back to surviving apps by quarantines and
     /// crash collections.
-    pub redistributed_w: f64,
+    pub redistributed_w: Watts,
     /// Per-procedure overdraw attribution: for each overdraw strike, the
     /// procedure PowerScope billed most of the lying app's energy to —
     /// the operator-facing answer to "where did the undeclared power
@@ -168,8 +168,8 @@ impl SupervisorHandle {
         self.inner.borrow().ledger.clone()
     }
 
-    /// Sum of declared power over all live declarations, W.
-    pub fn total_declared_w(&self) -> f64 {
+    /// Sum of declared power over all live declarations.
+    pub fn total_declared_w(&self) -> Watts {
         self.inner.borrow().ledger.total_declared_w()
     }
 
@@ -251,7 +251,7 @@ impl Supervisor {
     /// Registers an app: its declared sustained power per fidelity level
     /// (index 0 = lowest) and the level it starts at. Declarations enter
     /// the demand ledger immediately.
-    pub fn watch(&mut self, pid: Pid, declared_w: Vec<f64>, initial_level: usize) {
+    pub fn watch(&mut self, pid: Pid, declared_w: Vec<Watts>, initial_level: usize) {
         self.inner
             .borrow_mut()
             .ledger
@@ -419,7 +419,7 @@ impl ControlHook for Supervisor {
         w.put_usize(inner.stats.restarts);
         w.put_usize(inner.stats.retired);
         w.put_usize(inner.stats.crash_releases);
-        w.put_f64(inner.stats.redistributed_w);
+        w.put_f64(inner.stats.redistributed_w.0);
         w.put_usize(inner.stats.overdraw_hot_procedures.len());
         for (procedure, count) in &inner.stats.overdraw_hot_procedures {
             w.put_str(procedure);
@@ -472,7 +472,7 @@ impl ControlHook for Supervisor {
         inner.stats.restarts = r.take_usize()?;
         inner.stats.retired = r.take_usize()?;
         inner.stats.crash_releases = r.take_usize()?;
-        inner.stats.redistributed_w = r.take_f64()?;
+        inner.stats.redistributed_w = Watts(r.take_f64()?);
         let hot = r.take_usize()?;
         inner.stats.overdraw_hot_procedures.clear();
         for _ in 0..hot {
@@ -527,7 +527,10 @@ impl ControlHook for Supervisor {
             // The attribution feed observes every tick so its estimate is
             // warm by the time detection starts.
             let cum_j = view.attributed_energy_j(pid);
-            let power = self.feed.observe(pid.index(), now, cum_j).unwrap_or(0.0);
+            let power = self
+                .feed
+                .observe(pid.index(), now, cum_j)
+                .unwrap_or(Watts::ZERO);
 
             if info.done && !self.apps[i].collected {
                 self.collect_crash(i, now, view);
@@ -706,7 +709,7 @@ mod tests {
         let (handle, mut sup) = Supervisor::new(cfg);
         // Generous declaration: the spin never overdraws it, so the
         // watchdog is the only detector that can fire.
-        sup.watch(pid, vec![25.0, 50.0], 1);
+        sup.watch(pid, vec![Watts(25.0), Watts(50.0)], 1);
         m.add_hook(period, sup);
         (m, handle)
     }
@@ -721,7 +724,7 @@ mod tests {
         assert_eq!(stats.clamps, 1, "{stats:?}");
         assert_eq!(stats.quarantines, 1, "{stats:?}");
         assert_eq!(stats.restarts, 1, "{stats:?}");
-        assert!(stats.redistributed_w > 0.0);
+        assert!(stats.redistributed_w > Watts(0.0));
         // After restart the app behaves again; its declaration is live.
         assert!(handle.ledger().is_active(0));
     }
@@ -739,7 +742,7 @@ mod tests {
         let cfg = SupervisorConfig::standard();
         let period = cfg.period;
         let (handle, mut sup) = Supervisor::new(cfg);
-        sup.watch(pid, vec![1.0], 0);
+        sup.watch(pid, vec![Watts(1.0)], 0);
         m.add_hook(period, sup);
         m.run_until(SimTime::from_secs(300));
         let stats = handle.stats();
@@ -773,15 +776,15 @@ mod tests {
         };
         let period = cfg.period;
         let (handle, mut sup) = Supervisor::new(cfg);
-        sup.watch(pid, vec![2.5], 0);
+        sup.watch(pid, vec![Watts(2.5)], 0);
         m.add_hook(period, sup);
         m.run_until(SimTime::from_secs(60));
         let stats = handle.stats();
         assert_eq!(stats.crash_releases, 1);
-        assert!((stats.redistributed_w - 2.5).abs() < 1e-12);
+        assert!((stats.redistributed_w - Watts(2.5)).abs() < Watts(1e-12));
         assert_eq!(stats.retired, 1);
         assert!(!handle.ledger().is_active(pid.index()));
-        assert_eq!(handle.total_declared_w(), 0.0);
+        assert_eq!(handle.total_declared_w(), Watts(0.0));
     }
 
     #[test]
@@ -803,7 +806,7 @@ mod tests {
         let cfg = SupervisorConfig::standard();
         let period = cfg.period;
         let (handle, mut sup) = Supervisor::new(cfg);
-        sup.watch(pid, vec![0.1], 0);
+        sup.watch(pid, vec![Watts(0.1)], 0);
         m.add_hook(period, sup);
         m.run_until(SimTime::from_secs(120));
         let stats = handle.stats();

@@ -200,6 +200,7 @@ impl ControlHook for BandwidthMonitor {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::fidelity::{FidelityLevel, FidelitySpace};

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::SimTime;
+use simcore::{Joules, SimTime, Watts};
 
 use crate::online::OnlinePowerMeter;
 
@@ -30,7 +30,7 @@ pub struct AttributionFeed {
 #[derive(Clone, Copy, Debug)]
 struct Stream {
     meter: OnlinePowerMeter,
-    ema_w: Option<f64>,
+    ema_w: Option<Watts>,
 }
 
 impl AttributionFeed {
@@ -40,9 +40,9 @@ impl AttributionFeed {
     }
 
     /// Feeds one cumulative attributed-energy reading for stream `id` and
-    /// returns the smoothed power estimate, W. Returns `None` until two
+    /// returns the smoothed power estimate. Returns `None` until two
     /// distinct-time readings exist for the stream.
-    pub fn observe(&mut self, id: usize, now: SimTime, cumulative_j: f64) -> Option<f64> {
+    pub fn observe(&mut self, id: usize, now: SimTime, cumulative_j: Joules) -> Option<Watts> {
         let s = self.streams.entry(id).or_insert(Stream {
             meter: OnlinePowerMeter::new(),
             ema_w: None,
@@ -56,8 +56,8 @@ impl AttributionFeed {
         Some(ema)
     }
 
-    /// Latest smoothed power for stream `id`, W.
-    pub fn power_w(&self, id: usize) -> Option<f64> {
+    /// Latest smoothed power for stream `id`.
+    pub fn power_w(&self, id: usize) -> Option<Watts> {
         self.streams.get(&id).and_then(|s| s.ema_w)
     }
 
@@ -72,7 +72,7 @@ impl AttributionFeed {
         for (id, s) in &self.streams {
             w.put_usize(*id);
             s.meter.freeze_into(w);
-            w.put_opt_f64(s.ema_w);
+            w.put_opt_f64(s.ema_w.map(|p| p.0));
         }
     }
 
@@ -84,7 +84,7 @@ impl AttributionFeed {
             let id = r.take_usize()?;
             let mut meter = OnlinePowerMeter::new();
             meter.thaw_from(r)?;
-            let ema_w = r.take_opt_f64()?;
+            let ema_w = r.take_opt_f64()?.map(Watts);
             if streams.insert(id, Stream { meter, ema_w }).is_some() {
                 return Err(simcore::SnapshotError::Corrupt(
                     "duplicate attribution stream",
@@ -106,18 +106,18 @@ mod tests {
     #[test]
     fn needs_two_readings() {
         let mut f = AttributionFeed::new();
-        assert_eq!(f.observe(0, t(0), 0.0), None);
-        assert!(f.observe(0, t(1), 5.0).is_some());
+        assert_eq!(f.observe(0, t(0), Joules(0.0)), None);
+        assert!(f.observe(0, t(1), Joules(5.0)).is_some());
     }
 
     #[test]
     fn constant_power_converges_to_itself() {
         let mut f = AttributionFeed::new();
         for s in 0..60 {
-            f.observe(3, t(s), 4.0 * s as f64);
+            f.observe(3, t(s), Joules(4.0 * s as f64));
         }
         let p = f.power_w(3).unwrap();
-        assert!((p - 4.0).abs() < 1e-9, "p = {p}");
+        assert!((p - Watts(4.0)).abs() < Watts(1e-9), "p = {p}");
     }
 
     #[test]
@@ -126,25 +126,28 @@ mod tests {
         let mut e = 0.0;
         for s in 0..10 {
             e += 1.0; // 1 W baseline
-            f.observe(0, t(s), e);
+            f.observe(0, t(s), Joules(e));
         }
         e += 20.0; // one 20 J burst in one second
-        let p = f.observe(0, t(10), e).unwrap();
-        assert!(p < 6.0, "one burst should not read as sustained: {p}");
-        assert!(p > 1.0);
+        let p = f.observe(0, t(10), Joules(e)).unwrap();
+        assert!(
+            p < Watts(6.0),
+            "one burst should not read as sustained: {p}"
+        );
+        assert!(p > Watts(1.0));
     }
 
     #[test]
     fn streams_are_independent_and_resettable() {
         let mut f = AttributionFeed::new();
-        f.observe(0, t(0), 0.0);
-        f.observe(1, t(0), 0.0);
-        f.observe(0, t(1), 10.0);
+        f.observe(0, t(0), Joules(0.0));
+        f.observe(1, t(0), Joules(0.0));
+        f.observe(0, t(1), Joules(10.0));
         assert!(f.power_w(0).is_some());
         assert_eq!(f.power_w(1), None);
         f.reset(0);
         assert_eq!(f.power_w(0), None);
         // After reset the stream starts over (no stale baseline).
-        assert_eq!(f.observe(0, t(5), 50.0), None);
+        assert_eq!(f.observe(0, t(5), Joules(50.0)), None);
     }
 }

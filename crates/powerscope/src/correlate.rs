@@ -14,6 +14,7 @@ use crate::profile::{EnergyProfile, PathProfile, PathRow, ProcedureRow, ProcessP
 use crate::sample::CollectedRun;
 use crate::symbols::UNKNOWN_PROCEDURE;
 use crate::SUPPLY_VOLTS;
+use simcore::Joules;
 
 /// Options for the correlation stage.
 #[derive(Clone, Copy, Debug, Default)]
@@ -45,7 +46,8 @@ pub fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfi
     // Ordered maps: profile rows must come out in the same order on every
     // run — the sort below breaks energy ties by name, but equal-energy
     // equal-name rows would still float under a randomized hash order.
-    let mut by_proc: BTreeMap<&'static str, BTreeMap<&'static str, (f64, f64)>> = BTreeMap::new();
+    let mut by_proc: BTreeMap<&'static str, BTreeMap<&'static str, (f64, Joules)>> =
+        BTreeMap::new();
     let mut duration = 0.0;
     for (i, s) in trace.samples.iter().enumerate() {
         let next_at = trace
@@ -57,7 +59,7 @@ pub fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfi
         if let Some(cap) = cap_secs {
             dt = dt.min(cap);
         }
-        let energy = s.current_a * SUPPLY_VOLTS * dt;
+        let energy = Joules(s.current_a * SUPPLY_VOLTS * dt);
         duration += dt;
         let procedure = run
             .symbols
@@ -68,7 +70,7 @@ pub fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfi
             .entry(s.process)
             .or_default()
             .entry(procedure)
-            .or_insert((0.0, 0.0));
+            .or_insert((0.0, Joules::ZERO));
         entry.0 += dt;
         entry.1 += energy;
     }
@@ -126,9 +128,9 @@ pub fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathP
     struct Node {
         samples: u64,
         self_time_s: f64,
-        self_energy_j: f64,
+        self_energy_j: Joules,
         inclusive_time_s: f64,
-        inclusive_energy_j: f64,
+        inclusive_energy_j: Joules,
     }
     let trace = &run.trace;
     let cap_secs = opts.max_quantum.map(|q| q.as_secs_f64());
@@ -147,7 +149,7 @@ pub fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathP
         if let Some(cap) = cap_secs {
             dt = dt.min(cap);
         }
-        let energy = s.current_a * SUPPLY_VOLTS * dt;
+        let energy = Joules(s.current_a * SUPPLY_VOLTS * dt);
         duration += dt;
         let table = run.symbols.get(s.process);
         let nodes = by_proc.entry(s.process).or_default();
@@ -265,8 +267,8 @@ mod tests {
             1000,
         );
         let p = correlate(&run);
-        assert!((p.process_energy_j("a") - 6.0).abs() < 1e-9);
-        assert!((p.process_energy_j("b") - 12.0).abs() < 1e-9);
+        assert!((p.process_energy_j("a") - Joules(6.0)).abs() < Joules(1e-9));
+        assert!((p.process_energy_j("b") - Joules(12.0)).abs() < Joules(1e-9));
         assert!((p.duration_s - 1.0).abs() < 1e-9);
         assert_eq!(p.processes[0].process, "b", "sorted by energy");
     }
@@ -287,7 +289,7 @@ mod tests {
         assert_eq!(row.procedures.len(), 2);
         let f = row.procedures.iter().find(|r| r.procedure == "f").unwrap();
         assert!((f.cpu_secs - 0.2).abs() < 1e-9);
-        assert!((row.energy_j - 12.0 * 0.3).abs() < 1e-9);
+        assert!((row.energy_j - Joules(12.0 * 0.3)).abs() < Joules(1e-9));
     }
 
     #[test]
@@ -313,7 +315,7 @@ mod tests {
     fn empty_trace_gives_empty_profile() {
         let p = correlate(&CollectedRun::default());
         assert!(p.processes.is_empty());
-        assert_eq!(p.total_energy_j(), 0.0);
+        assert_eq!(p.total_energy_j(), Joules(0.0));
     }
 
     #[test]
@@ -366,26 +368,26 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing row {path}"))
         };
         let q = 12.0 * 0.25; // one quantum's energy, J
-        assert!((row("a/b/c").self_energy_j - 2.0 * q).abs() < 1e-9);
+        assert!((row("a/b/c").self_energy_j - Joules(2.0 * q)).abs() < Joules(1e-9));
         assert_eq!(row("a/b/c").samples, 2);
-        assert!((row("a/b/d").self_energy_j - q).abs() < 1e-9);
+        assert!((row("a/b/d").self_energy_j - Joules(q)).abs() < Joules(1e-9));
         // Interior node: no exclusive samples, inclusive = children.
         assert_eq!(row("a/b").samples, 0);
-        assert!((row("a/b").self_energy_j).abs() < 1e-12);
-        assert!((row("a/b").inclusive_energy_j - 3.0 * q).abs() < 1e-9);
+        assert!((row("a/b").self_energy_j).abs() < Joules(1e-12));
+        assert!((row("a/b").inclusive_energy_j - Joules(3.0 * q)).abs() < Joules(1e-9));
         // Root: one exclusive quantum plus the subtree.
         assert_eq!(row("a").samples, 1);
-        assert!((row("a").self_energy_j - q).abs() < 1e-9);
-        assert!((row("a").inclusive_energy_j - 4.0 * q).abs() < 1e-9);
+        assert!((row("a").self_energy_j - Joules(q)).abs() < Joules(1e-9));
+        assert!((row("a").inclusive_energy_j - Joules(4.0 * q)).abs() < Joules(1e-9));
         // Parent inclusive == own exclusive + children inclusive.
         assert!(
             (row("a").inclusive_energy_j - row("a").self_energy_j - row("a/b").inclusive_energy_j)
                 .abs()
-                < 1e-9
+                < Joules(1e-9)
         );
         // Process total == sum of leaf exclusives == root inclusive.
-        assert!((p.energy_j - 4.0 * q).abs() < 1e-9);
-        assert!((prof.total_energy_j() - 4.0 * q).abs() < 1e-9);
+        assert!((p.energy_j - Joules(4.0 * q)).abs() < Joules(1e-9));
+        assert!((prof.total_energy_j() - Joules(4.0 * q)).abs() < Joules(1e-9));
         // Rows are in lexicographic order: parents before children.
         let order: Vec<&str> = p.rows.iter().map(|r| r.path.as_str()).collect();
         assert_eq!(order, ["a", "a/b", "a/b/c", "a/b/d"]);
@@ -403,10 +405,10 @@ mod tests {
         );
         let flat = correlate(&run);
         let paths = correlate_paths(&run);
-        assert!((flat.total_energy_j() - paths.total_energy_j()).abs() < 1e-9);
+        assert!((flat.total_energy_j() - paths.total_energy_j()).abs() < Joules(1e-9));
         for proc in &paths.processes {
             assert!(
-                (proc.energy_j - flat.process_energy_j(&proc.process)).abs() < 1e-9,
+                (proc.energy_j - flat.process_energy_j(&proc.process)).abs() < Joules(1e-9),
                 "{} disagrees",
                 proc.process
             );
@@ -440,14 +442,14 @@ mod tests {
         // metered window and the profile duration shrinks by the gap.
         let run = run_with(vec![(0, 1.0, "a", "f"), (2000, 1.0, "b", "g")], 2100);
         let uncapped = correlate(&run);
-        assert!((uncapped.process_energy_j("a") - 12.0 * 2.0).abs() < 1e-9);
+        assert!((uncapped.process_energy_j("a") - Joules(12.0 * 2.0)).abs() < Joules(1e-9));
         let capped = correlate_with(
             &run,
             CorrelateOptions {
                 max_quantum: Some(simcore::SimDuration::from_millis(100)),
             },
         );
-        assert!((capped.process_energy_j("a") - 12.0 * 0.1).abs() < 1e-9);
+        assert!((capped.process_energy_j("a") - Joules(12.0 * 0.1)).abs() < Joules(1e-9));
         assert!((capped.duration_s - 0.2).abs() < 1e-9);
     }
 }

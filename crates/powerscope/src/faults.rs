@@ -10,6 +10,7 @@
 //! sensor must degrade estimates, never crash the control plane.
 
 use simcore::fault::hash_noise;
+use simcore::Joules;
 
 /// Generative description of meter defects.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -23,9 +24,9 @@ pub struct MeterFaultPlan {
     /// proportional to *cumulative* energy would grow without bound and
     /// (through the monotonicity guarantee) freeze the output for many
     /// seconds after each upward spike.
-    pub jitter_j: f64,
-    /// Reporting quantum, J (readings floor to a multiple of it).
-    pub quantum_j: f64,
+    pub jitter_j: Joules,
+    /// Reporting quantum (readings floor to a multiple of it).
+    pub quantum_j: Joules,
 }
 
 impl MeterFaultPlan {
@@ -34,8 +35,8 @@ impl MeterFaultPlan {
         MeterFaultPlan {
             seed: 0,
             drop_p: 0.0,
-            jitter_j: 0.0,
-            quantum_j: 0.0,
+            jitter_j: Joules::ZERO,
+            quantum_j: Joules::ZERO,
         }
     }
 
@@ -54,14 +55,14 @@ impl MeterFaultPlan {
         MeterFaultPlan {
             seed,
             drop_p: 0.20 * intensity,
-            jitter_j: 2.0 * intensity,
-            quantum_j: 0.5 * intensity,
+            jitter_j: Joules(2.0 * intensity),
+            quantum_j: Joules(0.5 * intensity),
         }
     }
 
     /// True when the plan introduces no defects.
     pub fn is_clean(&self) -> bool {
-        self.drop_p == 0.0 && self.jitter_j == 0.0 && self.quantum_j == 0.0
+        self.drop_p == 0.0 && self.jitter_j == Joules::ZERO && self.quantum_j == Joules::ZERO
     }
 }
 
@@ -73,7 +74,7 @@ impl MeterFaultPlan {
 pub struct FaultyEnergySensor {
     plan: MeterFaultPlan,
     reads: u64,
-    last_emitted: f64,
+    last_emitted: Joules,
 }
 
 impl FaultyEnergySensor {
@@ -82,7 +83,7 @@ impl FaultyEnergySensor {
         FaultyEnergySensor {
             plan,
             reads: 0,
-            last_emitted: 0.0,
+            last_emitted: Joules::ZERO,
         }
     }
 
@@ -90,7 +91,7 @@ impl FaultyEnergySensor {
     /// construction-time) into a snapshot payload.
     pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
         w.put_u64(self.reads);
-        w.put_f64(self.last_emitted);
+        w.put_f64(self.last_emitted.0);
     }
 
     /// Restores the state written by [`Self::freeze_into`].
@@ -99,14 +100,14 @@ impl FaultyEnergySensor {
         r: &mut simcore::SnapshotReader<'_>,
     ) -> Result<(), simcore::SnapshotError> {
         self.reads = r.take_u64()?;
-        self.last_emitted = r.take_f64()?;
+        self.last_emitted = Joules(r.take_f64()?);
         Ok(())
     }
 
     /// Observes the true cumulative energy; returns what the instrument
     /// reports, or `None` when the sample is dropped. Deterministic in
     /// the sequence of calls.
-    pub fn observe(&mut self, true_j: f64) -> Option<f64> {
+    pub fn observe(&mut self, true_j: Joules) -> Option<Joules> {
         self.reads += 1;
         if self.plan.is_clean() {
             self.last_emitted = true_j;
@@ -117,13 +118,13 @@ impl FaultyEnergySensor {
             return None;
         }
         let mut v = true_j;
-        if self.plan.jitter_j > 0.0 {
+        if self.plan.jitter_j > Joules::ZERO {
             v += self.plan.jitter_j * hash_noise(self.plan.seed ^ 0x717E, self.reads);
         }
-        if self.plan.quantum_j > 0.0 {
+        if self.plan.quantum_j > Joules::ZERO {
             v = (v / self.plan.quantum_j).floor() * self.plan.quantum_j;
         }
-        v = v.max(self.last_emitted).max(0.0);
+        v = v.max(self.last_emitted).max(Joules::ZERO);
         self.last_emitted = v;
         Some(v)
     }
@@ -137,7 +138,10 @@ mod tests {
     fn clean_sensor_is_transparent() {
         let mut s = FaultyEnergySensor::new(MeterFaultPlan::clean());
         for i in 0..50 {
-            assert_eq!(s.observe(i as f64 * 1.5), Some(i as f64 * 1.5));
+            assert_eq!(
+                s.observe(Joules(i as f64 * 1.5)),
+                Some(Joules(i as f64 * 1.5))
+            );
         }
     }
 
@@ -145,9 +149,9 @@ mod tests {
     fn degraded_sensor_drops_and_stays_monotone() {
         let mut s = FaultyEnergySensor::new(MeterFaultPlan::degraded(11, 1.0));
         let mut dropped = 0;
-        let mut last = 0.0;
+        let mut last = Joules::ZERO;
         for i in 0..2000 {
-            match s.observe(i as f64 * 0.9) {
+            match s.observe(Joules(i as f64 * 0.9)) {
                 None => dropped += 1,
                 Some(v) => {
                     assert!(v >= last, "reading regressed: {last} -> {v}");
@@ -163,7 +167,9 @@ mod tests {
     fn sensor_is_deterministic() {
         let run = |seed| {
             let mut s = FaultyEnergySensor::new(MeterFaultPlan::degraded(seed, 0.7));
-            (0..300).map(|i| s.observe(i as f64)).collect::<Vec<_>>()
+            (0..300)
+                .map(|i| s.observe(Joules(i as f64)))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));

@@ -35,6 +35,8 @@ pub use profile::{EnergyProfile, PathProfile, PathRow, ProcedureRow, ProcessPath
 pub use sample::{CallStack, CollectedRun, RawTrace, Sample};
 pub use symbols::SymbolTable;
 
+use simcore::Hertz;
+
 /// Supply voltage of the profiled machine. The paper notes input voltage
 /// is controlled to within 0.25%, so current samples alone determine
 /// power; we keep the same structure with a nominal 12 V supply.
@@ -42,4 +44,4 @@ pub const SUPPLY_VOLTS: f64 = 12.0;
 
 /// The multimeter's nominal sampling rate ("approximately 600 times per
 /// second").
-pub const SAMPLE_HZ: f64 = 600.0;
+pub const SAMPLE_HZ: Hertz = Hertz(600.0);

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use machine::{IntervalObserver, IntervalRecord};
-use simcore::{SimDuration, SimRng, SimTime, TraceEvent, TraceHandle};
+use simcore::{Hertz, SimDuration, SimRng, SimTime, TraceEvent, TraceHandle};
 
 use crate::sample::{CallStack, CollectedRun, Sample};
 use crate::{SAMPLE_HZ, SUPPLY_VOLTS};
@@ -36,7 +36,7 @@ impl Collector {
     fn on_interval(&mut self, rec: &IntervalRecord<'_>) {
         while self.next_at < rec.t1 {
             if self.next_at >= rec.t0 {
-                let current_a = rec.power_w / SUPPLY_VOLTS;
+                let current_a = rec.power_w.0 / SUPPLY_VOLTS;
                 let weights: Vec<f64> = rec.shares.iter().map(|s| s.fraction).collect();
                 let pick = &rec.shares[self.rng.weighted_index(&weights)];
                 // The system monitor captures one raw PC per call-stack
@@ -141,14 +141,14 @@ impl PowerScope {
     /// # Panics
     ///
     /// Panics unless the rate is positive and finite.
-    pub fn with_rate(seed: u64, rate_hz: f64) -> (PowerScope, Box<dyn IntervalObserver>) {
+    pub fn with_rate(seed: u64, rate_hz: Hertz) -> (PowerScope, Box<dyn IntervalObserver>) {
         assert!(
-            rate_hz.is_finite() && rate_hz > 0.0,
+            rate_hz.is_finite() && rate_hz > Hertz::ZERO,
             "invalid sample rate: {rate_hz}"
         );
         let shared = Rc::new(RefCell::new(Collector {
             rng: SimRng::new(seed).fork("powerscope"),
-            period: SimDuration::from_secs_f64(1.0 / rate_hz),
+            period: SimDuration::from_secs_f64(1.0 / rate_hz.0),
             next_at: SimTime::ZERO,
             run: CollectedRun {
                 symbols: BTreeMap::new(),
@@ -191,18 +191,20 @@ impl PowerScope {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use hw560x::platform::PowerBreakdown;
     use hw560x::DeviceStates;
     use machine::ShareEntry;
+    use simcore::Watts;
 
     fn record(t0: u64, t1: u64, power_w: f64, shares: &[ShareEntry]) -> CollectedRun {
         let (scope, mut obs) = PowerScope::new(7);
         let rec = IntervalRecord {
             t0: SimTime::from_secs(t0),
             t1: SimTime::from_secs(t1),
-            power_w,
+            power_w: Watts(power_w),
             breakdown: PowerBreakdown::default(),
             states: DeviceStates::full_on_idle(),
             shares,
@@ -293,7 +295,7 @@ mod tests {
         let rec = IntervalRecord {
             t0: SimTime::ZERO,
             t1: SimTime::from_secs(1),
-            power_w: 24.0,
+            power_w: Watts(24.0),
             breakdown: PowerBreakdown::default(),
             states: DeviceStates::full_on_idle(),
             shares: &shares,
@@ -326,7 +328,7 @@ mod tests {
         let rec = IntervalRecord {
             t0: SimTime::ZERO,
             t1: SimTime::from_secs(2),
-            power_w: 12.0,
+            power_w: Watts(12.0),
             breakdown: PowerBreakdown::default(),
             states: DeviceStates::full_on_idle(),
             shares: &shares,
@@ -375,7 +377,7 @@ mod tests {
         let mk = |t0: u64, t1: u64| IntervalRecord {
             t0: SimTime::from_secs(t0),
             t1: SimTime::from_secs(t1),
-            power_w: 10.0,
+            power_w: Watts(10.0),
             breakdown: PowerBreakdown::default(),
             states: DeviceStates::full_on_idle(),
             shares: &shares,

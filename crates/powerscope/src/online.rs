@@ -8,12 +8,12 @@
 //! [`OnlinePowerMeter`] is that instrument: fed cumulative energy readings
 //! on a fixed cadence, it yields the average power over each window.
 
-use simcore::{SimDuration, SimTime};
+use simcore::{Joules, SimDuration, SimTime, Watts};
 
 /// Converts periodic cumulative-energy readings into power samples.
 #[derive(Clone, Copy, Debug)]
 pub struct OnlinePowerMeter {
-    last: Option<(SimTime, f64)>,
+    last: Option<(SimTime, Joules)>,
 }
 
 impl Default for OnlinePowerMeter {
@@ -38,20 +38,20 @@ impl OnlinePowerMeter {
     /// # Panics
     ///
     /// Panics if energy or time moves backwards.
-    pub fn update(&mut self, now: SimTime, total_energy_j: f64) -> Option<f64> {
+    pub fn update(&mut self, now: SimTime, total_energy_j: Joules) -> Option<Watts> {
         let out = match self.last {
             None => None,
             Some((t0, e0)) => {
                 assert!(now >= t0, "time moved backwards");
                 assert!(
-                    total_energy_j >= e0 - 1e-9,
+                    total_energy_j >= e0 - Joules(1e-9),
                     "energy decreased: {e0} -> {total_energy_j}"
                 );
-                let dt = now.since(t0).as_secs_f64();
-                if dt > 0.0 {
-                    Some((total_energy_j - e0) / dt)
-                } else {
+                let dt = now.since(t0);
+                if dt.is_zero() {
                     None
+                } else {
+                    Some((total_energy_j - e0) / dt)
                 }
             }
         };
@@ -71,7 +71,7 @@ impl OnlinePowerMeter {
             Some((t, e)) => {
                 w.put_u64(1);
                 w.put_time(t);
-                w.put_f64(e);
+                w.put_f64(e.0);
             }
         }
     }
@@ -83,7 +83,7 @@ impl OnlinePowerMeter {
     ) -> Result<(), simcore::SnapshotError> {
         self.last = match r.take_u64()? {
             0 => None,
-            1 => Some((r.take_time()?, r.take_f64()?)),
+            1 => Some((r.take_time()?, Joules(r.take_f64()?))),
             _ => return Err(simcore::SnapshotError::Corrupt("power meter tag")),
         };
         Ok(())
@@ -97,32 +97,32 @@ mod tests {
     #[test]
     fn first_reading_yields_nothing() {
         let mut m = OnlinePowerMeter::new();
-        assert_eq!(m.update(SimTime::ZERO, 0.0), None);
+        assert_eq!(m.update(SimTime::ZERO, Joules(0.0)), None);
     }
 
     #[test]
     fn power_is_energy_delta_over_dt() {
         let mut m = OnlinePowerMeter::new();
-        m.update(SimTime::ZERO, 100.0);
-        let p = m.update(ms(100), 101.0).unwrap();
-        assert!((p - 10.0).abs() < 1e-9);
-        let p = m.update(ms(300), 105.0).unwrap();
-        assert!((p - 20.0).abs() < 1e-9);
+        m.update(SimTime::ZERO, Joules(100.0));
+        let p = m.update(ms(100), Joules(101.0)).unwrap();
+        assert!((p - Watts(10.0)).abs() < Watts(1e-9));
+        let p = m.update(ms(300), Joules(105.0)).unwrap();
+        assert!((p - Watts(20.0)).abs() < Watts(1e-9));
     }
 
     #[test]
     fn zero_dt_yields_nothing() {
         let mut m = OnlinePowerMeter::new();
-        m.update(SimTime::from_secs(1), 5.0);
-        assert_eq!(m.update(SimTime::from_secs(1), 5.0), None);
+        m.update(SimTime::from_secs(1), Joules(5.0));
+        assert_eq!(m.update(SimTime::from_secs(1), Joules(5.0)), None);
     }
 
     #[test]
     fn reset_clears_history() {
         let mut m = OnlinePowerMeter::new();
-        m.update(SimTime::ZERO, 0.0);
+        m.update(SimTime::ZERO, Joules(0.0));
         m.reset();
-        assert_eq!(m.update(SimTime::from_secs(1), 50.0), None);
+        assert_eq!(m.update(SimTime::from_secs(1), Joules(50.0)), None);
     }
 
     fn ms(v: u64) -> SimTime {

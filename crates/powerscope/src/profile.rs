@@ -7,6 +7,8 @@
 
 use std::fmt::Write as _;
 
+use simcore::{Joules, Watts};
+
 /// One procedure's row in the detail table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProcedureRow {
@@ -14,17 +16,17 @@ pub struct ProcedureRow {
     pub procedure: String,
     /// Attributed CPU time, seconds.
     pub cpu_secs: f64,
-    /// Attributed energy, J.
-    pub energy_j: f64,
+    /// Attributed energy.
+    pub energy_j: Joules,
 }
 
 impl ProcedureRow {
-    /// Average power while this procedure was running, W.
-    pub fn avg_power_w(&self) -> f64 {
+    /// Average power while this procedure was running.
+    pub fn avg_power_w(&self) -> Watts {
         if self.cpu_secs > 0.0 {
-            self.energy_j / self.cpu_secs
+            Watts(self.energy_j.0 / self.cpu_secs)
         } else {
-            0.0
+            Watts::ZERO
         }
     }
 }
@@ -36,19 +38,19 @@ pub struct ProcessRow {
     pub process: String,
     /// Attributed CPU time, seconds.
     pub cpu_secs: f64,
-    /// Attributed energy, J.
-    pub energy_j: f64,
+    /// Attributed energy.
+    pub energy_j: Joules,
     /// Per-procedure detail, sorted by descending energy.
     pub procedures: Vec<ProcedureRow>,
 }
 
 impl ProcessRow {
-    /// Average power while this process was running, W.
-    pub fn avg_power_w(&self) -> f64 {
+    /// Average power while this process was running.
+    pub fn avg_power_w(&self) -> Watts {
         if self.cpu_secs > 0.0 {
-            self.energy_j / self.cpu_secs
+            Watts(self.energy_j.0 / self.cpu_secs)
         } else {
-            0.0
+            Watts::ZERO
         }
     }
 }
@@ -63,8 +65,8 @@ pub struct EnergyProfile {
 }
 
 impl EnergyProfile {
-    /// Total energy across all processes, J.
-    pub fn total_energy_j(&self) -> f64 {
+    /// Total energy across all processes.
+    pub fn total_energy_j(&self) -> Joules {
         self.processes.iter().map(|p| p.energy_j).sum()
     }
 
@@ -73,13 +75,13 @@ impl EnergyProfile {
         self.processes.iter().map(|p| p.cpu_secs).sum()
     }
 
-    /// Energy attributed to `process`, J (0 when absent).
-    pub fn process_energy_j(&self, process: &str) -> f64 {
+    /// Energy attributed to `process` (0 when absent).
+    pub fn process_energy_j(&self, process: &str) -> Joules {
         self.processes
             .iter()
             .find(|p| p.process == process)
             .map(|p| p.energy_j)
-            .unwrap_or(0.0)
+            .unwrap_or(Joules::ZERO)
     }
 
     /// Renders the summary table and the detail table of the top process,
@@ -148,12 +150,12 @@ pub struct PathRow {
     pub samples: u64,
     /// Exclusive attributed time, s: quanta of samples landing here.
     pub self_time_s: f64,
-    /// Exclusive attributed energy, J.
-    pub self_energy_j: f64,
+    /// Exclusive attributed energy.
+    pub self_energy_j: Joules,
     /// Inclusive attributed time, s: this node plus all descendants.
     pub inclusive_time_s: f64,
-    /// Inclusive attributed energy, J.
-    pub inclusive_energy_j: f64,
+    /// Inclusive attributed energy.
+    pub inclusive_energy_j: Joules,
 }
 
 /// One process's call-path table, rows in lexicographic path order
@@ -164,9 +166,9 @@ pub struct ProcessPaths {
     pub process: String,
     /// Path rows, sorted by path.
     pub rows: Vec<PathRow>,
-    /// Total attributed energy, J (the sum of root rows' inclusive
-    /// energy, equal to the sum of leaf rows' exclusive energy).
-    pub energy_j: f64,
+    /// Total attributed energy (the sum of root rows' inclusive energy,
+    /// equal to the sum of leaf rows' exclusive energy).
+    pub energy_j: Joules,
 }
 
 /// A per-path energy profile — the procedure-level rollup of one
@@ -181,8 +183,8 @@ pub struct PathProfile {
 }
 
 impl PathProfile {
-    /// Total energy across all processes, J.
-    pub fn total_energy_j(&self) -> f64 {
+    /// Total energy across all processes.
+    pub fn total_energy_j(&self) -> Joules {
         self.processes.iter().map(|p| p.energy_j).sum()
     }
 
@@ -224,15 +226,15 @@ impl PathProfile {
 pub struct DiffRow {
     /// Process name.
     pub process: String,
-    /// Energy in the first profile, J.
-    pub before_j: f64,
-    /// Energy in the second profile, J.
-    pub after_j: f64,
+    /// Energy in the first profile.
+    pub before_j: Joules,
+    /// Energy in the second profile.
+    pub after_j: Joules,
 }
 
 impl DiffRow {
-    /// Energy change, J (negative = saved).
-    pub fn delta_j(&self) -> f64 {
+    /// Energy change (negative = saved).
+    pub fn delta_j(&self) -> Joules {
         self.after_j - self.before_j
     }
 }
@@ -307,24 +309,24 @@ mod tests {
                 ProcessRow {
                     process: "/usr/odyssey/bin/xanim".into(),
                     cpu_secs: 66.57,
-                    energy_j: 643.17,
+                    energy_j: Joules(643.17),
                     procedures: vec![
                         ProcedureRow {
                             procedure: "_Dispatcher".into(),
                             cpu_secs: 1.2,
-                            energy_j: 12.6,
+                            energy_j: Joules(12.6),
                         },
                         ProcedureRow {
                             procedure: "_rpc2_RecvPacket".into(),
                             cpu_secs: 0.7,
-                            energy_j: 7.4,
+                            energy_j: Joules(7.4),
                         },
                     ],
                 },
                 ProcessRow {
                     process: "Kernel".into(),
                     cpu_secs: 35.28,
-                    energy_j: 331.91,
+                    energy_j: Joules(331.91),
                     procedures: vec![],
                 },
             ],
@@ -335,24 +337,24 @@ mod tests {
     #[test]
     fn totals() {
         let p = sample_profile();
-        assert!((p.total_energy_j() - 975.08).abs() < 1e-9);
+        assert!((p.total_energy_j() - Joules(975.08)).abs() < Joules(1e-9));
         assert!((p.total_cpu_secs() - 101.85).abs() < 1e-9);
-        assert!((p.process_energy_j("Kernel") - 331.91).abs() < 1e-9);
-        assert_eq!(p.process_energy_j("missing"), 0.0);
+        assert!((p.process_energy_j("Kernel") - Joules(331.91)).abs() < Joules(1e-9));
+        assert_eq!(p.process_energy_j("missing"), Joules(0.0));
     }
 
     #[test]
     fn avg_power() {
         let p = sample_profile();
         let row = &p.processes[0];
-        assert!((row.avg_power_w() - 643.17 / 66.57).abs() < 1e-9);
+        assert!((row.avg_power_w() - Watts(643.17 / 66.57)).abs() < Watts(1e-9));
         let empty = ProcessRow {
             process: "zero".into(),
             cpu_secs: 0.0,
-            energy_j: 0.0,
+            energy_j: Joules(0.0),
             procedures: vec![],
         };
-        assert_eq!(empty.avg_power_w(), 0.0);
+        assert_eq!(empty.avg_power_w(), Watts(0.0));
     }
 
     #[test]
@@ -370,12 +372,12 @@ mod tests {
     fn diff_ranks_by_change_magnitude() {
         let before = sample_profile();
         let mut after = sample_profile();
-        after.processes[0].energy_j = 300.0; // xanim saved ~343 J.
-        after.processes[1].energy_j = 350.0; // kernel grew ~18 J.
+        after.processes[0].energy_j = Joules(300.0); // xanim saved ~343 J.
+        after.processes[1].energy_j = Joules(350.0); // kernel grew ~18 J.
         let rows = before.diff(&after);
         assert_eq!(rows[0].process, "/usr/odyssey/bin/xanim");
-        assert!((rows[0].delta_j() + 343.17).abs() < 1e-9);
-        assert!(rows[1].delta_j() > 0.0);
+        assert!((rows[0].delta_j() + Joules(343.17)).abs() < Joules(1e-9));
+        assert!(rows[1].delta_j() > Joules(0.0));
         let text = before.format_diff(&after);
         assert!(text.contains("Delta(J)"));
         assert!(text.contains("Total"));
@@ -388,7 +390,7 @@ mod tests {
             processes: vec![ProcessRow {
                 process: "newcomer".into(),
                 cpu_secs: 1.0,
-                energy_j: 5.0,
+                energy_j: Joules(5.0),
                 procedures: vec![],
             }],
             duration_s: 1.0,
@@ -396,10 +398,10 @@ mod tests {
         let rows = before.diff(&after);
         assert!(rows
             .iter()
-            .any(|r| r.process == "newcomer" && r.before_j == 0.0));
+            .any(|r| r.process == "newcomer" && r.before_j == Joules(0.0)));
         assert!(rows
             .iter()
-            .any(|r| r.process == "Kernel" && r.after_j == 0.0));
+            .any(|r| r.process == "Kernel" && r.after_j == Joules(0.0)));
     }
 
     #[test]

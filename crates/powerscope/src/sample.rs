@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use simcore::SimTime;
+use simcore::{Hertz, SimTime};
 
 use crate::symbols::SymbolTable;
 
@@ -119,16 +119,16 @@ impl RawTrace {
         self.samples.is_empty()
     }
 
-    /// Mean sampling rate over the trace, Hz.
-    pub fn mean_rate_hz(&self) -> f64 {
+    /// Mean sampling rate over the trace.
+    pub fn mean_rate_hz(&self) -> Hertz {
         let [first, .., last] = self.samples.as_slice() else {
-            return 0.0;
+            return Hertz::ZERO;
         };
         let span = last.at.since(first.at).as_secs_f64();
         if span <= 0.0 {
-            0.0
+            Hertz::ZERO
         } else {
-            (self.samples.len() - 1) as f64 / span
+            Hertz((self.samples.len() - 1) as f64 / span)
         }
     }
 }
@@ -150,14 +150,14 @@ mod tests {
         }
         t.end = SimTime::from_secs(1);
         assert_eq!(t.len(), 11);
-        assert!((t.mean_rate_hz() - 10.0).abs() < 1e-9);
+        assert!((t.mean_rate_hz() - Hertz(10.0)).abs() < Hertz(1e-9));
     }
 
     #[test]
     fn degenerate_traces() {
         let t = RawTrace::default();
         assert!(t.is_empty());
-        assert_eq!(t.mean_rate_hz(), 0.0);
+        assert_eq!(t.mean_rate_hz(), Hertz(0.0));
         let mut one = RawTrace::default();
         one.samples.push(Sample {
             at: SimTime::ZERO,
@@ -165,7 +165,7 @@ mod tests {
             process: "p",
             stack: CallStack::leaf_only(0),
         });
-        assert_eq!(one.mean_rate_hz(), 0.0);
+        assert_eq!(one.mean_rate_hz(), Hertz(0.0));
     }
 
     #[test]

@@ -185,6 +185,7 @@ pub fn hash_noise(seed: u64, tick: u64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use crate::time::TICKS_PER_SEC;

@@ -9,15 +9,17 @@
 //! 90% confidence intervals, plus the least-squares linear models of
 //! Figures 11 and 14.
 //!
-//! Nothing in this crate knows about power, hardware, or Odyssey; it is a
-//! generic, allocation-light simulation kernel.
+//! It also defines the physical units every energy ledger is kept in
+//! ([`Joules`], [`Watts`], [`Hertz`]); beyond those, nothing in this crate
+//! knows about hardware or Odyssey — it is a generic, allocation-light
+//! simulation kernel.
 //!
 //! With the **`par`** feature the crate additionally re-exports the
 //! [`simpar`] work pool as `simcore::par` — the seam through which the
-//! experiment runner and bench suite fan seeded trials out across
-//! threads. Simulation crates build without the feature: simulated code
-//! stays single-threaded by construction, and simlint rule D1 confines
-//! raw `std::thread` use to the simpar crate.
+//! experiment runner fans seeded trials out across threads. Simulation
+//! crates build without the feature: simulated code stays
+//! single-threaded by construction, and the workspace `clippy.toml`
+//! confines raw `std::thread` use to the simpar crate.
 
 pub mod event;
 pub mod fault;
@@ -27,6 +29,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod time;
 pub mod trace;
+pub mod units;
 
 pub use event::EventId;
 pub use event::EventQueue;
@@ -40,6 +43,7 @@ pub use snapshot::{
 pub use stats::{LinearFit, TrialStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceCategory, TraceEvent, TraceHandle, TraceRecord, TraceSink};
+pub use units::{Hertz, Joules, Watts};
 
 /// The deterministic work pool, behind the `par` feature seam.
 #[cfg(feature = "par")]

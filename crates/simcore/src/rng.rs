@@ -110,6 +110,7 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `lo > hi` or either bound is not finite.
+    #[expect(clippy::float_cmp, reason = "an empty range returns its bound")]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(lo.is_finite() && hi.is_finite() && lo <= hi);
         if lo == hi {
@@ -189,6 +190,7 @@ impl SimRng {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

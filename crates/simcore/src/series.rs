@@ -142,6 +142,7 @@ impl TimeSeries {
     ///
     /// Fidelity timelines use this to count adaptations, as in Figure 20's
     /// "Number of Adaptations" columns.
+    #[expect(clippy::float_cmp, reason = "any change of level counts")]
     pub fn change_count(&self) -> usize {
         self.points.windows(2).filter(|w| w[0].1 != w[1].1).count()
     }

@@ -23,6 +23,8 @@
 //! [`SnapshotError`], so a corrupted or truncated snapshot degrades to
 //! the replay path instead of taking the service down.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 
 use crate::time::{SimDuration, SimTime};
@@ -197,8 +199,8 @@ impl SnapshotWriter {
 /// Constructed by [`SnapshotReader::open`], which validates the whole
 /// envelope (magic, version, length, checksum) up front; the take
 /// methods then only need to guard against structural truncation. No
-/// method indexes unchecked or panics on hostile input — simlint rule S1
-/// audits this file for exactly that.
+/// method indexes unchecked or panics on hostile input — the module
+/// denies `clippy::indexing_slicing` outside its tests to keep it so.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     payload: &'a [u8],
@@ -654,6 +656,7 @@ impl RunJournal {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

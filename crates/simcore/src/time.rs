@@ -80,11 +80,14 @@ impl SimTime {
     ///
     /// Panics if `earlier` is after `self`; simulation clocks never run
     /// backwards, so this indicates a scheduling bug.
+    #[expect(
+        clippy::expect_used,
+        reason = "overflow guard; panicking is since()'s documented contract"
+    )]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(earlier.0)
-                // simlint: allow(D5) — overflow guard; panicking is since()'s documented contract
                 .expect("SimTime::since: earlier instant is in the future"),
         )
     }
@@ -204,11 +207,14 @@ impl SimTime {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "overflow guard; Add's documented panic contract"
+    )]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
                 .checked_add(rhs.0)
-                // simlint: allow(D5) — overflow guard; Add's documented panic contract
                 .expect("SimTime addition overflows u64 microseconds"),
         )
     }
@@ -223,11 +229,14 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "underflow guard; Sub's documented panic contract"
+    )]
     fn sub(self, rhs: SimDuration) -> SimTime {
         SimTime(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(D5) — underflow guard; Sub's documented panic contract
                 .expect("SimTime subtraction underflow"),
         )
     }
@@ -251,11 +260,14 @@ impl SimDuration {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "overflow guard; Add's documented panic contract"
+    )]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_add(rhs.0)
-                // simlint: allow(D5) — overflow guard; Add's documented panic contract
                 .expect("SimDuration addition overflows u64 microseconds"),
         )
     }
@@ -270,11 +282,14 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "underflow guard; Sub's documented panic contract"
+    )]
     fn sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(
             self.0
                 .checked_sub(rhs.0)
-                // simlint: allow(D5) — underflow guard; Sub's documented panic contract
                 .expect("SimDuration subtraction underflow"),
         )
     }
@@ -289,11 +304,14 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[expect(
+        clippy::expect_used,
+        reason = "overflow guard; Mul's documented panic contract"
+    )]
     fn mul(self, rhs: u64) -> SimDuration {
         SimDuration(
             self.0
                 .checked_mul(rhs)
-                // simlint: allow(D5) — overflow guard; Mul's documented panic contract
                 .expect("SimDuration multiplication overflows u64 microseconds"),
         )
     }
@@ -320,6 +338,7 @@ impl fmt::Display for SimDuration {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 

@@ -11,8 +11,8 @@
 //! traces and a battery of adversarial shapes).
 //!
 //! Consumers beyond the experiment sweeps: `simserve` fans whole session
-//! lifecycles across the pool, and `simlint` fans its per-file analysis
-//! (`--threads`), both with the same index-ordered-merge guarantee.
+//! lifecycles across the pool, with the same index-ordered-merge
+//! guarantee.
 //!
 //! # The determinism contract (DESIGN.md §13, §18)
 //!
@@ -50,8 +50,9 @@
 //! can be diagnosed instead of guessed at.
 //!
 //! This is the one crate in the workspace allowed to touch
-//! `std::thread` (simlint rule D1 confines thread use here; everything
-//! else goes through this API).
+//! `std::thread`: the workspace `clippy.toml` bans the thread API
+//! everywhere, and only this crate carries the `#[expect]`s that use it;
+//! everything else goes through this API.
 //!
 //! # Examples
 //!
@@ -86,6 +87,10 @@ const GRAIN_CHUNKS_PER_WORKER: usize = 8;
 
 /// Worker threads to use by default: the machine's available parallelism
 /// (1 when it cannot be determined).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool is the one crate that sizes itself to the host"
+)]
 pub fn available_threads() -> usize {
     // Cached: the pool consults this on every dispatch and the answer
     // cannot change under a pinned-affinity process.
@@ -243,6 +248,10 @@ fn effective_workers(cfg: &PoolConfig, n: usize) -> usize {
 ///
 /// If a job panics, the panic is propagated to the caller after the
 /// scope joins (no result is silently dropped).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool is the one crate that spawns threads"
+)]
 pub fn run<R, F>(cfg: &PoolConfig, n: usize, f: F) -> (Vec<R>, PoolStats)
 where
     R: Send,

@@ -1,4 +1,8 @@
 #![forbid(unsafe_code)]
+// The serving layer parses untrusted samples and snapshot bytes: an
+// out-of-bounds index would be a panic on hostile input, so every lookup
+// goes through `.get()` (test code is exempt via `clippy.toml`).
+#![deny(clippy::indexing_slicing)]
 //! Always-on serving mode for the energy-adaptation control plane.
 //!
 //! The paper's viceroy is a long-lived OS component, not a batch job.
@@ -34,8 +38,8 @@ use std::rc::Rc;
 use machine::{CheckpointHook, ControlHook, Machine, MachineView, RunReport};
 use odyssey::{GoalHandle, SupervisorHandle};
 use simcore::{
-    Checkpoint, RunJournal, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter,
-    TraceEvent, TraceHandle,
+    Checkpoint, Joules, RunJournal, SimDuration, SimTime, SnapshotError, SnapshotReader,
+    SnapshotWriter, TraceEvent, TraceHandle,
 };
 
 mod server;
@@ -139,8 +143,8 @@ pub enum ReconfigCommand {
     /// Move the goal deadline to `ZERO + duration` (§5.4's
     /// longer-duration goals, applied dynamically).
     Goal(SimDuration),
-    /// Replace the controller's energy budget, J.
-    BudgetJ(f64),
+    /// Replace the controller's energy budget.
+    BudgetJ(Joules),
     /// Move the session horizon.
     Horizon(SimTime),
     /// Quarantine the process with this machine index.
@@ -248,8 +252,8 @@ pub enum Directive {
     SupplyExhausted {
         /// Instant of exhaustion.
         at: SimTime,
-        /// Energy left (≈ 0), J.
-        residual_j: f64,
+        /// Energy left (≈ 0).
+        residual_j: Joules,
     },
     /// A reconfiguration command was accepted and applied.
     ReconfigApplied {
@@ -887,11 +891,11 @@ impl Serving {
             ReconfigCommand::BudgetJ(budget_j) => {
                 if !budget_j.is_finite() {
                     Err(("budget", "not_finite"))
-                } else if budget_j <= 0.0 {
+                } else if budget_j <= Joules::ZERO {
                     Err(("budget", "non_positive"))
                 } else if let Some(handle) = &self.goal {
                     handle.post_budget_revision_j(budget_j);
-                    Ok(("budget", budget_j))
+                    Ok(("budget", budget_j.0))
                 } else {
                     Err(("budget", "no_controller"))
                 }
@@ -970,9 +974,10 @@ impl Serving {
                 TraceEvent::Suspend { pid, .. } => Directive::Quarantined { at, pid },
                 TraceEvent::Restart { pid, .. } => Directive::Restarted { at, pid },
                 TraceEvent::GoalInfeasible => Directive::GoalInfeasible { at },
-                TraceEvent::SupplyExhausted { residual_j } => {
-                    Directive::SupplyExhausted { at, residual_j }
-                }
+                TraceEvent::SupplyExhausted { residual_j } => Directive::SupplyExhausted {
+                    at,
+                    residual_j: Joules(residual_j),
+                },
                 TraceEvent::ReconfigApplied { kind, value } => {
                     Directive::ReconfigApplied { at, kind, value }
                 }
@@ -1021,6 +1026,7 @@ impl Serving {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
     use machine::workload::ScriptedWorkload;
@@ -1316,9 +1322,9 @@ mod tests {
         let out = s
             .ingest(&[
                 Sample::reconfig(5.0, ReconfigCommand::Goal(SimDuration::from_secs(200))),
-                Sample::reconfig(6.0, ReconfigCommand::BudgetJ(500.0)),
-                Sample::reconfig(7.0, ReconfigCommand::BudgetJ(f64::INFINITY)),
-                Sample::reconfig(8.0, ReconfigCommand::BudgetJ(0.0)),
+                Sample::reconfig(6.0, ReconfigCommand::BudgetJ(Joules(500.0))),
+                Sample::reconfig(7.0, ReconfigCommand::BudgetJ(Joules(f64::INFINITY))),
+                Sample::reconfig(8.0, ReconfigCommand::BudgetJ(Joules(0.0))),
                 Sample::reconfig(9.0, ReconfigCommand::Goal(SimDuration::from_secs(4))),
                 Sample::reconfig(10.0, ReconfigCommand::Horizon(SimTime::from_secs(5))),
                 Sample::reconfig(11.0, ReconfigCommand::Horizon(SimTime::from_secs(90))),
@@ -1373,12 +1379,12 @@ mod tests {
         let bare = {
             let mut m = idle_machine(2, 45);
             let report = m.run();
-            (report.end, report.total_j.to_bits(), m.state_digest())
+            (report.end, report.total_j.0.to_bits(), m.state_digest())
         };
         let adopted = {
             let mut s = Session::adopt(idle_machine(2, 45)).expect("adopt");
             let report = s.run_to_completion().expect("run");
-            (report.end, report.total_j.to_bits(), s.digest())
+            (report.end, report.total_j.0.to_bits(), s.digest())
         };
         assert_eq!(bare, adopted);
     }

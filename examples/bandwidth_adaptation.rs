@@ -18,6 +18,7 @@ use energy_adaptation::machine::{Activity, Machine, MachineConfig};
 use energy_adaptation::odyssey::{BandwidthMonitor, Expectation};
 use energy_adaptation::simcore::{SimDuration, SimRng, SimTime};
 
+#[expect(clippy::expect_used, reason = "an example fails loudly")]
 fn main() {
     let mut rng = SimRng::new(11);
     let clip = VideoClip {

@@ -14,7 +14,7 @@ use energy_adaptation::apps::VideoPlayer;
 use energy_adaptation::hw560x::EnergySource;
 use energy_adaptation::machine::{Machine, MachineConfig};
 use energy_adaptation::odyssey::{GoalConfig, GoalController, PriorityTable};
-use energy_adaptation::simcore::{SimDuration, SimRng, SimTime};
+use energy_adaptation::simcore::{Joules, SimDuration, SimRng, SimTime};
 
 const INITIAL_ENERGY_J: f64 = 16_600.0;
 
@@ -28,7 +28,7 @@ fn main() {
     let mut rng = SimRng::new(7);
     let horizon = SimTime::from_secs(goal_s * 3);
     let mut machine = Machine::new(MachineConfig {
-        source: EnergySource::battery(INITIAL_ENERGY_J),
+        source: EnergySource::battery(Joules(INITIAL_ENERGY_J)),
         ..Default::default()
     });
     // The composite members arrive as [speech, web, map].
@@ -61,7 +61,7 @@ fn main() {
         report.duration_s(),
         outcome.goal_met,
         report.residual_j,
-        report.residual_j / INITIAL_ENERGY_J * 100.0
+        report.residual_j.0 / INITIAL_ENERGY_J * 100.0
     );
     println!(
         "Adaptations: {} degrades, {} upgrades ({} infeasibility alerts)\n",

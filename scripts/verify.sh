@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Offline verification: tier-1 build + tests, lint wall, and fixed-seed
-# determinism smoke checks. No network access required.
+# Offline verification: tier-1 build + tests, lint wall (rustfmt, clippy
+# with the workspace clippy.toml; the source-rule and crate-graph checks
+# run as tests), the benchmark package, and fixed-seed determinism smoke
+# checks. No network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,16 +18,9 @@ cargo fmt --check
 echo "== lint: clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== lint: simlint (determinism, dimensional-analysis & purity rules) =="
-cargo run --release -q -p simlint
-
-echo "== lint: simlint fanned scan byte-equality (1 vs 8 threads) =="
-lint_1="$(cargo run --release -q -p simlint -- --json --threads 1)"
-lint_8="$(cargo run --release -q -p simlint -- --json --threads 8)"
-if [ "$lint_1" != "$lint_8" ]; then
-    echo "fanned simlint scan diverges from serial (merge-order bug)" >&2
-    exit 1
-fi
+echo "== benchmark package: build and tests (perfbench is its own workspace) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== chaos: fixed-seed determinism smoke =="
 out_a="$(cargo run --release -q -p experiments -- chaos --trials 1 --seed 7 2>/dev/null)"

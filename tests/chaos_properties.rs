@@ -16,6 +16,7 @@ use energy_adaptation::odyssey::{
 };
 use energy_adaptation::powerscope::MeterFaultPlan;
 use energy_adaptation::simcore::fault::FaultPlan;
+use energy_adaptation::simcore::Joules;
 use energy_adaptation::simcore::{SimDuration, SimTime};
 
 /// A three-level adaptive workload: CPU duty cycle plus a periodic
@@ -115,7 +116,7 @@ fn run_goal_under_faults(seed: u64, intensity: f64, hardened: bool) -> FaultedRu
         cfg = cfg.with_hardening(Hardening::standard());
     }
     let mut m = Machine::new(MachineConfig {
-        source: EnergySource::battery(2000.0),
+        source: EnergySource::battery(Joules(2000.0)),
         faults: FaultConfig::hostile(seed, intensity, horizon),
         ..Default::default()
     });
@@ -138,7 +139,7 @@ fn controllers_survive_full_intensity_sweep() {
             for seed in 1..4 {
                 let run = run_goal_under_faults(seed, intensity, hardened);
                 assert!(
-                    run.report.total_j.is_finite() && run.report.total_j > 0.0,
+                    run.report.total_j.is_finite() && run.report.total_j > Joules(0.0),
                     "bad energy at intensity {intensity}: {}",
                     run.report.total_j
                 );
@@ -267,7 +268,7 @@ fn faulted_runs_replay_bit_identically() {
     for hardened in [false, true] {
         let a = run_goal_under_faults(9, 0.75, hardened);
         let b = run_goal_under_faults(9, 0.75, hardened);
-        assert_eq!(a.report.total_j.to_bits(), b.report.total_j.to_bits());
+        assert_eq!(a.report.total_j.0.to_bits(), b.report.total_j.0.to_bits());
         assert_eq!(a.report.end, b.report.end);
         assert_eq!(a.report.rpc_timeouts, b.report.rpc_timeouts);
         assert_eq!(a.report.rpc_retries, b.report.rpc_retries);

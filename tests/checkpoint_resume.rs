@@ -22,7 +22,7 @@ use energy_adaptation::odyssey::{
 };
 use energy_adaptation::simcore::fault::{FaultSchedule, FaultWindow};
 use energy_adaptation::simcore::{
-    RunJournal, SimDuration, SimRng, SimTime, TraceCategory, TraceHandle, TraceSink,
+    RunJournal, SimDuration, SimRng, SimTime, TraceCategory, TraceHandle, TraceSink, Watts,
 };
 
 const GOAL_S: u64 = 240;
@@ -44,6 +44,7 @@ struct Finished {
 /// Builds the Section 5 goal rig (composite loop + background video,
 /// optionally wedged and supervised) and runs it to `stop_at` (a crash)
 /// or to completion.
+#[expect(clippy::expect_used, reason = "a broken fixture fails the test")]
 fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> Finished {
     let mut rng = SimRng::new(seed);
     let cfg = GoalConfig::paper(ENERGY_J, SimDuration::from_secs(GOAL_S));
@@ -88,7 +89,7 @@ fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> F
         let sup_cfg = SupervisorConfig::standard();
         let period = sup_cfg.period;
         let (_sup_handle, mut sup) = Supervisor::new(sup_cfg);
-        sup.watch(video_pid, vec![0.5, 0.8, 1.2, 2.0], 3);
+        sup.watch(video_pid, [0.5, 0.8, 1.2, 2.0].map(Watts).to_vec(), 3);
         sup.attach_goal(handle.clone());
         m.add_hook(period, sup);
     }
@@ -108,14 +109,15 @@ fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> F
         journal: Rc::try_unwrap(journal).expect("sole owner").into_inner(),
         final_digest,
         end: report.end,
-        total_bits: report.total_j.to_bits(),
-        residual_bits: report.residual_j.to_bits(),
+        total_bits: report.total_j.0.to_bits(),
+        residual_bits: report.residual_j.0.to_bits(),
         outcome: handle.outcome(),
         trace: trace.jsonl(),
     }
 }
 
 /// Sim time of a JSONL trace line (every line starts `{"time_s":…,`).
+#[expect(clippy::expect_used, reason = "a broken fixture fails the test")]
 fn time_of(line: &str) -> f64 {
     let rest = line
         .strip_prefix("{\"time_s\":")

@@ -8,7 +8,7 @@ use energy_adaptation::machine::workload::ScriptedWorkload;
 use energy_adaptation::machine::{Activity, FaultConfig, Machine, MachineConfig, RpcPolicy};
 use energy_adaptation::netsim::{LinkFaultPlan, RpcSpec};
 use energy_adaptation::simcore::fault::FaultPlan;
-use energy_adaptation::simcore::{SimDuration, SimTime};
+use energy_adaptation::simcore::{Joules, SimDuration, SimTime};
 
 /// Outage-heavy, dip-heavy link: short calm gaps so a 10-minute run sees
 /// many overlapping fault windows of every class.
@@ -46,7 +46,7 @@ fn energy_accounting_never_goes_negative_under_link_faults() {
     for seed in 0..6 {
         let horizon = SimTime::from_secs(600);
         let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(initial_j),
+            source: EnergySource::battery(Joules(initial_j)),
             faults: stormy(seed, horizon),
             ..Default::default()
         });
@@ -65,13 +65,13 @@ fn energy_accounting_never_goes_negative_under_link_faults() {
         let report = m.run_until(horizon);
 
         assert!(
-            report.total_j.is_finite() && report.total_j >= 0.0,
+            report.total_j.is_finite() && report.total_j.0 >= 0.0,
             "seed {seed}: total {:?}",
             report.total_j
         );
         for (bucket, j) in &report.buckets {
             assert!(
-                j.is_finite() && *j >= -1e-9,
+                j.is_finite() && j.0 >= -1e-9,
                 "seed {seed}: bucket {bucket} went negative: {j}"
             );
         }
@@ -85,19 +85,19 @@ fn energy_accounting_never_goes_negative_under_link_faults() {
             ("superlinear", c.superlinear_j),
         ] {
             assert!(
-                j.is_finite() && j >= -1e-9,
+                j.is_finite() && j.0 >= -1e-9,
                 "seed {seed}: component {name} went negative: {j}"
             );
         }
         assert!(
-            (0.0..=initial_j).contains(&report.residual_j),
+            (0.0..=initial_j).contains(&report.residual_j.0),
             "seed {seed}: residual {} outside [0, {initial_j}]",
             report.residual_j
         );
         // Conservation: what left the battery is what the ledger booked.
-        let drained = initial_j - report.residual_j;
+        let drained = initial_j - report.residual_j.0;
         assert!(
-            (drained - report.total_j).abs() < 1e-6 * initial_j || report.exhausted,
+            (drained - report.total_j.0).abs() < 1e-6 * initial_j || report.exhausted,
             "seed {seed}: drained {drained} J but ledger booked {} J",
             report.total_j
         );

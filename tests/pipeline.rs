@@ -11,6 +11,7 @@ use energy_adaptation::hw560x::EnergySource;
 use energy_adaptation::machine::{Machine, MachineConfig};
 use energy_adaptation::odyssey::{GoalConfig, GoalController, PriorityTable};
 use energy_adaptation::powerscope::{correlate, PowerScope};
+use energy_adaptation::simcore::Joules;
 use energy_adaptation::simcore::{SimDuration, SimRng, SimTime};
 
 fn short_clip() -> VideoClip {
@@ -40,9 +41,9 @@ fn sampled_profile_matches_exact_ledger() {
     let err = (profile.total_energy_j() - report.total_j).abs() / report.total_j;
     assert!(err < 0.02, "sampling error {:.3}", err);
     // Each significant bucket's share should match within a few percent.
-    for (bucket, exact) in report.buckets.iter().filter(|(_, j)| *j > 10.0) {
+    for (bucket, exact) in report.buckets.iter().filter(|(_, j)| *j > Joules(10.0)) {
         let sampled = profile.process_energy_j(bucket);
-        let rel = (sampled - exact).abs() / exact;
+        let rel = (sampled - *exact).abs() / *exact;
         assert!(rel < 0.15, "{bucket}: sampled {sampled} vs exact {exact}");
     }
 }
@@ -63,7 +64,7 @@ fn runs_are_deterministic() {
     };
     let a = run();
     let b = run();
-    assert_eq!(a.total_j.to_bits(), b.total_j.to_bits());
+    assert_eq!(a.total_j.0.to_bits(), b.total_j.0.to_bits());
     assert_eq!(a.end, b.end);
     assert_eq!(a.buckets, b.buckets);
 }
@@ -129,7 +130,7 @@ fn goal_controller_end_to_end() {
     let mut rng = SimRng::new(3);
     let horizon = SimTime::from_secs(1_200);
     let mut m = Machine::new(MachineConfig {
-        source: EnergySource::battery(initial),
+        source: EnergySource::battery(Joules(initial)),
         ..Default::default()
     });
     let mut pids = Vec::new();
@@ -156,7 +157,7 @@ fn goal_controller_end_to_end() {
     assert!(handle.outcome().goal_met, "goal missed: {report:?}");
     assert!(handle.outcome().degrades > 0);
     assert!((report.duration_s() - 360.0).abs() < 2.0);
-    assert!(report.residual_j < initial * 0.12);
+    assert!(report.residual_j < Joules(initial * 0.12));
 }
 
 /// Concurrent applications share the machine consistently: energy of the
@@ -201,8 +202,8 @@ fn concurrency_accounting_balances() {
             &mut rng,
         )));
         let report = m.run();
-        let sum: f64 = report.buckets.iter().map(|(_, j)| j).sum();
-        assert!((sum - report.total_j).abs() < 1e-6);
+        let sum: f64 = report.buckets.iter().map(|(_, j)| j.0).sum();
+        assert!((sum - report.total_j.0).abs() < 1e-6);
         report.total_j
     };
     let video = solo(9, 0);

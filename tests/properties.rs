@@ -16,7 +16,7 @@ use energy_adaptation::netsim::SharedLink;
 use energy_adaptation::odyssey::Smoother;
 use energy_adaptation::simcore::{
     EventQueue, SimDuration, SimRng, SimTime, TimeSeries, TraceCategory, TraceEvent, TraceHandle,
-    TraceSink, TrialStats,
+    TraceSink, TrialStats, Watts,
 };
 
 /// Runs `body` over `n` independently seeded cases.
@@ -66,8 +66,8 @@ fn platform_power_is_consistent() {
             cpu_load: rng.uniform(0.0, 1.0),
         };
         let b = p.breakdown(&s);
-        assert!((b.total_w() - p.power_w(&s)).abs() < 1e-12);
-        assert!(p.power_w(&s) > 3.0, "below base power: {s:?}");
+        assert!((b.total_w().0 - p.power_w(&s).0).abs() < 1e-12);
+        assert!(p.power_w(&s).0 > 3.0, "below base power: {s:?}");
         let hotter = DeviceStates {
             cpu_load: (s.cpu_load + 0.1).min(1.0),
             ..s
@@ -157,11 +157,11 @@ fn ledger_balances_for_random_scripts() {
     cases("ledger", 48, |rng| {
         let mut m = random_fuzz_machine(rng);
         let report = m.run();
-        let bucket_sum: f64 = report.buckets.iter().map(|(_, j)| j).sum();
-        assert!((bucket_sum - report.total_j).abs() < 1e-6);
-        assert!((report.components.total_j() - report.total_j).abs() < 1e-6);
+        let bucket_sum: f64 = report.buckets.iter().map(|(_, j)| j.0).sum();
+        assert!((bucket_sum - report.total_j.0).abs() < 1e-6);
+        assert!((report.components.total_j().0 - report.total_j.0).abs() < 1e-6);
         if report.duration_s() > 0.0 {
-            let avg = report.total_j / report.duration_s();
+            let avg = report.total_j.0 / report.duration_s();
             assert!((3.0..25.0).contains(&avg), "implausible power {avg}");
         }
     });
@@ -208,7 +208,7 @@ fn trace_orders_events_and_reconciles_energy() {
         }
         assert!(!sums.is_empty(), "no energy deltas traced");
         for (bucket, sum) in &sums {
-            let reported = report.bucket_j(bucket);
+            let reported = report.bucket_j(bucket).0;
             let tol = 1e-9 * reported.abs().max(1.0);
             assert!(
                 (sum - reported).abs() <= tol,
@@ -217,7 +217,7 @@ fn trace_orders_events_and_reconciles_energy() {
         }
         let total: f64 = sums.values().sum();
         assert!(
-            (total - report.total_j).abs() <= 1e-9 * report.total_j.max(1.0),
+            (total - report.total_j.0).abs() <= 1e-9 * report.total_j.0.max(1.0),
             "trace total {total} vs report {}",
             report.total_j
         );
@@ -238,7 +238,7 @@ fn smoother_is_bounded_by_inputs() {
             let x = rng.uniform(0.1, 50.0);
             lo = lo.min(x);
             hi = hi.max(x);
-            let v = s.update(x, remaining);
+            let v = s.update(Watts(x), remaining).0;
             assert!(v >= lo - 1e-9 && v <= hi + 1e-9, "{v} outside [{lo}, {hi}]");
         }
     });
@@ -344,10 +344,10 @@ fn energy_paths_reconcile_to_multimeter_total() {
                     .rows
                     .iter()
                     .filter(|r| r.samples > 0)
-                    .map(|r| r.self_energy_j)
+                    .map(|r| r.self_energy_j.0)
                     .sum();
                 assert!(
-                    (leaf_sum - proc_paths.energy_j).abs() <= 1e-9 * leaf_sum.abs().max(1.0),
+                    (leaf_sum - proc_paths.energy_j.0).abs() <= 1e-9 * leaf_sum.abs().max(1.0),
                     "{tag}: {}: leaf exclusive sum {leaf_sum} != process {}",
                     proc_paths.process,
                     proc_paths.energy_j
@@ -362,22 +362,22 @@ fn energy_paths_reconcile_to_multimeter_total() {
                             c.path.starts_with(&child_prefix)
                                 && !c.path[child_prefix.len()..].contains('/')
                         })
-                        .map(|c| c.inclusive_energy_j)
+                        .map(|c| c.inclusive_energy_j.0)
                         .sum();
-                    let expect = row.self_energy_j + children;
+                    let expect = row.self_energy_j.0 + children;
                     assert!(
-                        (row.inclusive_energy_j - expect).abs() <= 1e-9 * expect.abs().max(1.0),
+                        (row.inclusive_energy_j.0 - expect).abs() <= 1e-9 * expect.abs().max(1.0),
                         "{tag}: {} path {}: inclusive {} != self+children {expect}",
                         proc_paths.process,
                         row.path,
                         row.inclusive_energy_j
                     );
                 }
-                process_sum += proc_paths.energy_j;
+                process_sum += proc_paths.energy_j.0;
             }
             // Process energies sum to the multimeter total (the flat
             // correlation integrates the same sample stream).
-            let meter_total = flat.total_energy_j();
+            let meter_total = flat.total_energy_j().0;
             assert!(
                 (process_sum - meter_total).abs() <= 1e-9 * meter_total.abs().max(1.0),
                 "{tag}: path process sum {process_sum} != multimeter total {meter_total}"

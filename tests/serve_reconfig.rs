@@ -10,7 +10,7 @@
 //! flood that must escalate into the Supervisor's strike ladder.
 
 use energy_adaptation::experiments::serve::build_session;
-use energy_adaptation::simcore::{SimDuration, SimTime};
+use energy_adaptation::simcore::{Joules, SimDuration, SimTime};
 use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session};
 
 const SEED: u64 = 42;
@@ -19,6 +19,7 @@ const SEED: u64 = 42;
 /// (added after the speech, web, and map members).
 const VIDEO: usize = 3;
 
+#[expect(clippy::expect_used, reason = "a broken fixture fails the test")]
 fn session() -> Session {
     build_session(SEED).expect("golden supervised rig")
 }
@@ -60,11 +61,11 @@ fn budget_zero_and_non_finite_are_rejected() {
     let mut s = session();
     let out = s
         .ingest(&[
-            Sample::reconfig(10.0, ReconfigCommand::BudgetJ(0.0)),
-            Sample::reconfig(11.0, ReconfigCommand::BudgetJ(-250.0)),
-            Sample::reconfig(12.0, ReconfigCommand::BudgetJ(f64::NAN)),
-            Sample::reconfig(13.0, ReconfigCommand::BudgetJ(f64::INFINITY)),
-            Sample::reconfig(14.0, ReconfigCommand::BudgetJ(12_000.0)),
+            Sample::reconfig(10.0, ReconfigCommand::BudgetJ(Joules(0.0))),
+            Sample::reconfig(11.0, ReconfigCommand::BudgetJ(Joules(-250.0))),
+            Sample::reconfig(12.0, ReconfigCommand::BudgetJ(Joules(f64::NAN))),
+            Sample::reconfig(13.0, ReconfigCommand::BudgetJ(Joules(f64::INFINITY))),
+            Sample::reconfig(14.0, ReconfigCommand::BudgetJ(Joules(12_000.0))),
         ])
         .expect("hostile budgets must not kill the session");
     assert_eq!(
