@@ -29,7 +29,9 @@
 //! | [`chaos`] | Fault-intensity sweep: paper vs hardened controller   |
 //! | [`supervise`] | Misbehaving apps: unsupervised vs supervised viceroy |
 //! | [`serve`] | Always-on serving session: golden-trace replay with kill/resume proof |
-//! | [`energymap`] | Per-call-path energy tables + regression gate   |
+//! | [`golden`] | Golden harness: scenario builder, `golden --check`/`--rec` engine |
+//! | [`tracerec`] | Golden trace kind: JSONL control-plane recorder |
+//! | [`energymap`] | Golden energy kind: per-call-path tables and drift band |
 
 pub mod ablate;
 pub mod barchart;
@@ -53,6 +55,7 @@ pub mod fig6;
 pub mod fig8;
 pub mod fuzz;
 pub mod goalrig;
+pub mod golden;
 pub mod harness;
 pub mod headline;
 #[cfg(clippy)]

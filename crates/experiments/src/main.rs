@@ -20,24 +20,25 @@
 //! `bench` verb it may be a comma list of counts to sweep.
 //!
 //! Four extra verbs (not part of `all`):
-//! `tracediff` replays each canonical scenario and reports the first
-//! event diverging from `tests/golden/`; `tracerec` rewrites the goldens
-//! after an intentional behavior change; `bench` times the canonical
-//! scenarios across thread counts (`--reps` repetitions each), verifies
-//! parallel output digests match serial, and writes `BENCH_sweep.json`
-//! (with `--check [BASELINE.json]` it also fails when any scenario's
-//! speedup drops more than `--tolerance` below the committed sweep,
-//! default `results/BENCH_sweep.json` at 0.30);
+//! `golden --check` renders every golden file under `tests/golden/` —
+//! each canonical scenario's JSONL trace and per-call-path energy
+//! table, plus the cross-seed digest matrix — and exits non-zero
+//! naming the first diverging line or every drifted path, saving fresh
+//! copies of failing files to `target/golden/<kind>/`; `golden --rec`
+//! rewrites them after an intentional behavior change (review the
+//! result with `git diff tests/golden/`);
+//! `bench` times the canonical scenarios across thread counts (`--reps`
+//! repetitions each), verifies parallel output digests match serial,
+//! and writes `BENCH_sweep.json` (with `--check [BASELINE.json]` it
+//! also fails when any scenario's speedup drops more than `--tolerance`
+//! below the committed sweep, default `results/BENCH_sweep.json` at
+//! 0.30);
 //! `serve` replays the longest golden trace through an always-on
 //! session at `--multiple` density, kills it at a mid-run checkpoint,
 //! resumes, and exits non-zero on any digest or trace divergence
 //! (writing the report to `target/serve/divergence.txt`);
-//! `energymap` renders the per-call-path energy table of each canonical
-//! scenario into `--out` (default `results/`), or with `--check`
-//! compares fresh tables against `tests/golden/energymap_*.txt` and
-//! exits non-zero naming any path whose energy drifted beyond
-//! tolerance; `energymaprec` rewrites those goldens after an
-//! intentional energy change.
+//! `fuzz` drives seeded hostile mutations of a golden stream through
+//! isolated sessions and exits non-zero on any panic.
 
 use experiments::{benchcli, harness::Trials, *};
 
@@ -85,7 +86,7 @@ const FUZZ_STREAMS: usize = 1000;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T[,T...]] [--reps R] [--multiple M] [--scenario NAME] [--sessions N] [--streams N] [--out DIR] [IDS...]\n  IDS: {} | all\n  golden traces: tracediff (compare against tests/golden/) | tracerec (regenerate)\n  benchmarks: bench (time scenarios across --threads counts, write BENCH_sweep.json; --check [BASELINE.json] fails on speedups more than --tolerance below the committed sweep)\n  serving: serve (replay --scenario golden stream at --multiple density through --sessions isolated sessions; kill, resume by replay and by snapshot, fail on divergence)\n  fuzzing: fuzz (drive --streams seeded hostile mutations of the golden stream through isolated sessions; fail on any panic, unsurfaced error, or unstable recovery digest)\n  energy: energymap (write per-call-path energy tables to --out, default results/; with --check, gate against tests/golden/energymap_*.txt) | energymaprec (regenerate those goldens)",
+        "usage: odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T[,T...]] [--reps R] [--multiple M] [--scenario NAME] [--sessions N] [--streams N] [--out DIR] [IDS...]\n  IDS: {} | all\n  goldens: golden --check (compare every trace, energy table and seed-matrix file against tests/golden/) | golden --rec (rewrite them)\n  benchmarks: bench (time scenarios across --threads counts, write BENCH_sweep.json; --check [BASELINE.json] fails on speedups more than --tolerance below the committed sweep)\n  serving: serve (replay --scenario golden stream at --multiple density through --sessions isolated sessions; kill, resume by replay and by snapshot, fail on divergence)\n  fuzzing: fuzz (drive --streams seeded hostile mutations of the golden stream through isolated sessions; fail on any panic, unsurfaced error, or unstable recovery digest)",
         ALL.join(" ")
     );
     std::process::exit(2)
@@ -276,7 +277,8 @@ fn main() {
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut check: Option<std::path::PathBuf> = None;
     let mut tolerance = BENCH_TOLERANCE;
-    let mut inflate_decode = 1.0f64;
+    let mut rec = false;
+    let mut inflate_decode: Option<f64> = None;
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -361,16 +363,18 @@ fn main() {
                     std::process::exit(2);
                 }
             }
+            "--rec" => rec = true,
             // Undocumented test hook: scales the video decode block so
-            // the energy-regression gate's negative path is exercisable
-            // from the CLI (tests/energy_regression.rs drives it).
+            // the energy gate's negative path is exercisable from the
+            // CLI (CI's negative control drives it).
             "--inflate-decode" => {
                 let r = args.next().unwrap_or_else(|| usage());
-                inflate_decode = r.parse().unwrap_or_else(|_| usage());
-                if !inflate_decode.is_finite() || inflate_decode <= 0.0 {
+                let ratio: f64 = r.parse().unwrap_or_else(|_| usage());
+                if !ratio.is_finite() || ratio <= 0.0 {
                     eprintln!("--inflate-decode wants a finite positive ratio");
                     std::process::exit(2);
                 }
+                inflate_decode = Some(ratio);
             }
             "--quick" => trials = Trials { n: 2, ..trials },
             "--help" | "-h" => usage(),
@@ -388,25 +392,35 @@ fn main() {
             std::process::exit(2);
         }
     }
+    // Reject flags that would otherwise be silently ignored: an inflated
+    // `golden --rec` would commit inflated goldens.
+    let golden_verb = ids.iter().any(|i| i == "golden");
+    if rec && !golden_verb {
+        eprintln!("--rec applies only to the golden verb");
+        std::process::exit(2);
+    }
+    if inflate_decode.is_some() && !(golden_verb && check.is_some() && !rec) {
+        eprintln!("--inflate-decode applies only to golden --check");
+        std::process::exit(2);
+    }
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = ALL.iter().map(|s| s.to_string()).collect();
     }
 
     // Special verbs run serially, outside the figure fan-out.
     ids.retain(|id| match id.as_str() {
-        "tracerec" => {
-            match tracerec::regenerate() {
-                Ok(summary) => println!("{summary}"),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
+        "golden" => {
+            let dir = tracerec::golden_dir();
+            let result = match (check.is_some(), rec) {
+                (true, false) => golden::check(&dir, inflate_decode.unwrap_or(1.0), trials.threads),
+                (false, true) => golden::record(&dir, trials.threads),
+                _ => {
+                    eprintln!("golden wants exactly one of --check or --rec");
+                    usage()
                 }
-            }
-            false
-        }
-        "tracediff" => {
-            match tracerec::check_all() {
-                Ok(summary) => println!("{summary}"),
+            };
+            match result {
+                Ok(summary) => print!("{summary}"),
                 Err(report) => {
                     eprintln!("{report}");
                     std::process::exit(1);
@@ -431,39 +445,6 @@ fn main() {
         }
         "fuzz" => {
             run_fuzz_verb(trials.seed, streams, trials.threads, &scenario);
-            false
-        }
-        "energymap" => {
-            if check.is_some() {
-                match energymap::check_all(inflate_decode) {
-                    Ok(summary) => print!("{summary}"),
-                    Err(report) => {
-                        eprintln!("{report}");
-                        std::process::exit(1);
-                    }
-                }
-            } else {
-                let dir = out_dir
-                    .clone()
-                    .unwrap_or_else(|| std::path::PathBuf::from("results"));
-                match energymap::write_results(&dir, trials.threads) {
-                    Ok(text) => print!("{text}"),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            false
-        }
-        "energymaprec" => {
-            match energymap::regenerate() {
-                Ok(summary) => print!("{summary}"),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            }
             false
         }
         _ => true,

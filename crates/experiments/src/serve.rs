@@ -111,7 +111,7 @@ pub fn schedule_for(scenario: &str, multiple: u32) -> Result<Vec<Sample>, String
     let body = fs::read_to_string(&path).map_err(|e| {
         format!(
             "serve: cannot read golden trace {}: {e}\n\
-             regenerate with: cargo run --release -p experiments -- tracerec",
+             regenerate with: cargo run --release -p experiments -- golden --rec",
             path.display()
         )
     })?;

@@ -31,19 +31,8 @@ if [ "$out_a" != "$out_b" ]; then
 fi
 echo "$out_a" | head -4
 
-echo "== simtrace: golden-trace conformance =="
-cargo run --release -q -p experiments -- tracediff
-
-echo "== energymap: per-path energy-regression gate =="
-cargo run --release -q -p experiments -- energymap --check
-
-echo "== energymap: serial/parallel table byte-equality smoke =="
-em_1="$(cargo run --release -q -p experiments -- energymap --threads 1 --out target/energymap-smoke 2>/dev/null)"
-em_8="$(cargo run --release -q -p experiments -- energymap --threads 8 --out target/energymap-smoke 2>/dev/null)"
-if [ "$em_1" != "$em_8" ]; then
-    echo "energymap tables diverge across thread counts (simpar merge bug)" >&2
-    exit 1
-fi
+echo "== golden: traces, energy tables and seed matrix =="
+cargo run --release -q -p experiments -- golden --check
 
 echo "== supervise: fixed-seed determinism smoke =="
 sup_a="$(cargo run --release -q -p experiments -- supervise --trials 1 --seed 7 2>/dev/null)"

@@ -1,91 +1,21 @@
-//! Energy-regression gate: the committed per-call-path tables under
-//! `tests/golden/energymap_*.txt` must match a fresh replay of every
-//! canonical scenario, and a seeded energy change must trip the gate
-//! naming the exact diverging path.
-//!
-//! The negative control works through a test-only hook
-//! (`VideoPlayer::with_decode_inflation`, reachable here via
-//! `energymap`'s `decode_inflation` parameter and on the CLI via the
-//! hidden `--inflate-decode` flag): inflating the fig2 video decode
-//! block by +2 % must push `decode_frame`'s exclusive energy — and its
-//! ancestors' inclusive energy — outside the 1 % tolerance band.
+//! Energy kind of the golden harness: the committed per-call-path
+//! tables under `tests/golden/energymap_*.txt` match a fresh replay of
+//! every canonical scenario. The negative controls and the table-schema
+//! checks live with the rest of the harness tests in `tests/golden.rs`.
 
-use experiments::energymap;
-use experiments::tracerec::SCENARIOS;
+use experiments::golden::{self, Kind};
+use experiments::tracerec::{self, SCENARIOS};
 
-/// Every committed golden table matches a fresh replay exactly (well
-/// inside tolerance: the simulation is bit-exact at the golden seed).
+/// Every committed golden table matches a fresh replay: the same path
+/// set and sample counts, energy well inside tolerance (the simulation
+/// is bit-exact at the golden seed).
 #[test]
 fn golden_energy_tables_pass_the_gate() {
     for scenario in SCENARIOS {
-        match energymap::check(scenario, 1.0) {
-            Ok(paths) => assert!(paths > 0, "{scenario}: empty golden table"),
-            Err((report, _fresh)) => panic!("{scenario} failed the energy gate:\n{report}"),
+        let file = golden::render(Kind::Energy, scenario, 1.0).unwrap();
+        assert!(file.text.lines().count() > 1, "{scenario}: empty table");
+        if let Some(report) = file.diff(&tracerec::golden_dir()) {
+            panic!("{} failed the energy gate:\n{report}", file.name);
         }
-    }
-}
-
-/// Seeded +2 % decode inflation fails the fig2 gate, and the report
-/// names the exact costed block that moved — not just the process.
-#[test]
-fn seeded_decode_inflation_is_caught_and_named() {
-    let (report, fresh) =
-        energymap::check("fig2", 1.02).expect_err("+2 % decode inflation passed the 1 % gate");
-    assert!(
-        report.contains("xanim path video_playback/frame_pipeline/decode_frame"),
-        "report does not name the inflated block:\n{report}"
-    );
-    // Inclusive accounting propagates the drift to every ancestor frame.
-    assert!(
-        report.contains("xanim path video_playback: inclusive_energy_j"),
-        "report does not roll the drift up to the root frame:\n{report}"
-    );
-    // The fresh table rides along for CI artifact upload.
-    assert!(fresh.starts_with("process\tpath\t"), "fresh table missing");
-}
-
-/// The inflation hook is scoped to the fig2 video decode block: another
-/// scenario's table is byte-untouched by it. (One scenario suffices —
-/// only the fig2 builder threads the ratio through at all; this pins
-/// that no future change plumbs it into shared code.)
-#[test]
-fn inflation_hook_does_not_leak_into_other_scenarios() {
-    assert_eq!(
-        energymap::table("fig13", 7, 1.0).unwrap(),
-        energymap::table("fig13", 7, 1.02).unwrap(),
-        "fig13: decode inflation leaked outside fig2"
-    );
-}
-
-/// Golden tables carry D4 unit-suffixed headers and stable path order
-/// (BTreeMap iteration: processes alphabetical, paths lexicographic, so
-/// parents always precede children).
-#[test]
-fn golden_tables_have_stable_schema_and_order() {
-    for scenario in SCENARIOS {
-        let path = energymap::golden_path(scenario);
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next(),
-            Some(
-                "process\tpath\tsamples\tself_time_s\tself_energy_j\t\
-                 inclusive_time_s\tinclusive_energy_j"
-            ),
-            "{scenario}: header drifted"
-        );
-        let keys: Vec<(String, String)> = lines
-            .map(|l| {
-                let mut f = l.split('\t');
-                (
-                    f.next().unwrap_or_default().to_string(),
-                    f.next().unwrap_or_default().to_string(),
-                )
-            })
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted, "{scenario}: rows not in stable sorted order");
     }
 }

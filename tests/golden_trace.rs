@@ -1,16 +1,20 @@
-//! Golden-trace conformance: every canonical scenario must replay
-//! byte-identically against the JSONL pinned under `tests/golden/`, and
-//! recording the same scenario twice at one seed must be byte-identical.
+//! Trace kind of the golden harness: every canonical scenario's JSONL
+//! trace replays byte-identically against its copy under
+//! `tests/golden/`, and recording one scenario twice at one seed is
+//! byte-identical.
 //!
-//! On failure the panic message is the tracediff first-divergence report;
-//! see `tests/golden/README.md` for the regeneration workflow.
+//! On failure the panic message is the first-divergence report; see
+//! `tests/golden/README.md` for the regeneration workflow.
 
+use experiments::golden::{self, Kind};
 use experiments::tracerec;
 
 fn assert_golden(scenario: &str) {
-    match tracerec::check(scenario) {
-        Ok(n) => assert!(n > 0, "{scenario}: golden trace is empty"),
-        Err((report, _fresh)) => panic!("{report}"),
+    let file = golden::render(Kind::Trace, scenario, 1.0)
+        .unwrap_or_else(|e| panic!("recording {scenario}: {e}"));
+    assert!(!file.text.is_empty(), "{scenario}: empty trace");
+    if let Some(report) = file.diff(&tracerec::golden_dir()) {
+        panic!("{}:\n{report}", file.name);
     }
 }
 
@@ -36,7 +40,8 @@ fn supervise_trace_matches_golden() {
 
 /// Same seed, same scenario — byte-identical JSONL, for every scenario,
 /// at a seed different from the golden one (determinism is a property of
-/// the recorder, not of one lucky seed).
+/// the recorder, not of one lucky seed). This is the harness's one
+/// record-twice test; the seed matrix relies on it for same-seed replay.
 #[test]
 fn recording_is_deterministic_at_any_seed() {
     for scenario in tracerec::SCENARIOS {

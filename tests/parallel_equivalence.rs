@@ -4,12 +4,12 @@
 //! experiment routed through `simcore::par` produces byte-identical
 //! results at every thread count, because trial streams are pure
 //! functions of `(seed, label, index)` and merges happen in index
-//! order. This suite drives the contract end to end: golden-trace
-//! scenarios, the trial harness, and both cell-level sweeps, each at
+//! order. This suite drives the contract end to end: golden-file
+//! renders, the trial harness, and both cell-level sweeps, each at
 //! 1, 2, and 8 threads.
 
 use experiments::harness::{run_trials, Trials};
-use experiments::{benchcli, chaos, energymap, fig16, supervise, tracerec};
+use experiments::{benchcli, chaos, fig16, golden, supervise, tracerec};
 use machine::workload::ScriptedWorkload;
 use machine::{Machine, MachineConfig};
 use simcore::{SimDuration, SimRng};
@@ -42,16 +42,24 @@ fn golden_scenarios_identical_across_thread_counts() {
     }
 }
 
-/// Recorded golden traces are line-for-line identical no matter how the
-/// surrounding harness is threaded (tracerec itself is single-machine;
-/// this pins that the par feature being linked in changes nothing).
+/// Recorded golden traces are line-for-line identical whether recorded
+/// on the calling thread or on pool workers: recording keeps no
+/// thread-local state. Spawning is forced so the workers are real
+/// threads even on a single-core host.
 #[test]
 fn golden_traces_replay_identically_with_pool_linked() {
-    for scenario in tracerec::SCENARIOS {
-        let a = tracerec::record(scenario, 42).unwrap();
-        let b = tracerec::record(scenario, 42).unwrap();
-        assert_eq!(a, b, "{scenario}: replay diverged");
-        assert!(!a.is_empty());
+    let serial: Vec<_> = tracerec::SCENARIOS
+        .iter()
+        .map(|s| tracerec::record(s, 42).unwrap())
+        .collect();
+    let cfg = simpar::PoolConfig::new(2).assume_parallelism(2).grain(1);
+    let (pooled, stats) = simpar::map_stats(&cfg, &tracerec::SCENARIOS, |_, s| {
+        tracerec::record(s, 42).unwrap()
+    });
+    assert!(!stats.inline, "pool ran inline; no worker recorded");
+    for ((scenario, a), b) in tracerec::SCENARIOS.iter().zip(&serial).zip(&pooled) {
+        assert!(!a.is_empty(), "{scenario}: empty trace");
+        assert_eq!(a, b, "{scenario}: recording on a pool worker diverged");
     }
 }
 
@@ -136,24 +144,24 @@ fn rendered_figure_bytes_identical_across_thread_counts() {
     }
 }
 
-/// Per-call-path energy tables are byte-identical at every thread
-/// count: `energymap::render_all` fans the four scenarios out over the
-/// pool, and each scenario's profile is a pure function of its seed.
+/// Every golden file — traces, per-call-path energy tables and the
+/// seed matrix — renders byte-identically at every thread count:
+/// `golden::render_all` fans the files out over the pool, and each is
+/// a pure function of its scenario and seed.
 #[test]
 fn energymap_tables_identical_across_thread_counts() {
     let [serial_threads, ref fanned @ ..] = THREAD_COUNTS;
-    let serial = energymap::render_all(serial_threads).expect("serial energymap render");
-    assert_eq!(serial.len(), tracerec::SCENARIOS.len());
+    let serial = golden::render_all(serial_threads, 1.0).expect("serial golden render");
+    assert!(serial.iter().any(|f| f.kind == golden::Kind::Energy));
     for &threads in fanned {
-        let parallel = energymap::render_all(threads).expect("parallel energymap render");
-        for ((s_name, s_table), (p_name, p_table)) in serial.iter().zip(&parallel) {
+        let parallel = golden::render_all(threads, 1.0).expect("parallel golden render");
+        assert_eq!(serial.len(), parallel.len());
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_eq!(s.name, p.name, "file order diverged at {threads} threads");
             assert_eq!(
-                s_name, p_name,
-                "scenario order diverged at {threads} threads"
-            );
-            assert_eq!(
-                s_table, p_table,
-                "{s_name}: energymap table diverges at {threads} threads"
+                s.text, p.text,
+                "{}: golden render diverges at {threads} threads",
+                s.name
             );
         }
     }

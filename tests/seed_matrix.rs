@@ -1,89 +1,29 @@
-//! Cross-seed determinism matrix.
+//! Seeds kind of the golden harness: the cross-seed determinism matrix.
 //!
 //! The golden traces pin scenario behavior at the canonical seed (42),
 //! which leaves a blind spot: a wall-clock read or iteration-order bug
-//! that only perturbs *other* seeds would pass the golden gate. This
-//! test replays every canonical scenario at four seeds spanning the
-//! u64 range — including one above 2^40 to catch truncation — and
-//! compares each trace digest against the table checked in at
-//! `tests/golden/seed_matrix.txt`.
+//! that only perturbs *other* seeds would pass the trace gate. The
+//! matrix replays every canonical scenario at four seeds spanning the
+//! u64 range — including one above 2^40 to catch truncation — and its
+//! digests must match `tests/golden/seed_matrix.txt` byte for byte.
 //!
-//! After an intentional behavior change, regenerate by deleting the
-//! table and re-running this test: it writes a fresh table and fails
-//! once, telling you to commit the file.
+//! After an intentional behavior change, regenerate with
+//! `cargo run --release -p experiments -- golden --rec`; no test writes
+//! under `tests/golden/`.
 
+use experiments::golden::{self, Kind};
 use experiments::tracerec;
-use simcore::SnapshotHasher;
-
-/// Seeds spanning the u64 range: tiny, small, canonical, above 2^40.
-const SEEDS: [u64; 4] = [1, 7, 42, (1 << 40) + 9];
-
-fn table_path() -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/seed_matrix.txt")
-}
-
-/// Digest of one scenario's recorded trace at one seed.
-fn digest(scenario: &str, seed: u64) -> u64 {
-    let lines = tracerec::record(scenario, seed)
-        .unwrap_or_else(|e| panic!("recording {scenario} at seed {seed}: {e}"));
-    assert!(!lines.is_empty(), "{scenario}@{seed}: empty trace");
-    let mut h = SnapshotHasher::new();
-    for line in &lines {
-        h.write_bytes(line.as_bytes());
-    }
-    h.finish()
-}
-
-fn render_table(rows: &[(String, u64, u64)]) -> String {
-    let mut out = String::from(
-        "# Cross-seed determinism matrix: scenario seed trace-digest.\n\
-         # Regenerate after an intentional behavior change by deleting\n\
-         # this file and running `cargo test --test seed_matrix`.\n",
-    );
-    for (scenario, seed, d) in rows {
-        out.push_str(&format!("{scenario} {seed} {d:016x}\n"));
-    }
-    out
-}
 
 #[test]
 fn seed_matrix_matches_checked_in_table() {
-    let mut rows: Vec<(String, u64, u64)> = Vec::new();
-    for scenario in tracerec::SCENARIOS {
-        for seed in SEEDS {
-            rows.push((scenario.to_string(), seed, digest(scenario, seed)));
-        }
-    }
-    let rendered = render_table(&rows);
-    let path = table_path();
-    let Ok(expected) = std::fs::read_to_string(&path) else {
-        std::fs::write(&path, &rendered).unwrap_or_else(|e| panic!("writing {path:?}: {e}"));
-        panic!("{path:?} was missing; a fresh table has been written — inspect and commit it");
-    };
-    assert_eq!(
-        expected, rendered,
-        "seed matrix drifted from {path:?}: some scenario now behaves \
-         differently at a non-canonical seed (wall-clock read, iteration-order \
-         dependence, or an intentional change needing regeneration)"
-    );
-}
-
-/// Different seeds must give different behavior (the digest actually
-/// captures the run), and the same seed must digest identically twice.
-#[test]
-fn digests_vary_by_seed_and_replay_stably() {
-    for scenario in tracerec::SCENARIOS {
-        let d42a = digest(scenario, 42);
-        let d42b = digest(scenario, 42);
-        assert_eq!(d42a, d42b, "{scenario}: replay at one seed diverged");
-        let others: Vec<u64> = SEEDS
-            .iter()
-            .filter(|&&s| s != 42)
-            .map(|&s| digest(scenario, s))
-            .collect();
-        assert!(
-            others.iter().any(|&d| d != d42a),
-            "{scenario}: every seed produced the same trace — the seed is ignored"
+    let file = golden::render(Kind::Seeds, "", 1.0).unwrap();
+    let rows = file.text.lines().filter(|l| !l.starts_with('#')).count();
+    assert_eq!(rows, tracerec::SCENARIOS.len() * golden::SEEDS.len());
+    if let Some(report) = file.diff(&tracerec::golden_dir()) {
+        panic!(
+            "seed matrix drifted: some scenario now behaves differently at a \
+             non-canonical seed (wall-clock read, iteration-order dependence, \
+             or an intentional change needing `golden --rec`):\n{report}"
         );
     }
 }
