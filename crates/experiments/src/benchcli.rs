@@ -55,7 +55,7 @@ pub fn digest(scenario: &str, trials: &Trials) -> u64 {
             // no scaling artifact.
             let samples =
                 serve::schedule(1).unwrap_or_else(|e| panic!("bench serve scenario: {e}"));
-            let run = serve::replay(trials.seed, &samples, None)
+            let run = serve::replay(trials.seed, &samples)
                 .unwrap_or_else(|e| panic!("bench serve scenario: {e}"));
             h.write_u64(run.final_digest);
             h.write_u64(run.directives as u64);
@@ -103,7 +103,7 @@ pub fn run_sweep(trials: &Trials, thread_counts: &[usize], reps: usize) -> Sweep
         let work_units: Option<u64> = (scenario == "serve").then(|| {
             let samples =
                 serve::schedule(1).unwrap_or_else(|e| panic!("bench serve scenario: {e}"));
-            let run = serve::replay(trials.seed, &samples, None)
+            let run = serve::replay(trials.seed, &samples)
                 .unwrap_or_else(|e| panic!("bench serve scenario: {e}"));
             run.directives as u64
         });

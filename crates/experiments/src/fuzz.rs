@@ -13,10 +13,10 @@
 //! 1. **determinism** — the same hostile stream twice through two
 //!    fresh sessions; digests, dead-letter totals, and ledger bounds
 //!    must agree;
-//! 2. **recovery** — freeze mid-stream, thaw into a fresh shell, finish
-//!    the stream there; the recovered digest must equal the
-//!    uninterrupted one (falling back to full replay when the freeze
-//!    itself is refused);
+//! 2. **recovery** — serve to a mid-stream pivot keeping a `Server`
+//!    slot's two generations; the generation-flip operator flips one
+//!    seeded bit of the newest, and [`simserve::restore`] must come back
+//!    through the older one and land on the straight-run digest;
 //! 3. **crosstalk** — a two-slot [`Server`] interleaving the hostile
 //!    stream with a clean one; the clean slot must end byte-identical
 //!    to a solo clean run, proving slot isolation under attack.
@@ -31,7 +31,9 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use simcore::{SimDuration, SimRng, SimTime};
-use simserve::{ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth};
+use simserve::{
+    restore, Generation, ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth,
+};
 
 use crate::serve;
 use simcore::Joules;
@@ -49,12 +51,11 @@ struct StreamStats {
     dead_letters: u64,
     ingest_errors: u64,
     max_ledger_len: usize,
-    froze: bool,
+    recovered: bool,
 }
 
 /// Outcome of feeding one hostile stream through a raw session:
-/// everything needed for the cross-run comparisons, plus the frozen
-/// snapshot when a mid-stream freeze was requested and granted.
+/// everything needed for the cross-run comparisons.
 struct HostileRun {
     digest: u64,
     dead_total: u64,
@@ -182,31 +183,14 @@ pub fn hostile_stream(
     (samples, applied)
 }
 
-/// Feeds `samples` through a fresh session at `seed`, catching panics.
-/// `freeze_at_chunk` freezes mid-stream and continues in a thawed twin
-/// — the recovery path under hostile input. Ingest errors end feeding
-/// (errors must be surfaced, not fatal); panics are failures.
-fn drive(
-    seed: u64,
-    samples: &[Sample],
-    freeze_at_chunk: Option<usize>,
-) -> Result<HostileRun, String> {
-    let mut session = build(seed)?;
+/// Feeds `samples` to `session`, catching panics, and runs it out.
+/// Ingest errors end feeding (errors must be surfaced, not fatal);
+/// panics are failures.
+fn drive(mut session: Session, samples: &[Sample]) -> Result<HostileRun, String> {
     let mut ingest_errors = 0u64;
     let mut max_ledger_len = 0usize;
     let mut stopped = false;
-    for (ci, chunk) in samples.chunks(BATCH).enumerate() {
-        if Some(ci) == freeze_at_chunk && !stopped {
-            // Recovery pivot: freeze, thaw into a fresh shell, and keep
-            // serving there. A refused freeze falls back to continuing
-            // in place — the caller compares digests either way.
-            if let Ok(bytes) = session.freeze() {
-                let mut twin = build(seed)?;
-                twin.thaw(&bytes)
-                    .map_err(|e| format!("thaw of own freeze failed: {e}"))?;
-                session = twin;
-            }
-        }
+    for chunk in samples.chunks(BATCH) {
         if !stopped {
             match guarded_ingest(&mut session, chunk)? {
                 Ok(_) => {}
@@ -272,8 +256,8 @@ fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
 /// Harness 1: the hostile stream is deterministic — two fresh sessions,
 /// identical digests and accounting.
 fn check_determinism(seed: u64, samples: &[Sample]) -> Result<StreamStats, String> {
-    let a = drive(seed, samples, None)?;
-    let b = drive(seed, samples, None)?;
+    let a = drive(build(seed)?, samples)?;
+    let b = drive(build(seed)?, samples)?;
     if a.digest != b.digest
         || a.dead_total != b.dead_total
         || a.ingest_errors != b.ingest_errors
@@ -289,27 +273,59 @@ fn check_determinism(seed: u64, samples: &[Sample]) -> Result<StreamStats, Strin
         dead_letters: a.dead_total,
         ingest_errors: a.ingest_errors,
         max_ledger_len: a.max_ledger_len,
-        froze: false,
+        recovered: false,
     })
 }
 
-/// Harness 2: freeze/thaw mid-hostile-stream lands on the same digest
-/// as serving straight through.
+/// Harness 2: mid-hostile-stream, with the newest of two generations
+/// corrupted, restore comes back through the older one and lands on the
+/// digest of serving straight through.
 fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, String> {
-    let straight = drive(seed, samples, None)?;
+    let straight = drive(build(seed)?, samples)?;
     let chunks = samples.chunks(BATCH).count().max(1);
     let pivot = (i as usize * 7 + 1) % chunks;
-    let recovered = drive(seed, samples, Some(pivot))?;
-    if recovered.digest != straight.digest {
-        return Err(format!(
-            "recovery digest unstable: thawed-at-chunk-{pivot} {:#018x} != straight {:#018x}",
-            recovered.digest, straight.digest
-        ));
+    // Serve through the pivot chunk, freezing after each one: the
+    // two-generation ladder a `Server` slot holds at that point.
+    let mut session = build(seed)?;
+    let mut ladder = [Generation::genesis(), Generation::genesis()];
+    let mut fed = 0usize;
+    for chunk in samples.chunks(BATCH).take(pivot + 1) {
+        guarded_ingest(&mut session, chunk)?
+            .map_err(|e| format!("ingest refused before the pivot: {e}"))?;
+        fed += chunk.len();
+        let snapshot = session
+            .freeze()
+            .map_err(|e| format!("freeze refused: {e}"))?;
+        ladder.rotate_left(1);
+        ladder[1] = Generation {
+            snapshot: Some(snapshot),
+            covered: fed,
+        };
     }
-    if recovered.dead_total != straight.dead_total {
+    // The generation-flip operator: one seeded bit of the newest snapshot.
+    let mut rng = SimRng::new(seed).fork_indexed("fuzz/generation", i);
+    if let Some(bytes) = ladder[1].snapshot.as_mut() {
+        let at = rng.uniform_u64(0, bytes.len().saturating_sub(1) as u64) as usize;
+        if let Some(byte) = bytes.get_mut(at) {
+            *byte ^= 1 << rng.uniform_u64(0, 7);
+        }
+    }
+    let log = samples.get(..fed).unwrap_or(samples);
+    let restored = match restore(|| serve::build_session(seed), &ladder, log, 0) {
+        Ok((session, 0)) => session,
+        Ok(_) => {
+            return Err(format!(
+                "restore at chunk {pivot} used the corrupt generation"
+            ))
+        }
+        Err(e) => return Err(format!("no generation restored at chunk {pivot}: {e}")),
+    };
+    let recovered = drive(restored, samples.get(fed..).unwrap_or_default())?;
+    if (recovered.digest, recovered.dead_total) != (straight.digest, straight.dead_total) {
         return Err(format!(
-            "recovery dead-letter total unstable: {} != {}",
-            recovered.dead_total, straight.dead_total
+            "recovery unstable: restored at chunk {pivot}: digest {:#018x}, {} dead letters; \
+             straight {:#018x}, {}",
+            recovered.digest, recovered.dead_total, straight.digest, straight.dead_total
         ));
     }
     Ok(StreamStats {
@@ -317,7 +333,7 @@ fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, 
         dead_letters: straight.dead_total,
         ingest_errors: straight.ingest_errors,
         max_ledger_len: straight.max_ledger_len,
-        froze: true,
+        recovered: true,
     })
 }
 
@@ -375,8 +391,9 @@ fn check_crosstalk(
         .finish(clean_id)
         .map_err(|e| format!("clean slot failed to finish: {e}"))?;
     let got = server
-        .digest(clean_id)
-        .map_err(|e| format!("clean slot digest unavailable: {e}"))?;
+        .session(clean_id)
+        .map_err(|e| format!("clean slot digest unavailable: {e}"))?
+        .digest();
     if got != clean_digest {
         return Err(format!(
             "crosstalk: clean slot digest {got:#018x} != solo {clean_digest:#018x}"
@@ -385,7 +402,11 @@ fn check_crosstalk(
     if server.health(clean_id) != Ok(SessionHealth::Healthy) {
         return Err("crosstalk: clean slot lost Healthy status".to_string());
     }
-    if let Ok(Some(d)) = server.dead_letters(hostile_id) {
+    if let Some(d) = server
+        .session(hostile_id)
+        .ok()
+        .and_then(Session::dead_letters)
+    {
         if d.len() > d.capacity() {
             return Err(format!(
                 "hostile slot ledger exceeded its bound: {} > {}",
@@ -456,18 +477,18 @@ pub fn run_verb(
     // Crosstalk splices come from a different golden clock.
     let alt_name = if scenario == "goal" { "fig2" } else { "goal" };
     let alt = serve::schedule_for(alt_name, 1)?;
-    let clean_digest = drive(seed, &base, None)
+    let clean_digest = drive(build(seed)?, &base)
         .map_err(|e| format!("fuzz: clean baseline failed: {e}"))?
         .digest;
     let idxs: Vec<u64> = (0..streams as u64).collect();
-    // Hostile streams have wildly uneven cost (one may freeze/thaw,
-    // another dies early), so grain 1 keeps the chunked pool balanced.
+    // Hostile streams have wildly uneven cost (one restores through the
+    // ladder, another dies early), so grain 1 keeps the chunked pool balanced.
     let cfg = simcore::par::PoolConfig::new(threads).grain(1);
     let (results, _) = simcore::par::map_stats(&cfg, &idxs, |_, &i| {
         fuzz_one(seed, &base, &alt, clean_digest, i)
     });
     let mut agg = StreamStats::default();
-    let mut frozen = 0usize;
+    let mut recovered = 0usize;
     let mut errored_streams = 0usize;
     for (i, r) in idxs.iter().zip(results) {
         let s = r.map_err(|report| FuzzFailure {
@@ -478,13 +499,13 @@ pub fn run_verb(
         agg.dead_letters += s.dead_letters;
         agg.ingest_errors += s.ingest_errors;
         agg.max_ledger_len = agg.max_ledger_len.max(s.max_ledger_len);
-        frozen += usize::from(s.froze);
+        recovered += usize::from(s.recovered);
         errored_streams += usize::from(s.ingest_errors > 0);
     }
     Ok(format!(
         "fuzz: {streams} hostile {scenario} streams, 0 panics, {} samples served\n\
          fuzz: {} dead letters (ledger high-water {} of 64), {} streams closed by surfaced errors\n\
-         fuzz: {frozen} mid-stream freeze/thaw recoveries digest-stable, clean sibling digest {clean_digest:#018x} undisturbed\n",
+         fuzz: {recovered} mid-stream restores past a corrupted newest generation digest-stable, clean sibling digest {clean_digest:#018x} undisturbed\n",
         agg.samples, agg.dead_letters, agg.max_ledger_len, errored_streams
     ))
 }

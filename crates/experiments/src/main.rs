@@ -77,7 +77,7 @@ const BENCH_REPS: usize = 3;
 /// scheduler noise, not absolute-speed differences between hosts.
 const BENCH_TOLERANCE: f64 = 0.30;
 
-/// Default replay multiple for the `serve` verb (the CI soak passes 100).
+/// Default replay multiple for the `serve` verb (the CI soak passes 1000).
 const SERVE_MULTIPLE: u32 = 1;
 
 /// Default seeded hostile streams for the `fuzz` verb (the CI soak's

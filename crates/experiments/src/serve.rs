@@ -3,13 +3,16 @@
 //! Drives a [`simserve::Session`] over the supervised k=2 golden scenario
 //! (the longest golden trace) with a sample schedule derived from the
 //! recorded `tests/golden/supervise.jsonl` timestamps, optionally
-//! subdivided by a replay multiple — at 100× the session steps ~70 000
-//! times, the soak CI runs. The verb then kills the session at a mid-run
-//! checkpoint, resumes by replaying the identical stream, and fails on
-//! any divergence: journal digest at the salvage point, final state
-//! digest, or a single trace byte.
+//! subdivided by a replay multiple — at 1000× the session steps ~680 000
+//! times, the soak CI runs. The verb then kills the session at the middle
+//! checkpoint recorded while the stream is fed, and resumes it twice
+//! through [`simserve::restore`]: from the genesis generation (a rebuild
+//! that replays the stream up to the kill) and from the snapshot frozen
+//! at the kill. Each resumed session must stand on the salvaged
+//! checkpoint, then finish byte-identical to the uninterrupted run:
+//! final state digest, latest checkpoint, every trace byte.
 //!
-//! [`torture_sweep`] extends the single mid-run kill to *every*
+//! [`torture_sweep`] extends the single kill to *every* in-stream
 //! checkpoint boundary, fanned out over the deterministic work pool —
 //! the acceptance gate `tests/checkpoint_resume.rs` pins at 1 and 4
 //! threads.
@@ -17,7 +20,10 @@
 use std::fs;
 
 use simcore::{Checkpoint, SimDuration, SimRng, TraceCategory, TraceHandle, TraceSink};
-use simserve::{run_fleet, FleetSpec, Sample, ServeError, Session, SessionConfig, SessionHealth};
+use simserve::{
+    restore, run_fleet, FleetSpec, Generation, Sample, ServeError, Session, SessionConfig,
+    SessionHealth,
+};
 
 use crate::supervise;
 use crate::tracerec;
@@ -25,33 +31,52 @@ use crate::tracerec;
 /// The golden scenario the serve session replays (the longest trace).
 pub const REPLAY_SCENARIO: &str = "supervise";
 
-/// Checkpoint cadence of the serve session, sim-seconds. 180 s over the
-/// ~1560 s goal run yields eight torture boundaries.
-pub const CKPT_EVERY_S: u64 = 180;
+/// Checkpoint cadence of [`build_session`], sim-seconds: the served rig
+/// that server fleets, the fuzz harness and the benchmark drive.
+pub const SERVE_CKPT_EVERY_S: u64 = 180;
 
-/// Everything one serve run leaves behind. For a killed run only the
-/// journal (`checkpoints`) survives by contract; the rest is what the
-/// uninterrupted twin is compared over.
+/// Checkpoint cadence of the kill/resume proofs, sim-seconds. The 1×
+/// stream ends at 524 s, so it holds eight in-stream kill boundaries,
+/// 60 s to 480 s.
+pub const CKPT_EVERY_S: u64 = 60;
+
+/// Samples per `Session::ingest` call (the fleet's batch as well).
+const BATCH: usize = 64;
+
+/// Everything one served run leaves behind.
 #[derive(Clone, Debug)]
 pub struct ServeRun {
-    /// Samples fed before the run ended (or was killed).
+    /// Samples fed, counting those a restored generation covered.
     pub samples_fed: usize,
     /// Directives the session issued.
     pub directives: usize,
-    /// Journal checkpoints recorded.
-    pub checkpoints: Vec<Checkpoint>,
+    /// Checkpoints recorded while the stream was fed: kill boundaries.
+    pub boundaries: usize,
+    /// The journal's latest checkpoint at the horizon.
+    pub latest: Option<Checkpoint>,
     /// Dead letters recorded.
     pub dead_letters: u64,
-    /// Final state digest (meaningless for a killed run).
+    /// Final state digest.
     pub final_digest: u64,
     /// Serving trace, JSONL.
     pub trace: Vec<String>,
 }
 
 /// Builds the serving session for the supervised k=2 golden rig at
-/// `seed` — identical construction on every call, which is what makes
-/// resume-by-replay sound.
+/// `seed`, checkpointing every [`SERVE_CKPT_EVERY_S`].
 pub fn build_session(seed: u64) -> Result<Session, ServeError> {
+    build(seed, SERVE_CKPT_EVERY_S)
+}
+
+/// The kill/resume proofs' session: [`build_session`]'s rig with a
+/// checkpoint every [`CKPT_EVERY_S`].
+pub fn proof_session(seed: u64) -> Result<Session, ServeError> {
+    build(seed, CKPT_EVERY_S)
+}
+
+/// Identical construction on every call, which is what makes restoring
+/// from any generation sound.
+fn build(seed: u64, ckpt_every_s: u64) -> Result<Session, ServeError> {
     let mut rng = SimRng::new(seed).fork_indexed("supervise/2", 0);
     let rig = supervise::build_one(2, true, &mut rng);
     // The supervise golden categories plus the service layer's own
@@ -68,7 +93,7 @@ pub fn build_session(seed: u64) -> Result<Session, ServeError> {
             .with_jsonl(),
     );
     let cfg = SessionConfig {
-        checkpoint_every: SimDuration::from_secs(CKPT_EVERY_S),
+        checkpoint_every: SimDuration::from_secs(ckpt_every_s),
         ..SessionConfig::standard(rig.horizon)
     };
     Session::serve(rig.machine, Some(rig.goal), rig.supervisor, trace, cfg)
@@ -132,237 +157,211 @@ pub fn schedule_for(scenario: &str, multiple: u32) -> Result<Vec<Sample>, String
     Ok(out)
 }
 
-/// Replays `samples` through a fresh session at `seed`. With
-/// `kill_after_ckpt = Some(k)` the run is killed (dropped mid-stream)
-/// as soon as checkpoint `k` has been recorded — modelling a crash
-/// whose journal is the only survivor.
-pub fn replay(
-    seed: u64,
-    samples: &[Sample],
-    kill_after_ckpt: Option<usize>,
-) -> Result<ServeRun, String> {
-    let mut session = build_session(seed).map_err(|e| format!("serve: {e}"))?;
+/// Feeds `samples` to `session` in batches, runs it out to the horizon,
+/// and reports. `fed` counts the samples the session already reflects.
+fn run_out(mut session: Session, samples: &[Sample], mut fed: usize) -> Result<ServeRun, String> {
     let mut directives = 0usize;
-    let mut fed = 0usize;
-    let mut killed = false;
-    for chunk in samples.chunks(64) {
+    for chunk in samples.chunks(BATCH) {
         directives += session
             .ingest(chunk)
             .map_err(|e| format!("serve: ingest failed at sample {fed}: {e}"))?
             .len();
         fed += chunk.len();
-        if let Some(k) = kill_after_ckpt {
-            if session.checkpoints().len() > k {
-                killed = true;
-                break;
-            }
-        }
     }
-    if !killed {
-        session
-            .finish()
-            .map_err(|e| format!("serve: finish: {e}"))?;
-    }
-    Ok(ServeRun {
-        samples_fed: fed,
-        directives,
-        checkpoints: session.checkpoints(),
-        dead_letters: session.dead_letters().map(|d| d.total()).unwrap_or(0),
-        final_digest: session.digest(),
-        trace: session.trace_jsonl(),
-    })
-}
-
-/// What a kill boundary leaves behind on the snapshot path: the frozen
-/// state, how much of the stream it covers, and the trace emitted up to
-/// the freeze (the part a thawed twin can never re-emit).
-#[derive(Clone, Debug)]
-pub struct FrozenRun {
-    /// `Session::freeze` bytes taken at the kill point.
-    pub snapshot: Vec<u8>,
-    /// Samples fed before the freeze; resume continues at this index.
-    pub samples_fed: usize,
-    /// Trace emitted before the freeze (prefix of the uninterrupted
-    /// run's trace; snapshots exclude trace history by design).
-    pub trace_prefix: Vec<String>,
-}
-
-/// Replays until checkpoint `k` is recorded — exactly [`replay`]'s kill
-/// point — then freezes the session instead of dropping it. Boundaries
-/// that only fall during the post-stream run-out (checkpoints recorded
-/// by `finish`) freeze at end-of-stream instead: killed after the last
-/// sample, before the run-out.
-pub fn freeze_at_boundary(seed: u64, samples: &[Sample], k: usize) -> Result<FrozenRun, String> {
-    let mut session = build_session(seed).map_err(|e| format!("serve: {e}"))?;
-    let mut fed = 0usize;
-    for chunk in samples.chunks(64) {
-        session
-            .ingest(chunk)
-            .map_err(|e| format!("serve: ingest failed at sample {fed}: {e}"))?;
-        fed += chunk.len();
-        if session.checkpoints().len() > k {
-            break;
-        }
-    }
-    Ok(FrozenRun {
-        snapshot: session
-            .freeze()
-            .map_err(|e| format!("boundary {k}: freeze failed: {e}"))?,
-        samples_fed: fed,
-        trace_prefix: session.trace_jsonl(),
-    })
-}
-
-/// Resumes from a snapshot in O(state): builds the session shell fresh,
-/// thaws the frozen bytes into it, and feeds only the remainder of the
-/// stream. No history is replayed — that is the point.
-pub fn snapshot_resume(
-    seed: u64,
-    samples: &[Sample],
-    frozen: &FrozenRun,
-) -> Result<ServeRun, String> {
-    let mut session = build_session(seed).map_err(|e| format!("serve: {e}"))?;
-    session
-        .thaw(&frozen.snapshot)
-        .map_err(|e| format!("serve: thaw failed: {e}"))?;
-    let rest = samples.get(frozen.samples_fed..).unwrap_or(&[]);
-    let mut directives = 0usize;
-    let mut fed = frozen.samples_fed;
-    for chunk in rest.chunks(64) {
-        directives += session
-            .ingest(chunk)
-            .map_err(|e| format!("serve: post-thaw ingest failed at sample {fed}: {e}"))?
-            .len();
-        fed += chunk.len();
-    }
+    let boundaries = session.checkpoints().last().map_or(0, |c| c.seq + 1) as usize;
     session
         .finish()
-        .map_err(|e| format!("serve: post-thaw finish: {e}"))?;
+        .map_err(|e| format!("serve: finish: {e}"))?;
     Ok(ServeRun {
         samples_fed: fed,
         directives,
-        checkpoints: session.checkpoints(),
+        boundaries,
+        latest: session.checkpoints().last().copied(),
         dead_letters: session.dead_letters().map(|d| d.total()).unwrap_or(0),
         final_digest: session.digest(),
-        // Post-thaw emissions only: snapshots exclude trace history, so
-        // callers compare this as a suffix of the uninterrupted trace.
         trace: session.trace_jsonl(),
     })
 }
 
-/// Verifies one crash boundary: kill after checkpoint `k`, salvage the
-/// journal, resume by replaying the identical stream, and demand the
-/// resumed run passes through the salvage point and ends byte-identical
-/// to `base`. Then proves the O(state) path: a snapshot frozen at the
-/// same boundary thaws into a fresh shell, consumes only the remaining
-/// stream, and lands on the same digests and trace. Returns a one-line
-/// proof summary.
+/// The uninterrupted run: `samples` through a fresh proof session at
+/// `seed`, then run out to the horizon.
+pub fn replay(seed: u64, samples: &[Sample]) -> Result<ServeRun, String> {
+    let session = proof_session(seed).map_err(|e| format!("serve: {e}"))?;
+    run_out(session, samples, 0)
+}
+
+/// What a run killed at checkpoint boundary `k` leaves behind.
+#[derive(Clone, Debug)]
+pub struct Kill {
+    /// Checkpoint `k`: the journal's latest at the kill.
+    pub salvage: Checkpoint,
+    /// The snapshot frozen at the kill, covering the samples fed so far.
+    pub frozen: Generation,
+    /// Trace emitted before the kill: a thawed session never re-emits it.
+    pub trace: Vec<String>,
+}
+
+/// Serves `samples` through a fresh proof session up to and including
+/// the first sample that reaches checkpoint `k`'s instant, then kills the
+/// run: it freezes and keeps its trace. Batching never moves the state,
+/// so the kill salvages checkpoint `k` itself even where one 64-sample
+/// batch would span two checkpoints.
+pub fn kill_at(seed: u64, samples: &[Sample], k: usize) -> Result<Kill, String> {
+    let due_s = ((k as u64 + 1) * CKPT_EVERY_S) as f64;
+    let covered = samples
+        .iter()
+        .position(|s| s.at_s >= due_s)
+        .map_or(samples.len(), |i| i + 1);
+    let mut session = proof_session(seed).map_err(|e| format!("serve: {e}"))?;
+    for chunk in samples.get(..covered).unwrap_or(samples).chunks(BATCH) {
+        session
+            .ingest(chunk)
+            .map_err(|e| format!("boundary {k}: ingest failed: {e}"))?;
+    }
+    let salvage = session
+        .checkpoints()
+        .last()
+        .copied()
+        .filter(|c| c.seq == k as u64)
+        .ok_or_else(|| format!("boundary {k}: not the latest checkpoint at sample {covered}"))?;
+    let snapshot = session
+        .freeze()
+        .map_err(|e| format!("boundary {k}: freeze failed: {e}"))?;
+    Ok(Kill {
+        salvage,
+        frozen: Generation {
+            snapshot: Some(snapshot),
+            covered,
+        },
+        trace: session.trace_jsonl(),
+    })
+}
+
+/// Restores a killed run from `ladder` through [`restore`], with the
+/// stream up to the kill as the log; demands the restored session stand
+/// on the salvaged checkpoint; then serves the rest of the stream and
+/// runs out. Returns the run (its trace is what the restored session
+/// emitted) and the index of the generation that restored it.
+pub fn resume(
+    seed: u64,
+    samples: &[Sample],
+    kill: &Kill,
+    ladder: &[Generation],
+) -> Result<(ServeRun, usize), String> {
+    let k = kill.salvage.seq;
+    let covered = kill.frozen.covered;
+    let log = samples.get(..covered).unwrap_or(samples);
+    let (session, used) = restore(|| proof_session(seed), ladder, log, 0)
+        .map_err(|e| format!("boundary {k}: {e}"))?;
+    if session.checkpoints().last() != Some(&kill.salvage) {
+        return Err(format!(
+            "boundary {k}: resumed run diverged from salvaged checkpoint {:?}",
+            kill.salvage
+        ));
+    }
+    let rest = samples.get(covered..).unwrap_or_default();
+    Ok((run_out(session, rest, covered)?, used))
+}
+
+/// Fails unless a resumed run ended where the uninterrupted `base` did:
+/// final digest, latest checkpoint, and `trace` (the resumed run's whole
+/// stream) byte for byte.
+fn same_end(what: &str, run: &ServeRun, trace: &[String], base: &ServeRun) -> Result<(), String> {
+    if (run.final_digest, run.latest) == (base.final_digest, base.latest) && trace == base.trace {
+        return Ok(());
+    }
+    let event = trace.iter().zip(&base.trace).position(|(a, b)| a != b);
+    Err(format!(
+        "{what} run diverges from the uninterrupted one: digest {:#018x} vs {:#018x}, \
+         latest {:?} vs {:?}, {} vs {} events, first differing event {event:?}",
+        run.final_digest,
+        base.final_digest,
+        run.latest,
+        base.latest,
+        trace.len(),
+        base.trace.len()
+    ))
+}
+
+/// Verifies one crash boundary: kill at checkpoint `k`, then resume by
+/// [`restore`] twice — from the genesis alone (replay) and from the
+/// ladder `[genesis, snapshot at k]`, which must restore through the
+/// snapshot. Both must finish byte-identical to `base`. Returns a
+/// one-line proof summary and the number of samples the kill covered.
 fn verify_boundary(
     seed: u64,
     samples: &[Sample],
     base: &ServeRun,
     k: usize,
-) -> Result<String, String> {
-    let crashed = replay(seed, samples, Some(k))?;
-    let salvage = *crashed
-        .checkpoints
-        .last()
-        .ok_or_else(|| format!("boundary {k}: crashed run journaled nothing"))?;
-    if crashed.trace.len() > base.trace.len()
-        || crashed.trace[..] != base.trace[..crashed.trace.len()]
-    {
+) -> Result<(String, usize), String> {
+    let kill = kill_at(seed, samples, k)?;
+    if !base.trace.starts_with(&kill.trace) {
         return Err(format!(
             "boundary {k}: crashed run's trace is not a prefix of the uninterrupted run's"
         ));
     }
-    let resumed = replay(seed, samples, None)?;
-    if !resumed
-        .checkpoints
-        .iter()
-        .any(|c| c.t == salvage.t && c.digest == salvage.digest)
-    {
+    let genesis = Generation::genesis();
+    let (replayed, _) = resume(seed, samples, &kill, std::slice::from_ref(&genesis))?;
+    let tag = |e: String| format!("boundary {k}: {e}");
+    same_end("replay-resumed", &replayed, &replayed.trace, base).map_err(tag)?;
+    let (thawed, used) = resume(seed, samples, &kill, &[genesis, kill.frozen.clone()])?;
+    if used != 1 {
         return Err(format!(
-            "boundary {k}: resumed run diverged from salvaged checkpoint {salvage:?}"
+            "boundary {k}: the snapshot generation did not restore"
         ));
     }
-    if resumed.final_digest != base.final_digest {
-        return Err(format!(
-            "boundary {k}: final digest {:#018x} != uninterrupted {:#018x}",
-            resumed.final_digest, base.final_digest
-        ));
-    }
-    if resumed.trace != base.trace {
-        let at = resumed
-            .trace
-            .iter()
-            .zip(base.trace.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or(resumed.trace.len().min(base.trace.len()));
-        return Err(format!(
-            "boundary {k}: resumed trace diverges from uninterrupted at event {at}"
-        ));
-    }
-    // The O(state) path must land exactly where the O(history) path did.
-    let frozen = freeze_at_boundary(seed, samples, k)?;
-    let thawed = snapshot_resume(seed, samples, &frozen)?;
-    if thawed.final_digest != base.final_digest {
-        return Err(format!(
-            "boundary {k}: snapshot-resumed digest {:#018x} != uninterrupted {:#018x}",
-            thawed.final_digest, base.final_digest
-        ));
-    }
-    if thawed.checkpoints != base.checkpoints {
-        return Err(format!(
-            "boundary {k}: snapshot-resumed journal diverges ({} vs {} checkpoints)",
-            thawed.checkpoints.len(),
-            base.checkpoints.len()
-        ));
-    }
-    let stitched: Vec<&String> = frozen.trace_prefix.iter().chain(&thawed.trace).collect();
-    if stitched.len() != base.trace.len() || stitched.iter().zip(&base.trace).any(|(a, b)| *a != b)
-    {
-        return Err(format!(
-            "boundary {k}: snapshot prefix+suffix trace ({} events) != uninterrupted ({})",
-            stitched.len(),
-            base.trace.len()
-        ));
-    }
-    Ok(format!(
+    let stitched: Vec<String> = kill.trace.iter().chain(&thawed.trace).cloned().collect();
+    same_end("snapshot-resumed", &thawed, &stitched, base).map_err(tag)?;
+    let bytes = kill.frozen.snapshot.as_ref().map_or(0, Vec::len);
+    let proof = format!(
         "boundary {k}: salvage t={:.0}s digest={:#018x} replay+snapshot resume OK \
-         ({} events, snapshot {} bytes covering {} samples)",
-        salvage.t.as_secs_f64(),
-        salvage.digest,
+         ({} events, snapshot {bytes} bytes covering {} samples)",
+        kill.salvage.t.as_secs_f64(),
+        kill.salvage.digest,
         base.trace.len(),
-        frozen.snapshot.len(),
-        frozen.samples_fed
-    ))
+        kill.frozen.covered
+    );
+    Ok((proof, kill.frozen.covered))
 }
 
-/// The torture sweep: crash at *every* checkpoint boundary and prove
-/// each resume bit-identical, fanned out over `threads` workers.
-/// Returns one proof line per boundary (identical at any thread count)
-/// or the first divergence report.
+/// The torture sweep: crash at *every* checkpoint recorded while the
+/// stream is fed and prove each resume bit-identical, fanned out over
+/// `threads` workers. The kills must freeze at strictly increasing
+/// sample counts, all before the stream's end — a boundary that froze at
+/// end-of-stream would prove nothing a later one does not. Returns one
+/// proof line per boundary (identical at any thread count) or the first
+/// divergence report.
 ///
 /// Boundary cost rises with the boundary index (a later crash replays a
 /// longer prefix), so the pool is pinned to grain 1: the guided chunks
 /// never lump the expensive tail boundaries onto one worker.
 pub fn torture_sweep(seed: u64, multiple: u32, threads: usize) -> Result<Vec<String>, String> {
     let samples = schedule(multiple)?;
-    let base = replay(seed, &samples, None)?;
-    if base.checkpoints.len() < 2 {
+    let base = replay(seed, &samples)?;
+    if base.boundaries < 2 {
         return Err(format!(
-            "serve: expected several checkpoints, got {}",
-            base.checkpoints.len()
+            "serve: expected several in-stream checkpoints, got {}",
+            base.boundaries
         ));
     }
-    let boundaries: Vec<usize> = (0..base.checkpoints.len()).collect();
+    let boundaries: Vec<usize> = (0..base.boundaries).collect();
     let cfg = simcore::par::PoolConfig::new(threads).grain(1);
     let (results, _) = simcore::par::map_stats(&cfg, &boundaries, |_, &k| {
         verify_boundary(seed, &samples, &base, k)
     });
     let mut lines = Vec::with_capacity(results.len());
+    let mut prev: Option<usize> = None;
     for r in results {
-        lines.push(r?);
+        let (line, covered) = r?;
+        if covered >= samples.len() || prev.is_some_and(|p| p >= covered) {
+            return Err(format!(
+                "serve: kill froze at sample {covered} of {} after one at {prev:?}: \
+                 boundaries must freeze at strictly increasing counts inside the stream",
+                samples.len()
+            ));
+        }
+        prev = Some(covered);
+        lines.push(line);
     }
     Ok(lines)
 }
@@ -380,8 +379,8 @@ pub fn run_sessions(
     let specs: Vec<FleetSpec<_>> = (0..sessions)
         .map(|i| FleetSpec {
             builder: move || build_session(seed + i as u64),
-            samples: samples.to_vec(),
-            batch: 64,
+            samples,
+            batch: BATCH,
         })
         .collect();
     let outcomes = run_fleet(threads, &specs);
@@ -395,22 +394,25 @@ pub fn run_sessions(
         }
         lines.push(format!(
             "session {i}: seed {} digest {:#018x} {} directives, {} checkpoints, \
-             {} dead letters, {} faults contained",
+             {} dead letters, {} faults contained, log high-water {} samples, \
+             snapshot high-water {} bytes",
             seed + i as u64,
             o.final_digest,
             o.directives,
             o.checkpoints,
             o.dead_letters,
-            o.faults
+            o.faults,
+            o.stats.max_log_len,
+            o.stats.max_snapshot_bytes
         ));
     }
     Ok(lines)
 }
 
 /// The CLI verb body: replay `scenario` at `multiple` density, kill at
-/// the mid-run checkpoint, resume by replay *and* by snapshot, and
-/// report. With `sessions > 1` the stream is also served through that
-/// many isolated server slots across `threads` workers. `Err` is a
+/// the middle in-stream checkpoint, resume by replay *and* by snapshot,
+/// and report. With `sessions > 1` the stream is also served through
+/// that many isolated server slots across `threads` workers. `Err` is a
 /// divergence report (the CI soak uploads it as an artifact).
 pub fn run_verb(
     seed: u64,
@@ -420,13 +422,15 @@ pub fn run_verb(
     threads: usize,
 ) -> Result<String, String> {
     let samples = schedule_for(scenario, multiple)?;
-    let base = replay(seed, &samples, None)?;
+    let base = replay(seed, &samples)?;
     let mut out = String::new();
     out.push_str(&format!(
-        "serve: replayed {scenario} at {multiple}x: {} samples, {} directives, {} checkpoints, {} dead letters\n",
+        "serve: replayed {scenario} at {multiple}x: {} samples, {} directives, \
+         {} checkpoints ({} while fed), {} dead letters\n",
         base.samples_fed,
         base.directives,
-        base.checkpoints.len(),
+        base.latest.map_or(0, |c| c.seq + 1),
+        base.boundaries,
         base.dead_letters
     ));
     out.push_str(&format!(
@@ -434,21 +438,20 @@ pub fn run_verb(
         base.final_digest,
         base.trace.len()
     ));
-    if base.checkpoints.len() >= 2 {
-        let mid = base.checkpoints.len() / 2;
-        let proof = verify_boundary(seed, &samples, &base, mid)?;
+    if base.boundaries >= 2 {
+        let (proof, _) = verify_boundary(seed, &samples, &base, base.boundaries / 2)?;
         out.push_str(&format!("serve: kill/resume {proof}\n"));
     } else if scenario == REPLAY_SCENARIO {
         // The canonical scenario always spans several checkpoints; fewer
         // is a regression, not a short stream.
         return Err(format!(
-            "serve: expected several checkpoints, got {}",
-            base.checkpoints.len()
+            "serve: expected several in-stream checkpoints, got {}",
+            base.boundaries
         ));
     } else {
         out.push_str(&format!(
-            "serve: stream too short for a kill/resume proof ({} checkpoints)\n",
-            base.checkpoints.len()
+            "serve: stream too short for a kill/resume proof ({} in-stream checkpoints)\n",
+            base.boundaries
         ));
     }
     if sessions > 1 {
@@ -485,9 +488,9 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let samples = schedule(1).expect("golden trace present");
-        let a = replay(GOLDEN_SEED, &samples, None).expect("replay");
-        let b = replay(GOLDEN_SEED, &samples, None).expect("replay");
-        assert!(a.checkpoints.len() >= 2, "{:?}", a.checkpoints);
+        let a = replay(GOLDEN_SEED, &samples).expect("replay");
+        let b = replay(GOLDEN_SEED, &samples).expect("replay");
+        assert_eq!(a.boundaries, 8, "{:?}", a.latest);
         assert_eq!(a.final_digest, b.final_digest);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.directives, b.directives);
@@ -495,26 +498,33 @@ mod tests {
     }
 
     /// The verb's single mid-run kill/resume proof passes end to end,
-    /// covering both the replay and the snapshot resume path.
+    /// covering both the replay and the snapshot resume path, and it
+    /// kills mid-stream: the salvage is checkpoint 4 at 300 s.
     #[test]
     fn verb_kill_resume_proof_passes() {
         let out = run_verb(GOLDEN_SEED, 1, REPLAY_SCENARIO, 1, 1).expect("kill/resume proof");
         assert!(out.contains("replay+snapshot resume OK"), "{out}");
+        assert!(out.contains("boundary 4: salvage t=300s"), "{out}");
     }
 
-    /// A snapshot frozen mid-run thaws into a fresh shell and, fed only
-    /// the remaining stream, lands on the uninterrupted run's digest
-    /// with the stitched trace byte-identical.
+    /// A snapshot frozen mid-run restores through its generation and,
+    /// fed only the remaining stream, lands on the uninterrupted run's
+    /// digest with the stitched trace byte-identical.
     #[test]
     fn snapshot_resume_matches_uninterrupted_run() {
         let samples = schedule(1).expect("golden trace present");
-        let base = replay(GOLDEN_SEED, &samples, None).expect("replay");
-        let frozen = freeze_at_boundary(GOLDEN_SEED, &samples, 1).expect("freeze");
-        assert!(frozen.samples_fed < samples.len(), "froze at end of stream");
-        let thawed = snapshot_resume(GOLDEN_SEED, &samples, &frozen).expect("thaw");
+        let base = replay(GOLDEN_SEED, &samples).expect("replay");
+        let kill = kill_at(GOLDEN_SEED, &samples, 1).expect("kill");
+        assert!(
+            kill.frozen.covered < samples.len(),
+            "froze at end of stream"
+        );
+        let ladder = [Generation::genesis(), kill.frozen.clone()];
+        let (thawed, used) = resume(GOLDEN_SEED, &samples, &kill, &ladder).expect("resume");
+        assert_eq!(used, 1);
         assert_eq!(thawed.final_digest, base.final_digest);
-        assert_eq!(thawed.checkpoints, base.checkpoints);
-        let stitched: Vec<&String> = frozen.trace_prefix.iter().chain(&thawed.trace).collect();
+        assert_eq!(thawed.latest, base.latest);
+        let stitched: Vec<&String> = kill.trace.iter().chain(&thawed.trace).collect();
         let base_refs: Vec<&String> = base.trace.iter().collect();
         assert_eq!(stitched, base_refs);
     }
@@ -526,7 +536,7 @@ mod tests {
         for scenario in crate::tracerec::SCENARIOS {
             let s = schedule_for(scenario, 1).expect(scenario);
             assert!(!s.is_empty(), "{scenario} schedule empty");
-            let run = replay(GOLDEN_SEED, &s, None).expect(scenario);
+            let run = replay(GOLDEN_SEED, &s).expect(scenario);
             assert!(run.final_digest != 0, "{scenario} digest trivially zero");
         }
         assert!(schedule_for("fig99", 1).is_err());

@@ -2,11 +2,12 @@
 //!
 //! [`CheckpointHook`] is a [`ControlHook`] that digests the machine's live
 //! state on its period and records (time, digest) proof points into a
-//! shared [`RunJournal`]. Because the simulation is deterministic, resume
-//! is replay: rebuild the identical rig, run to the journaled checkpoint,
-//! assert the digest matches, and continue. The hook itself perturbs
-//! nothing — it inserts the same events whether or not a crash occurs, so
-//! a checkpointed run and its resumed twin share one event timeline.
+//! shared [`RunJournal`]. They are the only proof points at fixed sim
+//! instants: a resumed run, however it was restored, must stand on the
+//! salvaged checkpoint's digest when it reaches that instant. The hook
+//! itself perturbs nothing — it inserts the same events whether or not a
+//! crash occurs, so a checkpointed run and its resumed twin share one
+//! event timeline.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -36,11 +37,9 @@ impl CheckpointHook {
 
 impl ControlHook for CheckpointHook {
     fn on_tick(&mut self, now: SimTime, view: &mut MachineView<'_>) {
-        let mut journal = self.journal.borrow_mut();
-        if journal.is_due(now) {
-            let digest = view.state_digest();
-            journal.record_if_due(now, || digest);
-        }
+        self.journal
+            .borrow_mut()
+            .record_if_due(now, || view.state_digest());
     }
 
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
@@ -71,8 +70,10 @@ mod tests {
             "bg",
             SimDuration::from_secs(120),
         )));
-        let period = journal.borrow().interval();
-        m.add_hook(period, Box::new(CheckpointHook::new(journal)));
+        m.add_hook(
+            SimDuration::from_secs(10),
+            Box::new(CheckpointHook::new(journal)),
+        );
         m
     }
 
@@ -84,7 +85,7 @@ mod tests {
             let journal = Rc::new(RefCell::new(RunJournal::new(SimDuration::from_secs(10))));
             let mut m = rig(journal.clone());
             let _ = m.run_until(SimTime::from_secs(60));
-            let cks = journal.borrow().checkpoints().to_vec();
+            let cks = journal.borrow_mut().drain();
             cks
         };
         let a = run();

@@ -2157,8 +2157,8 @@ mod tests {
         let restored_report = restored.run_until(SimTime::from_secs(90));
         assert_eq!(restored.state_digest(), want, "future identical");
         assert_eq!(
-            restored_journal.borrow().checkpoints(),
-            base_journal.borrow().checkpoints(),
+            restored_journal.borrow_mut().drain(),
+            base_journal.borrow_mut().drain(),
             "checkpoint hook state carried through the snapshot"
         );
         assert!(

@@ -234,11 +234,13 @@ impl GoalHandle {
     }
 
     /// Residual-energy series sampled at each decision (Figure 19 top).
+    /// Not frozen: after a thaw the series start at the thaw.
     pub fn supply_series(&self) -> TimeSeries {
         self.shared.borrow().supply.clone()
     }
 
     /// Predicted-demand series sampled at each decision (Figure 19 top).
+    /// Not frozen: after a thaw the series start at the thaw.
     pub fn demand_series(&self) -> TimeSeries {
         self.shared.borrow().demand.clone()
     }
@@ -524,9 +526,10 @@ impl ControlHook for GoalController {
         w.put_f64(self.last_metered_j.0);
         w.put_f64(self.supply_floor.0);
         w.put_usize(self.deficit_streak);
+        // The supply/demand series are output history, like trace
+        // records: they stay out, so a thawed controller's series start
+        // at the thaw and the snapshot does not grow with the run.
         let s = self.shared.borrow();
-        s.supply.freeze_into(w);
-        s.demand.freeze_into(w);
         w.put_bool(s.goal_met);
         w.put_usize(s.infeasible_signals);
         w.put_usize(s.degrades);
@@ -567,8 +570,6 @@ impl ControlHook for GoalController {
         self.supply_floor = Joules(r.take_f64()?);
         self.deficit_streak = r.take_usize()?;
         let mut s = self.shared.borrow_mut();
-        s.supply = simcore::TimeSeries::thaw_from(r)?;
-        s.demand = simcore::TimeSeries::thaw_from(r)?;
         s.goal_met = r.take_bool()?;
         s.infeasible_signals = r.take_usize()?;
         s.degrades = r.take_usize()?;

@@ -1,27 +1,29 @@
 //! Checkpoint/resume support: state digests, the run journal, and the
 //! versioned binary snapshot format.
 //!
-//! A deterministic simulation needs no serialized core dump to resume: a
-//! run is a pure function of its configuration, so a checkpoint is just a
-//! *proof point* — (simulated time, digest of live state). Resuming means
-//! replaying the same configuration up to the checkpoint time, asserting
-//! that the digest matches (catching any nondeterminism or drifted code),
-//! and then continuing. The [`RunJournal`] records those proof points
-//! every N simulated seconds; the [`Snapshot`] trait folds a component's
-//! live state into a [`SnapshotHasher`].
+//! A checkpoint is a *proof point*: (simulated time, digest of live
+//! state). The [`RunJournal`] records one every N simulated seconds and
+//! keeps only the latest plus those not yet drained into a session's
+//! directives; the [`Snapshot`] trait folds a component's live state
+//! into a [`SnapshotHasher`].
 //!
 //! The digest is a 64-bit FNV-1a/splitmix chain over the raw bits of the
 //! state (floats via `to_bits`), so two states digest equal iff they are
 //! bit-identical — the property the crash-halfway/resume test relies on.
 //!
-//! Replay-from-zero is O(history); a fleet of long-lived sessions needs
-//! O(state) restore. [`SnapshotWriter`] / [`SnapshotReader`] provide the
-//! dependency-free binary encoding for that: little-endian scalars behind
-//! an envelope of magic, version, payload length, and a trailing
-//! [`SnapshotHasher`] checksum over the payload. Decoding never panics —
-//! every read is bounds-checked and every malformed input surfaces as a
-//! [`SnapshotError`], so a corrupted or truncated snapshot degrades to
-//! the replay path instead of taking the service down.
+//! [`SnapshotWriter`] / [`SnapshotReader`] are the dependency-free binary
+//! encoding of a whole session's state: little-endian scalars behind an
+//! envelope of magic, version, payload length, and a trailing
+//! [`SnapshotHasher`] checksum over the payload. A snapshot carries
+//! state, not history: the journal keeps only its latest checkpoint, and
+//! trace records and the goal controller's plot series are output
+//! history that stays out (the trace's counters go in). The one history
+//! left is the machine's per-process fidelity series, which grows only
+//! when a fidelity changes.
+//! Decoding never panics — every read is bounds-checked and every
+//! malformed input surfaces as a [`SnapshotError`], so a corrupted or
+//! truncated snapshot sends recovery to an older generation instead of
+//! taking the service down.
 
 #![deny(clippy::indexing_slicing)]
 
@@ -33,12 +35,12 @@ use crate::time::{SimDuration, SimTime};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODYSNAP1";
 
 /// Format version written into (and demanded from) the envelope.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Why a snapshot failed to decode (or a component refused to encode).
 ///
-/// Every variant is a recoverable condition: the caller falls back to
-/// replay-based resume. Nothing in the decode path panics.
+/// Every variant is a recoverable condition: the caller falls back to an
+/// older snapshot generation. Nothing in the decode path panics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SnapshotError {
     /// The byte stream ended before the declared content did.
@@ -96,11 +98,6 @@ impl SnapshotWriter {
 
     /// Appends a word.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a 32-bit word.
-    pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -264,18 +261,6 @@ impl<'a> SnapshotReader<'a> {
         b.copy_from_slice(bytes);
         self.pos += 8;
         Ok(u64::from_le_bytes(b))
-    }
-
-    /// Reads a 32-bit word.
-    pub fn take_u32(&mut self) -> Result<u32, SnapshotError> {
-        let bytes = self
-            .payload
-            .get(self.pos..self.pos + 4)
-            .ok_or(SnapshotError::Truncated)?;
-        let mut b = [0u8; 4];
-        b.copy_from_slice(bytes);
-        self.pos += 4;
-        Ok(u32::from_le_bytes(b))
     }
 
     /// Reads a float by bit pattern.
@@ -535,14 +520,18 @@ pub struct Checkpoint {
 
 /// Journal of checkpoints taken every N simulated seconds.
 ///
-/// The journal itself never mutates simulation state; recording a
-/// checkpoint observes the digest a hook computed and remembers when the
-/// next one is due.
+/// The journal holds state, not history: the latest checkpoint plus
+/// those recorded since the last [`Self::drain`], which a serving
+/// session empties into directives after every batch. Its size, and its
+/// share of a snapshot, is bounded by one batch however long the run.
+/// Recording a checkpoint never mutates simulation state; it observes
+/// the digest a hook computed and remembers when the next one is due.
 #[derive(Clone, Debug)]
 pub struct RunJournal {
     interval: SimDuration,
     next_due: SimTime,
-    checkpoints: Vec<Checkpoint>,
+    latest: Option<Checkpoint>,
+    undrained: Vec<Checkpoint>,
 }
 
 impl RunJournal {
@@ -556,31 +545,24 @@ impl RunJournal {
         RunJournal {
             interval,
             next_due: SimTime::ZERO + interval,
-            checkpoints: Vec::new(),
+            latest: None,
+            undrained: Vec::new(),
         }
-    }
-
-    /// The checkpoint interval.
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
-    /// True if a checkpoint is due at or before `now`.
-    pub fn is_due(&self, now: SimTime) -> bool {
-        now >= self.next_due
     }
 
     /// Records a checkpoint at `now` if one is due; returns true if
     /// recorded. `digest` is only invoked when due.
     pub fn record_if_due(&mut self, now: SimTime, digest: impl FnOnce() -> u64) -> bool {
-        if !self.is_due(now) {
+        if now < self.next_due {
             return false;
         }
-        self.checkpoints.push(Checkpoint {
-            seq: self.checkpoints.len() as u64,
+        let ck = Checkpoint {
+            seq: self.latest.map_or(0, |c| c.seq + 1),
             t: now,
             digest: digest(),
-        });
+        };
+        self.latest = Some(ck);
+        self.undrained.push(ck);
         // Schedule strictly after `now` so a stalled clock cannot record
         // twice at one instant.
         while self.next_due <= now {
@@ -589,37 +571,26 @@ impl RunJournal {
         true
     }
 
-    /// All recorded checkpoints, in time order.
-    pub fn checkpoints(&self) -> &[Checkpoint] {
-        &self.checkpoints
-    }
-
-    /// The most recent checkpoint, if any.
+    /// The most recent checkpoint, if any: the salvage point of a run
+    /// killed now.
     pub fn latest(&self) -> Option<&Checkpoint> {
-        self.checkpoints.last()
+        self.latest.as_ref()
     }
 
-    /// The most recent checkpoint at or before `t` — the resume point
-    /// after a crash at `t`.
-    pub fn latest_at_or_before(&self, t: SimTime) -> Option<&Checkpoint> {
-        self.checkpoints.iter().rev().find(|c| c.t <= t)
+    /// Takes the checkpoints recorded since the previous drain, in time
+    /// order. [`Self::latest`] stays.
+    pub fn drain(&mut self) -> Vec<Checkpoint> {
+        std::mem::take(&mut self.undrained)
     }
 
-    /// True if `digest` matches the checkpoint recorded at exactly `t`.
-    /// Used on resume to prove the replay reproduced the journaled state.
-    pub fn verify(&self, t: SimTime, digest: u64) -> bool {
-        self.checkpoints
-            .iter()
-            .any(|c| c.t == t && c.digest == digest)
-    }
-
-    /// Encodes the journal (interval, schedule position, every proof
-    /// point) into a snapshot payload.
+    /// Encodes the journal (interval, schedule position, latest and
+    /// undrained checkpoints) into a snapshot payload.
     pub fn freeze_into(&self, w: &mut SnapshotWriter) {
         w.put_duration(self.interval);
         w.put_time(self.next_due);
-        w.put_usize(self.checkpoints.len());
-        for c in &self.checkpoints {
+        w.put_bool(self.latest.is_some());
+        w.put_usize(self.undrained.len());
+        for c in self.latest.iter().chain(&self.undrained) {
             w.put_u64(c.seq);
             w.put_time(c.t);
             w.put_u64(c.digest);
@@ -633,24 +604,32 @@ impl RunJournal {
             return Err(SnapshotError::Corrupt("zero checkpoint interval"));
         }
         let next_due = r.take_time()?;
+        let has_latest = r.take_bool()?;
         let n = r.take_usize()?;
-        let mut checkpoints = Vec::with_capacity(n.min(1024));
-        for i in 0..n {
-            let seq = r.take_u64()?;
-            if seq != i as u64 {
-                return Err(SnapshotError::Corrupt("checkpoint seq not dense"));
-            }
-            let t = r.take_time()?;
-            if checkpoints.last().is_some_and(|p: &Checkpoint| p.t > t) {
-                return Err(SnapshotError::Corrupt("checkpoints out of order"));
-            }
-            let digest = r.take_u64()?;
-            checkpoints.push(Checkpoint { seq, t, digest });
+        let mut take = || -> Result<Checkpoint, SnapshotError> {
+            Ok(Checkpoint {
+                seq: r.take_u64()?,
+                t: r.take_time()?,
+                digest: r.take_u64()?,
+            })
+        };
+        let latest = if has_latest { Some(take()?) } else { None };
+        let mut undrained: Vec<Checkpoint> = Vec::with_capacity(n.min(64));
+        for _ in 0..n {
+            undrained.push(take()?);
+        }
+        // The undrained run is dense, in time order, and ends at `latest`.
+        let dense = undrained
+            .windows(2)
+            .all(|w| matches!(w, [a, b] if b.seq == a.seq + 1 && b.t >= a.t));
+        if !dense || undrained.last().is_some_and(|c| Some(*c) != latest) {
+            return Err(SnapshotError::Corrupt("undrained checkpoints"));
         }
         Ok(RunJournal {
             interval,
             next_due,
-            checkpoints,
+            latest,
+            undrained,
         })
     }
 }
@@ -704,46 +683,34 @@ mod tests {
     }
 
     #[test]
-    fn journal_records_on_interval() {
+    fn journal_records_on_interval_and_drains() {
         let mut j = RunJournal::new(SimDuration::from_secs(10));
         assert!(!j.record_if_due(SimTime::from_secs(5), || 1));
         assert!(j.record_if_due(SimTime::from_secs(10), || 2));
         assert!(!j.record_if_due(SimTime::from_secs(10), || 3));
         assert!(j.record_if_due(SimTime::from_secs(25), || 4));
-        let cs = j.checkpoints();
-        assert_eq!(cs.len(), 2);
+        let second = Checkpoint {
+            seq: 1,
+            t: SimTime::from_secs(25),
+            digest: 4,
+        };
         assert_eq!(
-            cs[0],
-            Checkpoint {
-                seq: 0,
-                t: SimTime::from_secs(10),
-                digest: 2
-            }
+            j.drain(),
+            vec![
+                Checkpoint {
+                    seq: 0,
+                    t: SimTime::from_secs(10),
+                    digest: 2
+                },
+                second
+            ]
         );
-        assert_eq!(
-            cs[1],
-            Checkpoint {
-                seq: 1,
-                t: SimTime::from_secs(25),
-                digest: 4
-            }
-        );
-    }
-
-    #[test]
-    fn resume_point_lookup() {
-        let mut j = RunJournal::new(SimDuration::from_secs(10));
-        j.record_if_due(SimTime::from_secs(10), || 10);
-        j.record_if_due(SimTime::from_secs(20), || 20);
-        j.record_if_due(SimTime::from_secs(30), || 30);
-        let ck = j.latest_at_or_before(SimTime::from_secs(25)).unwrap();
-        assert_eq!(ck.t, SimTime::from_secs(20));
-        assert_eq!(ck.digest, 20);
-        assert!(j.latest_at_or_before(SimTime::from_secs(5)).is_none());
-        assert_eq!(j.latest().unwrap().t, SimTime::from_secs(30));
-        assert!(j.verify(SimTime::from_secs(20), 20));
-        assert!(!j.verify(SimTime::from_secs(20), 21));
-        assert!(!j.verify(SimTime::from_secs(15), 20));
+        // Draining keeps the latest and empties the rest.
+        assert!(j.drain().is_empty());
+        assert_eq!(j.latest(), Some(&second));
+        assert!(j.record_if_due(SimTime::from_secs(30), || 5));
+        assert_eq!(j.drain().len(), 1);
+        assert_eq!(j.latest().map(|c| c.seq), Some(2));
     }
 
     #[test]
@@ -873,18 +840,55 @@ mod tests {
     fn journal_round_trips_through_snapshot() {
         let mut j = RunJournal::new(SimDuration::from_secs(10));
         j.record_if_due(SimTime::from_secs(10), || 10);
+        j.drain();
         j.record_if_due(SimTime::from_secs(25), || 25);
         let mut w = SnapshotWriter::new();
         j.freeze_into(&mut w);
         let bytes = w.seal();
         let mut r = SnapshotReader::open(&bytes).expect("open");
-        let back = RunJournal::thaw_from(&mut r).expect("thaw");
+        let mut back = RunJournal::thaw_from(&mut r).expect("thaw");
         r.finish().expect("fully consumed");
-        assert_eq!(back.interval(), j.interval());
-        assert_eq!(back.checkpoints(), j.checkpoints());
+        assert_eq!(back.interval, j.interval);
+        assert_eq!(back.latest(), j.latest());
+        assert_eq!(back.clone().drain(), j.clone().drain());
         // The thawed journal continues the schedule, not restarts it.
-        let mut live = back.clone();
-        assert!(!live.record_if_due(SimTime::from_secs(29), || 0));
-        assert!(live.record_if_due(SimTime::from_secs(30), || 30));
+        assert!(!back.record_if_due(SimTime::from_secs(29), || 0));
+        assert!(back.record_if_due(SimTime::from_secs(30), || 30));
+        assert_eq!(back.latest().map(|c| c.seq), Some(2));
+    }
+
+    #[test]
+    fn journal_snapshot_stays_flat_as_the_run_grows() {
+        let frozen_len = |secs: u64| {
+            let mut j = RunJournal::new(SimDuration::from_secs(10));
+            for t in (10..=secs).step_by(10) {
+                j.record_if_due(SimTime::from_secs(t), || t);
+                j.drain();
+            }
+            let mut w = SnapshotWriter::new();
+            j.freeze_into(&mut w);
+            w.seal().len()
+        };
+        assert_eq!(frozen_len(100), frozen_len(100_000));
+    }
+
+    #[test]
+    fn undrained_checkpoints_must_end_at_the_latest() {
+        let mut w = SnapshotWriter::new();
+        w.put_duration(SimDuration::from_secs(10));
+        w.put_time(SimTime::from_secs(20));
+        w.put_bool(true);
+        w.put_usize(1);
+        for (seq, digest) in [(1, 7), (0, 7)] {
+            w.put_u64(seq);
+            w.put_time(SimTime::from_secs(10));
+            w.put_u64(digest);
+        }
+        let bytes = w.seal();
+        let mut r = SnapshotReader::open(&bytes).expect("open");
+        assert!(matches!(
+            RunJournal::thaw_from(&mut r),
+            Err(SnapshotError::Corrupt("undrained checkpoints"))
+        ));
     }
 }

@@ -11,11 +11,13 @@
 //! same engine can be driven by an experiment harness, a replayed golden
 //! trace, or an interactive operator, with three robustness contracts:
 //!
-//! - **Killable.** A serving session records periodic checkpoints into a
-//!   [`RunJournal`]. Because the simulation is deterministic, resume is
-//!   replay: rebuild the identical rig, feed the identical sample stream,
-//!   and verify the journaled digest at the salvage point. Crashing at
-//!   *any* checkpoint boundary loses nothing.
+//! - **Killable.** Every recovery is one function, [`restore`]: rebuild
+//!   from the newest [`Generation`] that thaws and catch up on the log
+//!   past it; full replay is the genesis generation. Snapshots carry
+//!   state, not history, so the ladder stays bounded however long the
+//!   session runs, and a resumed session must stand on the salvaged
+//!   [`RunJournal`] checkpoint's digest. Crashing at *any* checkpoint
+//!   boundary loses nothing.
 //! - **Reconfigurable.** Goal, budget, horizon, quarantine, and re-admit
 //!   commands arrive as [`Sample`]s mid-session. Every command is
 //!   validated and journaled as a first-class simtrace event
@@ -33,6 +35,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use machine::{CheckpointHook, ControlHook, Machine, MachineView, RunReport};
@@ -488,8 +491,6 @@ struct Serving {
     dead_by_origin: BTreeMap<usize, u64>,
     /// First trace seq not yet turned into a directive.
     next_seq: u64,
-    /// First journal index not yet turned into a directive.
-    next_ckpt: usize,
 }
 
 /// A long-lived control-plane session around one deterministic machine.
@@ -564,7 +565,6 @@ impl Session {
                 dead,
                 dead_by_origin: BTreeMap::new(),
                 next_seq: 0,
-                next_ckpt: 0,
             }),
         })
     }
@@ -662,8 +662,8 @@ impl Session {
     /// instead of replaying the whole sample stream.
     ///
     /// Fails with [`SnapshotError::Unsupported`] when any attached
-    /// workload or hook lacks a freeze implementation; callers fall back
-    /// to replay-based resume.
+    /// workload or hook lacks a freeze implementation; such a session
+    /// restores only from the genesis [`Generation`].
     pub fn freeze(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut w = SnapshotWriter::new();
         w.put_time(self.cursor);
@@ -688,7 +688,6 @@ impl Session {
                 w.put_u64(*count);
             }
             w.put_u64(s.next_seq);
-            w.put_usize(s.next_ckpt);
         }
         self.machine.freeze(&mut w)?;
         // Trailing self-check: thaw recomputes the digest and refuses a
@@ -703,11 +702,11 @@ impl Session {
     /// [`SessionConfig`]); construction-time state is not in the
     /// snapshot.
     ///
-    /// On any error the session is left partially mutated — discard it
-    /// and fall back to replay. Corruption (flipped bits, truncation,
-    /// version skew) is detected by the envelope checksum, field
-    /// validation, or the trailing digest self-check; none of these
-    /// paths panic.
+    /// On any error the session is left partially mutated — discard it;
+    /// [`restore`] moves on to the next older generation. Corruption
+    /// (flipped bits, truncation, version skew) is detected by the
+    /// envelope checksum, field validation, or the trailing digest
+    /// self-check; none of these paths panic.
     pub fn thaw(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::open(bytes)?;
         let cursor = r.take_time()?;
@@ -756,25 +755,18 @@ impl Session {
                 }
             }
             let next_seq = r.take_u64()?;
-            let next_ckpt = r.take_usize()?;
             s.cfg.horizon = horizon;
             s.dead.total = total;
             s.dead.dropped = dropped;
             s.dead.entries = entries;
             s.dead_by_origin = dead_by_origin;
             s.next_seq = next_seq;
-            s.next_ckpt = next_ckpt;
         }
         self.machine.thaw(&mut r)?;
         let want = r.take_u64()?;
         r.finish()?;
         if self.machine.state_digest() != want {
             return Err(SnapshotError::Corrupt("restored state digest mismatch"));
-        }
-        if let Some(s) = &self.serving {
-            if s.next_ckpt > s.journal.borrow().checkpoints().len() {
-                return Err(SnapshotError::Corrupt("checkpoint cursor"));
-            }
         }
         self.cursor = cursor;
         self.stopped = stopped;
@@ -793,21 +785,13 @@ impl Session {
         self.finished
     }
 
-    /// Journal checkpoints recorded so far (serving mode; empty in batch
-    /// mode).
+    /// The latest journal checkpoint, as a list of at most one (serving
+    /// mode; empty in batch mode). Earlier checkpoints left the session
+    /// as [`Directive::Checkpointed`]; the journal keeps no history.
     pub fn checkpoints(&self) -> Vec<Checkpoint> {
         match &self.serving {
-            Some(s) => s.journal.borrow().checkpoints().to_vec(),
+            Some(s) => s.journal.borrow().latest().copied().into_iter().collect(),
             None => Vec::new(),
-        }
-    }
-
-    /// Verifies a salvaged checkpoint against this session's journal —
-    /// the resume-time divergence gate.
-    pub fn verify_checkpoint(&self, t: SimTime, digest: u64) -> bool {
-        match &self.serving {
-            Some(s) => s.journal.borrow().verify(t, digest),
-            None => false,
         }
     }
 
@@ -989,20 +973,17 @@ impl Serving {
             };
             from_trace.push(directive);
         }
-        let journal = self.journal.borrow();
-        let from_journal: Vec<Directive> = journal
-            .checkpoints()
-            .get(self.next_ckpt..)
-            .unwrap_or_default()
-            .iter()
+        let from_journal: Vec<Directive> = self
+            .journal
+            .borrow_mut()
+            .drain()
+            .into_iter()
             .map(|ck| Directive::Checkpointed {
                 seq: ck.seq,
                 at: ck.t,
                 digest: ck.digest,
             })
             .collect();
-        self.next_ckpt = journal.checkpoints().len();
-        drop(journal);
         // Stable two-way merge by time; trace events win ties so a
         // checkpoint at t sorts after the events that produced state t.
         let mut out = Vec::with_capacity(from_trace.len() + from_journal.len());
@@ -1023,6 +1004,66 @@ impl Serving {
         }
         out
     }
+}
+
+/// One rung of the recovery ladder: a frozen session and how many log
+/// samples it covers.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Generation {
+    /// [`Session::freeze`] bytes; `None` is the genesis, where the freshly
+    /// built session is the state (the one rung of an unfreezable rig).
+    pub snapshot: Option<Vec<u8>>,
+    /// Log samples the state covers; restore feeds the ones after them.
+    pub covered: usize,
+}
+
+impl Generation {
+    /// The genesis generation: a fresh build, covering no samples.
+    pub fn genesis() -> Generation {
+        Generation {
+            snapshot: None,
+            covered: 0,
+        }
+    }
+}
+
+/// The one recovery path: rebuilds a session from the newest generation
+/// that works. `generations` run oldest first; `log` holds the sample
+/// stream from index `log_start` on. Newest first, each generation is
+/// built, thawed (unless it is the genesis) and fed the log past
+/// `covered`, panics contained; a generation whose `covered` precedes
+/// `log_start` is skipped. Returns the session and its generation's
+/// index, or [`ServeError::Quarantined`] when none restores. Full replay
+/// is the genesis fed the whole log.
+pub fn restore(
+    build: impl Fn() -> Result<Session, ServeError>,
+    generations: &[Generation],
+    log: &[Sample],
+    log_start: usize,
+) -> Result<(Session, usize), ServeError> {
+    for (i, generation) in generations.iter().enumerate().rev() {
+        let Some(suffix) = generation
+            .covered
+            .checked_sub(log_start)
+            .and_then(|skip| log.get(skip..))
+        else {
+            continue;
+        };
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            let mut session = build()?;
+            if let Some(bytes) = &generation.snapshot {
+                session.thaw(bytes).map_err(|_| ServeError::Quarantined)?;
+            }
+            if !suffix.is_empty() {
+                session.ingest(suffix)?;
+            }
+            Ok::<Session, ServeError>(session)
+        }));
+        if let Ok(Ok(session)) = attempt {
+            return Ok((session, i));
+        }
+    }
+    Err(ServeError::Quarantined)
 }
 
 #[cfg(test)]
@@ -1176,10 +1217,10 @@ mod tests {
             .collect();
         assert_eq!(cks, vec![10.0, 20.0, 30.0]);
         assert_eq!(s.cursor(), SimTime::from_secs(35));
-        assert_eq!(s.checkpoints().len(), 3);
-        let latest = s.checkpoints()[2];
-        assert!(s.verify_checkpoint(latest.t, latest.digest));
-        assert!(!s.verify_checkpoint(latest.t, latest.digest ^ 1));
+        // The journal keeps only the latest checkpoint.
+        let latest = s.checkpoints();
+        assert_eq!(latest.len(), 1);
+        assert_eq!((latest[0].seq, latest[0].t), (2, SimTime::from_secs(30)));
         let report = s.finish().expect("finish");
         assert_eq!(report.end, SimTime::from_secs(100));
         assert!(s.is_finished());
@@ -1187,6 +1228,36 @@ mod tests {
         assert_eq!(
             s.ingest(&[Sample::tick(101.0)]).expect_err("finished"),
             ServeError::Finished
+        );
+    }
+
+    #[test]
+    fn restore_climbs_down_the_ladder_to_the_first_working_generation() {
+        let build = || Session::serve(idle_machine(1, 120), None, None, service_trace(), cfg(100));
+        let log: Vec<Sample> = (1..=8).map(|k| Sample::tick(k as f64 * 5.0)).collect();
+        let mut straight = build().expect("serve");
+        straight.ingest(&log).expect("ingest");
+        let mut frozen = build().expect("serve");
+        frozen.ingest(&log[..3]).expect("ingest");
+        let mut ladder = vec![
+            Generation::genesis(),
+            Generation {
+                snapshot: Some(frozen.freeze().expect("freeze")),
+                covered: 3,
+            },
+        ];
+        let (s, used) = restore(build, &ladder, &log, 0).expect("newest");
+        assert_eq!((used, s.digest()), (1, straight.digest()));
+        // A corrupt newest generation falls back to the genesis.
+        if let Some(bytes) = ladder[1].snapshot.as_mut() {
+            bytes[20] ^= 1;
+        }
+        let (s, used) = restore(build, &ladder, &log, 0).expect("genesis");
+        assert_eq!((used, s.digest()), (0, straight.digest()));
+        // The genesis cannot catch up on a log that starts past it.
+        assert_eq!(
+            restore(build, &ladder, &log[3..], 3).map(|(_, i)| i),
+            Err(ServeError::Quarantined)
         );
     }
 

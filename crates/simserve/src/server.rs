@@ -2,14 +2,19 @@
 //! admission surface, with per-session fault isolation.
 //!
 //! Each admitted session lives in a slot with its own rebuild closure,
-//! its last good snapshot, and a log of every accepted sample batch. A
-//! session that panics mid-ingest is caught ([`std::panic::catch_unwind`]
-//! — the poisoned session object is discarded, never reused), rolled
-//! back to its last snapshot in O(state), and the offending batch is
-//! rejected as [`ServeError::Faulted`]. Siblings never notice. When the
-//! snapshot itself is corrupt or missing the slot falls back to
-//! replaying its accepted-sample log; only when *that* fails too is the
-//! slot quarantined ([`ServeError::Quarantined`]) and closed to input.
+//! exactly two snapshot [`Generation`]s, and the log of accepted samples
+//! since the older one. After every accepted batch the new freeze
+//! becomes the newest generation and the log is drained up to the older
+//! one's `covered`, so a slot's memory is bounded by state and two
+//! batches, never by history. A session that panics mid-ingest is caught
+//! ([`std::panic::catch_unwind`] — the poisoned session object is
+//! discarded, never reused) and rebuilt by [`restore`]: newest generation
+//! first, the older one when the newest is corrupt. The offending batch
+//! is rejected as [`ServeError::Faulted`]; siblings never notice. Only
+//! when no generation restores is the slot quarantined
+//! ([`ServeError::Quarantined`], health `Dead`) and closed to input. A
+//! rig that cannot be frozen keeps its genesis generation and so its
+//! whole log: boundedness needs a freezable rig.
 //!
 //! [`run_fleet`] fans whole session lifecycles across the deterministic
 //! work pool: sessions share no state (each worker builds its own from
@@ -18,9 +23,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use simcore::Checkpoint;
-
-use crate::{DeadLetterLedger, Directive, Sample, ServeError, Session};
+use crate::{restore, Directive, Generation, Sample, ServeError, Session};
 
 /// Liveness of one server slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,7 +39,7 @@ pub enum SessionHealth {
     },
 }
 
-/// Per-slot accounting, all monotone counters.
+/// Per-slot accounting: monotone counters and high-water marks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotStats {
     /// Sample batches accepted.
@@ -45,25 +48,32 @@ pub struct SlotStats {
     pub directives: u64,
     /// Panics caught and contained.
     pub panics: u64,
-    /// Restores that succeeded from the binary snapshot (O(state)).
-    pub snapshot_restores: u64,
-    /// Restores that fell back to replaying the accepted-sample log.
-    pub replay_restores: u64,
+    /// Sessions rebuilt by [`restore`] after a contained panic.
+    pub restores: u64,
+    /// Restores that came back through the older generation because the
+    /// newest one failed.
+    pub fallbacks: u64,
     /// Snapshots taken after successful batches.
     pub snapshots: u64,
     /// Freeze attempts refused (non-freezable workload or hook); the
-    /// slot keeps its previous snapshot and relies on catch-up replay.
+    /// slot keeps its generations and the log behind the older one.
     pub snapshot_failures: u64,
+    /// Most samples the slot's log ever held.
+    pub max_log_len: usize,
+    /// Largest snapshot the slot ever kept, in bytes.
+    pub max_snapshot_bytes: usize,
 }
 
 /// One slot: the live session plus everything needed to rebuild it.
 struct Slot<'a> {
     builder: Box<dyn Fn() -> Result<Session, ServeError> + 'a>,
     session: Option<Session>,
-    /// Last good snapshot and how many log samples it covers.
-    snapshot: Option<(Vec<u8>, usize)>,
-    /// Every accepted sample, in order — the replay fallback.
+    /// The recovery ladder, oldest first: at most two generations.
+    generations: Vec<Generation>,
+    /// Accepted samples from index `log_start` on: everything the older
+    /// generation does not cover.
     log: Vec<Sample>,
+    log_start: usize,
     health: SessionHealth,
     stats: SlotStats,
 }
@@ -98,7 +108,7 @@ impl<'a> Server<'a> {
 
     /// Admits one session built by `builder` and returns its slot id.
     /// The closure must rebuild the *identical* session on every call —
-    /// that is what makes snapshot restore and replay fallback sound.
+    /// that is what makes restoring from any generation sound.
     pub fn admit(
         &mut self,
         builder: Box<dyn Fn() -> Result<Session, ServeError> + 'a>,
@@ -111,8 +121,9 @@ impl<'a> Server<'a> {
         let mut slot = Slot {
             builder,
             session: Some(session),
-            snapshot: None,
+            generations: vec![Generation::genesis()],
             log: Vec::new(),
+            log_start: 0,
             health: SessionHealth::Healthy,
             stats: SlotStats::default(),
         };
@@ -152,189 +163,114 @@ impl<'a> Server<'a> {
             .ok_or(ServeError::UnknownSession)
     }
 
-    /// State digest of the session in slot `id`.
-    pub fn digest(&self, id: usize) -> Result<u64, ServeError> {
+    /// The live session in slot `id`, for inspection (digest, latest
+    /// checkpoint, dead letters). A dead slot has none.
+    pub fn session(&self, id: usize) -> Result<&Session, ServeError> {
         let slot = self.slots.get(id).ok_or(ServeError::UnknownSession)?;
-        slot.session
-            .as_ref()
-            .map(Session::digest)
-            .ok_or(ServeError::Quarantined)
-    }
-
-    /// Journal checkpoints of the session in slot `id`.
-    pub fn checkpoints(&self, id: usize) -> Result<Vec<Checkpoint>, ServeError> {
-        let slot = self.slots.get(id).ok_or(ServeError::UnknownSession)?;
-        slot.session
-            .as_ref()
-            .map(Session::checkpoints)
-            .ok_or(ServeError::Quarantined)
-    }
-
-    /// Dead letters recorded by the session in slot `id` over its
-    /// lifetime.
-    pub fn dead_letter_total(&self, id: usize) -> Result<u64, ServeError> {
-        let slot = self.slots.get(id).ok_or(ServeError::UnknownSession)?;
-        let session = slot.session.as_ref().ok_or(ServeError::Quarantined)?;
-        Ok(session.dead_letters().map(|d| d.total()).unwrap_or(0))
-    }
-
-    /// The bounded dead-letter ledger of the session in slot `id`
-    /// (`None` for a session not in serving mode).
-    pub fn dead_letters(&self, id: usize) -> Result<Option<&DeadLetterLedger>, ServeError> {
-        let slot = self.slots.get(id).ok_or(ServeError::UnknownSession)?;
-        let session = slot.session.as_ref().ok_or(ServeError::Quarantined)?;
-        Ok(session.dead_letters())
+        slot.session.as_ref().ok_or(ServeError::Quarantined)
     }
 
     /// Feeds one sample batch to the session in slot `id`.
     ///
-    /// A clean batch returns its directives and advances the slot's
-    /// snapshot. A batch that makes the session panic is contained: the
+    /// A clean batch returns its directives and freezes the slot's newest
+    /// generation. A batch that makes the session panic is contained: the
     /// session is restored to its pre-batch state and the call returns
     /// [`ServeError::Faulted`] (or [`ServeError::Quarantined`] when
     /// restore failed). Other slots are never affected.
     pub fn ingest(&mut self, id: usize, samples: &[Sample]) -> Result<Vec<Directive>, ServeError> {
         let slot = self.slots.get_mut(id).ok_or(ServeError::UnknownSession)?;
-        if let SessionHealth::Dead { .. } = slot.health {
-            return Err(ServeError::Quarantined);
-        }
-        let mut session = slot.session.take().ok_or(ServeError::Quarantined)?;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let r = session.ingest(samples);
-            (session, r)
-        }));
-        match outcome {
-            Ok((session, Ok(directives))) => {
-                slot.session = Some(session);
-                slot.log.extend_from_slice(samples);
-                slot.stats.batches += 1;
-                slot.stats.directives += directives.len() as u64;
-                take_snapshot(slot);
-                Ok(directives)
-            }
-            Ok((session, Err(e))) => {
-                // A clean refusal (NotServing / Finished): the session
-                // is intact, nothing to restore.
-                slot.session = Some(session);
-                Err(e)
-            }
-            Err(_panic) => {
-                slot.stats.panics += 1;
-                if restore(slot) {
-                    slot.health = SessionHealth::Recovered;
-                    Err(ServeError::Faulted)
-                } else {
-                    Err(ServeError::Quarantined)
-                }
-            }
-        }
+        let directives = contained(slot, |s| s.ingest(samples))?;
+        slot.log.extend_from_slice(samples);
+        slot.stats.max_log_len = slot.stats.max_log_len.max(slot.log.len());
+        slot.stats.batches += 1;
+        slot.stats.directives += directives.len() as u64;
+        take_snapshot(slot);
+        Ok(directives)
     }
 
     /// Runs the session in slot `id` to its horizon, with the same
     /// containment as [`Server::ingest`].
     pub fn finish(&mut self, id: usize) -> Result<machine::RunReport, ServeError> {
         let slot = self.slots.get_mut(id).ok_or(ServeError::UnknownSession)?;
-        if let SessionHealth::Dead { .. } = slot.health {
-            return Err(ServeError::Quarantined);
-        }
-        let mut session = slot.session.take().ok_or(ServeError::Quarantined)?;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let r = session.finish();
-            (session, r)
-        }));
-        match outcome {
-            Ok((session, r)) => {
-                slot.session = Some(session);
-                r
-            }
-            Err(_panic) => {
-                slot.stats.panics += 1;
-                if restore(slot) {
-                    slot.health = SessionHealth::Recovered;
-                    Err(ServeError::Faulted)
-                } else {
-                    Err(ServeError::Quarantined)
-                }
-            }
-        }
+        contained(slot, Session::finish)
     }
 }
 
-/// Freezes the slot's session into a fresh snapshot. Refusals
-/// (non-freezable rigs) keep the previous snapshot: the slot then
-/// relies on catch-up replay of the log suffix past that snapshot.
+/// Runs `op` on the slot's session with panics contained. The session is
+/// taken out of the slot first, so a panicking one is discarded, never
+/// reused, and the slot recovers; a clean refusal (`NotServing`,
+/// `Finished`) leaves it intact.
+fn contained<T>(
+    slot: &mut Slot<'_>,
+    op: impl FnOnce(&mut Session) -> Result<T, ServeError>,
+) -> Result<T, ServeError> {
+    if let SessionHealth::Dead { .. } = slot.health {
+        return Err(ServeError::Quarantined);
+    }
+    let mut session = slot.session.take().ok_or(ServeError::Quarantined)?;
+    match catch_unwind(AssertUnwindSafe(|| op(&mut session))) {
+        Ok(r) => {
+            slot.session = Some(session);
+            r
+        }
+        Err(_panic) => recover(slot),
+    }
+}
+
+/// Freezes the slot's session as the newest generation, retires the
+/// oldest past two, and drains the log up to the older one's `covered`.
+/// A refused freeze (non-freezable rig) changes nothing.
 fn take_snapshot(slot: &mut Slot<'_>) {
     let Some(session) = slot.session.as_ref() else {
         return;
     };
-    match session.freeze() {
-        Ok(bytes) => {
-            slot.snapshot = Some((bytes, slot.log.len()));
-            slot.stats.snapshots += 1;
+    let bytes = match session.freeze() {
+        Ok(bytes) => bytes,
+        Err(_) => {
+            slot.stats.snapshot_failures += 1;
+            return;
         }
-        Err(_) => slot.stats.snapshot_failures += 1,
-    }
-}
-
-/// Restores the slot's session to its last good state: snapshot first
-/// (O(state)), then catch-up replay of any log suffix the snapshot
-/// predates, full replay from scratch when the snapshot path fails.
-/// Returns false (and marks the slot dead) when nothing works.
-fn restore(slot: &mut Slot<'_>) -> bool {
-    if let Some((bytes, covered)) = &slot.snapshot {
-        let covered = *covered;
-        if let Ok(mut fresh) = (slot.builder)() {
-            if fresh.thaw(bytes).is_ok() {
-                let suffix: Vec<Sample> = slot
-                    .log
-                    .get(covered..)
-                    .map(<[Sample]>::to_vec)
-                    .unwrap_or_default();
-                if feed_contained(&mut fresh, &suffix) {
-                    slot.session = Some(fresh);
-                    slot.stats.snapshot_restores += 1;
-                    return true;
-                }
-            }
-        }
-        // The snapshot (or its catch-up) failed: drop it so the replay
-        // path below — and any later restore — starts from scratch.
-        slot.snapshot = None;
-    }
-    let Ok(mut fresh) = (slot.builder)() else {
-        slot.health = SessionHealth::Dead {
-            reason: "rebuild failed",
-        };
-        slot.session = None;
-        return false;
     };
-    let log = slot.log.clone();
-    if feed_contained(&mut fresh, &log) {
-        slot.session = Some(fresh);
-        slot.stats.replay_restores += 1;
-        take_snapshot(slot);
-        true
-    } else {
-        slot.health = SessionHealth::Dead {
-            reason: "replay failed",
-        };
-        slot.session = None;
-        false
+    slot.stats.snapshots += 1;
+    slot.stats.max_snapshot_bytes = slot.stats.max_snapshot_bytes.max(bytes.len());
+    slot.generations.push(Generation {
+        snapshot: Some(bytes),
+        covered: slot.log_start + slot.log.len(),
+    });
+    if slot.generations.len() > 2 {
+        slot.generations.remove(0);
     }
+    let older = slot.generations.first().map_or(0, |g| g.covered);
+    let drained = older.saturating_sub(slot.log_start).min(slot.log.len());
+    slot.log.drain(..drained);
+    slot.log_start += drained;
 }
 
-/// Feeds `samples` with panics contained. True when every batch was
-/// accepted.
-fn feed_contained(session: &mut Session, samples: &[Sample]) -> bool {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        for chunk in samples.chunks(64) {
-            if session.ingest(chunk).is_err() {
-                return false;
+/// Rebuilds the slot's session after a contained panic. A restore
+/// through the older generation drops the failed newest one and freezes
+/// the restored state in its place. When nothing restores the slot dies.
+fn recover<T>(slot: &mut Slot<'_>) -> Result<T, ServeError> {
+    slot.stats.panics += 1;
+    match restore(&slot.builder, &slot.generations, &slot.log, slot.log_start) {
+        Ok((session, used)) => {
+            slot.session = Some(session);
+            slot.stats.restores += 1;
+            if used + 1 < slot.generations.len() {
+                slot.stats.fallbacks += 1;
+                slot.generations.truncate(used + 1);
+                take_snapshot(slot);
             }
+            slot.health = SessionHealth::Recovered;
+            Err(ServeError::Faulted)
         }
-        true
-    }));
-    matches!(outcome, Ok(true))
+        Err(e) => {
+            slot.session = None;
+            slot.health = SessionHealth::Dead {
+                reason: "no generation restored",
+            };
+            Err(e)
+        }
+    }
 }
 
 /// What one fleet session left behind.
@@ -352,21 +288,24 @@ pub struct FleetOutcome {
     pub faults: u64,
     /// Slot health at the end of the stream.
     pub health: SessionHealth,
+    /// The slot's accounting, high-water marks included.
+    pub stats: SlotStats,
 }
 
 /// One session lifecycle for [`run_fleet`]: a rebuild closure and the
 /// sample stream to drive through it.
-pub struct FleetSpec<B> {
+pub struct FleetSpec<'s, B> {
     // (manual Debug below: `B` is an opaque closure.)
     /// Rebuilds the session (identically on every call).
     pub builder: B,
     /// The full input stream, fed in batches of [`FleetSpec::batch`].
-    pub samples: Vec<Sample>,
+    /// Borrowed: every session of a fleet may share one stream.
+    pub samples: &'s [Sample],
     /// Batch size (0 means 64).
     pub batch: usize,
 }
 
-impl<B> std::fmt::Debug for FleetSpec<B> {
+impl<B> std::fmt::Debug for FleetSpec<'_, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetSpec")
             .field("samples", &self.samples.len())
@@ -381,7 +320,7 @@ impl<B> std::fmt::Debug for FleetSpec<B> {
 /// parallelism is across sessions, never within one. A session is the
 /// heaviest unit the pool ever schedules, so the fleet pins grain 1 —
 /// every chunk is one session, claimed as workers free up.
-pub fn run_fleet<B>(threads: usize, specs: &[FleetSpec<B>]) -> Vec<FleetOutcome>
+pub fn run_fleet<B>(threads: usize, specs: &[FleetSpec<'_, B>]) -> Vec<FleetOutcome>
 where
     B: Fn() -> Result<Session, ServeError> + Sync,
 {
@@ -389,7 +328,7 @@ where
     simcore::par::map_stats(&cfg, specs, |_, spec| run_spec(spec)).0
 }
 
-fn run_spec<B>(spec: &FleetSpec<B>) -> FleetOutcome
+fn run_spec<B>(spec: &FleetSpec<'_, B>) -> FleetOutcome
 where
     B: Fn() -> Result<Session, ServeError>,
 {
@@ -400,6 +339,7 @@ where
         final_digest: 0,
         faults: 0,
         health: SessionHealth::Dead { reason },
+        stats: SlotStats::default(),
     };
     let Ok(mut server) = Server::new(1) else {
         return dead("server rejected bound 1");
@@ -425,15 +365,20 @@ where
             Err(_) => {}
         }
     }
+    let session = server.session(id).ok();
+    let latest = session.and_then(|s| s.checkpoints().last().copied());
     FleetOutcome {
         directives,
-        dead_letters: server.dead_letter_total(id).unwrap_or(0),
-        checkpoints: server.checkpoints(id).map(|c| c.len()).unwrap_or(0),
-        final_digest: server.digest(id).unwrap_or(0),
+        dead_letters: session
+            .and_then(Session::dead_letters)
+            .map_or(0, |d| d.total()),
+        checkpoints: latest.map_or(0, |c| c.seq as usize + 1),
+        final_digest: session.map_or(0, Session::digest),
         faults,
         health: server.health(id).unwrap_or(SessionHealth::Dead {
             reason: "slot vanished",
         }),
+        stats: server.stats(id).unwrap_or_default(),
     }
 }
 
@@ -547,8 +492,14 @@ mod tests {
         // Each slot's digest equals a standalone session fed the same.
         let mut solo = idle_session(1).expect("solo");
         solo.ingest(&[Sample::tick(25.0)]).expect("solo ticks");
-        assert_eq!(server.digest(a).expect("digest"), solo.digest());
-        assert_ne!(server.digest(a).expect("a"), server.digest(b).expect("b"));
+        assert_eq!(
+            server.session(a).map(Session::digest).expect("digest"),
+            solo.digest()
+        );
+        assert_ne!(
+            server.session(a).map(Session::digest).expect("a"),
+            server.session(b).map(Session::digest).expect("b")
+        );
         assert_eq!(server.health(a).expect("a"), SessionHealth::Healthy);
         let stats = server.stats(a).expect("stats");
         assert_eq!(stats.batches, 1);
@@ -563,7 +514,7 @@ mod tests {
         server
             .ingest(mine, &[Sample::tick(10.0)])
             .expect("pre-trip");
-        let digest_before = server.digest(mine).expect("digest");
+        let digest_before = server.session(mine).map(Session::digest).expect("digest");
         server.ingest(calm, &[Sample::tick(10.0)]).expect("calm");
 
         // This batch drives the landmine past its trigger: the session
@@ -577,11 +528,14 @@ mod tests {
             SessionHealth::Recovered
         );
         // Rolled back to the pre-batch state, in O(state) via snapshot.
-        assert_eq!(server.digest(mine).expect("digest"), digest_before);
+        assert_eq!(
+            server.session(mine).map(Session::digest).expect("digest"),
+            digest_before
+        );
         let stats = server.stats(mine).expect("stats");
         assert_eq!(stats.panics, 1);
-        assert_eq!(stats.snapshot_restores, 1);
-        assert_eq!(stats.replay_restores, 0);
+        assert_eq!(stats.restores, 1);
+        assert_eq!(stats.fallbacks, 0);
 
         // The sibling never noticed.
         assert_eq!(server.health(calm).expect("calm"), SessionHealth::Healthy);
@@ -589,29 +543,93 @@ mod tests {
         server.finish(calm).expect("calm finish");
     }
 
+    /// Flips one payload byte of a slot's stored generation.
+    fn corrupt(server: &mut Server<'_>, id: usize, generation: usize) {
+        let bytes = server.slots[id].generations[generation]
+            .snapshot
+            .as_mut()
+            .expect("a frozen generation");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x40;
+    }
+
     #[test]
-    fn corrupt_snapshot_falls_back_to_replay() {
+    fn corrupt_newest_generation_restores_from_the_older() {
         let mut server = Server::new(1).expect("server");
         let id = server.admit(Box::new(|| landmine_session(30))).expect("m");
-        server.ingest(id, &[Sample::tick(10.0)]).expect("pre-trip");
-        let digest_before = server.digest(id).expect("digest");
-        // Sabotage the stored snapshot: flip one payload byte. The
-        // envelope checksum rejects it and restore replays the log.
-        {
-            let slot = &mut server.slots[0];
-            let (bytes, _) = slot.snapshot.as_mut().expect("snapshot exists");
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0x40;
-        }
+        server.ingest(id, &[Sample::tick(5.0)]).expect("first");
+        server.ingest(id, &[Sample::tick(10.0)]).expect("second");
+        let digest_before = server.session(id).map(Session::digest).expect("digest");
+        // The envelope checksum rejects the newest generation; restore
+        // thaws the older one and catches up on the logged batch.
+        corrupt(&mut server, id, 1);
         let err = server
             .ingest(id, &[Sample::tick(60.0)])
             .expect_err("tripped");
         assert_eq!(err, ServeError::Faulted);
-        assert_eq!(server.digest(id).expect("digest"), digest_before);
+        assert_eq!(
+            server.session(id).map(Session::digest).expect("digest"),
+            digest_before
+        );
         let stats = server.stats(id).expect("stats");
-        assert_eq!(stats.snapshot_restores, 0);
-        assert_eq!(stats.replay_restores, 1);
+        assert_eq!((stats.restores, stats.fallbacks), (1, 1));
         assert_eq!(server.health(id).expect("health"), SessionHealth::Recovered);
+        // The corrupt generation was replaced: the slot serves on.
+        server.ingest(id, &[Sample::tick(20.0)]).expect("serves on");
+    }
+
+    #[test]
+    fn both_generations_corrupt_kill_only_that_slot() {
+        let mut server = Server::new(2).expect("server");
+        let id = server.admit(Box::new(|| landmine_session(30))).expect("m");
+        let calm = server.admit(Box::new(|| idle_session(1))).expect("c");
+        server.ingest(id, &[Sample::tick(10.0)]).expect("pre-trip");
+        server.ingest(calm, &[Sample::tick(10.0)]).expect("calm");
+        let calm_digest = server
+            .session(calm)
+            .map(Session::digest)
+            .expect("calm digest");
+        corrupt(&mut server, id, 0);
+        corrupt(&mut server, id, 1);
+        let err = server
+            .ingest(id, &[Sample::tick(60.0)])
+            .expect_err("tripped");
+        assert_eq!(err, ServeError::Quarantined);
+        assert!(matches!(
+            server.health(id).expect("health"),
+            SessionHealth::Dead { reason } if !reason.is_empty()
+        ));
+        assert_eq!(
+            server.ingest(id, &[Sample::tick(70.0)]).expect_err("dead"),
+            ServeError::Quarantined
+        );
+        // The sibling is untouched.
+        assert_eq!(server.health(calm).expect("calm"), SessionHealth::Healthy);
+        assert_eq!(
+            server
+                .session(calm)
+                .map(Session::digest)
+                .expect("calm digest"),
+            calm_digest
+        );
+        server.ingest(calm, &[Sample::tick(20.0)]).expect("calm on");
+    }
+
+    #[test]
+    fn the_log_stays_within_two_batches() {
+        let mut server = Server::new(1).expect("server");
+        let id = server.admit(Box::new(|| idle_session(1))).expect("a");
+        let batch = 4;
+        for b in 0..200 {
+            let chunk: Vec<Sample> = (0..batch)
+                .map(|k| Sample::tick(((b * batch + k) as f64) * 0.1))
+                .collect();
+            server.ingest(id, &chunk).expect("ingest");
+        }
+        let stats = server.stats(id).expect("stats");
+        assert_eq!(stats.batches, 200);
+        assert!(stats.max_log_len <= 2 * batch, "{stats:?}");
+        assert!(stats.max_snapshot_bytes > 0);
     }
 
     #[test]
@@ -639,10 +657,11 @@ mod tests {
 
     #[test]
     fn fleet_runs_identically_at_every_thread_count() {
+        let samples: Vec<Sample> = (1..20).map(|k| Sample::tick(k as f64 * 4.0)).collect();
         let specs: Vec<FleetSpec<_>> = (0..4)
             .map(|i| FleetSpec {
                 builder: move || idle_session(1 + i % 2),
-                samples: (1..20).map(|k| Sample::tick(k as f64 * 4.0)).collect(),
+                samples: &samples,
                 batch: 3,
             })
             .collect();

@@ -3,15 +3,16 @@
 //! Builds the supervised goal rig behind the `simserve` step API, feeds
 //! it a live sample stream, and shows the full robustness loop: ingest
 //! samples, receive directives, reconfigure the goal mid-flight,
-//! checkpoint, "crash" (drop the session, keeping only the journal),
-//! and resume by replaying the identical stream — verifying the
-//! salvaged checkpoint digest on the way through.
+//! checkpoint, "crash" (drop the session, keeping its latest checkpoint
+//! and a snapshot), and resume through `simserve::restore` — the newest
+//! generation that thaws, caught up on the samples it does not cover —
+//! verifying the salvaged checkpoint digest before serving on.
 //!
 //! Run with: `cargo run --release --example serve_session`
 
 use energy_adaptation::experiments::serve::build_session;
 use energy_adaptation::simcore::SimDuration;
-use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample};
+use energy_adaptation::simserve::{restore, Directive, Generation, ReconfigCommand, Sample};
 
 /// The live input stream: a tick every 20 s out to 1200 s, a goal
 /// revision at 300 s, and one corrupt sample the session must survive.
@@ -63,43 +64,43 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("serving the supervised goal rig (seed {SEED})...");
     let mut session = build_session(SEED)?;
     let mut fed = 0;
-    let mut crashed_at = None;
-    'serve: for chunk in samples.chunks(8) {
+    let mut salvage = None;
+    for chunk in samples.chunks(8) {
         for d in session.ingest(chunk)? {
             if let Some(line) = describe(&d) {
                 println!("  {line}");
             }
         }
         fed += chunk.len();
-        // "Crash" once the third checkpoint is journaled: drop the
-        // session. Only the journal's (time, digest) pairs survive.
-        if session.checkpoints().len() >= 3 {
-            crashed_at = session.checkpoints().last().copied();
-            break 'serve;
+        // "Crash" once the third checkpoint is journaled: freeze, then
+        // drop the session. The snapshot and the latest checkpoint survive.
+        salvage = session.checkpoints().last().copied().filter(|c| c.seq >= 2);
+        if salvage.is_some() {
+            break;
         }
     }
-    let salvage = crashed_at.ok_or("run ended before the third checkpoint")?;
+    let salvage = salvage.ok_or("run ended before the third checkpoint")?;
+    let frozen = Generation {
+        snapshot: Some(session.freeze()?),
+        covered: fed,
+    };
+    drop(session);
     println!(
         "\n-- kill -9 after {fed} samples; salvaged checkpoint: t={:.0}s digest={:#018x}\n",
         salvage.t.as_secs_f64(),
         salvage.digest
     );
-    drop(session);
 
-    // --- Resume = replay: rebuild the identical rig, feed the identical
-    // stream, and verify the salvaged digest as the timeline passes it.
-    println!("resuming by replay...");
-    let mut resumed = build_session(SEED)?;
-    for chunk in samples.chunks(8) {
-        resumed.ingest(chunk)?;
-    }
-    if !resumed.verify_checkpoint(salvage.t, salvage.digest) {
+    // --- Resume: restore from the newest generation that thaws (the
+    // genesis, a fresh build replaying the stream, is the fallback),
+    // verify the salvaged digest, and serve on.
+    let ladder = [Generation::genesis(), frozen];
+    let (mut resumed, used) = restore(|| build_session(SEED), &ladder, &samples[..fed], 0)?;
+    if resumed.checkpoints().last() != Some(&salvage) {
         return Err("resumed run diverged from the salvaged checkpoint".into());
     }
-    println!(
-        "  salvage point verified bit-identical at t={:.0}s",
-        salvage.t.as_secs_f64()
-    );
+    println!("resumed from generation {used}; salvage point verified bit-identical");
+    resumed.ingest(&samples[fed..])?;
     let report = resumed.finish()?;
     println!(
         "  resumed to the horizon: end={:.0}s, consumed {:.0} J, residual {:.0} J",
@@ -108,10 +109,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.residual_j
     );
     println!(
-        "  {} checkpoints, {} dead letters, {} trace events",
-        resumed.checkpoints().len(),
+        "  {} dead letters, latest checkpoint {:?}",
         resumed.dead_letters().map(|d| d.total()).unwrap_or(0),
-        resumed.trace_jsonl().len()
+        resumed.checkpoints().last()
     );
     Ok(())
 }

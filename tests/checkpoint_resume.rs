@@ -1,12 +1,13 @@
 //! Crash-tolerant control plane: checkpoint/resume proof.
 //!
-//! The simulation is deterministic, so a checkpoint is a proof point —
-//! (simulated time, digest of live state) — and resume is replay: rebuild
-//! the identical rig, run to the journaled checkpoint, assert the digest
-//! matches, and continue. These tests exercise that end to end on the
-//! Section 5 goal workload: a run that "crashes" halfway leaves only its
-//! journal behind, and the resumed run reproduces the uninterrupted
-//! run's final state bit for bit.
+//! A checkpoint is a proof point — (simulated time, digest of live
+//! state) — and the journal keeps only the latest one. These tests
+//! exercise resume end to end on the Section 5 goal workload: a run that
+//! "crashes" halfway leaves its latest checkpoint behind; a rebuilt rig
+//! run to the salvage instant must stand on that checkpoint's digest,
+//! and continued to the horizon it reproduces the uninterrupted run's
+//! final state bit for bit. The served rig's resumes go through the one
+//! recovery path, `simserve::restore`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -18,21 +19,34 @@ use energy_adaptation::hw560x::EnergySource;
 use energy_adaptation::machine::{CheckpointHook, Machine, MachineConfig, Workload};
 use energy_adaptation::odyssey::goal::MONITOR_OVERHEAD_W;
 use energy_adaptation::odyssey::{
-    GoalConfig, GoalController, GoalOutcome, PriorityTable, Supervisor, SupervisorConfig,
+    GoalConfig, GoalController, GoalHandle, GoalOutcome, PriorityTable, Supervisor,
+    SupervisorConfig,
 };
 use energy_adaptation::simcore::fault::{FaultSchedule, FaultWindow};
 use energy_adaptation::simcore::{
-    RunJournal, SimDuration, SimRng, SimTime, TraceCategory, TraceHandle, TraceSink, Watts,
+    Checkpoint, RunJournal, SimDuration, SimRng, SimTime, TraceCategory, TraceHandle, TraceSink,
+    Watts,
 };
 
 const GOAL_S: u64 = 240;
 const ENERGY_J: f64 = 3000.0;
 const CKPT_EVERY: SimDuration = SimDuration::from_secs(30);
 
-/// Everything a run leaves behind: the journal survives a crash; the
-/// rest exists only if the run finished.
+/// The Section 5 goal rig, built and not yet run.
+struct Rig {
+    machine: Machine,
+    journal: Rc<RefCell<RunJournal>>,
+    handle: GoalHandle,
+    trace: TraceHandle,
+    horizon: SimTime,
+}
+
+/// What a run leaves behind: a crash keeps only `latest`; the rest
+/// exists only if the run finished.
 struct Finished {
-    journal: RunJournal,
+    latest: Option<Checkpoint>,
+    /// Every checkpoint the run recorded (nothing drained the journal).
+    checkpoints: Vec<Checkpoint>,
     final_digest: u64,
     end: SimTime,
     total_bits: u64,
@@ -41,11 +55,9 @@ struct Finished {
     trace: Vec<String>,
 }
 
-/// Builds the Section 5 goal rig (composite loop + background video,
-/// optionally wedged and supervised) and runs it to `stop_at` (a crash)
-/// or to completion.
-#[expect(clippy::expect_used, reason = "a broken fixture fails the test")]
-fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> Finished {
+/// Builds the Section 5 goal rig: composite loop + background video,
+/// optionally wedged and supervised.
+fn rig(seed: u64, wedged: bool, supervised: bool) -> Rig {
     let mut rng = SimRng::new(seed);
     let cfg = GoalConfig::paper(ENERGY_J, SimDuration::from_secs(GOAL_S));
     let goal = cfg.goal;
@@ -101,19 +113,54 @@ fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> F
             .with_jsonl(),
     );
     m.set_trace(trace.clone());
-
-    let report = m.run_until(stop_at.unwrap_or(horizon));
-    let final_digest = m.state_digest();
-    drop(m);
-    Finished {
-        journal: Rc::try_unwrap(journal).expect("sole owner").into_inner(),
-        final_digest,
-        end: report.end,
-        total_bits: report.total_j.0.to_bits(),
-        residual_bits: report.residual_j.0.to_bits(),
-        outcome: handle.outcome(),
-        trace: trace.jsonl(),
+    Rig {
+        machine: m,
+        journal,
+        handle,
+        trace,
+        horizon,
     }
+}
+
+impl Rig {
+    /// The journal's latest checkpoint so far.
+    fn latest(&self) -> Option<Checkpoint> {
+        self.journal.borrow().latest().copied()
+    }
+
+    /// Runs to `stop_at` (a crash) or to the horizon, and reports.
+    fn run(mut self, stop_at: Option<SimTime>) -> Finished {
+        let report = self.machine.run_until(stop_at.unwrap_or(self.horizon));
+        Finished {
+            latest: self.latest(),
+            checkpoints: self.journal.borrow_mut().drain(),
+            final_digest: self.machine.state_digest(),
+            end: report.end,
+            total_bits: report.total_j.0.to_bits(),
+            residual_bits: report.residual_j.0.to_bits(),
+            outcome: self.handle.outcome(),
+            trace: self.trace.jsonl(),
+        }
+    }
+}
+
+/// Runs the rig at `seed` to `stop_at` or to completion.
+fn run(seed: u64, wedged: bool, supervised: bool, stop_at: Option<SimTime>) -> Finished {
+    rig(seed, wedged, supervised).run(stop_at)
+}
+
+/// Resumes after a crash that salvaged `salvage`: rebuilds the rig, runs
+/// it to the salvage instant, asserts it stands on the salvaged
+/// checkpoint, and continues to the horizon.
+fn resume(seed: u64, salvage: Checkpoint) -> Finished {
+    let mut resumed = rig(seed, false, false);
+    let _ = resumed.machine.run_until(salvage.t);
+    assert_eq!(
+        resumed.latest(),
+        Some(salvage),
+        "resumed run diverged from the salvaged checkpoint"
+    );
+    resumed.run(None)
 }
 
 /// Sim time of a JSONL trace line (every line starts `{"time_s":…,`).
@@ -126,53 +173,39 @@ fn time_of(line: &str) -> f64 {
     rest[..end].parse().expect("numeric sim time")
 }
 
-/// The tentpole proof: a run that crashes halfway leaves a journal; the
-/// resumed run (replay of the identical configuration) passes through the
-/// crashed run's last checkpoint with a matching digest and finishes in
+/// The tentpole proof: a run that crashes halfway salvages its latest
+/// checkpoint; the resumed run (the identical configuration, rebuilt)
+/// stands on that checkpoint's digest at its instant and finishes in
 /// exactly the state the uninterrupted run reached — bit for bit.
 #[test]
 fn resume_after_crash_reproduces_uninterrupted_run() {
     let uninterrupted = run(42, false, false, None);
     assert!(
-        uninterrupted.journal.checkpoints().len() >= 4,
+        uninterrupted.checkpoints.len() >= 4,
         "expected several checkpoints, got {:?}",
-        uninterrupted.journal.checkpoints()
+        uninterrupted.checkpoints
     );
 
-    // Crash mid-run, off any checkpoint boundary. Only the journal
-    // survives the crash.
+    // Crash mid-run, off any checkpoint boundary. Only the latest
+    // checkpoint survives the crash.
     let crash_at = SimTime::from_secs(137);
     let crashed = run(42, false, false, Some(crash_at));
-    let salvage = *crashed
-        .journal
-        .latest_at_or_before(crash_at)
-        .expect("a checkpoint before the crash");
+    let salvage = crashed.latest.expect("a checkpoint before the crash");
     assert_eq!(salvage.t, SimTime::from_secs(120));
+    assert_eq!(crashed.checkpoints.last(), Some(&salvage));
 
-    // Resume = replay. The resumed run must pass through the salvaged
-    // checkpoint bit-identically (the resume-time digest assertion)...
-    let resumed = run(42, false, false, None);
-    assert!(
-        resumed.journal.verify(salvage.t, salvage.digest),
-        "resumed run diverged from the salvaged checkpoint {salvage:?}"
-    );
-    // ...and every checkpoint the crashed run recorded is a prefix of the
-    // resumed run's journal.
-    assert_eq!(
-        crashed.journal.checkpoints(),
-        &resumed.journal.checkpoints()[..crashed.journal.checkpoints().len()],
-    );
+    // Resume: the rebuilt run must pass through the salvaged checkpoint
+    // bit-identically (asserted inside `resume`)...
+    let resumed = resume(42, salvage);
 
-    // Final state: bit-for-bit identical to the uninterrupted run.
+    // ...and end bit-for-bit identical to the uninterrupted run.
     assert_eq!(resumed.final_digest, uninterrupted.final_digest);
     assert_eq!(resumed.end, uninterrupted.end);
     assert_eq!(resumed.total_bits, uninterrupted.total_bits);
     assert_eq!(resumed.residual_bits, uninterrupted.residual_bits);
     assert_eq!(resumed.outcome, uninterrupted.outcome);
-    assert_eq!(
-        resumed.journal.checkpoints(),
-        uninterrupted.journal.checkpoints()
-    );
+    assert_eq!(resumed.latest, uninterrupted.latest);
+    assert_eq!(resumed.checkpoints, uninterrupted.checkpoints);
 }
 
 /// Trace-level crash/resume equivalence: the crashed run's event stream
@@ -185,10 +218,11 @@ fn resumed_trace_matches_uninterrupted_event_for_event() {
     let uninterrupted = run(42, false, false, None);
     let crash_at = SimTime::from_secs(137);
     let crashed = run(42, false, false, Some(crash_at));
-    let resumed = run(42, false, false, None);
+    let salvage = crashed.latest.expect("a checkpoint before the crash");
+    let resumed = resume(42, salvage);
 
     assert!(!uninterrupted.trace.is_empty(), "control-plane trace empty");
-    // Replay *is* resume: the full resumed stream matches byte-for-byte.
+    // The resumed stream matches byte-for-byte.
     assert_eq!(resumed.trace, uninterrupted.trace);
 
     // The crash kept a proper prefix of the stream...
@@ -197,12 +231,7 @@ fn resumed_trace_matches_uninterrupted_event_for_event() {
 
     // ...and from the salvaged checkpoint on, the resumed run reproduces
     // the uninterrupted run's events one for one.
-    let salvage = crashed
-        .journal
-        .latest_at_or_before(crash_at)
-        .expect("a checkpoint before the crash")
-        .t
-        .as_secs_f64();
+    let salvage = salvage.t.as_secs_f64();
     let after = |lines: &[String]| -> Vec<String> {
         lines
             .iter()
@@ -225,15 +254,17 @@ fn resumed_trace_matches_uninterrupted_event_for_event() {
 }
 
 /// Negative control: the digest is not vacuous. A different seed is a
-/// different run, and its checkpoints fail verification.
+/// different run, and its checkpoint at the same instant digests
+/// differently.
 #[test]
 fn digest_rejects_a_divergent_run() {
     let a = run(42, false, false, Some(SimTime::from_secs(100)));
     let b = run(43, false, false, Some(SimTime::from_secs(100)));
-    let ck = a.journal.latest().expect("checkpoint recorded");
-    assert!(a.journal.verify(ck.t, ck.digest));
-    assert!(
-        !b.journal.verify(ck.t, ck.digest),
+    let ck = a.latest.expect("checkpoint recorded");
+    let other = b.latest.expect("checkpoint recorded");
+    assert_eq!(ck.t, other.t);
+    assert_ne!(
+        ck.digest, other.digest,
         "different seeds digested equal at {:?}",
         ck.t
     );
@@ -246,17 +277,19 @@ fn digest_rejects_a_divergent_run() {
 fn supervised_recovery_checkpoints_deterministically() {
     let a = run(7, true, true, None);
     let b = run(7, true, true, None);
-    assert!(a.journal.checkpoints().len() >= 4);
-    assert_eq!(a.journal.checkpoints(), b.journal.checkpoints());
+    assert!(a.checkpoints.len() >= 4);
+    assert_eq!(a.checkpoints, b.checkpoints);
+    assert_eq!(a.latest, b.latest);
     assert_eq!(a.final_digest, b.final_digest);
     assert_eq!(a.total_bits, b.total_bits);
     assert_eq!(a.outcome, b.outcome);
 }
 
 /// The torture sweep: the supervised k=2 *golden* scenario served
-/// through `simserve`, killed at **every** checkpoint boundary and
-/// resumed by replaying the identical sample stream. Each resume must
-/// pass through its salvaged checkpoint digest and end with a final
+/// through `simserve`, killed at **every** checkpoint boundary recorded
+/// while the stream is fed, and resumed through `simserve::restore` from
+/// the genesis (replay) and from the snapshot frozen at the kill. Each
+/// resume must stand on its salvaged checkpoint and end with a final
 /// state digest and an event-for-event simtrace byte-identical to the
 /// uninterrupted run — and the sweep's own output must be byte-identical
 /// whether the boundaries are verified on 1 worker thread or 4.
@@ -275,8 +308,8 @@ fn torture_kill_resume_at_every_checkpoint_boundary() {
     }
     let par = serve::torture_sweep(GOLDEN_SEED, 1, 4).expect("torture sweep at 4 threads");
     assert_eq!(serial, par, "torture sweep diverges across thread counts");
-    // Every boundary proof now covers both recovery paths: O(history)
-    // replay and O(state) snapshot thaw, digest-identical.
+    // Every boundary proof covers both rungs of the ladder: the genesis
+    // (replay) and the snapshot, digest-identical.
     for line in &serial {
         assert!(
             line.contains("replay+snapshot resume OK"),
@@ -287,90 +320,110 @@ fn torture_kill_resume_at_every_checkpoint_boundary() {
 
 /// Hostile snapshots: a snapshot that was truncated, bit-flipped, or
 /// written by a different format version must be *detected* — a typed
-/// error, never a panic or a silently wrong session — and the caller
-/// must still be able to recover by falling back to replay.
+/// error, never a panic or a silently wrong session — and restore must
+/// still recover by falling back to the genesis generation.
 #[test]
 fn corrupted_snapshots_are_detected_and_replay_recovers() {
     use energy_adaptation::experiments::serve;
     use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
     use energy_adaptation::simcore::SnapshotError;
+    use energy_adaptation::simserve::Generation;
 
     let samples = serve::schedule(1).expect("golden trace present");
-    let base = serve::replay(GOLDEN_SEED, &samples, None).expect("uninterrupted run");
-    let frozen = serve::freeze_at_boundary(GOLDEN_SEED, &samples, 1).expect("freeze");
+    let base = serve::replay(GOLDEN_SEED, &samples).expect("uninterrupted run");
+    let kill = serve::kill_at(GOLDEN_SEED, &samples, 1).expect("kill");
     assert!(
-        frozen.samples_fed < samples.len(),
-        "freeze landed at end of stream; no recovery left to prove"
+        kill.frozen.covered < samples.len(),
+        "kill landed at end of stream; no recovery left to prove"
     );
+    let snapshot = kill.frozen.snapshot.clone().expect("frozen at the kill");
+    let build = || serve::proof_session(GOLDEN_SEED).expect("build");
 
     // Truncated file: the length header promises more than is there.
-    let mut session = serve::build_session(GOLDEN_SEED).expect("build");
-    let cut = &frozen.snapshot[..frozen.snapshot.len() / 2];
+    let cut = &snapshot[..snapshot.len() / 2];
     assert!(
-        matches!(session.thaw(cut), Err(SnapshotError::Truncated)),
+        matches!(build().thaw(cut), Err(SnapshotError::Truncated)),
         "truncated snapshot not detected"
     );
 
     // Single bit flipped in the trailing checksum.
-    let mut flipped = frozen.snapshot.clone();
+    let mut flipped = snapshot.clone();
     let last = flipped.len() - 1;
     flipped[last] ^= 0x01;
-    let mut session = serve::build_session(GOLDEN_SEED).expect("build");
     assert!(
-        matches!(session.thaw(&flipped), Err(SnapshotError::ChecksumMismatch)),
+        matches!(build().thaw(&flipped), Err(SnapshotError::ChecksumMismatch)),
         "checksum bit-flip not detected"
     );
 
     // Single bit flipped in the payload: same detection, different site.
-    let mut flipped = frozen.snapshot.clone();
+    let mut flipped = snapshot.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x80;
-    let mut session = serve::build_session(GOLDEN_SEED).expect("build");
     assert!(
-        session.thaw(&flipped).is_err(),
+        build().thaw(&flipped).is_err(),
         "payload bit-flip not detected"
     );
 
     // Version-mismatch header: the version field follows the 8-byte
     // magic as a little-endian u32.
-    let mut wrong_version = frozen.snapshot.clone();
+    let mut wrong_version = snapshot.clone();
     wrong_version[8] = 0xFF;
-    let mut session = serve::build_session(GOLDEN_SEED).expect("build");
     assert!(
         matches!(
-            session.thaw(&wrong_version),
+            build().thaw(&wrong_version),
             Err(SnapshotError::VersionMismatch { .. })
         ),
         "version mismatch not detected"
     );
 
-    // Recovery contract: a failed thaw poisons nothing globally — a
-    // fresh rebuild replaying the full stream still reproduces the
-    // uninterrupted run bit for bit.
-    let replayed = serve::replay(GOLDEN_SEED, &samples, None).expect("replay fallback");
-    assert_eq!(replayed.final_digest, base.final_digest);
-    assert_eq!(replayed.trace, base.trace);
+    // Recovery contract: with the corrupt snapshot as the newest
+    // generation, restore comes back through the genesis (replay), and
+    // the resumed run reproduces the uninterrupted one bit for bit.
+    let corrupt = Generation {
+        snapshot: Some(flipped),
+        covered: kill.frozen.covered,
+    };
+    let (resumed, used) = serve::resume(
+        GOLDEN_SEED,
+        &samples,
+        &kill,
+        &[Generation::genesis(), corrupt],
+    )
+    .expect("genesis fallback");
+    assert_eq!(used, 0, "restored through the corrupt generation");
+    assert_eq!(resumed.final_digest, base.final_digest);
+    assert_eq!(resumed.trace, base.trace);
 }
 
 /// Snapshot-vs-replay equivalence, pinned at 1 and 4 worker threads: a
-/// snapshot frozen at the first boundary and thawed into a fresh shell
-/// lands on the identical digest as replay-based resume, and the proof
-/// is byte-identical at both thread counts (the thaw itself is
-/// single-threaded state reconstruction; the pin guards the fan-out
-/// around it).
+/// kill at the first boundary restored through its snapshot generation
+/// lands on the identical digest as a restore from the genesis
+/// (replay), and the proof is byte-identical at both thread counts (the
+/// thaw itself is single-threaded state reconstruction; the pin guards
+/// the fan-out around it).
 #[test]
 fn snapshot_resume_digest_matches_replay_resume_at_1_and_4_threads() {
     use energy_adaptation::experiments::serve;
     use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
+    use energy_adaptation::simserve::Generation;
 
     let samples = serve::schedule(1).expect("golden trace present");
-    let base = serve::replay(GOLDEN_SEED, &samples, None).expect("uninterrupted run");
-    let frozen = serve::freeze_at_boundary(GOLDEN_SEED, &samples, 1).expect("freeze");
-    let thawed = serve::snapshot_resume(GOLDEN_SEED, &samples, &frozen).expect("thaw");
-    let replayed = serve::replay(GOLDEN_SEED, &samples, None).expect("replay resume");
+    let base = serve::replay(GOLDEN_SEED, &samples).expect("uninterrupted run");
+    let kill = serve::kill_at(GOLDEN_SEED, &samples, 1).expect("kill");
+    let genesis = Generation::genesis();
+    let (thawed, used) = serve::resume(
+        GOLDEN_SEED,
+        &samples,
+        &kill,
+        &[genesis.clone(), kill.frozen.clone()],
+    )
+    .expect("snapshot resume");
+    assert_eq!(used, 1, "the snapshot generation did not restore");
+    let (replayed, _) =
+        serve::resume(GOLDEN_SEED, &samples, &kill, &[genesis]).expect("replay resume");
     assert_eq!(thawed.final_digest, replayed.final_digest);
     assert_eq!(thawed.final_digest, base.final_digest);
-    assert_eq!(thawed.checkpoints, replayed.checkpoints);
+    assert_eq!(thawed.latest, replayed.latest);
 
     // The multi-session fleet wraps the same machinery; its output must
     // not depend on the worker count.
