@@ -865,17 +865,31 @@ impl Machine {
     /// Runs until every workload finishes, a controller stops the run, or
     /// the energy supply is exhausted.
     pub fn run(&mut self) -> RunReport {
-        self.run_inner(None)
+        self.drive(None);
+        self.report()
     }
 
     /// Runs until `horizon` (or an earlier stop/exhaustion). Unlike
     /// [`Machine::run`], completion of all workloads does not end the run —
     /// useful for measuring background power.
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
-        self.run_inner(Some(horizon))
+        self.drive(Some(horizon));
+        self.report()
     }
 
-    fn run_inner(&mut self, horizon: Option<SimTime>) -> RunReport {
+    /// Advances exactly as [`Machine::run_until`] does but builds no
+    /// [`RunReport`]; returns the clock reached, which is below `horizon`
+    /// only if the run stopped or the supply ran out first. This is the
+    /// per-sample step of a served session, whose cost must not grow with
+    /// the ledger or the fidelity history.
+    pub fn drive_until(&mut self, horizon: SimTime) -> SimTime {
+        self.drive(Some(horizon));
+        self.clock
+    }
+
+    /// The event loop: handles events up to `horizon`, or until every
+    /// workload is done when there is none.
+    fn drive(&mut self, horizon: Option<SimTime>) {
         if !self.started {
             self.started = true;
             // The disk is idle from boot; arm the initial spin-down timer.
@@ -927,7 +941,6 @@ impl Machine {
             self.handle(ev);
             self.update_quiet_tracking();
         }
-        self.report()
     }
 
     fn report(&self) -> RunReport {
@@ -2167,6 +2180,49 @@ mod tests {
             restored_report.total_j,
             base_report.total_j
         );
+    }
+
+    /// The report-free advance is the same event loop as `run_until`: a
+    /// rig stepped with `drive_until` at every instant of a sample
+    /// schedule ends in the same state, with the same final report, as its
+    /// twin stepped with `run_until` — on a rig that runs throughout and
+    /// on one whose battery dies mid-schedule.
+    #[test]
+    fn drive_until_matches_run_until_step_for_step() {
+        fn dying_rig() -> Machine {
+            let mut m = Machine::new(MachineConfig {
+                pm: PmPolicy::disabled(),
+                source: EnergySource::battery(Joules(102.8)), // 10 s of idle.
+                ..Default::default()
+            });
+            m.add_process(Box::new(ScriptedWorkload::new(
+                "idler",
+                vec![Activity::Wait {
+                    until: SimTime::from_secs(100),
+                }],
+            )));
+            m
+        }
+        let rigs: [fn() -> Machine; 2] = [|| snapshot_rig().0, dying_rig];
+        for build in rigs {
+            let (mut driven, mut reported) = (build(), build());
+            let mut stops = 0;
+            for step in 1..=60u64 {
+                let at = SimTime::from_micros(step * 1_337_000);
+                let reached = driven.drive_until(at);
+                assert_eq!(reached, reported.run_until(at).end, "clock at {at:?}");
+                stops += usize::from(reached < at);
+            }
+            let horizon = SimTime::from_secs(90);
+            let (a, b) = (driven.run_until(horizon), reported.run_until(horizon));
+            assert_eq!(driven.state_digest(), reported.state_digest());
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            assert_eq!(
+                stops > 0,
+                a.exhausted,
+                "early stops only when the supply died"
+            );
+        }
     }
 
     /// A freeze taken while observers are attached is refused (the caller

@@ -27,7 +27,8 @@
 
 #![deny(clippy::indexing_slicing)]
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, PoisonError};
 
 use crate::time::{SimDuration, SimTime};
 
@@ -191,6 +192,9 @@ impl SnapshotWriter {
     }
 }
 
+/// Every `&'static str` any [`SnapshotReader`] has decoded.
+static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
 /// Bounds-checked decoder over a verified snapshot payload.
 ///
 /// Constructed by [`SnapshotReader::open`], which validates the whole
@@ -202,10 +206,6 @@ impl SnapshotWriter {
 pub struct SnapshotReader<'a> {
     payload: &'a [u8],
     pos: usize,
-    /// `&'static str` fields (bucket names, workload names) are restored
-    /// by leaking — deduplicated per reader so each distinct string
-    /// leaks at most once per thaw.
-    interned: BTreeMap<String, &'static str>,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -244,11 +244,7 @@ impl<'a> SnapshotReader<'a> {
         if bytes.len() > payload_end + 8 {
             return Err(SnapshotError::Corrupt("trailing bytes after envelope"));
         }
-        Ok(SnapshotReader {
-            payload,
-            pos: 0,
-            interned: BTreeMap::new(),
-        })
+        Ok(SnapshotReader { payload, pos: 0 })
     }
 
     /// Reads a word.
@@ -304,25 +300,33 @@ impl<'a> SnapshotReader<'a> {
         Ok(bytes)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn take_string(&mut self) -> Result<String, SnapshotError> {
-        let bytes = self.take_bytes()?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Corrupt("invalid utf-8"))
+    /// Reads a length-prefixed UTF-8 string in place.
+    fn take_str(&mut self) -> Result<&'a str, SnapshotError> {
+        std::str::from_utf8(self.take_bytes()?).map_err(|_| SnapshotError::Corrupt("invalid utf-8"))
     }
 
-    /// Reads a string destined for a `&'static str` field, leaking it.
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn take_string(&mut self) -> Result<String, SnapshotError> {
+        Ok(self.take_str()?.to_owned())
+    }
+
+    /// Reads a string destined for a `&'static str` field (bucket,
+    /// procedure, dead-letter reason), interned process-wide.
     ///
-    /// Deduplicated per reader, so thawing a session leaks each distinct
-    /// name once — bucket and workload names are a handful of short
-    /// strings, a bounded cost per restore.
+    /// A name is leaked the first time any reader in the process decodes
+    /// it and reused from then on, so the leak is bounded by the distinct
+    /// names ever thawed, not by the number of thaws.
     pub fn take_static_str(&mut self) -> Result<&'static str, SnapshotError> {
-        let s = self.take_string()?;
-        if let Some(&interned) = self.interned.get(&s) {
-            return Ok(interned);
+        let s = self.take_str()?;
+        // A poisoned set is still sound: the only update is one `insert`
+        // of a name that is already leaked, so no panic leaves it half done.
+        let mut names = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(&name) = names.get(s) {
+            return Ok(name);
         }
-        let leaked: &'static str = Box::leak(s.clone().into_boxed_str());
-        self.interned.insert(s, leaked);
-        Ok(leaked)
+        let name: &'static str = Box::leak(s.into());
+        names.insert(name);
+        Ok(name)
     }
 
     /// Reads an optional word (presence word plus payload).
@@ -743,6 +747,9 @@ mod tests {
         r.finish().expect("fully consumed");
     }
 
+    /// Names intern to one leak within a reader and across readers:
+    /// every thaw opens a new reader, and a long-lived server must not
+    /// grow with its restore count.
     #[test]
     fn static_str_interning_dedups() {
         let mut w = SnapshotWriter::new();
@@ -754,6 +761,9 @@ mod tests {
         let b = r.take_static_str().unwrap();
         assert_eq!(a, "disk");
         assert!(std::ptr::eq(a, b), "same string must intern to one leak");
+        let mut again = SnapshotReader::open(&bytes).expect("open");
+        let c = again.take_static_str().unwrap();
+        assert!(std::ptr::eq(a, c), "a second reader must not leak again");
     }
 
     #[test]

@@ -623,6 +623,18 @@ impl TraceSink {
         self.ring.iter()
     }
 
+    /// Records still held whose `seq` is at least `from`, oldest first.
+    ///
+    /// Seqs are dense, so the ring's newest `emitted - from` records are
+    /// exactly the ones at or past `from`: the walk starts there and costs
+    /// only the records it yields. The `seq` guard keeps records that
+    /// predate a [`Self::restore_counters_from`] out of the walk.
+    pub fn records_from(&self, from: u64) -> impl Iterator<Item = &TraceRecord> {
+        let newer = usize::try_from(self.next_seq.saturating_sub(from)).unwrap_or(usize::MAX);
+        let start = self.ring.len() - self.ring.len().min(newer);
+        self.ring.range(start..).filter(move |r| r.seq >= from)
+    }
+
     /// Rendered JSONL lines (empty unless [`TraceSink::with_jsonl`]).
     pub fn jsonl_lines(&self) -> &[String] {
         self.jsonl.as_deref().unwrap_or(&[])
@@ -719,6 +731,13 @@ impl TraceHandle {
         self.sink.borrow().records().copied().collect()
     }
 
+    /// Visits in place, oldest first, the records still held whose `seq`
+    /// is at least `from` (see [`TraceSink::records_from`]). The sink is
+    /// borrowed for the whole visit, so `f` must not emit.
+    pub fn visit_from(&self, from: u64, f: impl FnMut(&TraceRecord)) {
+        self.sink.borrow().records_from(from).for_each(f);
+    }
+
     /// Copies out the rendered JSONL lines.
     pub fn jsonl(&self) -> Vec<String> {
         self.sink.borrow().jsonl_lines().to_vec()
@@ -792,6 +811,51 @@ mod tests {
         // Survivors are the newest three; seq numbers keep counting.
         let seqs: Vec<u64> = s.records().map(|r| r.seq).collect();
         assert_eq!(seqs, [2, 3, 4]);
+    }
+
+    #[test]
+    fn visit_from_yields_only_surviving_records_at_or_past_from() {
+        fn seen(h: &TraceHandle, from: u64) -> Vec<u64> {
+            let mut seqs = Vec::new();
+            h.visit_from(from, |r| seqs.push(r.seq));
+            seqs
+        }
+        let h = TraceHandle::new(TraceSink::new().with_capacity(3));
+        for i in 0..5 {
+            h.emit(SimTime::from_secs(i), delta(i as f64));
+        }
+        assert_eq!(seen(&h, 0), [2, 3, 4], "below the oldest survivor");
+        assert_eq!(seen(&h, 3), [3, 4], "inside the ring");
+        assert_eq!(seen(&h, 5), [] as [u64; 0], "at emitted()");
+        assert_eq!(seen(&h, 9), [] as [u64; 0], "beyond emitted()");
+
+        let mut w = crate::snapshot::SnapshotWriter::new();
+        h.freeze_counters_into(&mut w);
+        let bytes = w.seal();
+        let thaw = |sink: TraceSink| {
+            let thawed = TraceHandle::new(sink);
+            let mut r = crate::snapshot::SnapshotReader::open(&bytes).unwrap();
+            thawed.restore_counters_from(&mut r).unwrap();
+            thawed
+        };
+        // Post-thaw: the ring is empty, the counters carry on.
+        let thawed = thaw(TraceSink::new().with_capacity(3));
+        for from in [0, 3, 5] {
+            assert_eq!(
+                seen(&thawed, from),
+                [] as [u64; 0],
+                "nothing stale at {from}"
+            );
+        }
+        thawed.emit(SimTime::from_secs(5), delta(5.0));
+        assert_eq!(seen(&thawed, 0), [5]);
+        assert_eq!(seen(&thawed, 5), [5]);
+        assert_eq!(seen(&thawed, 6), [] as [u64; 0]);
+        // Records a rebuilt sink held before the restore are never new.
+        let mut stale = TraceSink::new().with_capacity(3);
+        stale.emit(SimTime::ZERO, delta(0.0));
+        stale.emit(SimTime::ZERO, delta(1.0));
+        assert_eq!(seen(&thaw(stale), 3), [] as [u64; 0]);
     }
 
     #[test]

@@ -838,9 +838,9 @@ impl Session {
             serving.dead_letter(self.cursor, sample, "after_stop");
             return;
         }
-        let report = self.machine.run_until(at);
+        let reached = self.machine.drive_until(at);
         self.cursor = at;
-        if report.end < at {
+        if reached < at {
             // The machine stopped early (goal met, supply exhausted, or
             // all processes done); later samples are dead letters.
             self.stopped = true;
@@ -936,10 +936,7 @@ impl Serving {
     /// time-ordered directives.
     fn drain_directives(&mut self) -> Vec<Directive> {
         let mut from_trace: Vec<Directive> = Vec::new();
-        for rec in self.trace.records() {
-            if rec.seq < self.next_seq {
-                continue;
-            }
+        self.trace.visit_from(self.next_seq, |rec| {
             self.next_seq = rec.seq + 1;
             let at = rec.at;
             let directive = match rec.event {
@@ -969,10 +966,10 @@ impl Serving {
                     Directive::ReconfigRejected { at, kind, reason }
                 }
                 TraceEvent::DeadLetter { reason, .. } => Directive::DeadLettered { at, reason },
-                _ => continue,
+                _ => return,
             };
             from_trace.push(directive);
-        }
+        });
         let from_journal: Vec<Directive> = self
             .journal
             .borrow_mut()
