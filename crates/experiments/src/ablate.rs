@@ -21,7 +21,7 @@ use simcore::{Joules, SimDuration, SimRng, Watts};
 
 use crate::fig19::INITIAL_ENERGY_J;
 use crate::goalrig::{run_composite_goal_custom, GoalRun};
-use crate::harness::Trials;
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
 /// Goal used by the controller ablations, seconds.
@@ -98,41 +98,39 @@ fn summarize(variant: &'static str, run: &GoalRun) -> AblationRow {
     }
 }
 
-/// Runs the ablation study.
+/// Runs the ablation study: one run per controller variant, fanned out
+/// as a single [`run_grid`] dispatch, each job reducing its run to a row.
 pub fn run(trials: &Trials) -> Ablation {
     let root = SimRng::new(trials.seed);
-    let goal = SimDuration::from_secs(GOAL_S);
-    let base_cfg = || GoalConfig::paper(INITIAL_ENERGY_J, goal);
-    let mut rows = Vec::new();
-
-    let mut rng = root.fork("ablate/paper");
-    rows.push(summarize(
-        "Paper controller",
-        &run_composite_goal_custom(base_cfg(), false, &mut rng),
-    ));
-
-    let mut cfg = base_cfg();
-    cfg.hysteresis_supply_frac = 0.0;
-    cfg.hysteresis_initial_frac = 0.0;
-    let mut rng = root.fork("ablate/no-hysteresis");
-    rows.push(summarize(
-        "No hysteresis",
-        &run_composite_goal_custom(cfg, false, &mut rng),
-    ));
-
-    let mut cfg = base_cfg();
-    cfg.upgrade_min_interval = SimDuration::from_millis(500);
-    let mut rng = root.fork("ablate/no-cap");
-    rows.push(summarize(
-        "No upgrade rate cap",
-        &run_composite_goal_custom(cfg, false, &mut rng),
-    ));
-
-    let mut rng = root.fork("ablate/reversed");
-    rows.push(summarize(
-        "Reversed priorities",
-        &run_composite_goal_custom(base_cfg(), true, &mut rng),
-    ));
+    let paper = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(GOAL_S));
+    let mut no_hysteresis = paper.clone();
+    no_hysteresis.hysteresis_supply_frac = 0.0;
+    no_hysteresis.hysteresis_initial_frac = 0.0;
+    let mut no_cap = paper.clone();
+    no_cap.upgrade_min_interval = SimDuration::from_millis(500);
+    // (variant, stream label, controller config, reversed priorities)
+    let variants = [
+        ("Paper controller", "ablate/paper", paper.clone(), false),
+        (
+            "No hysteresis",
+            "ablate/no-hysteresis",
+            no_hysteresis,
+            false,
+        ),
+        ("No upgrade rate cap", "ablate/no-cap", no_cap, false),
+        ("Reversed priorities", "ablate/reversed", paper, true),
+    ];
+    let once = Trials { n: 1, ..*trials };
+    let rows = run_grid(&once, &variants, |(variant, label, cfg, reversed), _| {
+        let mut rng = root.fork(label);
+        summarize(
+            variant,
+            &run_composite_goal_custom(cfg.clone(), *reversed, &mut rng),
+        )
+    })
+    .into_iter()
+    .flatten()
+    .collect();
 
     // Power-model ablation: the superlinearity term.
     let with =

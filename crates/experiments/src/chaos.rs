@@ -18,10 +18,10 @@
 use machine::{FaultConfig, RpcPolicy};
 use odyssey::{GoalConfig, Hardening};
 use powerscope::MeterFaultPlan;
-use simcore::{SimDuration, SimRng, TrialStats};
+use simcore::{Joules, SimDuration, SimRng, TrialStats};
 
 use crate::goalrig::{composite_horizon, run_composite_goal_faulted};
-use crate::harness::Trials;
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
 /// The swept fault intensities.
@@ -72,8 +72,8 @@ pub struct ChaosCell {
 pub struct Chaos {
     /// Cells in sweep order: for each intensity, naive then hardened.
     pub cells: Vec<ChaosCell>,
-    /// Energy supply used, J.
-    pub initial_energy_j: f64,
+    /// Energy supply used.
+    pub initial_energy_j: Joules,
     /// Goal duration, seconds.
     pub goal_s: u64,
 }
@@ -98,37 +98,28 @@ impl Chaos {
 
 /// Runs the default sweep.
 pub fn run(trials: &Trials) -> Chaos {
-    run_sweep(trials, &INTENSITIES, GOAL_S, CHAOS_ENERGY_J)
+    run_sweep(trials, &INTENSITIES, GOAL_S, Joules(CHAOS_ENERGY_J))
 }
 
 /// Runs an arbitrary intensity sweep.
 ///
-/// The fan-out unit is one *(cell, trial)* run — every trial stream is
-/// keyed purely by `(seed, intensity, trial)`, so all `cells × trials.n`
-/// runs are independent jobs. Flattening to trial granularity keeps
-/// every worker busy even on narrow sweeps, and the index-ordered merge
-/// reduces each cell from its trials in trial order — byte-identical to
-/// the serial run at any thread count.
+/// Every trial stream is keyed purely by `(seed, intensity, trial)`, so
+/// all `cells × trials.n` runs go out as one [`run_grid`] dispatch, and
+/// each cell is reduced from its trials in trial order — byte-identical
+/// to the serial run at any thread count.
 pub fn run_sweep(
     trials: &Trials,
     intensities: &[f64],
     goal_s: u64,
-    initial_energy_j: f64,
+    initial_energy_j: Joules,
 ) -> Chaos {
     let specs: Vec<(f64, bool)> = intensities
         .iter()
         .flat_map(|&intensity| [(intensity, false), (intensity, true)])
         .collect();
-    let n = trials.n.max(1);
-    let mut jobs: Vec<(f64, bool, usize)> = Vec::with_capacity(specs.len() * n);
-    for &(intensity, hardened) in &specs {
-        for i in 0..n {
-            jobs.push((intensity, hardened, i));
-        }
-    }
     let root = SimRng::new(trials.seed);
     let goal = SimDuration::from_secs(goal_s);
-    let runs = simcore::par::map(trials.threads, &jobs, |_, &(intensity, hardened, i)| {
+    let runs = run_grid(trials, &specs, |&(intensity, hardened), i| {
         // Workload and fault streams are keyed by intensity and
         // trial only, so the naive and hardened controllers face
         // the identical substrate — a paired comparison.
@@ -143,7 +134,7 @@ pub fn run_sweep(
             timeout: SimDuration::from_secs(12),
             ..RpcPolicy::standard()
         });
-        let mut cfg = GoalConfig::paper(initial_energy_j, goal)
+        let mut cfg = GoalConfig::paper(initial_energy_j.0, goal)
             .with_meter_faults(MeterFaultPlan::degraded(fault_seed, intensity));
         if hardened {
             cfg = cfg.with_hardening(Hardening::standard());
@@ -152,9 +143,9 @@ pub fn run_sweep(
     });
     let cells = specs
         .iter()
-        .zip(runs.chunks(n))
+        .zip(&runs)
         .map(|(&(intensity, hardened), cell_runs)| {
-            reduce_cell(trials, intensity, hardened, goal_s, cell_runs)
+            reduce_cell(intensity, hardened, goal_s, cell_runs)
         })
         .collect();
     Chaos {
@@ -164,10 +155,9 @@ pub fn run_sweep(
     }
 }
 
-/// Reduces one (intensity, controller) cell from its `trials.n` paired
-/// trial runs (in trial order).
+/// Reduces one (intensity, controller) cell from its paired trial runs
+/// (in trial order).
 fn reduce_cell(
-    trials: &Trials,
     intensity: f64,
     hardened: bool,
     goal_s: u64,
@@ -208,8 +198,8 @@ fn reduce_cell(
     ChaosCell {
         intensity,
         hardened,
-        met_fraction: met as f64 / trials.n as f64,
-        hit95_fraction: hit95 as f64 / trials.n as f64,
+        met_fraction: met as f64 / runs.len() as f64,
+        hit95_fraction: hit95 as f64 / runs.len() as f64,
         shortfall_pct: TrialStats::from_values(&shortfall),
         residual: TrialStats::from_values(&residual),
         energy: TrialStats::from_values(&energy),
@@ -283,7 +273,7 @@ mod tests {
     /// controllers meet the goal.
     #[test]
     fn clean_cells_meet_the_goal() {
-        let c = run_sweep(&Trials::single(), &[0.0], GOAL_S, CHAOS_ENERGY_J);
+        let c = run_sweep(&Trials::single(), &[0.0], GOAL_S, Joules(CHAOS_ENERGY_J));
         assert_eq!(c.cell(0.0, false).met_fraction, 1.0);
         assert_eq!(c.cell(0.0, true).met_fraction, 1.0);
     }
@@ -293,7 +283,7 @@ mod tests {
     /// the paper's controller, trusting the optimistic gauge, dies short.
     #[test]
     fn hardened_holds_goal_where_naive_dies() {
-        let c = run_sweep(&Trials::quick(), &[1.0], GOAL_S, CHAOS_ENERGY_J);
+        let c = run_sweep(&Trials::quick(), &[1.0], GOAL_S, Joules(CHAOS_ENERGY_J));
         let naive = c.cell(1.0, false);
         let hard = c.cell(1.0, true);
         assert_eq!(hard.hit95_fraction, 1.0, "hardened: {hard:?}");
@@ -317,8 +307,8 @@ mod tests {
             seed: 7,
             threads: 1,
         };
-        let a = render_cells(&run_sweep(&t, &[0.5], GOAL_S, CHAOS_ENERGY_J));
-        let b = render_cells(&run_sweep(&t, &[0.5], GOAL_S, CHAOS_ENERGY_J));
+        let a = render_cells(&run_sweep(&t, &[0.5], GOAL_S, Joules(CHAOS_ENERGY_J)));
+        let b = render_cells(&run_sweep(&t, &[0.5], GOAL_S, Joules(CHAOS_ENERGY_J)));
         assert_eq!(a, b);
     }
 

@@ -17,7 +17,7 @@ use odyssey::GoalConfig;
 use simcore::{SimDuration, SimRng, SimTime, TimeSeries};
 
 use crate::goalrig::{run_composite_goal, GoalRun};
-use crate::harness::Trials;
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
 /// Initial energy value handed to Odyssey, J.
@@ -62,19 +62,22 @@ pub fn run(trials: &Trials) -> Fig19 {
     run_goals(trials, &GOALS_S)
 }
 
-/// Runs an arbitrary set of goals (tests use shorter ones).
+/// Runs an arbitrary set of goals (tests use shorter ones): one run per
+/// goal, fanned out as a single [`run_grid`] dispatch. Each job keeps
+/// the whole [`GoalRun`], because its supply, demand and fidelity
+/// series are what the figure plots.
 pub fn run_goals(trials: &Trials, goals: &[u64]) -> Fig19 {
     let root = SimRng::new(trials.seed);
+    let once = Trials { n: 1, ..*trials };
+    let runs = run_grid(&once, goals, |&goal_s, _| {
+        let mut rng = root.fork(&format!("fig19/{goal_s}"));
+        let cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(goal_s));
+        run_composite_goal(cfg, &mut rng)
+    });
     let traces = goals
         .iter()
-        .map(|&goal_s| {
-            let mut rng = root.fork(&format!("fig19/{goal_s}"));
-            let cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(goal_s));
-            GoalTrace {
-                goal_s,
-                run: run_composite_goal(cfg, &mut rng),
-            }
-        })
+        .zip(runs.into_iter().flatten())
+        .map(|(&goal_s, run)| GoalTrace { goal_s, run })
         .collect();
     Fig19 { traces }
 }

@@ -7,11 +7,11 @@
 //! of adaptations each application performed.
 
 use odyssey::GoalConfig;
-use simcore::{SimDuration, SimRng, TrialStats};
+use simcore::{Joules, SimDuration, SimRng, TrialStats};
 
 use crate::fig19::INITIAL_ENERGY_J;
-use crate::goalrig::run_composite_goal;
-use crate::harness::Trials;
+use crate::goalrig::{run_composite_goal, GoalTrial};
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
 /// The paper's goal set: 1200-1560 s in 120 s steps.
@@ -38,48 +38,55 @@ pub struct GoalRow {
 pub struct Fig20 {
     /// One row per goal.
     pub rows: Vec<GoalRow>,
-    /// Energy supply used, J.
-    pub initial_energy_j: f64,
+    /// Energy supply used.
+    pub initial_energy_j: Joules,
 }
 
 /// Runs the paper's goal set.
 pub fn run(trials: &Trials) -> Fig20 {
-    run_goals(trials, &GOALS_S, INITIAL_ENERGY_J)
+    run_goals(trials, &GOALS_S, Joules(INITIAL_ENERGY_J))
 }
 
-/// Runs an arbitrary goal set.
-pub fn run_goals(trials: &Trials, goals: &[u64], initial_energy_j: f64) -> Fig20 {
+/// Runs an arbitrary goal set: every `(goal, trial)` run is one job of a
+/// single [`run_grid`] dispatch.
+pub fn run_goals(trials: &Trials, goals: &[u64], initial_energy_j: Joules) -> Fig20 {
     let root = SimRng::new(trials.seed);
+    let runs = run_grid(trials, goals, |&goal_s, i| {
+        let mut rng = root.fork_indexed(&format!("fig20/{goal_s}"), i as u64);
+        let cfg = GoalConfig::paper(initial_energy_j.0, SimDuration::from_secs(goal_s));
+        run_composite_goal(cfg, &mut rng).trial()
+    });
     let rows = goals
         .iter()
-        .map(|&goal_s| {
-            let mut met = 0usize;
-            let mut residuals = Vec::new();
-            let mut adapt: Vec<Vec<f64>> = vec![Vec::new(); APPS.len()];
-            for i in 0..trials.n {
-                let mut rng = root.fork_indexed(&format!("fig20/{goal_s}"), i as u64);
-                let cfg = GoalConfig::paper(initial_energy_j, SimDuration::from_secs(goal_s));
-                let run = run_composite_goal(cfg, &mut rng);
-                if run.outcome.goal_met {
-                    met += 1;
-                }
-                residuals.push(run.report.residual_j.0);
-                for (k, app) in APPS.iter().enumerate() {
-                    adapt[k].push(run.adaptations_of(app) as f64);
-                }
-            }
-            GoalRow {
-                goal_s,
-                met_fraction: met as f64 / trials.n as f64,
-                residual: TrialStats::from_values(&residuals),
-                adaptations: adapt.iter().map(|v| TrialStats::from_values(v)).collect(),
-            }
+        .zip(&runs)
+        .map(|(&goal_s, runs)| GoalRow {
+            goal_s,
+            met_fraction: met_fraction(runs),
+            residual: TrialStats::from_values(
+                &runs.iter().map(|r| r.residual_j.0).collect::<Vec<_>>(),
+            ),
+            adaptations: adaptation_stats(runs),
         })
         .collect();
     Fig20 {
         rows,
         initial_energy_j,
     }
+}
+
+/// Fraction of a cell's trials that met the goal.
+pub(crate) fn met_fraction(runs: &[GoalTrial]) -> f64 {
+    runs.iter().filter(|r| r.goal_met).count() as f64 / runs.len() as f64
+}
+
+/// Per-application adaptation statistics of a cell, in [`APPS`] order.
+pub(crate) fn adaptation_stats(runs: &[GoalTrial]) -> Vec<TrialStats> {
+    (0..APPS.len())
+        .map(|k| {
+            let counts: Vec<f64> = runs.iter().map(|r| r.adaptations[k] as f64).collect();
+            TrialStats::from_values(&counts)
+        })
+        .collect()
 }
 
 /// Renders the summary table.
@@ -127,7 +134,7 @@ mod tests {
     /// full sweep runs in the CLI and benches.)
     #[test]
     fn extreme_goals_are_met() {
-        let f = run_goals(&Trials::quick(), &[1200, 1560], INITIAL_ENERGY_J);
+        let f = run_goals(&Trials::quick(), &[1200, 1560], Joules(INITIAL_ENERGY_J));
         for r in &f.rows {
             assert!(
                 r.met_fraction >= 1.0,
@@ -142,7 +149,7 @@ mod tests {
     /// conservative), and the longer goal forces more adaptation overall.
     #[test]
     fn residue_small_and_adaptation_grows() {
-        let f = run_goals(&Trials::quick(), &[1200, 1560], INITIAL_ENERGY_J);
+        let f = run_goals(&Trials::quick(), &[1200, 1560], Joules(INITIAL_ENERGY_J));
         for r in &f.rows {
             assert!(
                 r.residual.mean < INITIAL_ENERGY_J * 0.08,
@@ -161,7 +168,7 @@ mod tests {
     /// An obviously infeasible goal is not falsely reported as met.
     #[test]
     fn infeasible_goal_is_missed() {
-        let f = run_goals(&Trials::single(), &[3600], INITIAL_ENERGY_J);
+        let f = run_goals(&Trials::single(), &[3600], Joules(INITIAL_ENERGY_J));
         assert_eq!(f.rows[0].met_fraction, 0.0);
     }
 }

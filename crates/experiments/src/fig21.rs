@@ -10,9 +10,9 @@ use odyssey::GoalConfig;
 use simcore::{SimDuration, SimRng, TrialStats};
 
 use crate::fig19::INITIAL_ENERGY_J;
-use crate::fig20::APPS;
+use crate::fig20::{adaptation_stats, met_fraction};
 use crate::goalrig::run_composite_goal;
-use crate::harness::Trials;
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
 /// Half-life fractions swept (1%, 5%, 10%, 15% of time remaining).
@@ -63,39 +63,31 @@ pub fn run(trials: &Trials) -> Fig21 {
     run_half_lives(trials, &HALF_LIVES)
 }
 
-/// Runs the sweep at chosen half-life values.
+/// Runs the sweep at chosen half-life values: every `(half-life, trial)`
+/// run is one job of a single [`run_grid`] dispatch.
 pub fn run_half_lives(trials: &Trials, half_lives: &[f64]) -> Fig21 {
     let root = SimRng::new(trials.seed);
+    let runs = run_grid(trials, half_lives, |&half_life, i| {
+        let mut rng = root.fork_indexed(&format!("fig21/{half_life}"), i as u64);
+        let mut cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(GOAL_S));
+        cfg.half_life_frac = half_life;
+        run_composite_goal(cfg, &mut rng).trial()
+    });
     let rows = half_lives
         .iter()
-        .map(|&half_life| {
-            let mut met = 0usize;
-            let mut residuals = Vec::new();
-            let mut totals = Vec::new();
-            let mut adapt: Vec<Vec<f64>> = vec![Vec::new(); APPS.len()];
-            for i in 0..trials.n {
-                let mut rng = root.fork_indexed(&format!("fig21/{half_life}"), i as u64);
-                let mut cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(GOAL_S));
-                cfg.half_life_frac = half_life;
-                let run = run_composite_goal(cfg, &mut rng);
-                if run.outcome.goal_met {
-                    met += 1;
-                }
-                residuals.push(run.report.residual_j.0);
-                let mut total = 0usize;
-                for (k, app) in APPS.iter().enumerate() {
-                    let n = run.adaptations_of(app);
-                    adapt[k].push(n as f64);
-                    total += n;
-                }
-                totals.push(total as f64);
-            }
+        .zip(&runs)
+        .map(|(&half_life, runs)| {
+            let residuals: Vec<f64> = runs.iter().map(|r| r.residual_j.0).collect();
+            let totals: Vec<f64> = runs
+                .iter()
+                .map(|r| r.adaptations.iter().sum::<usize>() as f64)
+                .collect();
             HalfLifeRow {
                 half_life,
-                met_fraction: met as f64 / trials.n as f64,
+                met_fraction: met_fraction(runs),
                 residual: TrialStats::from_values(&residuals),
                 total_adaptations: TrialStats::from_values(&totals),
-                adaptations: adapt.iter().map(|v| TrialStats::from_values(v)).collect(),
+                adaptations: adaptation_stats(runs),
             }
         })
         .collect();

@@ -11,8 +11,8 @@ use odyssey::GoalConfig;
 use simcore::{Joules, SimDuration, SimRng};
 
 use crate::fig20::APPS;
-use crate::goalrig::{run_bursty_goal, GoalRun};
-use crate::harness::Trials;
+use crate::goalrig::run_bursty_goal;
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
 /// Energy supply, J. The paper used 13,000 J; our calibrated platform
@@ -55,26 +55,27 @@ impl Fig22 {
 
 /// Runs the paper's configuration.
 pub fn run(trials: &Trials) -> Fig22 {
-    run_config(trials, GOAL_S, INITIAL_ENERGY_J)
+    run_config(trials, GOAL_S, Joules(INITIAL_ENERGY_J))
 }
 
-/// Runs a custom configuration (tests use shorter goals).
-pub fn run_config(trials: &Trials, goal_s: u64, initial_j: f64) -> Fig22 {
+/// Runs a custom configuration (tests use shorter goals). The trials are
+/// one [`run_grid`] dispatch over a single cell.
+pub fn run_config(trials: &Trials, goal_s: u64, initial_j: Joules) -> Fig22 {
     let root = SimRng::new(trials.seed);
-    let rows = (0..trials.n)
-        .map(|i| {
-            let mut rng = root.fork_indexed("fig22", i as u64);
-            let cfg = GoalConfig::paper(initial_j, SimDuration::from_secs(goal_s));
-            let run: GoalRun = run_bursty_goal(cfg, &mut rng);
-            BurstyTrial {
-                trial: i + 1,
-                goal_met: run.outcome.goal_met,
-                residual_j: run.report.residual_j,
-                adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
-            }
-        })
-        .collect();
-    Fig22 { trials: rows }
+    let rows = run_grid(trials, &["fig22"], |label, i| {
+        let mut rng = root.fork_indexed(label, i as u64);
+        let cfg = GoalConfig::paper(initial_j.0, SimDuration::from_secs(goal_s));
+        let run = run_bursty_goal(cfg, &mut rng);
+        BurstyTrial {
+            trial: i + 1,
+            goal_met: run.outcome.goal_met,
+            residual_j: run.report.residual_j,
+            adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
+        }
+    });
+    Fig22 {
+        trials: rows.into_iter().flatten().collect(),
+    }
 }
 
 /// Renders the per-trial table.
@@ -120,7 +121,7 @@ mod tests {
                 threads: 1,
             },
             GOAL_S,
-            INITIAL_ENERGY_J,
+            Joules(INITIAL_ENERGY_J),
         );
         assert!(
             f.met_fraction() >= 2.0 / 3.0,
@@ -148,7 +149,7 @@ mod tests {
                 threads: 1,
             },
             900,
-            INITIAL_ENERGY_J,
+            Joules(INITIAL_ENERGY_J),
         );
         assert_ne!(
             f.trials[0].residual_j, f.trials[1].residual_j,

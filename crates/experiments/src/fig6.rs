@@ -11,7 +11,7 @@ use odyssey_apps::{VideoPlayer, VideoVariant};
 use simcore::SimRng;
 
 use crate::barchart::BarChart;
-use crate::harness::{run_trials, Trials};
+use crate::harness::{run_grid, run_machine, Trials};
 
 /// The six experimental conditions, in figure order.
 pub const CONDITIONS: [(&str, VideoVariant, bool); 6] = [
@@ -40,14 +40,27 @@ pub fn run(trials: &Trials) -> BarChart {
 }
 
 /// Runs the figure over a chosen clip set (tests use shortened clips).
+/// Every `(clip, condition, trial)` run is one job of a single
+/// [`run_grid`] dispatch; trial `i` of a bar runs on
+/// `fork_indexed("fig6/<clip>/<condition>", i)`.
 pub fn run_clips(trials: &Trials, clips: &[VideoClip]) -> BarChart {
+    let cells: Vec<(&VideoClip, (&str, VideoVariant, bool))> = clips
+        .iter()
+        .flat_map(|clip| CONDITIONS.map(|condition| (clip, condition)))
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let reports = run_grid(trials, &cells, |&(clip, (name, variant, pm)), i| {
+        let label = format!("fig6/{}/{}", clip.name, name);
+        run_machine(build(
+            *clip,
+            variant,
+            pm,
+            &mut root.fork_indexed(&label, i as u64),
+        ))
+    });
     let mut chart = BarChart::new("Figure 6: Energy impact of fidelity for video playing (J)");
-    for clip in clips {
-        for (name, variant, pm) in CONDITIONS {
-            let label = format!("fig6/{}/{}", clip.name, name);
-            let reports = run_trials(trials, &label, |rng| build(*clip, variant, pm, rng));
-            chart.push(clip.name, name, &reports);
-        }
+    for (&(clip, (name, ..)), reports) in cells.iter().zip(&reports) {
+        chart.push(clip.name, name, reports);
     }
     chart
 }

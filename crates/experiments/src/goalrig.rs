@@ -17,7 +17,9 @@ use odyssey_apps::bursty::{BurstyMember, BurstyRole};
 use odyssey_apps::composite::{composite_members, CompositeMode};
 use odyssey_apps::datasets::VIDEO_CLIPS;
 use odyssey_apps::VideoPlayer;
-use simcore::{SimDuration, SimRng, SimTime, TimeSeries, Watts};
+use simcore::{Joules, SimDuration, SimRng, SimTime, TimeSeries, Watts};
+
+use crate::fig20::APPS;
 
 /// Everything an experiment needs from one goal-directed run.
 #[derive(Clone, Debug)]
@@ -37,6 +39,28 @@ impl GoalRun {
     pub fn adaptations_of(&self, name: &str) -> usize {
         self.report.adaptations_of(name)
     }
+
+    /// The plain-data outcome the tabulated figures reduce.
+    pub fn trial(&self) -> GoalTrial {
+        GoalTrial {
+            goal_met: self.outcome.goal_met,
+            residual_j: self.report.residual_j,
+            adaptations: APPS.iter().map(|a| self.adaptations_of(a)).collect(),
+        }
+    }
+}
+
+/// What a trial-grid job keeps of one goal-directed run: the outcome
+/// without the report's ledger and series, so only a few words per run
+/// cross threads and wait for the merge.
+#[derive(Clone, Debug)]
+pub struct GoalTrial {
+    /// Whether the supply lasted the goal.
+    pub goal_met: bool,
+    /// Residual energy at the end.
+    pub residual_j: Joules,
+    /// Fidelity changes per application, in [`APPS`] order.
+    pub adaptations: Vec<usize>,
 }
 
 /// The safety-net horizon the composite rig uses for a given goal.

@@ -7,11 +7,12 @@
 //! a trial-specific random stream and reduces the reports.
 //!
 //! Trials are independent by construction — trial `i`'s stream is a pure
-//! function of `(seed, label, i)`, forked *before* any trial runs — so
-//! [`run_trials`] fans them out through the [`simcore::par`] work pool
-//! and merges reports in trial order. The parallel run is byte-identical
-//! to the serial one at any thread count (`tests/parallel_equivalence.rs`
-//! pins this).
+//! function of `(seed, label, i)`, and forking consumes nothing from the
+//! master — so [`run_grid`] fans a whole `cells × trials` grid out
+//! through the [`simcore::par`] work pool in one dispatch and merges
+//! results per cell in trial order. [`run_trials`] is its one-cell case.
+//! The parallel run is byte-identical to the serial one at any thread
+//! count (`tests/parallel_equivalence.rs` pins this).
 //!
 //! Every trial executes through the [`simserve::Session`] batch API
 //! ([`Session::adopt`]), so the harness and the always-on `serve` mode
@@ -69,44 +70,83 @@ impl Trials {
     }
 }
 
-/// Runs `build` once per trial and returns all reports, in trial order.
+/// Runs `job(cell, i)` for trial `i` of every cell, as one pool
+/// dispatch over all `cells.len() × trials.n` runs, and returns the
+/// results grouped per cell, in trial order.
 ///
-/// `label` isolates this experiment's random streams from others sharing
-/// the master seed. Every trial stream is forked *up front* from the
-/// master — a pure function of `(seed, label, i)` — so neither the trial
-/// count nor the execution order (serial or parallel) can perturb the
-/// draws any trial sees.
+/// This is the fan-out every trial sweep shares. Each run must be a pure
+/// function of its cell and trial index — in practice its random stream
+/// is forked from the master seed by `(label, i)` inside the job, and
+/// forking consumes nothing from the master — so neither the grid's
+/// shape nor the execution order can perturb the draws any run sees, and
+/// the output is byte-identical at every thread count.
 ///
-/// Trials are few and expensive with skewed costs (a trial that adapts
-/// often runs much longer than one that coasts), so the pool is pinned
-/// to grain 1: each chunk is a single trial, and a worker stuck on a
-/// long trial never holds undone trials hostage.
+/// Runs are few and expensive with skewed costs (a run that adapts often
+/// runs much longer than one that coasts), so the pool is pinned to
+/// grain 1: a worker stuck on a long run never holds undone runs
+/// hostage. Every result is held until the merge, so a job that can
+/// reduce its run to plain data before returning it should.
+///
+/// # Panics
+///
+/// Panics if `trials.n` is zero: a cell with no trials has no statistics
+/// (the CLI rejects `--trials 0`). Panics in a job propagate.
+pub fn run_grid<C, R>(
+    trials: &Trials,
+    cells: &[C],
+    job: impl Fn(&C, usize) -> R + Sync,
+) -> Vec<Vec<R>>
+where
+    C: Sync,
+    R: Send,
+{
+    let n = trials.n;
+    assert!(
+        n > 0,
+        "run_grid: Trials::n is 0; every cell needs at least one trial"
+    );
+    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
+    let (runs, _) =
+        simcore::par::map_indexed_stats(&cfg, cells.len() * n, |j| job(&cells[j / n], j % n));
+    let mut runs = runs.into_iter();
+    cells
+        .iter()
+        .map(|_| runs.by_ref().take(n).collect())
+        .collect()
+}
+
+/// Runs a freshly built machine to completion through the service API's
+/// batch mode — the same engine as the always-on `serve` path.
 #[expect(
     clippy::expect_used,
-    reason = "first run of a fresh session cannot fail"
+    reason = "adopt/run on a fresh session cannot fail"
 )]
+pub fn run_machine(machine: Machine) -> RunReport {
+    let mut session = Session::adopt(machine).expect("adopt fresh machine");
+    session.run_to_completion().expect("run adopted session")
+}
+
+/// Runs `build` once per trial and returns all reports, in trial order:
+/// [`run_grid`] over a single cell.
+///
+/// `label` isolates this experiment's random streams from others sharing
+/// the master seed; trial `i` runs on `fork_indexed(label, i)`.
+///
+/// # Panics
+///
+/// Panics if `trials.n` is zero.
 pub fn run_trials(
     trials: &Trials,
     label: &str,
     build: impl Fn(&mut SimRng) -> Machine + Sync,
 ) -> Vec<RunReport> {
     let root = SimRng::new(trials.seed);
-    // Hoisted fork: all per-trial streams exist before any trial runs.
-    let streams: Vec<SimRng> = (0..trials.n)
-        .map(|i| root.fork_indexed(label, i as u64))
-        .collect();
-    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
-    simcore::par::map_stats(&cfg, &streams, |_, stream| {
-        let mut rng = stream.clone();
-        let machine = build(&mut rng);
-        #[expect(
-            clippy::expect_used,
-            reason = "adopt/run on a fresh session cannot fail"
-        )]
-        let mut session = Session::adopt(machine).expect("adopt fresh machine");
-        session.run_to_completion().expect("run adopted session")
+    run_grid(trials, &[label], |label, i| {
+        run_machine(build(&mut root.fork_indexed(label, i as u64)))
     })
-    .0
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Total-energy statistics over a set of reports.
@@ -171,7 +211,7 @@ mod tests {
         assert_eq!(a.mean, b.mean);
     }
 
-    /// Regression (fork hoist): trial `i` sees the same random stream no
+    /// Regression: trial `i` sees the same random stream no
     /// matter how many trials run alongside it — adding trials (or
     /// parallelism) must never shift an existing trial's draws.
     #[test]
@@ -217,6 +257,49 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The grid comes back cell-major with each cell's runs in trial
+    /// order, and is byte-identical at every thread count.
+    #[test]
+    fn grid_is_cell_major_in_trial_order_at_every_thread_count() {
+        let cells = ["a", "b", "c"];
+        let trials = Trials {
+            n: 4,
+            ..Trials::default()
+        };
+        let root = SimRng::new(trials.seed);
+        let job = |cell: &&str, i: usize| {
+            let draw = root.fork_indexed(cell, i as u64).uniform_u64(0, u64::MAX);
+            (cell.to_string(), i, draw)
+        };
+        let serial = run_grid(&trials, &cells, job);
+        assert_eq!(serial.len(), cells.len());
+        for (cell, runs) in cells.iter().zip(&serial) {
+            let coords: Vec<(&str, usize)> =
+                runs.iter().map(|(c, i, _)| (c.as_str(), *i)).collect();
+            let expected: Vec<(&str, usize)> = (0..trials.n).map(|i| (*cell, i)).collect();
+            assert_eq!(coords, expected);
+        }
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                serial,
+                run_grid(&trials.with_threads(threads), &cells, job),
+                "grid differs at threads={threads}"
+            );
+        }
+    }
+
+    /// A grid with no trials per cell has no statistics to report: it is
+    /// rejected up front instead of dividing by zero downstream.
+    #[test]
+    #[should_panic(expected = "Trials::n is 0")]
+    fn grid_rejects_zero_trials() {
+        let trials = Trials {
+            n: 0,
+            ..Trials::default()
+        };
+        run_grid(&trials, &["cell"], |_, i| i);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use simcore::{Joules, SimDuration, SimRng, SimTime};
 
 use crate::fig20::APPS;
 use crate::goalrig::run_bursty_goal;
-use crate::harness::Trials;
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
 /// Energy supply, J. The paper's 90,000 J matches a fully-charged 560X
@@ -78,40 +78,41 @@ impl Sec54 {
 pub fn run(trials: &Trials) -> Sec54 {
     run_config(
         trials,
-        INITIAL_ENERGY_J,
+        Joules(INITIAL_ENERGY_J),
         INITIAL_GOAL_S,
         EXTENSION_AT_S,
         EXTENDED_GOAL_S,
     )
 }
 
-/// Runs a scaled configuration (tests use shorter horizons).
+/// Runs a scaled configuration (tests use shorter horizons). The trials
+/// are one [`run_grid`] dispatch over a single cell.
 pub fn run_config(
     trials: &Trials,
-    initial_j: f64,
+    initial_j: Joules,
     goal_s: u64,
     extend_at_s: u64,
     extended_goal_s: u64,
 ) -> Sec54 {
     let root = SimRng::new(trials.seed);
-    let rows = (0..trials.n)
-        .map(|i| {
-            let mut rng = root.fork_indexed("sec54", i as u64);
-            let cfg = GoalConfig::paper(initial_j, SimDuration::from_secs(goal_s)).with_extension(
-                SimTime::from_secs(extend_at_s),
-                SimDuration::from_secs(extended_goal_s),
-            );
-            let run = run_bursty_goal(cfg, &mut rng);
-            LongTrial {
-                trial: i + 1,
-                goal_met: run.outcome.goal_met,
-                residual_j: run.report.residual_j,
-                duration_s: run.report.duration_s(),
-                adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
-            }
-        })
-        .collect();
-    Sec54 { trials: rows }
+    let rows = run_grid(trials, &["sec54"], |label, i| {
+        let mut rng = root.fork_indexed(label, i as u64);
+        let cfg = GoalConfig::paper(initial_j.0, SimDuration::from_secs(goal_s)).with_extension(
+            SimTime::from_secs(extend_at_s),
+            SimDuration::from_secs(extended_goal_s),
+        );
+        let run = run_bursty_goal(cfg, &mut rng);
+        LongTrial {
+            trial: i + 1,
+            goal_met: run.outcome.goal_met,
+            residual_j: run.report.residual_j,
+            duration_s: run.report.duration_s(),
+            adaptations: APPS.iter().map(|a| run.adaptations_of(a)).collect(),
+        }
+    });
+    Sec54 {
+        trials: rows.into_iter().flatten().collect(),
+    }
 }
 
 /// Renders the per-trial table.
@@ -165,7 +166,7 @@ mod tests {
                 seed: 42,
                 threads: 1,
             },
-            18_500.0,
+            Joules(18_500.0),
             1_650,
             600,
             1_950,

@@ -32,7 +32,7 @@ use simcore::{SimDuration, SimRng, SimTime, TrialStats, Watts};
 
 use crate::chaos::{CHAOS_ENERGY_J, GOAL_S};
 use crate::goalrig::composite_horizon;
-use crate::harness::Trials;
+use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 use simcore::Joules;
 
@@ -98,8 +98,8 @@ pub struct SuperviseCell {
 pub struct Supervise {
     /// Cells in sweep order: for each k, unsupervised then supervised.
     pub cells: Vec<SuperviseCell>,
-    /// Energy supply used, J.
-    pub initial_energy_j: f64,
+    /// Energy supply used.
+    pub initial_energy_j: Joules,
     /// Goal duration, seconds.
     pub goal_s: u64,
 }
@@ -248,24 +248,15 @@ pub fn run(trials: &Trials) -> Supervise {
 
 /// Runs an arbitrary sweep over misbehaving-app counts.
 ///
-/// The fan-out unit is one *(cell, trial)* run — every trial stream is
-/// keyed purely by `(seed, k, trial)`, so all `cells × trials.n` runs
-/// are independent jobs. Flattening to trial granularity keeps every
-/// worker busy even when the sweep has few cells (the bench scenario
-/// sweeps a single k: two cells, but `2 × n` jobs), and the
-/// index-ordered merge reduces each cell from its trials in trial
-/// order — byte-identical to the serial run at any thread count.
+/// Every trial stream is keyed purely by `(seed, k, trial)`, so all
+/// `cells × trials.n` runs go out as one [`run_grid`] dispatch — every
+/// worker stays busy even when the sweep has few cells — and each cell
+/// is reduced from its trials in trial order, byte-identical to the
+/// serial run at any thread count.
 pub fn run_sweep(trials: &Trials, ks: &[usize]) -> Supervise {
     let specs: Vec<(usize, bool)> = ks.iter().flat_map(|&k| [(k, false), (k, true)]).collect();
-    let n = trials.n.max(1);
-    let mut jobs: Vec<(usize, bool, usize)> = Vec::with_capacity(specs.len() * n);
-    for &(k, supervised) in &specs {
-        for i in 0..n {
-            jobs.push((k, supervised, i));
-        }
-    }
     let root = SimRng::new(trials.seed);
-    let runs = simcore::par::map(trials.threads, &jobs, |_, &(k, supervised, i)| {
+    let runs = run_grid(trials, &specs, |&(k, supervised), i| {
         // Workload streams are keyed by k and trial only, so the
         // unsupervised and supervised cells face the identical
         // applications — a paired comparison.
@@ -274,19 +265,19 @@ pub fn run_sweep(trials: &Trials, ks: &[usize]) -> Supervise {
     });
     let cells = specs
         .iter()
-        .zip(runs.chunks(n))
-        .map(|(&(k, supervised), cell_runs)| reduce_cell(trials, k, supervised, cell_runs))
+        .zip(&runs)
+        .map(|(&(k, supervised), cell_runs)| reduce_cell(k, supervised, cell_runs))
         .collect();
     Supervise {
         cells,
-        initial_energy_j: CHAOS_ENERGY_J,
+        initial_energy_j: Joules(CHAOS_ENERGY_J),
         goal_s: GOAL_S,
     }
 }
 
-/// Reduces one (k, supervised) cell from its `trials.n` paired trial
-/// runs (in trial order).
-fn reduce_cell(trials: &Trials, k: usize, supervised: bool, runs: &[SuperRun]) -> SuperviseCell {
+/// Reduces one (k, supervised) cell from its paired trial runs (in
+/// trial order).
+fn reduce_cell(k: usize, supervised: bool, runs: &[SuperRun]) -> SuperviseCell {
     let mut met = 0usize;
     let mut hit95 = 0usize;
     let mut shortfall = Vec::new();
@@ -327,8 +318,8 @@ fn reduce_cell(trials: &Trials, k: usize, supervised: bool, runs: &[SuperRun]) -
     SuperviseCell {
         k,
         supervised,
-        met_fraction: met as f64 / trials.n as f64,
-        hit95_fraction: hit95 as f64 / trials.n as f64,
+        met_fraction: met as f64 / runs.len() as f64,
+        hit95_fraction: hit95 as f64 / runs.len() as f64,
         shortfall_pct: TrialStats::from_values(&shortfall),
         residual: TrialStats::from_values(&residual),
         energy: TrialStats::from_values(&energy),

@@ -59,8 +59,11 @@ echo "== simserve: hostile-input fuzz smoke (30 seeded streams) =="
 cargo run --release -q -p experiments -- fuzz --streams 30
 
 echo "== simpar: serial/parallel byte-equality smoke =="
-par_1="$(cargo run --release -q -p experiments -- chaos fig18 --quick --threads 1 2>/dev/null)"
-par_8="$(cargo run --release -q -p experiments -- chaos fig18 --quick --threads 8 2>/dev/null)"
+# The sweeps and every figure on the harness trial grid (fig6, the
+# goal-directed figures and the ablations), serial against 8 workers.
+par_ids=(chaos fig18 fig6 fig19 fig20 fig21 fig22 sec54 ablate)
+par_1="$(cargo run --release -q -p experiments -- "${par_ids[@]}" --quick --threads 1 2>/dev/null)"
+par_8="$(cargo run --release -q -p experiments -- "${par_ids[@]}" --quick --threads 8 2>/dev/null)"
 if [ "$par_1" != "$par_8" ]; then
     echo "parallel fan-out diverges from serial (simpar merge bug)" >&2
     exit 1

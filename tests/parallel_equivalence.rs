@@ -5,14 +5,22 @@
 //! results at every thread count, because trial streams are pure
 //! functions of `(seed, label, index)` and merges happen in index
 //! order. This suite drives the contract end to end: golden-file
-//! renders, the trial harness, and both cell-level sweeps, each at
-//! 1, 2, and 8 threads.
+//! renders, the trial harness, the two cell-level sweeps and every
+//! figure built on the `harness::run_grid` fan-out, each at 1, 2, and
+//! 8 threads. The goal-directed figures run at the scaled sizes their
+//! module tests use, to keep debug-mode test time bounded.
+
+use std::fmt::Debug;
 
 use experiments::harness::{run_trials, Trials};
-use experiments::{benchcli, chaos, fig16, golden, supervise, tracerec};
+use experiments::{
+    ablate, benchcli, chaos, fig16, fig19, fig20, fig21, fig22, fig6, golden, sec54, supervise,
+    tracerec,
+};
 use machine::workload::ScriptedWorkload;
 use machine::{Machine, MachineConfig};
-use simcore::{SimDuration, SimRng};
+use odyssey_apps::datasets::{VideoClip, VIDEO_CLIPS};
+use simcore::{Joules, SimDuration, SimRng};
 
 /// Thread counts the contract is exercised at: serial, the smallest
 /// real fan-out, and more workers than this suite has jobs.
@@ -100,15 +108,96 @@ fn run_trials_reports_identical_across_thread_counts() {
 fn chaos_sweep_identical_across_thread_counts() {
     let serial = format!(
         "{:?}",
-        chaos::run_sweep(&quick(), &[0.0, 0.5], 600, 8_000.0).cells
+        chaos::run_sweep(&quick(), &[0.0, 0.5], 600, Joules(8_000.0)).cells
     );
     for threads in THREAD_COUNTS {
         let par = format!(
             "{:?}",
-            chaos::run_sweep(&quick().with_threads(threads), &[0.0, 0.5], 600, 8_000.0).cells
+            chaos::run_sweep(
+                &quick().with_threads(threads),
+                &[0.0, 0.5],
+                600,
+                Joules(8_000.0)
+            )
+            .cells
         );
         assert_eq!(serial, par, "chaos cells diverge at {threads} threads");
     }
+}
+
+/// Asserts that `run` gives byte-identical `Debug` output at every
+/// thread count (the serial run at 1 thread is the reference).
+fn assert_thread_invariant<T: Debug>(name: &str, trials: Trials, run: impl Fn(&Trials) -> T) {
+    let [serial_threads, ref fanned @ ..] = THREAD_COUNTS;
+    let serial = format!("{:?}", run(&trials.with_threads(serial_threads)));
+    for &threads in fanned {
+        assert_eq!(
+            serial,
+            format!("{:?}", run(&trials.with_threads(threads))),
+            "{name} diverges at {threads} threads"
+        );
+    }
+}
+
+/// Figure 6's `clip × condition × trial` grid, on shortened clips.
+#[test]
+fn fig6_identical_across_thread_counts() {
+    let clips: Vec<VideoClip> = VIDEO_CLIPS[..2]
+        .iter()
+        .map(|c| VideoClip {
+            duration_s: 20.0,
+            ..*c
+        })
+        .collect();
+    assert_thread_invariant("fig6", quick(), |t| {
+        fig6::run_clips(t, &clips).to_table().render()
+    });
+}
+
+/// Figure 19's two goal runs (shortened goals), series and all.
+#[test]
+fn fig19_identical_across_thread_counts() {
+    assert_thread_invariant("fig19", quick(), |t| {
+        fig19::run_goals(t, &[600, 900]).traces
+    });
+}
+
+/// Figure 20's `goal × trial` grid with two goals.
+#[test]
+fn fig20_identical_across_thread_counts() {
+    assert_thread_invariant("fig20", quick(), |t| {
+        fig20::run_goals(t, &[1200, 1560], Joules(fig19::INITIAL_ENERGY_J))
+    });
+}
+
+/// Figure 21's `half-life × trial` grid with two half-lives.
+#[test]
+fn fig21_identical_across_thread_counts() {
+    assert_thread_invariant("fig21", quick(), |t| {
+        fig21::run_half_lives(t, &[0.01, 0.10]).rows
+    });
+}
+
+/// Figure 22's trials at a shortened goal.
+#[test]
+fn fig22_identical_across_thread_counts() {
+    assert_thread_invariant("fig22", quick(), |t| {
+        fig22::run_config(t, 900, Joules(fig22::INITIAL_ENERGY_J)).trials
+    });
+}
+
+/// Section 5.4's trials at 1/6 of every duration and the supply.
+#[test]
+fn sec54_identical_across_thread_counts() {
+    assert_thread_invariant("sec54", quick(), |t| {
+        sec54::run_config(t, Joules(18_500.0), 1_650, 600, 1_950).trials
+    });
+}
+
+/// The four controller ablations, one run each.
+#[test]
+fn ablate_identical_across_thread_counts() {
+    assert_thread_invariant("ablate", quick(), ablate::run);
 }
 
 /// Same for the supervision sweep.
