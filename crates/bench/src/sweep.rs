@@ -10,7 +10,7 @@
 //!
 //! Since v2 every record carries the host's available parallelism and
 //! the work pool's dispatch metadata (dispatches, inline fallbacks,
-//! chunks claimed, workers spawned) for the scenario, so a speedup
+//! claims, workers spawned) for the scenario, so a speedup
 //! regression in `bench --check` is diagnosable from the artifact
 //! alone: a scenario at 1.0x with `pool_inline_runs == pool_dispatches`
 //! took the inline path (nothing to parallelize, or a 1-core host) —
@@ -49,7 +49,7 @@ pub struct BenchRecord {
     pub pool_dispatches: u64,
     /// Dispatches that took the inline fallback (spawned nothing).
     pub pool_inline_runs: u64,
-    /// Chunks claimed across the spawning dispatches.
+    /// Claims across the spawning dispatches: one per job.
     pub pool_chunks: u64,
     /// Workers spawned, summed across dispatches.
     pub pool_workers: u64,
@@ -57,7 +57,7 @@ pub struct BenchRecord {
 
 impl BenchRecord {
     /// One-word scheduling summary for the human table: why this row
-    /// did or did not fan out.
+    /// did or did not fan out (`Nch/Mw`: N claims over M workers).
     pub fn sched_summary(&self) -> String {
         if self.pool_dispatches == 0 {
             // Pre-v2 record (or a scenario that never dispatched).

@@ -247,7 +247,7 @@ pub fn run(trials: &Trials) -> Fig16 {
 /// trial set — so the summary parallelizes as a single wide dispatch of
 /// coarse jobs instead of dozens of tiny per-trial dispatches (the
 /// shape that used to *lose* wall-clock to spawn overhead; see
-/// DESIGN.md §18). Cells run their trials serially; parallelism lives
+/// DESIGN.md §13). Cells run their trials serially; parallelism lives
 /// at this level only. Each object's baseline-condition cell is also
 /// computed exactly once and reused as the normalizer, where the old
 /// per-row closure recomputed it — same pure value, same output bytes,

@@ -482,9 +482,8 @@ pub fn run_verb(
         .digest;
     let idxs: Vec<u64> = (0..streams as u64).collect();
     // Hostile streams have wildly uneven cost (one restores through the
-    // ladder, another dies early), so grain 1 keeps the chunked pool balanced.
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
-    let (results, _) = simcore::par::map_stats(&cfg, &idxs, |_, &i| {
+    // ladder, another dies early); the pool claims one stream at a time.
+    let results = simcore::par::map(threads, &idxs, |_, &i| {
         fuzz_one(seed, &base, &alt, clean_digest, i)
     });
     let mut agg = StreamStats::default();

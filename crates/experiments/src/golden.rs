@@ -215,14 +215,13 @@ pub fn render(kind: Kind, scenario: &str, decode_inflation: f64) -> Result<Rende
 
 /// Renders every golden file, in check order, fanned out over `threads`
 /// workers. Output is byte-identical at any thread count. The files are
-/// a handful of whole-scenario runs with very different costs: grain 1,
-/// one chunk each.
+/// a handful of whole-scenario runs with very different costs, each its
+/// own pool claim.
 pub fn render_all(threads: usize, decode_inflation: f64) -> Result<Vec<Rendered>, String> {
     let mut files = SCENARIOS.map(|s| (Kind::Trace, s)).to_vec();
     files.extend(SCENARIOS.map(|s| (Kind::Energy, s)));
     files.push((Kind::Seeds, ""));
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
-    let (rendered, _) = simcore::par::map_stats(&cfg, &files, |_, &(kind, scenario)| {
+    let rendered = simcore::par::map(threads, &files, |_, &(kind, scenario)| {
         render(kind, scenario, decode_inflation)
     });
     rendered.into_iter().collect()

@@ -82,8 +82,8 @@ impl Trials {
 /// the output is byte-identical at every thread count.
 ///
 /// Runs are few and expensive with skewed costs (a run that adapts often
-/// runs much longer than one that coasts), so the pool is pinned to
-/// grain 1: a worker stuck on a long run never holds undone runs
+/// runs much longer than one that coasts); the pool claims one run at a
+/// time, so a worker stuck on a long run never holds undone runs
 /// hostage. Every result is held until the merge, so a job that can
 /// reduce its run to plain data before returning it should.
 ///
@@ -105,9 +105,9 @@ where
         n > 0,
         "run_grid: Trials::n is 0; every cell needs at least one trial"
     );
-    let cfg = simcore::par::PoolConfig::new(trials.threads).grain(1);
-    let (runs, _) =
-        simcore::par::map_indexed_stats(&cfg, cells.len() * n, |j| job(&cells[j / n], j % n));
+    let runs = simcore::par::map_indexed(trials.threads, cells.len() * n, |j| {
+        job(&cells[j / n], j % n)
+    });
     let mut runs = runs.into_iter();
     cells
         .iter()

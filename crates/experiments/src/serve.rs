@@ -333,8 +333,8 @@ fn verify_boundary(
 /// divergence report.
 ///
 /// Boundary cost rises with the boundary index (a later crash replays a
-/// longer prefix), so the pool is pinned to grain 1: the guided chunks
-/// never lump the expensive tail boundaries onto one worker.
+/// longer prefix); the pool claims one boundary at a time, so the
+/// expensive tail boundaries spread over whichever workers are free.
 pub fn torture_sweep(seed: u64, multiple: u32, threads: usize) -> Result<Vec<String>, String> {
     let samples = schedule(multiple)?;
     let base = replay(seed, &samples)?;
@@ -345,8 +345,7 @@ pub fn torture_sweep(seed: u64, multiple: u32, threads: usize) -> Result<Vec<Str
         ));
     }
     let boundaries: Vec<usize> = (0..base.boundaries).collect();
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
-    let (results, _) = simcore::par::map_stats(&cfg, &boundaries, |_, &k| {
+    let results = simcore::par::map(threads, &boundaries, |_, &k| {
         verify_boundary(seed, &samples, &base, k)
     });
     let mut lines = Vec::with_capacity(results.len());

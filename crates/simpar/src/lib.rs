@@ -1,5 +1,5 @@
 #![forbid(unsafe_code)]
-//! simpar: a deterministic chunked self-scheduling work pool.
+//! simpar: a deterministic self-scheduling work pool.
 //!
 //! The evaluation sweeps are embarrassingly parallel: every trial runs
 //! with a random stream forked purely from `(seed, label, index)`, so
@@ -14,40 +14,34 @@
 //! lifecycles across the pool, with the same index-ordered-merge
 //! guarantee.
 //!
-//! # The determinism contract (DESIGN.md §13, §18)
+//! # The determinism contract (DESIGN.md §13)
 //!
 //! - **Pure jobs.** `f(i)` must be a pure function of its index and of
 //!   immutable captured state. Jobs must not communicate, touch shared
 //!   mutable state, read the wall clock, or draw from a shared RNG.
-//! - **Index-ordered merge.** Workers execute whole index *chunks* and
-//!   append each chunk's results to a private run buffer; the merge
-//!   sorts the runs by start index and concatenates. Nothing in the
-//!   merge path reads the wall clock or depends on completion order.
+//! - **Index-ordered merge.** Workers claim one index at a time and
+//!   push `(index, result)` into a private buffer; the merge orders the
+//!   buffers' entries by index. Nothing in the merge path reads the wall
+//!   clock or depends on completion order.
 //! - **Serial fallback.** When the pool decides not to spawn (one
 //!   worker requested, nothing to gain, or the host has a single
 //!   hardware thread) the jobs run inline on the caller's thread in
 //!   index order — *identical* to a plain loop, which is what makes
 //!   `--threads 1` useful for bisecting.
 //!
-//! # Scheduling (DESIGN.md §18)
+//! # Scheduling
 //!
-//! The chunk plan is computed **up front** by [`plan_chunks`]: a guided
-//! schedule of geometrically shrinking index ranges (each chunk takes
-//! `remaining / (2 * workers)` items, floored at the grain), so early
-//! chunks amortize claim overhead while late chunks stay small enough
-//! to balance skewed job costs. Workers claim whole chunks off a single
-//! `AtomicUsize` chunk cursor — one atomic op per chunk, not per item —
-//! and write results into pre-allocated per-worker run buffers, so
-//! there is no per-item mutex and no shared sink to contend on. Which
-//! worker claims which chunk is scheduler-dependent; the chunk
-//! *boundaries* and the merged output are pure functions of
-//! `(n, workers, grain)`.
+//! Every claim is one job: a worker takes the next index off a single
+//! shared `AtomicUsize` cursor, runs it, and comes back for another, so
+//! a worker stuck on an expensive job never holds an unstarted job
+//! hostage. The sweeps dispatch tens to a few thousand jobs that each
+//! run a whole simulation, so one relaxed `fetch_add` per job is noise
+//! next to the job itself. There is no per-item lock and no shared sink:
+//! each worker owns its result buffer until the scope joins.
 //!
-//! The [`PoolStats`] surface (and the process-wide [`telemetry`]
-//! counters behind the `bench` verb's per-record metadata) reports what
-//! the scheduler actually did — chunks claimed, items per worker,
-//! whether the inline fallback ran — so a scenario that fails to scale
-//! can be diagnosed instead of guessed at.
+//! The process-wide [`telemetry`] counters report what the scheduler
+//! did (dispatches, inline fallbacks, claims, workers), so a scenario
+//! that fails to scale can be diagnosed instead of guessed at.
 //!
 //! This is the one crate in the workspace allowed to touch
 //! `std::thread`: the workspace `clippy.toml` bans the thread API
@@ -64,26 +58,14 @@
 //! let lens = simpar::map(2, &words, |_, w| w.len());
 //! assert_eq!(lens, vec![1, 2, 3]);
 //!
-//! // The configured entry points also report what the scheduler did.
+//! // `assume_parallelism` forces real workers even on a 1-core host.
 //! let cfg = simpar::PoolConfig::new(2).assume_parallelism(2);
-//! let (out, stats) = simpar::map_indexed_stats(&cfg, 8, |i| i + 1);
+//! let out = simpar::run(&cfg, 8, |i| i + 1);
 //! assert_eq!(out, (1..=8).collect::<Vec<_>>());
-//! assert_eq!(stats.items, 8);
 //! ```
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Chunks-per-worker target of the guided schedule: each claim takes
-/// `remaining / (CHUNK_DIVISOR * workers)` items (floored at the
-/// grain), giving every worker several shrinking chunks to self-balance
-/// across skewed job costs.
-const CHUNK_DIVISOR: usize = 2;
-
-/// Default grain denominator: the automatic minimum chunk size is
-/// `n / (workers * GRAIN_CHUNKS_PER_WORKER)`, i.e. the tail of the
-/// guided schedule leaves each worker up to ~8 small chunks.
-const GRAIN_CHUNKS_PER_WORKER: usize = 8;
 
 /// Worker threads to use by default: the machine's available parallelism
 /// (1 when it cannot be determined).
@@ -102,27 +84,14 @@ pub fn available_threads() -> usize {
     })
 }
 
-/// One contiguous index range of the chunk plan.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Chunk {
-    /// First index of the range.
-    pub start: usize,
-    /// Number of indices in the range (always ≥ 1 in a plan).
-    pub len: usize,
-}
-
-/// Scheduling configuration for the configured entry points
-/// ([`run`], [`map_indexed_stats`], [`map_stats`]).
+/// Scheduling configuration for [`run`].
 ///
 /// The convenience wrappers [`map_indexed`] and [`map`] use
-/// `PoolConfig::new(threads)` — automatic grain, host parallelism.
+/// `PoolConfig::new(threads)` — host parallelism.
 #[derive(Clone, Copy, Debug)]
 pub struct PoolConfig {
     /// Requested worker threads (0 is clamped to 1).
     pub threads: usize,
-    /// Minimum chunk size; `None` picks [`auto_grain`] from the item
-    /// and worker counts. `Some(0)` is treated as `Some(1)`.
-    pub grain: Option<usize>,
     /// Hardware-parallelism assumption; `None` reads the host's
     /// [`available_threads`]. Tests (and benchmarks of the scheduler
     /// itself) override this to force the spawning path on small hosts
@@ -131,19 +100,12 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A configuration with automatic grain and host parallelism.
+    /// A configuration with host parallelism.
     pub fn new(threads: usize) -> Self {
         PoolConfig {
             threads,
-            grain: None,
             assume_parallelism: None,
         }
-    }
-
-    /// Overrides the minimum chunk size.
-    pub fn grain(mut self, grain: usize) -> Self {
-        self.grain = Some(grain);
-        self
     }
 
     /// Overrides the hardware-parallelism assumption.
@@ -151,74 +113,6 @@ impl PoolConfig {
         self.assume_parallelism = Some(cores);
         self
     }
-}
-
-/// What the scheduler actually did for one dispatch — the pool's
-/// telemetry surface. Everything here is observability: no simulation
-/// result may ever depend on it (worker attribution is
-/// scheduler-dependent; the chunk *plan* and the merged output are
-/// not).
-#[derive(Clone, Debug, Default)]
-pub struct PoolStats {
-    /// Jobs dispatched.
-    pub items: usize,
-    /// Worker threads the caller asked for.
-    pub requested_threads: usize,
-    /// Workers actually spawned (0 on the inline path).
-    pub workers_spawned: usize,
-    /// Hardware parallelism the dispatch assumed.
-    pub assumed_parallelism: usize,
-    /// True when the jobs ran inline on the caller's thread.
-    pub inline: bool,
-    /// Minimum chunk size the plan was built with (items, ≥ 1; equals
-    /// `items.max(1)` on the inline path, where the plan is one chunk).
-    pub grain: usize,
-    /// The chunk plan: disjoint, contiguous, in index order (the
-    /// invariant tests pin that it partitions `0..items` exactly).
-    pub plan: Vec<Chunk>,
-    /// Chunks each spawned worker claimed (empty on the inline path).
-    pub per_worker_chunks: Vec<usize>,
-    /// Items each spawned worker executed (empty on the inline path;
-    /// sums to `items` otherwise).
-    pub per_worker_items: Vec<usize>,
-}
-
-impl PoolStats {
-    /// Total chunks claimed (the plan length on the spawning path, 1 on
-    /// the inline path for non-empty input, 0 for empty input).
-    pub fn chunks_claimed(&self) -> usize {
-        self.plan.len()
-    }
-}
-
-/// The automatic minimum chunk size for `n` items on `workers` workers:
-/// large enough that the guided tail does not degenerate into per-item
-/// claims on big inputs, small enough that every worker still sees
-/// several chunks (`n / (workers * 8)`, floored at 1).
-pub fn auto_grain(n: usize, workers: usize) -> usize {
-    (n / (workers.max(1) * GRAIN_CHUNKS_PER_WORKER)).max(1)
-}
-
-/// Builds the guided chunk plan for `n` items on `workers` workers with
-/// minimum chunk size `grain`: each successive chunk takes
-/// `remaining / (2 * workers)` items, floored at `grain`, capped at the
-/// remainder. The plan is a pure function of its arguments; the
-/// invariant tests pin that it partitions `0..n` exactly (no overlap,
-/// no gap) for adversarial shapes.
-pub fn plan_chunks(n: usize, workers: usize, grain: usize) -> Vec<Chunk> {
-    let workers = workers.max(1);
-    let grain = grain.max(1);
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let remaining = n - start;
-        let len = (remaining / (CHUNK_DIVISOR * workers))
-            .max(grain)
-            .min(remaining);
-        chunks.push(Chunk { start, len });
-        start += len;
-    }
-    chunks
 }
 
 /// Decides how many workers a dispatch spawns: the requested count,
@@ -236,9 +130,8 @@ fn effective_workers(cfg: &PoolConfig, n: usize) -> usize {
     )
 }
 
-/// Runs `f(0..n)` under `cfg` and returns the results in index order
-/// plus the scheduling stats. This is the configured core; everything
-/// else wraps it.
+/// Runs `f(0..n)` under `cfg` and returns the results in index order.
+/// This is the configured core; [`map_indexed`] and [`map`] wrap it.
 ///
 /// `f` must satisfy the crate-level determinism contract: the output is
 /// then byte-identical to `(0..n).map(f).collect()` for every
@@ -252,69 +145,34 @@ fn effective_workers(cfg: &PoolConfig, n: usize) -> usize {
     clippy::disallowed_methods,
     reason = "the pool is the one crate that spawns threads"
 )]
-pub fn run<R, F>(cfg: &PoolConfig, n: usize, f: F) -> (Vec<R>, PoolStats)
+pub fn run<R, F>(cfg: &PoolConfig, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let assumed = cfg
-        .assume_parallelism
-        .unwrap_or_else(available_threads)
-        .max(1);
     let workers = effective_workers(cfg, n);
     if workers <= 1 {
-        let results: Vec<R> = (0..n).map(f).collect();
-        let stats = PoolStats {
-            items: n,
-            requested_threads: cfg.threads.max(1),
-            workers_spawned: 0,
-            assumed_parallelism: assumed,
-            inline: true,
-            grain: n.max(1),
-            plan: if n == 0 {
-                Vec::new()
-            } else {
-                vec![Chunk { start: 0, len: n }]
-            },
-            per_worker_chunks: Vec::new(),
-            per_worker_items: Vec::new(),
-        };
-        telemetry::record(&stats);
-        return (results, stats);
+        telemetry::record(n, 0);
+        return (0..n).map(f).collect();
     }
 
-    let grain = cfg
-        .grain
-        .map(|g| g.max(1))
-        .unwrap_or_else(|| auto_grain(n, workers));
-    let plan = plan_chunks(n, workers, grain);
-    // One shared cursor hands out *chunks*; each worker owns a private
-    // run buffer, so the only cross-thread traffic is one fetch_add per
-    // chunk and the final join.
+    // One shared cursor hands out one index per claim; each worker owns
+    // a private buffer, so the only cross-thread traffic is one fetch_add
+    // per job and the final join. `Relaxed` suffices: the cursor
+    // publishes no data, and results reach the caller through the join.
     let cursor = AtomicUsize::new(0);
-    type Runs<R> = Vec<(usize, Vec<R>)>;
-    let worker_outputs: Vec<(Runs<R>, usize, usize)> = std::thread::scope(|scope| {
+    let buffers: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut runs: Runs<R> = Vec::new();
-                    let mut chunks_claimed = 0usize;
-                    let mut items_done = 0usize;
+                    let mut out = Vec::new();
                     loop {
-                        let c = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(chunk) = plan.get(c) else { break };
-                        // Per-worker scratch: the chunk's results are
-                        // appended to a run buffer this worker alone
-                        // owns, drained once into the merge below.
-                        let mut out = Vec::with_capacity(chunk.len);
-                        for i in chunk.start..chunk.start + chunk.len {
-                            out.push(f(i));
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break out;
                         }
-                        runs.push((chunk.start, out));
-                        chunks_claimed += 1;
-                        items_done += chunk.len;
+                        out.push((i, f(i)));
                     }
-                    (runs, chunks_claimed, items_done)
                 })
             })
             .collect();
@@ -327,45 +185,24 @@ where
             .collect()
     });
 
-    let mut per_worker_chunks = Vec::with_capacity(workers);
-    let mut per_worker_items = Vec::with_capacity(workers);
-    let mut runs: Runs<R> = Vec::with_capacity(plan.len());
-    for (worker_runs, chunks_claimed, items_done) in worker_outputs {
-        per_worker_chunks.push(chunks_claimed);
-        per_worker_items.push(items_done);
-        runs.extend(worker_runs);
-    }
-    // Index-ordered merge: runs are disjoint chunks of 0..n, so sorting
-    // by start index and concatenating reproduces the serial order.
-    runs.sort_by_key(|(start, _)| *start);
-    let mut results = Vec::with_capacity(n);
-    for (start, mut out) in runs {
-        debug_assert_eq!(start, results.len(), "chunk runs must be contiguous");
-        results.append(&mut out);
-    }
+    // Index-ordered merge: every index in 0..n was claimed exactly once
+    // (the cursor is monotone), so sorting by index reproduces the
+    // serial order whichever worker ran what.
+    let mut claimed: Vec<(usize, R)> = buffers.into_iter().flatten().collect();
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    let results: Vec<R> = claimed.into_iter().map(|(_, r)| r).collect();
     assert_eq!(
         results.len(),
         n,
-        "simpar: merged {} results for {n} jobs (chunk plan corrupted)",
+        "simpar: merged {} results for {n} jobs",
         results.len()
     );
-    let stats = PoolStats {
-        items: n,
-        requested_threads: cfg.threads.max(1),
-        workers_spawned: workers,
-        assumed_parallelism: assumed,
-        inline: false,
-        grain,
-        plan,
-        per_worker_chunks,
-        per_worker_items,
-    };
-    telemetry::record(&stats);
-    (results, stats)
+    telemetry::record(n, workers);
+    results
 }
 
 /// Runs `f(0..n)` across `threads` scoped workers and returns the
-/// results in index order (automatic grain, host parallelism).
+/// results in index order (host parallelism).
 ///
 /// With `threads <= 1`, a single job, or a single-hardware-thread host
 /// no worker is spawned and the jobs run inline in index order on the
@@ -375,16 +212,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    run(&PoolConfig::new(threads), n, f).0
-}
-
-/// [`map_indexed`] with explicit configuration and scheduling stats.
-pub fn map_indexed_stats<R, F>(cfg: &PoolConfig, n: usize, f: F) -> (Vec<R>, PoolStats)
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run(cfg, n, f)
+    run(&PoolConfig::new(threads), n, f)
 }
 
 /// Runs `f(i, &items[i])` for every item across `threads` scoped workers
@@ -401,28 +229,17 @@ where
     map_indexed(threads, items.len(), |i| f(i, &items[i]))
 }
 
-/// [`map`] with explicit configuration and scheduling stats.
-pub fn map_stats<T, R, F>(cfg: &PoolConfig, items: &[T], f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    run(cfg, items.len(), |i| f(i, &items[i]))
-}
-
 /// Process-wide cumulative dispatch counters.
 ///
 /// A scenario like `fig16` performs dozens of nested pool dispatches
 /// behind several layers of harness; threading a stats value through
 /// all of them would put scheduling bookkeeping in every simulation
 /// signature. Instead the pool bumps these relaxed atomics on every
-/// dispatch and the `bench` verb brackets each measured scenario with
-/// [`reset`](telemetry::reset)/[`snapshot`](telemetry::snapshot) to
-/// annotate its `BENCH_sweep.json` record. Observability only — no
-/// simulation result may depend on these values.
+/// dispatch and a timing harness brackets each measured scenario with
+/// [`reset`](telemetry::reset)/[`snapshot`](telemetry::snapshot).
+/// Observability only — no simulation result may depend on these values.
 pub mod telemetry {
-    use super::{AtomicU64, Ordering, PoolStats};
+    use super::{AtomicU64, Ordering};
 
     static DISPATCHES: AtomicU64 = AtomicU64::new(0);
     static INLINE_RUNS: AtomicU64 = AtomicU64::new(0);
@@ -440,7 +257,7 @@ pub mod telemetry {
         pub inline_runs: u64,
         /// Dispatches that spawned workers.
         pub spawned_runs: u64,
-        /// Chunks claimed across spawned dispatches.
+        /// Claims across spawned dispatches: one per item.
         pub chunks: u64,
         /// Workers spawned, summed across dispatches.
         pub workers: u64,
@@ -448,15 +265,17 @@ pub mod telemetry {
         pub items: u64,
     }
 
-    pub(super) fn record(stats: &PoolStats) {
+    /// Records one dispatch of `items` jobs; `workers == 0` is the
+    /// inline path.
+    pub(super) fn record(items: usize, workers: usize) {
         DISPATCHES.fetch_add(1, Ordering::Relaxed);
-        ITEMS.fetch_add(stats.items as u64, Ordering::Relaxed);
-        if stats.inline {
+        ITEMS.fetch_add(items as u64, Ordering::Relaxed);
+        if workers == 0 {
             INLINE_RUNS.fetch_add(1, Ordering::Relaxed);
         } else {
             SPAWNED_RUNS.fetch_add(1, Ordering::Relaxed);
-            CHUNKS.fetch_add(stats.plan.len() as u64, Ordering::Relaxed);
-            WORKERS.fetch_add(stats.workers_spawned as u64, Ordering::Relaxed);
+            CHUNKS.fetch_add(items as u64, Ordering::Relaxed);
+            WORKERS.fetch_add(workers as u64, Ordering::Relaxed);
         }
     }
 
@@ -497,18 +316,22 @@ mod tests {
         PoolConfig::new(threads).assume_parallelism(threads.max(2))
     }
 
+    /// Runs `n` jobs under `cfg`, each reporting the thread it ran on.
+    fn thread_ids(cfg: &PoolConfig, n: usize) -> Vec<std::thread::ThreadId> {
+        run(cfg, n, |_| std::thread::current().id())
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
         // Jobs of wildly uneven cost: later indices finish first under
         // any scheduler, yet the merge is by index.
-        let (out, stats) = run(&forced(8), 64, |i| {
+        let out = run(&forced(8), 64, |i| {
             let mut acc = 0u64;
             for k in 0..((64 - i) * 1000) as u64 {
                 acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
             }
             (i, acc)
         });
-        assert!(!stats.inline);
         for (i, pair) in out.iter().enumerate() {
             assert_eq!(pair.0, i);
         }
@@ -519,8 +342,8 @@ mod tests {
         let serial: Vec<u64> = (0..33).map(|i| (i as u64) * 17 + 3).collect();
         for threads in [1, 2, 3, 8, 64] {
             let par = map_indexed(threads, 33, |i| (i as u64) * 17 + 3);
-            assert_eq!(par, serial, "threads={threads} (heuristic)");
-            let (par, _) = run(&forced(threads), 33, |i| (i as u64) * 17 + 3);
+            assert_eq!(par, serial, "threads={threads} (host parallelism)");
+            let par = run(&forced(threads), 33, |i| (i as u64) * 17 + 3);
             assert_eq!(par, serial, "threads={threads} (forced spawn)");
         }
     }
@@ -542,19 +365,26 @@ mod tests {
 
     #[test]
     fn single_job_runs_inline() {
-        let (out, stats) = run(&forced(8), 1, |i| i + 41);
-        assert_eq!(out, vec![41]);
-        assert!(stats.inline);
-        assert_eq!(stats.workers_spawned, 0);
+        assert_eq!(run(&forced(8), 1, |i| i + 41), vec![41]);
+        let caller = std::thread::current().id();
+        assert_eq!(thread_ids(&forced(8), 1), vec![caller]);
+        assert!(thread_ids(&forced(8), 0).is_empty());
     }
 
     #[test]
     fn single_core_host_runs_inline_at_any_thread_count() {
-        let cfg = PoolConfig::new(8).assume_parallelism(1);
-        let (out, stats) = run(&cfg, 100, |i| i);
-        assert_eq!(out, (0..100).collect::<Vec<_>>());
-        assert!(stats.inline, "1-core host must not spawn");
-        assert_eq!(stats.workers_spawned, 0);
+        let caller = std::thread::current().id();
+        for cfg in [
+            PoolConfig::new(8).assume_parallelism(1),
+            PoolConfig::new(1).assume_parallelism(8),
+        ] {
+            assert_eq!(run(&cfg, 100, |i| i), (0..100).collect::<Vec<_>>());
+            let ids = thread_ids(&cfg, 100);
+            assert!(
+                ids.iter().all(|&id| id == caller),
+                "{cfg:?}: a job ran off the calling thread"
+            );
+        }
     }
 
     #[test]
@@ -568,56 +398,27 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_guided_and_exact() {
-        let plan = plan_chunks(1000, 4, 1);
-        // Geometrically shrinking: first chunk is the biggest.
-        assert_eq!(plan[0].start, 0);
-        assert_eq!(plan[0].len, 125);
-        assert!(plan.windows(2).all(|w| w[0].len >= w[1].len));
-        // Exact partition.
-        let mut next = 0usize;
-        for c in &plan {
-            assert_eq!(c.start, next);
-            assert!(c.len >= 1);
-            next += c.len;
-        }
-        assert_eq!(next, 1000);
-    }
-
-    #[test]
-    fn grain_floors_the_plan() {
-        for c in plan_chunks(1000, 4, 100) {
-            assert!(c.len >= 100 || c.start + c.len == 1000);
-        }
-        // grain >= n collapses the plan to one chunk.
-        assert_eq!(plan_chunks(10, 4, 10), vec![Chunk { start: 0, len: 10 }]);
-        assert_eq!(plan_chunks(10, 4, 11), vec![Chunk { start: 0, len: 10 }]);
-        // grain 0 behaves as 1, and an empty input has an empty plan.
-        assert_eq!(plan_chunks(10, 2, 0).len(), plan_chunks(10, 2, 1).len());
-        assert!(plan_chunks(0, 4, 1).is_empty());
-    }
-
-    #[test]
-    fn auto_grain_scales_with_items_per_worker() {
-        assert_eq!(auto_grain(0, 4), 1);
-        assert_eq!(auto_grain(10, 4), 1);
-        assert_eq!(auto_grain(1000, 4), 31);
-        assert_eq!(auto_grain(1000, 0), 125);
-    }
-
-    #[test]
-    fn stats_reflect_the_dispatch() {
-        let cfg = forced(4).grain(1);
-        let (_, stats) = run(&cfg, 64, |i| i);
-        assert_eq!(stats.items, 64);
-        assert_eq!(stats.requested_threads, 4);
-        assert_eq!(stats.workers_spawned, 4);
-        assert!(!stats.inline);
-        assert_eq!(stats.per_worker_items.iter().sum::<usize>(), 64);
-        assert_eq!(
-            stats.per_worker_chunks.iter().sum::<usize>(),
-            stats.plan.len()
-        );
+    fn a_stuck_job_holds_no_other_job_hostage() {
+        // Job 0 waits for jobs 1–7 to finish. With one claim per job the
+        // second worker runs all of them while the first is stuck; a
+        // plan that put job 1 behind job 0 on one worker would starve it.
+        // The bound is on yields, not on time, so the test cannot hang.
+        const SPINS: usize = 10_000_000;
+        let done = AtomicUsize::new(0);
+        let saw_all = run(&forced(2), 8, |i| {
+            if i > 0 {
+                done.fetch_add(1, Ordering::SeqCst);
+                return true;
+            }
+            for _ in 0..SPINS {
+                if done.load(Ordering::SeqCst) == 7 {
+                    return true;
+                }
+                std::thread::yield_now();
+            }
+            false
+        });
+        assert!(saw_all[0], "job 0 never saw jobs 1–7 finish");
     }
 
     // The telemetry counters are process-global, so their exact-count
@@ -632,7 +433,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn worker_panic_propagates() {
-        let _ = run(&forced(4).grain(1), 8, |i| {
+        let _ = run(&forced(4), 8, |i| {
             if i == 3 {
                 panic!("job 3 panicked");
             }

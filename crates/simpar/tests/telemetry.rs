@@ -9,11 +9,10 @@ use simpar::{telemetry, PoolConfig};
 #[test]
 fn telemetry_accumulates_and_resets() {
     telemetry::reset();
-    // One forced-spawn dispatch (2 workers, per-item chunks)…
-    let cfg = PoolConfig::new(2).assume_parallelism(2).grain(1);
-    let (out, stats) = simpar::map_indexed_stats(&cfg, 16, |i| i);
+    // One forced-spawn dispatch (2 workers, one claim per item)…
+    let cfg = PoolConfig::new(2).assume_parallelism(2);
+    let out = simpar::run(&cfg, 16, |i| i);
     assert_eq!(out.len(), 16);
-    assert!(!stats.inline);
     // …and one inline dispatch.
     let _ = simpar::map_indexed(1, 5, |i| i);
 
@@ -22,7 +21,7 @@ fn telemetry_accumulates_and_resets() {
     assert_eq!(t.spawned_runs, 1);
     assert_eq!(t.inline_runs, 1);
     assert_eq!(t.items, 21);
-    assert_eq!(t.chunks, stats.plan.len() as u64);
+    assert_eq!(t.chunks, 16);
     assert_eq!(t.workers, 2);
 
     telemetry::reset();

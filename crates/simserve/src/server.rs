@@ -318,14 +318,13 @@ impl<B> std::fmt::Debug for FleetSpec<'_, B> {
 /// pool and merges the outcomes in index order: byte-identical results
 /// at any thread count. Sessions are single-threaded and share nothing;
 /// parallelism is across sessions, never within one. A session is the
-/// heaviest unit the pool ever schedules, so the fleet pins grain 1 —
-/// every chunk is one session, claimed as workers free up.
+/// heaviest unit the pool ever schedules; each is one claim, taken as
+/// workers free up.
 pub fn run_fleet<B>(threads: usize, specs: &[FleetSpec<'_, B>]) -> Vec<FleetOutcome>
 where
     B: Fn() -> Result<Session, ServeError> + Sync,
 {
-    let cfg = simcore::par::PoolConfig::new(threads).grain(1);
-    simcore::par::map_stats(&cfg, specs, |_, spec| run_spec(spec)).0
+    simcore::par::map(threads, specs, |_, spec| run_spec(spec))
 }
 
 fn run_spec<B>(spec: &FleetSpec<'_, B>) -> FleetOutcome

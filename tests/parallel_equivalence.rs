@@ -60,11 +60,18 @@ fn golden_traces_replay_identically_with_pool_linked() {
         .iter()
         .map(|s| tracerec::record(s, 42).unwrap())
         .collect();
-    let cfg = simpar::PoolConfig::new(2).assume_parallelism(2).grain(1);
-    let (pooled, stats) = simpar::map_stats(&cfg, &tracerec::SCENARIOS, |_, s| {
-        tracerec::record(s, 42).unwrap()
-    });
-    assert!(!stats.inline, "pool ran inline; no worker recorded");
+    let caller = std::thread::current().id();
+    let cfg = simpar::PoolConfig::new(2).assume_parallelism(2);
+    let (pooled, ran_on): (Vec<_>, Vec<_>) = simpar::run(&cfg, tracerec::SCENARIOS.len(), |i| {
+        let trace = tracerec::record(tracerec::SCENARIOS[i], 42).unwrap();
+        (trace, std::thread::current().id())
+    })
+    .into_iter()
+    .unzip();
+    assert!(
+        ran_on.iter().any(|&id| id != caller),
+        "pool ran inline; no worker recorded"
+    );
     for ((scenario, a), b) in tracerec::SCENARIOS.iter().zip(&serial).zip(&pooled) {
         assert!(!a.is_empty(), "{scenario}: empty trace");
         assert_eq!(a, b, "{scenario}: recording on a pool worker diverged");

@@ -1,66 +1,27 @@
-//! Scheduler torture: the chunked self-scheduling pool must be
-//! invisible in the output under adversarial shapes.
+//! Scheduler torture: the self-scheduling pool must be invisible in
+//! the output under adversarial shapes.
 //!
 //! Every case runs serially first, then at thread counts {1, 2, 3, 4, 8}
 //! with spawning forced via `assume_parallelism` (a single-core CI host
 //! would otherwise — correctly — take the inline path and the claiming
 //! machinery would never execute). Shapes covered: empty input, a
 //! single item, item counts straddling the worker count (threads ± 1),
-//! grain pinned to {1, len, len+1}, and a heavy/light skewed-cost
-//! workload where one in seven jobs costs ~100× the rest. The harness
-//! trial fan-out rides the same gauntlet end to end.
-//!
-//! Each run's PoolStats is appended to `target/scheduler_stress/` so a
-//! failing CI job can upload the scheduling decisions next to the
-//! assertion message.
-
-use std::fmt::Write as _;
+//! and a heavy/light skewed-cost workload where one in seven jobs costs
+//! ~100× the rest. The harness trial fan-out rides the same gauntlet end
+//! to end.
 
 use experiments::harness::{run_trials, Trials};
 use machine::workload::ScriptedWorkload;
 use machine::{Machine, MachineConfig};
 use simcore::{SimDuration, SimRng};
-use simpar::{PoolConfig, PoolStats};
+use simpar::PoolConfig;
 
 /// Thread counts the torture grid runs at.
 const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
 
-/// Accumulates one line per dispatch; flushed to the dump file at the
-/// end of each test so a red CI job can archive the decisions.
-struct StatsDump {
-    name: &'static str,
-    lines: String,
-}
-
-impl StatsDump {
-    fn new(name: &'static str) -> Self {
-        StatsDump {
-            name,
-            lines: String::new(),
-        }
-    }
-
-    fn push(&mut self, case: &str, stats: &PoolStats) {
-        let _ = writeln!(
-            self.lines,
-            "{}: items={} threads={} workers={} inline={} grain={} chunks={} per_worker_items={:?}",
-            case,
-            stats.items,
-            stats.requested_threads,
-            stats.workers_spawned,
-            stats.inline,
-            stats.grain,
-            stats.chunks_claimed(),
-            stats.per_worker_items,
-        );
-    }
-
-    fn flush(&self) {
-        let dir = std::path::Path::new("target/scheduler_stress");
-        if std::fs::create_dir_all(dir).is_ok() {
-            let _ = std::fs::write(dir.join(format!("{}.txt", self.name)), &self.lines);
-        }
-    }
+/// A config that spawns `threads` workers even on a single-core host.
+fn forced(threads: usize) -> PoolConfig {
+    PoolConfig::new(threads).assume_parallelism(threads.max(2))
 }
 
 /// A deterministic job with skewed cost: every seventh job grinds a
@@ -84,59 +45,49 @@ fn adversarial_ns(threads: usize) -> Vec<usize> {
     ns
 }
 
-/// `map_indexed` under the full grid: every (threads, n, grain) cell is
-/// byte-identical to the serial reference.
+/// `map_indexed` under the full grid: every (threads, n) cell is
+/// byte-identical to the serial reference, with spawning forced and at
+/// the host's own parallelism.
 #[test]
 fn map_indexed_identical_under_adversarial_shapes() {
-    let mut dump = StatsDump::new("map_indexed");
     for threads in THREADS {
         for n in adversarial_ns(threads) {
             let serial: Vec<u64> = (0..n).map(skewed_job).collect();
-            for grain in [1, n.max(1), n + 1] {
-                let cfg = PoolConfig::new(threads)
-                    .grain(grain)
-                    .assume_parallelism(threads.max(2));
-                let (par, stats) = simpar::map_indexed_stats(&cfg, n, skewed_job);
-                dump.push(&format!("threads={threads} n={n} grain={grain}"), &stats);
-                assert_eq!(
-                    serial, par,
-                    "map_indexed diverges at threads={threads} n={n} grain={grain}"
-                );
-            }
+            let forced_par = simpar::run(&forced(threads), n, skewed_job);
+            assert_eq!(
+                serial, forced_par,
+                "forced spawn diverges at threads={threads} n={n}"
+            );
+            let host_par = simpar::map_indexed(threads, n, skewed_job);
+            assert_eq!(
+                serial, host_par,
+                "map_indexed diverges at threads={threads} n={n}"
+            );
         }
     }
-    dump.flush();
 }
 
 /// `map` over a slice (the item-borrowing wrapper) under the same grid,
 /// with the skewed-cost job keyed off the item value rather than the
-/// index so the borrow path is exercised too.
+/// index so the borrow path is exercised too. `map` reads the host's
+/// parallelism, so the same borrowing job also runs with spawning
+/// forced.
 #[test]
 fn map_identical_under_adversarial_shapes() {
-    let mut dump = StatsDump::new("map");
     for threads in THREADS {
         for n in adversarial_ns(threads) {
             let items: Vec<u64> = (0..n as u64).map(|v| v * 13 + 5).collect();
-            let serial: Vec<u64> = items
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| skewed_job(i).wrapping_add(v))
-                .collect();
-            for grain in [1, n.max(1), n + 1] {
-                let cfg = PoolConfig::new(threads)
-                    .grain(grain)
-                    .assume_parallelism(threads.max(2));
-                let (par, stats) =
-                    simpar::map_stats(&cfg, &items, |i, &v| skewed_job(i).wrapping_add(v));
-                dump.push(&format!("threads={threads} n={n} grain={grain}"), &stats);
-                assert_eq!(
-                    serial, par,
-                    "map diverges at threads={threads} n={n} grain={grain}"
-                );
-            }
+            let job = |i: usize, &v: &u64| skewed_job(i).wrapping_add(v);
+            let serial: Vec<u64> = items.iter().enumerate().map(|(i, v)| job(i, v)).collect();
+            let forced_par = simpar::run(&forced(threads), n, |i| job(i, &items[i]));
+            assert_eq!(
+                serial, forced_par,
+                "forced spawn diverges at threads={threads} n={n}"
+            );
+            let host_par = simpar::map(threads, &items, job);
+            assert_eq!(serial, host_par, "map diverges at threads={threads} n={n}");
         }
     }
-    dump.flush();
 }
 
 /// The harness trial fan-out — real machines, real RNG forks — is
