@@ -5,11 +5,24 @@
 //! which they were pushed, so a run is a pure function of its inputs and
 //! seed — a property every experiment in this workspace relies on when it
 //! reports "mean of five trials" over seeded repetitions.
+//!
+//! Cancellation is lazy. A cancelled event stays in the heap and its
+//! sequence number goes on a short sorted tombstone list; `pop` and
+//! `peek_time` discard a tombstoned top as they meet it. The machine
+//! cancels far more than it fires — every RPC arms a timeout and cancels
+//! it on completion, and every relink and dim reset cancels too, tens of
+//! thousands of cancels per goal-directed run against a handful of live
+//! events — so once tombstones outnumber live events by
+//! `COMPACT_SLACK`, one `retain` sweeps them all out, keeping the heap
+//! within `2·live + COMPACT_SLACK` entries.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
+
+/// Tombstones allowed beyond the live count before the heap is compacted.
+const COMPACT_SLACK: usize = 16;
 
 /// A handle that identifies a scheduled event so it can be cancelled.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -31,7 +44,6 @@ impl EventId {
 struct Entry<E> {
     at: SimTime,
     seq: u64,
-    cancelled: bool,
     event: E,
 }
 
@@ -72,14 +84,16 @@ impl<E> Ord for Entry<E> {
 /// ```
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
+    /// Sequence numbers of cancelled entries still in `heap`, ascending.
+    tombstones: Vec<u64>,
     next_seq: u64,
-    live: usize,
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("len", &self.heap.len())
+            .field("len", &self.len())
+            .field("tombstones", &self.tombstones.len())
             .finish_non_exhaustive()
     }
 }
@@ -95,8 +109,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            tombstones: Vec::new(),
             next_seq: 0,
-            live: 0,
         }
     }
 
@@ -104,13 +118,7 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry {
-            at,
-            seq,
-            cancelled: false,
-            event,
-        });
-        self.live += 1;
+        self.heap.push(Entry { at, seq, event });
         EventId(seq)
     }
 
@@ -119,62 +127,61 @@ impl<E> EventQueue<E> {
     /// Events scheduled for the same instant pop in push order. Cancelled
     /// events are skipped.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(entry) = self.heap.pop() {
-            if !entry.cancelled {
-                self.live -= 1;
-                return Some((entry.at, entry.event));
-            }
+        if !self.tombstones.is_empty() {
+            self.discard_cancelled_top();
         }
-        None
+        self.heap.pop().map(|e| (e.at, e.event))
     }
 
     /// The instant of the earliest pending event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if entry.cancelled {
-                self.heap.pop();
-            } else {
-                return Some(entry.at);
-            }
+        if !self.tombstones.is_empty() {
+            self.discard_cancelled_top();
         }
-        None
+        self.heap.peek().map(|e| e.at)
+    }
+
+    /// Pops tombstoned entries off the top until a live one (or nothing)
+    /// is left there.
+    fn discard_cancelled_top(&mut self) {
+        while let Some(top) = self.heap.peek() {
+            let Ok(i) = self.tombstones.binary_search(&top.seq) else {
+                return;
+            };
+            self.tombstones.remove(i);
+            self.heap.pop();
+        }
     }
 
     /// Cancels a previously-scheduled event.
     ///
     /// Returns `true` if the event was pending and is now cancelled, `false`
-    /// if it had already fired or been cancelled. Cancellation is O(n) in
-    /// the number of pending events; callers cancel rarely (device timeout
-    /// resets), so this is acceptable and keeps pops O(log n).
+    /// if it had already fired or been cancelled. The check is a read-only
+    /// scan of the heap, which compaction keeps O(live); the entry itself
+    /// leaves the heap when it reaches the top or at the next compaction.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let mut found = false;
-        // `BinaryHeap` offers no in-place mutation; rebuild via drain. The
-        // queue stays small (tens of entries) in every workload we run.
-        let entries: Vec<Entry<E>> = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .map(|mut e| {
-                if e.seq == id.0 && !e.cancelled {
-                    e.cancelled = true;
-                    found = true;
-                }
-                e
-            })
-            .collect();
-        if found {
-            self.live -= 1;
+        let Err(slot) = self.tombstones.binary_search(&id.0) else {
+            return false;
+        };
+        if !self.heap.iter().any(|e| e.seq == id.0) {
+            return false;
         }
-        found
+        self.tombstones.insert(slot, id.0);
+        if self.tombstones.len() > self.len() + COMPACT_SLACK {
+            let dead = std::mem::take(&mut self.tombstones);
+            self.heap.retain(|e| dead.binary_search(&e.seq).is_err());
+        }
+        true
     }
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len() - self.tombstones.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
     }
 
     /// Pending (non-cancelled) entries as `(at, seq, event)`, sorted by
@@ -184,7 +191,7 @@ impl<E> EventQueue<E> {
         let mut out: Vec<(SimTime, u64, &E)> = self
             .heap
             .iter()
-            .filter(|e| !e.cancelled)
+            .filter(|e| self.tombstones.binary_search(&e.seq).is_err())
             .map(|e| (e.at, e.seq, &e.event))
             .collect();
         out.sort_by_key(|&(at, seq, _)| (at, seq));
@@ -218,18 +225,12 @@ impl<E> EventQueue<E> {
                     "duplicate event seq",
                 ));
             }
-            heap.push(Entry {
-                at,
-                seq,
-                cancelled: false,
-                event,
-            });
+            heap.push(Entry { at, seq, event });
         }
-        let live = heap.len();
         Ok(EventQueue {
             heap,
+            tombstones: Vec::new(),
             next_seq,
-            live,
         })
     }
 }
@@ -287,6 +288,57 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.peek_time(), None);
+    }
+
+    #[test]
+    fn debug_reports_live_and_tombstone_counts() {
+        let mut q = EventQueue::new();
+        let id = q.push(SimTime::from_secs(2), 'a');
+        q.push(SimTime::from_secs(3), 'b');
+        q.cancel(id);
+        assert_eq!(format!("{q:?}"), "EventQueue { len: 1, tombstones: 1, .. }");
+    }
+
+    /// Endless arm-and-cancel churn around a fixed live set — the
+    /// machine's RPC-timeout pattern — keeps the heap O(live), and a
+    /// snapshot taken mid-churn restores to the same future.
+    #[test]
+    fn cancel_churn_keeps_the_heap_bounded() {
+        const LIVE: usize = 8;
+        let mut q = EventQueue::new();
+        for i in 0..LIVE as u64 {
+            q.push(SimTime::from_secs(1_000_000 + i), i);
+        }
+        let mut snapshot = None;
+        for i in 0..100_000u64 {
+            // Timers land in the past and the future of the live set, so
+            // tombstones reach the top as well as sink below it.
+            let at = SimTime::from_secs((i * 7_919) % 2_000_000);
+            let id = q.push(at, LIVE as u64 + i);
+            assert!(q.cancel(id));
+            assert_eq!(q.len(), LIVE);
+            if i % 3 == 0 {
+                assert_eq!(q.peek_time(), Some(SimTime::from_secs(1_000_000)));
+            }
+            assert!(
+                q.heap.len() <= 2 * LIVE + COMPACT_SLACK,
+                "heap holds {} entries for {LIVE} live at cycle {i}",
+                q.heap.len()
+            );
+            if i == 50_000 {
+                let entries: Vec<(SimTime, u64, u64)> = q
+                    .export_entries()
+                    .into_iter()
+                    .map(|(at, seq, &e)| (at, seq, e))
+                    .collect();
+                snapshot = Some(EventQueue::restore(q.next_seq(), entries).expect("restore"));
+            }
+        }
+        let mut restored = snapshot.expect("snapshot taken mid-churn");
+        let drain = |q: &mut EventQueue<u64>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        let want = drain(&mut q);
+        assert_eq!(want.len(), LIVE);
+        assert_eq!(drain(&mut restored), want);
     }
 
     #[test]

@@ -46,11 +46,12 @@ echo "$sup_a" | head -4
 echo "== simserve: kill/resume smoke (1x replay, mid-run checkpoint) =="
 cargo run --release -q -p experiments -- serve
 
-echo "== simserve: batched ingest and failover against the golden reference =="
-# Each run exits 0 only with `correct: true`: 64-sample batches (and, for
-# failover, freeze after every batch plus seeded kill/thaw) must give the
-# reference digest, journal and golden trace.
-for workload in serve failover; do
+echo "== perfbench: figures, batched ingest and failover against their references =="
+# Each run exits 0 only with `correct: true`: `figures` must reproduce
+# all 20 `results/*.txt` at every hardware thread, and 64-sample batches
+# (and, for failover, freeze after every batch plus seeded kill/thaw)
+# must give the reference digest, journal and golden trace.
+for workload in figures serve failover; do
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -1
 done

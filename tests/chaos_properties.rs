@@ -4,6 +4,8 @@
 //! upgrade faster than the paper's rate limit, must not beat network
 //! physics, and must replay bit-identically from the same seed.
 
+use energy_adaptation::experiments::chaos::{CHAOS_ENERGY_J, GOAL_S};
+use energy_adaptation::experiments::goalrig::{build_composite_goal, composite_horizon};
 use energy_adaptation::hw560x::{DisplayState, EnergySource};
 use energy_adaptation::machine::workload::ScriptedWorkload;
 use energy_adaptation::machine::{
@@ -17,7 +19,9 @@ use energy_adaptation::odyssey::{
 use energy_adaptation::powerscope::MeterFaultPlan;
 use energy_adaptation::simcore::fault::FaultPlan;
 use energy_adaptation::simcore::Joules;
-use energy_adaptation::simcore::{SimDuration, SimTime};
+use energy_adaptation::simcore::{
+    SimDuration, SimRng, SimTime, SnapshotHasher, SnapshotReader, SnapshotWriter,
+};
 
 /// A three-level adaptive workload: CPU duty cycle plus a periodic
 /// control RPC, so fault sweeps exercise both the CPU and network paths.
@@ -274,5 +278,70 @@ fn faulted_runs_replay_bit_identically() {
         assert_eq!(a.report.rpc_retries, b.report.rpc_retries);
         assert_eq!(a.report.bytes_carried, b.report.bytes_carried);
         assert_eq!(a.outcome, b.outcome);
+    }
+}
+
+/// The chaos sweep's hardened cell at intensity 1.0 (seed 42, trial 0),
+/// built as `experiments::chaos::run_sweep` builds it, with the
+/// controller attached and not yet run. RPCs under the 12 s timeout
+/// complete and cancel their timers throughout, so the event queue
+/// carries cancelled entries at every instant.
+fn hardened_chaos_rig() -> Machine {
+    let root = SimRng::new(42);
+    let label = "chaos/1.00";
+    let mut rng = root.fork_indexed(label, 0);
+    let fault_seed = root.fork_indexed(label, 0).fork("faults").seed();
+    let goal = SimDuration::from_secs(GOAL_S);
+    let mut faults = FaultConfig::hostile(fault_seed, 1.0, composite_horizon(goal));
+    faults.rpc = Some(RpcPolicy {
+        timeout: SimDuration::from_secs(12),
+        ..RpcPolicy::standard()
+    });
+    let cfg = GoalConfig::paper(CHAOS_ENERGY_J, goal)
+        .with_meter_faults(MeterFaultPlan::degraded(fault_seed, 1.0))
+        .with_hardening(Hardening::standard());
+    let rig = build_composite_goal(&cfg, false, faults, &mut rng);
+    let mut m = rig.machine;
+    let (_handle, hook) = GoalController::new(cfg.clone(), rig.priorities);
+    m.add_hook(cfg.sample_period, hook);
+    m
+}
+
+/// Snapshots of a cancel-heavy run are pinned byte for byte: the
+/// payload hashes at three fixed instants are constants, so how the
+/// event queue forgets a cancelled event can never leak into the
+/// snapshot format. Each payload also thaws into a rebuilt rig with the
+/// same state digest.
+#[test]
+fn cancel_heavy_snapshots_are_byte_stable() {
+    const PINS: [(u64, u64); 3] = [
+        (300, 0xf8ec40ea8e5b8a3a),
+        (750, 0x2f7f1354654e49c6),
+        (1200, 0x6a1e65ecd2f0e509),
+    ];
+    let mut m = hardened_chaos_rig();
+    for (secs, want) in PINS {
+        let _ = m.run_until(SimTime::from_secs(secs));
+        let mut w = SnapshotWriter::new();
+        m.freeze(&mut w).expect("freeze");
+        let bytes = w.seal();
+        let mut h = SnapshotHasher::new();
+        h.write_bytes(&bytes);
+        assert_eq!(
+            h.finish(),
+            want,
+            "payload hash at {secs} s: {:#018x}",
+            h.finish()
+        );
+
+        let mut thawed = hardened_chaos_rig();
+        let mut r = SnapshotReader::open(&bytes).expect("open");
+        thawed.thaw(&mut r).expect("thaw");
+        r.finish().expect("payload fully consumed");
+        assert_eq!(
+            thawed.state_digest(),
+            m.state_digest(),
+            "thawed digest at {secs} s"
+        );
     }
 }

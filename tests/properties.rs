@@ -279,6 +279,80 @@ fn event_queue_total_order() {
     });
 }
 
+/// The queue against a naive reference — a `Vec` kept sorted by
+/// `(at, seq)` — under random interleavings of push, pop, peek and
+/// cancel, including cancels of events that already fired and second
+/// cancels of the same event. Every pop, peek, cancel verdict and length
+/// must match the reference step for step.
+#[test]
+fn event_queue_matches_sorted_vec_model() {
+    #[derive(Clone, Copy)]
+    enum Fate {
+        Pending,
+        Fired,
+        Cancelled,
+    }
+    let (mut stale_cancels, mut repeat_cancels) = (0usize, 0usize);
+    cases("queue-model", 128, |rng| {
+        let mut q = EventQueue::new();
+        let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
+        let mut ids = Vec::new();
+        let mut fates = Vec::new();
+        for step in 0..400 {
+            match rng.uniform_u64(0, 19) {
+                0..=7 => {
+                    let at = SimTime::from_micros(rng.uniform_u64(0, 499));
+                    let payload = rng.uniform_u64(0, u64::MAX - 1);
+                    let id = q.push(at, payload);
+                    assert_eq!(id.raw(), ids.len() as u64, "step {step}: fresh seq");
+                    let key = (at, id.raw());
+                    let slot = model.partition_point(|&(a, s, _)| (a, s) < key);
+                    model.insert(slot, (at, id.raw(), payload));
+                    ids.push(id);
+                    fates.push(Fate::Pending);
+                }
+                8..=14 if !ids.is_empty() => {
+                    let k = rng.uniform_u64(0, ids.len() as u64 - 1) as usize;
+                    let want = match model.iter().position(|&(_, s, _)| s == k as u64) {
+                        Some(i) => {
+                            model.remove(i);
+                            true
+                        }
+                        None => false,
+                    };
+                    match fates[k] {
+                        Fate::Fired => stale_cancels += 1,
+                        Fate::Cancelled => repeat_cancels += 1,
+                        Fate::Pending => fates[k] = Fate::Cancelled,
+                    }
+                    assert_eq!(q.cancel(ids[k]), want, "step {step}: cancel verdict");
+                }
+                15..=17 => {
+                    let want = (!model.is_empty()).then(|| model.remove(0));
+                    if let Some((_, seq, _)) = want {
+                        fates[seq as usize] = Fate::Fired;
+                    }
+                    assert_eq!(
+                        q.pop(),
+                        want.map(|(at, _, payload)| (at, payload)),
+                        "step {step}: pop"
+                    );
+                }
+                _ => {
+                    let want = model.first().map(|&(at, _, _)| at);
+                    assert_eq!(q.peek_time(), want, "step {step}: peek");
+                }
+            }
+            assert_eq!(q.len(), model.len(), "step {step}: len");
+            assert_eq!(q.is_empty(), model.is_empty(), "step {step}: is_empty");
+        }
+    });
+    assert!(
+        stale_cancels > 0 && repeat_cancels > 0,
+        "model test never cancelled a fired ({stale_cancels}) or cancelled ({repeat_cancels}) event"
+    );
+}
+
 /// Step-function semantics: the resampled value at any grid point equals
 /// `value_at` of that instant.
 #[test]
