@@ -3,9 +3,8 @@
     clippy::disallowed_types,
     reason = "this crate is the workspace's one sanctioned wall-clock source"
 )]
-//! Benchmark support: [`Stopwatch`], the workspace's single sanctioned
-//! wall-clock source, and the thread-scaling [`sweep`] behind the
-//! `bench` CLI verb.
+//! Timing support: the sanctioned [`Stopwatch`], the workspace's single
+//! wall-clock source, and the [`sweep::median`] perfbench uses.
 //!
 //! Everything inside the simulation reads time from `simcore::SimTime`.
 //! The workspace `clippy.toml` bans `std::time::Instant` everywhere
@@ -15,12 +14,11 @@
 //! `#[expect(clippy::disallowed_methods, reason = "…")]`. Inside the
 //! workspace only `experiments` may depend on this crate; the crate-graph
 //! test pins that, so no simulation crate can reach the wall clock
-//! through a helper. The sweep module also parses committed
-//! `bench_sweep/v1` baselines back in and compares speedups, powering
-//! the `bench --check` regression gate.
+//! through a helper. perfbench, the repo benchmark, sits outside the
+//! workspace and is the only code that times figures.
 
 /// The workspace's single sanctioned wall-clock escape hatch: measures
-/// real elapsed time for the bench sweep and CLI progress lines.
+/// real elapsed time for perfbench and the CLI progress lines.
 /// Simulation code must never touch it — simulated time is `SimTime`.
 #[derive(Clone, Copy, Debug)]
 pub struct Stopwatch {

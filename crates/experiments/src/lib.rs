@@ -35,7 +35,6 @@
 
 pub mod ablate;
 pub mod barchart;
-pub mod benchcli;
 pub mod chaos;
 pub mod energymap;
 pub mod fig10;

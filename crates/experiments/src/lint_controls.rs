@@ -73,11 +73,3 @@ pub fn env_ban() -> bool {
 pub fn stopwatch_ban() -> f64 {
     bench::Stopwatch::start().elapsed_s()
 }
-
-#[expect(
-    clippy::disallowed_methods,
-    reason = "negative control: P1 bans time_reps"
-)]
-pub fn time_reps_ban() -> (f64, f64) {
-    bench::sweep::time_reps(1, || ())
-}

@@ -2,8 +2,8 @@
 //! `odyssey-experiments`: regenerate the paper's tables and figures.
 //!
 //! ```text
-//! odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T[,T...]]
-//!                     [--reps R] [--out DIR] [IDS...]
+//! odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T]
+//!                     [--out DIR] [IDS...]
 //! ```
 //!
 //! With `--out DIR`, each figure's rendering is also written to
@@ -16,10 +16,9 @@
 //!
 //! `--threads` sets the worker-thread count for the deterministic fan-out
 //! (default: all available cores). Output is byte-identical at any value;
-//! use `--threads 1` to bisect a suspected parallelism bug. For the
-//! `bench` verb it may be a comma list of counts to sweep.
+//! use `--threads 1` to bisect a suspected parallelism bug.
 //!
-//! Four extra verbs (not part of `all`):
+//! Three extra verbs (not part of `all`):
 //! `golden --check` renders every golden file under `tests/golden/` —
 //! each canonical scenario's JSONL trace and per-call-path energy
 //! table, plus the cross-seed digest matrix — and exits non-zero
@@ -27,20 +26,17 @@
 //! copies of failing files to `target/golden/<kind>/`; `golden --rec`
 //! rewrites them after an intentional behavior change (review the
 //! result with `git diff tests/golden/`);
-//! `bench` times the canonical scenarios across thread counts (`--reps`
-//! repetitions each), verifies parallel output digests match serial,
-//! and writes `BENCH_sweep.json` (with `--check [BASELINE.json]` it
-//! also fails when any scenario's speedup drops more than `--tolerance`
-//! below the committed sweep, default `results/BENCH_sweep.json` at
-//! 0.30);
 //! `serve` replays the longest golden trace through an always-on
 //! session at `--multiple` density, kills it at a mid-run checkpoint,
 //! resumes, and exits non-zero on any digest or trace divergence
 //! (writing the report to `target/serve/divergence.txt`);
 //! `fuzz` drives seeded hostile mutations of a golden stream through
 //! isolated sessions and exits non-zero on any panic.
+//!
+//! Timing figures is perfbench's job (`perfbench/README.md`); this CLI
+//! only prints each figure's wall time as a progress line.
 
-use experiments::{benchcli, harness::Trials, *};
+use experiments::{harness::Trials, *};
 
 const ALL: [&str; 20] = [
     "fig2",
@@ -65,18 +61,6 @@ const ALL: [&str; 20] = [
     "supervise",
 ];
 
-/// Default thread counts the `bench` verb sweeps.
-const BENCH_THREADS: [usize; 4] = [1, 2, 4, 8];
-
-/// Default timed repetitions per `bench` cell.
-const BENCH_REPS: usize = 3;
-
-/// Default slack for `bench --check`: a scenario's speedup may fall this
-/// far below the committed baseline before the gate fails. Speedups are
-/// ratios, so the band is machine-portable; it only needs to absorb
-/// scheduler noise, not absolute-speed differences between hosts.
-const BENCH_TOLERANCE: f64 = 0.30;
-
 /// Default replay multiple for the `serve` verb (the CI soak passes 1000).
 const SERVE_MULTIPLE: u32 = 1;
 
@@ -86,7 +70,7 @@ const FUZZ_STREAMS: usize = 1000;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T[,T...]] [--reps R] [--multiple M] [--scenario NAME] [--sessions N] [--streams N] [--out DIR] [IDS...]\n  IDS: {} | all\n  goldens: golden --check (compare every trace, energy table and seed-matrix file against tests/golden/) | golden --rec (rewrite them)\n  benchmarks: bench (time scenarios across --threads counts, write BENCH_sweep.json; --check [BASELINE.json] fails on speedups more than --tolerance below the committed sweep)\n  serving: serve (replay --scenario golden stream at --multiple density through --sessions isolated sessions; kill, resume by replay and by snapshot, fail on divergence)\n  fuzzing: fuzz (drive --streams seeded hostile mutations of the golden stream through isolated sessions; fail on any panic, unsurfaced error, or unstable recovery digest)",
+        "usage: odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T] [--multiple M] [--scenario NAME] [--sessions N] [--streams N] [--out DIR] [IDS...]\n  IDS: {} | all\n  goldens: golden --check (compare every trace, energy table and seed-matrix file against tests/golden/) | golden --rec (rewrite them)\n  serving: serve (replay --scenario golden stream at --multiple density through --sessions isolated sessions; kill, resume by replay and by snapshot, fail on divergence)\n  fuzzing: fuzz (drive --streams seeded hostile mutations of the golden stream through isolated sessions; fail on any panic, unsurfaced error, or unstable recovery digest)",
         ALL.join(" ")
     );
     std::process::exit(2)
@@ -189,97 +173,20 @@ fn render(id: &str, trials: &Trials) -> String {
 
 #[expect(
     clippy::disallowed_methods,
-    reason = "the bench verb exists to time real execution; wall-clock reach is its contract, and it stops at this boundary"
-)]
-fn run_bench_verb(
-    trials: &Trials,
-    thread_counts: &[usize],
-    reps: usize,
-    out: Option<&std::path::Path>,
-    check: Option<&std::path::Path>,
-    tolerance: f64,
-) {
-    let sw = bench::Stopwatch::start();
-    let outcome = benchcli::run_sweep(trials, thread_counts, reps);
-    print!("{}", bench::sweep::render_sweep_table(&outcome.records));
-    let json = bench::sweep::render_sweep_json(&outcome.records);
-    let path = out
-        .map(|d| d.join("BENCH_sweep.json"))
-        .unwrap_or_else(|| std::path::PathBuf::from("BENCH_sweep.json"));
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("cannot write {}: {e}", path.display());
-        std::process::exit(2);
-    }
-    eprintln!(
-        "[bench completed in {:.1}s, wrote {}]",
-        sw.elapsed_s(),
-        path.display()
-    );
-    if !outcome.divergent.is_empty() {
-        eprintln!(
-            "DETERMINISM FAILURE: parallel output diverged from serial: {}",
-            outcome.divergent.join(", ")
-        );
-        std::process::exit(1);
-    }
-    if let Some(baseline_path) = check {
-        let text = match std::fs::read_to_string(baseline_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!(
-                    "bench --check: cannot read {}: {e}",
-                    baseline_path.display()
-                );
-                std::process::exit(2);
-            }
-        };
-        let baseline = match bench::sweep::parse_sweep_json(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!(
-                    "bench --check: cannot parse {}: {e}",
-                    baseline_path.display()
-                );
-                std::process::exit(2);
-            }
-        };
-        let regressions = bench::sweep::speedup_regressions(&outcome.records, &baseline, tolerance);
-        if !regressions.is_empty() {
-            eprintln!(
-                "SPEEDUP REGRESSION vs {} (tolerance {tolerance:.2}):",
-                baseline_path.display()
-            );
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[bench check OK: no speedup regression vs {} within tolerance {tolerance:.2}]",
-            baseline_path.display()
-        );
-    }
-}
-
-#[expect(
-    clippy::disallowed_methods,
     reason = "the CLI prints per-figure wall time for the operator; figure bytes come from the deterministic render alone"
 )]
 fn main() {
     let mut trials = Trials::default().with_threads(simcore::par::available_threads());
-    let mut thread_counts: Option<Vec<usize>> = None;
-    let mut reps = BENCH_REPS;
     let mut multiple = SERVE_MULTIPLE;
     let mut scenario = serve::REPLAY_SCENARIO.to_string();
     let mut sessions = 1usize;
     let mut streams = FUZZ_STREAMS;
     let mut ids: Vec<String> = Vec::new();
     let mut out_dir: Option<std::path::PathBuf> = None;
-    let mut check: Option<std::path::PathBuf> = None;
-    let mut tolerance = BENCH_TOLERANCE;
+    let mut check = false;
     let mut rec = false;
     let mut inflate_decode: Option<f64> = None;
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--trials" => {
@@ -296,23 +203,12 @@ fn main() {
             }
             "--threads" => {
                 let t = args.next().unwrap_or_else(|| usage());
-                let counts: Vec<usize> = t
-                    .split(',')
-                    .map(|p| p.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if counts.is_empty() || counts.contains(&0) {
-                    eprintln!("--threads wants positive counts (e.g. 4 or 1,2,4,8)");
+                let threads: usize = t.parse().unwrap_or_else(|_| usage());
+                if threads == 0 {
+                    eprintln!("--threads must be at least 1");
                     std::process::exit(2);
                 }
-                thread_counts = Some(counts);
-            }
-            "--reps" => {
-                let r = args.next().unwrap_or_else(|| usage());
-                reps = r.parse().unwrap_or_else(|_| usage());
-                if reps == 0 {
-                    eprintln!("--reps must be at least 1");
-                    std::process::exit(2);
-                }
+                trials = trials.with_threads(threads);
             }
             "--multiple" => {
                 let m = args.next().unwrap_or_else(|| usage());
@@ -345,24 +241,7 @@ fn main() {
                 let d = args.next().unwrap_or_else(|| usage());
                 out_dir = Some(std::path::PathBuf::from(d));
             }
-            "--check" => {
-                // The baseline path is optional: a following `.json`
-                // argument names it, otherwise the committed sweep is
-                // the reference.
-                let path = match args.peek() {
-                    Some(p) if p.ends_with(".json") => args.next().unwrap_or_else(|| usage()),
-                    _ => "results/BENCH_sweep.json".to_string(),
-                };
-                check = Some(std::path::PathBuf::from(path));
-            }
-            "--tolerance" => {
-                let t = args.next().unwrap_or_else(|| usage());
-                tolerance = t.parse().unwrap_or_else(|_| usage());
-                if !tolerance.is_finite() || tolerance < 0.0 {
-                    eprintln!("--tolerance wants a finite non-negative speedup delta");
-                    std::process::exit(2);
-                }
-            }
+            "--check" => check = true,
             "--rec" => rec = true,
             // Undocumented test hook: scales the video decode block so
             // the energy gate's negative path is exercisable from the
@@ -382,10 +261,6 @@ fn main() {
             other => ids.push(other.to_string()),
         }
     }
-    // Regular runs use one thread count; `bench` sweeps the whole list.
-    if let Some(counts) = &thread_counts {
-        trials = trials.with_threads(*counts.iter().max().unwrap_or(&1));
-    }
     if let Some(dir) = &out_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create --out directory {}: {e}", dir.display());
@@ -395,11 +270,13 @@ fn main() {
     // Reject flags that would otherwise be silently ignored: an inflated
     // `golden --rec` would commit inflated goldens.
     let golden_verb = ids.iter().any(|i| i == "golden");
-    if rec && !golden_verb {
-        eprintln!("--rec applies only to the golden verb");
-        std::process::exit(2);
+    for (set, flag) in [(check, "--check"), (rec, "--rec")] {
+        if set && !golden_verb {
+            eprintln!("{flag} applies only to the golden verb");
+            usage();
+        }
     }
-    if inflate_decode.is_some() && !(golden_verb && check.is_some() && !rec) {
+    if inflate_decode.is_some() && !(golden_verb && check && !rec) {
         eprintln!("--inflate-decode applies only to golden --check");
         std::process::exit(2);
     }
@@ -411,7 +288,7 @@ fn main() {
     ids.retain(|id| match id.as_str() {
         "golden" => {
             let dir = tracerec::golden_dir();
-            let result = match (check.is_some(), rec) {
+            let result = match (check, rec) {
                 (true, false) => golden::check(&dir, inflate_decode.unwrap_or(1.0), trials.threads),
                 (false, true) => golden::record(&dir, trials.threads),
                 _ => {
@@ -426,17 +303,6 @@ fn main() {
                     std::process::exit(1);
                 }
             }
-            false
-        }
-        "bench" => {
-            run_bench_verb(
-                &trials,
-                thread_counts.as_deref().unwrap_or(&BENCH_THREADS),
-                reps,
-                out_dir.as_deref(),
-                check.as_deref(),
-                tolerance,
-            );
             false
         }
         "serve" => {

@@ -49,15 +49,42 @@ fn inflate_decode_is_rejected_outside_golden_check() {
     }
 }
 
-/// The verbs `golden` replaced are gone: each exits 2 with usage.
+/// The verbs `golden` replaced, and the retired `bench` sweep, are
+/// gone: each exits 2 with usage.
 #[test]
 fn retired_golden_verbs_exit_with_usage() {
-    for verb in ["tracediff", "tracerec", "energymap", "energymaprec"] {
+    for verb in [
+        "tracediff",
+        "tracerec",
+        "energymap",
+        "energymaprec",
+        "bench",
+    ] {
         let out = run(&[verb]);
         assert_eq!(out.status.code(), Some(2), "{verb}");
         assert!(
             String::from_utf8_lossy(&out.stderr).contains("usage:"),
             "{verb}: no usage printed"
+        );
+    }
+}
+
+/// The retired sweep's flags are usage errors, not silent no-ops:
+/// `--reps` and `--tolerance` are gone, `--threads` takes one count,
+/// and `--check` belongs to `golden` alone.
+#[test]
+fn retired_bench_flags_exit_with_usage() {
+    for args in [
+        &["--reps", "3", "fig2"][..],
+        &["--tolerance", "0.3", "fig2"],
+        &["--threads", "1,8", "fig2"],
+        &["fig4", "--check"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("usage:"),
+            "{args:?}: no usage printed"
         );
     }
 }

@@ -6,7 +6,9 @@
 //! therefore reach the wall clock or a thread only by depending on one of
 //! those two crates, and this test pins exactly who may:
 //!
-//! - `bench` is a dependency of the `experiments` CLI and nothing else;
+//! - `bench` is a dependency of the `experiments` CLI (its progress
+//!   lines) and nothing else in the workspace; perfbench, the timing
+//!   harness, is a separate package outside it;
 //! - `simpar` is a dependency of `simcore` (optional, behind its `par`
 //!   feature) and of the root package;
 //! - only `experiments` and `simserve` turn on `simcore/par`;

@@ -14,8 +14,7 @@ use std::fmt::Debug;
 
 use experiments::harness::{run_trials, Trials};
 use experiments::{
-    ablate, benchcli, chaos, fig16, fig19, fig20, fig21, fig22, fig6, golden, sec54, supervise,
-    tracerec,
+    ablate, chaos, fig16, fig19, fig20, fig21, fig22, fig6, golden, sec54, supervise, tracerec,
 };
 use machine::workload::ScriptedWorkload;
 use machine::{Machine, MachineConfig};
@@ -31,22 +30,6 @@ fn quick() -> Trials {
         n: 2,
         seed: 42,
         threads: 1,
-    }
-}
-
-/// Golden scenarios rendered through the bench digests: every scenario
-/// digest is identical at every thread count.
-#[test]
-fn golden_scenarios_identical_across_thread_counts() {
-    for scenario in benchcli::SCENARIOS {
-        let serial = benchcli::digest(scenario, &quick());
-        for threads in THREAD_COUNTS {
-            assert_eq!(
-                serial,
-                benchcli::digest(scenario, &quick().with_threads(threads)),
-                "{scenario} diverges at {threads} threads"
-            );
-        }
     }
 }
 
