@@ -6,9 +6,10 @@
 //! flat over the run, and a `Server` slot's sample log never holds more
 //! than two batches.
 
-use energy_adaptation::experiments::serve;
 use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
-use energy_adaptation::simserve::{Directive, Sample, Server};
+use energy_adaptation::experiments::{fuzz, serve};
+use energy_adaptation::simcore::SnapshotHasher;
+use energy_adaptation::simserve::{Directive, Sample, Server, Session};
 
 /// The 1× golden stream, then a tick every 10 s out to 1440 s.
 #[expect(clippy::expect_used, reason = "a broken fixture fails the test")]
@@ -73,4 +74,56 @@ fn server_log_stays_within_two_batches() {
     let mut solo = serve::build_session(GOLDEN_SEED).expect("build");
     solo.ingest(&samples).expect("ingest");
     assert_eq!(server.session(id).expect("live").digest(), solo.digest());
+}
+
+/// Hash of a sealed snapshot, envelope included.
+fn payload_hash(bytes: &[u8]) -> u64 {
+    let mut h = SnapshotHasher::new();
+    h.write_bytes(bytes);
+    h.finish()
+}
+
+/// Fails unless `bytes` hashes to `want`, thaws into `fresh`, and
+/// freezes back to the same bytes.
+#[expect(clippy::expect_used, reason = "a failed thaw fails the test")]
+fn assert_pinned(what: &str, bytes: &[u8], want: u64, mut fresh: Session) {
+    let got = payload_hash(bytes);
+    assert_eq!(got, want, "{what}: payload hash {got:#018x}");
+    fresh.thaw(bytes).expect("thaw");
+    assert_eq!(fresh.freeze().expect("refreeze"), bytes, "{what}: refreeze");
+}
+
+/// Served snapshots are pinned byte for byte. The proof session's
+/// first three checkpoints cover the supervisor, the checkpoint
+/// journal, the misbehaving workloads, the attribution feed and the
+/// trace counters. Hostile stream 1 (a reconfiguration flood) ends with
+/// a full dead-letter ledger that has evicted entries and counts
+/// strikes per origin.
+#[test]
+fn served_snapshots_are_byte_stable() {
+    const CHECKPOINT_PINS: [u64; 3] = [0x91c2cfc245a991c8, 0xc9fdee833b5222c4, 0xd4eda38686e8cb1f];
+    const HOSTILE_STREAM: u64 = 1;
+    const HOSTILE_PIN: u64 = 0x7e0bc08be5c7fe6c;
+    let samples = serve::schedule(1).expect("golden trace present");
+    for (k, want) in CHECKPOINT_PINS.into_iter().enumerate() {
+        let kill = serve::kill_at(GOLDEN_SEED, &samples, k).expect("kill");
+        let bytes = kill.frozen.snapshot.expect("frozen");
+        let fresh = serve::proof_session(GOLDEN_SEED).expect("build");
+        assert_pinned(&format!("checkpoint {k}"), &bytes, want, fresh);
+    }
+
+    let alt = serve::schedule_for("goal", 1).expect("golden trace present");
+    let (hostile, _) = fuzz::hostile_stream(GOLDEN_SEED, &samples, &alt, HOSTILE_STREAM);
+    let mut session = serve::build_session(GOLDEN_SEED).expect("build");
+    for chunk in hostile.chunks(64) {
+        session.ingest(chunk).expect("ingest");
+    }
+    let dead = session.dead_letters().expect("serving");
+    assert!(
+        dead.dropped() > 0 && dead.len() == dead.capacity(),
+        "{dead:?}"
+    );
+    let bytes = session.freeze().expect("freeze");
+    let fresh = serve::build_session(GOLDEN_SEED).expect("build");
+    assert_pinned("hostile stream", &bytes, HOSTILE_PIN, fresh);
 }
