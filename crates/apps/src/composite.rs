@@ -270,48 +270,34 @@ impl Workload for CompositeMember {
     }
 
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        w.put_usize(self.pending.len());
-        for step in &self.pending {
-            step.freeze_into(w);
-        }
-        w.put_bool(self.running_unit);
-        w.put_usize(self.level);
-        w.put_usize(self.item_idx);
+        w.put(&self.pending);
+        w.put(&self.running_unit);
+        w.put(&self.level);
+        w.put(&self.item_idx);
         // Each member freezes the shared baton; the values are identical
         // across the three legs, so last-write-wins on thaw is sound.
         let baton = self.baton.borrow();
-        w.put_usize(baton.holder);
-        w.put_usize(baton.iteration);
-        w.put_time(baton.next_iteration_at);
+        w.put(&baton.holder);
+        w.put(&baton.iteration);
+        w.put(&baton.next_iteration_at);
         Ok(())
     }
 
     fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        let n = r.take_usize()?;
-        let mut pending = VecDeque::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            pending.push_back(UnitStep::thaw_from(r)?);
-        }
-        let running_unit = r.take_bool()?;
-        let level = r.take_usize()?;
-        if level >= self.levels {
+        self.pending = r.take()?;
+        self.running_unit = r.take()?;
+        self.level = r.take()?;
+        if self.level >= self.levels {
             return Err(simcore::SnapshotError::Corrupt("composite fidelity level"));
         }
-        let item_idx = r.take_usize()?;
-        let holder = r.take_usize()?;
-        if holder >= 3 {
+        self.item_idx = r.take()?;
+        let mut baton = self.baton.borrow_mut();
+        baton.holder = r.take()?;
+        if baton.holder >= 3 {
             return Err(simcore::SnapshotError::Corrupt("baton holder"));
         }
-        let iteration = r.take_usize()?;
-        let next_iteration_at = r.take_time()?;
-        self.pending = pending;
-        self.running_unit = running_unit;
-        self.level = level;
-        self.item_idx = item_idx;
-        let mut baton = self.baton.borrow_mut();
-        baton.holder = holder;
-        baton.iteration = iteration;
-        baton.next_iteration_at = next_iteration_at;
+        baton.iteration = r.take()?;
+        baton.next_iteration_at = r.take()?;
         Ok(())
     }
 }

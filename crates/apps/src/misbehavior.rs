@@ -176,21 +176,21 @@ impl Workload for Misbehavior {
     }
 
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        w.put_usize(self.claimed_offset);
-        w.put_bool(self.crashed);
+        w.put(&self.claimed_offset);
+        w.put(&self.crashed);
         // Only the crash instant is mutable kind state: on_restart defuses
         // it. The schedule and the other variants are construction-time.
         if let Kind::Crash { at } = &self.kind {
-            w.put_time(*at);
+            w.put(at);
         }
         self.inner.freeze(w)
     }
 
     fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        self.claimed_offset = r.take_usize()?;
-        self.crashed = r.take_bool()?;
+        self.claimed_offset = r.take()?;
+        self.crashed = r.take()?;
         if let Kind::Crash { at } = &mut self.kind {
-            *at = r.take_time()?;
+            *at = r.take()?;
         }
         self.inner.thaw(r)
     }

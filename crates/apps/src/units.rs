@@ -14,7 +14,7 @@
 use hw560x::cpu::intensity;
 use machine::Activity;
 use netsim::RpcSpec;
-use simcore::SimDuration;
+use simcore::{Codec, SimDuration, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::datasets::{
     MapObject, Utterance, WebImage, MAP_RENDER_S_PER_BYTE, MAP_SERVER_FIXED_S,
@@ -36,28 +36,20 @@ pub enum UnitStep {
     Pause(SimDuration),
 }
 
-impl UnitStep {
-    /// Encodes the step into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
+impl Codec for UnitStep {
+    fn put(&self, w: &mut SnapshotWriter) {
         match self {
-            UnitStep::Act(a) => {
-                w.put_u64(0);
-                a.freeze_into(w);
-            }
-            UnitStep::Pause(d) => {
-                w.put_u64(1);
-                w.put_duration(*d);
-            }
+            UnitStep::Act(a) => w.put(&(0u64, *a)),
+            UnitStep::Pause(d) => w.put(&(1u64, *d)),
         }
     }
 
-    /// Decodes a step written by [`Self::freeze_into`].
-    pub fn thaw_from(r: &mut simcore::SnapshotReader<'_>) -> Result<Self, simcore::SnapshotError> {
-        Ok(match r.take_u64()? {
-            0 => UnitStep::Act(Activity::thaw_from(r)?),
-            1 => UnitStep::Pause(r.take_duration()?),
-            _ => return Err(simcore::SnapshotError::Corrupt("unit step tag")),
-        })
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take::<u64>()? {
+            0 => Ok(UnitStep::Act(r.take()?)),
+            1 => Ok(UnitStep::Pause(r.take()?)),
+            _ => Err(SnapshotError::Corrupt("unit step tag")),
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 use hw560x::cpu::intensity;
 use hw560x::DisplayState;
 use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{Codec, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::datasets::{
     VideoClip, TRIAL_JITTER, VIDEO_DECODE_S_PER_BYTE, VIDEO_FPS, VIDEO_REDUCED_WINDOW_AREA,
@@ -78,12 +78,28 @@ impl VideoVariant {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Phase {
-    Fetch,
-    Decode,
-    Render,
-    Pace,
+    Fetch = 0,
+    Decode = 1,
+    Render = 2,
+    Pace = 3,
+}
+
+impl Codec for Phase {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&(*self as u64));
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u64>()? {
+            0 => Phase::Fetch,
+            1 => Phase::Decode,
+            2 => Phase::Render,
+            3 => Phase::Pace,
+            _ => return Err(SnapshotError::Corrupt("video phase tag")),
+        })
+    }
 }
 
 /// The Xanim workload.
@@ -258,40 +274,25 @@ impl Workload for VideoPlayer {
         }
     }
 
-    fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        w.put_usize(self.level);
-        w.put_u64(match self.phase {
-            Phase::Fetch => 0,
-            Phase::Decode => 1,
-            Phase::Render => 2,
-            Phase::Pace => 3,
-        });
-        w.put_u64(self.frame);
-        w.put_time(self.next_frame_at);
+    fn freeze(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        w.put(&self.level);
+        w.put(&self.phase);
+        w.put(&self.frame);
+        w.put(&self.next_frame_at);
         Ok(())
     }
 
-    fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        let level = r.take_usize()?;
-        if level >= self.ladder.len() {
-            return Err(simcore::SnapshotError::Corrupt("video fidelity level"));
+    fn thaw(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.level = r.take()?;
+        if self.level >= self.ladder.len() {
+            return Err(SnapshotError::Corrupt("video fidelity level"));
         }
-        let phase = match r.take_u64()? {
-            0 => Phase::Fetch,
-            1 => Phase::Decode,
-            2 => Phase::Render,
-            3 => Phase::Pace,
-            _ => return Err(simcore::SnapshotError::Corrupt("video phase tag")),
-        };
-        let frame = r.take_u64()?;
-        if frame > self.frames_total {
-            return Err(simcore::SnapshotError::Corrupt("video frame counter"));
+        self.phase = r.take()?;
+        self.frame = r.take()?;
+        if self.frame > self.frames_total {
+            return Err(SnapshotError::Corrupt("video frame counter"));
         }
-        let next_frame_at = r.take_time()?;
-        self.level = level;
-        self.phase = phase;
-        self.frame = frame;
-        self.next_frame_at = next_frame_at;
+        self.next_frame_at = r.take()?;
         Ok(())
     }
 }
@@ -302,6 +303,23 @@ mod tests {
     use crate::datasets::VIDEO_CLIPS;
     use machine::{Machine, MachineConfig};
     use simcore::Joules;
+
+    /// The generic codec property test over this crate's impls.
+    #[test]
+    fn codec_laws_hold_for_every_impl() {
+        use crate::datasets::UTTERANCES;
+        use crate::units::{speech_unit, UnitStep};
+        use simcore::snapshot::check_codec;
+        for phase in [Phase::Fetch, Phase::Decode, Phase::Render, Phase::Pace] {
+            check_codec(&phase);
+        }
+        check_codec(&std::collections::VecDeque::from(speech_unit(
+            &UTTERANCES[..1],
+            false,
+            1.0,
+        )));
+        check_codec(&UnitStep::Pause(SimDuration::from_millis(200)));
+    }
 
     fn short_clip() -> VideoClip {
         VideoClip {

@@ -7,7 +7,9 @@
 //! an initial energy value (12,000 J, 13,000 J, or 90,000 J) and the
 //! experiment ends when the workload completes or the supply reaches zero.
 
-use simcore::{fault::hash_noise, Joules, SimTime, Watts};
+use simcore::{
+    fault::hash_noise, Codec, Joules, SimTime, SnapshotError, SnapshotReader, SnapshotWriter, Watts,
+};
 
 /// An energy supply being drained by the platform.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -19,6 +21,34 @@ pub enum EnergySource {
         /// Energy remaining, J.
         remaining_j: Joules,
     },
+}
+
+/// Tag 0 is `External`, tag 1 a `Battery` followed by its residual,
+/// which must be finite and non-negative.
+impl Codec for EnergySource {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            EnergySource::External => w.put(&0u64),
+            EnergySource::Battery { remaining_j } => {
+                w.put(&1u64);
+                w.put(remaining_j);
+            }
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take::<u64>()? {
+            0 => Ok(EnergySource::External),
+            1 => {
+                let remaining_j: Joules = r.take()?;
+                if !remaining_j.is_finite() || remaining_j < Joules::ZERO {
+                    return Err(SnapshotError::Corrupt("battery residual"));
+                }
+                Ok(EnergySource::Battery { remaining_j })
+            }
+            _ => Err(SnapshotError::Corrupt("energy source tag")),
+        }
+    }
 }
 
 impl EnergySource {
@@ -170,6 +200,23 @@ impl BatteryGauge {
 mod tests {
     use super::*;
     use simcore::SimDuration;
+
+    /// The generic codec property test over this crate's impls.
+    #[test]
+    fn codec_laws_hold_for_every_impl() {
+        use crate::DiskState;
+        use simcore::snapshot::check_codec;
+        check_codec(&EnergySource::External);
+        check_codec(&EnergySource::battery(Joules(1.5e4)));
+        for state in [
+            DiskState::Active,
+            DiskState::Idle,
+            DiskState::Standby,
+            DiskState::SpinningUp,
+        ] {
+            check_codec(&state);
+        }
+    }
 
     fn j(v: f64) -> Joules {
         Joules(v)

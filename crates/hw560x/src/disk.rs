@@ -7,7 +7,7 @@
 //! behind the "Hardware-Only Power Mgmt." bars for the streaming video
 //! workload, whose disk "remains in standby mode for the entire duration".
 
-use simcore::{SimDuration, SimTime};
+use simcore::{Codec, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::calib::PlatformSpec;
 use simcore::Watts;
@@ -16,13 +16,13 @@ use simcore::Watts;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DiskState {
     /// Servicing a request.
-    Active,
+    Active = 0,
     /// Spinning, no request in flight.
-    Idle,
+    Idle = 1,
     /// Spun down.
-    Standby,
+    Standby = 2,
     /// Transitioning from Standby to Active.
-    SpinningUp,
+    SpinningUp = 3,
 }
 
 impl DiskState {
@@ -34,6 +34,22 @@ impl DiskState {
             DiskState::Standby => spec.disk_standby_w,
             DiskState::SpinningUp => spec.disk_spinup_w,
         }
+    }
+}
+
+impl Codec for DiskState {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&(*self as u64));
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u64>()? {
+            0 => DiskState::Active,
+            1 => DiskState::Idle,
+            2 => DiskState::Standby,
+            3 => DiskState::SpinningUp,
+            _ => return Err(SnapshotError::Corrupt("disk state tag")),
+        })
     }
 }
 
@@ -77,35 +93,18 @@ impl DiskModel {
 
     /// Encodes the disk's mutable state (the policy parameters are
     /// construction-time) into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_u64(match self.state {
-            DiskState::Active => 0,
-            DiskState::Idle => 1,
-            DiskState::Standby => 2,
-            DiskState::SpinningUp => 3,
-        });
-        w.put_time(self.last_activity);
-        w.put_usize(self.pending_reads);
+    pub fn freeze_into(&self, w: &mut SnapshotWriter) {
+        w.put(&self.state);
+        w.put(&self.last_activity);
+        w.put(&self.pending_reads);
     }
 
     /// Restores the mutable state written by [`Self::freeze_into`] onto
     /// this (freshly built) disk.
-    pub fn thaw_from(
-        &mut self,
-        r: &mut simcore::SnapshotReader<'_>,
-    ) -> Result<(), simcore::SnapshotError> {
-        let state = match r.take_u64()? {
-            0 => DiskState::Active,
-            1 => DiskState::Idle,
-            2 => DiskState::Standby,
-            3 => DiskState::SpinningUp,
-            _ => return Err(simcore::SnapshotError::Corrupt("disk state tag")),
-        };
-        let last_activity = r.take_time()?;
-        let pending_reads = r.take_usize()?;
-        self.state = state;
-        self.last_activity = last_activity;
-        self.pending_reads = pending_reads;
+    pub fn thaw_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.state = r.take()?;
+        self.last_activity = r.take()?;
+        self.pending_reads = r.take()?;
         Ok(())
     }
 

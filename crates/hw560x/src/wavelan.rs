@@ -61,8 +61,8 @@ impl RadioModel {
 
     /// Encodes the radio's mutable counters into a snapshot payload.
     pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_usize(self.wake_windows);
-        w.put_usize(self.transfers);
+        w.put(&self.wake_windows);
+        w.put(&self.transfers);
     }
 
     /// Restores the counters written by [`Self::freeze_into`].
@@ -70,8 +70,8 @@ impl RadioModel {
         &mut self,
         r: &mut simcore::SnapshotReader<'_>,
     ) -> Result<(), simcore::SnapshotError> {
-        self.wake_windows = r.take_usize()?;
-        self.transfers = r.take_usize()?;
+        self.wake_windows = r.take()?;
+        self.transfers = r.take()?;
         Ok(())
     }
 

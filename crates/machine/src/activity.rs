@@ -8,7 +8,7 @@
 //! `Cpu` (rasterise), `XRender` and a think-time `Wait`.
 
 use netsim::RpcSpec;
-use simcore::{SimDuration, SimTime};
+use simcore::{Codec, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// One phase of a workload's execution.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,19 +79,31 @@ impl Activity {
     pub fn wait_for(now: SimTime, d: SimDuration) -> Activity {
         Activity::Wait { until: now + d }
     }
+}
 
-    /// Encodes the activity into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        match *self {
+/// A decoded CPU intensity, checked to be finite and in `[0, 1]` as the
+/// CPU power model demands of every job it runs.
+pub(crate) fn checked_intensity(intensity: f64) -> Result<f64, SnapshotError> {
+    if (0.0..=1.0).contains(&intensity) {
+        Ok(intensity)
+    } else {
+        Err(SnapshotError::Corrupt("cpu job intensity"))
+    }
+}
+
+/// Tag word 0–6 in declaration order, then the variant's fields.
+impl Codec for Activity {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
             Activity::Cpu {
                 duration,
                 intensity,
                 procedure,
             } => {
-                w.put_u64(0);
-                w.put_duration(duration);
-                w.put_f64(intensity);
-                w.put_str(procedure);
+                w.put(&0u64);
+                w.put(duration);
+                w.put(intensity);
+                w.put(procedure);
             }
             Activity::CpuAs {
                 bucket,
@@ -99,79 +111,48 @@ impl Activity {
                 intensity,
                 procedure,
             } => {
-                w.put_u64(1);
-                w.put_str(bucket);
-                w.put_duration(duration);
-                w.put_f64(intensity);
-                w.put_str(procedure);
+                w.put(&1u64);
+                w.put(bucket);
+                w.put(duration);
+                w.put(intensity);
+                w.put(procedure);
             }
-            Activity::XRender { cost } => {
-                w.put_u64(2);
-                w.put_duration(cost);
-            }
-            Activity::Rpc { spec, procedure } => {
-                w.put_u64(3);
-                w.put_u64(spec.request_bytes);
-                w.put_u64(spec.reply_bytes);
-                w.put_duration(spec.server_time);
-                w.put_str(procedure);
-            }
-            Activity::BulkFetch { bytes, procedure } => {
-                w.put_u64(4);
-                w.put_u64(bytes);
-                w.put_str(procedure);
-            }
-            Activity::DiskRead { bytes, procedure } => {
-                w.put_u64(5);
-                w.put_u64(bytes);
-                w.put_str(procedure);
-            }
-            Activity::Wait { until } => {
-                w.put_u64(6);
-                w.put_time(until);
-            }
+            Activity::XRender { cost } => w.put(&(2u64, *cost)),
+            Activity::Rpc { spec, procedure } => w.put(&(3u64, *spec, *procedure)),
+            Activity::BulkFetch { bytes, procedure } => w.put(&(4u64, *bytes, *procedure)),
+            Activity::DiskRead { bytes, procedure } => w.put(&(5u64, *bytes, *procedure)),
+            Activity::Wait { until } => w.put(&(6u64, *until)),
         }
     }
 
-    /// Decodes an activity written by [`Self::freeze_into`].
-    pub fn thaw_from(
-        r: &mut simcore::SnapshotReader<'_>,
-    ) -> Result<Activity, simcore::SnapshotError> {
-        Ok(match r.take_u64()? {
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u64>()? {
             0 => Activity::Cpu {
-                duration: r.take_duration()?,
-                intensity: r.take_f64()?,
-                procedure: r.take_static_str()?,
+                duration: r.take()?,
+                intensity: checked_intensity(r.take()?)?,
+                procedure: r.take()?,
             },
             1 => Activity::CpuAs {
-                bucket: r.take_static_str()?,
-                duration: r.take_duration()?,
-                intensity: r.take_f64()?,
-                procedure: r.take_static_str()?,
+                bucket: r.take()?,
+                duration: r.take()?,
+                intensity: checked_intensity(r.take()?)?,
+                procedure: r.take()?,
             },
-            2 => Activity::XRender {
-                cost: r.take_duration()?,
-            },
+            2 => Activity::XRender { cost: r.take()? },
             3 => Activity::Rpc {
-                spec: RpcSpec {
-                    request_bytes: r.take_u64()?,
-                    reply_bytes: r.take_u64()?,
-                    server_time: r.take_duration()?,
-                },
-                procedure: r.take_static_str()?,
+                spec: r.take()?,
+                procedure: r.take()?,
             },
             4 => Activity::BulkFetch {
-                bytes: r.take_u64()?,
-                procedure: r.take_static_str()?,
+                bytes: r.take()?,
+                procedure: r.take()?,
             },
             5 => Activity::DiskRead {
-                bytes: r.take_u64()?,
-                procedure: r.take_static_str()?,
+                bytes: r.take()?,
+                procedure: r.take()?,
             },
-            6 => Activity::Wait {
-                until: r.take_time()?,
-            },
-            _ => return Err(simcore::SnapshotError::Corrupt("activity tag")),
+            6 => Activity::Wait { until: r.take()? },
+            _ => return Err(SnapshotError::Corrupt("activity tag")),
         })
     }
 }

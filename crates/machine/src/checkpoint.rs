@@ -43,12 +43,12 @@ impl ControlHook for CheckpointHook {
     }
 
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        self.journal.borrow().freeze_into(w);
+        w.put(&*self.journal.borrow());
         Ok(())
     }
 
     fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        *self.journal.borrow_mut() = RunJournal::thaw_from(r)?;
+        *self.journal.borrow_mut() = r.take()?;
         Ok(())
     }
 }

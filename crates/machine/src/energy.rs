@@ -54,7 +54,7 @@ pub struct ProcDetail {
     pub energy_j: Joules,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq)]
 pub(crate) struct Ledger {
     total_j: Joules,
     // BTreeMaps, not hash maps: the ledger is replayed state, and its
@@ -147,64 +147,22 @@ impl Ledger {
     pub(crate) fn components(&self) -> ComponentTotals {
         self.components
     }
-
-    pub(crate) fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_f64(self.total_j.0);
-        w.put_usize(self.buckets.len());
-        for (name, j) in &self.buckets {
-            w.put_str(name);
-            w.put_f64(j.0);
-        }
-        w.put_usize(self.detail.len());
-        for ((process, procedure), (secs, j)) in &self.detail {
-            w.put_str(process);
-            w.put_str(procedure);
-            w.put_f64(*secs);
-            w.put_f64(j.0);
-        }
-        w.put_f64(self.components.display_j.0);
-        w.put_f64(self.components.disk_j.0);
-        w.put_f64(self.components.radio_j.0);
-        w.put_f64(self.components.cpu_j.0);
-        w.put_f64(self.components.base_j.0);
-        w.put_f64(self.components.superlinear_j.0);
-    }
-
-    pub(crate) fn thaw_from(
-        r: &mut simcore::SnapshotReader<'_>,
-    ) -> Result<Ledger, simcore::SnapshotError> {
-        let total_j = Joules(r.take_f64()?);
-        let n = r.take_usize()?;
-        let mut buckets = BTreeMap::new();
-        for _ in 0..n {
-            let name = r.take_static_str()?;
-            buckets.insert(name, Joules(r.take_f64()?));
-        }
-        let n = r.take_usize()?;
-        let mut detail = BTreeMap::new();
-        for _ in 0..n {
-            let process = r.take_static_str()?;
-            let procedure = r.take_static_str()?;
-            let secs = r.take_f64()?;
-            let j = Joules(r.take_f64()?);
-            detail.insert((process, procedure), (secs, j));
-        }
-        let components = ComponentTotals {
-            display_j: Joules(r.take_f64()?),
-            disk_j: Joules(r.take_f64()?),
-            radio_j: Joules(r.take_f64()?),
-            cpu_j: Joules(r.take_f64()?),
-            base_j: Joules(r.take_f64()?),
-            superlinear_j: Joules(r.take_f64()?),
-        };
-        Ok(Ledger {
-            total_j,
-            buckets,
-            detail,
-            components,
-        })
-    }
 }
+
+simcore::impl_codec!(Ledger {
+    total_j,
+    buckets,
+    detail,
+    components
+});
+simcore::impl_codec!(ComponentTotals {
+    display_j,
+    disk_j,
+    radio_j,
+    cpu_j,
+    base_j,
+    superlinear_j
+});
 
 /// The result of one machine run.
 #[derive(Clone, Debug)]

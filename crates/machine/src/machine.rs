@@ -23,11 +23,11 @@ use hw560x::{
 use netsim::{FlowId, LinkFaultTimeline, SharedLink, RPC_LATENCY, WAVELAN_CAPACITY_BPS};
 use simcore::event::EventId;
 use simcore::{
-    EventQueue, Joules, SimDuration, SimRng, SimTime, TimeSeries, TraceCategory, TraceEvent,
-    TraceHandle, Watts,
+    Codec, EventQueue, Joules, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader,
+    SnapshotWriter, TimeSeries, TraceCategory, TraceEvent, TraceHandle, Watts,
 };
 
-use crate::activity::{Activity, AdaptDirection, FidelityView, Step};
+use crate::activity::{checked_intensity, Activity, AdaptDirection, FidelityView, Step};
 use crate::energy::{Ledger, RunReport};
 use crate::faults::FaultConfig;
 use crate::observer::{IntervalObserver, IntervalRecord, ShareEntry};
@@ -341,7 +341,7 @@ impl MachineView<'_> {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct CpuJob {
     remaining: SimDuration,
     intensity: f64,
@@ -351,7 +351,7 @@ struct CpuJob {
     bucket: Option<&'static str>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct RpcPlan {
     request_bytes: u64,
     reply_bytes: u64,
@@ -360,7 +360,7 @@ struct RpcPlan {
     is_bulk: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 enum ProcState {
     Start,
     ReadyCpu(CpuJob),
@@ -441,7 +441,7 @@ enum Source {
     XServer,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Event {
     Poll(Pid),
     CpuDone,
@@ -466,7 +466,7 @@ struct HookSlot {
     period: SimDuration,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct FlowCtx {
     pid: Pid,
     /// Bytes credited to the receiver on completion (0 for request legs).
@@ -476,205 +476,183 @@ struct FlowCtx {
 
 // ---- Snapshot codecs for the private scheduler types -------------------
 
-fn freeze_cpu_job(job: &CpuJob, w: &mut simcore::SnapshotWriter) {
-    w.put_duration(job.remaining);
-    w.put_f64(job.intensity);
-    w.put_str(job.procedure);
-    match job.bucket {
-        None => w.put_u64(0),
-        Some(b) => {
-            w.put_u64(1);
-            w.put_str(b);
+impl Codec for Pid {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Pid(r.take()?))
+    }
+}
+
+/// A decoded pid must index the rebuilt machine's process table.
+fn check_pid(pid: Pid, n_procs: usize, what: &'static str) -> Result<(), SnapshotError> {
+    if pid.0 < n_procs {
+        Ok(())
+    } else {
+        Err(SnapshotError::Corrupt(what))
+    }
+}
+
+impl Codec for CpuJob {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.remaining);
+        w.put(&self.intensity);
+        w.put(&self.procedure);
+        w.put(&self.bucket);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(CpuJob {
+            remaining: r.take()?,
+            intensity: checked_intensity(r.take()?)?,
+            procedure: r.take()?,
+            bucket: r.take()?,
+        })
+    }
+}
+
+simcore::impl_codec!(RpcPlan {
+    request_bytes,
+    reply_bytes,
+    server_time,
+    is_bulk
+});
+
+/// [`ProcState::tag`], then the variant's payload.
+impl Codec for ProcState {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.tag());
+        match self {
+            ProcState::ReadyCpu(job) => w.put(job),
+            ProcState::NetAwaitTx(plan)
+            | ProcState::NetTx(plan)
+            | ProcState::NetServerWait(plan)
+            | ProcState::NetRx(plan)
+            | ProcState::NetBackoff(plan) => w.put(plan),
+            ProcState::DiskSpinup { bytes } => w.put(bytes),
+            ProcState::Start
+            | ProcState::DiskBusy
+            | ProcState::Waiting
+            | ProcState::Suspended
+            | ProcState::Done => {}
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u64>()? {
+            0 => ProcState::Start,
+            1 => ProcState::ReadyCpu(r.take()?),
+            2 => ProcState::NetAwaitTx(r.take()?),
+            3 => ProcState::NetTx(r.take()?),
+            4 => ProcState::NetServerWait(r.take()?),
+            5 => ProcState::NetRx(r.take()?),
+            6 => ProcState::NetBackoff(r.take()?),
+            7 => ProcState::DiskSpinup { bytes: r.take()? },
+            8 => ProcState::DiskBusy,
+            9 => ProcState::Waiting,
+            10 => ProcState::Suspended,
+            11 => ProcState::Done,
+            _ => return Err(SnapshotError::Corrupt("proc state tag")),
+        })
+    }
+}
+
+impl Codec for Source {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            Source::Proc(pid) => w.put(&(0u64, *pid)),
+            Source::XServer => w.put(&1u64),
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take::<u64>()? {
+            0 => Ok(Source::Proc(r.take()?)),
+            1 => Ok(Source::XServer),
+            _ => Err(SnapshotError::Corrupt("source tag")),
         }
     }
 }
 
-fn thaw_cpu_job(r: &mut simcore::SnapshotReader<'_>) -> Result<CpuJob, simcore::SnapshotError> {
-    let remaining = r.take_duration()?;
-    let intensity = r.take_f64()?;
-    if !intensity.is_finite() || !(0.0..=1.0).contains(&intensity) {
-        return Err(simcore::SnapshotError::Corrupt("cpu job intensity"));
-    }
-    let procedure = r.take_static_str()?;
-    let bucket = match r.take_u64()? {
-        0 => None,
-        1 => Some(r.take_static_str()?),
-        _ => return Err(simcore::SnapshotError::Corrupt("cpu job bucket tag")),
-    };
-    Ok(CpuJob {
-        remaining,
-        intensity,
-        procedure,
-        bucket,
-    })
-}
-
-fn freeze_rpc_plan(plan: &RpcPlan, w: &mut simcore::SnapshotWriter) {
-    w.put_u64(plan.request_bytes);
-    w.put_u64(plan.reply_bytes);
-    w.put_duration(plan.server_time);
-    w.put_bool(plan.is_bulk);
-}
-
-fn thaw_rpc_plan(r: &mut simcore::SnapshotReader<'_>) -> Result<RpcPlan, simcore::SnapshotError> {
-    Ok(RpcPlan {
-        request_bytes: r.take_u64()?,
-        reply_bytes: r.take_u64()?,
-        server_time: r.take_duration()?,
-        is_bulk: r.take_bool()?,
-    })
-}
-
-fn freeze_proc_state(state: &ProcState, w: &mut simcore::SnapshotWriter) {
-    w.put_u64(state.tag());
-    match state {
-        ProcState::ReadyCpu(job) => freeze_cpu_job(job, w),
-        ProcState::NetAwaitTx(plan)
-        | ProcState::NetTx(plan)
-        | ProcState::NetServerWait(plan)
-        | ProcState::NetRx(plan)
-        | ProcState::NetBackoff(plan) => freeze_rpc_plan(plan, w),
-        ProcState::DiskSpinup { bytes } => w.put_u64(*bytes),
-        ProcState::Start
-        | ProcState::DiskBusy
-        | ProcState::Waiting
-        | ProcState::Suspended
-        | ProcState::Done => {}
-    }
-}
-
-fn thaw_proc_state(
-    r: &mut simcore::SnapshotReader<'_>,
-) -> Result<ProcState, simcore::SnapshotError> {
-    Ok(match r.take_u64()? {
-        0 => ProcState::Start,
-        1 => ProcState::ReadyCpu(thaw_cpu_job(r)?),
-        2 => ProcState::NetAwaitTx(thaw_rpc_plan(r)?),
-        3 => ProcState::NetTx(thaw_rpc_plan(r)?),
-        4 => ProcState::NetServerWait(thaw_rpc_plan(r)?),
-        5 => ProcState::NetRx(thaw_rpc_plan(r)?),
-        6 => ProcState::NetBackoff(thaw_rpc_plan(r)?),
-        7 => ProcState::DiskSpinup {
-            bytes: r.take_u64()?,
-        },
-        8 => ProcState::DiskBusy,
-        9 => ProcState::Waiting,
-        10 => ProcState::Suspended,
-        11 => ProcState::Done,
-        _ => return Err(simcore::SnapshotError::Corrupt("proc state tag")),
-    })
-}
-
-fn freeze_source(src: Source, w: &mut simcore::SnapshotWriter) {
-    match src {
-        Source::Proc(pid) => {
-            w.put_u64(0);
-            w.put_usize(pid.0);
+impl Source {
+    fn check(self, n_procs: usize) -> Result<(), SnapshotError> {
+        match self {
+            Source::Proc(pid) => check_pid(pid, n_procs, "source pid out of range"),
+            Source::XServer => Ok(()),
         }
-        Source::XServer => w.put_u64(1),
     }
 }
 
-fn thaw_source(
-    r: &mut simcore::SnapshotReader<'_>,
-    n_procs: usize,
-) -> Result<Source, simcore::SnapshotError> {
-    Ok(match r.take_u64()? {
-        0 => {
-            let pid = r.take_usize()?;
-            if pid >= n_procs {
-                return Err(simcore::SnapshotError::Corrupt("source pid out of range"));
+/// Tag word 0–12 in declaration order, then the pid or hook index of
+/// the variants that carry one.
+impl Codec for Event {
+    fn put(&self, w: &mut SnapshotWriter) {
+        let (tag, arg) = match *self {
+            Event::Poll(pid) => (0u64, Some(pid.0)),
+            Event::CpuDone => (1, None),
+            Event::LinkWake => (2, None),
+            Event::NetTimer(pid) => (3, Some(pid.0)),
+            Event::Timer(pid) => (4, Some(pid.0)),
+            Event::DiskSpinupDone(pid) => (5, Some(pid.0)),
+            Event::DiskDone(pid) => (6, Some(pid.0)),
+            Event::SpinDownCheck => (7, None),
+            Event::DimCheck => (8, None),
+            Event::HookTick(idx) => (9, Some(idx)),
+            Event::LinkFault => (10, None),
+            Event::RpcTimeout(pid) => (11, Some(pid.0)),
+            Event::NetRetry(pid) => (12, Some(pid.0)),
+        };
+        w.put(&tag);
+        if let Some(arg) = arg {
+            w.put(&arg);
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u64>()? {
+            0 => Event::Poll(r.take()?),
+            1 => Event::CpuDone,
+            2 => Event::LinkWake,
+            3 => Event::NetTimer(r.take()?),
+            4 => Event::Timer(r.take()?),
+            5 => Event::DiskSpinupDone(r.take()?),
+            6 => Event::DiskDone(r.take()?),
+            7 => Event::SpinDownCheck,
+            8 => Event::DimCheck,
+            9 => Event::HookTick(r.take()?),
+            10 => Event::LinkFault,
+            11 => Event::RpcTimeout(r.take()?),
+            12 => Event::NetRetry(r.take()?),
+            _ => return Err(SnapshotError::Corrupt("event tag")),
+        })
+    }
+}
+
+impl Event {
+    fn check(self, n_procs: usize, n_hooks: usize) -> Result<(), SnapshotError> {
+        match self {
+            Event::Poll(pid)
+            | Event::NetTimer(pid)
+            | Event::Timer(pid)
+            | Event::DiskSpinupDone(pid)
+            | Event::DiskDone(pid)
+            | Event::RpcTimeout(pid)
+            | Event::NetRetry(pid) => check_pid(pid, n_procs, "event pid out of range"),
+            Event::HookTick(idx) if idx >= n_hooks => {
+                Err(SnapshotError::Corrupt("hook tick index out of range"))
             }
-            Source::Proc(Pid(pid))
-        }
-        1 => Source::XServer,
-        _ => return Err(simcore::SnapshotError::Corrupt("source tag")),
-    })
-}
-
-fn freeze_event(ev: &Event, w: &mut simcore::SnapshotWriter) {
-    match *ev {
-        Event::Poll(pid) => {
-            w.put_u64(0);
-            w.put_usize(pid.0);
-        }
-        Event::CpuDone => w.put_u64(1),
-        Event::LinkWake => w.put_u64(2),
-        Event::NetTimer(pid) => {
-            w.put_u64(3);
-            w.put_usize(pid.0);
-        }
-        Event::Timer(pid) => {
-            w.put_u64(4);
-            w.put_usize(pid.0);
-        }
-        Event::DiskSpinupDone(pid) => {
-            w.put_u64(5);
-            w.put_usize(pid.0);
-        }
-        Event::DiskDone(pid) => {
-            w.put_u64(6);
-            w.put_usize(pid.0);
-        }
-        Event::SpinDownCheck => w.put_u64(7),
-        Event::DimCheck => w.put_u64(8),
-        Event::HookTick(idx) => {
-            w.put_u64(9);
-            w.put_usize(idx);
-        }
-        Event::LinkFault => w.put_u64(10),
-        Event::RpcTimeout(pid) => {
-            w.put_u64(11);
-            w.put_usize(pid.0);
-        }
-        Event::NetRetry(pid) => {
-            w.put_u64(12);
-            w.put_usize(pid.0);
+            _ => Ok(()),
         }
     }
 }
 
-fn thaw_event(
-    r: &mut simcore::SnapshotReader<'_>,
-    n_procs: usize,
-    n_hooks: usize,
-) -> Result<Event, simcore::SnapshotError> {
-    fn pid(
-        r: &mut simcore::SnapshotReader<'_>,
-        n_procs: usize,
-    ) -> Result<Pid, simcore::SnapshotError> {
-        let idx = r.take_usize()?;
-        if idx >= n_procs {
-            return Err(simcore::SnapshotError::Corrupt("event pid out of range"));
-        }
-        Ok(Pid(idx))
-    }
-    let tag = r.take_u64()?;
-    Ok(match tag {
-        0 => Event::Poll(pid(r, n_procs)?),
-        1 => Event::CpuDone,
-        2 => Event::LinkWake,
-        3 => Event::NetTimer(pid(r, n_procs)?),
-        4 => Event::Timer(pid(r, n_procs)?),
-        5 => Event::DiskSpinupDone(pid(r, n_procs)?),
-        6 => Event::DiskDone(pid(r, n_procs)?),
-        7 => Event::SpinDownCheck,
-        8 => Event::DimCheck,
-        9 => {
-            let idx = r.take_usize()?;
-            if idx >= n_hooks {
-                return Err(simcore::SnapshotError::Corrupt(
-                    "hook tick index out of range",
-                ));
-            }
-            Event::HookTick(idx)
-        }
-        10 => Event::LinkFault,
-        11 => Event::RpcTimeout(pid(r, n_procs)?),
-        12 => Event::NetRetry(pid(r, n_procs)?),
-        _ => return Err(simcore::SnapshotError::Corrupt("event tag")),
-    })
-}
+simcore::impl_codec!(FlowCtx {
+    pid,
+    rx_bytes,
+    started
+});
 
 /// The simulated mobile client.
 pub struct Machine {
@@ -1496,97 +1474,62 @@ impl Machine {
     /// cannot see) — the caller then falls back to replay-based resume.
     ///
     /// [`SnapshotError::Unsupported`]: simcore::SnapshotError::Unsupported
-    pub fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
+    pub fn freeze(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         if !self.observers.is_empty() {
-            return Err(simcore::SnapshotError::Unsupported(
+            return Err(SnapshotError::Unsupported(
                 "machine with interval observers",
             ));
         }
-        w.put_time(self.clock);
-        let entries = self.queue.export_entries();
-        w.put_u64(self.queue.next_seq());
-        w.put_usize(entries.len());
-        for (at, seq, ev) in entries {
-            w.put_time(at);
-            w.put_u64(seq);
-            freeze_event(ev, w);
-        }
-        w.put_usize(self.procs.len());
+        w.put(&self.clock);
+        w.put(&self.queue.next_seq());
+        w.put(&self.queue.export_entries());
+        w.put(&self.procs.len());
         for p in &self.procs {
             p.workload.freeze(w)?;
-            freeze_proc_state(&p.state, w);
-            w.put_u64(p.bytes_received);
-            w.put_opt_f64(p.last_transfer_bps);
-            w.put_u64(p.attempts as u64);
-            w.put_opt_u64(p.flow.map(FlowId::raw));
-            w.put_opt_u64(p.timeout_ev.map(EventId::raw));
-            w.put_opt_u64(p.net_timer_ev.map(EventId::raw));
-            w.put_opt_u64(p.wait_timer_ev.map(EventId::raw));
-            w.put_opt_u64(p.retry_ev.map(EventId::raw));
-            w.put_bool(p.suspended);
-            w.put_f64(p.clamp);
-            w.put_time(p.last_poll_at);
-            w.put_bool(p.alive_counted);
+            w.put(&p.state);
+            w.put(&p.bytes_received);
+            w.put(&p.last_transfer_bps);
+            w.put(&p.attempts);
+            w.put(&p.flow);
+            w.put(&p.timeout_ev);
+            w.put(&p.net_timer_ev);
+            w.put(&p.wait_timer_ev);
+            w.put(&p.retry_ev);
+            w.put(&p.suspended);
+            w.put(&p.clamp);
+            w.put(&p.last_poll_at);
+            w.put(&p.alive_counted);
         }
         for s in &self.fidelity_series {
-            s.freeze_into(w);
+            w.put(s);
         }
-        w.put_usize(self.alive);
-        w.put_usize(self.run_queue.len());
-        for src in &self.run_queue {
-            freeze_source(*src, w);
-        }
-        w.put_usize(self.x_queue.len());
-        for job in &self.x_queue {
-            freeze_cpu_job(job, w);
-        }
-        w.put_bool(self.x_enqueued);
-        match self.current {
-            None => w.put_u64(0),
-            Some((src, slice)) => {
-                w.put_u64(1);
-                freeze_source(src, w);
-                w.put_duration(slice);
-            }
-        }
+        w.put(&self.alive);
+        w.put(&self.run_queue);
+        w.put(&self.x_queue);
+        w.put(&self.x_enqueued);
+        w.put(&self.current);
         self.disk.freeze_into(w);
         self.radio.freeze_into(w);
         self.link.freeze_into(w);
-        w.put_usize(self.flows.len());
-        for (id, ctx) in &self.flows {
-            w.put_u64(id.raw());
-            w.put_usize(ctx.pid.0);
-            w.put_u64(ctx.rx_bytes);
-            w.put_time(ctx.started);
-        }
-        w.put_opt_u64(self.link_event.map(EventId::raw));
-        w.put_u64(self.rpc_timeouts);
-        w.put_u64(self.rpc_retries);
-        w.put_opt_time(self.quiet_since);
-        w.put_bool(self.dim_active);
-        w.put_opt_u64(self.dim_event.map(EventId::raw));
-        self.ledger.freeze_into(w);
-        match self.source {
-            EnergySource::External => w.put_u64(0),
-            EnergySource::Battery { remaining_j } => {
-                w.put_u64(1);
-                w.put_f64(remaining_j.0);
-            }
-        }
-        w.put_usize(self.hooks.len());
+        w.put(&self.flows);
+        w.put(&self.link_event);
+        w.put(&self.rpc_timeouts);
+        w.put(&self.rpc_retries);
+        w.put(&self.quiet_since);
+        w.put(&self.dim_active);
+        w.put(&self.dim_event);
+        w.put(&self.ledger);
+        w.put(&self.source);
+        w.put(&self.hooks.len());
         for slot in &self.hooks {
             match &slot.hook {
                 Some(hook) => hook.freeze(w)?,
-                None => {
-                    return Err(simcore::SnapshotError::Unsupported(
-                        "freeze during hook tick",
-                    ))
-                }
+                None => return Err(SnapshotError::Unsupported("freeze during hook tick")),
             }
         }
-        w.put_bool(self.stopped);
-        w.put_bool(self.exhausted);
-        w.put_bool(self.started);
+        w.put(&self.stopped);
+        w.put(&self.exhausted);
+        w.put(&self.started);
         Ok(())
     }
 
@@ -1596,131 +1539,87 @@ impl Machine {
     ///
     /// On error the machine may be partially mutated — callers must
     /// discard it and fall back to replay.
-    pub fn thaw(
-        &mut self,
-        r: &mut simcore::SnapshotReader<'_>,
-    ) -> Result<(), simcore::SnapshotError> {
+    pub fn thaw(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         if !self.observers.is_empty() {
-            return Err(simcore::SnapshotError::Unsupported(
+            return Err(SnapshotError::Unsupported(
                 "machine with interval observers",
             ));
         }
         let n_procs = self.procs.len();
         let n_hooks = self.hooks.len();
-        self.clock = r.take_time()?;
-        let next_seq = r.take_u64()?;
-        let n_events = r.take_usize()?;
-        let mut entries = Vec::with_capacity(n_events.min(1024));
-        for _ in 0..n_events {
-            let at = r.take_time()?;
-            let seq = r.take_u64()?;
-            entries.push((at, seq, thaw_event(r, n_procs, n_hooks)?));
+        self.clock = r.take()?;
+        let next_seq = r.take()?;
+        let entries: Vec<(SimTime, u64, Event)> = r.take()?;
+        for &(_, _, ev) in &entries {
+            ev.check(n_procs, n_hooks)?;
         }
         self.queue = EventQueue::restore(next_seq, entries)?;
-        if r.take_usize()? != n_procs {
-            return Err(simcore::SnapshotError::Corrupt("process count mismatch"));
+        if r.take::<usize>()? != n_procs {
+            return Err(SnapshotError::Corrupt("process count mismatch"));
         }
         for p in &mut self.procs {
             p.workload.thaw(r)?;
-            p.state = thaw_proc_state(r)?;
-            p.bytes_received = r.take_u64()?;
-            p.last_transfer_bps = r.take_opt_f64()?;
-            p.attempts = u32::try_from(r.take_u64()?)
-                .map_err(|_| simcore::SnapshotError::Corrupt("attempt count"))?;
-            p.flow = r.take_opt_u64()?.map(FlowId::from_raw);
-            p.timeout_ev = r.take_opt_u64()?.map(EventId::from_raw);
-            p.net_timer_ev = r.take_opt_u64()?.map(EventId::from_raw);
-            p.wait_timer_ev = r.take_opt_u64()?.map(EventId::from_raw);
-            p.retry_ev = r.take_opt_u64()?.map(EventId::from_raw);
-            p.suspended = r.take_bool()?;
-            let clamp = r.take_f64()?;
-            if !clamp.is_finite() || clamp <= 0.0 || clamp > 1.0 {
-                return Err(simcore::SnapshotError::Corrupt("datapath clamp"));
+            p.state = r.take()?;
+            p.bytes_received = r.take()?;
+            p.last_transfer_bps = r.take()?;
+            p.attempts = r.take()?;
+            p.flow = r.take()?;
+            p.timeout_ev = r.take()?;
+            p.net_timer_ev = r.take()?;
+            p.wait_timer_ev = r.take()?;
+            p.retry_ev = r.take()?;
+            p.suspended = r.take()?;
+            p.clamp = r.take()?;
+            if !p.clamp.is_finite() || p.clamp <= 0.0 || p.clamp > 1.0 {
+                return Err(SnapshotError::Corrupt("datapath clamp"));
             }
-            p.clamp = clamp;
-            p.last_poll_at = r.take_time()?;
-            p.alive_counted = r.take_bool()?;
+            p.last_poll_at = r.take()?;
+            p.alive_counted = r.take()?;
         }
         for s in &mut self.fidelity_series {
-            *s = TimeSeries::thaw_from(r)?;
+            *s = r.take()?;
         }
-        let alive = r.take_usize()?;
-        if alive != self.procs.iter().filter(|p| p.alive_counted).count() {
-            return Err(simcore::SnapshotError::Corrupt("alive count mismatch"));
+        self.alive = r.take()?;
+        if self.alive != self.procs.iter().filter(|p| p.alive_counted).count() {
+            return Err(SnapshotError::Corrupt("alive count mismatch"));
         }
-        self.alive = alive;
-        let n_run = r.take_usize()?;
-        self.run_queue.clear();
-        for _ in 0..n_run {
-            self.run_queue.push_back(thaw_source(r, n_procs)?);
+        self.run_queue = r.take()?;
+        for src in &self.run_queue {
+            src.check(n_procs)?;
         }
-        let n_x = r.take_usize()?;
-        self.x_queue.clear();
-        for _ in 0..n_x {
-            self.x_queue.push_back(thaw_cpu_job(r)?);
+        self.x_queue = r.take()?;
+        self.x_enqueued = r.take()?;
+        self.current = r.take()?;
+        if let Some((src, _)) = self.current {
+            src.check(n_procs)?;
         }
-        self.x_enqueued = r.take_bool()?;
-        self.current = match r.take_u64()? {
-            0 => None,
-            1 => {
-                let src = thaw_source(r, n_procs)?;
-                let slice = r.take_duration()?;
-                Some((src, slice))
-            }
-            _ => return Err(simcore::SnapshotError::Corrupt("current tag")),
-        };
         self.disk.thaw_from(r)?;
         self.radio.thaw_from(r)?;
         self.link.thaw_from(r)?;
-        let n_flows = r.take_usize()?;
-        self.flows.clear();
-        for _ in 0..n_flows {
-            let id = FlowId::from_raw(r.take_u64()?);
-            let pid = r.take_usize()?;
-            if pid >= n_procs {
-                return Err(simcore::SnapshotError::Corrupt("flow pid out of range"));
-            }
-            let rx_bytes = r.take_u64()?;
-            let started = r.take_time()?;
-            self.flows.insert(
-                id,
-                FlowCtx {
-                    pid: Pid(pid),
-                    rx_bytes,
-                    started,
-                },
-            );
+        self.flows = r.take()?;
+        for ctx in self.flows.values() {
+            check_pid(ctx.pid, n_procs, "flow pid out of range")?;
         }
-        self.link_event = r.take_opt_u64()?.map(EventId::from_raw);
-        self.rpc_timeouts = r.take_u64()?;
-        self.rpc_retries = r.take_u64()?;
-        self.quiet_since = r.take_opt_time()?;
-        self.dim_active = r.take_bool()?;
-        self.dim_event = r.take_opt_u64()?.map(EventId::from_raw);
-        self.ledger = Ledger::thaw_from(r)?;
-        self.source = match r.take_u64()? {
-            0 => EnergySource::External,
-            1 => {
-                let remaining_j = Joules(r.take_f64()?);
-                if !remaining_j.is_finite() || remaining_j < Joules::ZERO {
-                    return Err(simcore::SnapshotError::Corrupt("battery residual"));
-                }
-                EnergySource::Battery { remaining_j }
-            }
-            _ => return Err(simcore::SnapshotError::Corrupt("energy source tag")),
-        };
-        if r.take_usize()? != n_hooks {
-            return Err(simcore::SnapshotError::Corrupt("hook count mismatch"));
+        self.link_event = r.take()?;
+        self.rpc_timeouts = r.take()?;
+        self.rpc_retries = r.take()?;
+        self.quiet_since = r.take()?;
+        self.dim_active = r.take()?;
+        self.dim_event = r.take()?;
+        self.ledger = r.take()?;
+        self.source = r.take()?;
+        if r.take::<usize>()? != n_hooks {
+            return Err(SnapshotError::Corrupt("hook count mismatch"));
         }
         for slot in &mut self.hooks {
             match &mut slot.hook {
                 Some(hook) => hook.thaw(r)?,
-                None => return Err(simcore::SnapshotError::Unsupported("thaw during hook tick")),
+                None => return Err(SnapshotError::Unsupported("thaw during hook tick")),
             }
         }
-        self.stopped = r.take_bool()?;
-        self.exhausted = r.take_bool()?;
-        self.started = r.take_bool()?;
+        self.stopped = r.take()?;
+        self.exhausted = r.take()?;
+        self.started = r.take()?;
         Ok(())
     }
 
@@ -2239,8 +2138,8 @@ mod tests {
 
         // Flip one byte in every interior position: thaw must never panic,
         // and must either fail or produce a digest mismatch the caller
-        // detects. (The envelope checksum catches all of these; bypassing
-        // it is exercised at the simcore layer.)
+        // detects. (The envelope checksum catches all of these;
+        // `resealed_out_of_range_intensity_is_corrupt` reseals one.)
         let header = bytes.len() - payload_len - 8;
         for i in (header..header + payload_len).step_by(97) {
             let mut bad = bytes.clone();
@@ -2258,6 +2157,145 @@ mod tests {
             observed.freeze(&mut w2),
             Err(simcore::SnapshotError::Unsupported(_))
         ));
+    }
+
+    /// A checksum-valid snapshot whose pending CPU activity claims an
+    /// intensity of 7 is refused on thaw instead of panicking in the CPU
+    /// power model on the next run.
+    #[test]
+    fn resealed_out_of_range_intensity_is_corrupt() {
+        let rig = || {
+            let mut m = idle_machine(PmPolicy::enabled());
+            m.add_process(Box::new(ScriptedWorkload::new(
+                "w",
+                vec![
+                    Activity::wait_for(SimTime::ZERO, SimDuration::from_secs(5)),
+                    Activity::Cpu {
+                        duration: SimDuration::from_secs(1),
+                        intensity: 0.25,
+                        procedure: "spin",
+                    },
+                ],
+            )));
+            m
+        };
+        let mut m = rig();
+        let _ = m.run_until(SimTime::from_secs(1));
+        let mut w = simcore::SnapshotWriter::new();
+        m.freeze(&mut w).expect("freeze");
+        let mut bytes = w.seal();
+        let (header, checksum) = (20, bytes.len() - 8);
+        let at: Vec<usize> = (header..checksum)
+            .filter(|&i| bytes[i..i + 8] == 0.25f64.to_le_bytes())
+            .collect();
+        assert_eq!(at.len(), 1, "one pending intensity word");
+        bytes[at[0]..at[0] + 8].copy_from_slice(&7.0f64.to_le_bytes());
+        let mut h = simcore::SnapshotHasher::new();
+        h.write_bytes(&bytes[header..checksum]);
+        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+
+        let mut r = simcore::SnapshotReader::open(&bytes).expect("resealed envelope opens");
+        assert_eq!(
+            rig().thaw(&mut r),
+            Err(SnapshotError::Corrupt("cpu job intensity"))
+        );
+    }
+
+    /// The generic codec property test over the machine's own impls.
+    #[test]
+    fn codec_laws_hold_for_every_impl() {
+        use simcore::snapshot::check_codec;
+        let job = CpuJob {
+            remaining: SimDuration::from_millis(7),
+            intensity: 0.5,
+            procedure: "decode",
+            bucket: Some("janus"),
+        };
+        let plan = RpcPlan {
+            request_bytes: 1,
+            reply_bytes: 2,
+            server_time: SimDuration::from_millis(3),
+            is_bulk: true,
+        };
+        check_codec(&CpuJob {
+            bucket: None,
+            ..job
+        });
+        for state in [
+            ProcState::Start,
+            ProcState::ReadyCpu(job),
+            ProcState::NetAwaitTx(plan),
+            ProcState::NetTx(plan),
+            ProcState::NetServerWait(plan),
+            ProcState::NetRx(plan),
+            ProcState::NetBackoff(plan),
+            ProcState::DiskSpinup { bytes: 9 },
+            ProcState::DiskBusy,
+            ProcState::Waiting,
+            ProcState::Suspended,
+            ProcState::Done,
+        ] {
+            check_codec(&state);
+        }
+        check_codec(&Some((Source::Proc(Pid(2)), SimDuration::from_millis(10))));
+        check_codec(&VecDeque::from([Source::XServer]));
+        let p = Pid(1);
+        check_codec(&vec![
+            Event::Poll(p),
+            Event::CpuDone,
+            Event::LinkWake,
+            Event::NetTimer(p),
+            Event::Timer(p),
+            Event::DiskSpinupDone(p),
+            Event::DiskDone(p),
+            Event::SpinDownCheck,
+            Event::DimCheck,
+            Event::HookTick(3),
+            Event::LinkFault,
+            Event::RpcTimeout(p),
+            Event::NetRetry(p),
+        ]);
+        check_codec(&FlowCtx {
+            pid: p,
+            rx_bytes: 5,
+            started: SimTime::from_secs(2),
+        });
+        let spec = RpcSpec::control(SimDuration::from_millis(20));
+        for activity in [
+            Activity::Cpu {
+                duration: SimDuration::from_secs(1),
+                intensity: 1.0,
+                procedure: "a",
+            },
+            Activity::CpuAs {
+                bucket: "proxy",
+                duration: SimDuration::from_secs(1),
+                intensity: 0.0,
+                procedure: "b",
+            },
+            Activity::XRender {
+                cost: SimDuration::from_millis(4),
+            },
+            Activity::Rpc {
+                spec,
+                procedure: "c",
+            },
+            Activity::BulkFetch {
+                bytes: 6,
+                procedure: "d",
+            },
+            Activity::DiskRead {
+                bytes: 7,
+                procedure: "e",
+            },
+            Activity::wait_for(SimTime::ZERO, SimDuration::from_secs(8)),
+        ] {
+            check_codec(&activity);
+        }
+        let (mut m, _j) = snapshot_rig();
+        let _ = m.run_until(SimTime::from_secs(7));
+        assert!(m.ledger.snapshot_detail().len() > 2);
+        check_codec(&m.ledger);
     }
 
     /// A 10-second empty run with PM disabled must cost exactly the

@@ -6,6 +6,8 @@
 //! crate implement this trait; so do the tiny synthetic workloads used in
 //! tests.
 
+use std::collections::VecDeque;
+
 use hw560x::DisplayState;
 use simcore::{SimDuration, SimTime};
 
@@ -94,7 +96,7 @@ pub trait Workload {
 pub struct ScriptedWorkload {
     name: &'static str,
     display: DisplayState,
-    script: std::vec::IntoIter<Activity>,
+    script: VecDeque<Activity>,
 }
 
 impl std::fmt::Debug for ScriptedWorkload {
@@ -112,7 +114,7 @@ impl ScriptedWorkload {
         ScriptedWorkload {
             name,
             display: DisplayState::Bright,
-            script: script.into_iter(),
+            script: script.into(),
         }
     }
 
@@ -144,28 +146,19 @@ impl Workload for ScriptedWorkload {
     }
 
     fn poll(&mut self, _now: SimTime) -> Step {
-        match self.script.next() {
+        match self.script.pop_front() {
             Some(a) => Step::Run(a),
             None => Step::Done,
         }
     }
 
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        let remaining = self.script.as_slice();
-        w.put_usize(remaining.len());
-        for a in remaining {
-            a.freeze_into(w);
-        }
+        w.put(&self.script);
         Ok(())
     }
 
     fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        let n = r.take_usize()?;
-        let mut script = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            script.push(Activity::thaw_from(r)?);
-        }
-        self.script = script.into_iter();
+        self.script = r.take()?;
         Ok(())
     }
 }

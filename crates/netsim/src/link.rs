@@ -12,29 +12,48 @@
 
 use std::collections::VecDeque;
 
-use simcore::{SimDuration, SimTime, TraceEvent, TraceHandle};
+use simcore::{
+    Codec, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter, TraceEvent,
+    TraceHandle,
+};
 
 /// Identifies one flow on a link.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct FlowId(u64);
 
-impl FlowId {
-    /// The underlying flow number — snapshot support only; treat as
-    /// opaque everywhere else.
-    pub fn raw(self) -> u64 {
-        self.0
+impl Codec for FlowId {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
     }
 
-    /// Rebuilds a handle from [`Self::raw`] — snapshot support only.
-    pub fn from_raw(id: u64) -> Self {
-        FlowId(id)
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(FlowId(r.take()?))
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Flow {
     id: FlowId,
     remaining_bits: f64,
+}
+
+/// A flow's remaining bits must be finite and non-negative.
+impl Codec for Flow {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.id);
+        w.put(&self.remaining_bits);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let flow = Flow {
+            id: r.take()?,
+            remaining_bits: r.take()?,
+        };
+        if !flow.remaining_bits.is_finite() || flow.remaining_bits < 0.0 {
+            return Err(SnapshotError::Corrupt("flow remaining bits"));
+        }
+        Ok(flow)
+    }
 }
 
 /// A shared link with equal-share (processor-sharing) bandwidth allocation.
@@ -256,60 +275,36 @@ impl SharedLink {
 
     /// Encodes the link's mutable state (everything except capacity and
     /// the trace attachment) into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_f64(self.rate_factor);
-        w.put_usize(self.flows.len());
-        for f in &self.flows {
-            w.put_u64(f.id.0);
-            w.put_f64(f.remaining_bits);
-        }
-        w.put_usize(self.completed.len());
-        for id in &self.completed {
-            w.put_u64(id.0);
-        }
-        w.put_time(self.last_advance);
-        w.put_u64(self.next_id);
-        w.put_u64(self.total_bytes_carried);
+    pub fn freeze_into(&self, w: &mut SnapshotWriter) {
+        w.put(&self.rate_factor);
+        w.put(&self.flows);
+        w.put(&self.completed);
+        w.put(&self.last_advance);
+        w.put(&self.next_id);
+        w.put(&self.total_bytes_carried);
     }
 
     /// Restores the mutable state written by [`Self::freeze_into`] onto
     /// this (freshly built) link. Capacity and trace attachment are
     /// construction-time properties and keep their current values.
-    pub fn thaw_from(
-        &mut self,
-        r: &mut simcore::SnapshotReader<'_>,
-    ) -> Result<(), simcore::SnapshotError> {
-        let rate_factor = r.take_f64()?;
-        if !rate_factor.is_finite() || !(0.0..=1.0).contains(&rate_factor) {
-            return Err(simcore::SnapshotError::Corrupt("link rate factor"));
+    pub fn thaw_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.rate_factor = r.take()?;
+        if !self.rate_factor.is_finite() || !(0.0..=1.0).contains(&self.rate_factor) {
+            return Err(SnapshotError::Corrupt("link rate factor"));
         }
-        let n_flows = r.take_usize()?;
-        let mut flows = Vec::with_capacity(n_flows.min(1024));
-        for _ in 0..n_flows {
-            let id = FlowId(r.take_u64()?);
-            let remaining_bits = r.take_f64()?;
-            if !remaining_bits.is_finite() || remaining_bits < 0.0 {
-                return Err(simcore::SnapshotError::Corrupt("flow remaining bits"));
-            }
-            flows.push(Flow { id, remaining_bits });
+        self.flows = r.take()?;
+        self.completed = r.take()?;
+        self.last_advance = r.take()?;
+        self.next_id = r.take()?;
+        let mut ids = self
+            .flows
+            .iter()
+            .map(|f| f.id)
+            .chain(self.completed.iter().copied());
+        if ids.any(|id| id.0 >= self.next_id) {
+            return Err(SnapshotError::Corrupt("flow id beyond next_id"));
         }
-        let n_done = r.take_usize()?;
-        let mut completed = VecDeque::with_capacity(n_done.min(1024));
-        for _ in 0..n_done {
-            completed.push_back(FlowId(r.take_u64()?));
-        }
-        let last_advance = r.take_time()?;
-        let next_id = r.take_u64()?;
-        if flows.iter().any(|f| f.id.0 >= next_id) || completed.iter().any(|id| id.0 >= next_id) {
-            return Err(simcore::SnapshotError::Corrupt("flow id beyond next_id"));
-        }
-        let total_bytes_carried = r.take_u64()?;
-        self.rate_factor = rate_factor;
-        self.flows = flows;
-        self.completed = completed;
-        self.last_advance = last_advance;
-        self.next_id = next_id;
-        self.total_bytes_carried = total_bytes_carried;
+        self.total_bytes_carried = r.take()?;
         Ok(())
     }
 }
@@ -317,6 +312,24 @@ impl SharedLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generic codec property test over this crate's impls.
+    #[test]
+    fn codec_laws_hold_for_every_impl() {
+        use simcore::snapshot::check_codec;
+        check_codec(&crate::RpcSpec::control(SimDuration::from_millis(5)));
+        check_codec(&vec![
+            Flow {
+                id: FlowId(3),
+                remaining_bits: 8.0,
+            },
+            Flow {
+                id: FlowId(4),
+                remaining_bits: 0.0,
+            },
+        ]);
+        check_codec(&VecDeque::from([FlowId(1)]));
+    }
 
     const CAP: f64 = 2.0e6;
 

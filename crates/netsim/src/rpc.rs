@@ -23,6 +23,12 @@ pub struct RpcSpec {
     pub server_time: SimDuration,
 }
 
+simcore::impl_codec!(RpcSpec {
+    request_bytes,
+    reply_bytes,
+    server_time
+});
+
 impl RpcSpec {
     /// A small control RPC: both payloads fit in one packet.
     pub fn control(server_time: SimDuration) -> Self {

@@ -11,7 +11,7 @@
 //! from the goal α is large (stable; transients ignored), close to the
 //! goal α shrinks (agile; the margin for error is small).
 
-use simcore::{Joules, SimDuration, Watts};
+use simcore::{Codec, Joules, SimDuration, SnapshotError, SnapshotReader, SnapshotWriter, Watts};
 
 /// Exponential smoother with a time-remaining-scaled half-life.
 #[derive(Clone, Copy, Debug)]
@@ -91,7 +91,7 @@ impl Smoother {
     /// Encodes the smoothed value (the parameters are construction-time)
     /// into a snapshot payload.
     pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_opt_f64(self.value.map(|p| p.0));
+        w.put(&self.value);
     }
 
     /// Restores the state written by [`Self::freeze_into`].
@@ -99,7 +99,7 @@ impl Smoother {
         &mut self,
         r: &mut simcore::SnapshotReader<'_>,
     ) -> Result<(), simcore::SnapshotError> {
-        self.value = r.take_opt_f64()?.map(Watts);
+        self.value = r.take()?;
         Ok(())
     }
 }
@@ -122,6 +122,38 @@ struct DemandEntry {
     active: bool,
 }
 
+/// An entry must declare at least one level, every power finite and
+/// non-negative, and claim a level it declared.
+impl Codec for DemandEntry {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.declared_w);
+        w.put(&self.claimed_level);
+        w.put(&self.active);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let e = DemandEntry {
+            declared_w: r.take()?,
+            claimed_level: r.take()?,
+            active: r.take()?,
+        };
+        if e.declared_w.is_empty() {
+            return Err(SnapshotError::Corrupt("empty demand declaration"));
+        }
+        if !e
+            .declared_w
+            .iter()
+            .all(|p| p.is_finite() && *p >= Watts::ZERO)
+        {
+            return Err(SnapshotError::Corrupt("declared power"));
+        }
+        if e.claimed_level >= e.declared_w.len() {
+            return Err(SnapshotError::Corrupt("claimed level"));
+        }
+        Ok(e)
+    }
+}
+
 /// The viceroy's demand ledger: per-application declared power by fidelity
 /// level, keyed by process index.
 ///
@@ -135,6 +167,8 @@ struct DemandEntry {
 pub struct DemandLedger {
     entries: std::collections::BTreeMap<usize, DemandEntry>,
 }
+
+simcore::impl_codec!(DemandLedger { entries });
 
 impl DemandLedger {
     /// Creates an empty ledger.
@@ -239,60 +273,6 @@ impl DemandLedger {
             .filter(|e| e.active)
             .map(|e| e.declared_w[e.claimed_level])
             .sum()
-    }
-
-    /// Encodes the full ledger into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_usize(self.entries.len());
-        for (idx, e) in &self.entries {
-            w.put_usize(*idx);
-            w.put_usize(e.declared_w.len());
-            for power in &e.declared_w {
-                w.put_f64(power.0);
-            }
-            w.put_usize(e.claimed_level);
-            w.put_bool(e.active);
-        }
-    }
-
-    /// Decodes a ledger written by [`Self::freeze_into`].
-    pub fn thaw_from(r: &mut simcore::SnapshotReader<'_>) -> Result<Self, simcore::SnapshotError> {
-        let n = r.take_usize()?;
-        let mut entries = std::collections::BTreeMap::new();
-        for _ in 0..n {
-            let idx = r.take_usize()?;
-            let levels = r.take_usize()?;
-            if levels == 0 {
-                return Err(simcore::SnapshotError::Corrupt("empty demand declaration"));
-            }
-            let mut declared_w = Vec::with_capacity(levels.min(1024));
-            for _ in 0..levels {
-                let power = r.take_f64()?;
-                if !power.is_finite() || power < 0.0 {
-                    return Err(simcore::SnapshotError::Corrupt("declared power"));
-                }
-                declared_w.push(Watts(power));
-            }
-            let claimed_level = r.take_usize()?;
-            if claimed_level >= declared_w.len() {
-                return Err(simcore::SnapshotError::Corrupt("claimed level"));
-            }
-            let active = r.take_bool()?;
-            if entries
-                .insert(
-                    idx,
-                    DemandEntry {
-                        declared_w,
-                        claimed_level,
-                        active,
-                    },
-                )
-                .is_some()
-            {
-                return Err(simcore::SnapshotError::Corrupt("duplicate demand entry"));
-            }
-        }
-        Ok(DemandLedger { entries })
     }
 
     /// Audit: indices whose entries are still active even though the

@@ -22,7 +22,10 @@ use std::rc::Rc;
 
 use machine::{AdaptDirection, ControlHook, MachineView};
 use powerscope::{FaultyEnergySensor, MeterFaultPlan, OnlinePowerMeter};
-use simcore::{Joules, SimDuration, SimTime, TimeSeries, TraceEvent, Watts};
+use simcore::{
+    Joules, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter, TimeSeries,
+    TraceEvent, Watts,
+};
 
 use crate::demand::{predicted_demand_j, Smoother};
 use crate::priority::PriorityTable;
@@ -511,88 +514,63 @@ impl GoalController {
 }
 
 impl ControlHook for GoalController {
-    fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
+    fn freeze(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
         // The only mutable piece of cfg: a posted budget revision
         // replaces the initial energy value.
-        w.put_f64(self.cfg.initial_energy_j.0);
-        w.put_time(self.deadline);
-        w.put_usize(self.next_extension);
-        self.meter.freeze_into(w);
+        w.put(&self.cfg.initial_energy_j);
+        w.put(&self.deadline);
+        w.put(&self.next_extension);
+        w.put(&self.meter);
         self.smoother.freeze_into(w);
-        w.put_opt_time(self.last_decision);
-        w.put_opt_time(self.last_upgrade);
+        w.put(&self.last_decision);
+        w.put(&self.last_upgrade);
         self.sensor.freeze_into(w);
-        w.put_opt_time(self.last_sample_at);
-        w.put_f64(self.last_metered_j.0);
-        w.put_f64(self.supply_floor.0);
-        w.put_usize(self.deficit_streak);
+        w.put(&self.last_sample_at);
+        w.put(&self.last_metered_j);
+        w.put(&self.supply_floor);
+        w.put(&self.deficit_streak);
         // The supply/demand series are output history, like trace
         // records: they stay out, so a thawed controller's series start
         // at the thaw and the snapshot does not grow with the run.
         let s = self.shared.borrow();
-        w.put_bool(s.goal_met);
-        w.put_usize(s.infeasible_signals);
-        w.put_usize(s.degrades);
-        w.put_usize(s.upgrades);
-        w.put_usize(s.stale_decisions);
-        w.put_opt_time(s.first_infeasible_at);
-        w.put_usize(s.rejected_degrades.len());
-        for (idx, count) in &s.rejected_degrades {
-            w.put_usize(*idx);
-            w.put_usize(*count);
-        }
-        match s.posted_goal {
-            None => w.put_u64(0),
-            Some(goal) => {
-                w.put_u64(1);
-                w.put_duration(goal);
-            }
-        }
-        w.put_opt_f64(s.posted_budget_j.map(|j| j.0));
+        w.put(&s.goal_met);
+        w.put(&s.infeasible_signals);
+        w.put(&s.degrades);
+        w.put(&s.upgrades);
+        w.put(&s.stale_decisions);
+        w.put(&s.first_infeasible_at);
+        w.put(&s.rejected_degrades);
+        w.put(&s.posted_goal);
+        w.put(&s.posted_budget_j);
         Ok(())
     }
 
-    fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        self.cfg.initial_energy_j = Joules(r.take_f64()?);
-        self.deadline = r.take_time()?;
-        let next_extension = r.take_usize()?;
-        if next_extension > self.cfg.extensions.len() {
-            return Err(simcore::SnapshotError::Corrupt("extension cursor"));
+    fn thaw(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        self.cfg.initial_energy_j = r.take()?;
+        self.deadline = r.take()?;
+        self.next_extension = r.take()?;
+        if self.next_extension > self.cfg.extensions.len() {
+            return Err(SnapshotError::Corrupt("extension cursor"));
         }
-        self.next_extension = next_extension;
-        self.meter.thaw_from(r)?;
+        self.meter = r.take()?;
         self.smoother.thaw_from(r)?;
-        self.last_decision = r.take_opt_time()?;
-        self.last_upgrade = r.take_opt_time()?;
+        self.last_decision = r.take()?;
+        self.last_upgrade = r.take()?;
         self.sensor.thaw_from(r)?;
-        self.last_sample_at = r.take_opt_time()?;
-        self.last_metered_j = Joules(r.take_f64()?);
-        self.supply_floor = Joules(r.take_f64()?);
-        self.deficit_streak = r.take_usize()?;
+        self.last_sample_at = r.take()?;
+        self.last_metered_j = r.take()?;
+        self.supply_floor = r.take()?;
+        self.deficit_streak = r.take()?;
         let mut s = self.shared.borrow_mut();
-        s.goal_met = r.take_bool()?;
-        s.infeasible_signals = r.take_usize()?;
-        s.degrades = r.take_usize()?;
-        s.upgrades = r.take_usize()?;
-        s.stale_decisions = r.take_usize()?;
-        s.first_infeasible_at = r.take_opt_time()?;
-        let n = r.take_usize()?;
-        s.rejected_degrades.clear();
-        for _ in 0..n {
-            let idx = r.take_usize()?;
-            let count = r.take_usize()?;
-            if s.rejected_degrades.insert(idx, count).is_some() {
-                return Err(simcore::SnapshotError::Corrupt(
-                    "duplicate rejected-degrade entry",
-                ));
-            }
-        }
-        s.posted_goal = match r.take_u64()? {
-            0 => None,
-            1 => Some(r.take_duration()?),
-            _ => return Err(simcore::SnapshotError::Corrupt("posted goal tag")),
-        };
-        s.posted_budget_j = r.take_opt_f64()?.map(Joules);
+        s.goal_met = r.take()?;
+        s.infeasible_signals = r.take()?;
+        s.degrades = r.take()?;
+        s.upgrades = r.take()?;
+        s.stale_decisions = r.take()?;
+        s.first_infeasible_at = r.take()?;
+        s.rejected_degrades = r.take()?;
+        s.posted_goal = r.take()?;
+        s.posted_budget_j = r.take()?;
         Ok(())
     }
 

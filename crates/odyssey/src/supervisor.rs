@@ -37,7 +37,9 @@ use std::rc::Rc;
 
 use machine::{AdaptDirection, ControlHook, MachineView, Pid};
 use powerscope::AttributionFeed;
-use simcore::{SimDuration, SimTime, TraceEvent, Watts};
+use simcore::{
+    Codec, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter, TraceEvent, Watts,
+};
 
 use crate::demand::DemandLedger;
 use crate::goal::GoalHandle;
@@ -135,6 +137,20 @@ pub struct SupervisorStats {
     pub overdraw_hot_procedures: BTreeMap<&'static str, usize>,
 }
 
+simcore::impl_codec!(SupervisorStats {
+    hang_strikes,
+    ignore_strikes,
+    overdraw_strikes,
+    reissued_upcalls,
+    clamps,
+    quarantines,
+    restarts,
+    retired,
+    crash_releases,
+    redistributed_w,
+    overdraw_hot_procedures,
+});
+
 #[derive(Debug, Default)]
 struct Inner {
     stats: SupervisorStats,
@@ -144,6 +160,12 @@ struct Inner {
     /// into the response ladder at the next tick.
     external_strikes: Vec<usize>,
 }
+
+simcore::impl_codec!(Inner {
+    stats,
+    ledger,
+    external_strikes
+});
 
 /// Caller-side handle to inspect the supervisor during and after a run.
 #[derive(Clone)]
@@ -190,6 +212,27 @@ enum Phase {
     Clamped,
     Quarantined { since: SimTime },
     Retired,
+}
+
+impl Codec for Phase {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match self {
+            Phase::Healthy => w.put(&0u64),
+            Phase::Clamped => w.put(&1u64),
+            Phase::Quarantined { since } => w.put(&(2u64, *since)),
+            Phase::Retired => w.put(&3u64),
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(match r.take::<u64>()? {
+            0 => Phase::Healthy,
+            1 => Phase::Clamped,
+            2 => Phase::Quarantined { since: r.take()? },
+            3 => Phase::Retired,
+            _ => return Err(SnapshotError::Corrupt("app phase tag")),
+        })
+    }
 }
 
 #[derive(Debug)]
@@ -387,114 +430,41 @@ impl Supervisor {
 }
 
 impl ControlHook for Supervisor {
-    fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        w.put_usize(self.apps.len());
+    fn freeze(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        w.put(&self.apps.len());
         for app in &self.apps {
-            match app.phase {
-                Phase::Healthy => w.put_u64(0),
-                Phase::Clamped => w.put_u64(1),
-                Phase::Quarantined { since } => {
-                    w.put_u64(2);
-                    w.put_time(since);
-                }
-                Phase::Retired => w.put_u64(3),
-            }
-            w.put_u64(app.strikes as u64);
-            w.put_u64(app.clean_ticks as u64);
-            w.put_u64(app.restarts as u64);
-            w.put_usize(app.recovery_level);
-            w.put_usize(app.seen_rejections);
-            w.put_usize(app.level_seen);
-            w.put_time(app.level_changed_at);
-            w.put_bool(app.collected);
+            w.put(&app.phase);
+            w.put(&app.strikes);
+            w.put(&app.clean_ticks);
+            w.put(&app.restarts);
+            w.put(&app.recovery_level);
+            w.put(&app.seen_rejections);
+            w.put(&app.level_seen);
+            w.put(&app.level_changed_at);
+            w.put(&app.collected);
         }
-        self.feed.freeze_into(w);
-        let inner = self.inner.borrow();
-        w.put_usize(inner.stats.hang_strikes);
-        w.put_usize(inner.stats.ignore_strikes);
-        w.put_usize(inner.stats.overdraw_strikes);
-        w.put_usize(inner.stats.reissued_upcalls);
-        w.put_usize(inner.stats.clamps);
-        w.put_usize(inner.stats.quarantines);
-        w.put_usize(inner.stats.restarts);
-        w.put_usize(inner.stats.retired);
-        w.put_usize(inner.stats.crash_releases);
-        w.put_f64(inner.stats.redistributed_w.0);
-        w.put_usize(inner.stats.overdraw_hot_procedures.len());
-        for (procedure, count) in &inner.stats.overdraw_hot_procedures {
-            w.put_str(procedure);
-            w.put_usize(*count);
-        }
-        inner.ledger.freeze_into(w);
-        w.put_usize(inner.external_strikes.len());
-        for idx in &inner.external_strikes {
-            w.put_usize(*idx);
-        }
+        w.put(&self.feed);
+        w.put(&*self.inner.borrow());
         Ok(())
     }
 
-    fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        if r.take_usize()? != self.apps.len() {
-            return Err(simcore::SnapshotError::Corrupt(
-                "watched-app count mismatch",
-            ));
+    fn thaw(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        if r.take::<usize>()? != self.apps.len() {
+            return Err(SnapshotError::Corrupt("watched-app count mismatch"));
         }
         for app in &mut self.apps {
-            app.phase = match r.take_u64()? {
-                0 => Phase::Healthy,
-                1 => Phase::Clamped,
-                2 => Phase::Quarantined {
-                    since: r.take_time()?,
-                },
-                3 => Phase::Retired,
-                _ => return Err(simcore::SnapshotError::Corrupt("app phase tag")),
-            };
-            app.strikes = u32::try_from(r.take_u64()?)
-                .map_err(|_| simcore::SnapshotError::Corrupt("strike count"))?;
-            app.clean_ticks = u32::try_from(r.take_u64()?)
-                .map_err(|_| simcore::SnapshotError::Corrupt("clean-tick count"))?;
-            app.restarts = u32::try_from(r.take_u64()?)
-                .map_err(|_| simcore::SnapshotError::Corrupt("restart count"))?;
-            app.recovery_level = r.take_usize()?;
-            app.seen_rejections = r.take_usize()?;
-            app.level_seen = r.take_usize()?;
-            app.level_changed_at = r.take_time()?;
-            app.collected = r.take_bool()?;
+            app.phase = r.take()?;
+            app.strikes = r.take()?;
+            app.clean_ticks = r.take()?;
+            app.restarts = r.take()?;
+            app.recovery_level = r.take()?;
+            app.seen_rejections = r.take()?;
+            app.level_seen = r.take()?;
+            app.level_changed_at = r.take()?;
+            app.collected = r.take()?;
         }
-        self.feed = AttributionFeed::thaw_from(r)?;
-        let mut inner = self.inner.borrow_mut();
-        inner.stats.hang_strikes = r.take_usize()?;
-        inner.stats.ignore_strikes = r.take_usize()?;
-        inner.stats.overdraw_strikes = r.take_usize()?;
-        inner.stats.reissued_upcalls = r.take_usize()?;
-        inner.stats.clamps = r.take_usize()?;
-        inner.stats.quarantines = r.take_usize()?;
-        inner.stats.restarts = r.take_usize()?;
-        inner.stats.retired = r.take_usize()?;
-        inner.stats.crash_releases = r.take_usize()?;
-        inner.stats.redistributed_w = Watts(r.take_f64()?);
-        let hot = r.take_usize()?;
-        inner.stats.overdraw_hot_procedures.clear();
-        for _ in 0..hot {
-            let procedure = r.take_static_str()?;
-            let count = r.take_usize()?;
-            if inner
-                .stats
-                .overdraw_hot_procedures
-                .insert(procedure, count)
-                .is_some()
-            {
-                return Err(simcore::SnapshotError::Corrupt(
-                    "duplicate overdraw procedure",
-                ));
-            }
-        }
-        inner.ledger = DemandLedger::thaw_from(r)?;
-        let n = r.take_usize()?;
-        inner.external_strikes.clear();
-        for _ in 0..n {
-            inner.external_strikes.push(r.take_usize()?);
-        }
+        self.feed = r.take()?;
+        *self.inner.borrow_mut() = r.take()?;
         Ok(())
     }
 
@@ -651,6 +621,35 @@ mod tests {
     use machine::workload::ScriptedWorkload;
     use machine::{Activity, FidelityView, Machine, MachineConfig, Step, Workload};
     use simcore::SimDuration;
+
+    /// The generic codec property test over this crate's impls.
+    #[test]
+    fn codec_laws_hold_for_every_impl() {
+        use simcore::snapshot::check_codec;
+        for phase in [
+            Phase::Healthy,
+            Phase::Clamped,
+            Phase::Quarantined {
+                since: SimTime::from_secs(9),
+            },
+            Phase::Retired,
+        ] {
+            check_codec(&phase);
+        }
+        let mut ledger = DemandLedger::new();
+        check_codec(&ledger);
+        ledger.declare(0, vec![Watts(1.0), Watts(2.5)], 1);
+        ledger.declare(3, vec![Watts(0.0)], 0);
+        ledger.release(3);
+        check_codec(&ledger);
+        let stats = SupervisorStats {
+            clamps: 2,
+            redistributed_w: Watts(1.25),
+            overdraw_hot_procedures: [("decode", 3)].into(),
+            ..SupervisorStats::default()
+        };
+        check_codec(&stats);
+    }
 
     /// A workload that behaves for `honest_until`, then spins forever
     /// without polling — the canonical hang.

@@ -22,12 +22,12 @@ const ALPHA: f64 = 0.2;
 /// Converts cumulative attributed-energy readings into smoothed
 /// per-process power estimates, keyed by an opaque stream id (the
 /// supervisor uses the process index).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AttributionFeed {
     streams: BTreeMap<usize, Stream>,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Stream {
     meter: OnlinePowerMeter,
     ema_w: Option<Watts>,
@@ -65,39 +65,27 @@ impl AttributionFeed {
     pub fn reset(&mut self, id: usize) {
         self.streams.remove(&id);
     }
-
-    /// Encodes every stream into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_usize(self.streams.len());
-        for (id, s) in &self.streams {
-            w.put_usize(*id);
-            s.meter.freeze_into(w);
-            w.put_opt_f64(s.ema_w.map(|p| p.0));
-        }
-    }
-
-    /// Decodes a feed written by [`Self::freeze_into`].
-    pub fn thaw_from(r: &mut simcore::SnapshotReader<'_>) -> Result<Self, simcore::SnapshotError> {
-        let n = r.take_usize()?;
-        let mut streams = BTreeMap::new();
-        for _ in 0..n {
-            let id = r.take_usize()?;
-            let mut meter = OnlinePowerMeter::new();
-            meter.thaw_from(r)?;
-            let ema_w = r.take_opt_f64()?.map(Watts);
-            if streams.insert(id, Stream { meter, ema_w }).is_some() {
-                return Err(simcore::SnapshotError::Corrupt(
-                    "duplicate attribution stream",
-                ));
-            }
-        }
-        Ok(AttributionFeed { streams })
-    }
 }
+
+simcore::impl_codec!(AttributionFeed { streams });
+simcore::impl_codec!(Stream { meter, ema_w });
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generic codec property test over this crate's impls.
+    #[test]
+    fn codec_laws_hold_for_every_impl() {
+        use simcore::snapshot::check_codec;
+        let mut f = AttributionFeed::new();
+        check_codec(&f);
+        f.observe(2, t(0), Joules(0.0));
+        f.observe(5, t(0), Joules(1.0));
+        f.observe(5, t(1), Joules(4.0));
+        check_codec(&f);
+        check_codec(&OnlinePowerMeter::new());
+    }
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)

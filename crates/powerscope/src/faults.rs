@@ -90,8 +90,8 @@ impl FaultyEnergySensor {
     /// Encodes the sensor's mutable counters (the fault plan is
     /// construction-time) into a snapshot payload.
     pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put_u64(self.reads);
-        w.put_f64(self.last_emitted.0);
+        w.put(&self.reads);
+        w.put(&self.last_emitted);
     }
 
     /// Restores the state written by [`Self::freeze_into`].
@@ -99,8 +99,8 @@ impl FaultyEnergySensor {
         &mut self,
         r: &mut simcore::SnapshotReader<'_>,
     ) -> Result<(), simcore::SnapshotError> {
-        self.reads = r.take_u64()?;
-        self.last_emitted = Joules(r.take_f64()?);
+        self.reads = r.take()?;
+        self.last_emitted = r.take()?;
         Ok(())
     }
 

@@ -8,10 +8,12 @@
 //! [`OnlinePowerMeter`] is that instrument: fed cumulative energy readings
 //! on a fixed cadence, it yields the average power over each window.
 
-use simcore::{Joules, SimDuration, SimTime, Watts};
+use simcore::{
+    Codec, Joules, SimDuration, SimTime, SnapshotError, SnapshotReader, SnapshotWriter, Watts,
+};
 
 /// Converts periodic cumulative-energy readings into power samples.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OnlinePowerMeter {
     last: Option<(SimTime, Joules)>,
 }
@@ -63,30 +65,16 @@ impl OnlinePowerMeter {
     pub fn reset(&mut self) {
         self.last = None;
     }
+}
 
-    /// Encodes the meter's window state into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        match self.last {
-            None => w.put_u64(0),
-            Some((t, e)) => {
-                w.put_u64(1);
-                w.put_time(t);
-                w.put_f64(e.0);
-            }
-        }
+/// A meter is its last reading, if any.
+impl Codec for OnlinePowerMeter {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.last);
     }
 
-    /// Restores the state written by [`Self::freeze_into`].
-    pub fn thaw_from(
-        &mut self,
-        r: &mut simcore::SnapshotReader<'_>,
-    ) -> Result<(), simcore::SnapshotError> {
-        self.last = match r.take_u64()? {
-            0 => None,
-            1 => Some((r.take_time()?, Joules(r.take_f64()?))),
-            _ => return Err(simcore::SnapshotError::Corrupt("power meter tag")),
-        };
-        Ok(())
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(OnlinePowerMeter { last: r.take()? })
     }
 }
 

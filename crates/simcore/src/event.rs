@@ -19,6 +19,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::SimTime;
 
 /// Tombstones allowed beyond the live count before the heap is compacted.
@@ -29,15 +30,19 @@ const COMPACT_SLACK: usize = 16;
 pub struct EventId(u64);
 
 impl EventId {
-    /// The underlying sequence number — snapshot support only; treat as
-    /// opaque everywhere else.
+    /// The underlying sequence number; treat as opaque.
     pub fn raw(self) -> u64 {
         self.0
     }
+}
 
-    /// Rebuilds a handle from [`Self::raw`] — snapshot support only.
-    pub fn from_raw(seq: u64) -> Self {
-        EventId(seq)
+impl Codec for EventId {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(EventId(r.take()?))
     }
 }
 
@@ -187,12 +192,15 @@ impl<E> EventQueue<E> {
     /// Pending (non-cancelled) entries as `(at, seq, event)`, sorted by
     /// `(at, seq)` — the heap's internal layout is unspecified, so this
     /// is the canonical order a snapshot encodes.
-    pub fn export_entries(&self) -> Vec<(SimTime, u64, &E)> {
-        let mut out: Vec<(SimTime, u64, &E)> = self
+    pub fn export_entries(&self) -> Vec<(SimTime, u64, E)>
+    where
+        E: Clone,
+    {
+        let mut out: Vec<(SimTime, u64, E)> = self
             .heap
             .iter()
             .filter(|e| self.tombstones.binary_search(&e.seq).is_err())
-            .map(|e| (e.at, e.seq, &e.event))
+            .map(|e| (e.at, e.seq, e.event.clone()))
             .collect();
         out.sort_by_key(|&(at, seq, _)| (at, seq));
         out
@@ -211,19 +219,15 @@ impl<E> EventQueue<E> {
     pub fn restore(
         next_seq: u64,
         entries: impl IntoIterator<Item = (SimTime, u64, E)>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
+    ) -> Result<Self, SnapshotError> {
         let mut heap = BinaryHeap::new();
         let mut seen = std::collections::BTreeSet::new();
         for (at, seq, event) in entries {
             if seq >= next_seq {
-                return Err(crate::snapshot::SnapshotError::Corrupt(
-                    "event seq beyond next_seq",
-                ));
+                return Err(SnapshotError::Corrupt("event seq beyond next_seq"));
             }
             if !seen.insert(seq) {
-                return Err(crate::snapshot::SnapshotError::Corrupt(
-                    "duplicate event seq",
-                ));
+                return Err(SnapshotError::Corrupt("duplicate event seq"));
             }
             heap.push(Entry { at, seq, event });
         }
@@ -326,11 +330,7 @@ mod tests {
                 q.heap.len()
             );
             if i == 50_000 {
-                let entries: Vec<(SimTime, u64, u64)> = q
-                    .export_entries()
-                    .into_iter()
-                    .map(|(at, seq, &e)| (at, seq, e))
-                    .collect();
+                let entries = q.export_entries();
                 snapshot = Some(EventQueue::restore(q.next_seq(), entries).expect("restore"));
             }
         }
@@ -348,11 +348,7 @@ mod tests {
         let id = q.push(SimTime::from_secs(1), 'a');
         q.push(SimTime::from_secs(2), 'b');
         q.cancel(id);
-        let entries: Vec<(SimTime, u64, char)> = q
-            .export_entries()
-            .into_iter()
-            .map(|(at, seq, &e)| (at, seq, e))
-            .collect();
+        let entries = q.export_entries();
         assert_eq!(entries.len(), 2, "cancelled entries are not exported");
         let mut back = EventQueue::restore(q.next_seq(), entries).expect("restore");
         assert_eq!(back.len(), 2);

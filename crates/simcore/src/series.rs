@@ -6,6 +6,7 @@
 //! append-only sequence of `(SimTime, f64)` points with step-function
 //! semantics (a recorded value holds until the next record).
 
+use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// An append-only series of timestamped values with step semantics.
@@ -21,7 +22,7 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(s.value_at(SimTime::from_secs(5)), Some(3.0));
 /// assert_eq!(s.value_at(SimTime::from_secs(10)), Some(1.0));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TimeSeries {
     name: String,
     points: Vec<(SimTime, f64)>,
@@ -62,36 +63,6 @@ impl TimeSeries {
     /// All recorded points.
     pub fn points(&self) -> &[(SimTime, f64)] {
         &self.points
-    }
-
-    /// Encodes the series (name and every point) into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_str(&self.name);
-        w.put_usize(self.points.len());
-        for &(at, v) in &self.points {
-            w.put_time(at);
-            w.put_f64(v);
-        }
-    }
-
-    /// Decodes a series previously written by [`Self::freeze_into`],
-    /// rejecting out-of-order points.
-    pub fn thaw_from(
-        r: &mut crate::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, crate::snapshot::SnapshotError> {
-        let name = r.take_string()?;
-        let n = r.take_usize()?;
-        let mut points: Vec<(SimTime, f64)> = Vec::with_capacity(n.min(1024));
-        for _ in 0..n {
-            let at = r.take_time()?;
-            if points.last().is_some_and(|&(prev, _)| prev >= at) {
-                return Err(crate::snapshot::SnapshotError::Corrupt(
-                    "time series points out of order",
-                ));
-            }
-            points.push((at, r.take_f64()?));
-        }
-        Ok(TimeSeries { name, points })
     }
 
     /// Number of points.
@@ -145,6 +116,30 @@ impl TimeSeries {
     #[expect(clippy::float_cmp, reason = "any change of level counts")]
     pub fn change_count(&self) -> usize {
         self.points.windows(2).filter(|w| w[0].1 != w[1].1).count()
+    }
+}
+
+/// A series is its name and its points; the points must be strictly
+/// increasing in time, as [`TimeSeries::record`] keeps them.
+impl Codec for TimeSeries {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.name);
+        w.put(&self.points);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let series = TimeSeries {
+            name: r.take()?,
+            points: r.take()?,
+        };
+        if series
+            .points
+            .windows(2)
+            .any(|p| matches!(p, [a, b] if a.0 >= b.0))
+        {
+            return Err(SnapshotError::Corrupt("time series points out of order"));
+        }
+        Ok(series)
     }
 }
 

@@ -4,17 +4,19 @@
 //! A checkpoint is a *proof point*: (simulated time, digest of live
 //! state). The [`RunJournal`] records one every N simulated seconds and
 //! keeps only the latest plus those not yet drained into a session's
-//! directives; the [`Snapshot`] trait folds a component's live state
-//! into a [`SnapshotHasher`].
+//! directives. A [`SnapshotHasher`] computes the digest; the machine
+//! feeds it its live state by hand.
 //!
 //! The digest is a 64-bit FNV-1a/splitmix chain over the raw bits of the
 //! state (floats via `to_bits`), so two states digest equal iff they are
 //! bit-identical — the property the crash-halfway/resume test relies on.
 //!
 //! [`SnapshotWriter`] / [`SnapshotReader`] are the dependency-free binary
-//! encoding of a whole session's state: little-endian scalars behind an
+//! encoding of a whole session's state: little-endian words behind an
 //! envelope of magic, version, payload length, and a trailing
-//! [`SnapshotHasher`] checksum over the payload. A snapshot carries
+//! [`SnapshotHasher`] checksum over the payload. Every value in the
+//! payload goes through one [`Codec`] impl that lists its fields once
+//! for both directions. A snapshot carries
 //! state, not history: the journal keeps only its latest checkpoint, and
 //! trace records and the goal controller's plot series are output
 //! history that stays out (the trace's counters go in). The one history
@@ -27,10 +29,11 @@
 
 #![deny(clippy::indexing_slicing)]
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Mutex, PoisonError};
 
 use crate::time::{SimDuration, SimTime};
+use crate::units::{Joules, Watts};
 
 /// First eight bytes of every sealed snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODYSNAP1";
@@ -83,8 +86,9 @@ impl std::error::Error for SnapshotError {}
 
 /// Append-only encoder for the snapshot payload.
 ///
-/// All scalars are little-endian; floats are written by exact bit
-/// pattern so freeze→thaw round-trips are bit-identical. [`Self::seal`]
+/// All scalars are little-endian words; floats are written by exact bit
+/// pattern so freeze→thaw round-trips are bit-identical. Values go in
+/// through [`Self::put`] in their [`Codec`] encoding; [`Self::seal`]
 /// wraps the payload in the magic/version/length/checksum envelope.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotWriter {
@@ -97,72 +101,20 @@ impl SnapshotWriter {
         SnapshotWriter::default()
     }
 
-    /// Appends a word.
-    pub fn put_u64(&mut self, v: u64) {
+    /// Appends `v` in its [`Codec`] encoding.
+    pub fn put<T: Codec>(&mut self, v: &T) {
+        v.put(self);
+    }
+
+    /// Appends one little-endian word.
+    fn word(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a float by its exact bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Appends a bool as one word (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends a usize widened to a word.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Appends a [`SimTime`] as its microsecond count.
-    pub fn put_time(&mut self, t: SimTime) {
-        self.put_u64(t.as_micros());
-    }
-
-    /// Appends a [`SimDuration`] as its microsecond count.
-    pub fn put_duration(&mut self, d: SimDuration) {
-        self.put_u64(d.as_micros());
-    }
-
     /// Appends length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_u64(bytes.len() as u64);
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
         self.buf.extend_from_slice(bytes);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_bytes(s.as_bytes());
-    }
-
-    /// Appends `Some(v)`/`None` as a presence word plus the payload.
-    pub fn put_opt_u64(&mut self, v: Option<u64>) {
-        match v {
-            None => self.put_u64(0),
-            Some(v) => {
-                self.put_u64(1);
-                self.put_u64(v);
-            }
-        }
-    }
-
-    /// Appends an optional float (presence word plus bit pattern).
-    pub fn put_opt_f64(&mut self, v: Option<f64>) {
-        match v {
-            None => self.put_u64(0),
-            Some(v) => {
-                self.put_u64(1);
-                self.put_f64(v);
-            }
-        }
-    }
-
-    /// Appends an optional [`SimTime`].
-    pub fn put_opt_time(&mut self, t: Option<SimTime>) {
-        self.put_opt_u64(t.map(|t| t.as_micros()));
     }
 
     /// Payload bytes written so far.
@@ -198,10 +150,10 @@ static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 /// Bounds-checked decoder over a verified snapshot payload.
 ///
 /// Constructed by [`SnapshotReader::open`], which validates the whole
-/// envelope (magic, version, length, checksum) up front; the take
-/// methods then only need to guard against structural truncation. No
-/// method indexes unchecked or panics on hostile input — the module
-/// denies `clippy::indexing_slicing` outside its tests to keep it so.
+/// envelope (magic, version, length, checksum) up front; [`Self::take`]
+/// then only needs to guard against structural truncation. No method
+/// indexes unchecked or panics on hostile input — the module denies
+/// `clippy::indexing_slicing` outside its tests to keep it so.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
     payload: &'a [u8],
@@ -247,8 +199,29 @@ impl<'a> SnapshotReader<'a> {
         Ok(SnapshotReader { payload, pos: 0 })
     }
 
-    /// Reads a word.
+    /// Reads one value in its [`Codec`] encoding.
+    pub fn take<T: Codec>(&mut self) -> Result<T, SnapshotError> {
+        T::take(self)
+    }
+
+    /// Reads a word; the same as `take::<u64>()`.
     pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
+        self.take()
+    }
+
+    /// Reads a usize, rejecting words beyond the platform's range; the
+    /// same as `take::<usize>()`.
+    pub fn take_usize(&mut self) -> Result<usize, SnapshotError> {
+        self.take()
+    }
+
+    /// Reads a [`SimTime`]; the same as `take::<SimTime>()`.
+    pub fn take_time(&mut self) -> Result<SimTime, SnapshotError> {
+        self.take()
+    }
+
+    /// Reads one little-endian word.
+    fn word(&mut self) -> Result<u64, SnapshotError> {
         let bytes = self
             .payload
             .get(self.pos..self.pos + 8)
@@ -259,38 +232,9 @@ impl<'a> SnapshotReader<'a> {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Reads a float by bit pattern.
-    pub fn take_f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.take_u64()?))
-    }
-
-    /// Reads a bool; any word other than 0/1 is corruption.
-    pub fn take_bool(&mut self) -> Result<bool, SnapshotError> {
-        match self.take_u64()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(SnapshotError::Corrupt("bool out of range")),
-        }
-    }
-
-    /// Reads a usize, rejecting words beyond the platform's range.
-    pub fn take_usize(&mut self) -> Result<usize, SnapshotError> {
-        usize::try_from(self.take_u64()?).map_err(|_| SnapshotError::Corrupt("usize overflow"))
-    }
-
-    /// Reads a [`SimTime`].
-    pub fn take_time(&mut self) -> Result<SimTime, SnapshotError> {
-        Ok(SimTime::from_micros(self.take_u64()?))
-    }
-
-    /// Reads a [`SimDuration`].
-    pub fn take_duration(&mut self) -> Result<SimDuration, SnapshotError> {
-        Ok(SimDuration::from_micros(self.take_u64()?))
-    }
-
     /// Reads length-prefixed raw bytes.
-    pub fn take_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.take_usize()?;
+    fn take_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
+        let len: usize = self.take()?;
         let end = self.pos.checked_add(len).ok_or(SnapshotError::Truncated)?;
         let bytes = self
             .payload
@@ -305,18 +249,13 @@ impl<'a> SnapshotReader<'a> {
         std::str::from_utf8(self.take_bytes()?).map_err(|_| SnapshotError::Corrupt("invalid utf-8"))
     }
 
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn take_string(&mut self) -> Result<String, SnapshotError> {
-        Ok(self.take_str()?.to_owned())
-    }
-
     /// Reads a string destined for a `&'static str` field (bucket,
     /// procedure, dead-letter reason), interned process-wide.
     ///
     /// A name is leaked the first time any reader in the process decodes
     /// it and reused from then on, so the leak is bounded by the distinct
     /// names ever thawed, not by the number of thaws.
-    pub fn take_static_str(&mut self) -> Result<&'static str, SnapshotError> {
+    fn take_static_str(&mut self) -> Result<&'static str, SnapshotError> {
         let s = self.take_str()?;
         // A poisoned set is still sound: the only update is one `insert`
         // of a name that is already leaked, so no panic leaves it half done.
@@ -329,27 +268,11 @@ impl<'a> SnapshotReader<'a> {
         Ok(name)
     }
 
-    /// Reads an optional word (presence word plus payload).
-    pub fn take_opt_u64(&mut self) -> Result<Option<u64>, SnapshotError> {
-        if self.take_bool()? {
-            Ok(Some(self.take_u64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads an optional float.
-    pub fn take_opt_f64(&mut self) -> Result<Option<f64>, SnapshotError> {
-        if self.take_bool()? {
-            Ok(Some(self.take_f64()?))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads an optional [`SimTime`].
-    pub fn take_opt_time(&mut self) -> Result<Option<SimTime>, SnapshotError> {
-        Ok(self.take_opt_u64()?.map(SimTime::from_micros))
+    /// Reads a length word and preallocates for at most 1024 items, so a
+    /// hostile length costs a `Truncated`, not a huge allocation.
+    fn take_len<T>(&mut self) -> Result<(usize, Vec<T>), SnapshotError> {
+        let n: usize = self.take()?;
+        Ok((n, Vec::with_capacity(n.min(1024))))
     }
 
     /// Unread payload bytes.
@@ -365,6 +288,227 @@ impl<'a> SnapshotReader<'a> {
         } else {
             Err(SnapshotError::Corrupt("payload not fully consumed"))
         }
+    }
+}
+
+/// A value with one snapshot encoding, stated once for both directions.
+///
+/// `put` writes the fields in a fixed order and `take` reads them back
+/// in the same order. A type describes itself by one field list: `put`
+/// is a `w.put(&self.f)` per field, `take` a struct literal of
+/// `r.take()?` per field (struct literal fields evaluate in the order
+/// written), followed by any range or invariant check the decoded value
+/// must pass, which fails as [`SnapshotError::Corrupt`]. Enums write an
+/// explicit tag word first. [`impl_codec!`](crate::impl_codec) writes
+/// the impl for a plain field struct.
+///
+/// Scalars are one little-endian word each: `u32`, `usize` and `bool`
+/// widen to a word (and reject out-of-range words on the way back),
+/// floats and the unit newtypes go by bit pattern, instants and
+/// durations by their microsecond count. `Option` is a presence word
+/// then the value; `Vec`, `VecDeque`, `BTreeMap` and strings are a
+/// length word then their items. A map rejects a duplicate key.
+pub trait Codec: Sized {
+    /// Appends this value to a snapshot payload.
+    fn put(&self, w: &mut SnapshotWriter);
+
+    /// Reads a value written by [`Codec::put`].
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError>;
+}
+
+/// Implements [`Codec`] for a struct whose encoding is its listed
+/// fields in order, each by its own `Codec`.
+#[macro_export]
+macro_rules! impl_codec {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::snapshot::Codec for $ty {
+            fn put(&self, w: &mut $crate::snapshot::SnapshotWriter) {
+                $(w.put(&self.$field);)+
+            }
+
+            fn take(
+                r: &mut $crate::snapshot::SnapshotReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                Ok($ty { $($field: r.take()?),+ })
+            }
+        }
+    };
+}
+
+/// Implements [`Codec`] for scalars that travel as one word: each row
+/// gives how the value widens to the word and how a word comes back,
+/// failing where the word is out of the type's range.
+macro_rules! word_codec {
+    ($($ty:ty => $to:expr, $from:expr;)+) => {$(
+        impl Codec for $ty {
+            fn put(&self, w: &mut SnapshotWriter) {
+                w.word(($to)(*self));
+            }
+
+            fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+                r.word().and_then($from)
+            }
+        }
+    )+};
+}
+
+word_codec! {
+    u64 => |v| v, Ok;
+    u32 => u64::from, |v| u32::try_from(v).map_err(|_| SnapshotError::Corrupt("u32 overflow"));
+    usize => |v| v as u64,
+        |v| usize::try_from(v).map_err(|_| SnapshotError::Corrupt("usize overflow"));
+    bool => u64::from, |v| match v {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(SnapshotError::Corrupt("bool out of range")),
+    };
+    f64 => f64::to_bits, |v| Ok(f64::from_bits(v));
+    Joules => |j: Joules| j.0.to_bits(), |v| Ok(Joules(f64::from_bits(v)));
+    Watts => |p: Watts| p.0.to_bits(), |v| Ok(Watts(f64::from_bits(v)));
+    SimTime => SimTime::as_micros, |v| Ok(SimTime::from_micros(v));
+    SimDuration => SimDuration::as_micros, |v| Ok(SimDuration::from_micros(v));
+}
+
+impl Codec for &'static str {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.bytes(self.as_bytes());
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        r.take_static_str()
+    }
+}
+
+impl Codec for String {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.bytes(self.as_bytes());
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(r.take_str()?.to_owned())
+    }
+}
+
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.is_some());
+        if let Some(v) = self {
+            w.put(v);
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        if r.take()? {
+            Ok(Some(r.take()?))
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        for v in self {
+            w.put(v);
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let (n, mut out) = r.take_len()?;
+        for _ in 0..n {
+            out.push(r.take()?);
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Codec> Codec for VecDeque<T> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        for v in self {
+            w.put(v);
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Vec::take(r)?.into())
+    }
+}
+
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.len());
+        for (k, v) in self {
+            w.put(k);
+            w.put(v);
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let mut map = BTreeMap::new();
+        for (k, v) in Vec::<(K, V)>::take(r)? {
+            if map.insert(k, v).is_some() {
+                return Err(SnapshotError::Corrupt("duplicate map key"));
+            }
+        }
+        Ok(map)
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+        w.put(&self.1);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((r.take()?, r.take()?))
+    }
+}
+
+impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+        w.put(&self.1);
+        w.put(&self.2);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok((r.take()?, r.take()?, r.take()?))
+    }
+}
+
+/// Checks the [`Codec`] laws on `value`, panicking on a violation: it
+/// round-trips to an equal value that consumes the whole payload; every
+/// truncation of the sealed snapshot fails to decode; and every
+/// truncation of the payload, resealed, decodes to
+/// [`SnapshotError::Truncated`]. Each crate's tests run it over its own
+/// impls.
+///
+/// # Panics
+///
+/// Panics when a law does not hold.
+pub fn check_codec<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
+    let mut w = SnapshotWriter::new();
+    w.put(value);
+    let payload = w.buf.clone();
+    let sealed = w.seal();
+    let decode = |bytes: &[u8]| {
+        let mut r = SnapshotReader::open(bytes)?;
+        let v = r.take::<T>()?;
+        r.finish().map(|()| v)
+    };
+    assert_eq!(decode(&sealed).as_ref(), Ok(value), "round trip");
+    for cut in 0..sealed.len() {
+        let prefix = sealed.get(..cut).unwrap_or_default();
+        assert!(decode(prefix).is_err(), "sealed cut at {cut}");
+    }
+    for cut in 0..payload.len() {
+        let buf = payload.get(..cut).unwrap_or_default().to_vec();
+        let resealed = SnapshotWriter { buf }.seal();
+        let got = decode(&resealed);
+        assert_eq!(got, Err(SnapshotError::Truncated), "payload cut at {cut}");
     }
 }
 
@@ -425,92 +569,6 @@ impl Default for SnapshotHasher {
     }
 }
 
-/// State that can be folded into a checkpoint digest.
-///
-/// Implementations must visit every field that influences future
-/// behavior, in a fixed order; two components snapshot equal iff their
-/// observable future evolution is identical.
-pub trait Snapshot {
-    /// Folds this component's live state into the hasher.
-    fn snapshot(&self, h: &mut SnapshotHasher);
-}
-
-impl Snapshot for u64 {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self);
-    }
-}
-
-impl Snapshot for u32 {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self as u64);
-    }
-}
-
-impl Snapshot for usize {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self as u64);
-    }
-}
-
-impl Snapshot for bool {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(*self as u64);
-    }
-}
-
-impl Snapshot for f64 {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_f64(*self);
-    }
-}
-
-impl Snapshot for SimTime {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.as_micros());
-    }
-}
-
-impl Snapshot for SimDuration {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.as_micros());
-    }
-}
-
-impl Snapshot for str {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.len() as u64);
-        h.write_bytes(self.as_bytes());
-    }
-}
-
-impl<T: Snapshot> Snapshot for Option<T> {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        match self {
-            None => h.write_u64(0),
-            Some(v) => {
-                h.write_u64(1);
-                v.snapshot(h);
-            }
-        }
-    }
-}
-
-impl<T: Snapshot> Snapshot for [T] {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        h.write_u64(self.len() as u64);
-        for v in self {
-            v.snapshot(h);
-        }
-    }
-}
-
-impl<T: Snapshot> Snapshot for Vec<T> {
-    fn snapshot(&self, h: &mut SnapshotHasher) {
-        self.as_slice().snapshot(h);
-    }
-}
-
 /// One recorded proof point of a run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Checkpoint {
@@ -530,7 +588,7 @@ pub struct Checkpoint {
 /// share of a snapshot, is bounded by one batch however long the run.
 /// Recording a checkpoint never mutates simulation state; it observes
 /// the digest a hook computed and remembers when the next one is due.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunJournal {
     interval: SimDuration,
     next_due: SimTime,
@@ -586,41 +644,36 @@ impl RunJournal {
     pub fn drain(&mut self) -> Vec<Checkpoint> {
         std::mem::take(&mut self.undrained)
     }
+}
 
-    /// Encodes the journal (interval, schedule position, latest and
-    /// undrained checkpoints) into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut SnapshotWriter) {
-        w.put_duration(self.interval);
-        w.put_time(self.next_due);
-        w.put_bool(self.latest.is_some());
-        w.put_usize(self.undrained.len());
+crate::impl_codec!(Checkpoint { seq, t, digest });
+
+/// The journal's layout is `interval`, `next_due`, a has-latest word,
+/// the undrained count, then the latest checkpoint (when present) and
+/// the undrained ones: the latest is written once even when it is also
+/// the newest undrained entry.
+impl Codec for RunJournal {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.interval);
+        w.put(&self.next_due);
+        w.put(&self.latest.is_some());
+        w.put(&self.undrained.len());
         for c in self.latest.iter().chain(&self.undrained) {
-            w.put_u64(c.seq);
-            w.put_time(c.t);
-            w.put_u64(c.digest);
+            w.put(c);
         }
     }
 
-    /// Decodes a journal previously written by [`Self::freeze_into`].
-    pub fn thaw_from(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let interval = r.take_duration()?;
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let interval: SimDuration = r.take()?;
         if interval.is_zero() {
             return Err(SnapshotError::Corrupt("zero checkpoint interval"));
         }
-        let next_due = r.take_time()?;
-        let has_latest = r.take_bool()?;
-        let n = r.take_usize()?;
-        let mut take = || -> Result<Checkpoint, SnapshotError> {
-            Ok(Checkpoint {
-                seq: r.take_u64()?,
-                t: r.take_time()?,
-                digest: r.take_u64()?,
-            })
-        };
-        let latest = if has_latest { Some(take()?) } else { None };
-        let mut undrained: Vec<Checkpoint> = Vec::with_capacity(n.min(64));
+        let next_due = r.take()?;
+        let has_latest: bool = r.take()?;
+        let (n, mut undrained): (usize, Vec<Checkpoint>) = r.take_len()?;
+        let latest = if has_latest { Some(r.take()?) } else { None };
         for _ in 0..n {
-            undrained.push(take()?);
+            undrained.push(r.take()?);
         }
         // The undrained run is dense, in time order, and ends at `latest`.
         let dense = undrained
@@ -639,7 +692,6 @@ impl RunJournal {
 }
 
 #[cfg(test)]
-#[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
 
@@ -660,29 +712,6 @@ mod tests {
         a.write_u64(2);
         b.write_u64(2);
         b.write_u64(1);
-        assert_ne!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn identical_streams_digest_equal() {
-        let mut a = SnapshotHasher::new();
-        let mut b = SnapshotHasher::new();
-        for h in [&mut a, &mut b] {
-            h.write_u64(42);
-            h.write_f64(-0.5);
-            "speech".snapshot(h);
-            Some(7u64).snapshot(h);
-            vec![1u64, 2, 3].snapshot(h);
-        }
-        assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn option_none_differs_from_some_zero() {
-        let mut a = SnapshotHasher::new();
-        let mut b = SnapshotHasher::new();
-        Option::<u64>::None.snapshot(&mut a);
-        Some(0u64).snapshot(&mut b);
         assert_ne!(a.finish(), b.finish());
     }
 
@@ -725,26 +754,111 @@ mod tests {
 
     fn sample_payload() -> Vec<u8> {
         let mut w = SnapshotWriter::new();
-        w.put_u64(7);
-        w.put_f64(-0.5);
-        w.put_bool(true);
-        w.put_str("speech");
-        w.put_opt_u64(Some(3));
-        w.put_opt_time(None);
+        w.put(&7u64);
+        w.put(&-0.5f64);
+        w.put(&true);
+        w.put(&"speech");
+        w.put(&Some(3u64));
+        w.put(&None::<SimTime>);
         w.seal()
     }
 
+    /// A journal with a drained checkpoint and an undrained latest one.
+    fn journal() -> RunJournal {
+        let mut j = RunJournal::new(SimDuration::from_secs(10));
+        j.record_if_due(SimTime::from_secs(10), || 10);
+        j.drain();
+        j.record_if_due(SimTime::from_secs(25), || 25);
+        j
+    }
+
+    /// The generic property test over every impl in this crate.
     #[test]
-    fn writer_reader_round_trip() {
-        let bytes = sample_payload();
+    fn codec_laws_hold_for_every_impl() {
+        check_codec(&0u64);
+        check_codec(&u64::MAX);
+        check_codec(&u32::MAX);
+        check_codec(&usize::MAX);
+        check_codec(&true);
+        check_codec(&-0.5f64);
+        check_codec(&f64::INFINITY);
+        check_codec(&Joules(3.25));
+        check_codec(&Watts(-1e-300));
+        check_codec(&SimTime::from_micros(u64::MAX));
+        check_codec(&SimDuration::from_millis(1500));
+        check_codec(&crate::EventQueue::new().push(SimTime::ZERO, ()));
+        check_codec(&"speech");
+        check_codec(&"");
+        check_codec(&String::from("naïve"));
+        check_codec(&None::<u64>);
+        check_codec(&Some(0u64));
+        check_codec(&Vec::<u64>::new());
+        check_codec(&vec![Some(1.5f64), None]);
+        check_codec(&VecDeque::from(["a", "bb"]));
+        check_codec(&(7usize, Joules(1.0)));
+        check_codec(&(SimTime::ZERO, 2u32, "x"));
+        let detail: BTreeMap<(&'static str, &'static str), (f64, Joules)> = [
+            (("xanim", "decode"), (1.5, Joules(20.0))),
+            (("Idle", "idle"), (0.0, Joules(3.0))),
+        ]
+        .into();
+        check_codec(&detail);
+        check_codec(&Checkpoint {
+            seq: 4,
+            t: SimTime::from_secs(50),
+            digest: u64::MAX,
+        });
+        check_codec(&RunJournal::new(SimDuration::from_secs(1)));
+        check_codec(&journal());
+        let mut series = crate::TimeSeries::new("level");
+        series.record(SimTime::ZERO, 2.0);
+        series.record(SimTime::from_secs(3), 1.0);
+        check_codec(&series);
+    }
+
+    /// A length word of `u64::MAX` ends in `Truncated` after a bounded
+    /// preallocation, for every length-prefixed decode.
+    #[test]
+    fn hostile_length_words_are_truncated() {
+        let mut w = SnapshotWriter::new();
+        w.put(&u64::MAX);
+        w.put(&1u64);
+        let bytes = w.seal();
+        let take = |f: fn(&mut SnapshotReader<'_>) -> Result<(), SnapshotError>| {
+            f(&mut SnapshotReader::open(&bytes).expect("open"))
+        };
+        let truncated = Err(SnapshotError::Truncated);
+        assert_eq!(take(|r| r.take::<Vec<u64>>().map(drop)), truncated);
+        assert_eq!(take(|r| r.take::<VecDeque<u64>>().map(drop)), truncated);
+        assert_eq!(
+            take(|r| r.take::<BTreeMap<u64, u64>>().map(drop)),
+            truncated
+        );
+        assert_eq!(take(|r| r.take::<&'static str>().map(drop)), truncated);
+        assert_eq!(take(|r| r.take::<String>().map(drop)), truncated);
+    }
+
+    #[test]
+    fn duplicate_map_key_is_corrupt() {
+        let mut w = SnapshotWriter::new();
+        w.put(&vec![(1u64, 2u64), (1, 3)]);
+        let bytes = w.seal();
         let mut r = SnapshotReader::open(&bytes).expect("open");
-        assert_eq!(r.take_u64().unwrap(), 7);
-        assert_eq!(r.take_f64().unwrap(), -0.5);
-        assert!(r.take_bool().unwrap());
-        assert_eq!(r.take_string().unwrap(), "speech");
-        assert_eq!(r.take_opt_u64().unwrap(), Some(3));
-        assert_eq!(r.take_opt_time().unwrap(), None);
-        r.finish().expect("fully consumed");
+        assert_eq!(
+            r.take::<BTreeMap<u64, u64>>(),
+            Err(SnapshotError::Corrupt("duplicate map key"))
+        );
+    }
+
+    #[test]
+    fn out_of_range_words_are_corrupt() {
+        let mut w = SnapshotWriter::new();
+        w.put(&2u64);
+        w.put(&(u64::from(u32::MAX) + 1));
+        let bytes = w.seal();
+        let mut r = SnapshotReader::open(&bytes).expect("open");
+        assert!(matches!(r.take::<bool>(), Err(SnapshotError::Corrupt(_))));
+        assert!(matches!(r.take::<u32>(), Err(SnapshotError::Corrupt(_))));
     }
 
     /// Names intern to one leak within a reader and across readers:
@@ -753,16 +867,16 @@ mod tests {
     #[test]
     fn static_str_interning_dedups() {
         let mut w = SnapshotWriter::new();
-        w.put_str("disk");
-        w.put_str("disk");
+        w.put(&"disk");
+        w.put(&"disk");
         let bytes = w.seal();
         let mut r = SnapshotReader::open(&bytes).expect("open");
-        let a = r.take_static_str().unwrap();
-        let b = r.take_static_str().unwrap();
+        let a: &str = r.take().unwrap();
+        let b: &str = r.take().unwrap();
         assert_eq!(a, "disk");
         assert!(std::ptr::eq(a, b), "same string must intern to one leak");
         let mut again = SnapshotReader::open(&bytes).expect("open");
-        let c = again.take_static_str().unwrap();
+        let c: &str = again.take().unwrap();
         assert!(std::ptr::eq(a, c), "a second reader must not leak again");
     }
 
@@ -838,36 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn bool_out_of_range_is_corrupt() {
-        let mut w = SnapshotWriter::new();
-        w.put_u64(2);
-        let bytes = w.seal();
-        let mut r = SnapshotReader::open(&bytes).expect("open");
-        assert!(matches!(r.take_bool(), Err(SnapshotError::Corrupt(_))));
-    }
-
-    #[test]
-    fn journal_round_trips_through_snapshot() {
-        let mut j = RunJournal::new(SimDuration::from_secs(10));
-        j.record_if_due(SimTime::from_secs(10), || 10);
-        j.drain();
-        j.record_if_due(SimTime::from_secs(25), || 25);
-        let mut w = SnapshotWriter::new();
-        j.freeze_into(&mut w);
-        let bytes = w.seal();
-        let mut r = SnapshotReader::open(&bytes).expect("open");
-        let mut back = RunJournal::thaw_from(&mut r).expect("thaw");
-        r.finish().expect("fully consumed");
-        assert_eq!(back.interval, j.interval);
-        assert_eq!(back.latest(), j.latest());
-        assert_eq!(back.clone().drain(), j.clone().drain());
-        // The thawed journal continues the schedule, not restarts it.
-        assert!(!back.record_if_due(SimTime::from_secs(29), || 0));
-        assert!(back.record_if_due(SimTime::from_secs(30), || 30));
-        assert_eq!(back.latest().map(|c| c.seq), Some(2));
-    }
-
-    #[test]
     fn journal_snapshot_stays_flat_as_the_run_grows() {
         let frozen_len = |secs: u64| {
             let mut j = RunJournal::new(SimDuration::from_secs(10));
@@ -876,7 +960,7 @@ mod tests {
                 j.drain();
             }
             let mut w = SnapshotWriter::new();
-            j.freeze_into(&mut w);
+            w.put(&j);
             w.seal().len()
         };
         assert_eq!(frozen_len(100), frozen_len(100_000));
@@ -885,20 +969,18 @@ mod tests {
     #[test]
     fn undrained_checkpoints_must_end_at_the_latest() {
         let mut w = SnapshotWriter::new();
-        w.put_duration(SimDuration::from_secs(10));
-        w.put_time(SimTime::from_secs(20));
-        w.put_bool(true);
-        w.put_usize(1);
-        for (seq, digest) in [(1, 7), (0, 7)] {
-            w.put_u64(seq);
-            w.put_time(SimTime::from_secs(10));
-            w.put_u64(digest);
+        w.put(&SimDuration::from_secs(10));
+        w.put(&SimTime::from_secs(20));
+        w.put(&true);
+        w.put(&1usize);
+        for seq in [1u64, 0] {
+            w.put(&(seq, SimTime::from_secs(10), 7u64));
         }
         let bytes = w.seal();
         let mut r = SnapshotReader::open(&bytes).expect("open");
-        assert!(matches!(
-            RunJournal::thaw_from(&mut r),
+        assert_eq!(
+            r.take::<RunJournal>(),
             Err(SnapshotError::Corrupt("undrained checkpoints"))
-        ));
+        );
     }
 }

@@ -666,9 +666,7 @@ impl TraceSink {
     /// restored session only needs the counters so its post-thaw stream
     /// continues the sequence numbering of the run it replaces.
     pub fn freeze_counters_into(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put_u64(self.next_seq);
-        w.put_u64(self.evicted);
-        w.put_time(self.last_at);
+        w.put(&(self.next_seq, self.evicted, self.last_at));
     }
 
     /// Restores the counters written by [`Self::freeze_counters_into`]
@@ -677,9 +675,7 @@ impl TraceSink {
         &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        let next_seq = r.take_u64()?;
-        let evicted = r.take_u64()?;
-        let last_at = r.take_time()?;
+        let (next_seq, evicted, last_at) = r.take()?;
         if evicted > next_seq {
             return Err(crate::snapshot::SnapshotError::Corrupt(
                 "trace evicted exceeds emitted",

@@ -41,7 +41,7 @@ use std::rc::Rc;
 use machine::{CheckpointHook, ControlHook, Machine, MachineView, RunReport};
 use odyssey::{GoalHandle, SupervisorHandle};
 use simcore::{
-    Checkpoint, Joules, RunJournal, SimDuration, SimTime, SnapshotError, SnapshotReader,
+    Checkpoint, Codec, Joules, RunJournal, SimDuration, SimTime, SnapshotError, SnapshotReader,
     SnapshotWriter, TraceEvent, TraceHandle,
 };
 
@@ -325,6 +325,12 @@ pub struct DeadLetter {
     pub origin: Option<usize>,
 }
 
+simcore::impl_codec!(DeadLetter {
+    at_s,
+    reason,
+    origin
+});
+
 /// Bounded FIFO of rejected samples. Past capacity the oldest entry is
 /// dropped and counted — the ledger never grows without bound, and the
 /// totals never lie.
@@ -388,10 +394,27 @@ impl DeadLetterLedger {
 }
 
 /// A quarantine/re-admit request queued for the actuator hook.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Actuation {
     Quarantine(usize),
     Readmit(usize),
+}
+
+impl Codec for Actuation {
+    fn put(&self, w: &mut SnapshotWriter) {
+        match *self {
+            Actuation::Quarantine(i) => w.put(&(0u64, i)),
+            Actuation::Readmit(i) => w.put(&(1u64, i)),
+        }
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take::<u64>()? {
+            0 => Ok(Actuation::Quarantine(r.take()?)),
+            1 => Ok(Actuation::Readmit(r.take()?)),
+            _ => Err(SnapshotError::Corrupt("actuation tag")),
+        }
+    }
 }
 
 /// Control hook that applies queued quarantine/re-admit commands at its
@@ -445,35 +468,13 @@ impl ControlHook for ServiceHook {
         }
     }
 
-    fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        let inbox = self.inbox.borrow();
-        w.put_usize(inbox.len());
-        for act in inbox.iter() {
-            match act {
-                Actuation::Quarantine(i) => {
-                    w.put_u64(0);
-                    w.put_usize(*i);
-                }
-                Actuation::Readmit(i) => {
-                    w.put_u64(1);
-                    w.put_usize(*i);
-                }
-            }
-        }
+    fn freeze(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
+        w.put(&*self.inbox.borrow());
         Ok(())
     }
 
-    fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        let n = r.take_usize()?;
-        let mut inbox = VecDeque::new();
-        for _ in 0..n {
-            inbox.push_back(match r.take_u64()? {
-                0 => Actuation::Quarantine(r.take_usize()?),
-                1 => Actuation::Readmit(r.take_usize()?),
-                _ => return Err(simcore::SnapshotError::Corrupt("actuation tag")),
-            });
-        }
-        *self.inbox.borrow_mut() = inbox;
+    fn thaw(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+        *self.inbox.borrow_mut() = r.take()?;
         Ok(())
     }
 }
@@ -666,33 +667,24 @@ impl Session {
     /// restores only from the genesis [`Generation`].
     pub fn freeze(&self) -> Result<Vec<u8>, SnapshotError> {
         let mut w = SnapshotWriter::new();
-        w.put_time(self.cursor);
-        w.put_bool(self.stopped);
-        w.put_bool(self.finished);
-        w.put_bool(self.serving.is_some());
+        w.put(&self.cursor);
+        w.put(&self.stopped);
+        w.put(&self.finished);
+        w.put(&self.serving.is_some());
         if let Some(s) = &self.serving {
             // Only the horizon is mutable config (live reconfig).
-            w.put_time(s.cfg.horizon);
+            w.put(&s.cfg.horizon);
             s.trace.freeze_counters_into(&mut w);
-            w.put_u64(s.dead.total);
-            w.put_u64(s.dead.dropped);
-            w.put_usize(s.dead.entries.len());
-            for letter in &s.dead.entries {
-                w.put_f64(letter.at_s);
-                w.put_str(letter.reason);
-                w.put_opt_u64(letter.origin.map(|o| o as u64));
-            }
-            w.put_usize(s.dead_by_origin.len());
-            for (origin, count) in &s.dead_by_origin {
-                w.put_usize(*origin);
-                w.put_u64(*count);
-            }
-            w.put_u64(s.next_seq);
+            w.put(&s.dead.total);
+            w.put(&s.dead.dropped);
+            w.put(&s.dead.entries);
+            w.put(&s.dead_by_origin);
+            w.put(&s.next_seq);
         }
         self.machine.freeze(&mut w)?;
         // Trailing self-check: thaw recomputes the digest and refuses a
         // decode that is well-formed but semantically wrong.
-        w.put_u64(self.machine.state_digest());
+        w.put(&self.machine.state_digest());
         Ok(w.seal())
     }
 
@@ -709,61 +701,29 @@ impl Session {
     /// self-check; none of these paths panic.
     pub fn thaw(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let mut r = SnapshotReader::open(bytes)?;
-        let cursor = r.take_time()?;
-        let stopped = r.take_bool()?;
-        let finished = r.take_bool()?;
-        let was_serving = r.take_bool()?;
-        if was_serving != self.serving.is_some() {
+        let cursor = r.take()?;
+        let stopped = r.take()?;
+        let finished = r.take()?;
+        if r.take::<bool>()? != self.serving.is_some() {
             return Err(SnapshotError::Corrupt("serving mode mismatch"));
         }
         if let Some(s) = self.serving.as_mut() {
-            let horizon = r.take_time()?;
+            s.cfg.horizon = r.take()?;
             s.trace.restore_counters_from(&mut r)?;
-            let total = r.take_u64()?;
-            let dropped = r.take_u64()?;
-            let n = r.take_usize()?;
-            if n > s.cfg.dead_letter_capacity {
+            s.dead.total = r.take()?;
+            s.dead.dropped = r.take()?;
+            s.dead.entries = r.take()?;
+            if s.dead.entries.len() > s.cfg.dead_letter_capacity {
                 return Err(SnapshotError::Corrupt("dead-letter ledger overflow"));
             }
-            if dropped.checked_add(n as u64) != Some(total) {
+            if s.dead.dropped.checked_add(s.dead.entries.len() as u64) != Some(s.dead.total) {
                 return Err(SnapshotError::Corrupt("dead-letter totals inconsistent"));
             }
-            let mut entries = VecDeque::with_capacity(n);
-            for _ in 0..n {
-                let at_s = r.take_f64()?;
-                let reason = r.take_static_str()?;
-                let origin = match r.take_opt_u64()? {
-                    Some(o) => Some(
-                        usize::try_from(o)
-                            .map_err(|_| SnapshotError::Corrupt("dead-letter origin"))?,
-                    ),
-                    None => None,
-                };
-                entries.push_back(DeadLetter {
-                    at_s,
-                    reason,
-                    origin,
-                });
-            }
-            let by_origin_len = r.take_usize()?;
-            let mut dead_by_origin = BTreeMap::new();
-            for _ in 0..by_origin_len {
-                let origin = r.take_usize()?;
-                let count = r.take_u64()?;
-                if dead_by_origin.insert(origin, count).is_some() {
-                    return Err(SnapshotError::Corrupt("duplicate dead-letter origin"));
-                }
-            }
-            let next_seq = r.take_u64()?;
-            s.cfg.horizon = horizon;
-            s.dead.total = total;
-            s.dead.dropped = dropped;
-            s.dead.entries = entries;
-            s.dead_by_origin = dead_by_origin;
-            s.next_seq = next_seq;
+            s.dead_by_origin = r.take()?;
+            s.next_seq = r.take()?;
         }
         self.machine.thaw(&mut r)?;
-        let want = r.take_u64()?;
+        let want = r.take::<u64>()?;
         r.finish()?;
         if self.machine.state_digest() != want {
             return Err(SnapshotError::Corrupt("restored state digest mismatch"));
@@ -1070,6 +1030,26 @@ mod tests {
     use machine::workload::ScriptedWorkload;
     use machine::{Activity, FidelityView, MachineConfig, Step, Workload};
     use simcore::{TraceCategory, TraceSink};
+
+    /// The generic codec property test over this crate's impls.
+    #[test]
+    fn codec_laws_hold_for_every_impl() {
+        use simcore::snapshot::check_codec;
+        check_codec(&VecDeque::from([
+            Actuation::Quarantine(1),
+            Actuation::Readmit(2),
+        ]));
+        check_codec(&DeadLetter {
+            at_s: -0.5,
+            reason: "negative_time",
+            origin: Some(4),
+        });
+        check_codec(&DeadLetter {
+            at_s: f64::INFINITY,
+            reason: "not_finite",
+            origin: None,
+        });
+    }
 
     fn idle_machine(procs: usize, secs: u64) -> Machine {
         let mut m = Machine::new(MachineConfig::default());
