@@ -16,7 +16,10 @@ use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::datasets::{DEFAULT_THINK_S, MAPS, TRIAL_JITTER, UTTERANCES, VIDEO_CLIPS, WEB_IMAGES};
 use crate::map::MapFidelity;
-use crate::units::{map_unit, speech_unit, video_unit, web_unit, UnitStep};
+use crate::units::{
+    map_unit, speech_unit, video_unit, web_unit, UnitStep, MAP_UNIT_NAMES, SPEECH_UNIT_NAMES,
+    VIDEO_UNIT_NAMES, WEB_UNIT_NAMES,
+};
 use crate::video::VideoVariant;
 use crate::web::WebFidelity;
 
@@ -178,6 +181,15 @@ impl Workload for BurstyMember {
             BurstyRole::Video => "xanim",
             BurstyRole::Map => "anvil",
             BurstyRole::Web => "netscape",
+        }
+    }
+
+    fn names(&self) -> Vec<&'static str> {
+        match self.role {
+            BurstyRole::Speech => SPEECH_UNIT_NAMES.to_vec(),
+            BurstyRole::Video => VIDEO_UNIT_NAMES.to_vec(),
+            BurstyRole::Map => MAP_UNIT_NAMES.to_vec(),
+            BurstyRole::Web => WEB_UNIT_NAMES.to_vec(),
         }
     }
 

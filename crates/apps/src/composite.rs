@@ -27,7 +27,9 @@ use crate::datasets::{
     MapObject, Utterance, WebImage, COMPOSITE_UTTERANCES, DEFAULT_THINK_S, TRIAL_JITTER,
 };
 use crate::map::MapFidelity;
-use crate::units::{map_unit, speech_unit, web_unit, UnitStep};
+use crate::units::{
+    map_unit, speech_unit, web_unit, UnitStep, MAP_UNIT_NAMES, SPEECH_UNIT_NAMES, WEB_UNIT_NAMES,
+};
 use crate::web::WebFidelity;
 
 /// Which leg of the loop a member executes.
@@ -198,6 +200,14 @@ impl Workload for CompositeMember {
             CompositeRole::Speech => "speech",
             CompositeRole::Web => "netscape",
             CompositeRole::Map => "anvil",
+        }
+    }
+
+    fn names(&self) -> Vec<&'static str> {
+        match self.role {
+            CompositeRole::Speech => SPEECH_UNIT_NAMES.to_vec(),
+            CompositeRole::Web => WEB_UNIT_NAMES.to_vec(),
+            CompositeRole::Map => MAP_UNIT_NAMES.to_vec(),
         }
     }
 

@@ -171,6 +171,10 @@ impl Workload for MapViewer {
         "anvil"
     }
 
+    fn names(&self) -> Vec<&'static str> {
+        crate::units::MAP_UNIT_NAMES.to_vec()
+    }
+
     fn display_need(&self) -> DisplayState {
         DisplayState::Bright
     }

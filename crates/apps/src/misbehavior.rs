@@ -108,6 +108,12 @@ impl Workload for Misbehavior {
         self.inner.name()
     }
 
+    fn names(&self) -> Vec<&'static str> {
+        let mut names = self.inner.names();
+        names.push("wedged");
+        names
+    }
+
     fn display_need(&self) -> hw560x::DisplayState {
         self.inner.display_need()
     }
@@ -226,6 +232,9 @@ mod tests {
     impl Workload for Adaptive {
         fn name(&self) -> &'static str {
             "adaptive"
+        }
+        fn names(&self) -> Vec<&'static str> {
+            Vec::new()
         }
         fn poll(&mut self, now: SimTime) -> Step {
             Step::Run(Activity::Wait {

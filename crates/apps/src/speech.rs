@@ -141,6 +141,12 @@ impl Workload for SpeechApp {
         "speech"
     }
 
+    fn names(&self) -> Vec<&'static str> {
+        let mut names = crate::units::SPEECH_UNIT_NAMES.to_vec();
+        names.extend(["remote_recognize", "first_phase", "hybrid_recognize"]);
+        names
+    }
+
     fn display_need(&self) -> DisplayState {
         DisplayState::Off
     }

@@ -53,6 +53,15 @@ impl Codec for UnitStep {
     }
 }
 
+/// The procedures and buckets a [`speech_unit`] books.
+pub const SPEECH_UNIT_NAMES: [&str; 3] = ["frontend_dsp", "janus", "viterbi_search"];
+/// The procedures and buckets a [`web_unit`] books.
+pub const WEB_UNIT_NAMES: [&str; 4] = ["http_get", "proxy", "relay_reply", "render_image"];
+/// The procedures a [`map_unit`] books.
+pub const MAP_UNIT_NAMES: [&str; 2] = ["fetch_map", "rasterise"];
+/// The procedures a [`video_unit`] books.
+pub const VIDEO_UNIT_NAMES: [&str; 2] = ["sftp_DataArrived", "decode_frame"];
+
 /// Local recognition of a list of utterances (the composite's speech leg).
 pub fn speech_unit(utterances: &[Utterance], reduced: bool, jitter: f64) -> Vec<UnitStep> {
     let mut steps = Vec::new();

@@ -201,6 +201,10 @@ impl Workload for VideoPlayer {
         "xanim"
     }
 
+    fn names(&self) -> Vec<&'static str> {
+        crate::units::VIDEO_UNIT_NAMES.to_vec()
+    }
+
     fn display_need(&self) -> DisplayState {
         DisplayState::Bright
     }
@@ -308,16 +312,15 @@ mod tests {
     #[test]
     fn codec_laws_hold_for_every_impl() {
         use crate::datasets::UTTERANCES;
-        use crate::units::{speech_unit, UnitStep};
-        use simcore::snapshot::check_codec;
+        use crate::units::{speech_unit, UnitStep, SPEECH_UNIT_NAMES};
+        use simcore::snapshot::{check_codec, check_codec_in};
         for phase in [Phase::Fetch, Phase::Decode, Phase::Render, Phase::Pace] {
             check_codec(&phase);
         }
-        check_codec(&std::collections::VecDeque::from(speech_unit(
-            &UTTERANCES[..1],
-            false,
-            1.0,
-        )));
+        check_codec_in(
+            &std::collections::VecDeque::from(speech_unit(&UTTERANCES[..1], false, 1.0)),
+            &simcore::Names::new(SPEECH_UNIT_NAMES),
+        );
         check_codec(&UnitStep::Pause(SimDuration::from_millis(200)));
     }
 

@@ -148,6 +148,10 @@ impl Workload for WebBrowser {
         "netscape"
     }
 
+    fn names(&self) -> Vec<&'static str> {
+        crate::units::WEB_UNIT_NAMES.to_vec()
+    }
+
     fn display_need(&self) -> DisplayState {
         DisplayState::Bright
     }

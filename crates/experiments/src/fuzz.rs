@@ -16,7 +16,11 @@
 //! 2. **recovery** — serve to a mid-stream pivot keeping a `Server`
 //!    slot's two generations; the generation-flip operator flips one
 //!    seeded bit of the newest, and [`simserve::restore`] must come back
-//!    through the older one and land on the straight-run digest;
+//!    through the older one and land on the straight-run digest. The
+//!    name-flip operator rewrites one byte of a bucket or procedure name
+//!    in the newest and reseals its checksum, so only interior
+//!    validation can catch it: thaw must refuse it as corrupt, and
+//!    restore must fall back the same way;
 //! 3. **crosstalk** — a two-slot [`Server`] interleaving the hostile
 //!    stream with a clean one; the clean slot must end byte-identical
 //!    to a solo clean run, proving slot isolation under attack.
@@ -30,7 +34,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{Names, SimDuration, SimRng, SimTime, SnapshotError, SnapshotHasher};
 use simserve::{
     restore, Generation, ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth,
 };
@@ -52,6 +56,7 @@ struct StreamStats {
     ingest_errors: u64,
     max_ledger_len: usize,
     recovered: bool,
+    name_flipped: bool,
 }
 
 /// Outcome of feeding one hostile stream through a raw session:
@@ -274,6 +279,7 @@ fn check_determinism(seed: u64, samples: &[Sample]) -> Result<StreamStats, Strin
         ingest_errors: a.ingest_errors,
         max_ledger_len: a.max_ledger_len,
         recovered: false,
+        name_flipped: false,
     })
 }
 
@@ -302,6 +308,31 @@ fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, 
             covered: fed,
         };
     }
+    // The name-flip operator, on a copy of the intact newest snapshot.
+    let mut rng = SimRng::new(seed).fork_indexed("fuzz/name", i);
+    let renamed = ladder[1]
+        .snapshot
+        .as_deref()
+        .and_then(|bytes| name_flip(bytes, session.names(), &mut rng));
+    let name_flipped = renamed.is_some();
+    if let Some(bytes) = renamed {
+        match build(seed)?.thaw(&bytes) {
+            Err(SnapshotError::Corrupt(_)) => {}
+            other => {
+                return Err(format!(
+                    "name flip at chunk {pivot} thawed to {other:?}, not Corrupt"
+                ))
+            }
+        }
+        let flipped = [
+            ladder[0].clone(),
+            Generation {
+                snapshot: Some(bytes),
+                covered: fed,
+            },
+        ];
+        restore_stable(seed, &flipped, samples, fed, &straight, pivot, "name flip")?;
+    }
     // The generation-flip operator: one seeded bit of the newest snapshot.
     let mut rng = SimRng::new(seed).fork_indexed("fuzz/generation", i);
     if let Some(bytes) = ladder[1].snapshot.as_mut() {
@@ -310,31 +341,91 @@ fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, 
             *byte ^= 1 << rng.uniform_u64(0, 7);
         }
     }
-    let log = samples.get(..fed).unwrap_or(samples);
-    let restored = match restore(|| serve::build_session(seed), &ladder, log, 0) {
-        Ok((session, 0)) => session,
-        Ok(_) => {
-            return Err(format!(
-                "restore at chunk {pivot} used the corrupt generation"
-            ))
-        }
-        Err(e) => return Err(format!("no generation restored at chunk {pivot}: {e}")),
-    };
-    let recovered = drive(restored, samples.get(fed..).unwrap_or_default())?;
-    if (recovered.digest, recovered.dead_total) != (straight.digest, straight.dead_total) {
-        return Err(format!(
-            "recovery unstable: restored at chunk {pivot}: digest {:#018x}, {} dead letters; \
-             straight {:#018x}, {}",
-            recovered.digest, recovered.dead_total, straight.digest, straight.dead_total
-        ));
-    }
+    restore_stable(seed, &ladder, samples, fed, &straight, pivot, "bit flip")?;
     Ok(StreamStats {
         samples: samples.len(),
         dead_letters: straight.dead_total,
         ingest_errors: straight.ingest_errors,
         max_ledger_len: straight.max_ledger_len,
         recovered: true,
+        name_flipped,
     })
+}
+
+/// Restores from `ladder`, whose newest generation covers the first
+/// `fed` samples and is corrupt, and requires the older one to come
+/// back and finish the stream on the straight run's digest and
+/// dead-letter total.
+fn restore_stable(
+    seed: u64,
+    ladder: &[Generation],
+    samples: &[Sample],
+    fed: usize,
+    straight: &HostileRun,
+    pivot: usize,
+    operator: &str,
+) -> Result<(), String> {
+    let log = samples.get(..fed).unwrap_or(samples);
+    let restored = match restore(|| serve::build_session(seed), ladder, log, 0) {
+        Ok((session, 0)) => session,
+        Ok(_) => {
+            return Err(format!(
+                "restore at chunk {pivot} used the {operator} generation"
+            ))
+        }
+        Err(e) => {
+            return Err(format!(
+                "no generation restored past the {operator} at chunk {pivot}: {e}"
+            ))
+        }
+    };
+    let recovered = drive(restored, samples.get(fed..).unwrap_or_default())?;
+    if (recovered.digest, recovered.dead_total) != (straight.digest, straight.dead_total) {
+        return Err(format!(
+            "recovery past the {operator} unstable: restored at chunk {pivot}: digest {:#018x}, \
+             {} dead letters; straight {:#018x}, {}",
+            recovered.digest, recovered.dead_total, straight.digest, straight.dead_total
+        ));
+    }
+    Ok(())
+}
+
+/// The name-flip operator: rewrites one seeded byte inside one seeded
+/// length-prefixed occurrence of a `names` entry in a sealed snapshot's
+/// payload, so it names nothing the session knows, and reseals the
+/// checksum. `None` when the payload holds no name.
+fn name_flip(bytes: &[u8], names: &Names, rng: &mut SimRng) -> Option<Vec<u8>> {
+    const HEADER: usize = 20;
+    let end = bytes.len().checked_sub(8)?;
+    let payload = bytes.get(HEADER..end)?;
+    let mut sites: Vec<(usize, usize)> = Vec::new();
+    for name in names.iter().filter(|n| !n.is_empty()) {
+        let mut word = (name.len() as u64).to_le_bytes().to_vec();
+        word.extend_from_slice(name.as_bytes());
+        sites.extend(
+            payload
+                .windows(word.len())
+                .enumerate()
+                .filter(|(_, w)| *w == word.as_slice())
+                .map(|(at, _)| (HEADER + at + 8, name.len())),
+        );
+    }
+    sites.sort_unstable();
+    let (start, len) =
+        *sites.get(rng.uniform_u64(0, sites.len().checked_sub(1)? as u64) as usize)?;
+    let at = start + rng.uniform_u64(0, len as u64 - 1) as usize;
+    let mut out = bytes.to_vec();
+    let byte = out.get_mut(at)?;
+    *byte = if *byte == b'#' { b'%' } else { b'#' };
+    let renamed = std::str::from_utf8(out.get(start..start + len)?).ok()?;
+    if names.id(renamed).is_some() {
+        return None;
+    }
+    let mut h = SnapshotHasher::new();
+    h.write_bytes(out.get(HEADER..end)?);
+    out.get_mut(end..)?
+        .copy_from_slice(&h.finish().to_le_bytes());
+    Some(out)
 }
 
 /// Harness 3: a clean session sharing a [`Server`] with the hostile one
@@ -488,6 +579,7 @@ pub fn run_verb(
     });
     let mut agg = StreamStats::default();
     let mut recovered = 0usize;
+    let mut name_flipped = 0usize;
     let mut errored_streams = 0usize;
     for (i, r) in idxs.iter().zip(results) {
         let s = r.map_err(|report| FuzzFailure {
@@ -499,12 +591,14 @@ pub fn run_verb(
         agg.ingest_errors += s.ingest_errors;
         agg.max_ledger_len = agg.max_ledger_len.max(s.max_ledger_len);
         recovered += usize::from(s.recovered);
+        name_flipped += usize::from(s.name_flipped);
         errored_streams += usize::from(s.ingest_errors > 0);
     }
     Ok(format!(
         "fuzz: {streams} hostile {scenario} streams, 0 panics, {} samples served\n\
          fuzz: {} dead letters (ledger high-water {} of 64), {} streams closed by surfaced errors\n\
-         fuzz: {recovered} mid-stream restores past a corrupted newest generation digest-stable, clean sibling digest {clean_digest:#018x} undisturbed\n",
+         fuzz: {recovered} mid-stream restores past a corrupted newest generation digest-stable, clean sibling digest {clean_digest:#018x} undisturbed\n\
+         fuzz: {name_flipped} resealed name flips refused as Corrupt, each restored digest-stable from the older generation\n",
         agg.samples, agg.dead_letters, agg.max_ledger_len, errored_streams
     ))
 }
@@ -569,6 +663,7 @@ mod tests {
     fn small_fuzz_batch_is_clean() {
         let out = run_verb(GOLDEN_SEED, 6, 2, serve::REPLAY_SCENARIO).expect("fuzz batch");
         assert!(out.contains("0 panics"), "{out}");
+        assert!(out.contains("2 resealed name flips refused"), "{out}");
     }
 
     /// The fuzz verb's result is byte-identical at any thread count.

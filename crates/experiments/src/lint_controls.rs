@@ -73,3 +73,11 @@ pub fn env_ban() -> bool {
 pub fn stopwatch_ban() -> f64 {
     bench::Stopwatch::start().elapsed_s()
 }
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "negative control: bounded state bans Box::leak"
+)]
+pub fn leak_ban() -> &'static u8 {
+    Box::leak(Box::new(0))
+}

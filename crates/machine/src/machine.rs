@@ -23,16 +23,34 @@ use hw560x::{
 use netsim::{FlowId, LinkFaultTimeline, SharedLink, RPC_LATENCY, WAVELAN_CAPACITY_BPS};
 use simcore::event::EventId;
 use simcore::{
-    Codec, EventQueue, Joules, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader,
+    Codec, EventQueue, Joules, Names, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader,
     SnapshotWriter, TimeSeries, TraceCategory, TraceEvent, TraceHandle, Watts,
 };
 
 use crate::activity::{checked_intensity, Activity, AdaptDirection, FidelityView, Step};
-use crate::energy::{Ledger, RunReport};
+use crate::energy::{Key, KeyMemo, Ledger, RunReport};
 use crate::faults::FaultConfig;
 use crate::observer::{IntervalObserver, IntervalRecord, ShareEntry};
 use crate::workload::Workload;
 use crate::{BUCKET_IDLE, BUCKET_KERNEL, BUCKET_ODYSSEY, BUCKET_WAVELAN, BUCKET_X};
+
+/// The names every machine books besides its workloads' own: the
+/// `BUCKET_*` constants and the procedures of the fixed attribution
+/// shares (X rendering, CPU halt, interrupt and data-path overlays, and
+/// a process with no CPU job).
+const FIXED_NAMES: [&str; 11] = [
+    BUCKET_IDLE,
+    BUCKET_X,
+    BUCKET_ODYSSEY,
+    BUCKET_WAVELAN,
+    BUCKET_KERNEL,
+    "unknown",
+    "render",
+    "idle_hlt",
+    "wavelan_intr",
+    "viceroy_datapath",
+    "disk_intr",
+];
 
 /// Round-robin scheduling quantum.
 const QUANTUM: SimDuration = SimDuration::from_millis(10);
@@ -433,6 +451,8 @@ struct ProcEntry {
     last_poll_at: SimTime,
     /// True while this foreground process counts toward `alive`.
     alive_counted: bool,
+    /// The ledger key of the pair this process booked last.
+    key_memo: KeyMemo,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -686,7 +706,12 @@ pub struct Machine {
     source: EnergySource,
     observers: Vec<Box<dyn IntervalObserver>>,
     hooks: Vec<HookSlot>,
+    /// The current interval's attribution shares, and the ledger key of
+    /// each.
     share_buf: Vec<ShareEntry>,
+    share_keys: Vec<Key>,
+    /// Key memos of the fixed shares: X, Idle, WaveLAN, Odyssey, Kernel.
+    fixed_memos: [KeyMemo; 5],
     trace: Option<TraceHandle>,
     stopped: bool,
     exhausted: bool,
@@ -736,11 +761,13 @@ impl Machine {
             quiet_since: None,
             dim_active: false,
             dim_event: None,
-            ledger: Ledger::default(),
+            ledger: Ledger::new(Names::new(FIXED_NAMES)),
             source,
             observers: Vec::new(),
             hooks: Vec::new(),
             share_buf: Vec::new(),
+            share_keys: Vec::new(),
+            fixed_memos: [KeyMemo::default(); 5],
             trace: None,
             stopped: false,
             exhausted: false,
@@ -794,6 +821,8 @@ impl Machine {
 
     fn add_process_inner(&mut self, workload: Box<dyn Workload>, background: bool) -> Pid {
         assert!(!self.started, "processes must be added before run()");
+        let names = std::iter::once(workload.name()).chain(workload.names());
+        self.ledger = Ledger::new(self.ledger.names().with(names));
         let pid = Pid(self.procs.len());
         let mut series = TimeSeries::new(workload.name());
         series.record(SimTime::ZERO, workload.fidelity().level as f64);
@@ -814,6 +843,7 @@ impl Machine {
             clamp: 1.0,
             last_poll_at: SimTime::ZERO,
             alive_counted: !background,
+            key_memo: KeyMemo::default(),
         });
         if !background {
             self.alive += 1;
@@ -939,24 +969,11 @@ impl Machine {
 
     // ---- Energy integration -------------------------------------------
 
-    fn device_states(&self) -> (DeviceStates, f64) {
-        let cpu_load = self.fill_share_buf_load();
-        (
-            DeviceStates {
-                display: self.display_state(),
-                disk: self.disk.state(),
-                radio: self.radio.state(),
-                cpu_load,
-            },
-            cpu_load,
-        )
-    }
-
-    /// Populates `share_buf` and returns the effective CPU load.
-    fn fill_share_buf_load(&self) -> f64 {
-        // `share_buf` is logically mutable scratch; interior mutation is
-        // routed through `advance_to`, which owns `&mut self`. Here we only
-        // compute the load; the share vector is built in `advance_to`.
+    /// Builds the attribution of the interval about to be integrated:
+    /// fills `share_buf` with its shares and `share_keys` with the ledger
+    /// key of each, and returns the device states in force, whose CPU load
+    /// blends the running job with the interrupt and data-path overlays.
+    fn interval_shares(&mut self) -> DeviceStates {
         let transfers = self.link.active_count();
         let int_frac = if transfers > 0 {
             (INT_FRAC_PER_TRANSFER * transfers as f64).min(INT_FRAC_CAP)
@@ -970,77 +987,56 @@ impl Machine {
         let mut load = int_frac * intensity::KERNEL_INTERRUPT
             + ody_frac * intensity::ODYSSEY
             + kern_frac * intensity::KERNEL_INTERRUPT;
-        if let Some((src, _)) = self.current {
-            let job_intensity = match src {
-                Source::Proc(pid) => match &self.procs[pid.0].state {
-                    ProcState::ReadyCpu(job) => job.intensity,
-                    _ => 0.0,
-                },
-                Source::XServer => self.x_queue.front().map(|j| j.intensity).unwrap_or(0.0),
-            };
-            load += main_frac * job_intensity;
-        }
-        load
-    }
-
-    fn build_shares(&mut self) {
-        self.share_buf.clear();
-        let transfers = self.link.active_count();
-        let int_frac = if transfers > 0 {
-            (INT_FRAC_PER_TRANSFER * transfers as f64).min(INT_FRAC_CAP)
-        } else {
-            0.0
-        };
-        let ody_frac = if transfers > 0 { ODYSSEY_FRAC } else { 0.0 };
-        let disk_busy = matches!(self.disk.state(), DiskState::Active | DiskState::SpinningUp);
-        let kern_frac = if disk_busy { DISK_KERNEL_FRAC } else { 0.0 };
-        let main_frac = 1.0 - int_frac - ody_frac - kern_frac;
-        match self.current {
+        let (bucket, procedure, memo) = match self.current {
             Some((Source::Proc(pid), _)) => {
-                let p = &self.procs[pid.0];
-                let (procedure, bucket) = match &p.state {
-                    ProcState::ReadyCpu(job) => {
-                        (job.procedure, job.bucket.unwrap_or(p.workload.name()))
-                    }
-                    _ => ("unknown", p.workload.name()),
+                let p = &mut self.procs[pid.0];
+                let (bucket, procedure, job_intensity) = match &p.state {
+                    ProcState::ReadyCpu(job) => (
+                        job.bucket.unwrap_or(p.workload.name()),
+                        job.procedure,
+                        job.intensity,
+                    ),
+                    _ => (p.workload.name(), "unknown", 0.0),
                 };
+                load += main_frac * job_intensity;
+                (bucket, procedure, &mut p.key_memo)
+            }
+            Some((Source::XServer, _)) => {
+                load += main_frac * self.x_queue.front().map(|j| j.intensity).unwrap_or(0.0);
+                (BUCKET_X, "render", &mut self.fixed_memos[0])
+            }
+            None => (BUCKET_IDLE, "idle_hlt", &mut self.fixed_memos[1]),
+        };
+        self.share_buf.clear();
+        self.share_keys.clear();
+        self.share_keys
+            .push(self.ledger.key(memo, bucket, procedure));
+        self.share_buf.push(ShareEntry {
+            bucket,
+            procedure,
+            fraction: main_frac,
+        });
+        for (fraction, bucket, procedure, memo) in [
+            (int_frac, BUCKET_WAVELAN, "wavelan_intr", 2),
+            (ody_frac, BUCKET_ODYSSEY, "viceroy_datapath", 3),
+            (kern_frac, BUCKET_KERNEL, "disk_intr", 4),
+        ] {
+            if fraction > 0.0 {
+                let memo = &mut self.fixed_memos[memo];
+                self.share_keys
+                    .push(self.ledger.key(memo, bucket, procedure));
                 self.share_buf.push(ShareEntry {
                     bucket,
                     procedure,
-                    fraction: main_frac,
+                    fraction,
                 });
             }
-            Some((Source::XServer, _)) => self.share_buf.push(ShareEntry {
-                bucket: BUCKET_X,
-                procedure: "render",
-                fraction: main_frac,
-            }),
-            None => self.share_buf.push(ShareEntry {
-                bucket: BUCKET_IDLE,
-                procedure: "idle_hlt",
-                fraction: main_frac,
-            }),
         }
-        if int_frac > 0.0 {
-            self.share_buf.push(ShareEntry {
-                bucket: BUCKET_WAVELAN,
-                procedure: "wavelan_intr",
-                fraction: int_frac,
-            });
-        }
-        if ody_frac > 0.0 {
-            self.share_buf.push(ShareEntry {
-                bucket: BUCKET_ODYSSEY,
-                procedure: "viceroy_datapath",
-                fraction: ody_frac,
-            });
-        }
-        if kern_frac > 0.0 {
-            self.share_buf.push(ShareEntry {
-                bucket: BUCKET_KERNEL,
-                procedure: "disk_intr",
-                fraction: kern_frac,
-            });
+        DeviceStates {
+            display: self.display_state(),
+            disk: self.disk.state(),
+            radio: self.radio.state(),
+            cpu_load: load,
         }
     }
 
@@ -1065,8 +1061,7 @@ impl Machine {
         if t <= self.clock {
             return;
         }
-        let (states, _) = self.device_states();
-        self.build_shares();
+        let states = self.interval_shares();
         let mut breakdown = self.power.breakdown(&states);
         // Monitoring hardware draws a constant trickle, booked as base.
         breakdown.base_w += self.cfg.monitor_overhead_w;
@@ -1086,7 +1081,8 @@ impl Machine {
         let dt1 = t1.since(self.clock);
         if !dt1.is_zero() {
             self.source.drain(power_w * dt1);
-            self.ledger.add(dt1, power_w, &breakdown, &self.share_buf);
+            self.ledger
+                .add(dt1, power_w, &breakdown, &self.share_buf, &self.share_keys);
             if self.trace_enabled(TraceCategory::Energy) {
                 if let Some(tr) = &self.trace {
                     // Mirror the ledger's per-share arithmetic exactly, so
@@ -1416,6 +1412,15 @@ impl Machine {
         true
     }
 
+    /// The machine's name table: the `BUCKET_*` constants, the fixed
+    /// procedures, and every name its workloads declare. The energy
+    /// ledger books only these names, and [`Machine::thaw`] accepts only
+    /// these (the reader resolves against them, perhaps with others the
+    /// shell adds).
+    pub fn names(&self) -> &Names {
+        self.ledger.names()
+    }
+
     /// 64-bit digest of the machine's live state; see
     /// [`MachineView::state_digest`].
     pub fn state_digest(&self) -> u64 {
@@ -1518,7 +1523,7 @@ impl Machine {
         w.put(&self.quiet_since);
         w.put(&self.dim_active);
         w.put(&self.dim_event);
-        w.put(&self.ledger);
+        self.ledger.freeze_into(w);
         w.put(&self.source);
         w.put(&self.hooks.len());
         for slot in &self.hooks {
@@ -1536,6 +1541,9 @@ impl Machine {
     /// Restores the state written by [`Machine::freeze`] onto this
     /// machine, which must have been freshly rebuilt from the identical
     /// configuration (same processes, hooks, and config, not yet run).
+    ///
+    /// Names decode through `r`'s table, which must hold
+    /// [`Machine::names`]; a name the machine cannot book is corrupt.
     ///
     /// On error the machine may be partially mutated — callers must
     /// discard it and fall back to replay.
@@ -1577,7 +1585,11 @@ impl Machine {
             p.alive_counted = r.take()?;
         }
         for s in &mut self.fidelity_series {
-            *s = r.take()?;
+            let series: TimeSeries = r.take()?;
+            if series.name() != s.name() {
+                return Err(SnapshotError::Corrupt("fidelity series name"));
+            }
+            *s = series;
         }
         self.alive = r.take()?;
         if self.alive != self.procs.iter().filter(|p| p.alive_counted).count() {
@@ -1606,7 +1618,7 @@ impl Machine {
         self.quiet_since = r.take()?;
         self.dim_active = r.take()?;
         self.dim_event = r.take()?;
-        self.ledger = r.take()?;
+        self.ledger.thaw_from(r)?;
         self.source = r.take()?;
         if r.take::<usize>()? != n_hooks {
             return Err(SnapshotError::Corrupt("hook count mismatch"));
@@ -2061,7 +2073,10 @@ mod tests {
         let mid = m.state_digest();
 
         let (mut restored, restored_journal) = snapshot_rig();
-        let mut r = simcore::SnapshotReader::open(&bytes).expect("open");
+        let names = restored.names().clone();
+        let mut r = simcore::SnapshotReader::open(&bytes)
+            .expect("open")
+            .with_names(&names);
         restored.thaw(&mut r).expect("thaw");
         r.finish().expect("payload fully consumed");
         assert_eq!(restored.state_digest(), mid, "state restored exactly");
@@ -2194,9 +2209,13 @@ mod tests {
         h.write_bytes(&bytes[header..checksum]);
         bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
 
-        let mut r = simcore::SnapshotReader::open(&bytes).expect("resealed envelope opens");
+        let mut fresh = rig();
+        let names = fresh.names().clone();
+        let mut r = simcore::SnapshotReader::open(&bytes)
+            .expect("resealed envelope opens")
+            .with_names(&names);
         assert_eq!(
-            rig().thaw(&mut r),
+            fresh.thaw(&mut r),
             Err(SnapshotError::Corrupt("cpu job intensity"))
         );
     }
@@ -2204,7 +2223,8 @@ mod tests {
     /// The generic codec property test over the machine's own impls.
     #[test]
     fn codec_laws_hold_for_every_impl() {
-        use simcore::snapshot::check_codec;
+        use simcore::snapshot::{check_codec, check_codec_in};
+        let names = Names::new(["decode", "janus", "a", "b", "c", "d", "e", "proxy"]);
         let job = CpuJob {
             remaining: SimDuration::from_millis(7),
             intensity: 0.5,
@@ -2217,10 +2237,13 @@ mod tests {
             server_time: SimDuration::from_millis(3),
             is_bulk: true,
         };
-        check_codec(&CpuJob {
-            bucket: None,
-            ..job
-        });
+        check_codec_in(
+            &CpuJob {
+                bucket: None,
+                ..job
+            },
+            &names,
+        );
         for state in [
             ProcState::Start,
             ProcState::ReadyCpu(job),
@@ -2235,7 +2258,7 @@ mod tests {
             ProcState::Suspended,
             ProcState::Done,
         ] {
-            check_codec(&state);
+            check_codec_in(&state, &names);
         }
         check_codec(&Some((Source::Proc(Pid(2)), SimDuration::from_millis(10))));
         check_codec(&VecDeque::from([Source::XServer]));
@@ -2290,12 +2313,8 @@ mod tests {
             },
             Activity::wait_for(SimTime::ZERO, SimDuration::from_secs(8)),
         ] {
-            check_codec(&activity);
+            check_codec_in(&activity, &names);
         }
-        let (mut m, _j) = snapshot_rig();
-        let _ = m.run_until(SimTime::from_secs(7));
-        assert!(m.ledger.snapshot_detail().len() > 2);
-        check_codec(&m.ledger);
     }
 
     /// A 10-second empty run with PM disabled must cost exactly the
@@ -2605,6 +2624,9 @@ mod tests {
         impl Workload for Adaptive {
             fn name(&self) -> &'static str {
                 "adaptive"
+            }
+            fn names(&self) -> Vec<&'static str> {
+                Vec::new()
             }
             fn poll(&mut self, now: SimTime) -> Step {
                 if now >= self.until {

@@ -18,6 +18,13 @@ pub trait Workload {
     /// Process name for profiling and reports (e.g. `"xanim"`).
     fn name(&self) -> &'static str;
 
+    /// Every other name this workload's activities can carry: each
+    /// procedure, and each bucket a `CpuAs` books to. The machine adds
+    /// them and [`Workload::name`] to its name table when the process is
+    /// added. Booking a name missing from the table panics, and a
+    /// snapshot naming one does not thaw.
+    fn names(&self) -> Vec<&'static str>;
+
     /// Backlight level this application needs while alive. The effective
     /// display state is the maximum over alive workloads (under hardware
     /// power management; the baseline keeps the display bright).
@@ -139,6 +146,23 @@ impl ScriptedWorkload {
 impl Workload for ScriptedWorkload {
     fn name(&self) -> &'static str {
         self.name
+    }
+
+    fn names(&self) -> Vec<&'static str> {
+        let mut names = Vec::new();
+        for a in &self.script {
+            match *a {
+                Activity::CpuAs {
+                    bucket, procedure, ..
+                } => names.extend([bucket, procedure]),
+                Activity::Cpu { procedure, .. }
+                | Activity::Rpc { procedure, .. }
+                | Activity::BulkFetch { procedure, .. }
+                | Activity::DiskRead { procedure, .. } => names.push(procedure),
+                Activity::XRender { .. } | Activity::Wait { .. } => {}
+            }
+        }
+        names
     }
 
     fn display_need(&self) -> DisplayState {

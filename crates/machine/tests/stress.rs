@@ -96,6 +96,9 @@ fn thrashing_controller_is_safe() {
         fn name(&self) -> &'static str {
             "flappy"
         }
+        fn names(&self) -> Vec<&'static str> {
+            Vec::new()
+        }
         fn poll(&mut self, now: SimTime) -> Step {
             if now >= self.until {
                 Step::Done

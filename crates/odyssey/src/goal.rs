@@ -650,6 +650,9 @@ mod tests {
         fn name(&self) -> &'static str {
             "duty"
         }
+        fn names(&self) -> Vec<&'static str> {
+            vec!["burn"]
+        }
         fn display_need(&self) -> DisplayState {
             DisplayState::Off
         }

@@ -648,7 +648,7 @@ mod tests {
             overdraw_hot_procedures: [("decode", 3)].into(),
             ..SupervisorStats::default()
         };
-        check_codec(&stats);
+        simcore::snapshot::check_codec_in(&stats, &simcore::Names::new(["decode"]));
     }
 
     /// A workload that behaves for `honest_until`, then spins forever
@@ -662,6 +662,9 @@ mod tests {
     impl Workload for Spinner {
         fn name(&self) -> &'static str {
             "spinner"
+        }
+        fn names(&self) -> Vec<&'static str> {
+            vec!["spin"]
         }
         fn poll(&mut self, now: SimTime) -> Step {
             if now >= self.horizon {

@@ -274,6 +274,9 @@ mod tests {
         fn name(&self) -> &'static str {
             "streamer"
         }
+        fn names(&self) -> Vec<&'static str> {
+            vec!["stream"]
+        }
         fn poll(&mut self, now: SimTime) -> Step {
             if now >= self.until {
                 return Step::Done;

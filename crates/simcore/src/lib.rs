@@ -37,8 +37,8 @@ pub use fault::{FaultPlan, FaultSchedule, FaultWindow};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use snapshot::{
-    Checkpoint, Codec, RunJournal, SnapshotError, SnapshotHasher, SnapshotReader, SnapshotWriter,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Checkpoint, Codec, Names, RunJournal, SnapshotError, SnapshotHasher, SnapshotReader,
+    SnapshotWriter, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use stats::{LinearFit, TrialStats};
 pub use time::{SimDuration, SimTime};

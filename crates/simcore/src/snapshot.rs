@@ -26,11 +26,16 @@
 //! malformed input surfaces as a [`SnapshotError`], so a corrupted or
 //! truncated snapshot sends recovery to an older generation instead of
 //! taking the service down.
+//!
+//! Names (buckets, procedures, dead-letter reasons) travel as strings
+//! but come back as `&'static str`: the thawing shell hands the reader
+//! the [`Names`] it can hold, and a name outside them is
+//! [`SnapshotError::Corrupt`]. Decoding allocates nothing that outlives
+//! the reader.
 
 #![deny(clippy::indexing_slicing)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Mutex, PoisonError};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
 use crate::units::{Joules, Watts};
@@ -144,8 +149,71 @@ impl SnapshotWriter {
     }
 }
 
-/// Every `&'static str` any [`SnapshotReader`] has decoded.
-static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+/// A sorted, deduplicated table of `&'static str` names.
+///
+/// A name's id is its position, so ids run in name order. The machine's
+/// energy ledger indexes its bookings by these ids, and a
+/// [`SnapshotReader`] resolves every decoded name against one table.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Names {
+    names: Vec<&'static str>,
+}
+
+impl Names {
+    /// The table of `names`, sorted and with duplicates dropped.
+    pub fn new(names: impl IntoIterator<Item = &'static str>) -> Names {
+        let mut names: Vec<&'static str> = names.into_iter().collect();
+        names.sort_unstable();
+        names.dedup();
+        Names { names }
+    }
+
+    /// This table with `more` added.
+    pub fn with(&self, more: impl IntoIterator<Item = &'static str>) -> Names {
+        let more = Names::new(more);
+        let mut names = Vec::with_capacity(self.len() + more.len());
+        let (mut a, mut b) = (self.iter().peekable(), more.iter().peekable());
+        while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
+            names.push(x.min(y));
+            if x <= y {
+                a.next();
+            }
+            if y <= x {
+                b.next();
+            }
+        }
+        names.extend(a.chain(b));
+        Names { names }
+    }
+
+    /// The id of `name`, if the table holds it.
+    pub fn id(&self, name: &str) -> Option<usize> {
+        self.names.binary_search(&name).ok()
+    }
+
+    /// The table's copy of `name`, if it holds one.
+    pub fn resolve(&self, name: &str) -> Option<&'static str> {
+        self.id(name).and_then(|i| self.names.get(i).copied())
+    }
+
+    /// Number of names.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True if the table holds no name.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The names in id order.
+    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.names.iter().copied()
+    }
+}
+
+/// The table of a reader given none: every name is unknown.
+static NO_NAMES: Names = Names { names: Vec::new() };
 
 /// Bounds-checked decoder over a verified snapshot payload.
 ///
@@ -158,6 +226,7 @@ static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
 pub struct SnapshotReader<'a> {
     payload: &'a [u8],
     pos: usize,
+    names: &'a Names,
 }
 
 impl<'a> SnapshotReader<'a> {
@@ -196,7 +265,17 @@ impl<'a> SnapshotReader<'a> {
         if bytes.len() > payload_end + 8 {
             return Err(SnapshotError::Corrupt("trailing bytes after envelope"));
         }
-        Ok(SnapshotReader { payload, pos: 0 })
+        Ok(SnapshotReader {
+            payload,
+            pos: 0,
+            names: &NO_NAMES,
+        })
+    }
+
+    /// Resolves the names this reader decodes against `names`. A reader
+    /// opened without a table knows no name.
+    pub fn with_names(self, names: &'a Names) -> Self {
+        SnapshotReader { names, ..self }
     }
 
     /// Reads one value in its [`Codec`] encoding.
@@ -250,22 +329,21 @@ impl<'a> SnapshotReader<'a> {
     }
 
     /// Reads a string destined for a `&'static str` field (bucket,
-    /// procedure, dead-letter reason), interned process-wide.
-    ///
-    /// A name is leaked the first time any reader in the process decodes
-    /// it and reused from then on, so the leak is bounded by the distinct
-    /// names ever thawed, not by the number of thaws.
+    /// procedure, dead-letter reason) and returns the reader's copy of
+    /// it; a name outside the reader's [`Names`] is corrupt.
     fn take_static_str(&mut self) -> Result<&'static str, SnapshotError> {
         let s = self.take_str()?;
-        // A poisoned set is still sound: the only update is one `insert`
-        // of a name that is already leaked, so no panic leaves it half done.
-        let mut names = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(&name) = names.get(s) {
-            return Ok(name);
-        }
-        let name: &'static str = Box::leak(s.into());
-        names.insert(name);
-        Ok(name)
+        self.names
+            .resolve(s)
+            .ok_or(SnapshotError::Corrupt("unknown name"))
+    }
+
+    /// Reads a name and returns its id in `names`; a name outside
+    /// `names` is corrupt. A shell whose state is indexed by its own
+    /// [`Names`] reads its keys this way.
+    pub fn take_name_id(&mut self, names: &Names) -> Result<usize, SnapshotError> {
+        let s = self.take_str()?;
+        names.id(s).ok_or(SnapshotError::Corrupt("unknown name"))
     }
 
     /// Reads a length word and preallocates for at most 1024 items, so a
@@ -307,7 +385,8 @@ impl<'a> SnapshotReader<'a> {
 /// floats and the unit newtypes go by bit pattern, instants and
 /// durations by their microsecond count. `Option` is a presence word
 /// then the value; `Vec`, `VecDeque`, `BTreeMap` and strings are a
-/// length word then their items. A map rejects a duplicate key.
+/// length word then their items. A map rejects a duplicate key. A
+/// `&'static str` must be one of the reader's [`Names`].
 pub trait Codec: Sized {
     /// Appends this value to a snapshot payload.
     fn put(&self, w: &mut SnapshotWriter);
@@ -490,12 +569,22 @@ impl<A: Codec, B: Codec, C: Codec> Codec for (A, B, C) {
 ///
 /// Panics when a law does not hold.
 pub fn check_codec<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
+    check_codec_in(value, &NO_NAMES);
+}
+
+/// [`check_codec`] for a value holding names: every reader resolves
+/// them against `names`.
+///
+/// # Panics
+///
+/// Panics when a law does not hold.
+pub fn check_codec_in<T: Codec + PartialEq + std::fmt::Debug>(value: &T, names: &Names) {
     let mut w = SnapshotWriter::new();
     w.put(value);
     let payload = w.buf.clone();
     let sealed = w.seal();
     let decode = |bytes: &[u8]| {
-        let mut r = SnapshotReader::open(bytes)?;
+        let mut r = SnapshotReader::open(bytes)?.with_names(names);
         let v = r.take::<T>()?;
         r.finish().map(|()| v)
     };
@@ -787,22 +876,25 @@ mod tests {
         check_codec(&SimTime::from_micros(u64::MAX));
         check_codec(&SimDuration::from_millis(1500));
         check_codec(&crate::EventQueue::new().push(SimTime::ZERO, ()));
-        check_codec(&"speech");
-        check_codec(&"");
+        let names = Names::new([
+            "speech", "", "a", "bb", "x", "xanim", "decode", "Idle", "idle",
+        ]);
+        check_codec_in(&"speech", &names);
+        check_codec_in(&"", &names);
         check_codec(&String::from("naïve"));
         check_codec(&None::<u64>);
         check_codec(&Some(0u64));
         check_codec(&Vec::<u64>::new());
         check_codec(&vec![Some(1.5f64), None]);
-        check_codec(&VecDeque::from(["a", "bb"]));
+        check_codec_in(&VecDeque::from(["a", "bb"]), &names);
         check_codec(&(7usize, Joules(1.0)));
-        check_codec(&(SimTime::ZERO, 2u32, "x"));
+        check_codec_in(&(SimTime::ZERO, 2u32, "x"), &names);
         let detail: BTreeMap<(&'static str, &'static str), (f64, Joules)> = [
             (("xanim", "decode"), (1.5, Joules(20.0))),
             (("Idle", "idle"), (0.0, Joules(3.0))),
         ]
         .into();
-        check_codec(&detail);
+        check_codec_in(&detail, &names);
         check_codec(&Checkpoint {
             seq: 4,
             t: SimTime::from_secs(50),
@@ -861,23 +953,39 @@ mod tests {
         assert!(matches!(r.take::<u32>(), Err(SnapshotError::Corrupt(_))));
     }
 
-    /// Names intern to one leak within a reader and across readers:
-    /// every thaw opens a new reader, and a long-lived server must not
-    /// grow with its restore count.
+    /// A decoded name is the table's own copy; a name outside the table,
+    /// or any name read without one, is corrupt.
     #[test]
-    fn static_str_interning_dedups() {
+    fn names_resolve_against_the_readers_table() {
+        let disk: &'static str = "disk";
+        let names = Names::new([disk, "idle", disk]);
+        assert_eq!(names.len(), 2);
+        assert_eq!(names.id("idle"), Some(1));
+        assert_eq!(
+            Names::new(["b", "d"]).with(["e", "d", "a", "c", "a"]),
+            Names::new(["a", "b", "c", "d", "e"])
+        );
         let mut w = SnapshotWriter::new();
-        w.put(&"disk");
-        w.put(&"disk");
+        w.put(&String::from("disk"));
+        w.put(&"ghost");
         let bytes = w.seal();
-        let mut r = SnapshotReader::open(&bytes).expect("open");
+        let mut r = SnapshotReader::open(&bytes)
+            .expect("open")
+            .with_names(&names);
         let a: &str = r.take().unwrap();
-        let b: &str = r.take().unwrap();
-        assert_eq!(a, "disk");
-        assert!(std::ptr::eq(a, b), "same string must intern to one leak");
-        let mut again = SnapshotReader::open(&bytes).expect("open");
-        let c: &str = again.take().unwrap();
-        assert!(std::ptr::eq(a, c), "a second reader must not leak again");
+        assert!(
+            std::ptr::eq(a, disk),
+            "a name must resolve to the table's copy"
+        );
+        assert_eq!(
+            r.take::<&'static str>(),
+            Err(SnapshotError::Corrupt("unknown name"))
+        );
+        let mut bare = SnapshotReader::open(&bytes).expect("open");
+        assert_eq!(
+            bare.take::<&'static str>(),
+            Err(SnapshotError::Corrupt("unknown name"))
+        );
     }
 
     #[test]

@@ -112,8 +112,8 @@ impl TraceCategory {
 }
 
 /// One typed trace event. All payload strings are `&'static str` (bucket
-/// and workload names are interned), so events are `Copy` and emission
-/// never allocates unless the JSONL writer is on.
+/// and workload names are compile-time constants), so events are `Copy`
+/// and emission never allocates unless the JSONL writer is on.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum TraceEvent {
     /// The scheduler gave the CPU to a process.

@@ -41,8 +41,8 @@ use std::rc::Rc;
 use machine::{CheckpointHook, ControlHook, Machine, MachineView, RunReport};
 use odyssey::{GoalHandle, SupervisorHandle};
 use simcore::{
-    Checkpoint, Codec, Joules, RunJournal, SimDuration, SimTime, SnapshotError, SnapshotReader,
-    SnapshotWriter, TraceEvent, TraceHandle,
+    Checkpoint, Codec, Joules, Names, RunJournal, SimDuration, SimTime, SnapshotError,
+    SnapshotReader, SnapshotWriter, TraceEvent, TraceHandle,
 };
 
 mod server;
@@ -312,6 +312,16 @@ impl Directive {
         }
     }
 }
+
+/// Every reason a sample is dead-lettered for. A snapshot's dead-letter
+/// ledger thaws only with these reasons.
+pub const DEAD_LETTER_REASONS: [&str; 5] = [
+    "not_finite",
+    "negative_time",
+    "out_of_order",
+    "beyond_horizon",
+    "after_stop",
+];
 
 /// One rejected input sample, as kept by the bounded ledger.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -700,7 +710,8 @@ impl Session {
     /// envelope checksum, field validation, or the trailing digest
     /// self-check; none of these paths panic.
     pub fn thaw(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
-        let mut r = SnapshotReader::open(bytes)?;
+        let names = self.names().with(DEAD_LETTER_REASONS);
+        let mut r = SnapshotReader::open(bytes)?.with_names(&names);
         let cursor = r.take()?;
         let stopped = r.take()?;
         let finished = r.take()?;
@@ -732,6 +743,13 @@ impl Session {
         self.stopped = stopped;
         self.finished = finished;
         Ok(())
+    }
+
+    /// The bucket and procedure names the session's machine books; see
+    /// [`Machine::names`]. A snapshot thaws only with these names and the
+    /// [`DEAD_LETTER_REASONS`].
+    pub fn names(&self) -> &Names {
+        self.machine.names()
     }
 
     /// The session clock: the latest validated sample timestamp (or run
@@ -873,6 +891,10 @@ impl Serving {
     /// Records one dead letter at the session cursor: ledger, trace,
     /// per-origin escalation.
     fn dead_letter(&mut self, cursor: SimTime, sample: &Sample, reason: &'static str) {
+        debug_assert!(
+            DEAD_LETTER_REASONS.contains(&reason),
+            "undeclared reason {reason}"
+        );
         let count = self.dead.push(DeadLetter {
             at_s: sample.at_s,
             reason,
@@ -1034,21 +1056,27 @@ mod tests {
     /// The generic codec property test over this crate's impls.
     #[test]
     fn codec_laws_hold_for_every_impl() {
-        use simcore::snapshot::check_codec;
+        use simcore::snapshot::{check_codec, check_codec_in};
         check_codec(&VecDeque::from([
             Actuation::Quarantine(1),
             Actuation::Readmit(2),
         ]));
-        check_codec(&DeadLetter {
-            at_s: -0.5,
-            reason: "negative_time",
-            origin: Some(4),
-        });
-        check_codec(&DeadLetter {
-            at_s: f64::INFINITY,
-            reason: "not_finite",
-            origin: None,
-        });
+        check_codec_in(
+            &DeadLetter {
+                at_s: -0.5,
+                reason: "negative_time",
+                origin: Some(4),
+            },
+            &Names::new(DEAD_LETTER_REASONS),
+        );
+        check_codec_in(
+            &DeadLetter {
+                at_s: f64::INFINITY,
+                reason: "not_finite",
+                origin: None,
+            },
+            &Names::new(DEAD_LETTER_REASONS),
+        );
     }
 
     fn idle_machine(procs: usize, secs: u64) -> Machine {
@@ -1071,6 +1099,9 @@ mod tests {
     impl Workload for RestartableIdle {
         fn name(&self) -> &'static str {
             "ridle"
+        }
+        fn names(&self) -> Vec<&'static str> {
+            Vec::new()
         }
         fn poll(&mut self, now: SimTime) -> Step {
             if now >= self.until {

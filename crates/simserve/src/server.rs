@@ -428,6 +428,9 @@ mod tests {
         fn name(&self) -> &'static str {
             "landmine"
         }
+        fn names(&self) -> Vec<&'static str> {
+            Vec::new()
+        }
         fn poll(&mut self, now: SimTime) -> Step {
             assert!(now < self.at, "landmine tripped at {now:?}");
             Step::Run(Activity::Wait {

@@ -127,3 +127,38 @@ fn served_snapshots_are_byte_stable() {
     let fresh = serve::build_session(GOLDEN_SEED).expect("build");
     assert_pinned("hostile stream", &bytes, HOSTILE_PIN, fresh);
 }
+
+/// A checksum-valid snapshot whose dead-letter ledger names a reason
+/// the session does not know is corrupt, not a new name.
+#[test]
+fn resealed_unknown_dead_letter_reason_is_corrupt() {
+    use energy_adaptation::simcore::SnapshotError;
+    use energy_adaptation::simserve::DEAD_LETTER_REASONS;
+
+    let samples = serve::schedule(1).expect("golden trace present");
+    let alt = serve::schedule_for("goal", 1).expect("golden trace present");
+    let (hostile, _) = fuzz::hostile_stream(GOLDEN_SEED, &samples, &alt, 1);
+    let mut session = serve::build_session(GOLDEN_SEED).expect("build");
+    for chunk in hostile.chunks(64) {
+        session.ingest(chunk).expect("ingest");
+    }
+    let mut bytes = session.freeze().expect("freeze");
+    let (header, checksum) = (20, bytes.len() - 8);
+    let at = DEAD_LETTER_REASONS
+        .iter()
+        .find_map(|reason| {
+            let mut word = (reason.len() as u64).to_le_bytes().to_vec();
+            word.extend_from_slice(reason.as_bytes());
+            (header..checksum - word.len()).find(|&i| bytes[i..i + word.len()] == word[..])
+        })
+        .expect("a dead-letter reason in the snapshot");
+    bytes[at + 8] = b'#';
+    let mut h = SnapshotHasher::new();
+    h.write_bytes(&bytes[header..checksum]);
+    bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+    let mut fresh = serve::build_session(GOLDEN_SEED).expect("build");
+    assert_eq!(
+        fresh.thaw(&bytes),
+        Err(SnapshotError::Corrupt("unknown name"))
+    );
+}

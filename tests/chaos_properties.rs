@@ -55,6 +55,9 @@ impl Workload for AdaptiveLoad {
     fn name(&self) -> &'static str {
         "adaptive"
     }
+    fn names(&self) -> Vec<&'static str> {
+        vec!["ping", "burn"]
+    }
 
     fn display_need(&self) -> DisplayState {
         DisplayState::Off
@@ -335,7 +338,10 @@ fn cancel_heavy_snapshots_are_byte_stable() {
         );
 
         let mut thawed = hardened_chaos_rig();
-        let mut r = SnapshotReader::open(&bytes).expect("open");
+        let names = thawed.names().clone();
+        let mut r = SnapshotReader::open(&bytes)
+            .expect("open")
+            .with_names(&names);
         thawed.thaw(&mut r).expect("thaw");
         r.finish().expect("payload fully consumed");
         assert_eq!(

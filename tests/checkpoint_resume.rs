@@ -395,6 +395,72 @@ fn corrupted_snapshots_are_detected_and_replay_recovers() {
     assert_eq!(resumed.trace, base.trace);
 }
 
+/// Resealed poison: a checksum-valid snapshot whose `Idle` bucket holds
+/// NaN joules, or whose `Idle` name is one byte off, thaws to `Corrupt`,
+/// and restore falls back to the older generation.
+#[test]
+fn resealed_poisoned_ledger_is_corrupt() {
+    use energy_adaptation::experiments::serve;
+    use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
+    use energy_adaptation::simcore::{SnapshotError, SnapshotHasher};
+    use energy_adaptation::simserve::Generation;
+
+    let samples = serve::schedule(1).expect("golden trace present");
+    let base = serve::replay(GOLDEN_SEED, &samples).expect("uninterrupted run");
+    let kill = serve::kill_at(GOLDEN_SEED, &samples, 1).expect("kill");
+    let snapshot = kill.frozen.snapshot.clone().expect("frozen at the kill");
+    let build = || serve::proof_session(GOLDEN_SEED).expect("build");
+    // The ledger writes its bucket map first: the first length-prefixed
+    // `Idle` is the bucket entry, and its joules follow.
+    let (header, checksum) = (20, snapshot.len() - 8);
+    let mut word = 4u64.to_le_bytes().to_vec();
+    word.extend_from_slice(b"Idle");
+    let name = (header..checksum - word.len())
+        .find(|&i| snapshot[i..i + word.len()] == word[..])
+        .expect("an Idle bucket entry")
+        + 8;
+    let reseal = |mut bytes: Vec<u8>| {
+        let mut h = SnapshotHasher::new();
+        h.write_bytes(&bytes[header..checksum]);
+        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+        bytes
+    };
+
+    let mut nan = snapshot.clone();
+    nan[name + 4..name + 12].copy_from_slice(&f64::NAN.to_le_bytes());
+    let nan = reseal(nan);
+    assert_eq!(
+        build().thaw(&nan),
+        Err(SnapshotError::Corrupt("ledger bucket energy"))
+    );
+
+    let mut renamed = snapshot.clone();
+    renamed[name] = b'#';
+    let renamed = reseal(renamed);
+    assert_eq!(
+        build().thaw(&renamed),
+        Err(SnapshotError::Corrupt("unknown name"))
+    );
+
+    for poisoned in [nan, renamed] {
+        let (resumed, used) = serve::resume(
+            GOLDEN_SEED,
+            &samples,
+            &kill,
+            &[
+                Generation::genesis(),
+                Generation {
+                    snapshot: Some(poisoned),
+                    covered: kill.frozen.covered,
+                },
+            ],
+        )
+        .expect("genesis fallback");
+        assert_eq!(used, 0, "restored through the poisoned generation");
+        assert_eq!(resumed.final_digest, base.final_digest);
+    }
+}
+
 /// Snapshot-vs-replay equivalence, pinned at 1 and 4 worker threads: a
 /// kill at the first boundary restored through its snapshot generation
 /// lands on the identical digest as a restore from the genesis
