@@ -11,7 +11,7 @@ use odyssey_apps::{VideoPlayer, VideoVariant};
 use simcore::SimRng;
 
 use crate::barchart::BarChart;
-use crate::harness::{run_grid, run_machine, Trials};
+use crate::harness::{run_grid, Trials};
 
 /// The six experimental conditions, in figure order.
 pub const CONDITIONS: [(&str, VideoVariant, bool); 6] = [
@@ -51,12 +51,7 @@ pub fn run_clips(trials: &Trials, clips: &[VideoClip]) -> BarChart {
     let root = SimRng::new(trials.seed);
     let reports = run_grid(trials, &cells, |&(clip, (name, variant, pm)), i| {
         let label = format!("fig6/{}/{}", clip.name, name);
-        run_machine(build(
-            *clip,
-            variant,
-            pm,
-            &mut root.fork_indexed(&label, i as u64),
-        ))
+        build(*clip, variant, pm, &mut root.fork_indexed(&label, i as u64)).run()
     });
     let mut chart = BarChart::new("Figure 6: Energy impact of fidelity for video playing (J)");
     for (&(clip, (name, ..)), reports) in cells.iter().zip(&reports) {

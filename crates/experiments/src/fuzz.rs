@@ -36,14 +36,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use simcore::{Names, SimDuration, SimRng, SimTime, SnapshotError, SnapshotHasher};
 use simserve::{
-    restore, Generation, ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth,
+    restore, Generation, ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth, BATCH,
 };
 
 use crate::serve;
 use simcore::Joules;
-
-/// Batch size hostile streams are fed in (matches the serve verb).
-const BATCH: usize = 64;
 
 /// Mutations applied per stream: at least one, at most this many.
 const MAX_MUTATIONS: u64 = 4;
@@ -171,7 +168,8 @@ fn pick_mut<'a>(samples: &'a mut [Sample], rng: &mut SimRng) -> Option<&'a mut S
 }
 
 /// Builds the hostile stream for index `i`: a seeded fork of the root
-/// rng applies 1..=[`MAX_MUTATIONS`] operators to the golden schedule.
+/// rng applies one to four (`MAX_MUTATIONS`) operators to the golden
+/// schedule.
 pub fn hostile_stream(
     seed: u64,
     base: &[Sample],

@@ -203,18 +203,8 @@ pub fn finish(
     let (handle, hook) = GoalController::new(cfg, priorities);
     m.add_hook(sample_period, hook);
     // The controller stops the run at the goal; the horizon is a safety
-    // net against runaway workloads. The run goes through the service
-    // API's batch mode — same engine as the always-on `serve` path.
-    #[expect(
-        clippy::expect_used,
-        reason = "adopt/run on a fresh session cannot fail"
-    )]
-    let mut session = simserve::Session::adopt(m).expect("adopt fresh machine");
-    #[expect(
-        clippy::expect_used,
-        reason = "first run of a fresh session cannot fail"
-    )]
-    let report = session.run_until(horizon).expect("run adopted session");
+    // net against runaway workloads.
+    let report = m.run_until(horizon);
     GoalRun {
         outcome: handle.outcome(),
         report,

@@ -14,13 +14,12 @@
 //! The parallel run is byte-identical to the serial one at any thread
 //! count (`tests/parallel_equivalence.rs` pins this).
 //!
-//! Every trial executes through the [`simserve::Session`] batch API
-//! ([`Session::adopt`]), so the harness and the always-on `serve` mode
-//! share one engine: a batch trial is just a session nobody reconfigures.
+//! A trial is a batch run: the harness calls [`Machine::run`] on the
+//! freshly built machine. Only the always-on `serve` mode wraps a machine
+//! in a [`simserve::Session`].
 
 use machine::{Machine, RunReport};
 use simcore::{Joules, SimRng, TrialStats};
-use simserve::Session;
 
 /// Trial configuration for an experiment.
 #[derive(Clone, Copy, Debug)]
@@ -115,17 +114,6 @@ where
         .collect()
 }
 
-/// Runs a freshly built machine to completion through the service API's
-/// batch mode — the same engine as the always-on `serve` path.
-#[expect(
-    clippy::expect_used,
-    reason = "adopt/run on a fresh session cannot fail"
-)]
-pub fn run_machine(machine: Machine) -> RunReport {
-    let mut session = Session::adopt(machine).expect("adopt fresh machine");
-    session.run_to_completion().expect("run adopted session")
-}
-
 /// Runs `build` once per trial and returns all reports, in trial order:
 /// [`run_grid`] over a single cell.
 ///
@@ -142,7 +130,7 @@ pub fn run_trials(
 ) -> Vec<RunReport> {
     let root = SimRng::new(trials.seed);
     run_grid(trials, &[label], |label, i| {
-        run_machine(build(&mut root.fork_indexed(label, i as u64)))
+        build(&mut root.fork_indexed(label, i as u64)).run()
     })
     .into_iter()
     .flatten()

@@ -32,6 +32,9 @@
 //! | [`golden`] | Golden harness: scenario builder, `golden --check`/`--rec` engine |
 //! | [`tracerec`] | Golden trace kind: JSONL control-plane recorder |
 //! | [`energymap`] | Golden energy kind: per-call-path tables and drift band |
+//!
+//! [`FIGURES`] lists the twenty renderable figures and tables, in the
+//! order `all` runs them.
 
 pub mod ablate;
 pub mod barchart;
@@ -68,3 +71,49 @@ pub mod tracerec;
 
 pub use harness::Trials;
 pub use table::Table;
+
+/// Renders one figure or table as the text the CLI prints.
+pub type Render = fn(&Trials) -> String;
+
+/// Every figure and table of the CLI's `all` set, in its order: the id
+/// (also the `results/<id>.txt` file name) and the renderer.
+pub const FIGURES: [(&str, Render); 20] = [
+    ("fig2", fig2::render),
+    ("fig4", |_| fig4::render()),
+    ("fig6", fig6::render),
+    ("fig8", fig8::render),
+    ("fig10", fig10::render),
+    ("fig11", fig11::render),
+    ("fig13", fig13::render),
+    ("fig14", fig14::render),
+    ("fig15", fig15::render),
+    ("fig16", fig16::render),
+    ("fig18", fig18::render),
+    ("fig19", fig19::render),
+    ("fig20", fig20::render),
+    ("fig21", fig21::render),
+    ("fig22", fig22::render),
+    ("sec54", sec54::render),
+    ("headline", headline::render),
+    ("ablate", ablate::render),
+    ("chaos", chaos::render),
+    ("supervise", supervise::render),
+];
+
+#[cfg(test)]
+mod tests {
+    use super::FIGURES;
+
+    /// Each id names one figure and has a committed rendering.
+    #[test]
+    fn figure_ids_are_unique_and_rendered_under_results() {
+        let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        for (i, (id, _)) in FIGURES.iter().enumerate() {
+            assert!(
+                FIGURES[..i].iter().all(|(other, _)| other != id),
+                "{id} twice"
+            );
+            assert!(results.join(format!("{id}.txt")).is_file(), "{id}");
+        }
+    }
+}

@@ -9,10 +9,9 @@
 //! With `--out DIR`, each figure's rendering is also written to
 //! `DIR/<id>.txt` (the source material for EXPERIMENTS.md).
 //!
-//! `IDS` are figure identifiers (`fig2 fig4 fig6 fig8 fig10 fig11 fig13
-//! fig14 fig15 fig16 fig18 fig19 fig20 fig21 fig22 sec54 headline`) or
-//! `all` (the default). `--quick` runs two trials per data point instead
-//! of five.
+//! `IDS` are figure identifiers (the ids of `experiments::FIGURES`, from
+//! `fig2` to `supervise`) or `all` (the default). `--quick` runs two
+//! trials per data point instead of five.
 //!
 //! `--threads` sets the worker-thread count for the deterministic fan-out
 //! (default: all available cores). Output is byte-identical at any value;
@@ -38,29 +37,6 @@
 
 use experiments::{harness::Trials, *};
 
-const ALL: [&str; 20] = [
-    "fig2",
-    "fig4",
-    "fig6",
-    "fig8",
-    "fig10",
-    "fig11",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "fig22",
-    "sec54",
-    "headline",
-    "ablate",
-    "chaos",
-    "supervise",
-];
-
 /// Default replay multiple for the `serve` verb (the CI soak passes 1000).
 const SERVE_MULTIPLE: u32 = 1;
 
@@ -71,7 +47,7 @@ const FUZZ_STREAMS: usize = 1000;
 fn usage() -> ! {
     eprintln!(
         "usage: odyssey-experiments [--trials N] [--seed S] [--quick] [--threads T] [--multiple M] [--scenario NAME] [--sessions N] [--streams N] [--out DIR] [IDS...]\n  IDS: {} | all\n  goldens: golden --check (compare every trace, energy table and seed-matrix file against tests/golden/) | golden --rec (rewrite them)\n  serving: serve (replay --scenario golden stream at --multiple density through --sessions isolated sessions; kill, resume by replay and by snapshot, fail on divergence)\n  fuzzing: fuzz (drive --streams seeded hostile mutations of the golden stream through isolated sessions; fail on any panic, unsurfaced error, or unstable recovery digest)",
-        ALL.join(" ")
+        FIGURES.map(|(id, _)| id).join(" ")
     );
     std::process::exit(2)
 }
@@ -138,35 +114,6 @@ fn run_fuzz_verb(seed: u64, streams: usize, threads: usize, scenario: &str) {
                 }
             }
             std::process::exit(1);
-        }
-    }
-}
-
-fn render(id: &str, trials: &Trials) -> String {
-    match id {
-        "fig2" => fig2::render(trials),
-        "fig4" => fig4::render(),
-        "fig6" => fig6::render(trials),
-        "fig8" => fig8::render(trials),
-        "fig10" => fig10::render(trials),
-        "fig11" => fig11::render(trials),
-        "fig13" => fig13::render(trials),
-        "fig14" => fig14::render(trials),
-        "fig15" => fig15::render(trials),
-        "fig16" => fig16::render(trials),
-        "fig18" => fig18::render(trials),
-        "fig19" => fig19::render(trials),
-        "fig20" => fig20::render(trials),
-        "fig21" => fig21::render(trials),
-        "fig22" => fig22::render(trials),
-        "sec54" => sec54::render(trials),
-        "headline" => headline::render(trials),
-        "ablate" => ablate::render(trials),
-        "chaos" => chaos::render(trials),
-        "supervise" => supervise::render(trials),
-        other => {
-            eprintln!("unknown experiment: {other}");
-            usage()
         }
     }
 }
@@ -281,7 +228,7 @@ fn main() {
         std::process::exit(2);
     }
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
-        ids = ALL.iter().map(|s| s.to_string()).collect();
+        ids = FIGURES.iter().map(|(id, _)| id.to_string()).collect();
     }
 
     // Special verbs run serially, outside the figure fan-out.
@@ -317,22 +264,28 @@ fn main() {
     });
 
     // Validate before spending any simulation time.
-    for id in &ids {
-        if !ALL.contains(&id.as_str()) {
-            eprintln!("unknown experiment: {id}");
-            usage();
-        }
-    }
+    let figures: Vec<(&str, Render)> = ids
+        .iter()
+        .map(|id| {
+            FIGURES
+                .into_iter()
+                .find(|(name, _)| name == id)
+                .unwrap_or_else(|| {
+                    eprintln!("unknown experiment: {id}");
+                    usage()
+                })
+        })
+        .collect();
 
     // Fan the figures out across workers; print in request order. Each
     // figure's own trial fan-out shares the same thread budget, so the
     // pool is never oversubscribed by more than one scope level.
-    let outputs = simcore::par::map(trials.threads, &ids, |_, id| {
+    let outputs = simcore::par::map(trials.threads, &figures, |_, (_, render)| {
         let sw = bench::Stopwatch::start();
-        let output = render(id, &trials);
+        let output = render(&trials);
         (output, sw.elapsed_s())
     });
-    for (id, (output, elapsed_s)) in ids.iter().zip(&outputs) {
+    for ((id, _), (output, elapsed_s)) in figures.iter().zip(&outputs) {
         println!("{output}");
         if let Some(dir) = &out_dir {
             let path = dir.join(format!("{id}.txt"));

@@ -22,7 +22,7 @@ use std::fs;
 use simcore::{Checkpoint, SimDuration, SimRng, TraceCategory, TraceHandle, TraceSink};
 use simserve::{
     restore, run_fleet, FleetSpec, Generation, Sample, ServeError, Session, SessionConfig,
-    SessionHealth,
+    SessionHealth, BATCH,
 };
 
 use crate::supervise;
@@ -39,9 +39,6 @@ pub const SERVE_CKPT_EVERY_S: u64 = 180;
 /// stream ends at 524 s, so it holds eight in-stream kill boundaries,
 /// 60 s to 480 s.
 pub const CKPT_EVERY_S: u64 = 60;
-
-/// Samples per `Session::ingest` call (the fleet's batch as well).
-const BATCH: usize = 64;
 
 /// Everything one served run leaves behind.
 #[derive(Clone, Debug)]
@@ -379,7 +376,6 @@ pub fn run_sessions(
         .map(|i| FleetSpec {
             builder: move || build_session(seed + i as u64),
             samples,
-            batch: BATCH,
         })
         .collect();
     let outcomes = run_fleet(threads, &specs);

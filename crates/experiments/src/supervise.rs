@@ -223,17 +223,8 @@ pub fn build_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRig {
 }
 
 fn run_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRun {
-    let rig = build_one(k, supervised, rng);
-    #[expect(
-        clippy::expect_used,
-        reason = "adopt/run on a fresh session cannot fail"
-    )]
-    let mut session = simserve::Session::adopt(rig.machine).expect("adopt fresh machine");
-    #[expect(
-        clippy::expect_used,
-        reason = "first run of a fresh session cannot fail"
-    )]
-    let report = session.run_until(rig.horizon).expect("run adopted session");
+    let mut rig = build_one(k, supervised, rng);
+    let report = rig.machine.run_until(rig.horizon);
     SuperRun {
         outcome: rig.goal.outcome(),
         report,

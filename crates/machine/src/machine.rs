@@ -779,7 +779,8 @@ impl Machine {
     /// dispatch, ledger delta, RPC timeout/retry, link fault, fidelity
     /// change, suspend/restart — is emitted as a typed event from now on.
     /// The handle is shared with the link and exposed to control hooks
-    /// through [`MachineView::trace`].
+    /// through [`MachineView::emit_trace`] and
+    /// [`MachineView::trace_enabled`].
     pub fn set_trace(&mut self, trace: TraceHandle) {
         self.link.set_trace(trace.clone());
         self.trace = Some(trace);
@@ -1589,6 +1590,11 @@ impl Machine {
             if series.name() != s.name() {
                 return Err(SnapshotError::Corrupt("fidelity series name"));
             }
+            // `TimeSeries::record` asserts time order: a point after the
+            // clock would panic at the next fidelity change.
+            if series.last().is_some_and(|(at, _)| at > self.clock) {
+                return Err(SnapshotError::Corrupt("fidelity point after clock"));
+            }
             *s = series;
         }
         self.alive = r.take()?;
@@ -1608,6 +1614,10 @@ impl Machine {
         self.disk.thaw_from(r)?;
         self.radio.thaw_from(r)?;
         self.link.thaw_from(r)?;
+        // The next advance measures from `last_advance` to the clock.
+        if self.link.last_advance() > self.clock {
+            return Err(SnapshotError::Corrupt("link advanced past clock"));
+        }
         self.flows = r.take()?;
         for ctx in self.flows.values() {
             check_pid(ctx.pid, n_procs, "flow pid out of range")?;
@@ -2217,6 +2227,51 @@ mod tests {
         assert_eq!(
             fresh.thaw(&mut r),
             Err(SnapshotError::Corrupt("cpu job intensity"))
+        );
+    }
+
+    /// A checksum-valid snapshot whose link was advanced past the
+    /// restored clock is refused on thaw instead of panicking in
+    /// `SimTime::since` at the next link advance.
+    #[test]
+    fn resealed_link_advance_after_the_clock_is_corrupt() {
+        let mut m = idle_machine(PmPolicy::enabled());
+        m.add_process(Box::new(ScriptedWorkload::idle_for(
+            "w",
+            SimDuration::from_secs(5),
+        )));
+        let _ = m.run_until(SimTime::from_secs(1));
+        let mut w = simcore::SnapshotWriter::new();
+        m.freeze(&mut w).expect("freeze");
+        let mut bytes = w.seal();
+        // A healthy idle link: rate factor 1.0, no flows, nothing
+        // completed, then the instant of its last advance.
+        let (header, checksum) = (20, bytes.len() - 8);
+        let mut idle_link = 1.0f64.to_le_bytes().to_vec();
+        idle_link.extend_from_slice(&[0; 16]);
+        let at: Vec<usize> = (header..checksum - idle_link.len())
+            .filter(|&i| bytes[i..i + idle_link.len()] == idle_link[..])
+            .map(|i| i + idle_link.len())
+            .collect();
+        assert_eq!(at.len(), 1, "one idle link");
+        let late = SimTime::from_secs(2).as_micros();
+        bytes[at[0]..at[0] + 8].copy_from_slice(&late.to_le_bytes());
+        let mut h = simcore::SnapshotHasher::new();
+        h.write_bytes(&bytes[header..checksum]);
+        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+
+        let mut fresh = idle_machine(PmPolicy::enabled());
+        fresh.add_process(Box::new(ScriptedWorkload::idle_for(
+            "w",
+            SimDuration::from_secs(5),
+        )));
+        let names = fresh.names().clone();
+        let mut r = simcore::SnapshotReader::open(&bytes)
+            .expect("resealed envelope opens")
+            .with_names(&names);
+        assert_eq!(
+            fresh.thaw(&mut r),
+            Err(SnapshotError::Corrupt("link advanced past clock"))
         );
     }
 

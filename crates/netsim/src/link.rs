@@ -135,6 +135,11 @@ impl SharedLink {
         self.rate_factor
     }
 
+    /// The instant the fluid model was last advanced to.
+    pub fn last_advance(&self) -> SimTime {
+        self.last_advance
+    }
+
     /// Changes the link's effective capacity at `now` — the fault hook.
     ///
     /// The fluid model is advanced to `now` under the old factor first, so

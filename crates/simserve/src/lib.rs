@@ -28,9 +28,9 @@
 //!   panic. A flood of dead letters attributable to one process
 //!   escalates into the Supervisor's existing strike ladder.
 //!
-//! Batch harnesses use [`Session::adopt`], which wraps a fully-built
-//! machine without adding hooks: identical event timeline, identical
-//! traces, but every run goes through the one service API.
+//! A [`Session`] is only the serving engine. Batch figures, which
+//! nobody reconfigures mid-run, drive a [`Machine`] directly with
+//! [`Machine::run`] or [`Machine::run_until`].
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -54,12 +54,10 @@ pub use server::{run_fleet, FleetOutcome, FleetSpec, Server, SessionHealth, Slot
 pub enum ServeError {
     /// A [`SessionConfig`] field failed validation at construction.
     InvalidConfig(&'static str),
-    /// The session already ran to its horizon (or the machine stopped);
-    /// no further stepping is possible.
+    /// [`Session::finish`] already ran the session to its horizon; no
+    /// further stepping is possible. (A machine that stopped early still
+    /// takes samples, and dead-letters them as `after_stop`.)
     Finished,
-    /// The operation needs a serving session ([`Session::serve`]); this
-    /// session was built with [`Session::adopt`].
-    NotServing,
     /// The server is at its admission bound; no further sessions.
     AdmissionFull,
     /// No session occupies this server slot.
@@ -77,7 +75,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::InvalidConfig(what) => write!(f, "invalid session config: {what}"),
             ServeError::Finished => write!(f, "session already finished"),
-            ServeError::NotServing => write!(f, "session was adopted, not served"),
             ServeError::AdmissionFull => write!(f, "server admission bound reached"),
             ServeError::UnknownSession => write!(f, "no session in this slot"),
             ServeError::Faulted => write!(f, "session faulted; rolled back to last good state"),
@@ -88,6 +85,22 @@ impl fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// Retained entries of every session's dead-letter ledger; past it the
+/// oldest entry is dropped (and counted).
+pub const DEAD_LETTER_CAPACITY: usize = 64;
+
+/// Period of the actuator hook that applies quarantine/re-admit
+/// commands inside the event loop.
+pub const ACTUATION_PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// Dead letters attributable to one process before the service posts an
+/// external strike to the Supervisor ladder.
+pub const ESCALATE_AFTER: u64 = 8;
+
+/// Samples per [`Session::ingest`] call when a caller feeds a stream in
+/// batches, as [`run_fleet`] does.
+pub const BATCH: usize = 64;
+
 /// Configuration for a serving session.
 #[derive(Clone, Copy, Debug)]
 pub struct SessionConfig {
@@ -96,27 +109,14 @@ pub struct SessionConfig {
     /// Hard end of the session's timeline; samples beyond it are
     /// dead-lettered and [`Session::finish`] runs to exactly here.
     pub horizon: SimTime,
-    /// Bounded capacity of the dead-letter ledger; older entries are
-    /// dropped (and counted) past this.
-    pub dead_letter_capacity: usize,
-    /// Period of the actuator hook that applies quarantine/re-admit
-    /// commands inside the event loop.
-    pub actuation_period: SimDuration,
-    /// Dead letters attributable to one process before the service posts
-    /// an external strike to the Supervisor ladder.
-    pub escalate_after: u64,
 }
 
 impl SessionConfig {
-    /// Serving defaults: 30 s checkpoints, 500 ms actuation, a 64-entry
-    /// dead-letter ledger, escalation after 8 dead letters per process.
+    /// Serving defaults: 30 s checkpoints.
     pub fn standard(horizon: SimTime) -> SessionConfig {
         SessionConfig {
             checkpoint_every: SimDuration::from_secs(30),
             horizon,
-            dead_letter_capacity: 64,
-            actuation_period: SimDuration::from_millis(500),
-            escalate_after: 8,
         }
     }
 
@@ -126,15 +126,6 @@ impl SessionConfig {
         }
         if self.horizon == SimTime::ZERO {
             return Err(ServeError::InvalidConfig("horizon is zero"));
-        }
-        if self.dead_letter_capacity == 0 {
-            return Err(ServeError::InvalidConfig("dead_letter_capacity is zero"));
-        }
-        if self.actuation_period.is_zero() {
-            return Err(ServeError::InvalidConfig("actuation_period is zero"));
-        }
-        if self.escalate_after == 0 {
-            return Err(ServeError::InvalidConfig("escalate_after is zero"));
         }
         Ok(())
     }
@@ -341,30 +332,20 @@ simcore::impl_codec!(DeadLetter {
     origin
 });
 
-/// Bounded FIFO of rejected samples. Past capacity the oldest entry is
-/// dropped and counted — the ledger never grows without bound, and the
-/// totals never lie.
+/// Bounded FIFO of rejected samples. Past [`DEAD_LETTER_CAPACITY`] the
+/// oldest entry is dropped and counted — the ledger never grows without
+/// bound, and the totals never lie.
 #[derive(Clone, Debug, Default)]
 pub struct DeadLetterLedger {
     entries: VecDeque<DeadLetter>,
-    capacity: usize,
     total: u64,
     dropped: u64,
 }
 
 impl DeadLetterLedger {
-    fn new(capacity: usize) -> DeadLetterLedger {
-        DeadLetterLedger {
-            entries: VecDeque::new(),
-            capacity,
-            total: 0,
-            dropped: 0,
-        }
-    }
-
     fn push(&mut self, letter: DeadLetter) -> u64 {
         self.total += 1;
-        if self.entries.len() == self.capacity {
+        if self.entries.len() == DEAD_LETTER_CAPACITY {
             self.entries.pop_front();
             self.dropped += 1;
         }
@@ -397,9 +378,9 @@ impl DeadLetterLedger {
         self.entries.is_empty()
     }
 
-    /// The configured retention bound.
+    /// The retention bound, [`DEAD_LETTER_CAPACITY`].
     pub fn capacity(&self) -> usize {
-        self.capacity
+        DEAD_LETTER_CAPACITY
     }
 }
 
@@ -489,9 +470,15 @@ impl ControlHook for ServiceHook {
     }
 }
 
-/// The serving half of a [`Session`]: everything that exists only when
-/// the session was built with [`Session::serve`].
-struct Serving {
+/// A long-lived control-plane session around one deterministic machine:
+/// checkpoints, live reconfiguration and a dead-letter ledger on top of
+/// the machine's event loop. All stepping goes through `Result` — the
+/// service layer refuses, it does not panic.
+pub struct Session {
+    machine: Machine,
+    cursor: SimTime,
+    stopped: bool,
+    finished: bool,
     cfg: SessionConfig,
     journal: Rc<RefCell<RunJournal>>,
     trace: TraceHandle,
@@ -504,36 +491,20 @@ struct Serving {
     next_seq: u64,
 }
 
-/// A long-lived control-plane session around one deterministic machine.
-///
-/// Built either with [`Session::serve`] (the always-on mode: checkpoints,
-/// live reconfiguration, dead-letter ledger) or [`Session::adopt`] (batch
-/// mode: the harness path, byte-identical to driving the machine
-/// directly). All stepping goes through `Result` — the service layer
-/// refuses, it does not panic.
-pub struct Session {
-    machine: Machine,
-    cursor: SimTime,
-    stopped: bool,
-    finished: bool,
-    serving: Option<Serving>,
-}
-
 impl fmt::Debug for Session {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Session")
             .field("cursor", &self.cursor)
             .field("stopped", &self.stopped)
             .field("finished", &self.finished)
-            .field("serving", &self.serving.is_some())
             .finish_non_exhaustive()
     }
 }
 
 impl Session {
-    /// Wraps a fully-built machine in serving mode: attaches the
-    /// checkpoint and actuator hooks, shares the trace, and returns a
-    /// session ready for [`Session::ingest`].
+    /// Wraps a fully-built machine: attaches the checkpoint and actuator
+    /// hooks, shares the trace, and returns a session ready for
+    /// [`Session::ingest`].
     ///
     /// The caller builds the rig (processes, goal-controller hook,
     /// supervisor hook) exactly as for a batch run, then hands it over
@@ -555,42 +526,25 @@ impl Session {
         );
         let inbox = Rc::new(RefCell::new(VecDeque::new()));
         machine.add_hook(
-            cfg.actuation_period,
+            ACTUATION_PERIOD,
             Box::new(ServiceHook {
                 inbox: inbox.clone(),
             }),
         );
-        let dead = DeadLetterLedger::new(cfg.dead_letter_capacity);
         Ok(Session {
             machine,
             cursor: SimTime::ZERO,
             stopped: false,
             finished: false,
-            serving: Some(Serving {
-                cfg,
-                journal,
-                trace,
-                inbox,
-                goal,
-                supervisor,
-                dead,
-                dead_by_origin: BTreeMap::new(),
-                next_seq: 0,
-            }),
-        })
-    }
-
-    /// Wraps a fully-built machine in batch mode: no hooks are added and
-    /// no trace is required, so the event timeline is exactly what the
-    /// machine would produce on its own. This is the harness path — one
-    /// API, zero behavioural drift.
-    pub fn adopt(machine: Machine) -> Result<Session, ServeError> {
-        Ok(Session {
-            machine,
-            cursor: SimTime::ZERO,
-            stopped: false,
-            finished: false,
-            serving: None,
+            cfg,
+            journal,
+            trace,
+            inbox,
+            goal,
+            supervisor,
+            dead: DeadLetterLedger::default(),
+            dead_by_origin: BTreeMap::new(),
+            next_seq: 0,
         })
     }
 
@@ -601,63 +555,27 @@ impl Session {
     /// then applies its payload. Malformed samples (non-finite or
     /// negative timestamps, out-of-order arrivals, input after the
     /// machine stopped or beyond the horizon) are dead-lettered and
-    /// traced — never a panic, and never a silent drop. Serving mode
-    /// only.
+    /// traced — never a panic, and never a silent drop.
     pub fn ingest(&mut self, samples: &[Sample]) -> Result<Vec<Directive>, ServeError> {
-        if self.serving.is_none() {
-            return Err(ServeError::NotServing);
-        }
         if self.finished {
             return Err(ServeError::Finished);
         }
         for sample in samples {
             self.ingest_one(sample);
         }
-        Ok(match self.serving.as_mut() {
-            Some(serving) => serving.drain_directives(),
-            None => Vec::new(),
-        })
+        Ok(self.drain_directives())
     }
 
     /// Runs the session to its configured horizon and returns the final
-    /// report. Serving mode only; the session is finished afterwards.
+    /// report; the session is finished afterwards.
     pub fn finish(&mut self) -> Result<RunReport, ServeError> {
-        let Some(serving) = self.serving.as_ref() else {
-            return Err(ServeError::NotServing);
-        };
         if self.finished {
             return Err(ServeError::Finished);
         }
-        let horizon = serving.cfg.horizon;
+        let horizon = self.cfg.horizon;
         let report = self.machine.run_until(horizon);
         self.cursor = horizon;
         self.finished = true;
-        Ok(report)
-    }
-
-    /// Batch mode: runs the wrapped machine to completion (every process
-    /// done or the supply exhausted).
-    pub fn run_to_completion(&mut self) -> Result<RunReport, ServeError> {
-        if self.finished {
-            return Err(ServeError::Finished);
-        }
-        let report = self.machine.run();
-        self.cursor = report.end;
-        self.finished = true;
-        Ok(report)
-    }
-
-    /// Batch mode: runs the wrapped machine up to `horizon`. Re-entrant —
-    /// call again with a later horizon to continue the same timeline.
-    pub fn run_until(&mut self, horizon: SimTime) -> Result<RunReport, ServeError> {
-        if self.finished {
-            return Err(ServeError::Finished);
-        }
-        let report = self.machine.run_until(horizon);
-        if report.end < horizon {
-            self.stopped = true;
-        }
-        self.cursor = horizon.max(self.cursor);
         Ok(report)
     }
 
@@ -680,17 +598,17 @@ impl Session {
         w.put(&self.cursor);
         w.put(&self.stopped);
         w.put(&self.finished);
-        w.put(&self.serving.is_some());
-        if let Some(s) = &self.serving {
-            // Only the horizon is mutable config (live reconfig).
-            w.put(&s.cfg.horizon);
-            s.trace.freeze_counters_into(&mut w);
-            w.put(&s.dead.total);
-            w.put(&s.dead.dropped);
-            w.put(&s.dead.entries);
-            w.put(&s.dead_by_origin);
-            w.put(&s.next_seq);
-        }
+        // The serving-mode word keeps the snapshot format unchanged;
+        // every session serves, and thaw rejects `false`.
+        w.put(&true);
+        // Only the horizon is mutable config (live reconfig).
+        w.put(&self.cfg.horizon);
+        self.trace.freeze_counters_into(&mut w);
+        w.put(&self.dead.total);
+        w.put(&self.dead.dropped);
+        w.put(&self.dead.entries);
+        w.put(&self.dead_by_origin);
+        w.put(&self.next_seq);
         self.machine.freeze(&mut w)?;
         // Trailing self-check: thaw recomputes the digest and refuses a
         // decode that is well-formed but semantically wrong.
@@ -715,24 +633,23 @@ impl Session {
         let cursor = r.take()?;
         let stopped = r.take()?;
         let finished = r.take()?;
-        if r.take::<bool>()? != self.serving.is_some() {
+        if !r.take::<bool>()? {
             return Err(SnapshotError::Corrupt("serving mode mismatch"));
         }
-        if let Some(s) = self.serving.as_mut() {
-            s.cfg.horizon = r.take()?;
-            s.trace.restore_counters_from(&mut r)?;
-            s.dead.total = r.take()?;
-            s.dead.dropped = r.take()?;
-            s.dead.entries = r.take()?;
-            if s.dead.entries.len() > s.cfg.dead_letter_capacity {
-                return Err(SnapshotError::Corrupt("dead-letter ledger overflow"));
-            }
-            if s.dead.dropped.checked_add(s.dead.entries.len() as u64) != Some(s.dead.total) {
-                return Err(SnapshotError::Corrupt("dead-letter totals inconsistent"));
-            }
-            s.dead_by_origin = r.take()?;
-            s.next_seq = r.take()?;
+        self.cfg.horizon = r.take()?;
+        self.trace.restore_counters_from(&mut r)?;
+        let dead = &mut self.dead;
+        dead.total = r.take()?;
+        dead.dropped = r.take()?;
+        dead.entries = r.take()?;
+        if dead.entries.len() > DEAD_LETTER_CAPACITY {
+            return Err(SnapshotError::Corrupt("dead-letter ledger overflow"));
         }
+        if dead.dropped.checked_add(dead.entries.len() as u64) != Some(dead.total) {
+            return Err(SnapshotError::Corrupt("dead-letter totals inconsistent"));
+        }
+        self.dead_by_origin = r.take()?;
+        self.next_seq = r.take()?;
         self.machine.thaw(&mut r)?;
         let want = r.take::<u64>()?;
         r.finish()?;
@@ -758,62 +675,56 @@ impl Session {
         self.cursor
     }
 
-    /// True once the session ran to its horizon or the machine stopped.
+    /// True once [`Session::finish`] ran the session to its horizon.
     pub fn is_finished(&self) -> bool {
         self.finished
     }
 
-    /// The latest journal checkpoint, as a list of at most one (serving
-    /// mode; empty in batch mode). Earlier checkpoints left the session
-    /// as [`Directive::Checkpointed`]; the journal keeps no history.
+    /// The latest journal checkpoint, as a list of at most one. Earlier
+    /// checkpoints left the session as [`Directive::Checkpointed`]; the
+    /// journal keeps no history.
     pub fn checkpoints(&self) -> Vec<Checkpoint> {
-        match &self.serving {
-            Some(s) => s.journal.borrow().latest().copied().into_iter().collect(),
-            None => Vec::new(),
-        }
+        self.journal
+            .borrow()
+            .latest()
+            .copied()
+            .into_iter()
+            .collect()
     }
 
-    /// The dead-letter ledger (serving mode; `None` in batch mode).
+    /// The dead-letter ledger; always `Some`.
     pub fn dead_letters(&self) -> Option<&DeadLetterLedger> {
-        self.serving.as_ref().map(|s| &s.dead)
+        Some(&self.dead)
     }
 
-    /// JSONL lines of the serving trace so far (empty in batch mode) —
-    /// the byte stream two runs are compared over in the kill/resume
-    /// proof.
+    /// JSONL lines of the serving trace so far — the byte stream two runs
+    /// are compared over in the kill/resume proof.
     pub fn trace_jsonl(&self) -> Vec<String> {
-        match &self.serving {
-            Some(s) => s.trace.jsonl(),
-            None => Vec::new(),
-        }
+        self.trace.jsonl()
     }
 
     /// Applies one sample: validate, advance, act. All rejection paths
-    /// end in the dead-letter ledger. No-op outside serving mode (the
-    /// `ingest` entry point already refused).
+    /// end in the dead-letter ledger.
     fn ingest_one(&mut self, sample: &Sample) {
-        let Some(serving) = self.serving.as_mut() else {
-            return;
-        };
         if !sample.at_s.is_finite() {
-            serving.dead_letter(self.cursor, sample, "not_finite");
+            self.dead_letter(sample, "not_finite");
             return;
         }
         if sample.at_s < 0.0 {
-            serving.dead_letter(self.cursor, sample, "negative_time");
+            self.dead_letter(sample, "negative_time");
             return;
         }
         let at = SimTime::from_secs_f64(sample.at_s);
         if at < self.cursor {
-            serving.dead_letter(self.cursor, sample, "out_of_order");
+            self.dead_letter(sample, "out_of_order");
             return;
         }
-        if at > serving.cfg.horizon {
-            serving.dead_letter(self.cursor, sample, "beyond_horizon");
+        if at > self.cfg.horizon {
+            self.dead_letter(sample, "beyond_horizon");
             return;
         }
         if self.stopped {
-            serving.dead_letter(self.cursor, sample, "after_stop");
+            self.dead_letter(sample, "after_stop");
             return;
         }
         let reached = self.machine.drive_until(at);
@@ -823,17 +734,15 @@ impl Session {
             // all processes done); later samples are dead letters.
             self.stopped = true;
             if let SampleKind::Reconfig(_) = sample.kind {
-                serving.dead_letter(self.cursor, sample, "after_stop");
+                self.dead_letter(sample, "after_stop");
             }
             return;
         }
         if let SampleKind::Reconfig(cmd) = sample.kind {
-            serving.apply_reconfig(at, cmd);
+            self.apply_reconfig(at, cmd);
         }
     }
-}
 
-impl Serving {
     /// Validates and applies one reconfiguration command at instant
     /// `at`, tracing the verdict either way.
     fn apply_reconfig(&mut self, at: SimTime, cmd: ReconfigCommand) {
@@ -890,7 +799,7 @@ impl Serving {
 
     /// Records one dead letter at the session cursor: ledger, trace,
     /// per-origin escalation.
-    fn dead_letter(&mut self, cursor: SimTime, sample: &Sample, reason: &'static str) {
+    fn dead_letter(&mut self, sample: &Sample, reason: &'static str) {
         debug_assert!(
             DEAD_LETTER_REASONS.contains(&reason),
             "undeclared reason {reason}"
@@ -901,11 +810,11 @@ impl Serving {
             origin: sample.origin,
         });
         self.trace
-            .emit(cursor, TraceEvent::DeadLetter { reason, count });
+            .emit(self.cursor, TraceEvent::DeadLetter { reason, count });
         if let Some(origin) = sample.origin {
             let per = self.dead_by_origin.entry(origin).or_insert(0);
             *per += 1;
-            if *per >= self.cfg.escalate_after {
+            if *per >= ESCALATE_AFTER {
                 *per = 0;
                 if let Some(sup) = &self.supervisor {
                     sup.post_external_strike(origin);
@@ -1157,9 +1066,6 @@ mod tests {
         SessionConfig {
             checkpoint_every: SimDuration::from_secs(10),
             horizon: SimTime::from_secs(horizon_s),
-            dead_letter_capacity: 4,
-            actuation_period: SimDuration::from_secs(1),
-            escalate_after: 3,
         }
     }
 
@@ -1179,27 +1085,6 @@ mod tests {
                     ..cfg(100)
                 },
                 "horizon",
-            ),
-            (
-                SessionConfig {
-                    dead_letter_capacity: 0,
-                    ..cfg(100)
-                },
-                "dead_letter_capacity",
-            ),
-            (
-                SessionConfig {
-                    actuation_period: SimDuration::ZERO,
-                    ..cfg(100)
-                },
-                "actuation_period",
-            ),
-            (
-                SessionConfig {
-                    escalate_after: 0,
-                    ..cfg(100)
-                },
-                "escalate_after",
             ),
         ] {
             let err = Session::serve(idle_machine(1, 60), None, None, service_trace(), broken)
@@ -1299,7 +1184,7 @@ mod tests {
                 "beyond_horizon"
             ]
         );
-        let ledger = s.dead_letters().expect("serving");
+        let ledger = s.dead_letters().expect("always kept");
         assert_eq!(ledger.total(), 4);
         assert_eq!(ledger.dropped(), 0);
         assert_eq!(s.cursor(), SimTime::from_secs(25));
@@ -1309,12 +1194,15 @@ mod tests {
     fn dead_letter_ledger_is_bounded() {
         let mut s = Session::serve(idle_machine(1, 120), None, None, service_trace(), cfg(100))
             .expect("serve");
-        let junk: Vec<Sample> = (0..7).map(|_| Sample::tick(f64::NAN)).collect();
+        let junk: Vec<Sample> = (0..DEAD_LETTER_CAPACITY + 3)
+            .map(|_| Sample::tick(f64::NAN))
+            .collect();
         s.ingest(&junk).expect("ingest");
-        let ledger = s.dead_letters().expect("serving");
-        assert_eq!(ledger.total(), 7);
+        let ledger = s.dead_letters().expect("always kept");
+        assert_eq!(ledger.total(), DEAD_LETTER_CAPACITY as u64 + 3);
         assert_eq!(ledger.dropped(), 3);
-        assert_eq!(ledger.entries().count(), 4);
+        assert_eq!(ledger.entries().count(), DEAD_LETTER_CAPACITY);
+        assert_eq!(ledger.len(), ledger.capacity());
     }
 
     #[test]
@@ -1359,9 +1247,13 @@ mod tests {
             d,
             Directive::ReconfigApplied { kind: "quarantine", value, .. } if *value == 1.0
         )));
-        assert!(out
-            .iter()
-            .any(|d| matches!(d, Directive::Quarantined { pid: 1, .. })));
+        // The sample lands after the 5 s tick, so the actuator applies it
+        // one ACTUATION_PERIOD later.
+        let quarantined = out.iter().find_map(|d| match d {
+            Directive::Quarantined { at, pid: 1 } => Some(*at),
+            _ => None,
+        });
+        assert_eq!(quarantined, Some(SimTime::from_secs(5) + ACTUATION_PERIOD));
 
         // Double quarantine is rejected; re-admit round-trips; re-admit
         // of a running process and an unknown index are rejected.
@@ -1432,39 +1324,5 @@ mod tests {
         // The applied horizon revision is live: finish() runs to 90 s.
         let report = s.finish().expect("finish");
         assert_eq!(report.end, SimTime::from_secs(90));
-    }
-
-    #[test]
-    fn adopted_sessions_run_batch_and_refuse_serving_calls() {
-        let mut s = Session::adopt(idle_machine(1, 30)).expect("adopt");
-        assert_eq!(
-            s.ingest(&[Sample::tick(1.0)]).expect_err("not serving"),
-            ServeError::NotServing
-        );
-        assert_eq!(s.finish().expect_err("not serving"), ServeError::NotServing);
-        assert!(s.checkpoints().is_empty());
-        assert!(s.dead_letters().is_none());
-        let report = s.run_to_completion().expect("run");
-        assert!(report.end >= SimTime::from_secs(30));
-        assert!(s.is_finished());
-        assert_eq!(
-            s.run_to_completion().expect_err("twice"),
-            ServeError::Finished
-        );
-    }
-
-    #[test]
-    fn adopted_run_matches_a_bare_machine_bit_for_bit() {
-        let bare = {
-            let mut m = idle_machine(2, 45);
-            let report = m.run();
-            (report.end, report.total_j.0.to_bits(), m.state_digest())
-        };
-        let adopted = {
-            let mut s = Session::adopt(idle_machine(2, 45)).expect("adopt");
-            let report = s.run_to_completion().expect("run");
-            (report.end, report.total_j.0.to_bits(), s.digest())
-        };
-        assert_eq!(bare, adopted);
     }
 }

@@ -23,7 +23,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use crate::{restore, Directive, Generation, Sample, ServeError, Session};
+use crate::{restore, Directive, Generation, Sample, ServeError, Session, BATCH};
 
 /// Liveness of one server slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -198,8 +198,8 @@ impl<'a> Server<'a> {
 
 /// Runs `op` on the slot's session with panics contained. The session is
 /// taken out of the slot first, so a panicking one is discarded, never
-/// reused, and the slot recovers; a clean refusal (`NotServing`,
-/// `Finished`) leaves it intact.
+/// reused, and the slot recovers; a clean refusal (`Finished`) leaves it
+/// intact.
 fn contained<T>(
     slot: &mut Slot<'_>,
     op: impl FnOnce(&mut Session) -> Result<T, ServeError>,
@@ -298,18 +298,15 @@ pub struct FleetSpec<'s, B> {
     // (manual Debug below: `B` is an opaque closure.)
     /// Rebuilds the session (identically on every call).
     pub builder: B,
-    /// The full input stream, fed in batches of [`FleetSpec::batch`].
-    /// Borrowed: every session of a fleet may share one stream.
+    /// The full input stream, fed in batches of [`BATCH`]. Borrowed:
+    /// every session of a fleet may share one stream.
     pub samples: &'s [Sample],
-    /// Batch size (0 means 64).
-    pub batch: usize,
 }
 
 impl<B> std::fmt::Debug for FleetSpec<'_, B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetSpec")
             .field("samples", &self.samples.len())
-            .field("batch", &self.batch)
             .finish_non_exhaustive()
     }
 }
@@ -346,10 +343,9 @@ where
     let Ok(id) = server.admit(Box::new(&spec.builder)) else {
         return dead("admission failed");
     };
-    let batch = if spec.batch == 0 { 64 } else { spec.batch };
     let mut directives = 0u64;
     let mut faults = 0u64;
-    for chunk in spec.samples.chunks(batch) {
+    for chunk in spec.samples.chunks(BATCH) {
         match server.ingest(id, chunk) {
             Ok(out) => directives += out.len() as u64,
             Err(ServeError::Faulted) => faults += 1,
@@ -401,9 +397,6 @@ mod tests {
         SessionConfig {
             checkpoint_every: SimDuration::from_secs(10),
             horizon: SimTime::from_secs(horizon_s),
-            dead_letter_capacity: 8,
-            actuation_period: SimDuration::from_secs(1),
-            escalate_after: 4,
         }
     }
 
@@ -659,12 +652,14 @@ mod tests {
 
     #[test]
     fn fleet_runs_identically_at_every_thread_count() {
-        let samples: Vec<Sample> = (1..20).map(|k| Sample::tick(k as f64 * 4.0)).collect();
+        // Three batches, the last one short.
+        let samples: Vec<Sample> = (1..=2 * BATCH + 5)
+            .map(|k| Sample::tick(k as f64 * 0.5))
+            .collect();
         let specs: Vec<FleetSpec<_>> = (0..4)
             .map(|i| FleetSpec {
                 builder: move || idle_session(1 + i % 2),
                 samples: &samples,
-                batch: 3,
             })
             .collect();
         let serial = run_fleet(1, &specs);
@@ -672,6 +667,7 @@ mod tests {
         for out in &serial {
             assert_eq!(out.health, SessionHealth::Healthy);
             assert_eq!(out.faults, 0);
+            assert_eq!(out.stats.batches, 3);
             assert!(out.checkpoints > 0);
         }
         for threads in [2, 4] {

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 build + tests, lint wall (rustfmt, clippy
-# with the workspace clippy.toml; the source-rule and crate-graph checks
-# run as tests), the benchmark package, and fixed-seed determinism smoke
-# checks. No network access required.
+# with the workspace clippy.toml, rustdoc; the source-rule and crate-graph
+# checks run as tests), the benchmark package, and fixed-seed determinism
+# smoke checks. No network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -17,6 +17,9 @@ cargo fmt --check
 
 echo "== lint: clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== lint: rustdoc -D warnings (no broken or private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== benchmark package: build and tests (perfbench is its own workspace) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml

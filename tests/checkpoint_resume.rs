@@ -395,6 +395,30 @@ fn corrupted_snapshots_are_detected_and_replay_recovers() {
     assert_eq!(resumed.trace, base.trace);
 }
 
+/// Snapshot envelope bytes before the payload: magic, version and
+/// payload length.
+const SNAPSHOT_HEADER: usize = 20;
+
+/// Rewrites a snapshot's trailing checksum to match its payload, so a
+/// deliberately poisoned payload passes the envelope check and reaches
+/// field validation.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    use energy_adaptation::simcore::SnapshotHasher;
+    let checksum = bytes.len() - 8;
+    let mut h = SnapshotHasher::new();
+    h.write_bytes(&bytes[SNAPSHOT_HEADER..checksum]);
+    bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+    bytes
+}
+
+/// Offset of the first `name` written as a length-prefixed string at or
+/// after `from`, pointing at the length word.
+fn find_name(bytes: &[u8], name: &str, from: usize) -> Option<usize> {
+    let mut word = (name.len() as u64).to_le_bytes().to_vec();
+    word.extend_from_slice(name.as_bytes());
+    (from..bytes.len() - 8 - word.len()).find(|&i| bytes[i..i + word.len()] == word[..])
+}
+
 /// Resealed poison: a checksum-valid snapshot whose `Idle` bucket holds
 /// NaN joules, or whose `Idle` name is one byte off, thaws to `Corrupt`,
 /// and restore falls back to the older generation.
@@ -402,7 +426,7 @@ fn corrupted_snapshots_are_detected_and_replay_recovers() {
 fn resealed_poisoned_ledger_is_corrupt() {
     use energy_adaptation::experiments::serve;
     use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
-    use energy_adaptation::simcore::{SnapshotError, SnapshotHasher};
+    use energy_adaptation::simcore::SnapshotError;
     use energy_adaptation::simserve::Generation;
 
     let samples = serve::schedule(1).expect("golden trace present");
@@ -412,19 +436,7 @@ fn resealed_poisoned_ledger_is_corrupt() {
     let build = || serve::proof_session(GOLDEN_SEED).expect("build");
     // The ledger writes its bucket map first: the first length-prefixed
     // `Idle` is the bucket entry, and its joules follow.
-    let (header, checksum) = (20, snapshot.len() - 8);
-    let mut word = 4u64.to_le_bytes().to_vec();
-    word.extend_from_slice(b"Idle");
-    let name = (header..checksum - word.len())
-        .find(|&i| snapshot[i..i + word.len()] == word[..])
-        .expect("an Idle bucket entry")
-        + 8;
-    let reseal = |mut bytes: Vec<u8>| {
-        let mut h = SnapshotHasher::new();
-        h.write_bytes(&bytes[header..checksum]);
-        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
-        bytes
-    };
+    let name = find_name(&snapshot, "Idle", SNAPSHOT_HEADER).expect("an Idle bucket entry") + 8;
 
     let mut nan = snapshot.clone();
     nan[name + 4..name + 12].copy_from_slice(&f64::NAN.to_le_bytes());
@@ -496,4 +508,111 @@ fn snapshot_resume_digest_matches_replay_resume_at_1_and_4_threads() {
     let at1 = serve::run_sessions(GOLDEN_SEED, &samples, 2, 1).expect("fleet at 1 thread");
     let at4 = serve::run_sessions(GOLDEN_SEED, &samples, 2, 4).expect("fleet at 4 threads");
     assert_eq!(at1, at4, "fleet outcome depends on thread count");
+}
+
+/// A resealed snapshot whose video fidelity series ends after the
+/// restored clock is `Corrupt` on thaw (the next fidelity change would
+/// otherwise panic in `TimeSeries::record`), and restore falls back to
+/// the genesis, which replays to the straight run's digest.
+#[test]
+fn resealed_fidelity_point_after_the_clock_is_corrupt() {
+    use energy_adaptation::experiments::serve;
+    use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
+    use energy_adaptation::simcore::SnapshotError;
+    use energy_adaptation::simserve::Generation;
+
+    let samples = serve::schedule(1).expect("golden trace present");
+    let base = serve::replay(GOLDEN_SEED, &samples).expect("uninterrupted run");
+    let kill = serve::kill_at(GOLDEN_SEED, &samples, 1).expect("kill");
+    let snapshot = kill.frozen.snapshot.clone().expect("frozen at the kill");
+    let word = |at: usize| u64::from_le_bytes(snapshot[at..at + 8].try_into().expect("a word"));
+    // The payload opens with the session cursor, where the machine clock
+    // stands after a served batch.
+    let clock_us = word(SNAPSHOT_HEADER);
+    // A fidelity series is its name, a point count and (time, level)
+    // pairs, and its first point is at time zero; a ledger row with the
+    // same name is followed by joules instead.
+    let name = "xanim";
+    let mut at = SNAPSHOT_HEADER;
+    let last_point = loop {
+        at = find_name(&snapshot, name, at).expect("the video's fidelity series") + 8;
+        let count_at = at + name.len();
+        let count = word(count_at) as usize;
+        if (1..=1000).contains(&count) && word(count_at + 8) == 0 {
+            break count_at + 8 + (count - 1) * 16;
+        }
+    };
+    assert!(
+        word(last_point) <= clock_us,
+        "a live series ends by the clock"
+    );
+    let mut late = snapshot.clone();
+    late[last_point..last_point + 8].copy_from_slice(&(clock_us + 1_000_000).to_le_bytes());
+    let late = reseal(late);
+    assert_eq!(
+        serve::proof_session(GOLDEN_SEED)
+            .expect("build")
+            .thaw(&late),
+        Err(SnapshotError::Corrupt("fidelity point after clock"))
+    );
+    let (resumed, used) = serve::resume(
+        GOLDEN_SEED,
+        &samples,
+        &kill,
+        &[
+            Generation::genesis(),
+            Generation {
+                snapshot: Some(late),
+                covered: kill.frozen.covered,
+            },
+        ],
+    )
+    .expect("genesis fallback");
+    assert_eq!(used, 0, "restored through the late-series generation");
+    assert_eq!(resumed.final_digest, base.final_digest);
+}
+
+/// Every session serves, so `freeze` always writes the serving-mode word
+/// as `true`; a resealed snapshot that says `false` is still `Corrupt` on
+/// thaw, and restore comes back through the older generation.
+#[test]
+fn resealed_batch_mode_snapshot_is_corrupt() {
+    use energy_adaptation::experiments::serve;
+    use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
+    use energy_adaptation::simcore::SnapshotError;
+    use energy_adaptation::simserve::Generation;
+
+    let samples = serve::schedule(1).expect("golden trace present");
+    let base = serve::replay(GOLDEN_SEED, &samples).expect("uninterrupted run");
+    let older = serve::kill_at(GOLDEN_SEED, &samples, 0).expect("kill at 0");
+    let kill = serve::kill_at(GOLDEN_SEED, &samples, 1).expect("kill at 1");
+    let mut batch = kill.frozen.snapshot.clone().expect("frozen at the kill");
+    // The payload opens with the cursor, `stopped` and `finished`; the
+    // serving-mode word follows, one little-endian word per value.
+    let mode = SNAPSHOT_HEADER + 3 * 8;
+    assert_eq!(batch[mode..mode + 8], 1u64.to_le_bytes());
+    batch[mode..mode + 8].copy_from_slice(&0u64.to_le_bytes());
+    let batch = reseal(batch);
+    assert_eq!(
+        serve::proof_session(GOLDEN_SEED)
+            .expect("build")
+            .thaw(&batch),
+        Err(SnapshotError::Corrupt("serving mode mismatch"))
+    );
+    let (resumed, used) = serve::resume(
+        GOLDEN_SEED,
+        &samples,
+        &kill,
+        &[
+            Generation::genesis(),
+            older.frozen,
+            Generation {
+                snapshot: Some(batch),
+                covered: kill.frozen.covered,
+            },
+        ],
+    )
+    .expect("older-generation fallback");
+    assert_eq!(used, 1, "did not restore through the older generation");
+    assert_eq!(resumed.final_digest, base.final_digest);
 }

@@ -11,7 +11,7 @@
 
 use energy_adaptation::experiments::serve::build_session;
 use energy_adaptation::simcore::{Joules, SimDuration, SimTime};
-use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session};
+use energy_adaptation::simserve::{Directive, ReconfigCommand, Sample, Session, ESCALATE_AFTER};
 
 const SEED: u64 = 42;
 
@@ -169,12 +169,15 @@ fn applied_goal_revision_moves_the_deadline() {
 #[test]
 fn dead_letter_flood_escalates_into_supervisor_strike() {
     let mut s = session();
-    // escalate_after is 8 in the standard config; blame the video app.
-    let flood: Vec<Sample> = (0..8)
+    // Exactly ESCALATE_AFTER dead letters, all blamed on the video app.
+    let flood: Vec<Sample> = (0..ESCALATE_AFTER)
         .map(|_| Sample::tick(f64::NAN).from_origin(VIDEO))
         .collect();
     s.ingest(&flood).expect("flood must not kill the session");
-    assert_eq!(s.dead_letters().expect("serving").total(), 8);
+    assert_eq!(
+        s.dead_letters().expect("always kept").total(),
+        ESCALATE_AFTER
+    );
     // The strike is drained at the supervisor's next tick (1 s period).
     s.ingest(&[Sample::tick(30.0)]).expect("tick");
     let strikes: Vec<String> = s
