@@ -82,24 +82,6 @@ pub struct Fig16 {
 }
 
 impl Fig16 {
-    /// (min, max) normalized energy for a row and condition.
-    #[expect(
-        clippy::expect_used,
-        reason = "rows carry a band for every condition by construction"
-    )]
-    pub fn band_of(&self, app: &str, think_s: Option<f64>, c: Condition) -> (f64, f64) {
-        let row = self
-            .rows
-            .iter()
-            .find(|r| r.app == app && r.think_s == think_s)
-            .unwrap_or_else(|| panic!("no row ({app}, {think_s:?})"));
-        row.bands
-            .iter()
-            .find(|(rc, _, _)| *rc == c)
-            .map(|(_, lo, hi)| (*lo, *hi))
-            .expect("condition present")
-    }
-
     /// Mean normalized energy over every row for a condition (the paper's
     /// "mean of 36% savings" style aggregate).
     pub fn grand_mean(&self, c: Condition) -> f64 {

@@ -62,16 +62,6 @@ impl Sec54 {
     pub fn met_fraction(&self) -> f64 {
         self.trials.iter().filter(|t| t.goal_met).count() as f64 / self.trials.len() as f64
     }
-
-    /// Mean adaptations per application across trials.
-    pub fn mean_adaptations(&self) -> f64 {
-        let total: usize = self
-            .trials
-            .iter()
-            .map(|t| t.adaptations.iter().sum::<usize>())
-            .sum();
-        total as f64 / self.trials.len() as f64
-    }
 }
 
 /// Runs the paper's configuration.

@@ -21,8 +21,7 @@ use hw560x::EnergySource;
 use machine::{Machine, MachineConfig, Pid, RunReport};
 use odyssey::goal::MONITOR_OVERHEAD_W;
 use odyssey::{
-    GoalConfig, GoalController, GoalOutcome, PriorityTable, Supervisor, SupervisorConfig,
-    SupervisorStats,
+    supervisor, GoalConfig, GoalController, GoalOutcome, PriorityTable, Supervisor, SupervisorStats,
 };
 use odyssey_apps::composite::{composite_members, CompositeMode};
 use odyssey_apps::datasets::VIDEO_CLIPS;
@@ -196,9 +195,7 @@ pub fn build_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRig {
     m.add_hook(sample_period, controller);
 
     let sup_handle = if supervised {
-        let sup_cfg = SupervisorConfig::standard();
-        let period = sup_cfg.period;
-        let (handle, mut sup) = Supervisor::new(sup_cfg);
+        let (handle, mut sup) = Supervisor::new();
         sup.watch(
             speech_pid,
             DECLARED_SPEECH.to_vec(),
@@ -208,7 +205,7 @@ pub fn build_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRig {
         sup.watch(map_pid, DECLARED_MAP.to_vec(), DECLARED_MAP.len() - 1);
         sup.watch(video_pid, DECLARED_VIDEO.to_vec(), DECLARED_VIDEO.len() - 1);
         sup.attach_goal(goal_handle.clone());
-        m.add_hook(period, sup);
+        m.add_hook(supervisor::PERIOD, sup);
         Some(handle)
     } else {
         None

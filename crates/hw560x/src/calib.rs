@@ -23,7 +23,7 @@
 //! Pentium MMX 233 plus its memory system under a cache-hostile search
 //! workload plausibly draws that much above halt at the wall.
 
-use simcore::{Joules, SimDuration, Watts};
+use simcore::{SimDuration, Watts};
 
 /// Power model parameters for one client platform.
 ///
@@ -62,14 +62,6 @@ pub struct PlatformSpec {
     /// Disk transfer rate, bytes per second.
     pub disk_rate_bps: f64,
 }
-
-/// Nominal capacity of a fully charged ThinkPad 560X battery, Joules.
-///
-/// Section 5.2 notes the 12,000 J supply used in the short experiments "is
-/// only about 14% of the nominal energy in the IBM 560X battery"; 12,000 /
-/// 0.14 ≈ 86 kJ, and Section 5.4's 90,000 J supply "roughly matches a
-/// fully-charged ThinkPad 560X battery".
-pub const NOMINAL_BATTERY_J: Joules = Joules(90_000.0);
 
 impl Default for PlatformSpec {
     fn default() -> Self {

@@ -75,6 +75,16 @@ impl RadioModel {
         Ok(())
     }
 
+    /// Open wake windows.
+    pub fn wake_windows(&self) -> usize {
+        self.wake_windows
+    }
+
+    /// Transfers moving bytes.
+    pub fn transfers(&self) -> usize {
+        self.transfers
+    }
+
     /// Closes a wake window.
     ///
     /// # Panics

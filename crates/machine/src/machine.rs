@@ -98,15 +98,13 @@ impl Pid {
     }
 }
 
-/// Machine configuration.
+/// Machine configuration. The platform is always the ThinkPad 560X
+/// ([`PlatformSpec::thinkpad_560x`]) on a WaveLAN link of
+/// [`WAVELAN_CAPACITY_BPS`].
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
-    /// Platform power model parameters.
-    pub spec: PlatformSpec,
     /// Hardware power-management policy.
     pub pm: PmPolicy,
-    /// Wireless link capacity, bits per second.
-    pub link_bps: f64,
     /// Energy supply.
     pub source: EnergySource,
     /// Constant power drawn by energy monitoring itself (Section 5.1.4:
@@ -121,9 +119,7 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
-            spec: PlatformSpec::thinkpad_560x(),
             pm: PmPolicy::enabled(),
-            link_bps: WAVELAN_CAPACITY_BPS,
             source: EnergySource::External,
             monitor_overhead_w: Watts::ZERO,
             faults: FaultConfig::clean(),
@@ -259,11 +255,6 @@ impl MachineView<'_> {
             });
         }
         changed
-    }
-
-    /// Bytes a process has received over the link so far.
-    pub fn bytes_received_of(&self, pid: Pid) -> u64 {
-        self.m.procs[pid.0].bytes_received
     }
 
     /// Goodput of the process's most recent completed receive, bits/s —
@@ -729,10 +720,10 @@ impl std::fmt::Debug for Machine {
 impl Machine {
     /// Creates a machine from a configuration.
     pub fn new(cfg: MachineConfig) -> Self {
-        let power = PlatformPower::new(cfg.spec.clone());
-        let disk = DiskModel::new(cfg.pm.disk_policy(), cfg.spec.disk_spinup_time);
+        let power = PlatformPower::new(PlatformSpec::thinkpad_560x());
+        let disk = DiskModel::new(cfg.pm.disk_policy(), power.spec().disk_spinup_time);
         let radio = RadioModel::new(cfg.pm.radio_policy());
-        let link = SharedLink::new(cfg.link_bps);
+        let link = SharedLink::new(WAVELAN_CAPACITY_BPS);
         let link_faults = cfg
             .faults
             .link
@@ -1304,7 +1295,7 @@ impl Machine {
     }
 
     fn disk_transfer_time(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(bytes as f64 / self.cfg.spec.disk_rate_bps)
+        SimDuration::from_secs_f64(bytes as f64 / self.power.spec().disk_rate_bps)
             .max(SimDuration::from_micros(100))
     }
 
@@ -1621,6 +1612,27 @@ impl Machine {
         self.flows = r.take()?;
         for ctx in self.flows.values() {
             check_pid(ctx.pid, n_procs, "flow pid out of range")?;
+        }
+        // The radio's counters mirror the processes' RPC states; a
+        // mismatch would panic at the next `close_window` or
+        // `end_transfer`.
+        let count = |f: fn(&ProcState) -> bool| self.procs.iter().filter(|p| f(&p.state)).count();
+        let windows = count(|s| {
+            matches!(
+                s,
+                ProcState::NetAwaitTx(_)
+                    | ProcState::NetTx(_)
+                    | ProcState::NetServerWait(_)
+                    | ProcState::NetRx(_)
+                    | ProcState::NetBackoff(_)
+            )
+        });
+        if self.radio.wake_windows() != windows {
+            return Err(SnapshotError::Corrupt("radio wake windows"));
+        }
+        let moving = count(|s| matches!(s, ProcState::NetTx(_) | ProcState::NetRx(_)));
+        if self.radio.transfers() != moving || moving != self.flows.len() {
+            return Err(SnapshotError::Corrupt("radio transfers"));
         }
         self.link_event = r.take()?;
         self.rpc_timeouts = r.take()?;
@@ -2215,9 +2227,7 @@ mod tests {
             .collect();
         assert_eq!(at.len(), 1, "one pending intensity word");
         bytes[at[0]..at[0] + 8].copy_from_slice(&7.0f64.to_le_bytes());
-        let mut h = simcore::SnapshotHasher::new();
-        h.write_bytes(&bytes[header..checksum]);
-        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+        reseal(&mut bytes);
 
         let mut fresh = rig();
         let names = fresh.names().clone();
@@ -2256,9 +2266,7 @@ mod tests {
         assert_eq!(at.len(), 1, "one idle link");
         let late = SimTime::from_secs(2).as_micros();
         bytes[at[0]..at[0] + 8].copy_from_slice(&late.to_le_bytes());
-        let mut h = simcore::SnapshotHasher::new();
-        h.write_bytes(&bytes[header..checksum]);
-        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+        reseal(&mut bytes);
 
         let mut fresh = idle_machine(PmPolicy::enabled());
         fresh.add_process(Box::new(ScriptedWorkload::idle_for(
@@ -2273,6 +2281,68 @@ mod tests {
             fresh.thaw(&mut r),
             Err(SnapshotError::Corrupt("link advanced past clock"))
         );
+    }
+
+    /// Recomputes the checksum of a hand-edited sealed snapshot.
+    fn reseal(bytes: &mut [u8]) {
+        let (header, checksum) = (20, bytes.len() - 8);
+        let mut h = simcore::SnapshotHasher::new();
+        h.write_bytes(&bytes[header..checksum]);
+        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+    }
+
+    /// A checksum-valid snapshot whose radio counters disagree with the
+    /// processes' RPC states is refused on thaw instead of panicking at
+    /// the next `close_window` or `end_transfer`.
+    #[test]
+    fn resealed_radio_counters_that_miss_an_rpc_are_corrupt() {
+        let rig = || {
+            let mut m = idle_machine(PmPolicy::enabled());
+            m.add_process(Box::new(ScriptedWorkload::new(
+                "rpc",
+                vec![Activity::Rpc {
+                    spec: RpcSpec {
+                        request_bytes: 10_000,
+                        reply_bytes: 10_000,
+                        server_time: SimDuration::from_secs(5),
+                    },
+                    procedure: "fetch",
+                }],
+            )));
+            m
+        };
+        // At 1 s the request is sent and the server is working: one wake
+        // window, no transfer.
+        let mut m = rig();
+        let _ = m.run_until(SimTime::from_secs(1));
+        let mut w = simcore::SnapshotWriter::new();
+        m.freeze(&mut w).expect("freeze");
+        let sealed = w.seal();
+        // The radio's (wake windows, transfers), then the idle link's
+        // rate factor.
+        let mut radio = 1usize.to_le_bytes().to_vec();
+        radio.extend_from_slice(&0usize.to_le_bytes());
+        radio.extend_from_slice(&1.0f64.to_le_bytes());
+        let at: Vec<usize> = (20..sealed.len() - 8 - radio.len())
+            .filter(|&i| sealed[i..i + radio.len()] == radio[..])
+            .collect();
+        assert_eq!(at.len(), 1, "one radio with one open window");
+
+        for (offset, value, expected) in [
+            (0, 0usize, "radio wake windows"),
+            (8, 1usize, "radio transfers"),
+        ] {
+            let mut bytes = sealed.clone();
+            let i = at[0] + offset;
+            bytes[i..i + 8].copy_from_slice(&value.to_le_bytes());
+            reseal(&mut bytes);
+            let mut fresh = rig();
+            let names = fresh.names().clone();
+            let mut r = simcore::SnapshotReader::open(&bytes)
+                .expect("resealed envelope opens")
+                .with_names(&names);
+            assert_eq!(fresh.thaw(&mut r), Err(SnapshotError::Corrupt(expected)));
+        }
     }
 
     /// The generic codec property test over the machine's own impls.

@@ -9,21 +9,6 @@
 //! The energy work inherits this structure with the *energy balance*
 //! (supply minus predicted demand) as the resource.
 
-use std::collections::BTreeMap;
-
-use machine::Pid;
-
-/// A resource the viceroy tracks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub enum Resource {
-    /// Residual energy minus predicted demand, J.
-    EnergyBalance,
-    /// Network bandwidth, bits/s (the original Odyssey resource).
-    Bandwidth,
-    /// Hook for additional resources without changing the enum's users.
-    Other(u32),
-}
-
 /// A half-open expectation window `[low, high)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Expectation {
@@ -49,6 +34,17 @@ impl Expectation {
     pub fn contains(&self, value: f64) -> bool {
         value >= self.low && value < self.high
     }
+
+    /// How `value` leaves the window, or `None` while it lies inside.
+    pub fn classify(&self, value: f64) -> Option<WindowEvent> {
+        if value < self.low {
+            Some(WindowEvent::BelowWindow)
+        } else if value >= self.high {
+            Some(WindowEvent::AboveWindow)
+        } else {
+            None
+        }
+    }
 }
 
 /// How a resource level left a window.
@@ -60,73 +56,9 @@ pub enum WindowEvent {
     AboveWindow,
 }
 
-/// Registered expectations for one resource across applications.
-#[derive(Default, Debug)]
-pub struct ExpectationRegistry {
-    windows: BTreeMap<(Resource, usize), Expectation>,
-}
-
-impl ExpectationRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers (or replaces) a process's window for a resource.
-    pub fn register(&mut self, resource: Resource, pid: Pid, window: Expectation) {
-        self.windows.insert((resource, pid.index()), window);
-    }
-
-    /// Removes a process's window.
-    pub fn deregister(&mut self, resource: Resource, pid: Pid) -> bool {
-        self.windows.remove(&(resource, pid.index())).is_some()
-    }
-
-    /// Evaluates a new resource level against every registered window,
-    /// returning the upcalls that must be issued (pid index order).
-    pub fn evaluate(&self, resource: Resource, value: f64) -> Vec<(usize, WindowEvent)> {
-        self.windows
-            .iter()
-            .filter(|((r, _), _)| *r == resource)
-            .filter_map(|((_, pid), w)| {
-                if value < w.low {
-                    Some((*pid, WindowEvent::BelowWindow))
-                } else if value >= w.high {
-                    Some((*pid, WindowEvent::AboveWindow))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// Number of registered windows.
-    pub fn len(&self) -> usize {
-        self.windows.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pid(registry_probe: usize) -> Pid {
-        // `Pid` can only be minted by a machine; round-trip through a
-        // throwaway machine to get real pids for registry tests.
-        use machine::workload::ScriptedWorkload;
-        use machine::{Machine, MachineConfig};
-        let mut m = Machine::new(MachineConfig::baseline());
-        let mut last = None;
-        for _ in 0..=registry_probe {
-            last = Some(m.add_process(Box::new(ScriptedWorkload::new("p", vec![]))));
-        }
-        last.expect("at least one process")
-    }
 
     #[test]
     fn window_containment() {
@@ -138,54 +70,13 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_flags_leavers_only() {
-        let mut reg = ExpectationRegistry::new();
-        reg.register(
-            Resource::EnergyBalance,
-            pid(0),
-            Expectation::new(0.0, 100.0),
-        );
-        reg.register(
-            Resource::EnergyBalance,
-            pid(1),
-            Expectation::new(50.0, 150.0),
-        );
-        let events = reg.evaluate(Resource::EnergyBalance, 25.0);
-        assert_eq!(events, vec![(1, WindowEvent::BelowWindow)]);
-        let events = reg.evaluate(Resource::EnergyBalance, 120.0);
-        assert_eq!(events, vec![(0, WindowEvent::AboveWindow)]);
-        let events = reg.evaluate(Resource::EnergyBalance, 75.0);
-        assert!(events.is_empty());
-    }
-
-    #[test]
-    fn resources_are_independent() {
-        let mut reg = ExpectationRegistry::new();
-        reg.register(Resource::EnergyBalance, pid(0), Expectation::new(0.0, 1.0));
-        reg.register(Resource::Bandwidth, pid(0), Expectation::new(1e6, 2e6));
-        assert!(reg.evaluate(Resource::Bandwidth, 0.5).iter().all(|(_, e)| {
-            // 0.5 b/s is below the bandwidth window but would be inside
-            // nothing else.
-            *e == WindowEvent::BelowWindow
-        }));
-        assert_eq!(reg.evaluate(Resource::EnergyBalance, 0.5).len(), 0);
-        assert_eq!(reg.len(), 2);
-    }
-
-    #[test]
-    fn reregister_replaces_window() {
-        let mut reg = ExpectationRegistry::new();
-        let p = pid(0);
-        reg.register(Resource::EnergyBalance, p, Expectation::new(0.0, 1.0));
-        reg.register(Resource::EnergyBalance, p, Expectation::new(5.0, 9.0));
-        assert_eq!(reg.len(), 1);
-        assert_eq!(
-            reg.evaluate(Resource::EnergyBalance, 2.0),
-            vec![(p.index(), WindowEvent::BelowWindow)]
-        );
-        assert!(reg.deregister(Resource::EnergyBalance, p));
-        assert!(!reg.deregister(Resource::EnergyBalance, p));
-        assert!(reg.is_empty());
+    fn classify_flags_leavers_only() {
+        let w = Expectation::new(50.0, 150.0);
+        assert_eq!(w.classify(25.0), Some(WindowEvent::BelowWindow));
+        assert_eq!(w.classify(75.0), None);
+        // The window is half-open: its upper edge is already outside.
+        assert_eq!(w.classify(150.0), Some(WindowEvent::AboveWindow));
+        assert_eq!(w.classify(160.0), Some(WindowEvent::AboveWindow));
     }
 
     #[test]

@@ -37,6 +37,9 @@ use crate::priority::PriorityTable;
 /// this when attaching a [`GoalController`].
 pub const MONITOR_OVERHEAD_W: Watts = Watts(0.014);
 
+/// Decision period (paper: twice a second).
+pub const DECISION_PERIOD: SimDuration = SimDuration::from_millis(500);
+
 /// Configuration of a goal-directed adaptation run.
 #[derive(Clone, Debug)]
 pub struct GoalConfig {
@@ -54,8 +57,6 @@ pub struct GoalConfig {
     pub upgrade_min_interval: SimDuration,
     /// Power sampling period (paper: 100 ms).
     pub sample_period: SimDuration,
-    /// Decision period (paper: twice a second).
-    pub decision_period: SimDuration,
     /// No adaptation decisions before this much of the run has elapsed:
     /// the on-line meter needs a few samples before its smoothed power
     /// means anything ("applications are more stable at the beginning").
@@ -94,37 +95,26 @@ pub struct GoalConfig {
 ///   before the deadline → a **budget reserve** is withheld from the
 ///   supply estimate, leaving headroom for estimation lag.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Hardening {
-    /// Skip decisions when the newest accepted power sample is older
-    /// than this.
-    pub stale_after: SimDuration,
-    /// Physical power envelope `[min, max]`; accepted samples are
-    /// clamped into it before smoothing.
-    pub power_clamp_w: (Watts, Watts),
-    /// Consecutive deficit decisions required before degrading.
-    pub degrade_persistence: usize,
-    /// Cross-check the gauge against metered consumption, taking the
-    /// more pessimistic of the two supply estimates.
-    pub use_energy_cross_check: bool,
+pub struct Hardening;
+
+impl Hardening {
+    /// Decisions are skipped when the newest accepted power sample is
+    /// older than this: 20 samples.
+    pub const STALE_AFTER: SimDuration = SimDuration::from_secs(2);
+    /// Physical power envelope `[min, max]`; accepted samples are clamped
+    /// into it before smoothing. It brackets the ThinkPad 560X's 3.47 W
+    /// floor and ~20 W worst case.
+    pub const POWER_CLAMP_W: (Watts, Watts) = (Watts(1.0), Watts(30.0));
+    /// Consecutive deficit decisions required before degrading (1 s).
+    pub const DEGRADE_PERSISTENCE: usize = 2;
     /// Fraction of the *initial* energy withheld as a constant reserve
     /// against demand-estimation lag. A proportional reserve would decay
     /// with the supply and stop protecting exactly when exhaustion nears.
-    pub reserve_frac: f64,
-}
+    pub const RESERVE_FRAC: f64 = 0.05;
 
-impl Hardening {
-    /// Defaults sized to the ThinkPad 560X platform: 2 s staleness bound
-    /// (20 samples), a 1–30 W envelope bracketing the platform's 3.47 W
-    /// floor and ~20 W worst case, 2-decision degrade persistence (1 s),
-    /// the energy cross-check on, and a 5% budget reserve.
+    /// The measures above, sized to the ThinkPad 560X platform.
     pub fn standard() -> Self {
-        Hardening {
-            stale_after: SimDuration::from_secs(2),
-            power_clamp_w: (Watts(1.0), Watts(30.0)),
-            degrade_persistence: 2,
-            use_energy_cross_check: true,
-            reserve_frac: 0.05,
-        }
+        Hardening
     }
 }
 
@@ -140,7 +130,6 @@ impl GoalConfig {
             hysteresis_initial_frac: 0.01,
             upgrade_min_interval: SimDuration::from_secs(15),
             sample_period: SimDuration::from_millis(100),
-            decision_period: SimDuration::from_millis(500),
             warmup: SimDuration::from_secs(10),
             extensions: Vec::new(),
             meter_faults: MeterFaultPlan::clean(),
@@ -258,11 +247,6 @@ impl GoalHandle {
             .get(&idx)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Total rejected degrade upcalls across all processes.
-    pub fn total_rejected_degrades(&self) -> usize {
-        self.shared.borrow().rejected_degrades.values().sum()
     }
 
     /// Posts a live goal revision: at the controller's next tick the
@@ -411,19 +395,18 @@ impl GoalController {
     /// energy value minus everything the on-line meter has seen consumed,
     /// then withholds the budget reserve from the result.
     fn estimate_supply(&mut self, gauge_j: Joules) -> Joules {
-        let Some(h) = self.cfg.hardening else {
+        if self.cfg.hardening.is_none() {
             return gauge_j;
-        };
+        }
         if gauge_j.is_finite() {
             self.supply_floor = self.supply_floor.min(gauge_j);
         }
-        let mut supply = self.supply_floor;
-        if h.use_energy_cross_check {
-            supply =
-                supply.min((self.cfg.initial_energy_j - self.last_metered_j).max(Joules::ZERO));
-        }
+        let mut supply = self
+            .supply_floor
+            .min((self.cfg.initial_energy_j - self.last_metered_j).max(Joules::ZERO));
         if supply.is_finite() {
-            supply = (supply - h.reserve_frac * self.cfg.initial_energy_j).max(Joules::ZERO);
+            supply =
+                (supply - Hardening::RESERVE_FRAC * self.cfg.initial_energy_j).max(Joules::ZERO);
         }
         supply
     }
@@ -432,10 +415,10 @@ impl GoalController {
         let Some(power) = self.smoother.value() else {
             return;
         };
-        if let Some(h) = self.cfg.hardening {
+        if self.cfg.hardening.is_some() {
             let fresh = self
                 .last_sample_at
-                .is_some_and(|t| now.saturating_since(t) <= h.stale_after);
+                .is_some_and(|t| now.saturating_since(t) <= Hardening::STALE_AFTER);
             if !fresh {
                 // The power estimate is fiction; don't act on it.
                 self.shared.borrow_mut().stale_decisions += 1;
@@ -456,10 +439,9 @@ impl GoalController {
         let procs = view.processes();
         if demand > supply {
             self.deficit_streak += 1;
-            if let Some(h) = self.cfg.hardening {
-                if self.deficit_streak < h.degrade_persistence {
-                    return;
-                }
+            if self.cfg.hardening.is_some() && self.deficit_streak < Hardening::DEGRADE_PERSISTENCE
+            {
+                return;
             }
             for pid in self.priorities.degrade_order() {
                 let info = procs[pid.index()];
@@ -583,9 +565,10 @@ impl ControlHook for GoalController {
             Some(metered) => {
                 self.last_metered_j = metered;
                 if let Some(mut p) = self.meter.update(now, metered) {
-                    if let Some(h) = self.cfg.hardening {
+                    if self.cfg.hardening.is_some() {
                         let raw = p;
-                        p = Watts(p.0.clamp(h.power_clamp_w.0 .0, h.power_clamp_w.1 .0));
+                        let (lo, hi) = Hardening::POWER_CLAMP_W;
+                        p = Watts(p.0.clamp(lo.0, hi.0));
                         if p != raw {
                             view.emit_trace(TraceEvent::GoalClamp {
                                 raw_power_w: raw.0,
@@ -610,7 +593,7 @@ impl ControlHook for GoalController {
         }
         let due = match self.last_decision {
             None => true,
-            Some(t) => now.saturating_since(t) >= self.cfg.decision_period,
+            Some(t) => now.saturating_since(t) >= DECISION_PERIOD,
         };
         if due {
             self.last_decision = Some(now);

@@ -44,67 +44,46 @@ use simcore::{
 use crate::demand::DemandLedger;
 use crate::goal::GoalHandle;
 
-/// Supervisor tuning knobs.
-#[derive(Clone, Debug)]
-pub struct SupervisorConfig {
-    /// Supervision period (also the hook period to attach at).
-    pub period: SimDuration,
-    /// No detections before this instant: the attribution feed needs a
-    /// few windows before its power estimates mean anything.
-    pub warmup: SimDuration,
-    /// An app that has not polled for this long while drawing power is
-    /// hung. Must exceed the longest honest CPU burst any workload emits.
-    pub watchdog: SimDuration,
-    /// Minimum attributed power for hang and overdraw detection — a
-    /// blocked app attributes ~0 W and must never strike.
-    pub hang_power_w: Watts,
-    /// Overdraw threshold: strike when attributed power exceeds declared
-    /// power at the claimed level times this factor.
-    pub overdraw_factor: f64,
-    /// Grace period after a claimed fidelity change before the overdraw
-    /// cross-check resumes: the smoothed attribution of an honestly
-    /// degrading app lags its level change by a few windows.
-    pub response_window: SimDuration,
-    /// Datapath clamp applied on the second strike.
-    pub clamp_factor: f64,
-    /// Strikes before quarantine.
-    pub quarantine_after: u32,
-    /// Clean ticks before one strike is forgiven (keeps rare false
-    /// positives from ratcheting an honest app to quarantine).
-    pub forgive_after: u32,
-    /// Quarantine cooldown before a restart is attempted.
-    pub restart_after: SimDuration,
-    /// Restarts granted per app before it is retired for good.
-    pub max_restarts: u32,
-}
+// Supervision constants, sized for the paper's applications: a 30 s
+// watchdog clears the longest honest speech-recognition burst, and the
+// 1 W power gate clears every blocked state (a waiting app attributes
+// think-time to Idle and reads near zero).
 
-impl SupervisorConfig {
-    /// Defaults sized for the paper's applications: a 30 s watchdog
-    /// clears the longest honest speech-recognition burst, and the 1 W
-    /// power gate clears every blocked state (a waiting app attributes
-    /// think-time to Idle and reads near zero).
-    pub fn standard() -> Self {
-        SupervisorConfig {
-            period: SimDuration::from_secs(1),
-            warmup: SimDuration::from_secs(30),
-            watchdog: SimDuration::from_secs(30),
-            hang_power_w: Watts(1.0),
-            overdraw_factor: 1.6,
-            response_window: SimDuration::from_secs(10),
-            clamp_factor: 0.5,
-            quarantine_after: 3,
-            forgive_after: 10,
-            restart_after: SimDuration::from_secs(60),
-            max_restarts: 1,
-        }
-    }
-}
+/// Supervision period; attach the supervisor with this hook period.
+pub const PERIOD: SimDuration = SimDuration::from_secs(1);
+/// No detections before this instant: the attribution feed needs a few
+/// windows before its power estimates mean anything.
+pub const WARMUP: SimDuration = SimDuration::from_secs(30);
+/// An app that has not polled for this long while drawing power is hung.
+/// Must exceed the longest honest CPU burst any workload emits.
+pub const WATCHDOG: SimDuration = SimDuration::from_secs(30);
+/// Minimum attributed power for hang and overdraw detection — a blocked
+/// app attributes ~0 W and must never strike.
+pub const HANG_POWER_W: Watts = Watts(1.0);
+/// Overdraw threshold: strike when attributed power exceeds declared
+/// power at the claimed level times this factor.
+pub const OVERDRAW_FACTOR: f64 = 1.6;
+/// Grace period after a claimed fidelity change before the overdraw
+/// cross-check resumes: the smoothed attribution of an honestly
+/// degrading app lags its level change by a few windows.
+pub const RESPONSE_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Datapath clamp applied on the second strike.
+pub const CLAMP_FACTOR: f64 = 0.5;
+/// Strikes before quarantine.
+pub const QUARANTINE_AFTER: u32 = 3;
+/// Clean ticks before one strike is forgiven (keeps rare false positives
+/// from ratcheting an honest app to quarantine).
+pub const FORGIVE_AFTER: u32 = 10;
+/// Quarantine cooldown before a restart is attempted.
+pub const RESTART_AFTER: SimDuration = SimDuration::from_secs(60);
+/// Restarts granted per app before it is retired for good.
+pub const MAX_RESTARTS: u32 = 1;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig::standard()
-    }
-}
+const _: () = assert!(!PERIOD.is_zero(), "supervision period must be positive");
+const _: () = assert!(
+    OVERDRAW_FACTOR >= 1.0,
+    "overdraw factor below 1 strikes honest apps"
+);
 
 /// Counters the supervisor accumulates over a run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -256,10 +235,9 @@ struct AppState {
 }
 
 /// The supervisor; attach with [`machine::Machine::add_hook`] at
-/// [`SupervisorConfig::period`], after registering each watched app with
+/// [`PERIOD`], after registering each watched app with
 /// [`Supervisor::watch`].
 pub struct Supervisor {
-    cfg: SupervisorConfig,
     apps: Vec<AppState>,
     feed: AttributionFeed,
     goal: Option<GoalHandle>,
@@ -274,15 +252,9 @@ impl std::fmt::Debug for Supervisor {
 
 impl Supervisor {
     /// Creates a supervisor and its inspection handle.
-    pub fn new(cfg: SupervisorConfig) -> (SupervisorHandle, Box<Supervisor>) {
-        assert!(!cfg.period.is_zero(), "supervision period must be positive");
-        assert!(
-            cfg.overdraw_factor >= 1.0,
-            "overdraw factor below 1 strikes honest apps"
-        );
+    pub fn new() -> (SupervisorHandle, Box<Supervisor>) {
         let inner = Rc::new(RefCell::new(Inner::default()));
         let s = Supervisor {
-            cfg,
             apps: Vec::new(),
             feed: AttributionFeed::new(),
             goal: None,
@@ -328,7 +300,7 @@ impl Supervisor {
             inner.stats.crash_releases += 1;
             inner.stats.redistributed_w += freed;
         }
-        let retired = if app.restarts < self.cfg.max_restarts {
+        let retired = if app.restarts < MAX_RESTARTS {
             app.phase = Phase::Quarantined { since: now };
             false
         } else {
@@ -412,9 +384,9 @@ impl Supervisor {
                 pid: pid.index() as u64,
                 rung: "clamp",
             });
-            view.set_datapath_clamp(pid, self.cfg.clamp_factor);
+            view.set_datapath_clamp(pid, CLAMP_FACTOR);
             self.apps[app_i].phase = Phase::Clamped;
-        } else if strikes >= self.cfg.quarantine_after && view.suspend(pid) {
+        } else if strikes >= QUARANTINE_AFTER && view.suspend(pid) {
             inner.stats.quarantines += 1;
             if let Some(freed) = inner.ledger.release(pid.index()) {
                 inner.stats.redistributed_w += freed;
@@ -510,8 +482,8 @@ impl ControlHook for Supervisor {
             match self.apps[i].phase {
                 Phase::Retired => continue,
                 Phase::Quarantined { since } => {
-                    if self.apps[i].restarts < self.cfg.max_restarts
-                        && now.saturating_since(since) >= self.cfg.restart_after
+                    if self.apps[i].restarts < MAX_RESTARTS
+                        && now.saturating_since(since) >= RESTART_AFTER
                     {
                         self.try_restart(i, view);
                     }
@@ -519,7 +491,7 @@ impl ControlHook for Supervisor {
                 }
                 Phase::Healthy | Phase::Clamped => {}
             }
-            if info.done || now < SimTime::ZERO + self.cfg.warmup {
+            if info.done || now < SimTime::ZERO + WARMUP {
                 continue;
             }
 
@@ -530,7 +502,7 @@ impl ControlHook for Supervisor {
 
                 // Hang: silent on the poll interface, loud on the meter.
                 let since_poll = now.saturating_since(view.last_poll_at(pid));
-                if since_poll > self.cfg.watchdog && power > self.cfg.hang_power_w {
+                if since_poll > WATCHDOG && power > HANG_POWER_W {
                     inner.stats.hang_strikes += 1;
                     strike = true;
                     view.emit_trace(TraceEvent::SupervisorStrike {
@@ -568,12 +540,9 @@ impl ControlHook for Supervisor {
                     inner.ledger.set_claimed_level(pid.index(), level);
                 }
                 let settled =
-                    now.saturating_since(self.apps[i].level_changed_at) >= self.cfg.response_window;
+                    now.saturating_since(self.apps[i].level_changed_at) >= RESPONSE_WINDOW;
                 if let Some(declared) = inner.ledger.declared_w(pid.index()) {
-                    if settled
-                        && power > declared * self.cfg.overdraw_factor
-                        && power > self.cfg.hang_power_w
-                    {
+                    if settled && power > declared * OVERDRAW_FACTOR && power > HANG_POWER_W {
                         inner.stats.overdraw_strikes += 1;
                         // Demand accounting: name the procedure the
                         // undeclared power is actually going to, so the
@@ -604,7 +573,7 @@ impl ControlHook for Supervisor {
                 }
                 if app.strikes > 0 {
                     app.clean_ticks += 1;
-                    if app.clean_ticks >= self.cfg.forgive_after {
+                    if app.clean_ticks >= FORGIVE_AFTER {
                         app.strikes -= 1;
                         app.clean_ticks = 0;
                     }
@@ -706,13 +675,11 @@ mod tests {
             horizon: SimTime::from_secs(horizon_s),
             restarted: false,
         }));
-        let cfg = SupervisorConfig::standard();
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         // Generous declaration: the spin never overdraws it, so the
         // watchdog is the only detector that can fire.
         sup.watch(pid, vec![Watts(25.0), Watts(50.0)], 1);
-        m.add_hook(period, sup);
+        m.add_hook(PERIOD, sup);
         (m, handle)
     }
 
@@ -741,11 +708,9 @@ mod tests {
             "calm",
             SimDuration::from_secs(200),
         )));
-        let cfg = SupervisorConfig::standard();
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         sup.watch(pid, vec![Watts(1.0)], 0);
-        m.add_hook(period, sup);
+        m.add_hook(PERIOD, sup);
         m.run_until(SimTime::from_secs(300));
         let stats = handle.stats();
         assert_eq!(stats.hang_strikes, 0, "{stats:?}");
@@ -772,15 +737,12 @@ mod tests {
             "bg",
             SimDuration::from_secs(120),
         )));
-        let cfg = SupervisorConfig {
-            max_restarts: 0,
-            ..SupervisorConfig::standard()
-        };
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         sup.watch(pid, vec![Watts(2.5)], 0);
-        m.add_hook(period, sup);
-        m.run_until(SimTime::from_secs(60));
+        m.add_hook(PERIOD, sup);
+        // Past the restart cooldown: `ScriptedWorkload` refuses its
+        // restart, which retires the app.
+        m.run_until(SimTime::from_secs(10) + RESTART_AFTER + SimDuration::from_secs(20));
         let stats = handle.stats();
         assert_eq!(stats.crash_releases, 1);
         assert!((stats.redistributed_w - Watts(2.5)).abs() < Watts(1e-12));
@@ -805,11 +767,9 @@ mod tests {
             })
             .collect();
         let pid = m.add_process(Box::new(ScriptedWorkload::new("liar", script)));
-        let cfg = SupervisorConfig::standard();
-        let period = cfg.period;
-        let (handle, mut sup) = Supervisor::new(cfg);
+        let (handle, mut sup) = Supervisor::new();
         sup.watch(pid, vec![Watts(0.1)], 0);
-        m.add_hook(period, sup);
+        m.add_hook(PERIOD, sup);
         m.run_until(SimTime::from_secs(120));
         let stats = handle.stats();
         assert!(stats.overdraw_strikes >= 3, "{stats:?}");

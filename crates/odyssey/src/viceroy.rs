@@ -1,86 +1,19 @@
-//! The viceroy: Odyssey's central resource manager.
+//! The viceroy's original adaptation loop: bandwidth expectations.
 //!
 //! "The viceroy is the Odyssey component responsible for monitoring the
-//! availability of resources and managing their use." Two faces:
-//!
-//! - [`Viceroy`] — the client-side facade applications talk to: a warden
-//!   registry (type-specific fidelity spaces and request annotations)
-//!   plus resource expectation windows;
-//! - [`BandwidthMonitor`] — the original Odyssey adaptation ("the initial
-//!   Odyssey prototype only supported network bandwidth adaptation"): a
-//!   periodic hook that passively estimates each registered application's
-//!   achieved network throughput, compares it against the application's
-//!   expectation window, and issues upcalls when the level strays
-//!   outside. The energy work of Section 5 layers the goal-directed
-//!   controller on the same upcall mechanism.
+//! availability of resources and managing their use."
+//! [`BandwidthMonitor`] is the original Odyssey adaptation ("the initial
+//! Odyssey prototype only supported network bandwidth adaptation"): a
+//! periodic hook that passively estimates each registered application's
+//! achieved network throughput, compares it against the application's
+//! expectation window, and issues upcalls when the level strays outside.
+//! The energy work of Section 5 layers the goal-directed controller on
+//! the same upcall mechanism.
 
 use machine::{AdaptDirection, ControlHook, MachineView, Pid};
 use simcore::{SimDuration, SimTime, TraceEvent};
 
-use crate::expectation::{Expectation, ExpectationRegistry, Resource, WindowEvent};
-use crate::warden::{Warden, WardenRegistry};
-
-/// The client-side resource-management facade.
-#[derive(Default)]
-pub struct Viceroy {
-    wardens: WardenRegistry,
-    expectations: ExpectationRegistry,
-}
-
-impl std::fmt::Debug for Viceroy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Viceroy").finish_non_exhaustive()
-    }
-}
-
-impl Viceroy {
-    /// Creates an empty viceroy.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Registers a warden for a data type.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a duplicate data type (one warden per type).
-    pub fn register_warden(&mut self, warden: Box<dyn Warden>) {
-        self.wardens.register(warden);
-    }
-
-    /// The request annotation a fetch of `data_type` at `level` carries
-    /// to the server (e.g. the map filter/crop parameters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no warden covers the type or the level is out of range.
-    pub fn annotate(&self, data_type: &str, level: usize) -> String {
-        self.wardens
-            .get(data_type)
-            .unwrap_or_else(|| panic!("no warden for data type {data_type:?}"))
-            .annotate(level)
-    }
-
-    /// Registers (or replaces) a process's expectation window.
-    pub fn expect(&mut self, resource: Resource, pid: Pid, window: Expectation) {
-        self.expectations.register(resource, pid, window);
-    }
-
-    /// Evaluates a resource level against all registered windows.
-    pub fn evaluate(&self, resource: Resource, value: f64) -> Vec<(usize, WindowEvent)> {
-        self.expectations.evaluate(resource, value)
-    }
-
-    /// Access to the warden registry.
-    pub fn wardens(&self) -> &WardenRegistry {
-        &self.wardens
-    }
-
-    /// Access to the expectation registry.
-    pub fn expectations(&self) -> &ExpectationRegistry {
-        &self.expectations
-    }
-}
+use crate::expectation::{Expectation, WindowEvent};
 
 /// A bandwidth-window registration for one application.
 #[derive(Clone, Copy, Debug)]
@@ -162,14 +95,9 @@ impl ControlHook for BandwidthMonitor {
             let Some(bps) = view.transfer_rate_of(r.pid) else {
                 continue;
             };
-            let event = if bps < r.window.low {
-                Some(WindowEvent::BelowWindow)
-            } else if bps >= r.window.high {
-                Some(WindowEvent::AboveWindow)
-            } else {
-                None
+            let Some(event) = r.window.classify(bps) else {
+                continue;
             };
-            let Some(event) = event else { continue };
             if let Some(last) = r.last_upcall {
                 if now.since(last) < self.upcall_min_interval {
                     continue;
@@ -203,56 +131,9 @@ impl ControlHook for BandwidthMonitor {
 #[expect(clippy::float_cmp, reason = "tests pin exact values")]
 mod tests {
     use super::*;
-    use crate::fidelity::{FidelityLevel, FidelitySpace};
     use machine::workload::ScriptedWorkload;
     use machine::{Activity, FidelityView, Machine, MachineConfig, Step, Workload};
     use simcore::SimRng;
-
-    struct MapWarden {
-        space: FidelitySpace,
-    }
-
-    impl Warden for MapWarden {
-        fn data_type(&self) -> &'static str {
-            "map"
-        }
-        fn space(&self) -> &FidelitySpace {
-            &self.space
-        }
-        fn annotate(&self, level: usize) -> String {
-            format!("filter={}", self.space.level(level).name)
-        }
-    }
-
-    #[test]
-    fn viceroy_facade_routes_annotations() {
-        let mut v = Viceroy::new();
-        v.register_warden(Box::new(MapWarden {
-            space: FidelitySpace::new(
-                "map",
-                vec![
-                    FidelityLevel {
-                        name: "secondary-roads",
-                        data_ratio: 0.3,
-                        quality: 0.5,
-                    },
-                    FidelityLevel {
-                        name: "none",
-                        data_ratio: 1.0,
-                        quality: 1.0,
-                    },
-                ],
-            ),
-        }));
-        assert_eq!(v.annotate("map", 0), "filter=secondary-roads");
-        assert_eq!(v.wardens().len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "no warden")]
-    fn unknown_type_panics() {
-        Viceroy::new().annotate("video", 0);
-    }
 
     /// A streaming workload whose per-period fetch size depends on its
     /// fidelity level — a miniature video player.

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use machine::{IntervalObserver, IntervalRecord};
-use simcore::{Hertz, SimDuration, SimRng, SimTime, TraceEvent, TraceHandle};
+use simcore::{SimDuration, SimRng, SimTime, TraceEvent, TraceHandle};
 
 use crate::sample::{CallStack, CollectedRun, Sample};
 use crate::{SAMPLE_HZ, SUPPLY_VOLTS};
@@ -130,25 +130,11 @@ impl IntervalObserver for ScopeObserver {
 }
 
 impl PowerScope {
-    /// Creates a session at the nominal sampling rate.
+    /// Creates a session sampling at [`SAMPLE_HZ`].
     pub fn new(seed: u64) -> (PowerScope, Box<dyn IntervalObserver>) {
-        PowerScope::with_rate(seed, SAMPLE_HZ)
-    }
-
-    /// Creates a session with a custom sampling rate (tests use high rates
-    /// to check convergence).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the rate is positive and finite.
-    pub fn with_rate(seed: u64, rate_hz: Hertz) -> (PowerScope, Box<dyn IntervalObserver>) {
-        assert!(
-            rate_hz.is_finite() && rate_hz > Hertz::ZERO,
-            "invalid sample rate: {rate_hz}"
-        );
         let shared = Rc::new(RefCell::new(Collector {
             rng: SimRng::new(seed).fork("powerscope"),
-            period: SimDuration::from_secs_f64(1.0 / rate_hz.0),
+            period: SimDuration::from_secs_f64(1.0 / SAMPLE_HZ.0),
             next_at: SimTime::ZERO,
             run: CollectedRun {
                 symbols: BTreeMap::new(),

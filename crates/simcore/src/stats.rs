@@ -80,15 +80,6 @@ impl TrialStats {
             max,
         }
     }
-
-    /// Relative 90% CI half-width, `ci90 / mean` (0 when the mean is 0).
-    pub fn relative_ci(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.ci90 / self.mean
-        }
-    }
 }
 
 /// Least-squares fit `y = intercept + slope * x`.

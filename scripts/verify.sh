@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Offline verification: tier-1 build + tests, lint wall (rustfmt, clippy
 # with the workspace clippy.toml, rustdoc; the source-rule and crate-graph
-# checks run as tests), the benchmark package, and fixed-seed determinism
-# smoke checks. No network access required.
+# checks run as tests), the benchmark package, every example, and
+# fixed-seed determinism smoke checks. No network access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,6 +24,15 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== benchmark package: build and tests (perfbench is its own workspace) =="
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "== examples: each builds and runs to a zero exit =="
+for example in examples/*.rs; do
+    name="$(basename "$example" .rs)"
+    if ! cargo run --release --offline -q --example "$name" >/dev/null; then
+        echo "example $name failed" >&2
+        exit 1
+    fi
+done
 
 echo "== chaos: fixed-seed determinism smoke =="
 out_a="$(cargo run --release -q -p experiments -- chaos --trials 1 --seed 7 2>/dev/null)"

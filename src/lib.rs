@@ -12,8 +12,9 @@
 //! - [`machine`] — the client-machine simulator (scheduler, devices,
 //!   energy accounting with PowerScope-style attribution);
 //! - [`powerscope`] — the statistical energy profiler;
-//! - [`odyssey`] — the Odyssey platform: wardens, fidelity, expectations,
-//!   and the goal-directed energy-adaptation controller;
+//! - [`odyssey`] — the Odyssey viceroy: expectation windows, the
+//!   bandwidth monitor, the goal-directed energy-adaptation controller
+//!   and the supervisor;
 //! - [`apps`] — the four adaptive applications plus composite and bursty
 //!   workloads;
 //! - [`backlight`] — the zoned-backlighting projection;

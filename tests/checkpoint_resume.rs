@@ -19,8 +19,7 @@ use energy_adaptation::hw560x::EnergySource;
 use energy_adaptation::machine::{CheckpointHook, Machine, MachineConfig, Workload};
 use energy_adaptation::odyssey::goal::MONITOR_OVERHEAD_W;
 use energy_adaptation::odyssey::{
-    GoalConfig, GoalController, GoalHandle, GoalOutcome, PriorityTable, Supervisor,
-    SupervisorConfig,
+    supervisor, GoalConfig, GoalController, GoalHandle, GoalOutcome, PriorityTable, Supervisor,
 };
 use energy_adaptation::simcore::fault::{FaultSchedule, FaultWindow};
 use energy_adaptation::simcore::{
@@ -98,12 +97,10 @@ fn rig(seed: u64, wedged: bool, supervised: bool) -> Rig {
     let (handle, controller) = GoalController::new(cfg, priorities);
     m.add_hook(sample_period, controller);
     if supervised {
-        let sup_cfg = SupervisorConfig::standard();
-        let period = sup_cfg.period;
-        let (_sup_handle, mut sup) = Supervisor::new(sup_cfg);
+        let (_sup_handle, mut sup) = Supervisor::new();
         sup.watch(video_pid, [0.5, 0.8, 1.2, 2.0].map(Watts).to_vec(), 3);
         sup.attach_goal(handle.clone());
-        m.add_hook(period, sup);
+        m.add_hook(supervisor::PERIOD, sup);
     }
     let journal = Rc::new(RefCell::new(RunJournal::new(CKPT_EVERY)));
     m.add_hook(CKPT_EVERY, Box::new(CheckpointHook::new(journal.clone())));
