@@ -36,8 +36,6 @@ pub struct BandwidthMonitor {
     regs: Vec<Registration>,
     window: SimDuration,
     upcall_min_interval: SimDuration,
-    /// (time, pid index, event) log for tests and tracing.
-    events: Vec<(SimTime, usize, WindowEvent)>,
 }
 
 impl std::fmt::Debug for BandwidthMonitor {
@@ -62,7 +60,6 @@ impl BandwidthMonitor {
             regs: Vec::new(),
             window,
             upcall_min_interval,
-            events: Vec::new(),
         }
     }
 
@@ -78,11 +75,6 @@ impl BandwidthMonitor {
             window,
             last_upcall: None,
         });
-    }
-
-    /// The window-departure events observed so far.
-    pub fn events(&self) -> &[(SimTime, usize, WindowEvent)] {
-        &self.events
     }
 }
 
@@ -121,7 +113,6 @@ impl ControlHook for BandwidthMonitor {
             });
             if changed {
                 self.regs[i].last_upcall = Some(now);
-                self.events.push((now, self.regs[i].pid.index(), event));
             }
         }
     }

@@ -68,6 +68,12 @@ for workload in figures serve failover; do
         --workload "$workload" --seed 1 --seconds 0 --trace 0 | tail -1
 done
 
+echo "== perfbench: traced per-layer suite once =="
+# Exercises the suite's own output checks and `queue_depths`, which
+# parses the queue words at the head of a machine snapshot.
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload serve --seed 1 --seconds 0 --trace 1 | tail -1
+
 echo "== simserve: hostile-input fuzz smoke (30 seeded streams) =="
 cargo run --release -q -p experiments -- fuzz --streams 30
 

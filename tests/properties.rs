@@ -283,7 +283,8 @@ fn event_queue_total_order() {
 /// `(at, seq)` — under random interleavings of push, pop, peek and
 /// cancel, including cancels of events that already fired and second
 /// cancels of the same event. Every pop, peek, cancel verdict and length
-/// must match the reference step for step.
+/// must match the reference step for step, and so must the exported
+/// entries, whose order is the order snapshot bytes are written in.
 #[test]
 fn event_queue_matches_sorted_vec_model() {
     #[derive(Clone, Copy)]
@@ -345,6 +346,7 @@ fn event_queue_matches_sorted_vec_model() {
             }
             assert_eq!(q.len(), model.len(), "step {step}: len");
             assert_eq!(q.is_empty(), model.is_empty(), "step {step}: is_empty");
+            assert_eq!(q.export_entries(), model, "step {step}: export order");
         }
     });
     assert!(
