@@ -13,6 +13,7 @@ use hw560x::cpu::intensity;
 use hw560x::DisplayState;
 use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
 use netsim::RpcSpec;
+use simcore::time::round_to_u64;
 use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::datasets::{
@@ -186,9 +187,9 @@ impl Workload for MapViewer {
         match self.phase {
             Phase::Fetch => {
                 let map = *self.map();
-                let bytes =
-                    (map.full_bytes as f64 * self.fidelity_point().data_ratio(&map) * self.jitter)
-                        .round() as u64;
+                let bytes = round_to_u64(
+                    map.full_bytes as f64 * self.fidelity_point().data_ratio(&map) * self.jitter,
+                );
                 self.received_bytes = bytes;
                 // The server filters/crops the *full* map before sending.
                 let server_time = SimDuration::from_secs_f64(

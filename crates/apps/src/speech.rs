@@ -20,6 +20,7 @@ use hw560x::cpu::intensity;
 use hw560x::DisplayState;
 use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
 use netsim::RpcSpec;
+use simcore::time::round_to_u64;
 use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::datasets::{
@@ -132,7 +133,7 @@ impl SpeechApp {
     }
 
     fn waveform_bytes(&self) -> u64 {
-        (self.utterance().speech_s * SPEECH_WAVEFORM_BPS / 8.0).round() as u64
+        round_to_u64(self.utterance().speech_s * SPEECH_WAVEFORM_BPS / 8.0)
     }
 }
 
@@ -204,8 +205,9 @@ impl Workload for SpeechApp {
                     // Finish the hybrid RPC before moving on.
                     let rpc = Activity::Rpc {
                         spec: RpcSpec {
-                            request_bytes: (self.waveform_bytes() as f64 * SPEECH_HYBRID_DATA_RATIO)
-                                .round() as u64,
+                            request_bytes: round_to_u64(
+                                self.waveform_bytes() as f64 * SPEECH_HYBRID_DATA_RATIO,
+                            ),
                             reply_bytes: 2_048,
                             server_time: self.local_cpu().mul_f64(SPEECH_HYBRID_SERVER_FACTOR),
                         },

@@ -14,6 +14,7 @@
 use hw560x::cpu::intensity;
 use machine::Activity;
 use netsim::RpcSpec;
+use simcore::time::round_to_u64;
 use simcore::{Codec, SimDuration, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::datasets::{
@@ -136,7 +137,7 @@ pub fn map_unit(
     jitter: f64,
     think: SimDuration,
 ) -> Vec<UnitStep> {
-    let bytes = (map.full_bytes as f64 * fidelity.data_ratio(map) * jitter).round() as u64;
+    let bytes = round_to_u64(map.full_bytes as f64 * fidelity.data_ratio(map) * jitter);
     let mut steps = vec![
         UnitStep::Act(Activity::Rpc {
             spec: RpcSpec {
@@ -181,8 +182,8 @@ pub fn video_unit(
         premiere_b_ratio: (premiere_c_ratio + 1.0) / 2.0,
         premiere_c_ratio,
     };
-    let frames = (seconds * VIDEO_FPS).round() as u64;
-    let bytes = (bitrate_bps / 8.0 / VIDEO_FPS * variant.data_ratio(&clip) * jitter).round() as u64;
+    let frames = round_to_u64(seconds * VIDEO_FPS);
+    let bytes = round_to_u64(bitrate_bps / 8.0 / VIDEO_FPS * variant.data_ratio(&clip) * jitter);
     let decode = SimDuration::from_secs_f64(bytes as f64 * VIDEO_DECODE_S_PER_BYTE);
     let render = SimDuration::from_secs_f64(VIDEO_RENDER_S_FULL * variant.area() * jitter);
     let fetch_est = SimDuration::from_secs_f64(bytes as f64 * 8.0 / 2.0e6);

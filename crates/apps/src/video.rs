@@ -13,6 +13,7 @@
 use hw560x::cpu::intensity;
 use hw560x::DisplayState;
 use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
+use simcore::time::round_to_u64;
 use simcore::{Codec, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::datasets::{
@@ -167,7 +168,7 @@ impl VideoPlayer {
     }
 
     fn build(clip: VideoClip, ladder: Vec<VideoVariant>, level: usize, rng: &mut SimRng) -> Self {
-        let frames_total = (clip.duration_s * VIDEO_FPS).round() as u64;
+        let frames_total = round_to_u64(clip.duration_s * VIDEO_FPS);
         VideoPlayer {
             clip,
             ladder,
@@ -188,7 +189,7 @@ impl VideoPlayer {
 
     fn bytes_per_frame(&self) -> u64 {
         let full = self.clip.bitrate_bps / 8.0 / VIDEO_FPS;
-        (full * self.variant().data_ratio(&self.clip) * self.jitter).round() as u64
+        round_to_u64(full * self.variant().data_ratio(&self.clip) * self.jitter)
     }
 
     fn frame_period() -> SimDuration {

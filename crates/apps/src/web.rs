@@ -12,6 +12,7 @@ use hw560x::cpu::intensity;
 use hw560x::DisplayState;
 use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
 use netsim::RpcSpec;
+use simcore::time::round_to_u64;
 use simcore::{SimDuration, SimRng, SimTime};
 
 use crate::datasets::{
@@ -55,7 +56,7 @@ impl WebFidelity {
             WebFidelity::Jpeg25 => WEB_JPEG_RATIOS[2].1,
             WebFidelity::Jpeg5 => WEB_JPEG_RATIOS[3].1,
         };
-        ((image.bytes as f64 * ratio).round() as u64).max(WEB_MIN_BYTES.min(image.bytes))
+        round_to_u64(image.bytes as f64 * ratio).max(WEB_MIN_BYTES.min(image.bytes))
     }
 
     /// The adaptation ladder for goal-directed experiments, lowest first.

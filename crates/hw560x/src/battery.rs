@@ -73,6 +73,7 @@ impl EnergySource {
     /// # Panics
     ///
     /// Panics if `joules` is negative or not finite.
+    #[inline]
     pub fn drain(&mut self, joules: Joules) -> Joules {
         assert!(
             joules.is_finite() && joules >= Joules::ZERO,
@@ -89,6 +90,7 @@ impl EnergySource {
     }
 
     /// Energy remaining (`Joules::INFINITY` for an external supply).
+    #[inline]
     pub fn remaining_j(&self) -> Joules {
         match self {
             EnergySource::External => Joules::INFINITY,

@@ -25,6 +25,7 @@ use simcore::Watts;
 /// assert_eq!(hw560x::cpu::excess_power_w(&spec, 0.0), simcore::Watts::ZERO);
 /// assert_eq!(hw560x::cpu::excess_power_w(&spec, 1.0), spec.cpu_max_excess_w);
 /// ```
+#[inline]
 pub fn excess_power_w(spec: &PlatformSpec, load: f64) -> Watts {
     spec.cpu_max_excess_w * load.clamp(0.0, 1.0)
 }

@@ -27,6 +27,7 @@ pub enum DiskState {
 
 impl DiskState {
     /// Power drawn in this state, W.
+    #[inline]
     pub fn power_w(self, spec: &PlatformSpec) -> Watts {
         match self {
             DiskState::Active => spec.disk_active_w,
@@ -87,6 +88,7 @@ impl DiskModel {
     }
 
     /// Current power state.
+    #[inline]
     pub fn state(&self) -> DiskState {
         self.state
     }
@@ -157,6 +159,7 @@ impl DiskModel {
     /// The caller (the machine) schedules an event at this instant and then
     /// calls [`DiskModel::try_spin_down`]; if activity intervened, the call
     /// is a no-op and a new deadline is exposed.
+    #[inline]
     pub fn spin_down_deadline(&self) -> Option<SimTime> {
         match (self.state, self.spin_down_after) {
             (DiskState::Idle, Some(after)) => Some(self.last_activity + after),

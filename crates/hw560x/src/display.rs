@@ -22,6 +22,7 @@ pub enum DisplayState {
 
 impl DisplayState {
     /// Power drawn in this state, W.
+    #[inline]
     pub fn power_w(self, spec: &PlatformSpec) -> Watts {
         match self {
             DisplayState::Bright => spec.display_bright_w,

@@ -71,6 +71,7 @@ pub struct PowerBreakdown {
 
 impl PowerBreakdown {
     /// Total platform power, W.
+    #[inline]
     pub fn total_w(&self) -> Watts {
         self.display_w + self.disk_w + self.radio_w + self.cpu_w + self.base_w + self.superlinear_w
     }
@@ -89,11 +90,13 @@ impl PlatformPower {
     }
 
     /// The spec this model was built from.
+    #[inline]
     pub fn spec(&self) -> &PlatformSpec {
         &self.spec
     }
 
     /// Per-component power at the given states.
+    #[inline]
     pub fn breakdown(&self, s: &DeviceStates) -> PowerBreakdown {
         let display_w = s.display.power_w(&self.spec);
         let disk_w = s.disk.power_w(&self.spec);
@@ -113,6 +116,7 @@ impl PlatformPower {
     }
 
     /// Total platform power at the given states, W.
+    #[inline]
     pub fn power_w(&self, s: &DeviceStates) -> Watts {
         self.breakdown(s).total_w()
     }

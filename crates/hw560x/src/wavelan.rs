@@ -25,6 +25,7 @@ pub enum RadioState {
 
 impl RadioState {
     /// Power drawn in this state, W.
+    #[inline]
     pub fn power_w(self, spec: &PlatformSpec) -> Watts {
         match self {
             RadioState::Active => spec.radio_active_w,
@@ -55,6 +56,7 @@ impl RadioModel {
     }
 
     /// Opens a wake window (an RPC began or a bulk transfer was set up).
+    #[inline]
     pub fn open_window(&mut self) {
         self.wake_windows += 1;
     }
@@ -90,12 +92,14 @@ impl RadioModel {
     /// # Panics
     ///
     /// Panics if no window is open.
+    #[inline]
     pub fn close_window(&mut self) {
         assert!(self.wake_windows > 0, "close_window without open_window");
         self.wake_windows -= 1;
     }
 
     /// Marks the start of byte movement.
+    #[inline]
     pub fn begin_transfer(&mut self) {
         self.transfers += 1;
     }
@@ -105,12 +109,14 @@ impl RadioModel {
     /// # Panics
     ///
     /// Panics if no transfer is in progress.
+    #[inline]
     pub fn end_transfer(&mut self) {
         assert!(self.transfers > 0, "end_transfer without begin_transfer");
         self.transfers -= 1;
     }
 
     /// Current power state under the configured policy.
+    #[inline]
     pub fn state(&self) -> RadioState {
         if self.transfers > 0 {
             RadioState::Active

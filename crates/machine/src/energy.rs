@@ -138,6 +138,7 @@ impl Ledger {
     ///
     /// Panics on a name outside the table: every name a workload books
     /// must be declared by its [`Workload::names`](crate::Workload::names).
+    #[inline]
     pub(crate) fn key(
         &mut self,
         memo: &mut KeyMemo,
@@ -148,6 +149,19 @@ impl Ledger {
         if memo.pair.is_some_and(same) {
             return memo.key;
         }
+        self.resolve(memo, bucket, procedure)
+    }
+
+    /// The memo miss of [`Self::key`], kept out of line so the hit that
+    /// nearly every interval takes stays a compare and a load: looks the
+    /// pair up in the table and refreshes `memo`.
+    #[inline(never)]
+    fn resolve(
+        &mut self,
+        memo: &mut KeyMemo,
+        bucket: &'static str,
+        procedure: &'static str,
+    ) -> Key {
         let (Some(b), Some(p)) = (self.names.id(bucket), self.names.id(procedure)) else {
             panic!("ledger pair ({bucket:?}, {procedure:?}) was not declared by its workload");
         };
@@ -166,6 +180,7 @@ impl Ledger {
     }
 
     /// Books one interval: `shares[i]` goes to `keys[i]`.
+    #[inline]
     pub(crate) fn add(
         &mut self,
         dt: SimDuration,

@@ -22,6 +22,7 @@ use hw560x::{
 };
 use netsim::{FlowId, LinkFaultTimeline, SharedLink, RPC_LATENCY, WAVELAN_CAPACITY_BPS};
 use simcore::event::EventId;
+use simcore::time::round_to_u64;
 use simcore::{
     Codec, EventQueue, Joules, Names, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader,
     SnapshotWriter, TimeSeries, TraceCategory, TraceEvent, TraceHandle, Watts,
@@ -83,7 +84,7 @@ fn scale_bytes(bytes: u64, clamp: f64) -> u64 {
     if clamp >= 1.0 {
         bytes
     } else {
-        ((bytes as f64 * clamp).round() as u64).max(1)
+        round_to_u64(bytes as f64 * clamp).max(1)
     }
 }
 

@@ -121,6 +121,7 @@ impl SharedLink {
     }
 
     /// Number of flows currently in progress.
+    #[inline]
     pub fn active_count(&self) -> usize {
         self.flows.len()
     }
@@ -131,6 +132,7 @@ impl SharedLink {
     }
 
     /// Current capacity multiplier (see [`SharedLink::set_rate_factor`]).
+    #[inline]
     pub fn rate_factor(&self) -> f64 {
         self.rate_factor
     }

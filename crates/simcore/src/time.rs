@@ -16,6 +16,37 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Microseconds per second, as the underlying tick count.
 pub const TICKS_PER_SEC: u64 = 1_000_000;
 
+/// `x.round() as u64` without a call into libm.
+///
+/// The baseline x86-64 target has no rounding instruction, so
+/// `f64::round` is an out-of-line software routine, and the event loop
+/// converts seconds to ticks on its hot path. This truncates and then
+/// adds one (saturating) when the dropped fraction is at least one half.
+/// The subtraction is exact below 2^52, and from 2^52 on every `f64` is
+/// already whole, so the result equals `x.round() as u64` for every
+/// `f64`: halves round away from zero, negatives and NaN give 0, and
+/// values past `u64::MAX` (and +∞) saturate to it.
+///
+/// # Examples
+///
+/// ```
+/// use simcore::time::round_to_u64;
+///
+/// assert_eq!(round_to_u64(2.5), 3);
+/// assert_eq!(round_to_u64(0.499_999_999_999_999_94), 0);
+/// assert_eq!(round_to_u64(-1.5), 0);
+/// assert_eq!(round_to_u64(f64::INFINITY), u64::MAX);
+/// ```
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// An instant in simulated time, in microseconds since simulation start.
 ///
 /// # Examples
@@ -38,6 +69,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates an instant from raw microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us)
     }
@@ -47,6 +79,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if the microsecond count overflows `u64` (~584,000 years).
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         match s.checked_mul(TICKS_PER_SEC) {
             Some(us) => SimTime(us),
@@ -59,17 +92,20 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time: {s}");
-        SimTime((s * TICKS_PER_SEC as f64).round() as u64)
+        SimTime(round_to_u64(s * TICKS_PER_SEC as f64))
     }
 
     /// Raw microsecond count.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// This instant expressed in seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_SEC as f64
     }
@@ -80,6 +116,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is after `self`; simulation clocks never run
     /// backwards, so this indicates a scheduling bug.
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "overflow guard; panicking is since()'s documented contract"
@@ -93,16 +130,19 @@ impl SimTime {
     }
 
     /// Duration since `earlier`, or zero if `earlier` is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
     /// The later of two instants.
+    #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two instants.
+    #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
@@ -113,6 +153,7 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Creates a duration from raw microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimDuration(us)
     }
@@ -122,6 +163,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if the microsecond count overflows `u64`.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         match ms.checked_mul(1_000) {
             Some(us) => SimDuration(us),
@@ -134,6 +176,7 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if the microsecond count overflows `u64` (~584,000 years).
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         match s.checked_mul(TICKS_PER_SEC) {
             Some(us) => SimDuration(us),
@@ -146,22 +189,26 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `s` is negative or not finite.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * TICKS_PER_SEC as f64).round() as u64)
+        SimDuration(round_to_u64(s * TICKS_PER_SEC as f64))
     }
 
     /// Raw microsecond count.
+    #[inline]
     pub const fn as_micros(self) -> u64 {
         self.0
     }
 
     /// This duration expressed in seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / TICKS_PER_SEC as f64
     }
 
     /// True if this duration is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -172,25 +219,29 @@ impl SimDuration {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         assert!(
             factor.is_finite() && factor >= 0.0,
             "invalid scale factor: {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * factor))
     }
 
     /// The larger of two durations.
+    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
 
     /// The smaller of two durations.
+    #[inline]
     pub fn min(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.min(other.0))
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
@@ -199,6 +250,7 @@ impl SimDuration {
 impl SimTime {
     /// Addition that clamps at the end of representable time instead of
     /// panicking — for horizon arithmetic on multi-month runs.
+    #[inline]
     pub const fn saturating_add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
@@ -207,6 +259,7 @@ impl SimTime {
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "overflow guard; Add's documented panic contract"
@@ -221,6 +274,7 @@ impl Add<SimDuration> for SimTime {
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -229,6 +283,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
 
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "underflow guard; Sub's documented panic contract"
@@ -245,6 +300,7 @@ impl Sub<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
 
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.since(rhs)
     }
@@ -252,6 +308,7 @@ impl Sub<SimTime> for SimTime {
 
 impl SimDuration {
     /// Addition that clamps at the maximum representable duration.
+    #[inline]
     pub const fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
@@ -260,6 +317,7 @@ impl SimDuration {
 impl Add for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "overflow guard; Add's documented panic contract"
@@ -274,6 +332,7 @@ impl Add for SimDuration {
 }
 
 impl AddAssign for SimDuration {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -282,6 +341,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "underflow guard; Sub's documented panic contract"
@@ -296,6 +356,7 @@ impl Sub for SimDuration {
 }
 
 impl SubAssign for SimDuration {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimDuration) {
         *self = *self - rhs;
     }
@@ -304,6 +365,7 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     #[expect(
         clippy::expect_used,
         reason = "overflow guard; Mul's documented panic contract"
@@ -320,18 +382,21 @@ impl Mul<u64> for SimDuration {
 impl Div<u64> for SimDuration {
     type Output = SimDuration;
 
+    #[inline]
     fn div(self, rhs: u64) -> SimDuration {
         SimDuration(self.0 / rhs)
     }
 }
 
 impl fmt::Display for SimTime {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3}s", self.as_secs_f64())
     }
 }
 
 impl fmt::Display for SimDuration {
+    #[inline]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:.3}s", self.as_secs_f64())
     }

@@ -106,6 +106,7 @@ impl TraceCategory {
         TraceCategory::Service,
     ];
 
+    #[inline]
     fn bit(self) -> u32 {
         1 << (self as u32)
     }
@@ -591,6 +592,7 @@ impl TraceSink {
     }
 
     /// Whether `cat` passes this sink's filter.
+    #[inline]
     pub fn enabled(&self, cat: TraceCategory) -> bool {
         self.mask & cat.bit() != 0
     }
@@ -718,6 +720,7 @@ impl TraceHandle {
 
     /// Whether `cat` passes the sink's filter (lets emitters skip
     /// building high-frequency payloads entirely).
+    #[inline]
     pub fn enabled(&self, cat: TraceCategory) -> bool {
         self.sink.borrow().enabled(cat)
     }

@@ -12,6 +12,11 @@ cargo build --release
 echo "== tier-1: workspace tests =="
 cargo test -q --workspace
 
+echo "== properties under release codegen (rounding, event queue) =="
+# The per-event leaves are inlined and rounded without libm for the
+# optimised build, and a float divergence can show only there.
+cargo test --release -q --test properties
+
 echo "== lint: rustfmt =="
 cargo fmt --check
 

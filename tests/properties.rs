@@ -14,6 +14,7 @@ use energy_adaptation::machine::workload::ScriptedWorkload;
 use energy_adaptation::machine::{Activity, Machine, MachineConfig};
 use energy_adaptation::netsim::SharedLink;
 use energy_adaptation::odyssey::Smoother;
+use energy_adaptation::simcore::time::round_to_u64;
 use energy_adaptation::simcore::{
     EventQueue, SimDuration, SimRng, SimTime, TimeSeries, TraceCategory, TraceEvent, TraceHandle,
     TraceSink, TrialStats, Watts,
@@ -294,6 +295,7 @@ fn event_queue_matches_sorted_vec_model() {
         Cancelled,
     }
     let (mut stale_cancels, mut repeat_cancels) = (0usize, 0usize);
+    let (mut ties, mut appends) = (0usize, 0usize);
     cases("queue-model", 128, |rng| {
         let mut q = EventQueue::new();
         let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
@@ -302,7 +304,23 @@ fn event_queue_matches_sorted_vec_model() {
         for step in 0..400 {
             match rng.uniform_u64(0, 19) {
                 0..=7 => {
-                    let at = SimTime::from_micros(rng.uniform_u64(0, 499));
+                    // A quarter of the pushes tie the earliest pending
+                    // event (the new one must fire after it) and a quarter
+                    // land strictly before it (the append at the firing
+                    // end); the rest fall anywhere.
+                    let first = model.first().map(|&(at, _, _)| at.as_micros());
+                    let at = match (rng.uniform_u64(0, 3), first) {
+                        (0, Some(first)) => {
+                            ties += 1;
+                            first
+                        }
+                        (1, Some(first)) if first > 0 => {
+                            appends += 1;
+                            rng.uniform_u64(0, first - 1)
+                        }
+                        _ => rng.uniform_u64(0, 499),
+                    };
+                    let at = SimTime::from_micros(at);
                     let payload = rng.uniform_u64(0, u64::MAX - 1);
                     let id = q.push(at, payload);
                     assert_eq!(id.raw(), ids.len() as u64, "step {step}: fresh seq");
@@ -353,6 +371,69 @@ fn event_queue_matches_sorted_vec_model() {
         stale_cancels > 0 && repeat_cancels > 0,
         "model test never cancelled a fired ({stale_cancels}) or cancelled ({repeat_cancels}) event"
     );
+    assert!(
+        ties > 1_000 && appends > 1_000,
+        "model test pushed too few ties ({ties}) or appends ({appends}) at the firing end"
+    );
+}
+
+/// `round_to_u64` equals `x.round() as u64` for every `f64`: seeded
+/// random bit patterns over the whole type (NaN, infinities, negatives
+/// and subnormals among them) and a boundary set at each place a cheaper
+/// rounding goes wrong — just below one half, every `k + 0.5` below
+/// 2^52, the whole numbers from 2^52 on, and the saturation at 2^64.
+#[test]
+fn round_to_u64_matches_round() {
+    let check = |x: f64| {
+        assert_eq!(
+            round_to_u64(x),
+            x.round() as u64,
+            "x = {x:e} (bits {:#018x})",
+            x.to_bits()
+        );
+    };
+    let mut rng = SimRng::new(0x0DD_BA11);
+    for _ in 0..2_000_000 {
+        check(f64::from_bits(rng.uniform_u64(0, u64::MAX)));
+    }
+    let specials = [
+        0.0,
+        0.499_999_999_999_999_94,
+        0.5,
+        f64::MIN_POSITIVE,
+        f64::from_bits(1),
+        f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+        f64::EPSILON,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+        u64::MAX as f64,
+        2f64.powi(63),
+    ];
+    let mut boundary = specials.to_vec();
+    // Dense halves, then `k ± 0.5` around every power of two up to 2^52.
+    boundary.extend((0..100_000u32).map(|k| f64::from(k) + 0.5));
+    for e in 0..=52 {
+        let k = 2f64.powi(e);
+        boundary.extend(
+            [k - 1.0, k, k + 1.0]
+                .iter()
+                .flat_map(|&k| [k - 0.5, k + 0.5]),
+        );
+    }
+    // Every float is whole from 2^52 on; 2^52 to 2^53 steps by one.
+    boundary.extend((0..100_000u32).map(|j| 2f64.powi(52) + f64::from(j)));
+    boundary.extend((0..100_000u32).map(|j| 2f64.powi(53) - f64::from(j)));
+    for e in 53..=70 {
+        boundary.push(2f64.powi(e));
+    }
+    // Each point, its neighbours and their negatives.
+    for x in boundary {
+        for y in [x, x.next_down(), x.next_up()] {
+            check(y);
+            check(-y);
+        }
+    }
 }
 
 /// Step-function semantics: the resampled value at any grid point equals

@@ -13,6 +13,12 @@
 //!   returns `Result`: the serving layer refuses bad input, it does not
 //!   panic.
 //! - **D3** — no `as f32` cast: energy paths stay `f64` end to end.
+//! - **P1** — every function in `crates/simcore/src/time.rs`, and each
+//!   per-event leaf named in [`INLINE_LEAVES`], carries `#[inline]`.
+//!   The event loop calls these across crates millions of times a run,
+//!   and without the attribute rustc inlines only trivial functions
+//!   across crates. No benchmark gates speed yet, so this keeps a
+//!   refactor from quietly dropping one.
 //!
 //! Test code is exempt: `tests/`, `benches/` and `examples/` directories,
 //! and everything from a file's first `#[cfg(test)]` line on (the
@@ -35,6 +41,40 @@ const TYPED_SUFFIXES: [&str; 3] = ["_j", "_w", "_hz"];
 /// Crates outside the simulation proper: the harness, the timing crate,
 /// and the work pool. U1 does not apply there.
 const NON_SIMULATION: [&str; 3] = ["crates/experiments/", "crates/bench/", "crates/simpar/"];
+
+/// P1's files and the functions in each that must carry `#[inline]`;
+/// an empty list means every function in the file.
+const INLINE_LEAVES: [(&str, &[&str]); 10] = [
+    ("crates/simcore/src/time.rs", &[]),
+    ("crates/simcore/src/trace.rs", &["enabled"]),
+    (
+        "crates/hw560x/src/platform.rs",
+        &["breakdown", "power_w", "spec", "total_w"],
+    ),
+    ("crates/hw560x/src/cpu.rs", &["excess_power_w"]),
+    ("crates/hw560x/src/display.rs", &["power_w"]),
+    (
+        "crates/hw560x/src/disk.rs",
+        &["power_w", "state", "spin_down_deadline"],
+    ),
+    (
+        "crates/hw560x/src/wavelan.rs",
+        &[
+            "power_w",
+            "state",
+            "open_window",
+            "close_window",
+            "begin_transfer",
+            "end_transfer",
+        ],
+    ),
+    ("crates/hw560x/src/battery.rs", &["drain", "remaining_j"]),
+    (
+        "crates/netsim/src/link.rs",
+        &["active_count", "rate_factor"],
+    ),
+    ("crates/machine/src/energy.rs", &["add", "key"]),
+];
 
 /// One rule violation: `path:line: [rule] message`.
 fn finding(path: &str, line: usize, rule: &str, msg: String) -> String {
@@ -75,6 +115,28 @@ fn return_type(sig: &str) -> &str {
     sig.split_once("->").map_or("", |(_, ret)| ret.trim_start())
 }
 
+/// The name of the function a line declares, at any visibility.
+fn declared_fn(line: &str) -> Option<&str> {
+    let rest = ["pub ", "pub(crate) "]
+        .iter()
+        .find_map(|v| line.strip_prefix(v))
+        .unwrap_or(line);
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    rest.strip_prefix("fn ").map(ident)
+}
+
+/// True when the attributes directly above `lines[i]` include
+/// `#[inline]` or `#[inline(always)]`. The block ends at a doc comment,
+/// a blank line or the end of the previous item.
+fn inlined(lines: &[&str], i: usize) -> bool {
+    lines[..i]
+        .iter()
+        .rev()
+        .map(|l| l.trim())
+        .take_while(|l| !(l.is_empty() || l.starts_with("//") || l.ends_with(['{', '}', ';'])))
+        .any(|l| l == "#[inline]" || l == "#[inline(always)]")
+}
+
 /// Checks one source file; `path` is workspace-relative with `/`
 /// separators and decides which rules apply.
 fn check(path: &str, source: &str) -> Vec<String> {
@@ -85,12 +147,28 @@ fn check(path: &str, source: &str) -> Vec<String> {
         .iter()
         .position(|l| l.trim() == "#[cfg(test)]")
         .unwrap_or(lines.len());
+    let leaves = INLINE_LEAVES
+        .iter()
+        .find(|(file, _)| *file == path)
+        .map(|(_, names)| *names);
+    let mut declared = Vec::new();
     let mut out = Vec::new();
     for (i, raw) in lines.iter().enumerate().take(end) {
         let line = raw.trim_start();
         let n = i + 1;
         if line.starts_with("//") {
             continue;
+        }
+        if let (Some(leaves), Some(name)) = (leaves, declared_fn(line)) {
+            if (leaves.is_empty() || leaves.contains(&name)) && !inlined(&lines, i) {
+                out.push(finding(
+                    path,
+                    n,
+                    "P1",
+                    format!("per-event leaf `{name}` lacks `#[inline]`"),
+                ));
+            }
+            declared.push(name);
         }
         if let Some(pos) = line.find("as f32") {
             let after = line[pos + 6..].chars().next();
@@ -142,6 +220,16 @@ fn check(path: &str, source: &str) -> Vec<String> {
                 n,
                 "U1",
                 format!("public `{name}: f64`: use simcore's Joules/Watts/Hertz"),
+            ));
+        }
+    }
+    for leaf in leaves.unwrap_or_default() {
+        if !declared.contains(leaf) {
+            out.push(finding(
+                path,
+                0,
+                "P1",
+                format!("per-event leaf `{leaf}` is gone: update INLINE_LEAVES"),
             ));
         }
     }
@@ -325,4 +413,71 @@ impl Slot {
     // Test modules are exempt.
     let in_tests = format!("#[cfg(test)]\nmod tests {{\n{DIRTY}}}\n");
     assert!(check("crates/simserve/src/fixture.rs", &in_tests).is_empty());
+
+    // P1: in `time.rs` every function needs `#[inline]`, also below a
+    // doc comment or next to a multi-line `#[expect]`; in a leaf file
+    // only the named leaves do, and a named leaf that disappears is
+    // flagged too. Test modules are exempt.
+    const TIME: &str = "\
+impl SimTime {
+    /// Raw microseconds.
+    #[inline]
+    pub const fn as_micros(self) -> u64 {
+        self.0
+    }
+
+    /// Duration since an earlier instant.
+    #[expect(
+        clippy::expect_used,
+        reason = \"overflow guard\"
+    )]
+    pub fn since(self, earlier: SimTime) -> SimDuration {
+        todo!()
+    }
+}
+
+impl Add<SimDuration> for SimTime {
+    type Output = SimTime;
+
+    #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = \"overflow guard\"
+    )]
+    fn add(self, rhs: SimDuration) -> SimTime {
+        todo!()
+    }
+}
+
+fn round(x: f64) -> u64 {
+    x as u64
+}
+#[cfg(test)]
+mod tests {
+    fn helper() {}
+}
+";
+    let found = check("crates/simcore/src/time.rs", TIME);
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(found[0].contains(":13: [P1]") && found[0].contains("`since`"));
+    assert!(found[1].contains(":31: [P1]") && found[1].contains("`round`"));
+    const LINK: &str = "\
+impl SharedLink {
+    /// Number of flows.
+    pub fn active_count(&self) -> usize {
+        self.flows.len()
+    }
+
+    /// Not a leaf.
+    pub fn capacity_bps(&self) -> f64 {
+        self.capacity_bps
+    }
+}
+";
+    let found = check("crates/netsim/src/link.rs", LINK);
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(found[0].contains(":3: [P1]") && found[0].contains("`active_count`"));
+    assert!(found[1].contains("`rate_factor` is gone"));
+    // The same source anywhere else is not P1's business.
+    assert!(check("crates/netsim/src/other.rs", LINK).is_empty());
 }
