@@ -34,7 +34,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use simcore::{Names, SimDuration, SimRng, SimTime, SnapshotError, SnapshotHasher};
+use simcore::{Names, SimDuration, SimRng, SimTime, SnapshotError};
 use simserve::{
     restore, Generation, ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth, BATCH,
 };
@@ -419,10 +419,7 @@ fn name_flip(bytes: &[u8], names: &Names, rng: &mut SimRng) -> Option<Vec<u8>> {
     if names.id(renamed).is_some() {
         return None;
     }
-    let mut h = SnapshotHasher::new();
-    h.write_bytes(out.get(HEADER..end)?);
-    out.get_mut(end..)?
-        .copy_from_slice(&h.finish().to_le_bytes());
+    simcore::snapshot::reseal(&mut out);
     Some(out)
 }
 

@@ -769,15 +769,15 @@ mod tests {
         let mut w = SnapshotWriter::new();
         l.freeze_into(&mut w);
         let sealed = w.seal();
-        let payload = &sealed[20..sealed.len() - 8];
-        for cut in 0..=payload.len() {
-            let bytes = reseal(&payload[..cut]);
+        let payload_len = sealed.len() - 28;
+        for cut in 0..=payload_len {
+            let bytes = cut_payload(&sealed, cut);
             let mut thawed = ledger(&POOL);
             let mut r = SnapshotReader::open(&bytes)
                 .expect("open")
                 .with_names(l.names());
             let got = thawed.thaw_from(&mut r).and_then(|()| r.finish());
-            if cut == payload.len() {
+            if cut == payload_len {
                 assert_eq!(got, Ok(()));
                 assert_eq!(thawed, l);
             } else {
@@ -794,15 +794,12 @@ mod tests {
         }
     }
 
-    /// Wraps `payload` in a valid envelope.
-    fn reseal(payload: &[u8]) -> Vec<u8> {
-        let mut h = simcore::SnapshotHasher::new();
-        h.write_bytes(payload);
-        let mut out = simcore::SNAPSHOT_MAGIC.to_vec();
-        out.extend_from_slice(&simcore::SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
-        out.extend_from_slice(&h.finish().to_le_bytes());
+    /// `sealed` with its payload cut to `cut` bytes, resealed.
+    fn cut_payload(sealed: &[u8], cut: usize) -> Vec<u8> {
+        let mut out = sealed[..20 + cut].to_vec();
+        out[12..20].copy_from_slice(&(cut as u64).to_le_bytes());
+        out.extend_from_slice(&[0; 8]);
+        simcore::snapshot::reseal(&mut out);
         out
     }
 

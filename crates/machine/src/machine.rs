@@ -2016,6 +2016,7 @@ mod tests {
     use crate::checkpoint::CheckpointHook;
     use crate::workload::ScriptedWorkload;
     use netsim::RpcSpec;
+    use simcore::snapshot::reseal;
     use simcore::RunJournal;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -2282,14 +2283,6 @@ mod tests {
             fresh.thaw(&mut r),
             Err(SnapshotError::Corrupt("link advanced past clock"))
         );
-    }
-
-    /// Recomputes the checksum of a hand-edited sealed snapshot.
-    fn reseal(bytes: &mut [u8]) {
-        let (header, checksum) = (20, bytes.len() - 8);
-        let mut h = simcore::SnapshotHasher::new();
-        h.write_bytes(&bytes[header..checksum]);
-        bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
     }
 
     /// A checksum-valid snapshot whose radio counters disagree with the

@@ -136,9 +136,7 @@ impl SnapshotWriter {
     /// length, payload, then a trailing [`SnapshotHasher`] digest of the
     /// payload.
     pub fn seal(self) -> Vec<u8> {
-        let mut h = SnapshotHasher::new();
-        h.write_bytes(&self.buf);
-        let checksum = h.finish();
+        let checksum = checksum(&self.buf);
         let mut out = Vec::with_capacity(self.buf.len() + 28);
         out.extend_from_slice(&SNAPSHOT_MAGIC);
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
@@ -146,6 +144,31 @@ impl SnapshotWriter {
         out.extend_from_slice(&self.buf);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
+    }
+}
+
+/// Envelope bytes before the payload: magic, version and payload length.
+const HEADER: usize = 20;
+
+/// The envelope checksum of `payload`.
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = SnapshotHasher::new();
+    h.write_bytes(payload);
+    h.finish()
+}
+
+/// Rewrites the trailing checksum of a sealed snapshot to match the
+/// payload between its header and its last eight bytes, so a payload
+/// edited on purpose passes [`SnapshotReader::open`] and reaches field
+/// validation. For tests and the fuzz harness; bytes too short to hold
+/// an envelope are left as they are.
+pub fn reseal(bytes: &mut [u8]) {
+    let Some(end) = bytes.len().checked_sub(8) else {
+        return;
+    };
+    let (body, trailer) = bytes.split_at_mut(end);
+    if let Some(payload) = body.get(HEADER..) {
+        trailer.copy_from_slice(&checksum(payload).to_le_bytes());
     }
 }
 
@@ -244,22 +267,22 @@ impl<'a> SnapshotReader<'a> {
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::VersionMismatch { found: version });
         }
-        let len_bytes = bytes.get(12..20).ok_or(SnapshotError::Truncated)?;
+        let len_bytes = bytes.get(12..HEADER).ok_or(SnapshotError::Truncated)?;
         let mut l = [0u8; 8];
         l.copy_from_slice(len_bytes);
         let payload_len = u64::from_le_bytes(l) as usize;
-        let payload_end = 20usize
+        let payload_end = HEADER
             .checked_add(payload_len)
             .ok_or(SnapshotError::Truncated)?;
-        let payload = bytes.get(20..payload_end).ok_or(SnapshotError::Truncated)?;
+        let payload = bytes
+            .get(HEADER..payload_end)
+            .ok_or(SnapshotError::Truncated)?;
         let checksum_bytes = bytes
             .get(payload_end..payload_end + 8)
             .ok_or(SnapshotError::Truncated)?;
         let mut c = [0u8; 8];
         c.copy_from_slice(checksum_bytes);
-        let mut h = SnapshotHasher::new();
-        h.write_bytes(payload);
-        if h.finish() != u64::from_le_bytes(c) {
+        if checksum(payload) != u64::from_le_bytes(c) {
             return Err(SnapshotError::ChecksumMismatch);
         }
         if bytes.len() > payload_end + 8 {

@@ -8,7 +8,8 @@
 
 use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
 use energy_adaptation::experiments::{fuzz, serve};
-use energy_adaptation::simcore::SnapshotHasher;
+use energy_adaptation::simcore::snapshot::reseal;
+use energy_adaptation::simcore::{SnapshotHasher, SNAPSHOT_MAGIC};
 use energy_adaptation::simserve::{Directive, Sample, Server, Session};
 
 /// The 1× golden stream, then a tick every 10 s out to 1440 s.
@@ -76,24 +77,46 @@ fn server_log_stays_within_two_batches() {
     assert_eq!(server.session(id).expect("live").digest(), solo.digest());
 }
 
-/// Hash of a sealed snapshot, envelope included.
+/// Hash of a sealed snapshot's payload, the bytes between the 20-byte
+/// header and the trailing checksum word.
 fn payload_hash(bytes: &[u8]) -> u64 {
     let mut h = SnapshotHasher::new();
-    h.write_bytes(bytes);
+    h.write_bytes(&bytes[20..bytes.len() - 8]);
     h.finish()
 }
 
-/// Fails unless `bytes` hashes to `want`, thaws into `fresh`, and
-/// freezes back to the same bytes.
+/// Fails unless `bytes` is a version-2 envelope: the magic, the version,
+/// the payload length, then the payload and its checksum.
+fn assert_envelope(what: &str, bytes: &[u8]) {
+    let payload_len = bytes.len() - 28;
+    assert_eq!(bytes[..8], SNAPSHOT_MAGIC, "{what}: magic");
+    assert_eq!(bytes[8..12], 2u32.to_le_bytes(), "{what}: version");
+    assert_eq!(
+        bytes[12..20],
+        (payload_len as u64).to_le_bytes(),
+        "{what}: payload length"
+    );
+    let mut resealed = bytes.to_vec();
+    resealed[20 + payload_len..].fill(0);
+    reseal(&mut resealed);
+    assert_eq!(resealed, bytes, "{what}: checksum of the payload");
+}
+
+/// Fails unless `bytes` is a sound envelope whose payload hashes to
+/// `want`, thaws into `fresh`, and freezes back to the same bytes.
 #[expect(clippy::expect_used, reason = "a failed thaw fails the test")]
 fn assert_pinned(what: &str, bytes: &[u8], want: u64, mut fresh: Session) {
+    assert_envelope(what, bytes);
     let got = payload_hash(bytes);
     assert_eq!(got, want, "{what}: payload hash {got:#018x}");
     fresh.thaw(bytes).expect("thaw");
     assert_eq!(fresh.freeze().expect("refreeze"), bytes, "{what}: refreeze");
 }
 
-/// Served snapshots are pinned byte for byte. The proof session's
+/// Served snapshots are pinned byte for byte: each is a sound envelope
+/// and its payload hash is a constant; the envelope's checksum is not
+/// pinned, so the checksum function can change without moving a pin.
+/// The proof session's
 /// first three checkpoints cover the supervisor, the checkpoint
 /// journal, the misbehaving workloads, the attribution feed and the
 /// trace counters. Hostile stream 1 (a reconfiguration flood) ends with
@@ -101,9 +124,9 @@ fn assert_pinned(what: &str, bytes: &[u8], want: u64, mut fresh: Session) {
 /// strikes per origin.
 #[test]
 fn served_snapshots_are_byte_stable() {
-    const CHECKPOINT_PINS: [u64; 3] = [0x91c2cfc245a991c8, 0xc9fdee833b5222c4, 0xd4eda38686e8cb1f];
+    const CHECKPOINT_PINS: [u64; 3] = [0x4dbaf284dd0bc2d1, 0xd96e42fbbfa83f88, 0x191d2b98db3c7fea];
     const HOSTILE_STREAM: u64 = 1;
-    const HOSTILE_PIN: u64 = 0x7e0bc08be5c7fe6c;
+    const HOSTILE_PIN: u64 = 0xff3bc067147d4468;
     let samples = serve::schedule(1).expect("golden trace present");
     for (k, want) in CHECKPOINT_PINS.into_iter().enumerate() {
         let kill = serve::kill_at(GOLDEN_SEED, &samples, k).expect("kill");
@@ -153,9 +176,7 @@ fn resealed_unknown_dead_letter_reason_is_corrupt() {
         })
         .expect("a dead-letter reason in the snapshot");
     bytes[at + 8] = b'#';
-    let mut h = SnapshotHasher::new();
-    h.write_bytes(&bytes[header..checksum]);
-    bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+    reseal(&mut bytes);
     let mut fresh = serve::build_session(GOLDEN_SEED).expect("build");
     assert_eq!(
         fresh.thaw(&bytes),

@@ -18,9 +18,10 @@ use energy_adaptation::odyssey::{
 };
 use energy_adaptation::powerscope::MeterFaultPlan;
 use energy_adaptation::simcore::fault::FaultPlan;
+use energy_adaptation::simcore::snapshot::reseal;
 use energy_adaptation::simcore::Joules;
 use energy_adaptation::simcore::{
-    SimDuration, SimRng, SimTime, SnapshotHasher, SnapshotReader, SnapshotWriter,
+    SimDuration, SimRng, SimTime, SnapshotHasher, SnapshotReader, SnapshotWriter, SNAPSHOT_MAGIC,
 };
 
 /// A three-level adaptive workload: CPU duty cycle plus a periodic
@@ -310,17 +311,18 @@ fn hardened_chaos_rig() -> Machine {
     m
 }
 
-/// Snapshots of a cancel-heavy run are pinned byte for byte: the
-/// payload hashes at three fixed instants are constants, so how the
+/// Snapshots of a cancel-heavy run are pinned byte for byte: each is a
+/// sound envelope, and the payload hashes at three fixed instants are
+/// constants (the envelope's checksum is not pinned), so how the
 /// event queue forgets a cancelled event can never leak into the
 /// snapshot format. Each payload also thaws into a rebuilt rig with the
 /// same state digest.
 #[test]
 fn cancel_heavy_snapshots_are_byte_stable() {
     const PINS: [(u64, u64); 3] = [
-        (300, 0xf8ec40ea8e5b8a3a),
-        (750, 0x2f7f1354654e49c6),
-        (1200, 0x6a1e65ecd2f0e509),
+        (300, 0xf57e9482e80101a6),
+        (750, 0x0a8942a544e87f53),
+        (1200, 0x12fd10f8e6d3cb8f),
     ];
     let mut m = hardened_chaos_rig();
     for (secs, want) in PINS {
@@ -328,14 +330,22 @@ fn cancel_heavy_snapshots_are_byte_stable() {
         let mut w = SnapshotWriter::new();
         m.freeze(&mut w).expect("freeze");
         let bytes = w.seal();
-        let mut h = SnapshotHasher::new();
-        h.write_bytes(&bytes);
+        let payload_len = bytes.len() - 28;
+        assert_eq!(bytes[..8], SNAPSHOT_MAGIC, "magic at {secs} s");
+        assert_eq!(bytes[8..12], 2u32.to_le_bytes(), "version at {secs} s");
         assert_eq!(
-            h.finish(),
-            want,
-            "payload hash at {secs} s: {:#018x}",
-            h.finish()
+            bytes[12..20],
+            (payload_len as u64).to_le_bytes(),
+            "payload length at {secs} s"
         );
+        let mut resealed = bytes.clone();
+        resealed[20 + payload_len..].fill(0);
+        reseal(&mut resealed);
+        assert_eq!(resealed, bytes, "checksum of the payload at {secs} s");
+        let mut h = SnapshotHasher::new();
+        h.write_bytes(&bytes[20..20 + payload_len]);
+        let got = h.finish();
+        assert_eq!(got, want, "payload hash at {secs} s: {got:#018x}");
 
         let mut thawed = hardened_chaos_rig();
         let names = thawed.names().clone();

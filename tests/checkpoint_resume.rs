@@ -396,15 +396,11 @@ fn corrupted_snapshots_are_detected_and_replay_recovers() {
 /// payload length.
 const SNAPSHOT_HEADER: usize = 20;
 
-/// Rewrites a snapshot's trailing checksum to match its payload, so a
-/// deliberately poisoned payload passes the envelope check and reaches
+/// `bytes` with its trailing checksum rewritten to match its payload, so
+/// a deliberately poisoned payload passes the envelope check and reaches
 /// field validation.
 fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
-    use energy_adaptation::simcore::SnapshotHasher;
-    let checksum = bytes.len() - 8;
-    let mut h = SnapshotHasher::new();
-    h.write_bytes(&bytes[SNAPSHOT_HEADER..checksum]);
-    bytes[checksum..].copy_from_slice(&h.finish().to_le_bytes());
+    energy_adaptation::simcore::snapshot::reseal(&mut bytes);
     bytes
 }
 
