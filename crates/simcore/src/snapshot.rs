@@ -13,8 +13,14 @@
 //!
 //! [`SnapshotWriter`] / [`SnapshotReader`] are the dependency-free binary
 //! encoding of a whole session's state: little-endian words behind an
-//! envelope of magic, version, payload length, and a trailing
-//! [`SnapshotHasher`] checksum over the payload. Every value in the
+//! envelope of magic, version ([`SNAPSHOT_VERSION`], 3), payload length,
+//! and a trailing checksum over the payload. The checksum is not the
+//! digest: it folds the payload a word at a time, one multiply and one
+//! xorshift per eight bytes, because a session is frozen after every
+//! batch and the byte-serial digest cost more than the rest of a
+//! freeze. Its step is a bijection of the running state, so any change
+//! inside one word always shows. [`reseal`] recomputes it for tests that
+//! edit a payload on purpose. Every value in the
 //! payload goes through one [`Codec`] impl that lists its fields once
 //! for both directions. A snapshot carries
 //! state, not history: the journal keeps only its latest checkpoint, and
@@ -35,6 +41,7 @@
 
 #![deny(clippy::indexing_slicing)]
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::time::{SimDuration, SimTime};
@@ -44,7 +51,7 @@ use crate::units::{Joules, Watts};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODYSNAP1";
 
 /// Format version written into (and demanded from) the envelope.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Why a snapshot failed to decode (or a component refused to encode).
 ///
@@ -133,8 +140,7 @@ impl SnapshotWriter {
     }
 
     /// Wraps the payload in the envelope: magic, version, payload
-    /// length, payload, then a trailing [`SnapshotHasher`] digest of the
-    /// payload.
+    /// length, payload, then a trailing checksum of the payload.
     pub fn seal(self) -> Vec<u8> {
         let checksum = checksum(&self.buf);
         let mut out = Vec::with_capacity(self.buf.len() + 28);
@@ -150,11 +156,35 @@ impl SnapshotWriter {
 /// Envelope bytes before the payload: magic, version and payload length.
 const HEADER: usize = 20;
 
-/// The envelope checksum of `payload`.
+/// Odd multiplier of the checksum step, so the multiply is a bijection.
+const CHECKSUM_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The envelope checksum of `payload`, a word at a time: seeded with
+/// the payload length, it folds each little-endian word (the tail
+/// zero-padded) into the state by a multiply and an xorshift, then
+/// finishes with [`splitmix`]. Each step is a bijection of the state for
+/// a given word, so any change confined to one word always changes the
+/// sum; the xorshift carries high bits down, so the same bit flipped in
+/// two words does not cancel.
 fn checksum(payload: &[u8]) -> u64 {
-    let mut h = SnapshotHasher::new();
-    h.write_bytes(payload);
-    h.finish()
+    let step = |h: u64, word: [u8; 8]| {
+        let h = (h ^ u64::from_le_bytes(word)).wrapping_mul(CHECKSUM_K);
+        h ^ (h >> 29)
+    };
+    let mut words = payload.chunks_exact(8);
+    let mut h = payload.len() as u64;
+    for chunk in &mut words {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        h = step(h, word);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word.iter_mut().zip(tail).for_each(|(w, &b)| *w = b);
+        h = step(h, word);
+    }
+    splitmix(h)
 }
 
 /// Rewrites the trailing checksum of a sealed snapshot to match the
@@ -254,7 +284,12 @@ pub struct SnapshotReader<'a> {
 
 impl<'a> SnapshotReader<'a> {
     /// Validates the envelope of `bytes` and returns a reader over the
-    /// payload.
+    /// payload. The header is checked before the checksum: a wrong magic
+    /// fails as [`SnapshotError::BadMagic`], another version as
+    /// [`SnapshotError::VersionMismatch`], and a length word that claims
+    /// more bytes than there are as [`SnapshotError::Truncated`] (fewer,
+    /// as [`SnapshotError::Corrupt`]); only then a payload that does not
+    /// match its checksum fails as [`SnapshotError::ChecksumMismatch`].
     pub fn open(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
         let magic = bytes.get(..8).ok_or(SnapshotError::Truncated)?;
         if magic != SNAPSHOT_MAGIC {
@@ -270,23 +305,21 @@ impl<'a> SnapshotReader<'a> {
         let len_bytes = bytes.get(12..HEADER).ok_or(SnapshotError::Truncated)?;
         let mut l = [0u8; 8];
         l.copy_from_slice(len_bytes);
-        let payload_len = u64::from_le_bytes(l) as usize;
-        let payload_end = HEADER
-            .checked_add(payload_len)
-            .ok_or(SnapshotError::Truncated)?;
-        let payload = bytes
-            .get(HEADER..payload_end)
-            .ok_or(SnapshotError::Truncated)?;
-        let checksum_bytes = bytes
-            .get(payload_end..payload_end + 8)
-            .ok_or(SnapshotError::Truncated)?;
+        // The declared length must account for every byte before the
+        // checksum is computed.
+        let declared = u64::from_le_bytes(l);
+        let available = bytes.len().saturating_sub(HEADER + 8) as u64;
+        match declared.cmp(&available) {
+            Ordering::Greater => return Err(SnapshotError::Truncated),
+            Ordering::Less => return Err(SnapshotError::Corrupt("trailing bytes after envelope")),
+            Ordering::Equal => {}
+        }
+        let (body, checksum_bytes) = bytes.split_at(bytes.len() - 8);
+        let payload = body.get(HEADER..).ok_or(SnapshotError::Truncated)?;
         let mut c = [0u8; 8];
         c.copy_from_slice(checksum_bytes);
         if checksum(payload) != u64::from_le_bytes(c) {
             return Err(SnapshotError::ChecksumMismatch);
-        }
-        if bytes.len() > payload_end + 8 {
-            return Err(SnapshotError::Corrupt("trailing bytes after envelope"));
         }
         Ok(SnapshotReader {
             payload,

@@ -17,6 +17,11 @@ echo "== properties under release codegen (rounding, event queue) =="
 # optimised build, and a float divergence can show only there.
 cargo test --release -q --test properties
 
+echo "== snapshot pins and bit-flip sweep under release codegen =="
+# The envelope checksum folds whole words for the optimised build; the
+# payload pins and every single- and paired-bit flip run there too.
+cargo test --release -q --test bounded_state
+
 echo "== lint: rustfmt =="
 cargo fmt --check
 

@@ -85,12 +85,12 @@ fn payload_hash(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Fails unless `bytes` is a version-2 envelope: the magic, the version,
+/// Fails unless `bytes` is a version-3 envelope: the magic, the version,
 /// the payload length, then the payload and its checksum.
 fn assert_envelope(what: &str, bytes: &[u8]) {
     let payload_len = bytes.len() - 28;
     assert_eq!(bytes[..8], SNAPSHOT_MAGIC, "{what}: magic");
-    assert_eq!(bytes[8..12], 2u32.to_le_bytes(), "{what}: version");
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "{what}: version");
     assert_eq!(
         bytes[12..20],
         (payload_len as u64).to_le_bytes(),
@@ -182,4 +182,64 @@ fn resealed_unknown_dead_letter_reason_is_corrupt() {
         fresh.thaw(&bytes),
         Err(SnapshotError::Corrupt("unknown name"))
     );
+}
+
+/// Every single-bit flip of a served snapshot fails to open: in the
+/// payload or the checksum as `ChecksumMismatch`, in the header as the
+/// header check that owns the bit. Flipping the same bit in two payload
+/// words 8 or 32 bytes apart fails too; a checksum step without its
+/// xorshift lets hundreds of such pairs through, most of them in a
+/// word's top bits.
+#[test]
+fn every_bit_flip_of_a_served_snapshot_fails_to_open() {
+    use energy_adaptation::simcore::{SnapshotError, SnapshotReader};
+
+    let samples = serve::schedule(1).expect("golden trace present");
+    let kill = serve::kill_at(GOLDEN_SEED, &samples, 1).expect("kill");
+    let mut bytes = kill.frozen.snapshot.expect("frozen");
+    assert!(SnapshotReader::open(&bytes).is_ok());
+    let open = |bytes: &[u8]| SnapshotReader::open(bytes).map(drop);
+    let flip = |bytes: &mut [u8], bit: usize| bytes[bit / 8] ^= 1 << (bit % 8);
+
+    for bit in 0..8 * bytes.len() {
+        flip(&mut bytes, bit);
+        let got = open(&bytes);
+        flip(&mut bytes, bit);
+        let expected = match bit / 8 {
+            0..8 => matches!(got, Err(SnapshotError::BadMagic)),
+            8..12 => matches!(got, Err(SnapshotError::VersionMismatch { .. })),
+            12..20 => matches!(
+                got,
+                Err(SnapshotError::Truncated
+                    | SnapshotError::Corrupt("trailing bytes after envelope"))
+            ),
+            _ => got == Err(SnapshotError::ChecksumMismatch),
+        };
+        assert!(expected, "flip of bit {bit}: {got:?}");
+    }
+
+    // Every bit of every other payload word, paired with the same bit
+    // one and four words on; sampling halves the sweep's debug runtime.
+    let mut pairs = 0;
+    let first_bits = (8 * 20..8 * (bytes.len() - 8)).filter(|bit| (bit - 8 * 20) / 64 % 2 == 0);
+    for bit in first_bits {
+        for apart in [8 * 8, 32 * 8] {
+            if bit + apart >= 8 * bytes.len() {
+                continue;
+            }
+            flip(&mut bytes, bit);
+            flip(&mut bytes, bit + apart);
+            let got = open(&bytes);
+            flip(&mut bytes, bit);
+            flip(&mut bytes, bit + apart);
+            assert_eq!(
+                got,
+                Err(SnapshotError::ChecksumMismatch),
+                "flip of bits {bit} and {}",
+                bit + apart
+            );
+            pairs += 1;
+        }
+    }
+    assert!(pairs > 25_000, "{pairs} pairs");
 }
