@@ -415,8 +415,6 @@ struct ProcEntry {
     workload: Box<dyn Workload>,
     state: ProcState,
     background: bool,
-    /// Bytes this process has received over the link (reply/bulk legs).
-    bytes_received: u64,
     /// Goodput of the last completed receive leg, bits/s — the passive
     /// bandwidth-supply estimate the original Odyssey derived from its
     /// RPC transfers.
@@ -481,7 +479,8 @@ struct HookSlot {
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct FlowCtx {
     pid: Pid,
-    /// Bytes credited to the receiver on completion (0 for request legs).
+    /// Reply bytes the leg carries, for the goodput estimate on
+    /// completion (0 for request legs).
     rx_bytes: u64,
     started: SimTime,
 }
@@ -824,7 +823,6 @@ impl Machine {
             workload,
             state: ProcState::Start,
             background,
-            bytes_received: 0,
             last_transfer_bps: None,
             attempts: 0,
             flow: None,
@@ -1442,7 +1440,6 @@ impl Machine {
             let f = p.workload.fidelity();
             h.write_u64(f.level as u64);
             h.write_u64(f.levels as u64);
-            h.write_u64(p.bytes_received);
             h.write_u64(p.attempts as u64);
             h.write_u64(p.suspended as u64);
             h.write_f64(p.clamp);
@@ -1485,7 +1482,6 @@ impl Machine {
         for p in &self.procs {
             p.workload.freeze(w)?;
             w.put(&p.state);
-            w.put(&p.bytes_received);
             w.put(&p.last_transfer_bps);
             w.put(&p.attempts);
             w.put(&p.flow);
@@ -1561,7 +1557,6 @@ impl Machine {
         for p in &mut self.procs {
             p.workload.thaw(r)?;
             p.state = r.take()?;
-            p.bytes_received = r.take()?;
             p.last_transfer_bps = r.take()?;
             p.attempts = r.take()?;
             p.flow = r.take()?;
@@ -1905,7 +1900,6 @@ impl Machine {
             let pid = ctx.pid;
             self.procs[pid.0].flow = None;
             if ctx.rx_bytes > 0 {
-                self.procs[pid.0].bytes_received += ctx.rx_bytes;
                 let secs = self.clock.since(ctx.started).as_secs_f64();
                 if secs > 0.0 {
                     self.procs[pid.0].last_transfer_bps = Some(ctx.rx_bytes as f64 * 8.0 / secs);

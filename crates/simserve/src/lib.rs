@@ -598,9 +598,6 @@ impl Session {
         w.put(&self.cursor);
         w.put(&self.stopped);
         w.put(&self.finished);
-        // The serving-mode word keeps the snapshot format unchanged;
-        // every session serves, and thaw rejects `false`.
-        w.put(&true);
         // Only the horizon is mutable config (live reconfig).
         w.put(&self.cfg.horizon);
         self.trace.freeze_counters_into(&mut w);
@@ -633,9 +630,6 @@ impl Session {
         let cursor = r.take()?;
         let stopped = r.take()?;
         let finished = r.take()?;
-        if !r.take::<bool>()? {
-            return Err(SnapshotError::Corrupt("serving mode mismatch"));
-        }
         self.cfg.horizon = r.take()?;
         self.trace.restore_counters_from(&mut r)?;
         let dead = &mut self.dead;

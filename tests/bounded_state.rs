@@ -124,9 +124,9 @@ fn assert_pinned(what: &str, bytes: &[u8], want: u64, mut fresh: Session) {
 /// strikes per origin.
 #[test]
 fn served_snapshots_are_byte_stable() {
-    const CHECKPOINT_PINS: [u64; 3] = [0x4dbaf284dd0bc2d1, 0xd96e42fbbfa83f88, 0x191d2b98db3c7fea];
+    const CHECKPOINT_PINS: [u64; 3] = [0x4b5cea76ce1f9511, 0xa4a1fc8f7f7b10b0, 0xf61d7d8fc1c66ca7];
     const HOSTILE_STREAM: u64 = 1;
-    const HOSTILE_PIN: u64 = 0xff3bc067147d4468;
+    const HOSTILE_PIN: u64 = 0x65f98a833ad83a79;
     let samples = serve::schedule(1).expect("golden trace present");
     for (k, want) in CHECKPOINT_PINS.into_iter().enumerate() {
         let kill = serve::kill_at(GOLDEN_SEED, &samples, k).expect("kill");

@@ -320,9 +320,9 @@ fn hardened_chaos_rig() -> Machine {
 #[test]
 fn cancel_heavy_snapshots_are_byte_stable() {
     const PINS: [(u64, u64); 3] = [
-        (300, 0xf57e9482e80101a6),
-        (750, 0x0a8942a544e87f53),
-        (1200, 0x12fd10f8e6d3cb8f),
+        (300, 0xa54af42e2c0d418e),
+        (750, 0xc1b4a5f431e81938),
+        (1200, 0xf15625b29aec940f),
     ];
     let mut m = hardened_chaos_rig();
     for (secs, want) in PINS {

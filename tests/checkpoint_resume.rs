@@ -565,11 +565,11 @@ fn resealed_fidelity_point_after_the_clock_is_corrupt() {
     assert_eq!(resumed.final_digest, base.final_digest);
 }
 
-/// Every session serves, so `freeze` always writes the serving-mode word
-/// as `true`; a resealed snapshot that says `false` is still `Corrupt` on
-/// thaw, and restore comes back through the older generation.
+/// A resealed snapshot whose `finished` flag is neither 0 nor 1 is
+/// `Corrupt` on thaw, and restore comes back through the older snapshot
+/// generation rather than the genesis.
 #[test]
-fn resealed_batch_mode_snapshot_is_corrupt() {
+fn resealed_out_of_range_flag_is_corrupt() {
     use energy_adaptation::experiments::serve;
     use energy_adaptation::experiments::tracerec::GOLDEN_SEED;
     use energy_adaptation::simcore::SnapshotError;
@@ -579,18 +579,16 @@ fn resealed_batch_mode_snapshot_is_corrupt() {
     let base = serve::replay(GOLDEN_SEED, &samples).expect("uninterrupted run");
     let older = serve::kill_at(GOLDEN_SEED, &samples, 0).expect("kill at 0");
     let kill = serve::kill_at(GOLDEN_SEED, &samples, 1).expect("kill at 1");
-    let mut batch = kill.frozen.snapshot.clone().expect("frozen at the kill");
-    // The payload opens with the cursor, `stopped` and `finished`; the
-    // serving-mode word follows, one little-endian word per value.
-    let mode = SNAPSHOT_HEADER + 3 * 8;
-    assert_eq!(batch[mode..mode + 8], 1u64.to_le_bytes());
-    batch[mode..mode + 8].copy_from_slice(&0u64.to_le_bytes());
-    let batch = reseal(batch);
+    let mut bad = kill.frozen.snapshot.clone().expect("frozen at the kill");
+    // The payload opens with the cursor, `stopped` and `finished`, one
+    // little-endian word per value.
+    let finished = SNAPSHOT_HEADER + 2 * 8;
+    assert_eq!(bad[finished..finished + 8], 0u64.to_le_bytes());
+    bad[finished..finished + 8].copy_from_slice(&2u64.to_le_bytes());
+    let bad = reseal(bad);
     assert_eq!(
-        serve::proof_session(GOLDEN_SEED)
-            .expect("build")
-            .thaw(&batch),
-        Err(SnapshotError::Corrupt("serving mode mismatch"))
+        serve::proof_session(GOLDEN_SEED).expect("build").thaw(&bad),
+        Err(SnapshotError::Corrupt("bool out of range"))
     );
     let (resumed, used) = serve::resume(
         GOLDEN_SEED,
@@ -600,7 +598,7 @@ fn resealed_batch_mode_snapshot_is_corrupt() {
             Generation::genesis(),
             older.frozen,
             Generation {
-                snapshot: Some(batch),
+                snapshot: Some(bad),
                 covered: kill.frozen.covered,
             },
         ],
