@@ -13,7 +13,7 @@
 //! (the paper's "Baseline"), every device idles at full readiness and the
 //! display stays bright.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use hw560x::cpu::intensity;
 use hw560x::{
@@ -684,7 +684,8 @@ pub struct Machine {
     radio: RadioModel,
     link: SharedLink,
     link_faults: LinkFaultTimeline,
-    flows: BTreeMap<FlowId, FlowCtx>,
+    /// Live transfers in `FlowId` order, as the snapshot writes them.
+    flows: Vec<(FlowId, FlowCtx)>,
     link_event: Option<EventId>,
     rpc_timeouts: u64,
     rpc_retries: u64,
@@ -745,7 +746,7 @@ impl Machine {
             radio,
             link,
             link_faults,
-            flows: BTreeMap::new(),
+            flows: Vec::new(),
             link_event: None,
             rpc_timeouts: 0,
             rpc_retries: 0,
@@ -1338,7 +1339,7 @@ impl Machine {
         match self.procs[pid.0].state {
             ProcState::NetTx(_) | ProcState::NetRx(_) => {
                 if let Some(flow) = self.procs[pid.0].flow.take() {
-                    self.flows.remove(&flow);
+                    self.take_flow(flow);
                     self.link.cancel_flow(self.clock, flow);
                     self.relink();
                 }
@@ -1606,7 +1607,14 @@ impl Machine {
             return Err(SnapshotError::Corrupt("link advanced past clock"));
         }
         self.flows = r.take()?;
-        for ctx in self.flows.values() {
+        if !self
+            .flows
+            .windows(2)
+            .all(|w| matches!(w, [a, b] if a.0 < b.0))
+        {
+            return Err(SnapshotError::Corrupt("flow ids out of order"));
+        }
+        for (_, ctx) in &self.flows {
             check_pid(ctx.pid, n_procs, "flow pid out of range")?;
         }
         // The radio's counters mirror the processes' RPC states; a
@@ -1771,13 +1779,26 @@ impl Machine {
         }
     }
 
+    /// Registers a flow the link just started. The link issues ids in
+    /// rising order, so the new flow lands at the end.
+    fn add_flow(&mut self, flow: FlowId, ctx: FlowCtx) {
+        let at = self.flows.partition_point(|(f, _)| *f < flow);
+        self.flows.insert(at, (flow, ctx));
+    }
+
+    /// Forgets `flow`, returning its context if it was live.
+    fn take_flow(&mut self, flow: FlowId) -> Option<FlowCtx> {
+        let at = self.flows.iter().position(|(f, _)| *f == flow)?;
+        Some(self.flows.remove(at).1)
+    }
+
     fn on_net_timer(&mut self, pid: Pid) {
         self.procs[pid.0].net_timer_ev = None;
         let state = std::mem::replace(&mut self.procs[pid.0].state, ProcState::Start);
         match state {
             ProcState::NetAwaitTx(plan) => {
                 let flow = self.link.start_flow(self.clock, plan.request_bytes.max(1));
-                self.flows.insert(
+                self.add_flow(
                     flow,
                     FlowCtx {
                         pid,
@@ -1792,7 +1813,7 @@ impl Machine {
             }
             ProcState::NetServerWait(plan) => {
                 let flow = self.link.start_flow(self.clock, plan.reply_bytes.max(1));
-                self.flows.insert(
+                self.add_flow(
                     flow,
                     FlowCtx {
                         pid,
@@ -1840,7 +1861,7 @@ impl Machine {
             }
             ProcState::NetTx(p) | ProcState::NetRx(p) => {
                 if let Some(flow) = self.procs[pid.0].flow.take() {
-                    self.flows.remove(&flow);
+                    self.take_flow(flow);
                     self.link.cancel_flow(self.clock, flow);
                     self.relink();
                 }
@@ -1896,7 +1917,7 @@ impl Machine {
                 clippy::expect_used,
                 reason = "every completed flow was registered by start_flow"
             )]
-            let ctx = self.flows.remove(&flow).expect("completed unknown flow");
+            let ctx = self.take_flow(flow).expect("completed unknown flow");
             let pid = ctx.pid;
             self.procs[pid.0].flow = None;
             if ctx.rx_bytes > 0 {
@@ -2277,6 +2298,36 @@ mod tests {
             fresh.thaw(&mut r),
             Err(SnapshotError::Corrupt("link advanced past clock"))
         );
+    }
+
+    /// A snapshot whose flows are out of `FlowId` order, or name one id
+    /// twice, is refused on thaw: the flow list must stay sorted for
+    /// lookups, and the snapshot bytes must stay canonical.
+    #[test]
+    fn unsorted_or_duplicate_flow_ids_are_corrupt() {
+        let mut m = idle_machine(PmPolicy::enabled());
+        let _ = m.run_until(SimTime::from_secs(1));
+        let (a, b) = (m.link.start_flow(m.clock, 1), m.link.start_flow(m.clock, 1));
+        let ctx = FlowCtx {
+            pid: Pid(0),
+            rx_bytes: 0,
+            started: m.clock,
+        };
+        for flows in [vec![(b, ctx), (a, ctx)], vec![(a, ctx), (a, ctx)]] {
+            m.flows = flows;
+            let mut w = simcore::SnapshotWriter::new();
+            m.freeze(&mut w).expect("freeze");
+            let bytes = w.seal();
+            let mut fresh = idle_machine(PmPolicy::enabled());
+            let names = fresh.names().clone();
+            let mut r = simcore::SnapshotReader::open(&bytes)
+                .expect("open")
+                .with_names(&names);
+            assert_eq!(
+                fresh.thaw(&mut r),
+                Err(SnapshotError::Corrupt("flow ids out of order"))
+            );
+        }
     }
 
     /// A checksum-valid snapshot whose radio counters disagree with the
