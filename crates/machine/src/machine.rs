@@ -1607,11 +1607,7 @@ impl Machine {
             return Err(SnapshotError::Corrupt("link advanced past clock"));
         }
         self.flows = r.take()?;
-        if !self
-            .flows
-            .windows(2)
-            .all(|w| matches!(w, [a, b] if a.0 < b.0))
-        {
+        if !self.flows.is_sorted_by(|a, b| a.0 < b.0) {
             return Err(SnapshotError::Corrupt("flow ids out of order"));
         }
         for (_, ctx) in &self.flows {

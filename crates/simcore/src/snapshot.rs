@@ -13,13 +13,10 @@
 //!
 //! [`SnapshotWriter`] / [`SnapshotReader`] are the dependency-free binary
 //! encoding of a whole session's state: little-endian words behind an
-//! envelope of magic, version ([`SNAPSHOT_VERSION`], 3), payload length,
-//! and a trailing checksum over the payload. The checksum is not the
-//! digest: it folds the payload a word at a time, one multiply and one
-//! xorshift per eight bytes, because a session is frozen after every
-//! batch and the byte-serial digest cost more than the rest of a
-//! freeze. Its step is a bijection of the running state, so any change
-//! inside one word always shows. [`reseal`] recomputes it for tests that
+//! envelope of magic, version, payload length, and a trailing checksum
+//! over the payload. The checksum folds the payload a word at a time,
+//! not a byte at a time like the digest, because a served session is
+//! frozen after every batch; [`reseal`] recomputes it for tests that
 //! edit a payload on purpose. Every value in the
 //! payload goes through one [`Codec`] impl that lists its fields once
 //! for both directions. A snapshot carries
