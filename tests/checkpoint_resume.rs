@@ -362,34 +362,36 @@ fn corrupted_snapshots_are_detected_and_replay_recovers() {
     );
 
     // Version-mismatch header: the version field follows the 8-byte
-    // magic as a little-endian u32.
+    // magic as a little-endian u32. A snapshot sealed by format
+    // version 2 is refused, not read.
     let mut wrong_version = snapshot.clone();
-    wrong_version[8] = 0xFF;
-    assert!(
-        matches!(
-            build().thaw(&wrong_version),
-            Err(SnapshotError::VersionMismatch { .. })
-        ),
+    wrong_version[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(
+        build().thaw(&wrong_version),
+        Err(SnapshotError::VersionMismatch { found: 2 }),
         "version mismatch not detected"
     );
 
-    // Recovery contract: with the corrupt snapshot as the newest
-    // generation, restore comes back through the genesis (replay), and
-    // the resumed run reproduces the uninterrupted one bit for bit.
-    let corrupt = Generation {
-        snapshot: Some(flipped),
-        covered: kill.frozen.covered,
-    };
-    let (resumed, used) = serve::resume(
-        GOLDEN_SEED,
-        &samples,
-        &kill,
-        &[Generation::genesis(), corrupt],
-    )
-    .expect("genesis fallback");
-    assert_eq!(used, 0, "restored through the corrupt generation");
-    assert_eq!(resumed.final_digest, base.final_digest);
-    assert_eq!(resumed.trace, base.trace);
+    // Recovery contract: with the corrupt or old-version snapshot as
+    // the newest generation, restore comes back through the genesis
+    // (replay), and the resumed run reproduces the uninterrupted one bit
+    // for bit.
+    for newest in [flipped, wrong_version] {
+        let newest = Generation {
+            snapshot: Some(newest),
+            covered: kill.frozen.covered,
+        };
+        let (resumed, used) = serve::resume(
+            GOLDEN_SEED,
+            &samples,
+            &kill,
+            &[Generation::genesis(), newest],
+        )
+        .expect("genesis fallback");
+        assert_eq!(used, 0, "restored through the refused generation");
+        assert_eq!(resumed.final_digest, base.final_digest);
+        assert_eq!(resumed.trace, base.trace);
+    }
 }
 
 /// Snapshot envelope bytes before the payload: magic, version and
