@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use hw560x::cpu::intensity;
 use hw560x::{
     DeviceStates, DiskModel, DiskState, DisplayState, EnergySource, PlatformPower, PlatformSpec,
-    PmPolicy, RadioModel,
+    PmPolicy, PowerBreakdown, RadioModel,
 };
 use netsim::{FlowId, LinkFaultTimeline, SharedLink, RPC_LATENCY, WAVELAN_CAPACITY_BPS};
 use simcore::event::EventId;
@@ -665,6 +665,16 @@ simcore::impl_codec!(FlowCtx {
     started
 });
 
+/// What one interval integrates: the device states in force and the
+/// power they draw. Its attribution lives in `Machine::share_buf` and
+/// `Machine::share_keys`.
+#[derive(Clone, Copy, Debug)]
+struct Interval {
+    states: DeviceStates,
+    breakdown: PowerBreakdown,
+    power_w: Watts,
+}
+
 /// The simulated mobile client.
 pub struct Machine {
     cfg: MachineConfig,
@@ -698,6 +708,10 @@ pub struct Machine {
     source: EnergySource,
     observers: Vec<Box<dyn IntervalObserver>>,
     hooks: Vec<HookSlot>,
+    /// The interval `advance_to` built last, kept until the next event
+    /// is handled: every input it reads changes only inside `handle`
+    /// (or wholesale in `thaw`), which drop it.
+    interval: Option<Interval>,
     /// The current interval's attribution shares, and the ledger key of
     /// each.
     share_buf: Vec<ShareEntry>,
@@ -757,6 +771,7 @@ impl Machine {
             source,
             observers: Vec::new(),
             hooks: Vec::new(),
+            interval: None,
             share_buf: Vec::new(),
             share_keys: Vec::new(),
             fixed_memos: [KeyMemo::default(); 5],
@@ -1049,15 +1064,64 @@ impl Machine {
         }
     }
 
-    fn advance_to(&mut self, t: SimTime) {
-        if t <= self.clock {
-            return;
-        }
+    /// Builds the interval about to be integrated from the machine's
+    /// current state; see [`Self::interval_shares`].
+    fn build_interval(&mut self) -> Interval {
         let states = self.interval_shares();
         let mut breakdown = self.power.breakdown(&states);
         // Monitoring hardware draws a constant trickle, booked as base.
         breakdown.base_w += self.cfg.monitor_overhead_w;
-        let power_w = breakdown.total_w();
+        Interval {
+            states,
+            breakdown,
+            power_w: breakdown.total_w(),
+        }
+    }
+
+    /// The interval to integrate next: the kept one when no event was
+    /// handled since it was built, else a fresh one, which is kept.
+    fn current_interval(&mut self) -> Interval {
+        match self.interval {
+            Some(kept) => {
+                #[cfg(debug_assertions)]
+                self.assert_interval_fresh(kept);
+                kept
+            }
+            None => {
+                let built = self.build_interval();
+                self.interval = Some(built);
+                built
+            }
+        }
+    }
+
+    /// Rebuilds the interval and fails unless it equals `kept`, states,
+    /// breakdown, power bits and attribution alike: an input that moved
+    /// outside `handle` would otherwise be integrated stale.
+    #[cfg(debug_assertions)]
+    fn assert_interval_fresh(&mut self, kept: Interval) {
+        let (shares, keys) = (self.share_buf.clone(), self.share_keys.clone());
+        let fresh = self.build_interval();
+        assert!(
+            fresh.states == kept.states
+                && fresh.breakdown == kept.breakdown
+                && fresh.power_w.0.to_bits() == kept.power_w.0.to_bits()
+                && self.share_buf == shares
+                && self.share_keys == keys,
+            "kept interval went stale at {:?}: {kept:?} against {fresh:?}",
+            self.clock
+        );
+    }
+
+    fn advance_to(&mut self, t: SimTime) {
+        if t <= self.clock {
+            return;
+        }
+        let Interval {
+            states,
+            breakdown,
+            power_w,
+        } = self.current_interval();
         let mut t1 = t;
         let needed = power_w * t.since(self.clock);
         let mut ran_dry = false;
@@ -1115,6 +1179,8 @@ impl Machine {
     // ---- Event handling ------------------------------------------------
 
     fn handle(&mut self, ev: Event) {
+        // Every interval input changes only while an event is handled.
+        self.interval = None;
         match ev {
             Event::Poll(pid) => self.do_poll(pid),
             Event::CpuDone => self.on_cpu_done(),
@@ -1545,6 +1611,7 @@ impl Machine {
         }
         let n_procs = self.procs.len();
         let n_hooks = self.hooks.len();
+        self.interval = None;
         self.clock = r.take()?;
         let next_seq = r.take()?;
         let entries: Vec<(SimTime, u64, Event)> = r.take()?;
