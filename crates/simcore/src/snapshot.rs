@@ -98,16 +98,33 @@ impl std::error::Error for SnapshotError {}
 /// All scalars are little-endian words; floats are written by exact bit
 /// pattern so freeze→thaw round-trips are bit-identical. Values go in
 /// through [`Self::put`] in their [`Codec`] encoding; [`Self::seal`]
-/// wraps the payload in the magic/version/length/checksum envelope.
-#[derive(Clone, Debug, Default)]
+/// wraps the payload in the magic/version/length/checksum envelope. The
+/// buffer opens with room for the header, so sealing writes the envelope
+/// around the payload in place instead of copying it.
+#[derive(Clone, Debug)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        SnapshotWriter::new()
+    }
 }
 
 impl SnapshotWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        SnapshotWriter::default()
+        SnapshotWriter::with_capacity(0)
+    }
+
+    /// Creates an empty writer whose buffer holds a sealed snapshot of
+    /// `sealed_len` bytes without growing: a caller that freezes the
+    /// same state again passes the length of its previous snapshot.
+    pub fn with_capacity(sealed_len: usize) -> Self {
+        let mut buf = Vec::with_capacity(sealed_len.max(HEADER + 8));
+        buf.resize(HEADER, 0);
+        SnapshotWriter { buf }
     }
 
     /// Appends `v` in its [`Codec`] encoding.
@@ -126,27 +143,32 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// The payload written so far.
+    fn payload(&self) -> &[u8] {
+        self.buf.get(HEADER..).unwrap_or_default()
+    }
+
     /// Payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.payload().len()
     }
 
     /// True if nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.payload().is_empty()
     }
 
     /// Wraps the payload in the envelope: magic, version, payload
     /// length, payload, then a trailing checksum of the payload.
-    pub fn seal(self) -> Vec<u8> {
-        let checksum = checksum(&self.buf);
-        let mut out = Vec::with_capacity(self.buf.len() + 28);
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
-        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
+    pub fn seal(mut self) -> Vec<u8> {
+        let payload = self.payload();
+        let checksum = checksum(payload);
+        let len = (payload.len() as u64).to_le_bytes();
+        let version = SNAPSHOT_VERSION.to_le_bytes();
+        let header = SNAPSHOT_MAGIC.iter().chain(&version).chain(&len);
+        self.buf.iter_mut().zip(header).for_each(|(b, &h)| *b = h);
+        self.buf.extend_from_slice(&checksum.to_le_bytes());
+        self.buf
     }
 }
 
@@ -634,7 +656,7 @@ pub fn check_codec<T: Codec + PartialEq + std::fmt::Debug>(value: &T) {
 pub fn check_codec_in<T: Codec + PartialEq + std::fmt::Debug>(value: &T, names: &Names) {
     let mut w = SnapshotWriter::new();
     w.put(value);
-    let payload = w.buf.clone();
+    let payload = w.payload().to_vec();
     let sealed = w.seal();
     let decode = |bytes: &[u8]| {
         let mut r = SnapshotReader::open(bytes)?.with_names(names);
@@ -647,8 +669,10 @@ pub fn check_codec_in<T: Codec + PartialEq + std::fmt::Debug>(value: &T, names: 
         assert!(decode(prefix).is_err(), "sealed cut at {cut}");
     }
     for cut in 0..payload.len() {
-        let buf = payload.get(..cut).unwrap_or_default().to_vec();
-        let resealed = SnapshotWriter { buf }.seal();
+        let mut w = SnapshotWriter::new();
+        w.buf
+            .extend_from_slice(payload.get(..cut).unwrap_or_default());
+        let resealed = w.seal();
         let got = decode(&resealed);
         assert_eq!(got, Err(SnapshotError::Truncated), "payload cut at {cut}");
     }

@@ -32,7 +32,7 @@
 //! nobody reconfigures mid-run, drive a [`Machine`] directly with
 //! [`Machine::run`] or [`Machine::run_until`].
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -489,6 +489,9 @@ pub struct Session {
     dead_by_origin: BTreeMap<usize, u64>,
     /// First trace seq not yet turned into a directive.
     next_seq: u64,
+    /// Length of the snapshot this session last froze or thawed: the
+    /// next freeze reserves it, since a served state barely changes size.
+    snapshot_len: Cell<usize>,
 }
 
 impl fmt::Debug for Session {
@@ -545,6 +548,7 @@ impl Session {
             dead: DeadLetterLedger::default(),
             dead_by_origin: BTreeMap::new(),
             next_seq: 0,
+            snapshot_len: Cell::new(0),
         })
     }
 
@@ -594,7 +598,7 @@ impl Session {
     /// workload or hook lacks a freeze implementation; such a session
     /// restores only from the genesis [`Generation`].
     pub fn freeze(&self) -> Result<Vec<u8>, SnapshotError> {
-        let mut w = SnapshotWriter::new();
+        let mut w = SnapshotWriter::with_capacity(self.snapshot_len.get());
         w.put(&self.cursor);
         w.put(&self.stopped);
         w.put(&self.finished);
@@ -610,7 +614,9 @@ impl Session {
         // Trailing self-check: thaw recomputes the digest and refuses a
         // decode that is well-formed but semantically wrong.
         w.put(&self.machine.state_digest());
-        Ok(w.seal())
+        let bytes = w.seal();
+        self.snapshot_len.set(bytes.len());
+        Ok(bytes)
     }
 
     /// Restores a snapshot taken by [`Session::freeze`] onto this
@@ -653,6 +659,7 @@ impl Session {
         self.cursor = cursor;
         self.stopped = stopped;
         self.finished = finished;
+        self.snapshot_len.set(bytes.len());
         Ok(())
     }
 
