@@ -48,7 +48,7 @@ use crate::units::{Joules, Watts};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODYSNAP1";
 
 /// Format version written into (and demanded from) the envelope.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot failed to decode (or a component refused to encode).
 ///
@@ -178,30 +178,44 @@ const HEADER: usize = 20;
 /// Odd multiplier of the checksum step, so the multiply is a bijection.
 const CHECKSUM_K: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The envelope checksum of `payload`, a word at a time: seeded with
-/// the payload length, it folds each little-endian word (the tail
-/// zero-padded) into the state by a multiply and an xorshift, then
-/// finishes with [`splitmix`]. Each step is a bijection of the state for
-/// a given word, so any change confined to one word always changes the
-/// sum; the xorshift carries high bits down, so the same bit flipped in
-/// two words does not cancel.
+/// One checksum step: `w` folds into `h` by a xor, an odd multiply and a
+/// right xorshift. Each is invertible, so the step is a bijection of `h`
+/// for a given word and of the word for a given `h`; the xorshift
+/// carries high bits down, so the same bit flipped in two words of one
+/// chain does not cancel.
+#[inline]
+fn fold(h: u64, w: u64) -> u64 {
+    let h = (h ^ w).wrapping_mul(CHECKSUM_K);
+    h ^ (h >> 29)
+}
+
+/// The envelope checksum of `payload`, a word at a time on four lanes.
+/// Each 32-byte block feeds its four little-endian words to four chains
+/// seeded with the payload length, so their multiplies overlap. Each
+/// lane is finished with [`splitmix`] before the lanes fold, in order,
+/// into one chain, also seeded with the length; the words after the last
+/// block (the final one zero-padded) fold serially into that chain, and
+/// [`splitmix`] finishes it. A change confined to one word changes its
+/// lane, hence the sum. Without the per-lane finish the same high bit
+/// flipped in two lanes' last words moves both lanes alike, and the
+/// xor in the lane fold cancels it.
 fn checksum(payload: &[u8]) -> u64 {
-    let step = |h: u64, word: [u8; 8]| {
-        let h = (h ^ u64::from_le_bytes(word)).wrapping_mul(CHECKSUM_K);
-        h ^ (h >> 29)
-    };
-    let mut words = payload.chunks_exact(8);
-    let mut h = payload.len() as u64;
-    for chunk in &mut words {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk);
-        h = step(h, word);
+    let len = payload.len() as u64;
+    let (blocks, tail) = payload.as_chunks::<32>();
+    let mut lanes = [len; 4];
+    for block in blocks {
+        let (words, _) = block.as_chunks::<8>();
+        for (lane, word) in lanes.iter_mut().zip(words) {
+            *lane = fold(*lane, u64::from_le_bytes(*word));
+        }
     }
-    let tail = words.remainder();
-    if !tail.is_empty() {
+    let mut h = lanes
+        .into_iter()
+        .fold(len, |h, lane| fold(h, splitmix(lane)));
+    for chunk in tail.chunks(8) {
         let mut word = [0u8; 8];
-        word.iter_mut().zip(tail).for_each(|(w, &b)| *w = b);
-        h = step(h, word);
+        word.iter_mut().zip(chunk).for_each(|(w, &b)| *w = b);
+        h = fold(h, u64::from_le_bytes(word));
     }
     splitmix(h)
 }
@@ -1095,6 +1109,42 @@ mod tests {
                     outcome.is_err(),
                     "flip of byte {byte} bit {bit} went undetected"
                 );
+            }
+        }
+    }
+
+    /// Every lane, the block/tail boundary and the zero-padded last
+    /// word: for payloads of 0 to 96 bytes, flipping any one bit changes
+    /// the checksum, and so does flipping the same bit in two words 1, 2,
+    /// 3 or 4 words apart (other lanes, the same lane, or a block word
+    /// and a tail word).
+    #[test]
+    fn every_flip_in_every_lane_changes_the_checksum() {
+        let patterned: Vec<u8> = (0..96u8).map(|i| i.wrapping_mul(37) ^ 0x5a).collect();
+        for base in [vec![0u8; 96], patterned] {
+            for len in 0..=base.len() {
+                let payload = &base[..len];
+                let sum = checksum(payload);
+                let flipped = |bits: &[usize]| {
+                    let mut p = payload.to_vec();
+                    for &bit in bits {
+                        p[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    checksum(&p)
+                };
+                for bit in 0..len * 8 {
+                    assert_ne!(flipped(&[bit]), sum, "length {len}: bit {bit}");
+                    for apart in 1..=4 {
+                        let other = bit + 64 * apart;
+                        if other < len * 8 {
+                            assert_ne!(
+                                flipped(&[bit, other]),
+                                sum,
+                                "length {len}: bits {bit} and {other}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

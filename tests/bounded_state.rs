@@ -85,12 +85,12 @@ fn payload_hash(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Fails unless `bytes` is a version-3 envelope: the magic, the version,
+/// Fails unless `bytes` is a version-4 envelope: the magic, the version,
 /// the payload length, then the payload and its checksum.
 fn assert_envelope(what: &str, bytes: &[u8]) {
     let payload_len = bytes.len() - 28;
     assert_eq!(bytes[..8], SNAPSHOT_MAGIC, "{what}: magic");
-    assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "{what}: version");
+    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "{what}: version");
     assert_eq!(
         bytes[12..20],
         (payload_len as u64).to_le_bytes(),

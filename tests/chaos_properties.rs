@@ -332,7 +332,7 @@ fn cancel_heavy_snapshots_are_byte_stable() {
         let bytes = w.seal();
         let payload_len = bytes.len() - 28;
         assert_eq!(bytes[..8], SNAPSHOT_MAGIC, "magic at {secs} s");
-        assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "version at {secs} s");
+        assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "version at {secs} s");
         assert_eq!(
             bytes[12..20],
             (payload_len as u64).to_le_bytes(),
