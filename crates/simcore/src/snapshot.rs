@@ -7,17 +7,21 @@
 //! directives. A [`SnapshotHasher`] computes the digest; the machine
 //! feeds it its live state by hand.
 //!
-//! The digest is a 64-bit FNV-1a/splitmix chain over the raw bits of the
-//! state (floats via `to_bits`), so two states digest equal iff they are
-//! bit-identical — the property the crash-halfway/resume test relies on.
+//! The digest folds the raw bits of the state (floats via `to_bits`) a
+//! word at a time, one bijective multiply-xorshift step per word, and
+//! finishes with splitmix; byte strings go in by FNV-1a. A state that
+//! differs in one word always digests differently, and bit-identical
+//! states digest equal — the property the crash-halfway/resume test
+//! relies on.
 //!
 //! [`SnapshotWriter`] / [`SnapshotReader`] are the dependency-free binary
 //! encoding of a whole session's state: little-endian words behind an
 //! envelope of magic, version, payload length, and a trailing checksum
-//! over the payload. The checksum folds the payload a word at a time,
-//! not a byte at a time like the digest, because a served session is
-//! frozen after every batch; [`reseal`] recomputes it for tests that
-//! edit a payload on purpose. Every value in the
+//! over the payload. The writer reserves the header up front and seals
+//! in place. The checksum folds the payload a word at a time on four
+//! interleaved lanes, because a served session is frozen after every
+//! batch; [`reseal`] recomputes it for tests that edit a payload on
+//! purpose. Every value in the
 //! payload goes through one [`Codec`] impl that lists its fields once
 //! for both directions. A snapshot carries
 //! state, not history: the journal keeps only its latest checkpoint, and
@@ -694,7 +698,9 @@ pub fn check_codec_in<T: Codec + PartialEq + std::fmt::Debug>(value: &T, names: 
 
 /// Incremental 64-bit state digest.
 ///
-/// FNV-1a over bytes with a splitmix64 finalizer per word; not
+/// Raw bytes go in by FNV-1a with a splitmix64 finish per call; a word
+/// goes in by one step of the envelope checksum's chain, a bijection of
+/// the state for a given word and of the word for a given state. Not
 /// cryptographic, but sensitive to every bit fed in, which is all a
 /// determinism check needs.
 #[derive(Clone, Debug)]
@@ -727,9 +733,9 @@ impl SnapshotHasher {
         self.state = splitmix(self.state);
     }
 
-    /// Folds a word into the digest.
+    /// Folds a word into the digest in one step.
     pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
+        self.state = fold(self.state, v);
     }
 
     /// Folds a float into the digest by its exact bit pattern.
