@@ -242,23 +242,23 @@ impl Ledger {
         })
     }
 
-    /// Energy attributed to one bucket so far, J (0 when absent). This is
-    /// the live PowerScope-attribution feed the supervisor cross-checks
-    /// declarations against.
-    pub(crate) fn bucket_j(&self, name: &str) -> Joules {
-        self.names
-            .id(name)
-            .and_then(|id| self.buckets.get(id).copied().flatten())
+    /// Energy attributed so far to the bucket with name id `bucket`, J
+    /// (0 when absent). This is the live PowerScope-attribution feed the
+    /// supervisor cross-checks declarations against.
+    pub(crate) fn bucket_j(&self, bucket: usize) -> Joules {
+        self.buckets
+            .get(bucket)
+            .copied()
+            .flatten()
             .unwrap_or(Joules::ZERO)
     }
 
-    /// The procedure with the most attributed energy inside one bucket,
-    /// with its energy, J — the live counterpart of the profile detail's
-    /// top row (ties break toward the lexicographically first name, so
-    /// the answer is replay-stable).
-    pub(crate) fn hot_procedure_j(&self, bucket: &str) -> Option<(&'static str, Joules)> {
-        let id = self.names.id(bucket)?;
-        self.present_detail_of(id)
+    /// The procedure with the most attributed energy inside the bucket
+    /// with name id `bucket`, with its energy, J — the live counterpart
+    /// of the profile detail's top row (ties break toward the
+    /// lexicographically first name, so the answer is replay-stable).
+    pub(crate) fn hot_procedure_j(&self, bucket: usize) -> Option<(&'static str, Joules)> {
+        self.present_detail_of(bucket)
             .map(|(procedure, _, j)| (procedure, j))
             .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0.cmp(a.0)))
     }
@@ -715,13 +715,14 @@ mod tests {
             };
             assert_eq!(rows(dense.snapshot_detail()), rows(model.snapshot_detail()));
             for name in POOL.iter().chain(&["absent"]) {
+                let id = dense.names().id(name);
                 assert_eq!(
-                    dense.bucket_j(name).0.to_bits(),
+                    id.map_or(Joules::ZERO, |id| dense.bucket_j(id)).0.to_bits(),
                     model.bucket_j(name).0.to_bits()
                 );
                 let hot = |h: Option<(&'static str, Joules)>| h.map(|(p, j)| (p, j.0.to_bits()));
                 assert_eq!(
-                    hot(dense.hot_procedure_j(name)),
+                    hot(id.and_then(|id| dense.hot_procedure_j(id))),
                     hot(model.hot_procedure_j(name))
                 );
             }

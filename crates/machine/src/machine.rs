@@ -278,7 +278,7 @@ impl MachineView<'_> {
     /// bucket, not the process, so a blocked app reads near zero here
     /// while a hung spin does not.
     pub fn attributed_energy_j(&self, pid: Pid) -> Joules {
-        self.m.ledger.bucket_j(self.m.procs[pid.0].workload.name())
+        self.m.ledger.bucket_j(self.m.procs[pid.0].bucket)
     }
 
     /// The procedure PowerScope attribution bills most of the process's
@@ -286,9 +286,7 @@ impl MachineView<'_> {
     /// detail a supervisor cites when it strikes an app whose power
     /// exceeds its declaration. `None` before any energy is attributed.
     pub fn attributed_hot_procedure(&self, pid: Pid) -> Option<(&'static str, Joules)> {
-        self.m
-            .ledger
-            .hot_procedure_j(self.m.procs[pid.0].workload.name())
+        self.m.ledger.hot_procedure_j(self.m.procs[pid.0].bucket)
     }
 
     /// Quarantines a process: aborts any in-flight network attempt,
@@ -443,6 +441,9 @@ struct ProcEntry {
     alive_counted: bool,
     /// The ledger key of the pair this process booked last.
     key_memo: KeyMemo,
+    /// The ledger name id of the process's own bucket, resolved when the
+    /// run starts: until then each `add_process` shifts the ids.
+    bucket: usize,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -851,6 +852,7 @@ impl Machine {
             last_poll_at: SimTime::ZERO,
             alive_counted: !background,
             key_memo: KeyMemo::default(),
+            bucket: 0,
         });
         if !background {
             self.alive += 1;
@@ -907,6 +909,7 @@ impl Machine {
     fn drive(&mut self, horizon: Option<SimTime>) {
         if !self.started {
             self.started = true;
+            self.resolve_buckets();
             // The disk is idle from boot; arm the initial spin-down timer.
             if let Some(dl) = self.disk.spin_down_deadline() {
                 self.queue.push(dl, Event::SpinDownCheck);
@@ -1721,7 +1724,26 @@ impl Machine {
         self.stopped = r.take()?;
         self.exhausted = r.take()?;
         self.started = r.take()?;
+        self.resolve_buckets();
         Ok(())
+    }
+
+    /// Resolves each process's own bucket to its ledger name id. The
+    /// name table is final from the start of the run, or from a thaw,
+    /// since `add_process` panics once the run has started.
+    fn resolve_buckets(&mut self) {
+        for p in &mut self.procs {
+            #[expect(
+                clippy::expect_used,
+                reason = "add_process puts every workload's name in the table"
+            )]
+            let id = self
+                .ledger
+                .names()
+                .id(p.workload.name())
+                .expect("workload name in the table");
+            p.bucket = id;
+        }
     }
 
     // ---- CPU scheduler --------------------------------------------------
