@@ -68,6 +68,11 @@ echo "$sup_a" | head -4
 echo "== simserve: kill/resume smoke (1x replay, mid-run checkpoint) =="
 cargo run --release -q -p experiments -- serve
 
+echo "== simserve: kill/resume smoke at 100x (dense sample splits) =="
+# A hundred samples per input record: many advances follow no event and
+# reuse the machine's interval, and the resume freezes and thaws.
+cargo run --release -q -p experiments -- serve --multiple 100
+
 echo "== perfbench: figures, batched ingest and failover against their references =="
 # Each run exits 0 only with `correct: true`: `figures` must reproduce
 # all 20 `results/*.txt` at every hardware thread, and 64-sample batches
