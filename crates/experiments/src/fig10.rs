@@ -11,7 +11,7 @@ use odyssey_apps::MapFidelity;
 use simcore::{SimDuration, SimRng};
 
 use crate::barchart::BarChart;
-use crate::harness::{run_trials, Trials};
+use crate::harness::{run_grid, Trials};
 
 /// The seven experimental conditions, in figure order.
 pub fn conditions() -> Vec<(&'static str, MapFidelity, bool)> {
@@ -52,6 +52,9 @@ fn build(
 }
 
 /// Runs the full figure at a given think time (Figure 10 uses 5 s).
+/// Every `(map, condition, trial)` run is one job of a single
+/// [`run_grid`] dispatch; trial `i` of a bar runs on
+/// `fork_indexed("fig10/<map>/<condition>", i)`.
 pub fn run_at_think(trials: &Trials, think_s: f64) -> BarChart {
     // The paper uses ten trials (twice the video/speech count) for this
     // application; scale whatever the caller asked for accordingly.
@@ -59,17 +62,25 @@ pub fn run_at_think(trials: &Trials, think_s: f64) -> BarChart {
         n: trials.n * 2,
         ..*trials
     };
+    let cells: Vec<(&MapObject, (&str, MapFidelity, bool))> = MAPS
+        .iter()
+        .flat_map(|map| {
+            conditions()
+                .into_iter()
+                .map(move |condition| (map, condition))
+        })
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let reports = run_grid(trials, &cells, |&(map, (name, fidelity, pm)), i| {
+        let label = format!("fig10/{}/{}", map.name, name);
+        let rng = &mut root.fork_indexed(&label, i as u64);
+        build(*map, fidelity, pm, think_s, rng).run()
+    });
     let mut chart = BarChart::new(format!(
         "Figure 10: Energy impact of fidelity for map viewing (J, think={think_s}s)"
     ));
-    for map in &MAPS {
-        for (name, fidelity, pm) in conditions() {
-            let label = format!("fig10/{}/{}", map.name, name);
-            let reports = run_trials(trials, &label, |rng| {
-                build(*map, fidelity, pm, think_s, rng)
-            });
-            chart.push(map.name, name, &reports);
-        }
+    for (&(map, (name, ..)), reports) in cells.iter().zip(&reports) {
+        chart.push(map.name, name, reports);
     }
     chart
 }

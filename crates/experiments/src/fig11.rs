@@ -13,7 +13,7 @@ use odyssey_apps::map::{MapFilter, MapViewer};
 use odyssey_apps::MapFidelity;
 use simcore::{LinearFit, SimDuration, SimRng, TrialStats};
 
-use crate::harness::{energy_stats, run_trials, Trials};
+use crate::harness::{run_grid, Trials};
 use crate::table::{self, Table};
 
 /// Think times swept, seconds.
@@ -58,7 +58,9 @@ fn build(fidelity: MapFidelity, pm: bool, think_s: f64, rng: &mut SimRng) -> Mac
     m
 }
 
-/// Runs the sweep.
+/// Runs the sweep. Every `(case, think time, trial)` run is one job of a
+/// single [`run_grid`] dispatch, on `fork_indexed("fig11/<case>/<t>", i)`,
+/// and returns only its total energy.
 pub fn run(trials: &Trials) -> Fig11 {
     let cases: [(&'static str, MapFidelity, bool); 3] = [
         ("Baseline", MapFidelity::full(), false),
@@ -70,16 +72,24 @@ pub fn run(trials: &Trials) -> Fig11 {
         n: trials.n * 2,
         ..*trials
     };
+    let cells: Vec<(&str, MapFidelity, bool, f64)> = cases
+        .iter()
+        .flat_map(|&(case, fidelity, pm)| THINK_TIMES.map(|t| (case, fidelity, pm, t)))
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let totals = run_grid(trials, &cells, |&(case, fidelity, pm, t), i| {
+        let label = format!("fig11/{case}/{t}");
+        let rng = &mut root.fork_indexed(&label, i as u64);
+        build(fidelity, pm, t, rng).run().total_j.0
+    });
     let sweeps = cases
-        .into_iter()
-        .map(|(case, fidelity, pm)| {
+        .iter()
+        .zip(totals.chunks(THINK_TIMES.len()))
+        .map(|(&(case, ..), totals)| {
             let points: Vec<(f64, TrialStats)> = THINK_TIMES
                 .iter()
-                .map(|&t| {
-                    let label = format!("fig11/{case}/{t}");
-                    let reports = run_trials(trials, &label, |rng| build(fidelity, pm, t, rng));
-                    (t, energy_stats(&reports))
-                })
+                .zip(totals)
+                .map(|(&t, runs)| (t, TrialStats::from_values(runs)))
                 .collect();
             let fit_points: Vec<(f64, f64)> = points.iter().map(|(t, s)| (*t, s.mean)).collect();
             ThinkSweep {

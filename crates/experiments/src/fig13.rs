@@ -12,7 +12,7 @@ use odyssey_apps::{WebBrowser, WebFidelity};
 use simcore::{SimDuration, SimRng};
 
 use crate::barchart::BarChart;
-use crate::harness::{run_trials, Trials};
+use crate::harness::{run_grid, Trials};
 
 /// The six experimental conditions, in figure order.
 pub const CONDITIONS: [(&str, WebFidelity, bool); 6] = [
@@ -48,6 +48,9 @@ pub fn build(
 }
 
 /// Runs the full figure at a given think time (Figure 13 uses 5 s).
+/// Every `(image, condition, trial)` run is one job of a single
+/// [`run_grid`] dispatch; trial `i` of a bar runs on
+/// `fork_indexed("fig13/<image>/<condition>", i)`.
 pub fn run_at_think(trials: &Trials, think_s: f64) -> BarChart {
     // The paper uses ten trials (twice the video/speech count) for this
     // application; scale whatever the caller asked for accordingly.
@@ -55,17 +58,21 @@ pub fn run_at_think(trials: &Trials, think_s: f64) -> BarChart {
         n: trials.n * 2,
         ..*trials
     };
+    let cells: Vec<(&WebImage, (&str, WebFidelity, bool))> = WEB_IMAGES
+        .iter()
+        .flat_map(|image| CONDITIONS.map(|condition| (image, condition)))
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let reports = run_grid(trials, &cells, |&(image, (name, fidelity, pm)), i| {
+        let label = format!("fig13/{}/{}", image.name, name);
+        let rng = &mut root.fork_indexed(&label, i as u64);
+        build(vec![*image], fidelity, pm, think_s, rng).run()
+    });
     let mut chart = BarChart::new(format!(
         "Figure 13: Energy impact of fidelity for Web browsing (J, think={think_s}s)"
     ));
-    for image in &WEB_IMAGES {
-        for (name, fidelity, pm) in CONDITIONS {
-            let label = format!("fig13/{}/{}", image.name, name);
-            let reports = run_trials(trials, &label, |rng| {
-                build(vec![*image], fidelity, pm, think_s, rng)
-            });
-            chart.push(image.name, name, &reports);
-        }
+    for (&(image, (name, ..)), reports) in cells.iter().zip(&reports) {
+        chart.push(image.name, name, reports);
     }
     chart
 }

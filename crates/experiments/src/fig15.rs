@@ -15,7 +15,7 @@ use odyssey_apps::{VideoPlayer, VideoVariant};
 use simcore::{SimRng, SimTime, TrialStats};
 
 use crate::barchart::BarChart;
-use crate::harness::{energy_stats, run_trials, Trials};
+use crate::harness::{energy_stats, run_grid, Trials};
 
 /// Loop iterations (paper: six).
 pub const ITERATIONS: usize = 6;
@@ -96,18 +96,27 @@ impl Fig15 {
     }
 }
 
-/// Runs the figure.
+/// Runs the figure. Every `(regime, isolation or concurrent, trial)` run
+/// is one job of a single [`run_grid`] dispatch; trial `i` of a bar runs
+/// on `fork_indexed("fig15/<regime>/iso", i)` or `.../conc`.
 pub fn run(trials: &Trials) -> Fig15 {
+    let cells: Vec<(Regime, bool)> = Regime::all()
+        .into_iter()
+        .flat_map(|regime| [(regime, false), (regime, true)])
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let reports = run_grid(trials, &cells, |&(regime, with_video), i| {
+        let mode = if with_video { "conc" } else { "iso" };
+        let label = format!("fig15/{}/{mode}", regime.name());
+        build(regime, with_video, &mut root.fork_indexed(&label, i as u64)).run()
+    });
     let mut chart = BarChart::new("Figure 15: Effect of concurrent applications (J)");
     let mut pairs = Vec::new();
-    for regime in Regime::all() {
-        let iso_label = format!("fig15/{}/iso", regime.name());
-        let iso = run_trials(trials, &iso_label, |rng| build(regime, false, rng));
-        let conc_label = format!("fig15/{}/conc", regime.name());
-        let conc = run_trials(trials, &conc_label, |rng| build(regime, true, rng));
-        chart.push(regime.name(), "Isolation", &iso);
-        chart.push(regime.name(), "Concurrent with video", &conc);
-        pairs.push((regime, energy_stats(&iso), energy_stats(&conc)));
+    for (regime, runs) in Regime::all().into_iter().zip(reports.chunks_exact(2)) {
+        let (iso, conc) = (&runs[0], &runs[1]);
+        chart.push(regime.name(), "Isolation", iso);
+        chart.push(regime.name(), "Concurrent with video", conc);
+        pairs.push((regime, energy_stats(iso), energy_stats(conc)));
     }
     Fig15 { chart, pairs }
 }

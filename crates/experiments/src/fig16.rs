@@ -13,9 +13,9 @@ use odyssey_apps::map::{MapFilter, MapViewer};
 use odyssey_apps::{
     MapFidelity, SpeechApp, SpeechStrategy, VideoPlayer, VideoVariant, WebBrowser, WebFidelity,
 };
-use simcore::{SimDuration, SimRng};
+use simcore::{SimDuration, SimRng, TrialStats};
 
-use crate::harness::{energy_stats, run_trials, Trials};
+use crate::harness::{run_grid, Trials};
 use crate::table::{band, Table};
 
 /// The four normalized conditions of the summary table.
@@ -175,8 +175,7 @@ fn web_machine(obj: usize, c: Condition, think_s: f64, rng: &mut SimRng) -> Mach
 }
 
 /// An application row of the summary, carrying its think time where the
-/// workload has one. Each `(row, object, condition)` triple is one
-/// independent fan-out cell.
+/// workload has one.
 #[derive(Clone, Copy, Debug)]
 enum RowKind {
     Video,
@@ -185,36 +184,27 @@ enum RowKind {
     Web(f64),
 }
 
-/// Mean trial energy of one `(row, object, condition)` cell, J.
+/// Total energy of trial `i` of one `(row, object, condition)` cell, J.
 ///
-/// The trial label is a pure function of the cell, so the cell is a
-/// pure function of `(trials.seed, trials.n, cell)` — which is what
-/// lets the whole summary fan cells across the pool in any order.
-fn cell_energy_j(trials: &Trials, kind: RowKind, o: usize, c: Condition) -> f64 {
-    match kind {
-        RowKind::Video => {
-            let label = format!("fig16/video/{o}/{c:?}");
-            energy_stats(&run_trials(trials, &label, |rng| video_machine(o, c, rng))).mean
-        }
-        RowKind::Speech => {
-            let label = format!("fig16/speech/{o}/{c:?}");
-            energy_stats(&run_trials(trials, &label, |rng| speech_machine(o, c, rng))).mean
-        }
-        RowKind::Map(think) => {
-            let label = format!("fig16/map/{o}/{c:?}/{think}");
-            energy_stats(&run_trials(trials, &label, |rng| {
-                map_machine(o, c, think, rng)
-            }))
-            .mean
-        }
-        RowKind::Web(think) => {
-            let label = format!("fig16/web/{o}/{c:?}/{think}");
-            energy_stats(&run_trials(trials, &label, |rng| {
-                web_machine(o, c, think, rng)
-            }))
-            .mean
-        }
-    }
+/// The trial runs on `fork_indexed(label, i)` with a label that is a pure
+/// function of the cell, so every trial is a pure function of
+/// `(seed, cell, i)` — which is what lets the whole summary fan its
+/// trials across the pool in any order.
+fn trial_energy_j(root: &SimRng, (kind, o, c): (RowKind, usize, Condition), i: usize) -> f64 {
+    let label = match kind {
+        RowKind::Video => format!("fig16/video/{o}/{c:?}"),
+        RowKind::Speech => format!("fig16/speech/{o}/{c:?}"),
+        RowKind::Map(think) => format!("fig16/map/{o}/{c:?}/{think}"),
+        RowKind::Web(think) => format!("fig16/web/{o}/{c:?}/{think}"),
+    };
+    let rng = &mut root.fork_indexed(&label, i as u64);
+    let mut machine = match kind {
+        RowKind::Video => video_machine(o, c, rng),
+        RowKind::Speech => speech_machine(o, c, rng),
+        RowKind::Map(think) => map_machine(o, c, think, rng),
+        RowKind::Web(think) => web_machine(o, c, think, rng),
+    };
+    machine.run().total_j.0
 }
 
 /// Runs the full summary (the paper's think-time rows: 0, 5, 10, 20 s for
@@ -225,15 +215,10 @@ pub fn run(trials: &Trials) -> Fig16 {
 
 /// Runs the summary with a chosen set of think times (tests use fewer).
 ///
-/// The fan-out unit is one `(row, object, condition)` cell — a whole
-/// trial set — so the summary parallelizes as a single wide dispatch of
-/// coarse jobs instead of dozens of tiny per-trial dispatches (the
-/// shape that used to *lose* wall-clock to spawn overhead; see
-/// DESIGN.md §13). Cells run their trials serially; parallelism lives
-/// at this level only. Each object's baseline-condition cell is also
-/// computed exactly once and reused as the normalizer, where the old
-/// per-row closure recomputed it — same pure value, same output bytes,
-/// less work.
+/// Every `(row, object, condition, trial)` run is one job of a single
+/// [`run_grid`] dispatch that returns only the run's total energy. Each
+/// object's baseline-condition cell is computed once and reused as the
+/// normalizer of its row.
 pub fn run_with_thinks(trials: &Trials, thinks: &[f64]) -> Fig16 {
     let mut kinds: Vec<(&'static str, Option<f64>, RowKind)> = vec![
         ("Video", None, RowKind::Video),
@@ -255,10 +240,12 @@ pub fn run_with_thinks(trials: &Trials, thinks: &[f64]) -> Fig16 {
             }
         }
     }
-    let inner = trials.with_threads(1);
-    let energies = simcore::par::map(trials.threads, &cells, |_, &(kind, o, c)| {
-        cell_energy_j(&inner, kind, o, c)
-    });
+    let root = SimRng::new(trials.seed);
+    let totals = run_grid(trials, &cells, |&cell, i| trial_energy_j(&root, cell, i));
+    let energies: Vec<f64> = totals
+        .iter()
+        .map(|runs| TrialStats::from_values(runs).mean)
+        .collect();
     // Cell value lookup: cells are row-major, object-major, condition-
     // minor, so the flat index is a pure function of the coordinates.
     let value = |row: usize, o: usize, ci: usize| energies[(row * 4 + o) * conditions.len() + ci];

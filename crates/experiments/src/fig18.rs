@@ -12,9 +12,9 @@ use machine::{Machine, MachineConfig};
 use odyssey_apps::datasets::{MAPS, VIDEO_CLIPS};
 use odyssey_apps::map::{MapFilter, MapViewer};
 use odyssey_apps::{MapFidelity, VideoPlayer, VideoVariant};
-use simcore::{SimDuration, SimRng};
+use simcore::{SimDuration, SimRng, TrialStats};
 
-use crate::harness::{mean_display_j, run_trials, Trials};
+use crate::harness::{run_grid, Trials};
 use crate::table::{ratio, Table};
 
 /// One row: an application (at a think time) with normalized energies.
@@ -38,9 +38,29 @@ pub struct Fig18 {
     pub rows: Vec<ZonedRow>,
 }
 
+/// The three measured regimes of every row, in row order: name (the
+/// label's regime part), lowest fidelity, hardware power management.
+const REGIMES: [(&str, bool, bool); 3] = [
+    ("base", false, false),
+    ("hw", false, true),
+    ("low", true, true),
+];
+
+/// Mean total and display energy of one cell, J.
 struct Measured {
     total_j: f64,
     display_j: f64,
+}
+
+impl Measured {
+    /// Reduces a cell's per-trial `(total_j, display_j)` pairs.
+    fn of(runs: &[(f64, f64)]) -> Measured {
+        let (totals, displays): (Vec<f64>, Vec<f64>) = runs.iter().copied().unzip();
+        Measured {
+            total_j: TrialStats::from_values(&totals).mean,
+            display_j: TrialStats::from_values(&displays).mean,
+        }
+    }
 }
 
 fn project(m: &Measured, grid: ZoneGrid, window: backlight::WindowRect) -> f64 {
@@ -51,18 +71,6 @@ fn project(m: &Measured, grid: ZoneGrid, window: backlight::WindowRect) -> f64 {
     m.total_j - m.display_j * (1.0 - factor)
 }
 
-fn measure(
-    trials: &Trials,
-    label: &str,
-    build: impl Fn(&mut SimRng) -> Machine + Sync,
-) -> Measured {
-    let reports = run_trials(trials, label, build);
-    Measured {
-        total_j: crate::harness::energy_stats(&reports).mean,
-        display_j: mean_display_j(&reports).0,
-    }
-}
-
 fn zoned_triplet(m: &Measured, window: backlight::WindowRect, baseline_j: f64) -> [f64; 3] {
     [
         m.total_j / baseline_j,
@@ -71,78 +79,90 @@ fn zoned_triplet(m: &Measured, window: backlight::WindowRect, baseline_j: f64) -
     ]
 }
 
+/// Builds one cell's machine: the video clip when `think_s` is `None`,
+/// else the map at that think time.
+fn build(think_s: Option<f64>, lowest: bool, pm: bool, rng: &mut SimRng) -> Machine {
+    let cfg = if pm {
+        MachineConfig::default()
+    } else {
+        MachineConfig::baseline()
+    };
+    let mut m = Machine::new(cfg);
+    match think_s {
+        None => {
+            let variant = if lowest {
+                VideoVariant::Combined
+            } else {
+                VideoVariant::Full
+            };
+            m.add_process(Box::new(VideoPlayer::fixed(VIDEO_CLIPS[0], variant, rng)));
+        }
+        Some(think) => {
+            let fidelity = if lowest {
+                MapFidelity {
+                    filter: MapFilter::Secondary,
+                    cropped: true,
+                }
+            } else {
+                MapFidelity::full()
+            };
+            m.add_process(Box::new(
+                MapViewer::fixed(vec![MAPS[0]], fidelity, rng)
+                    .with_think_time(SimDuration::from_secs_f64(think)),
+            ));
+        }
+    }
+    m
+}
+
 /// Runs the projection with the paper's think times for the map rows.
 pub fn run(trials: &Trials) -> Fig18 {
     run_with_thinks(trials, &[0.0, 5.0, 10.0, 20.0])
 }
 
-/// Runs the projection with chosen map think times.
+/// Runs the projection with chosen map think times: a video row, then a
+/// map row per think time, each measuring baseline, hardware-only (full
+/// window) and combined (reduced window).
+///
+/// Every `(row, regime, trial)` run is one job of a single [`run_grid`]
+/// dispatch on `fork_indexed("fig18/video/<regime>", i)` or
+/// `fork_indexed("fig18/map/<regime>/<think>", i)`, and returns only its
+/// total and display energy.
 pub fn run_with_thinks(trials: &Trials, thinks: &[f64]) -> Fig18 {
-    let mut rows = Vec::new();
-
-    // Video: baseline, hardware-only (full window), combined (reduced
-    // window).
-    let video = |variant: VideoVariant, pm: bool, rng: &mut SimRng| {
-        let cfg = if pm {
-            MachineConfig::default()
-        } else {
-            MachineConfig::baseline()
+    let row_thinks: Vec<Option<f64>> = std::iter::once(None)
+        .chain(thinks.iter().copied().map(Some))
+        .collect();
+    let cells: Vec<_> = row_thinks
+        .iter()
+        .flat_map(|&think_s| REGIMES.map(|regime| (think_s, regime)))
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let runs = run_grid(trials, &cells, |&(think_s, (regime, lowest, pm)), i| {
+        let label = match think_s {
+            None => format!("fig18/video/{regime}"),
+            Some(think) => format!("fig18/map/{regime}/{think}"),
         };
-        let mut m = Machine::new(cfg);
-        m.add_process(Box::new(VideoPlayer::fixed(VIDEO_CLIPS[0], variant, rng)));
-        m
-    };
-    let base = measure(trials, "fig18/video/base", |rng| {
-        video(VideoVariant::Full, false, rng)
+        let rng = &mut root.fork_indexed(&label, i as u64);
+        let report = build(think_s, lowest, pm, rng).run();
+        (report.total_j.0, report.components.display_j.0)
     });
-    let hw = measure(trials, "fig18/video/hw", |rng| {
-        video(VideoVariant::Full, true, rng)
-    });
-    let low = measure(trials, "fig18/video/low", |rng| {
-        video(VideoVariant::Combined, true, rng)
-    });
-    rows.push(ZonedRow {
-        app: "Video",
-        think_s: None,
-        hw_only: zoned_triplet(&hw, VIDEO_FULL_WINDOW, base.total_j),
-        combined: zoned_triplet(&low, VIDEO_REDUCED_WINDOW, base.total_j),
-    });
-
-    // Map rows per think time.
-    let map = |fid: MapFidelity, pm: bool, think: f64, rng: &mut SimRng| {
-        let cfg = if pm {
-            MachineConfig::default()
-        } else {
-            MachineConfig::baseline()
-        };
-        let mut m = Machine::new(cfg);
-        m.add_process(Box::new(
-            MapViewer::fixed(vec![MAPS[0]], fid, rng)
-                .with_think_time(SimDuration::from_secs_f64(think)),
-        ));
-        m
-    };
-    let lowest = MapFidelity {
-        filter: MapFilter::Secondary,
-        cropped: true,
-    };
-    for &think in thinks {
-        let base = measure(trials, &format!("fig18/map/base/{think}"), |rng| {
-            map(MapFidelity::full(), false, think, rng)
-        });
-        let hw = measure(trials, &format!("fig18/map/hw/{think}"), |rng| {
-            map(MapFidelity::full(), true, think, rng)
-        });
-        let low = measure(trials, &format!("fig18/map/low/{think}"), |rng| {
-            map(lowest, true, think, rng)
-        });
-        rows.push(ZonedRow {
-            app: "Map",
-            think_s: Some(think),
-            hw_only: zoned_triplet(&hw, MAP_FULL_WINDOW, base.total_j),
-            combined: zoned_triplet(&low, MAP_LOWEST_WINDOW, base.total_j),
-        });
-    }
+    let rows = row_thinks
+        .iter()
+        .zip(runs.chunks_exact(REGIMES.len()))
+        .map(|(&think_s, runs)| {
+            let [base, hw, low] = [0, 1, 2].map(|r| Measured::of(&runs[r]));
+            let (app, full_window, low_window) = match think_s {
+                None => ("Video", VIDEO_FULL_WINDOW, VIDEO_REDUCED_WINDOW),
+                Some(_) => ("Map", MAP_FULL_WINDOW, MAP_LOWEST_WINDOW),
+            };
+            ZonedRow {
+                app,
+                think_s,
+                hw_only: zoned_triplet(&hw, full_window, base.total_j),
+                combined: zoned_triplet(&low, low_window, base.total_j),
+            }
+        })
+        .collect();
     Fig18 { rows }
 }
 

@@ -10,7 +10,7 @@ use odyssey_apps::{SpeechApp, SpeechStrategy};
 use simcore::SimRng;
 
 use crate::barchart::BarChart;
-use crate::harness::{run_trials, Trials};
+use crate::harness::{run_grid, Trials};
 
 /// The six experimental conditions, in figure order.
 pub const CONDITIONS: [(&str, SpeechStrategy, bool, bool); 6] = [
@@ -49,15 +49,23 @@ fn build(
     m
 }
 
-/// Runs the full figure.
+/// Runs the full figure. Every `(utterance, condition, trial)` run is
+/// one job of a single [`run_grid`] dispatch; trial `i` of a bar runs on
+/// `fork_indexed("fig8/<utterance>/<condition>", i)`.
 pub fn run(trials: &Trials) -> BarChart {
+    let cells: Vec<_> = UTTERANCES
+        .iter()
+        .flat_map(|u| CONDITIONS.map(|condition| (u, condition)))
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let reports = run_grid(trials, &cells, |&(u, (name, strategy, reduced, pm)), i| {
+        let label = format!("fig8/{}/{}", u.name, name);
+        let rng = &mut root.fork_indexed(&label, i as u64);
+        build(*u, strategy, reduced, pm, rng).run()
+    });
     let mut chart = BarChart::new("Figure 8: Energy impact of fidelity for speech recognition (J)");
-    for u in &UTTERANCES {
-        for (name, strategy, reduced, pm) in CONDITIONS {
-            let label = format!("fig8/{}/{}", u.name, name);
-            let reports = run_trials(trials, &label, |rng| build(*u, strategy, reduced, pm, rng));
-            chart.push(u.name, name, &reports);
-        }
+    for (&(u, (name, ..)), reports) in cells.iter().zip(&reports) {
+        chart.push(u.name, name, reports);
     }
     chart
 }

@@ -2,24 +2,23 @@
 //!
 //! The paper reports each bar as "the mean of five trials" (ten for the
 //! map and web applications) with 90% confidence intervals. A [`Trials`]
-//! carries the trial count, master seed, and worker-thread count;
-//! [`run_trials`] executes a machine-builder closure once per trial with
-//! a trial-specific random stream and reduces the reports.
+//! carries the trial count, master seed, and worker-thread count.
 //!
-//! Trials are independent by construction — trial `i`'s stream is a pure
-//! function of `(seed, label, i)`, and forking consumes nothing from the
-//! master — so [`run_grid`] fans a whole `cells × trials` grid out
-//! through the [`simcore::par`] work pool in one dispatch and merges
-//! results per cell in trial order. [`run_trials`] is its one-cell case.
-//! The parallel run is byte-identical to the serial one at any thread
-//! count (`tests/parallel_equivalence.rs` pins this).
+//! Trials are independent by construction — trial `i` of a cell runs on
+//! the stream `fork_indexed(label, i)`, a pure function of
+//! `(seed, label, i)`, and forking consumes nothing from the master — so
+//! [`run_grid`], the one trial fan-out, sends a figure's whole
+//! `cells × trials` grid through the [`simcore::par`] work pool in one
+//! dispatch and merges results per cell in trial order. The parallel run
+//! is byte-identical to the serial one at any thread count
+//! (`tests/parallel_equivalence.rs` pins this).
 //!
-//! A trial is a batch run: the harness calls [`Machine::run`] on the
-//! freshly built machine. Only the always-on `serve` mode wraps a machine
-//! in a [`simserve::Session`].
+//! A trial is a batch run: each figure's job builds a machine and calls
+//! [`Machine::run`](machine::Machine::run) on it. Only the always-on
+//! `serve` mode wraps a machine in a [`simserve::Session`].
 
-use machine::{Machine, RunReport};
-use simcore::{Joules, SimRng, TrialStats};
+use machine::RunReport;
+use simcore::{Joules, TrialStats};
 
 /// Trial configuration for an experiment.
 #[derive(Clone, Copy, Debug)]
@@ -114,29 +113,6 @@ where
         .collect()
 }
 
-/// Runs `build` once per trial and returns all reports, in trial order:
-/// [`run_grid`] over a single cell.
-///
-/// `label` isolates this experiment's random streams from others sharing
-/// the master seed; trial `i` runs on `fork_indexed(label, i)`.
-///
-/// # Panics
-///
-/// Panics if `trials.n` is zero.
-pub fn run_trials(
-    trials: &Trials,
-    label: &str,
-    build: impl Fn(&mut SimRng) -> Machine + Sync,
-) -> Vec<RunReport> {
-    let root = SimRng::new(trials.seed);
-    run_grid(trials, &[label], |label, i| {
-        build(&mut root.fork_indexed(label, i as u64)).run()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// Total-energy statistics over a set of reports.
 pub fn energy_stats(reports: &[RunReport]) -> TrialStats {
     let values: Vec<f64> = reports.iter().map(|r| r.total_j.0).collect();
@@ -171,8 +147,8 @@ pub fn saving_pct(old: f64, new: f64) -> f64 {
 mod tests {
     use super::*;
     use machine::workload::ScriptedWorkload;
-    use machine::MachineConfig;
-    use simcore::SimDuration;
+    use machine::{Machine, MachineConfig};
+    use simcore::{SimDuration, SimRng};
 
     fn build_idle(_rng: &mut SimRng) -> Machine {
         let mut m = Machine::new(MachineConfig::baseline());
@@ -183,19 +159,31 @@ mod tests {
         m
     }
 
+    /// Idle runs over `cells`, trial `i` of a cell on
+    /// `fork_indexed(cell, i)` as the figures fork them.
+    fn idle_grid(trials: &Trials, cells: &[&str]) -> Vec<Vec<RunReport>> {
+        let root = SimRng::new(trials.seed);
+        run_grid(trials, cells, |cell, i| {
+            build_idle(&mut root.fork_indexed(cell, i as u64)).run()
+        })
+    }
+
     #[test]
-    fn run_trials_produces_n_reports() {
-        let reports = run_trials(&Trials::quick(), "t", build_idle);
+    fn grid_produces_n_reports_per_cell() {
+        let reports = idle_grid(&Trials::quick(), &["t", "u"]);
         assert_eq!(reports.len(), 2);
-        let stats = energy_stats(&reports);
-        assert!((stats.mean - 2.0 * 10.28).abs() < 0.1);
-        assert!(stats.sd < 0.01, "idle runs are deterministic");
+        for cell in &reports {
+            assert_eq!(cell.len(), 2);
+            let stats = energy_stats(cell);
+            assert!((stats.mean - 2.0 * 10.28).abs() < 0.1);
+            assert!(stats.sd < 0.01, "idle runs are deterministic");
+        }
     }
 
     #[test]
     fn trials_are_reproducible() {
-        let a = energy_stats(&run_trials(&Trials::default(), "x", build_idle));
-        let b = energy_stats(&run_trials(&Trials::default(), "x", build_idle));
+        let a = energy_stats(&idle_grid(&Trials::default(), &["x"])[0]);
+        let b = energy_stats(&idle_grid(&Trials::default(), &["x"])[0]);
         assert_eq!(a.mean, b.mean);
     }
 
@@ -204,23 +192,21 @@ mod tests {
     /// parallelism) must never shift an existing trial's draws.
     #[test]
     fn trial_streams_independent_of_trial_count() {
-        let few = run_trials(
+        let few = idle_grid(
             &Trials {
                 n: 2,
                 ..Trials::default()
             },
-            "ind",
-            build_idle,
+            &["ind"],
         );
-        let many = run_trials(
+        let many = idle_grid(
             &Trials {
                 n: 5,
                 ..Trials::default()
             },
-            "ind",
-            build_idle,
+            &["ind"],
         );
-        for (i, (a, b)) in few.iter().zip(many.iter()).enumerate() {
+        for (i, (a, b)) in few[0].iter().zip(&many[0]).enumerate() {
             assert_eq!(
                 format!("{a:?}"),
                 format!("{b:?}"),
@@ -233,17 +219,10 @@ mod tests {
     /// byte-identical to the serial run at every thread count.
     #[test]
     fn parallel_reports_match_serial() {
-        let serial = run_trials(&Trials::default(), "par", build_idle);
+        let serial = format!("{:?}", idle_grid(&Trials::default(), &["par"]));
         for threads in [2, 4, 8] {
-            let par = run_trials(&Trials::default().with_threads(threads), "par", build_idle);
-            assert_eq!(serial.len(), par.len());
-            for (i, (a, b)) in serial.iter().zip(par.iter()).enumerate() {
-                assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "trial {i} differs at threads={threads}"
-                );
-            }
+            let par = idle_grid(&Trials::default().with_threads(threads), &["par"]);
+            assert_eq!(serial, format!("{par:?}"), "differs at threads={threads}");
         }
     }
 
@@ -305,9 +284,9 @@ mod tests {
 
     #[test]
     fn bucket_mean() {
-        let reports = run_trials(&Trials::quick(), "b", build_idle);
-        let idle = mean_bucket_j(&reports, "Idle");
+        let reports = &idle_grid(&Trials::quick(), &["b"])[0];
+        let idle = mean_bucket_j(reports, "Idle");
         assert!((idle - Joules(2.0 * 10.28)).abs() < Joules(0.1));
-        assert_eq!(mean_bucket_j(&reports, "none"), Joules(0.0));
+        assert_eq!(mean_bucket_j(reports, "none"), Joules(0.0));
     }
 }

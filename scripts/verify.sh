@@ -93,9 +93,10 @@ echo "== simserve: hostile-input fuzz smoke (30 seeded streams) =="
 cargo run --release -q -p experiments -- fuzz --streams 30
 
 echo "== simpar: serial/parallel byte-equality smoke =="
-# The sweeps and every figure on the harness trial grid (fig6, the
+# The sweeps and every figure on the harness trial grid (the bar and
+# think-time figures, the fig16 summary and its headline, the
 # goal-directed figures and the ablations), serial against 8 workers.
-par_ids=(chaos fig18 fig6 fig19 fig20 fig21 fig22 sec54 ablate)
+par_ids=(chaos fig6 fig8 fig10 fig11 fig13 fig14 fig15 fig16 fig18 fig19 fig20 fig21 fig22 sec54 headline ablate)
 par_1="$(cargo run --release -q -p experiments -- "${par_ids[@]}" --quick --threads 1 2>/dev/null)"
 par_8="$(cargo run --release -q -p experiments -- "${par_ids[@]}" --quick --threads 8 2>/dev/null)"
 if [ "$par_1" != "$par_8" ]; then

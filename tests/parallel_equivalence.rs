@@ -12,7 +12,7 @@
 
 use std::fmt::Debug;
 
-use experiments::harness::{run_trials, Trials};
+use experiments::harness::{run_grid, Trials};
 use experiments::{
     ablate, chaos, fig16, fig19, fig20, fig21, fig22, fig6, golden, sec54, supervise, tracerec,
 };
@@ -61,10 +61,10 @@ fn golden_traces_replay_identically_with_pool_linked() {
     }
 }
 
-/// The trial harness merges reports in trial order at every thread
-/// count, on a workload with real randomness in it.
+/// The trial grid merges reports in trial order at every thread count,
+/// on a workload with real randomness in it.
 #[test]
-fn run_trials_reports_identical_across_thread_counts() {
+fn run_grid_reports_identical_across_thread_counts() {
     let build = |rng: &mut SimRng| {
         let mut m = Machine::new(MachineConfig::default());
         let jitter_s = rng.uniform(1.0, 3.0);
@@ -79,15 +79,19 @@ fn run_trials_reports_identical_across_thread_counts() {
         seed: 7,
         threads: 1,
     };
-    let serial: Vec<String> = run_trials(&trials, "pareq", build)
+    let reports = |trials: &Trials| -> Vec<String> {
+        let root = SimRng::new(trials.seed);
+        run_grid(trials, &["pareq"], |label, i| {
+            build(&mut root.fork_indexed(label, i as u64)).run()
+        })
         .iter()
+        .flatten()
         .map(|r| format!("{r:?}"))
-        .collect();
+        .collect()
+    };
+    let serial = reports(&trials);
     for threads in THREAD_COUNTS {
-        let par: Vec<String> = run_trials(&trials.with_threads(threads), "pareq", build)
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
+        let par = reports(&trials.with_threads(threads));
         assert_eq!(serial, par, "reports diverge at {threads} threads");
     }
 }

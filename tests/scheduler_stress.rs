@@ -7,10 +7,10 @@
 //! machinery would never execute). Shapes covered: empty input, a
 //! single item, item counts straddling the worker count (threads ± 1),
 //! and a heavy/light skewed-cost workload where one in seven jobs costs
-//! ~100× the rest. The harness trial fan-out rides the same gauntlet end
-//! to end.
+//! ~100× the rest. The harness trial grid rides the same gauntlet end to
+//! end.
 
-use experiments::harness::{run_trials, Trials};
+use experiments::harness::{run_grid, Trials};
 use machine::workload::ScriptedWorkload;
 use machine::{Machine, MachineConfig};
 use simcore::{SimDuration, SimRng};
@@ -90,44 +90,88 @@ fn map_identical_under_adversarial_shapes() {
     }
 }
 
-/// The harness trial fan-out — real machines, real RNG forks — is
+/// A machine idling for a random 1–4 s drawn from its trial stream,
+/// so trial costs are naturally skewed.
+fn build_jittered(rng: &mut SimRng) -> Machine {
+    let mut m = Machine::new(MachineConfig::default());
+    let jitter_s = rng.uniform(1.0, 4.0);
+    m.add_process(Box::new(ScriptedWorkload::idle_for(
+        "stress",
+        SimDuration::from_secs_f64(jitter_s),
+    )));
+    m
+}
+
+/// Runs `build` for every trial of every cell on
+/// `fork_indexed(cell, i)`, the figures' fork convention, and renders
+/// each cell's reports.
+fn grid_reports(
+    trials: &Trials,
+    cells: &[&str],
+    build: impl Fn(&mut SimRng) -> Machine + Sync,
+) -> Vec<String> {
+    let root = SimRng::new(trials.seed);
+    run_grid(trials, cells, |cell, i| {
+        build(&mut root.fork_indexed(cell, i as u64)).run()
+    })
+    .iter()
+    .map(|runs| format!("{runs:?}"))
+    .collect()
+}
+
+/// The harness trial grid — real machines, real RNG forks — is
 /// byte-identical across the full thread grid, including counts that
-/// straddle the trial count. Trial durations are randomized so the
-/// workload is naturally skewed.
+/// straddle the trial count.
 #[test]
-fn run_trials_identical_across_thread_grid() {
-    let build = |rng: &mut SimRng| {
-        let mut m = Machine::new(MachineConfig::default());
-        let jitter_s = rng.uniform(1.0, 4.0);
-        m.add_process(Box::new(ScriptedWorkload::idle_for(
-            "stress",
-            SimDuration::from_secs_f64(jitter_s),
-        )));
-        m
-    };
+fn run_grid_identical_across_thread_grid() {
     // 5 trials: straddles threads=4 (n > w) and threads=8 (n < w).
     let trials = Trials {
         n: 5,
         seed: 1999,
         threads: 1,
     };
-    let serial: Vec<String> = run_trials(&trials, "schedstress", build)
-        .iter()
-        .map(|r| format!("{r:?}"))
-        .collect();
+    let serial = grid_reports(&trials, &["schedstress"], build_jittered);
     for threads in THREADS {
-        let par: Vec<String> = run_trials(&trials.with_threads(threads), "schedstress", build)
-            .iter()
-            .map(|r| format!("{r:?}"))
-            .collect();
+        let par = grid_reports(
+            &trials.with_threads(threads),
+            &["schedstress"],
+            build_jittered,
+        );
         assert_eq!(serial, par, "harness reports diverge at {threads} threads");
+    }
+}
+
+/// A multi-cell grid (3 cells × 5 trials, the shape of a figure) comes
+/// back cell-major in trial order and byte-identical at every thread
+/// count: the claims interleave cells, the merge must not.
+#[test]
+fn run_grid_multi_cell_identical_across_thread_grid() {
+    let trials = Trials {
+        n: 5,
+        seed: 1999,
+        threads: 1,
+    };
+    let cells = ["grid/a", "grid/b", "grid/c"];
+    let serial = grid_reports(&trials, &cells, build_jittered);
+    assert_eq!(serial.len(), cells.len());
+    // Each cell is the same runs a one-cell grid of its label gives.
+    for (cell, runs) in cells.iter().zip(&serial) {
+        assert_eq!(
+            grid_reports(&trials, &[cell], build_jittered),
+            std::slice::from_ref(runs),
+            "{cell} drifted inside the grid"
+        );
+    }
+    for threads in [1, 2, 4, 8] {
+        let par = grid_reports(&trials.with_threads(threads), &cells, build_jittered);
+        assert_eq!(serial, par, "grid reports diverge at {threads} threads");
     }
 }
 
 /// Single-trial and empty-adjacent harness shapes: the inline fallback
 /// must produce the same bytes the spawning path does.
 #[test]
-fn run_trials_single_trial_matches_any_thread_count() {
+fn run_grid_single_trial_matches_any_thread_count() {
     let build = |rng: &mut SimRng| {
         let mut m = Machine::new(MachineConfig::default());
         let jitter_s = rng.uniform(0.5, 1.5);
@@ -142,12 +186,9 @@ fn run_trials_single_trial_matches_any_thread_count() {
         seed: 7,
         threads: 1,
     };
-    let serial = format!("{:?}", run_trials(&trials, "solostress", build));
+    let serial = grid_reports(&trials, &["solostress"], build);
     for threads in THREADS {
-        let par = format!(
-            "{:?}",
-            run_trials(&trials.with_threads(threads), "solostress", build)
-        );
+        let par = grid_reports(&trials.with_threads(threads), &["solostress"], build);
         assert_eq!(serial, par, "single trial diverges at {threads} threads");
     }
 }
