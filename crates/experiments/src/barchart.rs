@@ -1,13 +1,14 @@
 //! Grouped-bar results, the shape of Figures 6, 8, 10, 13 and 15.
 //!
 //! Each figure is a set of data objects (clips, utterances, maps, images)
-//! × a set of conditions (baseline, hardware-only, fidelity levels), with
-//! per-bar energy statistics and the per-bucket shading the paper stacks
-//! inside each bar.
+//! × a set of conditions (baseline, hardware-only, fidelity levels), and
+//! each bar is the mean total energy over trials with its 90% confidence
+//! interval. [`run`] runs the application bar figures.
 
-use machine::RunReport;
-use simcore::{Joules, TrialStats};
+use machine::Machine;
+use simcore::{SimRng, TrialStats};
 
+use crate::harness::{run_grid, Trials};
 use crate::table::{self, Table};
 
 /// One bar: a (data object, condition) cell.
@@ -19,10 +20,6 @@ pub struct Bar {
     pub condition: String,
     /// Energy statistics over trials.
     pub stats: TrialStats,
-    /// Mean energy per software bucket (the bar's shading).
-    pub buckets: Vec<(String, Joules)>,
-    /// Mean display energy (used by the zoned-backlight projection).
-    pub display_j: Joules,
 }
 
 /// A full grouped-bar chart.
@@ -34,6 +31,40 @@ pub struct BarChart {
     pub bars: Vec<Bar>,
 }
 
+/// Runs a bar figure: every named object under every named condition,
+/// each trial a machine from `build` run to completion.
+///
+/// Every `(object, condition, trial)` run is one job of a single
+/// [`run_grid`] dispatch; trial `i` of a bar runs on
+/// `fork_indexed("<prefix>/<object>/<condition>", i)` and returns only
+/// its total energy. Bars are pushed object-major, in argument order.
+pub fn run<O: Sync, C: Sync>(
+    trials: &Trials,
+    title: &str,
+    prefix: &str,
+    objects: &[(&str, O)],
+    conditions: &[(&str, C)],
+    build: impl Fn(&O, &C, &mut SimRng) -> Machine + Sync,
+) -> BarChart {
+    let cells: Vec<_> = objects
+        .iter()
+        .flat_map(|object| conditions.iter().map(move |condition| (object, condition)))
+        .collect();
+    let root = SimRng::new(trials.seed);
+    let totals = run_grid(trials, &cells, |((object, o), (condition, c)), i| {
+        let label = format!("{prefix}/{object}/{condition}");
+        build(o, c, &mut root.fork_indexed(&label, i as u64))
+            .run()
+            .total_j
+            .0
+    });
+    let mut chart = BarChart::new(title);
+    for (((object, _), (condition, _)), totals) in cells.iter().zip(&totals) {
+        chart.push(object, condition, totals);
+    }
+    chart
+}
+
 impl BarChart {
     /// Creates an empty chart.
     pub fn new(title: impl Into<String>) -> Self {
@@ -43,31 +74,12 @@ impl BarChart {
         }
     }
 
-    /// Reduces trial reports into one bar.
-    pub fn push(&mut self, object: &str, condition: &str, reports: &[RunReport]) {
-        let stats = crate::harness::energy_stats(reports);
-        // Union of bucket names, mean energy each.
-        let mut names: Vec<String> = Vec::new();
-        for r in reports {
-            for (b, _) in &r.buckets {
-                if !names.contains(b) {
-                    names.push(b.clone());
-                }
-            }
-        }
-        let buckets = names
-            .into_iter()
-            .map(|b| {
-                let mean = crate::harness::mean_bucket_j(reports, &b);
-                (b, mean)
-            })
-            .collect();
+    /// Reduces per-trial total energies, J, into one bar.
+    pub fn push(&mut self, object: &str, condition: &str, totals_j: &[f64]) {
         self.bars.push(Bar {
             object: object.to_string(),
             condition: condition.to_string(),
-            stats,
-            buckets,
-            display_j: crate::harness::mean_display_j(reports),
+            stats: TrialStats::from_values(totals_j),
         });
     }
 
@@ -187,31 +199,21 @@ impl BarChart {
 mod tests {
     use super::*;
     use machine::workload::ScriptedWorkload;
-    use machine::{Machine, MachineConfig};
     use simcore::SimDuration;
-
-    fn reports(secs: u64) -> Vec<RunReport> {
-        let mut m = Machine::new(MachineConfig::baseline());
-        m.add_process(Box::new(ScriptedWorkload::idle_for(
-            "w",
-            SimDuration::from_secs(secs),
-        )));
-        vec![m.run()]
-    }
 
     fn chart() -> BarChart {
         let mut c = BarChart::new("test");
-        c.push("obj1", "Baseline", &reports(10));
-        c.push("obj1", "HW-Only", &reports(8));
-        c.push("obj2", "Baseline", &reports(20));
-        c.push("obj2", "HW-Only", &reports(18));
+        c.push("obj1", "Baseline", &[100.0]);
+        c.push("obj1", "HW-Only", &[90.0]);
+        c.push("obj2", "Baseline", &[200.0]);
+        c.push("obj2", "HW-Only", &[160.0]);
         c
     }
 
     #[test]
     fn lookups() {
         let c = chart();
-        assert!((c.energy_j("obj1", "Baseline") - 102.8).abs() < 0.1);
+        assert!((c.energy_j("obj1", "Baseline") - 100.0).abs() < 1e-9);
         assert_eq!(c.objects(), vec!["obj1", "obj2"]);
         assert_eq!(c.conditions(), vec!["Baseline", "HW-Only"]);
     }
@@ -220,8 +222,8 @@ mod tests {
     fn savings_band() {
         let c = chart();
         let (lo, hi) = c.saving_band("HW-Only", "Baseline");
-        assert!((lo - 10.0).abs() < 0.5, "lo {lo}");
-        assert!((hi - 20.0).abs() < 0.5, "hi {hi}");
+        assert!((lo - 10.0).abs() < 1e-9, "lo {lo}");
+        assert!((hi - 20.0).abs() < 1e-9, "hi {hi}");
     }
 
     #[test]
@@ -237,11 +239,33 @@ mod tests {
         assert!(s.contains("saving vs baseline"));
     }
 
+    /// `run` pushes one bar per (object, condition), object-major,
+    /// each the mean of its trials' total energy.
     #[test]
-    fn buckets_are_averaged() {
-        let c = chart();
-        let bar = c.bar("obj1", "Baseline");
-        let idle = bar.buckets.iter().find(|(n, _)| n == "Idle").unwrap().1;
-        assert!((idle - Joules(102.8)).abs() < Joules(0.1));
+    fn run_measures_every_object_under_every_condition() {
+        let idle = |secs: &u64, pm: &bool, _: &mut SimRng| {
+            let mut m = crate::builds::machine(*pm);
+            m.add_process(Box::new(ScriptedWorkload::idle_for(
+                "w",
+                SimDuration::from_secs(*secs),
+            )));
+            m
+        };
+        let c = run(
+            &Trials::quick(),
+            "idle",
+            "test",
+            &[("10 s", 10), ("20 s", 20)],
+            &[("Baseline", false), ("HW-Only", true)],
+            idle,
+        );
+        assert_eq!(c.objects(), vec!["10 s", "20 s"]);
+        assert_eq!(c.conditions(), vec!["Baseline", "HW-Only"]);
+        assert!((c.energy_j("10 s", "Baseline") - 102.8).abs() < 0.1);
+        assert!((c.energy_j("20 s", "Baseline") - 205.6).abs() < 0.1);
+        assert!(
+            c.bar("20 s", "HW-Only").stats.sd < 0.01,
+            "idle is deterministic"
+        );
     }
 }

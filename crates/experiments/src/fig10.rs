@@ -4,90 +4,46 @@
 //! levels, cropping, and cropping combined with each filter — all at the
 //! default five-second think time.
 
-use machine::{Machine, MachineConfig};
-use odyssey_apps::datasets::{MapObject, MAPS};
-use odyssey_apps::map::{MapFilter, MapViewer};
+use odyssey_apps::datasets::{DEFAULT_THINK_S, MAPS};
+use odyssey_apps::map::MapFilter;
 use odyssey_apps::MapFidelity;
-use simcore::{SimDuration, SimRng};
 
-use crate::barchart::BarChart;
-use crate::harness::{run_grid, Trials};
+use crate::barchart::{self, BarChart};
+use crate::builds;
+use crate::harness::Trials;
 
-/// The seven experimental conditions, in figure order.
-pub fn conditions() -> Vec<(&'static str, MapFidelity, bool)> {
+/// The seven experimental conditions, in figure order: the fidelity and
+/// whether hardware power management is on.
+pub fn conditions() -> Vec<(&'static str, (MapFidelity, bool))> {
     let f = |filter, cropped| MapFidelity { filter, cropped };
     vec![
-        ("Baseline", MapFidelity::full(), false),
-        ("Hardware-Only Power Mgmt.", MapFidelity::full(), true),
-        ("Minor Road Filter", f(MapFilter::Minor, false), true),
+        ("Baseline", (MapFidelity::full(), false)),
+        ("Hardware-Only Power Mgmt.", (MapFidelity::full(), true)),
+        ("Minor Road Filter", (f(MapFilter::Minor, false), true)),
         (
             "Secondary Road Filter",
-            f(MapFilter::Secondary, false),
-            true,
+            (f(MapFilter::Secondary, false), true),
         ),
-        ("Cropped", f(MapFilter::None, true), true),
-        ("Cropped-Minor", f(MapFilter::Minor, true), true),
-        ("Cropped-Secondary", f(MapFilter::Secondary, true), true),
+        ("Cropped", (f(MapFilter::None, true), true)),
+        ("Cropped-Minor", (f(MapFilter::Minor, true), true)),
+        ("Cropped-Secondary", (f(MapFilter::Secondary, true), true)),
     ]
 }
 
-fn build(
-    map: MapObject,
-    fidelity: MapFidelity,
-    pm: bool,
-    think_s: f64,
-    rng: &mut SimRng,
-) -> Machine {
-    let cfg = if pm {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(
-        MapViewer::fixed(vec![map], fidelity, rng)
-            .with_think_time(SimDuration::from_secs_f64(think_s)),
-    ));
-    m
-}
-
-/// Runs the full figure at a given think time (Figure 10 uses 5 s).
-/// Every `(map, condition, trial)` run is one job of a single
-/// [`run_grid`] dispatch; trial `i` of a bar runs on
-/// `fork_indexed("fig10/<map>/<condition>", i)`.
-pub fn run_at_think(trials: &Trials, think_s: f64) -> BarChart {
-    // The paper uses ten trials (twice the video/speech count) for this
-    // application; scale whatever the caller asked for accordingly.
-    let trials = &Trials {
-        n: trials.n * 2,
-        ..*trials
-    };
-    let cells: Vec<(&MapObject, (&str, MapFidelity, bool))> = MAPS
-        .iter()
-        .flat_map(|map| {
-            conditions()
-                .into_iter()
-                .map(move |condition| (map, condition))
-        })
-        .collect();
-    let root = SimRng::new(trials.seed);
-    let reports = run_grid(trials, &cells, |&(map, (name, fidelity, pm)), i| {
-        let label = format!("fig10/{}/{}", map.name, name);
-        let rng = &mut root.fork_indexed(&label, i as u64);
-        build(*map, fidelity, pm, think_s, rng).run()
-    });
-    let mut chart = BarChart::new(format!(
-        "Figure 10: Energy impact of fidelity for map viewing (J, think={think_s}s)"
-    ));
-    for (&(map, (name, ..)), reports) in cells.iter().zip(&reports) {
-        chart.push(map.name, name, reports);
-    }
-    chart
-}
-
-/// Runs the figure at the default 5-second think time.
+/// Runs the full figure at the default think time, with the map
+/// application's doubled trial count, as one [`barchart::run`] grid
+/// labelled `fig10/<map>/<condition>`.
 pub fn run(trials: &Trials) -> BarChart {
-    run_at_think(trials, 5.0)
+    barchart::run(
+        &trials.doubled(),
+        &format!(
+            "Figure 10: Energy impact of fidelity for map viewing (J, think={DEFAULT_THINK_S}s)"
+        ),
+        "fig10",
+        &MAPS.map(|map| (map.name, map)),
+        &conditions(),
+        |map, &(fidelity, pm), rng| builds::map(*map, fidelity, pm, DEFAULT_THINK_S, rng),
+    )
 }
 
 /// Renders the figure as a table.

@@ -6,80 +6,42 @@
 //! disappointing" — 4-14% below hardware-only at best, because think-time
 //! background power dominates.
 
-use machine::{Machine, MachineConfig};
-use odyssey_apps::datasets::{WebImage, WEB_IMAGES};
-use odyssey_apps::{WebBrowser, WebFidelity};
-use simcore::{SimDuration, SimRng};
+use odyssey_apps::datasets::{DEFAULT_THINK_S, WEB_IMAGES};
+use odyssey_apps::WebFidelity;
 
-use crate::barchart::BarChart;
-use crate::harness::{run_grid, Trials};
-
-/// The six experimental conditions, in figure order.
-pub const CONDITIONS: [(&str, WebFidelity, bool); 6] = [
-    ("Baseline", WebFidelity::Full, false),
-    ("Hardware-Only Power Mgmt.", WebFidelity::Full, true),
-    ("JPEG-75", WebFidelity::Jpeg75, true),
-    ("JPEG-50", WebFidelity::Jpeg50, true),
-    ("JPEG-25", WebFidelity::Jpeg25, true),
-    ("JPEG-5", WebFidelity::Jpeg5, true),
-];
+use crate::barchart::{self, BarChart};
+use crate::harness::Trials;
 
 /// Builds one experimental cell: a machine browsing `images` at the given
 /// fidelity and think time, with or without hardware power management.
 /// Public so the trace recorder can replay a canonical condition.
-pub fn build(
-    images: Vec<WebImage>,
-    fidelity: WebFidelity,
-    pm: bool,
-    think_s: f64,
-    rng: &mut SimRng,
-) -> Machine {
-    let cfg = if pm {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(
-        WebBrowser::fixed(images, fidelity, rng)
-            .with_think_time(SimDuration::from_secs_f64(think_s)),
-    ));
-    m
-}
+pub use crate::builds::web as build;
 
-/// Runs the full figure at a given think time (Figure 13 uses 5 s).
-/// Every `(image, condition, trial)` run is one job of a single
-/// [`run_grid`] dispatch; trial `i` of a bar runs on
-/// `fork_indexed("fig13/<image>/<condition>", i)`.
-pub fn run_at_think(trials: &Trials, think_s: f64) -> BarChart {
-    // The paper uses ten trials (twice the video/speech count) for this
-    // application; scale whatever the caller asked for accordingly.
-    let trials = &Trials {
-        n: trials.n * 2,
-        ..*trials
-    };
-    let cells: Vec<(&WebImage, (&str, WebFidelity, bool))> = WEB_IMAGES
-        .iter()
-        .flat_map(|image| CONDITIONS.map(|condition| (image, condition)))
-        .collect();
-    let root = SimRng::new(trials.seed);
-    let reports = run_grid(trials, &cells, |&(image, (name, fidelity, pm)), i| {
-        let label = format!("fig13/{}/{}", image.name, name);
-        let rng = &mut root.fork_indexed(&label, i as u64);
-        build(vec![*image], fidelity, pm, think_s, rng).run()
-    });
-    let mut chart = BarChart::new(format!(
-        "Figure 13: Energy impact of fidelity for Web browsing (J, think={think_s}s)"
-    ));
-    for (&(image, (name, ..)), reports) in cells.iter().zip(&reports) {
-        chart.push(image.name, name, reports);
-    }
-    chart
-}
+/// The six experimental conditions, in figure order: the fidelity and
+/// whether hardware power management is on.
+pub const CONDITIONS: [(&str, (WebFidelity, bool)); 6] = [
+    ("Baseline", (WebFidelity::Full, false)),
+    ("Hardware-Only Power Mgmt.", (WebFidelity::Full, true)),
+    ("JPEG-75", (WebFidelity::Jpeg75, true)),
+    ("JPEG-50", (WebFidelity::Jpeg50, true)),
+    ("JPEG-25", (WebFidelity::Jpeg25, true)),
+    ("JPEG-5", (WebFidelity::Jpeg5, true)),
+];
 
-/// Runs the figure at the default 5-second think time.
+/// Runs the full figure at the default think time, with the web
+/// application's doubled trial count, as one [`barchart::run`] grid
+/// labelled `fig13/<image>/<condition>`.
 pub fn run(trials: &Trials) -> BarChart {
-    run_at_think(trials, 5.0)
+    barchart::run(
+        &trials.doubled(),
+        &format!(
+            "Figure 13: Energy impact of fidelity for Web browsing (J, think={DEFAULT_THINK_S}s)"
+        ),
+        "fig13",
+        &WEB_IMAGES.map(|image| (image.name, image)),
+        &CONDITIONS,
+        |image, &(fidelity, pm), rng| build(vec![*image], fidelity, pm, DEFAULT_THINK_S, rng),
+    )
 }
 
 /// Renders the figure as a table.

@@ -8,14 +8,15 @@
 //! and fidelity reduction bite — and concurrency can therefore magnify
 //! the relative benefit of lowering fidelity.
 
-use machine::{Machine, MachineConfig};
+use machine::Machine;
 use odyssey_apps::composite::{composite_members, CompositeMode};
 use odyssey_apps::datasets::VIDEO_CLIPS;
 use odyssey_apps::{VideoPlayer, VideoVariant};
-use simcore::{SimRng, SimTime, TrialStats};
+use simcore::{SimRng, SimTime};
 
 use crate::barchart::BarChart;
-use crate::harness::{energy_stats, run_grid, Trials};
+use crate::builds;
+use crate::harness::{run_grid, Trials};
 
 /// Loop iterations (paper: six).
 pub const ITERATIONS: usize = 6;
@@ -48,13 +49,10 @@ impl Regime {
 }
 
 fn build(regime: Regime, with_video: bool, rng: &mut SimRng) -> Machine {
-    let cfg = match regime {
-        Regime::Baseline => MachineConfig::baseline(),
-        _ => MachineConfig::default(),
-    };
-    let mut m = Machine::new(cfg);
+    let lowest = regime == Regime::Lowest;
+    let mut m = builds::machine(regime != Regime::Baseline);
     for member in composite_members(CompositeMode::Iterations(ITERATIONS), false, rng) {
-        let member = if regime == Regime::Lowest {
+        let member = if lowest {
             member.at_lowest_fidelity()
         } else {
             member
@@ -62,11 +60,7 @@ fn build(regime: Regime, with_video: bool, rng: &mut SimRng) -> Machine {
         m.add_process(Box::new(member));
     }
     if with_video {
-        let variant = if regime == Regime::Lowest {
-            VideoVariant::Combined
-        } else {
-            VideoVariant::Full
-        };
+        let variant = builds::ladder_end(&VideoVariant::ladder(), lowest);
         let player = VideoPlayer::fixed(VIDEO_CLIPS[0], variant, rng)
             .looping_until(SimTime::from_secs(100_000));
         m.add_background_process(Box::new(player));
@@ -74,51 +68,48 @@ fn build(regime: Regime, with_video: bool, rng: &mut SimRng) -> Machine {
     m
 }
 
-/// Result: the six bars plus derived concurrency metrics.
+/// The bar for the composite application alone.
+pub const ISOLATION: &str = "Isolation";
+/// The bar for the composite application beside the background video.
+pub const CONCURRENT: &str = "Concurrent with video";
+
+/// Result: the six bars, three regimes × {isolation, concurrent}.
 #[derive(Clone, Debug)]
 pub struct Fig15 {
-    /// The bar chart: three regimes × {isolation, concurrent}.
+    /// The bar chart, one object per regime.
     pub chart: BarChart,
-    /// Per-regime (isolation stats, concurrent stats).
-    pub pairs: Vec<(Regime, TrialStats, TrialStats)>,
 }
 
 impl Fig15 {
     /// Extra energy the video adds, as a fraction of isolation energy.
     pub fn added_fraction(&self, regime: Regime) -> f64 {
-        #[expect(clippy::expect_used, reason = "run() always measures both regimes")]
-        let (_, iso, conc) = self
-            .pairs
-            .iter()
-            .find(|(r, _, _)| *r == regime)
-            .expect("regime present");
-        conc.mean / iso.mean - 1.0
+        let energy = |condition| self.chart.energy_j(regime.name(), condition);
+        energy(CONCURRENT) / energy(ISOLATION) - 1.0
     }
 }
 
 /// Runs the figure. Every `(regime, isolation or concurrent, trial)` run
 /// is one job of a single [`run_grid`] dispatch; trial `i` of a bar runs
-/// on `fork_indexed("fig15/<regime>/iso", i)` or `.../conc`.
+/// on `fork_indexed("fig15/<regime>/iso", i)` or `.../conc` and returns
+/// only its total energy.
 pub fn run(trials: &Trials) -> Fig15 {
     let cells: Vec<(Regime, bool)> = Regime::all()
         .into_iter()
         .flat_map(|regime| [(regime, false), (regime, true)])
         .collect();
     let root = SimRng::new(trials.seed);
-    let reports = run_grid(trials, &cells, |&(regime, with_video), i| {
+    let totals = run_grid(trials, &cells, |&(regime, with_video), i| {
         let mode = if with_video { "conc" } else { "iso" };
         let label = format!("fig15/{}/{mode}", regime.name());
-        build(regime, with_video, &mut root.fork_indexed(&label, i as u64)).run()
+        let rng = &mut root.fork_indexed(&label, i as u64);
+        build(regime, with_video, rng).run().total_j.0
     });
     let mut chart = BarChart::new("Figure 15: Effect of concurrent applications (J)");
-    let mut pairs = Vec::new();
-    for (regime, runs) in Regime::all().into_iter().zip(reports.chunks_exact(2)) {
-        let (iso, conc) = (&runs[0], &runs[1]);
-        chart.push(regime.name(), "Isolation", iso);
-        chart.push(regime.name(), "Concurrent with video", conc);
-        pairs.push((regime, energy_stats(iso), energy_stats(conc)));
+    for (&(regime, with_video), totals) in cells.iter().zip(&totals) {
+        let condition = if with_video { CONCURRENT } else { ISOLATION };
+        chart.push(regime.name(), condition, totals);
     }
-    Fig15 { chart, pairs }
+    Fig15 { chart }
 }
 
 /// Renders the figure.
@@ -176,8 +167,8 @@ mod tests {
     #[test]
     fn concurrency_magnifies_fidelity_benefit() {
         let f = fig();
-        let iso = |r: Regime| f.pairs.iter().find(|(x, _, _)| *x == r).unwrap().1.mean;
-        let conc = |r: Regime| f.pairs.iter().find(|(x, _, _)| *x == r).unwrap().2.mean;
+        let iso = |r: Regime| f.chart.energy_j(r.name(), ISOLATION);
+        let conc = |r: Regime| f.chart.energy_j(r.name(), CONCURRENT);
         let iso_ratio = iso(Regime::Lowest) / iso(Regime::Baseline);
         let conc_ratio = conc(Regime::Lowest) / conc(Regime::Baseline);
         assert!(

@@ -7,16 +7,14 @@
 //! The paper's headline statistics come from this table: fidelity
 //! reduction saves 7-72% (mean 36%), combined 31-76% (mean ~50%).
 
-use machine::{Machine, MachineConfig};
 use odyssey_apps::datasets::{MAPS, UTTERANCES, VIDEO_CLIPS, WEB_IMAGES};
-use odyssey_apps::map::{MapFilter, MapViewer};
-use odyssey_apps::{
-    MapFidelity, SpeechApp, SpeechStrategy, VideoPlayer, VideoVariant, WebBrowser, WebFidelity,
-};
-use simcore::{SimDuration, SimRng, TrialStats};
+use odyssey_apps::{MapFidelity, SpeechStrategy, VideoVariant, WebFidelity};
+use simcore::{SimRng, TrialStats};
 
+use crate::builds;
 use crate::harness::{run_grid, Trials};
 use crate::table::{band, Table};
+use crate::thinktime::THINK_TIMES;
 
 /// The four normalized conditions of the summary table.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -94,86 +92,6 @@ impl Fig16 {
     }
 }
 
-fn video_machine(obj: usize, c: Condition, rng: &mut SimRng) -> Machine {
-    let cfg = if c.pm() {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let variant = if c.lowest() {
-        VideoVariant::Combined
-    } else {
-        VideoVariant::Full
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(VideoPlayer::fixed(VIDEO_CLIPS[obj], variant, rng)));
-    m
-}
-
-fn speech_machine(obj: usize, c: Condition, rng: &mut SimRng) -> Machine {
-    let cfg = if c.pm() {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    // Lowest speech fidelity: hybrid strategy with the reduced model —
-    // the cheapest configuration of Figure 8.
-    let (strategy, reduced) = if c.lowest() {
-        (SpeechStrategy::Hybrid, true)
-    } else {
-        (SpeechStrategy::Local, false)
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(SpeechApp::fixed(
-        vec![UTTERANCES[obj]],
-        strategy,
-        reduced,
-        rng,
-    )));
-    m
-}
-
-fn map_machine(obj: usize, c: Condition, think_s: f64, rng: &mut SimRng) -> Machine {
-    let cfg = if c.pm() {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let fidelity = if c.lowest() {
-        MapFidelity {
-            filter: MapFilter::Secondary,
-            cropped: true,
-        }
-    } else {
-        MapFidelity::full()
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(
-        MapViewer::fixed(vec![MAPS[obj]], fidelity, rng)
-            .with_think_time(SimDuration::from_secs_f64(think_s)),
-    ));
-    m
-}
-
-fn web_machine(obj: usize, c: Condition, think_s: f64, rng: &mut SimRng) -> Machine {
-    let cfg = if c.pm() {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let fidelity = if c.lowest() {
-        WebFidelity::Jpeg5
-    } else {
-        WebFidelity::Full
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(
-        WebBrowser::fixed(vec![WEB_IMAGES[obj]], fidelity, rng)
-            .with_think_time(SimDuration::from_secs_f64(think_s)),
-    ));
-    m
-}
-
 /// An application row of the summary, carrying its think time where the
 /// workload has one.
 #[derive(Clone, Copy, Debug)]
@@ -198,11 +116,26 @@ fn trial_energy_j(root: &SimRng, (kind, o, c): (RowKind, usize, Condition), i: u
         RowKind::Web(think) => format!("fig16/web/{o}/{c:?}/{think}"),
     };
     let rng = &mut root.fork_indexed(&label, i as u64);
+    let (lowest, pm) = (c.lowest(), c.pm());
     let mut machine = match kind {
-        RowKind::Video => video_machine(o, c, rng),
-        RowKind::Speech => speech_machine(o, c, rng),
-        RowKind::Map(think) => map_machine(o, c, think, rng),
-        RowKind::Web(think) => web_machine(o, c, think, rng),
+        RowKind::Video => {
+            let variant = builds::ladder_end(&VideoVariant::ladder(), lowest);
+            builds::video(VIDEO_CLIPS[o], variant, pm, rng)
+        }
+        // Lowest speech fidelity: hybrid strategy with the reduced model —
+        // the cheapest configuration of Figure 8.
+        RowKind::Speech if lowest => {
+            builds::speech(UTTERANCES[o], SpeechStrategy::Hybrid, true, pm, rng)
+        }
+        RowKind::Speech => builds::speech(UTTERANCES[o], SpeechStrategy::Local, false, pm, rng),
+        RowKind::Map(think) => {
+            let fidelity = builds::ladder_end(&MapFidelity::ladder(), lowest);
+            builds::map(MAPS[o], fidelity, pm, think, rng)
+        }
+        RowKind::Web(think) => {
+            let fidelity = builds::ladder_end(&WebFidelity::ladder(), lowest);
+            builds::web(vec![WEB_IMAGES[o]], fidelity, pm, think, rng)
+        }
     };
     machine.run().total_j.0
 }
@@ -210,7 +143,7 @@ fn trial_energy_j(root: &SimRng, (kind, o, c): (RowKind, usize, Condition), i: u
 /// Runs the full summary (the paper's think-time rows: 0, 5, 10, 20 s for
 /// map and web).
 pub fn run(trials: &Trials) -> Fig16 {
-    run_with_thinks(trials, &[0.0, 5.0, 10.0, 20.0])
+    run_with_thinks(trials, &THINK_TIMES)
 }
 
 /// Runs the summary with a chosen set of think times (tests use fewer).

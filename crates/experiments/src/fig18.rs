@@ -8,14 +8,15 @@
 use backlight::{
     ZoneGrid, MAP_FULL_WINDOW, MAP_LOWEST_WINDOW, VIDEO_FULL_WINDOW, VIDEO_REDUCED_WINDOW,
 };
-use machine::{Machine, MachineConfig};
+use machine::Machine;
 use odyssey_apps::datasets::{MAPS, VIDEO_CLIPS};
-use odyssey_apps::map::{MapFilter, MapViewer};
-use odyssey_apps::{MapFidelity, VideoPlayer, VideoVariant};
-use simcore::{SimDuration, SimRng, TrialStats};
+use odyssey_apps::{MapFidelity, VideoVariant};
+use simcore::{SimRng, TrialStats};
 
+use crate::builds;
 use crate::harness::{run_grid, Trials};
 use crate::table::{ratio, Table};
+use crate::thinktime::THINK_TIMES;
 
 /// One row: an application (at a think time) with normalized energies.
 #[derive(Clone, Debug)]
@@ -82,42 +83,21 @@ fn zoned_triplet(m: &Measured, window: backlight::WindowRect, baseline_j: f64) -
 /// Builds one cell's machine: the video clip when `think_s` is `None`,
 /// else the map at that think time.
 fn build(think_s: Option<f64>, lowest: bool, pm: bool, rng: &mut SimRng) -> Machine {
-    let cfg = if pm {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let mut m = Machine::new(cfg);
     match think_s {
         None => {
-            let variant = if lowest {
-                VideoVariant::Combined
-            } else {
-                VideoVariant::Full
-            };
-            m.add_process(Box::new(VideoPlayer::fixed(VIDEO_CLIPS[0], variant, rng)));
+            let variant = builds::ladder_end(&VideoVariant::ladder(), lowest);
+            builds::video(VIDEO_CLIPS[0], variant, pm, rng)
         }
         Some(think) => {
-            let fidelity = if lowest {
-                MapFidelity {
-                    filter: MapFilter::Secondary,
-                    cropped: true,
-                }
-            } else {
-                MapFidelity::full()
-            };
-            m.add_process(Box::new(
-                MapViewer::fixed(vec![MAPS[0]], fidelity, rng)
-                    .with_think_time(SimDuration::from_secs_f64(think)),
-            ));
+            let fidelity = builds::ladder_end(&MapFidelity::ladder(), lowest);
+            builds::map(MAPS[0], fidelity, pm, think, rng)
         }
     }
-    m
 }
 
 /// Runs the projection with the paper's think times for the map rows.
 pub fn run(trials: &Trials) -> Fig18 {
-    run_with_thinks(trials, &[0.0, 5.0, 10.0, 20.0])
+    run_with_thinks(trials, &THINK_TIMES)
 }
 
 /// Runs the projection with chosen map think times: a video row, then a

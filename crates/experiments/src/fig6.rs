@@ -5,59 +5,41 @@
 //! window, and combined — the last four with hardware power management
 //! enabled, as in the paper's protocol (Section 3.1).
 
-use machine::{Machine, MachineConfig};
 use odyssey_apps::datasets::{VideoClip, VIDEO_CLIPS};
-use odyssey_apps::{VideoPlayer, VideoVariant};
-use simcore::SimRng;
+use odyssey_apps::VideoVariant;
 
-use crate::barchart::BarChart;
-use crate::harness::{run_grid, Trials};
+use crate::barchart::{self, BarChart};
+use crate::builds;
+use crate::harness::Trials;
 
-/// The six experimental conditions, in figure order.
-pub const CONDITIONS: [(&str, VideoVariant, bool); 6] = [
-    ("Baseline", VideoVariant::Full, false),
-    ("Hardware-Only Power Mgmt.", VideoVariant::Full, true),
-    ("Premiere-B", VideoVariant::PremiereB, true),
-    ("Premiere-C", VideoVariant::PremiereC, true),
-    ("Reduced Window", VideoVariant::ReducedWindow, true),
-    ("Combined", VideoVariant::Combined, true),
+/// The six experimental conditions, in figure order: the variant and
+/// whether hardware power management is on.
+pub const CONDITIONS: [(&str, (VideoVariant, bool)); 6] = [
+    ("Baseline", (VideoVariant::Full, false)),
+    ("Hardware-Only Power Mgmt.", (VideoVariant::Full, true)),
+    ("Premiere-B", (VideoVariant::PremiereB, true)),
+    ("Premiere-C", (VideoVariant::PremiereC, true)),
+    ("Reduced Window", (VideoVariant::ReducedWindow, true)),
+    ("Combined", (VideoVariant::Combined, true)),
 ];
-
-fn build(clip: VideoClip, variant: VideoVariant, pm: bool, rng: &mut SimRng) -> Machine {
-    let cfg = if pm {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(VideoPlayer::fixed(clip, variant, rng)));
-    m
-}
 
 /// Runs the full figure.
 pub fn run(trials: &Trials) -> BarChart {
     run_clips(trials, &VIDEO_CLIPS)
 }
 
-/// Runs the figure over a chosen clip set (tests use shortened clips).
-/// Every `(clip, condition, trial)` run is one job of a single
-/// [`run_grid`] dispatch; trial `i` of a bar runs on
-/// `fork_indexed("fig6/<clip>/<condition>", i)`.
+/// Runs the figure over a chosen clip set (tests use shortened clips),
+/// as one [`barchart::run`] grid labelled `fig6/<clip>/<condition>`.
 pub fn run_clips(trials: &Trials, clips: &[VideoClip]) -> BarChart {
-    let cells: Vec<(&VideoClip, (&str, VideoVariant, bool))> = clips
-        .iter()
-        .flat_map(|clip| CONDITIONS.map(|condition| (clip, condition)))
-        .collect();
-    let root = SimRng::new(trials.seed);
-    let reports = run_grid(trials, &cells, |&(clip, (name, variant, pm)), i| {
-        let label = format!("fig6/{}/{}", clip.name, name);
-        build(*clip, variant, pm, &mut root.fork_indexed(&label, i as u64)).run()
-    });
-    let mut chart = BarChart::new("Figure 6: Energy impact of fidelity for video playing (J)");
-    for (&(clip, (name, ..)), reports) in cells.iter().zip(&reports) {
-        chart.push(clip.name, name, reports);
-    }
-    chart
+    let clips: Vec<_> = clips.iter().map(|clip| (clip.name, *clip)).collect();
+    barchart::run(
+        trials,
+        "Figure 6: Energy impact of fidelity for video playing (J)",
+        "fig6",
+        &clips,
+        &CONDITIONS,
+        |clip, &(variant, pm), rng| builds::video(*clip, variant, pm, rng),
+    )
 }
 
 /// Renders the figure as a table.

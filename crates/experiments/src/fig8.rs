@@ -4,70 +4,39 @@
 //! fidelity, no power management), hardware-only, reduced model, remote,
 //! hybrid, and hybrid with reduced model.
 
-use machine::{Machine, MachineConfig};
-use odyssey_apps::datasets::{Utterance, UTTERANCES};
-use odyssey_apps::{SpeechApp, SpeechStrategy};
-use simcore::SimRng;
+use odyssey_apps::datasets::UTTERANCES;
+use odyssey_apps::SpeechStrategy;
 
-use crate::barchart::BarChart;
-use crate::harness::{run_grid, Trials};
+use crate::barchart::{self, BarChart};
+use crate::builds;
+use crate::harness::Trials;
 
-/// The six experimental conditions, in figure order.
-pub const CONDITIONS: [(&str, SpeechStrategy, bool, bool); 6] = [
-    ("Baseline", SpeechStrategy::Local, false, false),
+/// The six experimental conditions, in figure order: the strategy,
+/// whether the reduced model is used, and whether hardware power
+/// management is on.
+pub const CONDITIONS: [(&str, (SpeechStrategy, bool, bool)); 6] = [
+    ("Baseline", (SpeechStrategy::Local, false, false)),
     (
         "Hardware-Only Power Mgmt.",
-        SpeechStrategy::Local,
-        false,
-        true,
+        (SpeechStrategy::Local, false, true),
     ),
-    ("Reduced Model", SpeechStrategy::Local, true, true),
-    ("Remote", SpeechStrategy::Remote, false, true),
-    ("Hybrid", SpeechStrategy::Hybrid, false, true),
-    ("Hybrid Reduced-Model", SpeechStrategy::Hybrid, true, true),
+    ("Reduced Model", (SpeechStrategy::Local, true, true)),
+    ("Remote", (SpeechStrategy::Remote, false, true)),
+    ("Hybrid", (SpeechStrategy::Hybrid, false, true)),
+    ("Hybrid Reduced-Model", (SpeechStrategy::Hybrid, true, true)),
 ];
 
-fn build(
-    utterance: Utterance,
-    strategy: SpeechStrategy,
-    reduced: bool,
-    pm: bool,
-    rng: &mut SimRng,
-) -> Machine {
-    let cfg = if pm {
-        MachineConfig::default()
-    } else {
-        MachineConfig::baseline()
-    };
-    let mut m = Machine::new(cfg);
-    m.add_process(Box::new(SpeechApp::fixed(
-        vec![utterance],
-        strategy,
-        reduced,
-        rng,
-    )));
-    m
-}
-
-/// Runs the full figure. Every `(utterance, condition, trial)` run is
-/// one job of a single [`run_grid`] dispatch; trial `i` of a bar runs on
-/// `fork_indexed("fig8/<utterance>/<condition>", i)`.
+/// Runs the full figure as one [`barchart::run`] grid labelled
+/// `fig8/<utterance>/<condition>`.
 pub fn run(trials: &Trials) -> BarChart {
-    let cells: Vec<_> = UTTERANCES
-        .iter()
-        .flat_map(|u| CONDITIONS.map(|condition| (u, condition)))
-        .collect();
-    let root = SimRng::new(trials.seed);
-    let reports = run_grid(trials, &cells, |&(u, (name, strategy, reduced, pm)), i| {
-        let label = format!("fig8/{}/{}", u.name, name);
-        let rng = &mut root.fork_indexed(&label, i as u64);
-        build(*u, strategy, reduced, pm, rng).run()
-    });
-    let mut chart = BarChart::new("Figure 8: Energy impact of fidelity for speech recognition (J)");
-    for (&(u, (name, ..)), reports) in cells.iter().zip(&reports) {
-        chart.push(u.name, name, reports);
-    }
-    chart
+    barchart::run(
+        trials,
+        "Figure 8: Energy impact of fidelity for speech recognition (J)",
+        "fig8",
+        &UTTERANCES.map(|u| (u.name, u)),
+        &CONDITIONS,
+        |u, &(strategy, reduced, pm), rng| builds::speech(*u, strategy, reduced, pm, rng),
+    )
 }
 
 /// Renders the figure as a table.

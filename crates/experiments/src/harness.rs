@@ -17,9 +17,6 @@
 //! [`Machine::run`](machine::Machine::run) on it. Only the always-on
 //! `serve` mode wraps a machine in a [`simserve::Session`].
 
-use machine::RunReport;
-use simcore::{Joules, TrialStats};
-
 /// Trial configuration for an experiment.
 #[derive(Clone, Copy, Debug)]
 pub struct Trials {
@@ -56,6 +53,16 @@ impl Trials {
         Trials {
             n: 1,
             ..Trials::default()
+        }
+    }
+
+    /// The paper's trial count for the map and web applications: ten
+    /// trials, twice the video and speech count, so twice whatever the
+    /// caller asked for.
+    pub fn doubled(self) -> Self {
+        Trials {
+            n: self.n * 2,
+            ..self
         }
     }
 
@@ -113,26 +120,6 @@ where
         .collect()
 }
 
-/// Total-energy statistics over a set of reports.
-pub fn energy_stats(reports: &[RunReport]) -> TrialStats {
-    let values: Vec<f64> = reports.iter().map(|r| r.total_j.0).collect();
-    TrialStats::from_values(&values)
-}
-
-/// Mean energy attributed to `bucket` across reports.
-pub fn mean_bucket_j(reports: &[RunReport], bucket: &str) -> Joules {
-    reports.iter().map(|r| r.bucket_j(bucket)).sum::<Joules>() / reports.len() as f64
-}
-
-/// Mean display energy across reports (for zoned-backlight projection).
-pub fn mean_display_j(reports: &[RunReport]) -> Joules {
-    reports
-        .iter()
-        .map(|r| r.components.display_j)
-        .sum::<Joules>()
-        / reports.len() as f64
-}
-
 /// Percentage saving of `new` relative to `old`.
 pub fn saving_pct(old: f64, new: f64) -> f64 {
     if old == 0.0 {
@@ -147,8 +134,8 @@ pub fn saving_pct(old: f64, new: f64) -> f64 {
 mod tests {
     use super::*;
     use machine::workload::ScriptedWorkload;
-    use machine::{Machine, MachineConfig};
-    use simcore::{SimDuration, SimRng};
+    use machine::{Machine, MachineConfig, RunReport};
+    use simcore::{SimDuration, SimRng, TrialStats};
 
     fn build_idle(_rng: &mut SimRng) -> Machine {
         let mut m = Machine::new(MachineConfig::baseline());
@@ -157,6 +144,11 @@ mod tests {
             SimDuration::from_secs(2),
         )));
         m
+    }
+
+    fn energy_stats(reports: &[RunReport]) -> TrialStats {
+        let totals: Vec<f64> = reports.iter().map(|r| r.total_j.0).collect();
+        TrialStats::from_values(&totals)
     }
 
     /// Idle runs over `cells`, trial `i` of a cell on
@@ -276,17 +268,15 @@ mod tests {
     }
 
     #[test]
+    fn doubled_doubles_only_the_trial_count() {
+        let t = Trials::quick().with_threads(3).doubled();
+        assert_eq!((t.n, t.seed, t.threads), (4, 42, 3));
+    }
+
+    #[test]
     fn saving_pct_basics() {
         assert!((saving_pct(100.0, 90.0) - 10.0).abs() < 1e-12);
         assert_eq!(saving_pct(0.0, 5.0), 0.0);
         assert!(saving_pct(100.0, 120.0) < 0.0);
-    }
-
-    #[test]
-    fn bucket_mean() {
-        let reports = &idle_grid(&Trials::quick(), &["b"])[0];
-        let idle = mean_bucket_j(reports, "Idle");
-        assert!((idle - Joules(2.0 * 10.28)).abs() < Joules(0.1));
-        assert_eq!(mean_bucket_j(reports, "none"), Joules(0.0));
     }
 }

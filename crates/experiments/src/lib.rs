@@ -32,12 +32,16 @@
 //! | [`golden`] | Golden harness: scenario builder, `golden --check`/`--rec` engine |
 //! | [`tracerec`] | Golden trace kind: JSONL control-plane recorder |
 //! | [`energymap`] | Golden energy kind: per-call-path tables and drift band |
+//! | [`builds`] | One machine build per application (video, speech, map, web) |
+//! | [`barchart`] | Bar charts of Figures 6, 8, 10, 13, 15; runs the first four |
+//! | [`thinktime`] | The think-time sweep and linear fit of Figures 11 and 14 |
 //!
 //! [`FIGURES`] lists the twenty renderable figures and tables, in the
 //! order `all` runs them.
 
 pub mod ablate;
 pub mod barchart;
+pub mod builds;
 pub mod chaos;
 pub mod energymap;
 pub mod fig10;
@@ -67,6 +71,7 @@ pub mod sec54;
 pub mod serve;
 pub mod supervise;
 pub mod table;
+pub mod thinktime;
 pub mod tracerec;
 
 pub use harness::Trials;

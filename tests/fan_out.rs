@@ -8,13 +8,14 @@
 //! a single-core host too.
 
 use experiments::{
-    fig10, fig11, fig13, fig14, fig15, fig16, fig18, fig8, headline, Render, Trials,
+    fig10, fig11, fig13, fig14, fig15, fig16, fig18, fig6, fig8, headline, Render, Trials,
 };
 use simpar::telemetry;
 
 /// The figures whose trials go out through `harness::run_grid`, each
 /// as one grid over all its cells.
-const GRID_FIGURES: [(&str, Render); 9] = [
+const GRID_FIGURES: [(&str, Render); 10] = [
+    ("fig6", fig6::render),
     ("fig8", fig8::render),
     ("fig10", fig10::render),
     ("fig11", fig11::render),
