@@ -221,18 +221,23 @@ impl MachineView<'_> {
 
     /// Snapshot of all processes.
     pub fn processes(&self) -> Vec<ProcessInfo> {
-        self.m
-            .procs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| ProcessInfo {
-                pid: Pid(i),
-                name: p.workload.name(),
-                fidelity: p.workload.fidelity(),
-                done: matches!(p.state, ProcState::Done),
-                suspended: p.suspended,
-            })
+        (0..self.m.procs.len())
+            .filter_map(|i| self.process(i))
             .collect()
+    }
+
+    /// Snapshot of the process at table index `index` (its
+    /// [`Pid::index`]), or `None` past the end of the table — one entry
+    /// of [`Self::processes`] without building the list.
+    pub fn process(&self, index: usize) -> Option<ProcessInfo> {
+        let p = self.m.procs.get(index)?;
+        Some(ProcessInfo {
+            pid: Pid(index),
+            name: p.workload.name(),
+            fidelity: p.workload.fidelity(),
+            done: matches!(p.state, ProcState::Done),
+            suspended: p.suspended,
+        })
     }
 
     /// Issues a fidelity upcall to a process. Returns `true` if the
@@ -2905,6 +2910,14 @@ mod tests {
         impl ControlHook for Degrader {
             fn on_tick(&mut self, _now: SimTime, view: &mut MachineView<'_>) {
                 let procs = view.processes();
+                // One-process lookups agree with the list and end with it.
+                for p in &procs {
+                    let one = view
+                        .process(p.pid.index())
+                        .map(|q| (q.pid, q.fidelity.level));
+                    assert_eq!(one, Some((p.pid, p.fidelity.level)));
+                }
+                assert!(view.process(procs.len()).is_none());
                 if let Some(p) = procs.iter().find(|p| p.fidelity.can_degrade()) {
                     view.upcall(p.pid, AdaptDirection::Degrade);
                 }

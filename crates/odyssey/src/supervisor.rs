@@ -348,9 +348,12 @@ impl Supervisor {
         });
         // Warden state recovery: walk the revived app back down to its
         // last known-good fidelity level before it runs again.
-        let mut level = view.processes()[pid.index()].fidelity.level;
-        while level > recovery_level && view.upcall(pid, AdaptDirection::Degrade) {
-            level -= 1;
+        // `restart` accepted `pid`, so the process is there to read.
+        if let Some(info) = view.process(pid.index()) {
+            let mut level = info.fidelity.level;
+            while level > recovery_level && view.upcall(pid, AdaptDirection::Degrade) {
+                level -= 1;
+            }
         }
         self.feed.reset(pid.index());
         let app = &mut self.apps[app_i];

@@ -7,12 +7,24 @@
 //! the gap to the next sample; the quantum is attributed to the process
 //! the PID monitor observed and the procedure its symbol table resolves
 //! the raw PC into.
+//!
+//! Both stages resolve through per-key accumulators rather than string
+//! keys. A process's symbol table is read once, giving each distinct
+//! procedure name (by content, `(unknown)` included) one id; a sample's
+//! PC resolves to an id by a binary search of that table, and its
+//! quantum is added, in sample order, into the accumulator of its
+//! `(process, id)` — so PCs that resolve alike, several stripped ones
+//! included, share one sum, exactly as they shared one string key. The
+//! path stage memoises each distinct stack of ids to its list of path
+//! nodes, building each node's path string once. Rows are formed from
+//! the accumulators at the end, so every sum is taken in the same order
+//! as a per-sample string-keyed pass would take it.
 
 use std::collections::BTreeMap;
 
 use crate::profile::{EnergyProfile, PathProfile, PathRow, ProcedureRow, ProcessPaths, ProcessRow};
-use crate::sample::CollectedRun;
-use crate::symbols::UNKNOWN_PROCEDURE;
+use crate::sample::{CollectedRun, Sample, MAX_STACK_DEPTH};
+use crate::symbols::{SymbolTable, UNKNOWN_PROCEDURE};
 use crate::SUPPLY_VOLTS;
 use simcore::Joules;
 
@@ -41,48 +53,30 @@ pub fn correlate(run: &CollectedRun) -> EnergyProfile {
 /// [`correlate`] with explicit [`CorrelateOptions`] — used when the trace
 /// came from a faulty meter and may contain sampling gaps.
 pub fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfile {
-    let trace = &run.trace;
-    let cap_secs = opts.max_quantum.map(|q| q.as_secs_f64());
-    // Ordered maps: profile rows must come out in the same order on every
-    // run — the sort below breaks energy ties by name, but equal-energy
-    // equal-name rows would still float under a randomized hash order.
-    let mut by_proc: BTreeMap<&'static str, BTreeMap<&'static str, (f64, Joules)>> =
-        BTreeMap::new();
-    let mut duration = 0.0;
-    for (i, s) in trace.samples.iter().enumerate() {
-        let next_at = trace
-            .samples
-            .get(i + 1)
-            .map(|n| n.at)
-            .unwrap_or(trace.end.max(s.at));
-        let mut dt = next_at.since(s.at).as_secs_f64();
-        if let Some(cap) = cap_secs {
-            dt = dt.min(cap);
-        }
-        let energy = Joules(s.current_a * SUPPLY_VOLTS * dt);
-        duration += dt;
-        let procedure = run
-            .symbols
-            .get(s.process)
-            .map(|t| t.resolve(s.pc()))
-            .unwrap_or(UNKNOWN_PROCEDURE);
-        let entry = by_proc
-            .entry(s.process)
-            .or_default()
-            .entry(procedure)
-            .or_insert((0.0, Joules::ZERO));
-        entry.0 += dt;
-        entry.1 += energy;
-    }
+    // One `(cpu_secs, energy)` sum per procedure id, `None` until a
+    // sample lands on it: a procedure no sample resolved to gets no row.
+    let mut by_proc: ByProcess<'_, Vec<Option<(f64, Joules)>>> = ByProcess::new(run);
+    let duration = for_each_quantum(run, opts, |s, dt, energy| {
+        let (symbols, sums) = by_proc.slot(s.process, |symbols| vec![None; symbols.names.len()]);
+        let sum = sums[symbols.id(s.pc())].get_or_insert((0.0, Joules::ZERO));
+        sum.0 += dt;
+        sum.1 += energy;
+    });
+    // Names are distinct within a process and processes are distinct, so
+    // both sorts are total orders and the rows' starting order is moot.
     let mut processes: Vec<ProcessRow> = by_proc
+        .slots
         .into_iter()
-        .map(|(process, procs)| {
-            let mut procedures: Vec<ProcedureRow> = procs
+        .map(|(symbols, sums)| {
+            let mut procedures: Vec<ProcedureRow> = sums
                 .into_iter()
-                .map(|(procedure, (cpu_secs, energy_j))| ProcedureRow {
-                    procedure: procedure.to_string(),
-                    cpu_secs,
-                    energy_j,
+                .zip(&symbols.names)
+                .filter_map(|(sum, name)| {
+                    sum.map(|(cpu_secs, energy_j)| ProcedureRow {
+                        procedure: name.to_string(),
+                        cpu_secs,
+                        energy_j,
+                    })
                 })
                 .collect();
             procedures.sort_by(|a, b| {
@@ -91,7 +85,7 @@ pub fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfi
                     .then_with(|| a.procedure.cmp(&b.procedure))
             });
             ProcessRow {
-                process: process.to_string(),
+                process: symbols.process.to_string(),
                 cpu_secs: procedures.iter().map(|p| p.cpu_secs).sum(),
                 energy_j: procedures.iter().map(|p| p.energy_j).sum(),
                 procedures,
@@ -124,20 +118,80 @@ pub fn correlate_paths(run: &CollectedRun) -> PathProfile {
 
 /// [`correlate_paths`] with explicit [`CorrelateOptions`].
 pub fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathProfile {
-    #[derive(Clone, Copy, Default)]
-    struct Node {
-        samples: u64,
-        self_time_s: f64,
-        self_energy_j: Joules,
-        inclusive_time_s: f64,
-        inclusive_energy_j: Joules,
+    let mut by_proc: ByProcess<'_, PathBook> = ByProcess::new(run);
+    let duration = for_each_quantum(run, opts, |s, dt, energy| {
+        let (symbols, book) = by_proc.slot(s.process, |_| PathBook::default());
+        // A degenerate empty stack still has to keep the books balanced:
+        // its quantum goes to the unknown procedure (id 0, which the
+        // zeroed key already holds), like a lone unresolvable frame.
+        let frames = s.stack.frames();
+        let mut key = ([0; MAX_STACK_DEPTH], frames.len().max(1));
+        for (id, pc) in key.0.iter_mut().zip(frames) {
+            *id = symbols.id(*pc);
+        }
+        let PathBook {
+            stacks,
+            nodes,
+            by_path,
+        } = book;
+        let chain = stacks
+            .entry(key)
+            .or_insert_with(|| path_nodes(&key.0[..key.1], symbols, nodes, by_path));
+        for &n in chain.iter() {
+            let node = &mut nodes[n];
+            node.inclusive_time_s += dt;
+            node.inclusive_energy_j += energy;
+        }
+        let leaf = &mut nodes[chain[chain.len() - 1]];
+        leaf.samples += 1;
+        leaf.self_time_s += dt;
+        leaf.self_energy_j += energy;
+    });
+    let processes: Vec<ProcessPaths> = by_proc
+        .into_sorted()
+        .into_iter()
+        .map(|(symbols, book)| {
+            // Path keys sort parents immediately before their children
+            // ("a" < "a/b" < "a/b/c" < "a/c").
+            let rows: Vec<PathRow> = book
+                .by_path
+                .into_iter()
+                .map(|(path, n)| {
+                    let n = book.nodes[n];
+                    PathRow {
+                        path,
+                        samples: n.samples,
+                        self_time_s: n.self_time_s,
+                        self_energy_j: n.self_energy_j,
+                        inclusive_time_s: n.inclusive_time_s,
+                        inclusive_energy_j: n.inclusive_energy_j,
+                    }
+                })
+                .collect();
+            let energy_j = rows.iter().map(|r| r.self_energy_j).sum();
+            ProcessPaths {
+                process: symbols.process.to_string(),
+                rows,
+                energy_j,
+            }
+        })
+        .collect();
+    PathProfile {
+        processes,
+        duration_s: duration,
     }
+}
+
+/// Calls `f(sample, dt, energy)` for every sample in order, each quantum
+/// running to the next sample (the last to the trace end) and capped at
+/// `opts.max_quantum`, and returns the summed duration.
+fn for_each_quantum(
+    run: &CollectedRun,
+    opts: CorrelateOptions,
+    mut f: impl FnMut(&Sample, f64, Joules),
+) -> f64 {
     let trace = &run.trace;
     let cap_secs = opts.max_quantum.map(|q| q.as_secs_f64());
-    // BTreeMaps for the same reason as the flat stage: row order must
-    // not depend on a hash seed. Path keys sort parents immediately
-    // before their children ("a" < "a/b" < "a/b/c" < "a/c").
-    let mut by_proc: BTreeMap<&'static str, BTreeMap<String, Node>> = BTreeMap::new();
     let mut duration = 0.0;
     for (i, s) in trace.samples.iter().enumerate() {
         let next_at = trace
@@ -151,62 +205,142 @@ pub fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathP
         }
         let energy = Joules(s.current_a * SUPPLY_VOLTS * dt);
         duration += dt;
-        let table = run.symbols.get(s.process);
-        let nodes = by_proc.entry(s.process).or_default();
-        let mut path = String::new();
-        let frames = s.stack.frames();
-        for (depth, pc) in frames.iter().enumerate() {
-            let name = table.map(|t| t.resolve(*pc)).unwrap_or(UNKNOWN_PROCEDURE);
+        f(s, dt, energy);
+    }
+    duration
+}
+
+/// One process's symbol table seen through procedure ids: each distinct
+/// procedure name, by content, has one id, [`UNKNOWN_PROCEDURE`] being
+/// id 0, and every table entry maps to the id of its name.
+struct ProcessSymbols<'r> {
+    process: &'static str,
+    table: Option<&'r SymbolTable>,
+    /// The id of each table entry, in address order.
+    entry_ids: Vec<usize>,
+    /// The name of each id.
+    names: Vec<&'static str>,
+}
+
+impl<'r> ProcessSymbols<'r> {
+    fn new(process: &'static str, table: Option<&'r SymbolTable>) -> Self {
+        let mut names = vec![UNKNOWN_PROCEDURE];
+        let entry_ids = table
+            .into_iter()
+            .flat_map(SymbolTable::procedures)
+            .map(|name| {
+                names.iter().position(|n| *n == name).unwrap_or_else(|| {
+                    names.push(name);
+                    names.len() - 1
+                })
+            })
+            .collect();
+        ProcessSymbols {
+            process,
+            table,
+            entry_ids,
+            names,
+        }
+    }
+
+    /// The id of the procedure `pc` resolves to.
+    fn id(&self, pc: u32) -> usize {
+        self.table
+            .and_then(|t| t.index_of(pc))
+            .map_or(0, |i| self.entry_ids[i])
+    }
+}
+
+/// Per-process state of one correlation pass, one slot per process name
+/// in first-seen order.
+struct ByProcess<'r, A> {
+    run: &'r CollectedRun,
+    slots: Vec<(ProcessSymbols<'r>, A)>,
+}
+
+impl<'r, A> ByProcess<'r, A> {
+    fn new(run: &'r CollectedRun) -> Self {
+        ByProcess {
+            run,
+            slots: Vec::new(),
+        }
+    }
+
+    /// The slot of `process`, matched by pointer (the collector hands
+    /// out one `&'static str` per process) or else by content, and made
+    /// with `new` on the process's first sample.
+    fn slot(
+        &mut self,
+        process: &'static str,
+        new: impl FnOnce(&ProcessSymbols<'r>) -> A,
+    ) -> &mut (ProcessSymbols<'r>, A) {
+        let found = self
+            .slots
+            .iter()
+            .position(|(p, _)| std::ptr::eq(p.process, process) || p.process == process);
+        let i = found.unwrap_or_else(|| {
+            let symbols = ProcessSymbols::new(process, self.run.symbols.get(process));
+            let state = new(&symbols);
+            self.slots.push((symbols, state));
+            self.slots.len() - 1
+        });
+        &mut self.slots[i]
+    }
+
+    /// The slots in process-name order.
+    fn into_sorted(mut self) -> Vec<(ProcessSymbols<'r>, A)> {
+        self.slots.sort_by(|a, b| a.0.process.cmp(b.0.process));
+        self.slots
+    }
+}
+
+/// One call path's sums.
+#[derive(Clone, Copy, Default)]
+struct Node {
+    samples: u64,
+    self_time_s: f64,
+    self_energy_j: Joules,
+    inclusive_time_s: f64,
+    inclusive_energy_j: Joules,
+}
+
+/// A stack of procedure ids, root first, and its depth.
+type StackKey = ([usize; MAX_STACK_DEPTH], usize);
+
+/// One process's path nodes and the memo that finds them.
+#[derive(Default)]
+struct PathBook {
+    /// Each distinct stack seen, to its path nodes, root first.
+    stacks: BTreeMap<StackKey, Vec<usize>>,
+    nodes: Vec<Node>,
+    /// Each node's path, to its index in `nodes`: two stacks whose
+    /// names join to the same path share its node.
+    by_path: BTreeMap<String, usize>,
+}
+
+/// The nodes of every prefix of the stack `ids`, made on first sight.
+fn path_nodes(
+    ids: &[usize],
+    symbols: &ProcessSymbols<'_>,
+    nodes: &mut Vec<Node>,
+    by_path: &mut BTreeMap<String, usize>,
+) -> Vec<usize> {
+    let mut path = String::new();
+    ids.iter()
+        .enumerate()
+        .map(|(depth, &id)| {
             if depth > 0 {
                 path.push('/');
             }
-            path.push_str(name);
-            let node = nodes.entry(path.clone()).or_default();
-            node.inclusive_time_s += dt;
-            node.inclusive_energy_j += energy;
-            if depth + 1 == frames.len() {
-                node.samples += 1;
-                node.self_time_s += dt;
-                node.self_energy_j += energy;
+            path.push_str(symbols.names[id]);
+            if let Some(&n) = by_path.get(&path) {
+                return n;
             }
-        }
-        if frames.is_empty() {
-            // A degenerate empty stack still has to keep the books
-            // balanced: bill the quantum to the unknown procedure.
-            let node = nodes.entry(UNKNOWN_PROCEDURE.to_string()).or_default();
-            node.samples += 1;
-            node.self_time_s += dt;
-            node.self_energy_j += energy;
-            node.inclusive_time_s += dt;
-            node.inclusive_energy_j += energy;
-        }
-    }
-    let processes: Vec<ProcessPaths> = by_proc
-        .into_iter()
-        .map(|(process, nodes)| {
-            let rows: Vec<PathRow> = nodes
-                .into_iter()
-                .map(|(path, n)| PathRow {
-                    path,
-                    samples: n.samples,
-                    self_time_s: n.self_time_s,
-                    self_energy_j: n.self_energy_j,
-                    inclusive_time_s: n.inclusive_time_s,
-                    inclusive_energy_j: n.inclusive_energy_j,
-                })
-                .collect();
-            let energy_j = rows.iter().map(|r| r.self_energy_j).sum();
-            ProcessPaths {
-                process: process.to_string(),
-                rows,
-                energy_j,
-            }
+            nodes.push(Node::default());
+            by_path.insert(path.clone(), nodes.len() - 1);
+            nodes.len() - 1
         })
-        .collect();
-    PathProfile {
-        processes,
-        duration_s: duration,
-    }
+        .collect()
 }
 
 #[cfg(test)]

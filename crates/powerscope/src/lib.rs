@@ -21,6 +21,8 @@ pub mod faults;
 pub mod multimeter;
 pub mod online;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod sample;
 pub mod symbols;
 

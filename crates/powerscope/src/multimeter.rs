@@ -6,6 +6,14 @@
 //! instrument), reads the platform current, and draws the PC/PID
 //! attribution from the interval's occupancy shares — exactly the
 //! statistical attribution the real tool performs, noise included.
+//!
+//! Everything about a sample except its random draws is fixed by its
+//! `(bucket, procedure)` pair, so the collector resolves each pair once:
+//! its first sample runs the frames through the resolver, interns them
+//! in the bucket's symbol table, and keeps the resulting stack of range
+//! starts as the pair's template, found again by pointer identity. Every
+//! sample is then its two draws (the pick and the PC skew), the template
+//! shifted by `skew % PROCEDURE_SIZE`, and a push onto the trace.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -15,6 +23,7 @@ use machine::{IntervalObserver, IntervalRecord};
 use simcore::{SimDuration, SimRng, SimTime, TraceEvent, TraceHandle};
 
 use crate::sample::{CallStack, CollectedRun, Sample};
+use crate::symbols::PROCEDURE_SIZE;
 use crate::{SAMPLE_HZ, SUPPLY_VOLTS};
 
 /// Resolves a `(bucket, leaf procedure)` pair to its static call path
@@ -23,6 +32,15 @@ use crate::{SAMPLE_HZ, SUPPLY_VOLTS};
 /// the workload crates, so the call-tree data arrives as a function.
 pub type FrameResolver = fn(&str, &str) -> Option<&'static [&'static str]>;
 
+/// A `(bucket, procedure)` pair's range starts, root frame first, as
+/// [`CallStack::push`] would capture them: frames past
+/// [`crate::sample::MAX_STACK_DEPTH`] have already dropped the root.
+struct Template {
+    bucket: &'static str,
+    procedure: &'static str,
+    starts: CallStack,
+}
+
 struct Collector {
     rng: SimRng,
     period: SimDuration,
@@ -30,6 +48,7 @@ struct Collector {
     run: CollectedRun,
     trace: Option<TraceHandle>,
     resolver: Option<FrameResolver>,
+    templates: Vec<Template>,
 }
 
 impl Collector {
@@ -37,31 +56,15 @@ impl Collector {
         while self.next_at < rec.t1 {
             if self.next_at >= rec.t0 {
                 let current_a = rec.power_w.0 / SUPPLY_VOLTS;
-                let weights: Vec<f64> = rec.shares.iter().map(|s| s.fraction).collect();
-                let pick = &rec.shares[self.rng.weighted_index(&weights)];
+                let pick = &rec.shares[self.rng.weighted_index_by(rec.shares, |s| s.fraction)];
+                let starts = self.template(pick.bucket, pick.procedure);
                 // The system monitor captures one raw PC per call-stack
                 // frame inside the running procedure; the offline stage
-                // resolves them later. Frame resolution is pure table
-                // data — the rng draws stay identical with or without a
-                // resolver (one skew per trigger), so attaching one
-                // never perturbs the machine's golden traces.
-                let fallback = [pick.procedure];
-                let frames: &[&'static str] = match self
-                    .resolver
-                    .and_then(|resolve| resolve(pick.bucket, pick.procedure))
-                {
-                    Some(path) if !path.is_empty() => path,
-                    _ => &fallback,
-                };
-                let table = self.run.symbols.entry(pick.bucket).or_default();
-                for frame in frames {
-                    table.intern(frame);
-                }
+                // resolves them later. One skew per trigger whatever the
+                // depth, so attaching a resolver never perturbs the rng
+                // draws or the machine's golden traces.
                 let skew = self.rng.uniform_u64(0, u32::MAX as u64) as u32;
-                let mut stack = CallStack::default();
-                for frame in frames {
-                    stack.push(table.pc_within(frame, skew));
-                }
+                let stack = starts.shifted(skew % PROCEDURE_SIZE);
                 if let Some(tr) = &self.trace {
                     tr.emit(
                         self.next_at,
@@ -83,6 +86,42 @@ impl Collector {
             self.next_at += self.period.mul_f64(jitter);
         }
         self.run.trace.end = rec.t1;
+    }
+
+    /// The pair's template, keyed by pointer identity as the machine's
+    /// ledger keys its pairs: the workloads hand out the same
+    /// `&'static str` for every interval, and a pointer-distinct copy
+    /// of a known pair only costs a second, identical template.
+    fn template(&mut self, bucket: &'static str, procedure: &'static str) -> CallStack {
+        let same =
+            |t: &&Template| std::ptr::eq(t.bucket, bucket) && std::ptr::eq(t.procedure, procedure);
+        match self.templates.iter().find(same) {
+            Some(t) => t.starts,
+            None => self.learn(bucket, procedure),
+        }
+    }
+
+    /// A pair's first sample: resolves its frames (the leaf alone when
+    /// no resolver declares a path), interns them in the bucket's table
+    /// in frame order, and records the template.
+    fn learn(&mut self, bucket: &'static str, procedure: &'static str) -> CallStack {
+        let fallback = [procedure];
+        let frames: &[&'static str] =
+            match self.resolver.and_then(|resolve| resolve(bucket, procedure)) {
+                Some(path) if !path.is_empty() => path,
+                _ => &fallback,
+            };
+        let table = self.run.symbols.entry(bucket).or_default();
+        let mut starts = CallStack::default();
+        for frame in frames {
+            starts.push(table.intern(frame));
+        }
+        self.templates.push(Template {
+            bucket,
+            procedure,
+            starts,
+        });
+        starts
     }
 }
 
@@ -142,6 +181,7 @@ impl PowerScope {
             },
             trace: None,
             resolver: None,
+            templates: Vec::new(),
         }));
         (
             PowerScope {
@@ -163,7 +203,9 @@ impl PowerScope {
     /// the sample stream's timing and attribution are identical with or
     /// without a resolver. Attach before the run starts.
     pub fn set_resolver(&mut self, resolver: FrameResolver) {
-        self.shared.borrow_mut().resolver = Some(resolver);
+        let mut collector = self.shared.borrow_mut();
+        collector.resolver = Some(resolver);
+        collector.templates.clear();
     }
 
     /// Consumes the session, returning the collected streams and symbol

@@ -51,6 +51,15 @@ impl CallStack {
         self.depth += 1;
     }
 
+    /// This stack with `offset` added to every frame: a template of
+    /// range starts becomes the PCs one trigger captured.
+    pub(crate) fn shifted(mut self, offset: u32) -> Self {
+        for pc in &mut self.pcs[..self.depth as usize] {
+            *pc += offset;
+        }
+        self
+    }
+
     /// The captured frames, root first.
     pub fn frames(&self) -> &[u32] {
         &self.pcs[..self.depth as usize]

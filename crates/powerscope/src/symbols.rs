@@ -12,38 +12,46 @@
 //! PC that falls outside every known range (e.g. a stripped binary)
 //! resolves to `"(unknown)"`.
 
-use std::collections::BTreeMap;
-
 /// Name given to addresses no symbol covers.
 pub const UNKNOWN_PROCEDURE: &str = "(unknown)";
 
 /// Synthetic size of each procedure's text, bytes.
-const PROCEDURE_SIZE: u32 = 0x1000;
+pub(crate) const PROCEDURE_SIZE: u32 = 0x1000;
 
 /// A per-process symbol table: address ranges to procedure names.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymbolTable {
-    /// Procedure start addresses (each spans [`PROCEDURE_SIZE`] bytes).
-    by_start: BTreeMap<u32, &'static str>,
+    /// `(start, procedure)` per interned procedure, each spanning
+    /// [`PROCEDURE_SIZE`] bytes. [`Self::intern`] only appends at
+    /// `next_start`, which only grows, so starts ascend by construction.
+    entries: Vec<(u32, &'static str)>,
     next_start: u32,
+}
+
+impl Default for SymbolTable {
+    /// The same table as [`SymbolTable::new`]: one text base for every
+    /// table, whichever way it was made.
+    fn default() -> Self {
+        SymbolTable::new()
+    }
 }
 
 impl SymbolTable {
     /// Creates an empty table with a conventional text base.
     pub fn new() -> Self {
         SymbolTable {
-            by_start: BTreeMap::new(),
+            entries: Vec::new(),
             next_start: 0x0040_0000,
         }
     }
 
     /// Interns a procedure, returning its start address (idempotent).
     pub fn intern(&mut self, procedure: &'static str) -> u32 {
-        if let Some((start, _)) = self.by_start.iter().find(|(_, p)| **p == procedure) {
-            return *start;
+        if let Some(start) = self.start_of(procedure) {
+            return start;
         }
         let start = self.next_start;
-        self.by_start.insert(start, procedure);
+        self.entries.push((start, procedure));
         self.next_start += PROCEDURE_SIZE;
         start
     }
@@ -55,30 +63,48 @@ impl SymbolTable {
     ///
     /// Panics if the procedure was never interned.
     pub fn pc_within(&self, procedure: &'static str, skew: u32) -> u32 {
-        let (start, _) = self
-            .by_start
-            .iter()
-            .find(|(_, p)| **p == procedure)
+        let start = self
+            .start_of(procedure)
             .unwrap_or_else(|| panic!("procedure {procedure:?} not interned"));
         start + (skew % PROCEDURE_SIZE)
     }
 
     /// Resolves a PC to the procedure containing it.
     pub fn resolve(&self, pc: u32) -> &'static str {
-        match self.by_start.range(..=pc).next_back() {
-            Some((start, name)) if pc < start + PROCEDURE_SIZE => name,
-            _ => UNKNOWN_PROCEDURE,
-        }
+        self.index_of(pc)
+            .map_or(UNKNOWN_PROCEDURE, |i| self.entries[i].1)
+    }
+
+    /// Position, in [`Self::procedures`] order, of the procedure whose
+    /// range holds `pc`; `None` for a PC no symbol covers.
+    pub(crate) fn index_of(&self, pc: u32) -> Option<usize> {
+        let i = self
+            .entries
+            .partition_point(|&(start, _)| start <= pc)
+            .checked_sub(1)?;
+        (pc < self.entries[i].0 + PROCEDURE_SIZE).then_some(i)
+    }
+
+    /// The interned procedures in ascending address order.
+    pub(crate) fn procedures(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.entries.iter().map(|&(_, procedure)| procedure)
     }
 
     /// Number of interned procedures.
     pub fn len(&self) -> usize {
-        self.by_start.len()
+        self.entries.len()
     }
 
     /// True when no procedure has been interned.
     pub fn is_empty(&self) -> bool {
-        self.by_start.is_empty()
+        self.entries.is_empty()
+    }
+
+    fn start_of(&self, procedure: &str) -> Option<u32> {
+        self.entries
+            .iter()
+            .find(|&&(_, p)| p == procedure)
+            .map(|&(start, _)| start)
     }
 }
 
@@ -121,6 +147,14 @@ mod tests {
     #[should_panic(expected = "not interned")]
     fn pc_of_missing_procedure_panics() {
         SymbolTable::new().pc_within("ghost", 0);
+    }
+
+    #[test]
+    fn default_table_is_a_new_table() {
+        let (mut a, mut b) = (SymbolTable::default(), SymbolTable::new());
+        assert_eq!(a, b);
+        assert_eq!(a.intern("f"), 0x0040_0000);
+        assert_eq!(b.intern("f"), 0x0040_0000);
     }
 
     #[test]

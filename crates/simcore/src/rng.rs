@@ -175,17 +175,28 @@ impl SimRng {
     ///
     /// Panics if `weights` is empty or sums to zero.
     pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
+        self.weighted_index_by(weights, |w| *w)
+    }
+
+    /// [`Self::weighted_index`] over `weight(item)` of each item, read in
+    /// place: the same sum, draw and scan, without a slice of weights.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is empty or its weights sum to zero.
+    pub fn weighted_index_by<T>(&mut self, items: &[T], weight: impl Fn(&T) -> f64) -> usize {
+        let total: f64 = items.iter().map(&weight).sum();
         assert!(total > 0.0, "weights must sum to a positive value");
         let mut x = self.uniform(0.0, total);
-        for (i, w) in weights.iter().enumerate() {
-            assert!(*w >= 0.0, "negative weight at index {i}");
-            if x < *w {
+        for (i, item) in items.iter().enumerate() {
+            let w = weight(item);
+            assert!(w >= 0.0, "negative weight at index {i}");
+            if x < w {
                 return i;
             }
             x -= w;
         }
-        weights.len() - 1
+        items.len() - 1
     }
 }
 

@@ -39,6 +39,13 @@
 //! next to the job itself. There is no per-item lock and no shared sink:
 //! each worker owns its result buffer until the scope joins.
 //!
+//! The calling thread is one of the workers: a dispatch of `w` workers
+//! spawns `w - 1` scoped threads and runs the same claim loop on the
+//! caller, so no thread idles at the join and a dispatch whose jobs are
+//! all claimed before a thread starts costs little more than the loop.
+//! A panic in any job, the caller's included, still reaches the caller
+//! only after every spawned worker has joined.
+//!
 //! The process-wide [`telemetry`] counters report what the scheduler
 //! did (dispatches, inline fallbacks, claims, workers), so a scenario
 //! that fails to scale can be diagnosed instead of guessed at.
@@ -160,25 +167,28 @@ where
     // a private buffer, so the only cross-thread traffic is one fetch_add
     // per job and the final join. `Relaxed` suffices: the cursor
     // publishes no data, and results reach the caller through the join.
+    // The caller is the first of the `workers`: it spawns the rest and
+    // runs the same claim loop instead of idling at the join.
     let cursor = AtomicUsize::new(0);
+    let claim_loop = || {
+        let mut out = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break out;
+            }
+            out.push((i, f(i)));
+        }
+    };
     let buffers: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break out;
-                        }
-                        out.push((i, f(i)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim_loop)).collect();
+        // A panic on the caller's own claims is held until every spawned
+        // worker has joined, then propagated first, as worker 0's.
+        let own = std::panic::catch_unwind(std::panic::AssertUnwindSafe(claim_loop));
+        let spawned: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        std::iter::once(own)
+            .chain(spawned)
+            .map(|joined| match joined {
                 Ok(v) => v,
                 Err(payload) => std::panic::resume_unwind(payload),
             })
@@ -259,7 +269,9 @@ pub mod telemetry {
         pub spawned_runs: u64,
         /// Claims across spawned dispatches: one per item.
         pub chunks: u64,
-        /// Workers spawned, summed across dispatches.
+        /// Workers that ran jobs, summed across spawned dispatches: the
+        /// threads spawned plus the calling thread, which claims jobs
+        /// alongside them.
         pub workers: u64,
         /// Items executed across all dispatches.
         pub items: u64,

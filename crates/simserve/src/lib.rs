@@ -424,7 +424,7 @@ impl ControlHook for ServiceHook {
                 Actuation::Quarantine(i) => ("quarantine", i),
                 Actuation::Readmit(i) => ("readmit", i),
             };
-            let Some(info) = view.processes().into_iter().find(|p| p.pid.index() == idx) else {
+            let Some(info) = view.process(idx) else {
                 view.emit_trace(TraceEvent::ReconfigRejected {
                     kind,
                     reason: "unknown_pid",

@@ -17,6 +17,11 @@ echo "== properties under release codegen (rounding, event queue) =="
 # optimised build, and a float divergence can show only there.
 cargo test --release -q --test properties
 
+echo "== PowerScope pipeline against its string-keyed model under release codegen =="
+# The collector's templates and the correlate accumulators must give
+# bit-equal samples and profiles; float sums can differ only there.
+cargo test --release -q -p powerscope --lib reference::
+
 echo "== snapshot pins and bit-flip sweep under release codegen =="
 # The envelope checksum folds whole words for the optimised build; the
 # payload pins and every single- and paired-bit flip run there too.

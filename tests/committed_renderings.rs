@@ -9,7 +9,8 @@
 
 use std::path::Path;
 
-use experiments::{Trials, FIGURES};
+use experiments::{fig13, fig14, Trials, FIGURES};
+use simcore::SnapshotHasher;
 
 /// The application figures and the headline built on them.
 const IDS: [&str; 10] = [
@@ -42,5 +43,30 @@ fn application_figures_render_their_committed_bytes() {
         differing.is_empty(),
         "renderings differ from results/: {}",
         differing.join(", ")
+    );
+}
+
+/// The web figures' bars all render `±0.0`: their per-trial spread is far
+/// below the table's precision, so their renderings cannot see a change
+/// in the random stream (a fork label or draw order) that moves no mean
+/// by 0.05 J. This pins every bar's mean and sd bits instead.
+#[test]
+fn web_figure_trial_statistics_match_their_pinned_digest() {
+    let trials = Trials::quick();
+    let mut h = SnapshotHasher::new();
+    for bar in &fig13::run(&trials).bars {
+        h.write_f64(bar.stats.mean);
+        h.write_f64(bar.stats.sd);
+    }
+    for sweep in fig14::run(&trials) {
+        for (_, stats) in &sweep.points {
+            h.write_f64(stats.mean);
+            h.write_f64(stats.sd);
+        }
+    }
+    assert_eq!(
+        h.finish(),
+        0x1751_21bc_639f_ce61,
+        "fig13/fig14 trial statistics moved; a pure refactor must not move them"
     );
 }
