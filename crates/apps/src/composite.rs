@@ -284,12 +284,14 @@ impl Workload for CompositeMember {
         w.put(&self.running_unit);
         w.put(&self.level);
         w.put(&self.item_idx);
-        // Each member freezes the shared baton; the values are identical
-        // across the three legs, so last-write-wins on thaw is sound.
-        let baton = self.baton.borrow();
-        w.put(&baton.holder);
-        w.put(&baton.iteration);
-        w.put(&baton.next_iteration_at);
+        // The three legs share one baton; the speech leg, first in loop
+        // order, carries it for all of them.
+        if self.role == CompositeRole::Speech {
+            let baton = self.baton.borrow();
+            w.put(&baton.holder);
+            w.put(&baton.iteration);
+            w.put(&baton.next_iteration_at);
+        }
         Ok(())
     }
 
@@ -301,13 +303,15 @@ impl Workload for CompositeMember {
             return Err(simcore::SnapshotError::Corrupt("composite fidelity level"));
         }
         self.item_idx = r.take()?;
-        let mut baton = self.baton.borrow_mut();
-        baton.holder = r.take()?;
-        if baton.holder >= 3 {
-            return Err(simcore::SnapshotError::Corrupt("baton holder"));
+        if self.role == CompositeRole::Speech {
+            let mut baton = self.baton.borrow_mut();
+            baton.holder = r.take()?;
+            if baton.holder >= 3 {
+                return Err(simcore::SnapshotError::Corrupt("baton holder"));
+            }
+            baton.iteration = r.take()?;
+            baton.next_iteration_at = r.take()?;
         }
-        baton.iteration = r.take()?;
-        baton.next_iteration_at = r.take()?;
         Ok(())
     }
 }

@@ -65,7 +65,7 @@ pub fn run_config(trials: &Trials, goal_s: u64, initial_j: Joules) -> Fig22 {
     let rows = run_grid(trials, &["fig22"], |label, i| {
         let mut rng = root.fork_indexed(label, i as u64);
         let cfg = GoalConfig::paper(initial_j.0, SimDuration::from_secs(goal_s));
-        let run = run_bursty_goal(cfg, &mut rng);
+        let run = run_bursty_goal(cfg, None, &mut rng);
         BurstyTrial {
             trial: i + 1,
             goal_met: run.outcome.goal_met,

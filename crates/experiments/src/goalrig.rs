@@ -155,12 +155,18 @@ fn run_composite_goal_full(
     rng: &mut SimRng,
 ) -> GoalRun {
     let rig = build_composite_goal(&cfg, reverse_priorities, faults, rng);
-    finish(rig.machine, cfg, rig.priorities, rig.horizon)
+    finish(rig.machine, cfg, rig.priorities, rig.horizon, None)
 }
 
-/// Runs the Section 5.4 bursty workload under a goal controller.
+/// Runs the Section 5.4 bursty workload under a goal controller. A
+/// `revision` `(at, goal)` is the user's mid-run extension: from `at` on
+/// the goal is the new total duration.
 #[expect(clippy::expect_used, reason = "BurstyRole::all() includes Video")]
-pub fn run_bursty_goal(cfg: GoalConfig, rng: &mut SimRng) -> GoalRun {
+pub fn run_bursty_goal(
+    cfg: GoalConfig,
+    revision: Option<(SimTime, SimDuration)>,
+    rng: &mut SimRng,
+) -> GoalRun {
     let goal = cfg.goal;
     let horizon = SimTime::ZERO + goal * 2 + SimDuration::from_secs(600);
     let mut m = Machine::new(MachineConfig {
@@ -188,20 +194,27 @@ pub fn run_bursty_goal(cfg: GoalConfig, rng: &mut SimRng) -> GoalRun {
         pid_of(BurstyRole::Map),
         pid_of(BurstyRole::Web),
     ]);
-    finish(m, cfg, priorities, horizon)
+    finish(m, cfg, priorities, horizon, revision)
 }
 
 /// Attaches a [`GoalController`] with the given priorities and runs the
-/// machine to the goal (or the safety-net horizon).
+/// machine to the goal (or the safety-net horizon). A revision is posted
+/// through the controller's handle 1 µs before its instant, so the
+/// controller applies it at its first tick at or after that instant.
 pub fn finish(
     mut m: Machine,
     cfg: GoalConfig,
     priorities: PriorityTable,
     horizon: SimTime,
+    revision: Option<(SimTime, SimDuration)>,
 ) -> GoalRun {
     let sample_period = cfg.sample_period;
     let (handle, hook) = GoalController::new(cfg, priorities);
     m.add_hook(sample_period, hook);
+    if let Some((at, new_goal)) = revision {
+        m.drive_until(at - SimDuration::from_micros(1));
+        handle.post_goal_revision(new_goal);
+    }
     // The controller stops the run at the goal; the horizon is a safety
     // net against runaway workloads.
     let report = m.run_until(horizon);
@@ -268,6 +281,27 @@ mod tests {
         assert_eq!(run.supply.len(), run.demand.len());
         // Either the goal was met or the battery drained; both terminate.
         assert!(run.outcome.goal_met || run.report.exhausted);
+    }
+
+    /// A revision takes effect at the controller tick of its instant: the
+    /// bursty rig with and without one predicts the same demand at every
+    /// decision before the instant, and a different one at it.
+    #[test]
+    fn revision_lands_on_the_tick_of_its_instant() {
+        let at = SimTime::from_secs(100);
+        let run = |revision| {
+            let cfg = GoalConfig::paper(4000.0, SimDuration::from_secs(300));
+            run_bursty_goal(cfg, revision, &mut SimRng::new(5)).demand
+        };
+        let (plain, revised) = (run(None), run(Some((at, SimDuration::from_secs(400)))));
+        let before = |s: &TimeSeries| -> Vec<(SimTime, f64)> {
+            s.points().iter().copied().filter(|p| p.0 < at).collect()
+        };
+        assert!(!before(&plain).is_empty());
+        assert_eq!(before(&plain), before(&revised));
+        let at_at = |s: &TimeSeries| s.points().iter().find(|p| p.0 == at).map(|p| p.1);
+        let (p, r) = (at_at(&plain), at_at(&revised));
+        assert!(p.is_some() && p != r, "demand at {at:?}: {p:?} and {r:?}");
     }
 
     #[test]

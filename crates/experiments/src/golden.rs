@@ -145,7 +145,7 @@ impl Scenario {
                 let _ = m.run();
             }
             End::Goal(cfg, priorities, horizon) => {
-                let _ = goalrig::finish(m, cfg, priorities, horizon);
+                let _ = goalrig::finish(m, cfg, priorities, horizon, None);
             }
             End::Until(horizon) => {
                 let _ = m.run_until(horizon);

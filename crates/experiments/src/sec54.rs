@@ -7,6 +7,11 @@
 //! revising the battery-life estimate mid-flight. The workload is the
 //! bursty stochastic model; five trials with different seeds.
 //!
+//! The extension is a live event, as a user's would be: the run is
+//! driven to 1 µs before the extension instant, the new goal is posted
+//! through [`odyssey::GoalHandle::post_goal_revision`], and the run goes
+//! on, so the controller applies it at its tick at that instant.
+//!
 //! The paper observes fewer adaptations than the short experiments: far
 //! from the goal, smoothing is aggressive and the hysteresis zone (5% of
 //! a large residual energy) is wide, so minor fluctuations are ignored
@@ -87,11 +92,12 @@ pub fn run_config(
     let root = SimRng::new(trials.seed);
     let rows = run_grid(trials, &["sec54"], |label, i| {
         let mut rng = root.fork_indexed(label, i as u64);
-        let cfg = GoalConfig::paper(initial_j.0, SimDuration::from_secs(goal_s)).with_extension(
+        let cfg = GoalConfig::paper(initial_j.0, SimDuration::from_secs(goal_s));
+        let extension = (
             SimTime::from_secs(extend_at_s),
             SimDuration::from_secs(extended_goal_s),
         );
-        let run = run_bursty_goal(cfg, &mut rng);
+        let run = run_bursty_goal(cfg, Some(extension), &mut rng);
         LongTrial {
             trial: i + 1,
             goal_met: run.outcome.goal_met,

@@ -464,10 +464,11 @@ mod power_probe {
 
     impl ControlHook for Probe {
         fn on_tick(&mut self, now: SimTime, view: &mut MachineView<'_>) {
-            let procs = view.processes();
-            for (i, _) in self.names.iter().enumerate() {
-                let pid = procs[i].pid;
-                let e = view.attributed_energy_j(pid);
+            for i in 0..self.names.len() {
+                let Some(info) = view.process(i) else {
+                    continue;
+                };
+                let e = view.attributed_energy_j(info.pid);
                 if let Some(p) = self.feed.observe(i, now, e) {
                     let mut max = self.max.borrow_mut();
                     if p.0 > max[i] {

@@ -61,30 +61,11 @@ impl RadioModel {
         self.wake_windows += 1;
     }
 
-    /// Encodes the radio's mutable counters into a snapshot payload.
-    pub fn freeze_into(&self, w: &mut simcore::SnapshotWriter) {
-        w.put(&self.wake_windows);
-        w.put(&self.transfers);
-    }
-
-    /// Restores the counters written by [`Self::freeze_into`].
-    pub fn thaw_from(
-        &mut self,
-        r: &mut simcore::SnapshotReader<'_>,
-    ) -> Result<(), simcore::SnapshotError> {
-        self.wake_windows = r.take()?;
-        self.transfers = r.take()?;
-        Ok(())
-    }
-
-    /// Open wake windows.
-    pub fn wake_windows(&self) -> usize {
-        self.wake_windows
-    }
-
-    /// Transfers moving bytes.
-    pub fn transfers(&self) -> usize {
-        self.transfers
+    /// Restores the counters of a thawed machine, which recounts them
+    /// from its processes' RPC states: the snapshot does not carry them.
+    pub fn restore_counters(&mut self, wake_windows: usize, transfers: usize) {
+        self.wake_windows = wake_windows;
+        self.transfers = transfers;
     }
 
     /// Closes a wake window.

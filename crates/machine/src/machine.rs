@@ -219,16 +219,8 @@ impl MachineView<'_> {
         self.m.source.remaining_j()
     }
 
-    /// Snapshot of all processes.
-    pub fn processes(&self) -> Vec<ProcessInfo> {
-        (0..self.m.procs.len())
-            .filter_map(|i| self.process(i))
-            .collect()
-    }
-
     /// Snapshot of the process at table index `index` (its
-    /// [`Pid::index`]), or `None` past the end of the table — one entry
-    /// of [`Self::processes`] without building the list.
+    /// [`Pid::index`]), or `None` past the end of the table.
     pub fn process(&self, index: usize) -> Option<ProcessInfo> {
         let p = self.m.procs.get(index)?;
         Some(ProcessInfo {
@@ -689,6 +681,7 @@ pub struct Machine {
     queue: EventQueue<Event>,
     procs: Vec<ProcEntry>,
     fidelity_series: Vec<TimeSeries>,
+    /// Foreground processes with `alive_counted` set.
     alive: usize,
     // CPU scheduler.
     run_queue: VecDeque<Source>,
@@ -1572,13 +1565,11 @@ impl Machine {
         for s in &self.fidelity_series {
             w.put(s);
         }
-        w.put(&self.alive);
         w.put(&self.run_queue);
         w.put(&self.x_queue);
         w.put(&self.x_enqueued);
         w.put(&self.current);
         self.disk.freeze_into(w);
-        self.radio.freeze_into(w);
         self.link.freeze_into(w);
         w.put(&self.flows);
         w.put(&self.link_event);
@@ -1660,10 +1651,7 @@ impl Machine {
             }
             *s = series;
         }
-        self.alive = r.take()?;
-        if self.alive != self.procs.iter().filter(|p| p.alive_counted).count() {
-            return Err(SnapshotError::Corrupt("alive count mismatch"));
-        }
+        self.alive = self.procs.iter().filter(|p| p.alive_counted).count();
         self.run_queue = r.take()?;
         for src in &self.run_queue {
             src.check(n_procs)?;
@@ -1675,7 +1663,6 @@ impl Machine {
             src.check(n_procs)?;
         }
         self.disk.thaw_from(r)?;
-        self.radio.thaw_from(r)?;
         self.link.thaw_from(r)?;
         // The next advance measures from `last_advance` to the clock.
         if self.link.last_advance() > self.clock {
@@ -1688,9 +1675,8 @@ impl Machine {
         for (_, ctx) in &self.flows {
             check_pid(ctx.pid, n_procs, "flow pid out of range")?;
         }
-        // The radio's counters mirror the processes' RPC states; a
-        // mismatch would panic at the next `close_window` or
-        // `end_transfer`.
+        // The radio's counters mirror the processes' RPC states, so they
+        // are recounted rather than read.
         let count = |f: fn(&ProcState) -> bool| self.procs.iter().filter(|p| f(&p.state)).count();
         let windows = count(|s| {
             matches!(
@@ -1702,13 +1688,11 @@ impl Machine {
                     | ProcState::NetBackoff(_)
             )
         });
-        if self.radio.wake_windows() != windows {
-            return Err(SnapshotError::Corrupt("radio wake windows"));
-        }
         let moving = count(|s| matches!(s, ProcState::NetTx(_) | ProcState::NetRx(_)));
-        if self.radio.transfers() != moving || moving != self.flows.len() {
-            return Err(SnapshotError::Corrupt("radio transfers"));
+        if moving != self.flows.len() {
+            return Err(SnapshotError::Corrupt("transfers without their flows"));
         }
+        self.radio.restore_counters(windows, moving);
         self.link_event = r.take()?;
         self.rpc_timeouts = r.take()?;
         self.rpc_retries = r.take()?;
@@ -2390,6 +2374,63 @@ mod tests {
         );
     }
 
+    /// A checksum-valid snapshot whose processes and flows disagree (a
+    /// process moving bytes with no flow, or a flow whose process is not
+    /// moving bytes) is refused on thaw instead of panicking at the next
+    /// `end_transfer`.
+    #[test]
+    fn resealed_transfers_without_their_flows_are_corrupt() {
+        const REQUEST: u64 = 10_000;
+        const REPLY: u64 = 1_000_000;
+        let rig = || {
+            let mut m = idle_machine(PmPolicy::enabled());
+            m.add_process(Box::new(ScriptedWorkload::new(
+                "rpc",
+                vec![Activity::Rpc {
+                    spec: RpcSpec {
+                        request_bytes: REQUEST,
+                        reply_bytes: REPLY,
+                        server_time: SimDuration::from_secs(5),
+                    },
+                    procedure: "fetch",
+                }],
+            )));
+            m
+        };
+        // At 1 s the server is working (no flow); at 7 s the reply is
+        // arriving (one flow). Each state is rewritten to the other.
+        for (secs, from, to, flows) in [(1, 4u64, 3u64, 0), (7, 5, 4, 1)] {
+            let mut m = rig();
+            let _ = m.run_until(SimTime::from_secs(secs));
+            assert_eq!(m.flows.len(), flows, "flows at {secs} s");
+            let mut w = simcore::SnapshotWriter::new();
+            m.freeze(&mut w).expect("freeze");
+            let mut bytes = w.seal();
+            // The process's state tag, then its plan's byte counts.
+            let state: Vec<u8> = [from, REQUEST, REPLY]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            let at: Vec<usize> = (20..bytes.len() - 8 - state.len())
+                .filter(|&i| bytes[i..i + state.len()] == state[..])
+                .collect();
+            assert_eq!(at.len(), 1, "one RPC in state {from} at {secs} s");
+            bytes[at[0]..at[0] + 8].copy_from_slice(&to.to_le_bytes());
+            reseal(&mut bytes);
+
+            let mut fresh = rig();
+            let names = fresh.names().clone();
+            let mut r = simcore::SnapshotReader::open(&bytes)
+                .expect("resealed envelope opens")
+                .with_names(&names);
+            assert_eq!(
+                fresh.thaw(&mut r),
+                Err(SnapshotError::Corrupt("transfers without their flows")),
+                "state {from} rewritten to {to} at {secs} s"
+            );
+        }
+    }
+
     /// A snapshot whose flows are out of `FlowId` order, or name one id
     /// twice, is refused on thaw: the flow list must stay sorted for
     /// lookups, and the snapshot bytes must stay canonical.
@@ -2417,60 +2458,6 @@ mod tests {
                 fresh.thaw(&mut r),
                 Err(SnapshotError::Corrupt("flow ids out of order"))
             );
-        }
-    }
-
-    /// A checksum-valid snapshot whose radio counters disagree with the
-    /// processes' RPC states is refused on thaw instead of panicking at
-    /// the next `close_window` or `end_transfer`.
-    #[test]
-    fn resealed_radio_counters_that_miss_an_rpc_are_corrupt() {
-        let rig = || {
-            let mut m = idle_machine(PmPolicy::enabled());
-            m.add_process(Box::new(ScriptedWorkload::new(
-                "rpc",
-                vec![Activity::Rpc {
-                    spec: RpcSpec {
-                        request_bytes: 10_000,
-                        reply_bytes: 10_000,
-                        server_time: SimDuration::from_secs(5),
-                    },
-                    procedure: "fetch",
-                }],
-            )));
-            m
-        };
-        // At 1 s the request is sent and the server is working: one wake
-        // window, no transfer.
-        let mut m = rig();
-        let _ = m.run_until(SimTime::from_secs(1));
-        let mut w = simcore::SnapshotWriter::new();
-        m.freeze(&mut w).expect("freeze");
-        let sealed = w.seal();
-        // The radio's (wake windows, transfers), then the idle link's
-        // rate factor.
-        let mut radio = 1usize.to_le_bytes().to_vec();
-        radio.extend_from_slice(&0usize.to_le_bytes());
-        radio.extend_from_slice(&1.0f64.to_le_bytes());
-        let at: Vec<usize> = (20..sealed.len() - 8 - radio.len())
-            .filter(|&i| sealed[i..i + radio.len()] == radio[..])
-            .collect();
-        assert_eq!(at.len(), 1, "one radio with one open window");
-
-        for (offset, value, expected) in [
-            (0, 0usize, "radio wake windows"),
-            (8, 1usize, "radio transfers"),
-        ] {
-            let mut bytes = sealed.clone();
-            let i = at[0] + offset;
-            bytes[i..i + 8].copy_from_slice(&value.to_le_bytes());
-            reseal(&mut bytes);
-            let mut fresh = rig();
-            let names = fresh.names().clone();
-            let mut r = simcore::SnapshotReader::open(&bytes)
-                .expect("resealed envelope opens")
-                .with_names(&names);
-            assert_eq!(fresh.thaw(&mut r), Err(SnapshotError::Corrupt(expected)));
         }
     }
 
@@ -2909,16 +2896,11 @@ mod tests {
         struct Degrader;
         impl ControlHook for Degrader {
             fn on_tick(&mut self, _now: SimTime, view: &mut MachineView<'_>) {
-                let procs = view.processes();
-                // One-process lookups agree with the list and end with it.
-                for p in &procs {
-                    let one = view
-                        .process(p.pid.index())
-                        .map(|q| (q.pid, q.fidelity.level));
-                    assert_eq!(one, Some((p.pid, p.fidelity.level)));
-                }
-                assert!(view.process(procs.len()).is_none());
-                if let Some(p) = procs.iter().find(|p| p.fidelity.can_degrade()) {
+                // Lookups name their own pid and end with the table.
+                let p = view.process(0).expect("one process");
+                assert_eq!(p.pid.index(), 0);
+                assert!(view.process(1).is_none());
+                if p.fidelity.can_degrade() {
                     view.upcall(p.pid, AdaptDirection::Degrade);
                 }
             }

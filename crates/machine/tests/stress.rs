@@ -82,9 +82,10 @@ fn thrashing_controller_is_safe() {
                 AdaptDirection::Upgrade
             };
             self.0 = !self.0;
-            let procs = view.processes();
-            for p in procs {
+            let mut i = 0;
+            while let Some(p) = view.process(i) {
                 view.upcall(p.pid, dir);
+                i += 1;
             }
         }
     }
@@ -149,8 +150,8 @@ fn transfer_rate_estimation() {
     }
     impl ControlHook for RateProbe {
         fn on_tick(&mut self, _now: SimTime, view: &mut MachineView<'_>) {
-            let procs = view.processes();
-            if let Some(rate) = view.transfer_rate_of(procs[0].pid) {
+            let pid = view.process(0).expect("one process").pid;
+            if let Some(rate) = view.transfer_rate_of(pid) {
                 self.rates.borrow_mut().push(rate);
             }
         }

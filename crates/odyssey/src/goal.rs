@@ -61,9 +61,6 @@ pub struct GoalConfig {
     /// the on-line meter needs a few samples before its smoothed power
     /// means anything ("applications are more stable at the beginning").
     pub warmup: SimDuration,
-    /// Goal revisions: at each instant, the goal is replaced by a new
-    /// total duration (Section 5.4's mid-run extension).
-    pub extensions: Vec<(SimTime, SimDuration)>,
     /// Defects of the energy instrument feeding the on-line meter
     /// (dropout, jitter, quantization). Clean by default.
     pub meter_faults: MeterFaultPlan,
@@ -131,17 +128,9 @@ impl GoalConfig {
             upgrade_min_interval: SimDuration::from_secs(15),
             sample_period: SimDuration::from_millis(100),
             warmup: SimDuration::from_secs(10),
-            extensions: Vec::new(),
             meter_faults: MeterFaultPlan::clean(),
             hardening: None,
         }
-    }
-
-    /// Adds a mid-run goal revision.
-    pub fn with_extension(mut self, at: SimTime, new_goal: SimDuration) -> Self {
-        self.extensions.push((at, new_goal));
-        self.extensions.sort_by_key(|(t, _)| *t);
-        self
     }
 
     /// Degrades the controller's energy instrument.
@@ -303,7 +292,6 @@ pub struct GoalController {
     cfg: GoalConfig,
     priorities: PriorityTable,
     deadline: SimTime,
-    next_extension: usize,
     meter: OnlinePowerMeter,
     smoother: Smoother,
     last_decision: Option<SimTime>,
@@ -350,7 +338,6 @@ impl GoalController {
             smoother: Smoother::new(cfg.half_life_frac, cfg.sample_period),
             meter: OnlinePowerMeter::new(),
             deadline,
-            next_extension: 0,
             priorities,
             last_decision: None,
             last_upgrade: None,
@@ -365,24 +352,13 @@ impl GoalController {
         (GoalHandle { shared }, Box::new(controller))
     }
 
-    fn apply_extensions(&mut self, now: SimTime) {
-        while let Some((at, new_goal)) = self.cfg.extensions.get(self.next_extension).copied() {
-            if at > now {
-                break;
-            }
-            self.deadline = SimTime::ZERO + new_goal;
-            self.next_extension += 1;
-        }
-        // Live revisions posted through the handle override the static
-        // extension schedule: they were posted later.
-        let (goal, budget) = {
-            let mut s = self.shared.borrow_mut();
-            (s.posted_goal.take(), s.posted_budget_j.take())
-        };
-        if let Some(new_goal) = goal {
+    /// Applies the revisions posted through the handle since the last tick.
+    fn apply_revisions(&mut self) {
+        let mut s = self.shared.borrow_mut();
+        if let Some(new_goal) = s.posted_goal.take() {
             self.deadline = SimTime::ZERO + new_goal;
         }
-        if let Some(budget_j) = budget {
+        if let Some(budget_j) = s.posted_budget_j.take() {
             self.cfg.initial_energy_j = budget_j;
         }
     }
@@ -436,7 +412,6 @@ impl GoalController {
             supply_j: supply.0,
             demand_j: demand.0,
         });
-        let procs = view.processes();
         if demand > supply {
             self.deficit_streak += 1;
             if self.cfg.hardening.is_some() && self.deficit_streak < Hardening::DEGRADE_PERSISTENCE
@@ -444,7 +419,13 @@ impl GoalController {
                 return;
             }
             for pid in self.priorities.degrade_order() {
-                let info = procs[pid.index()];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the priority table names this machine's processes"
+                )]
+                let info = view
+                    .process(pid.index())
+                    .expect("prioritised pid not on the machine");
                 if info.done || info.suspended || !info.fidelity.can_degrade() {
                     continue;
                 }
@@ -481,7 +462,13 @@ impl GoalController {
                 }
             }
             for pid in self.priorities.upgrade_order() {
-                let info = procs[pid.index()];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "the priority table names this machine's processes"
+                )]
+                let info = view
+                    .process(pid.index())
+                    .expect("prioritised pid not on the machine");
                 if info.done || info.suspended || !info.fidelity.can_upgrade() {
                     continue;
                 }
@@ -501,7 +488,6 @@ impl ControlHook for GoalController {
         // replaces the initial energy value.
         w.put(&self.cfg.initial_energy_j);
         w.put(&self.deadline);
-        w.put(&self.next_extension);
         w.put(&self.meter);
         self.smoother.freeze_into(w);
         w.put(&self.last_decision);
@@ -530,10 +516,6 @@ impl ControlHook for GoalController {
     fn thaw(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         self.cfg.initial_energy_j = r.take()?;
         self.deadline = r.take()?;
-        self.next_extension = r.take()?;
-        if self.next_extension > self.cfg.extensions.len() {
-            return Err(SnapshotError::Corrupt("extension cursor"));
-        }
         self.meter = r.take()?;
         self.smoother.thaw_from(r)?;
         self.last_decision = r.take()?;
@@ -557,7 +539,7 @@ impl ControlHook for GoalController {
     }
 
     fn on_tick(&mut self, now: SimTime, view: &mut MachineView<'_>) {
-        self.apply_extensions(now);
+        self.apply_revisions();
         // The controller never reads the ledger directly: its cumulative
         // energy passes through the (possibly faulty) instrument, which
         // may drop the sample entirely.
@@ -779,32 +761,8 @@ mod tests {
         );
     }
 
-    /// A mid-run extension moves the deadline.
-    #[test]
-    fn goal_extension_is_applied() {
-        let cfg = GoalConfig::paper(4000.0, SimDuration::from_secs(300))
-            .with_extension(SimTime::from_secs(100), SimDuration::from_secs(400));
-        let mut m = Machine::new(MachineConfig {
-            source: EnergySource::battery(Joules(4000.0)),
-            ..Default::default()
-        });
-        let pid = m.add_process(Box::new(DutyCycle {
-            level: 2,
-            until: SimTime::from_secs(800),
-        }));
-        let (handle, hook) = GoalController::new(cfg.clone(), PriorityTable::new(vec![pid]));
-        m.add_hook(cfg.sample_period, hook);
-        let report = m.run();
-        assert!(handle.outcome().goal_met);
-        assert!(
-            (report.duration_s() - 400.0).abs() < 1.0,
-            "ended at {}",
-            report.duration_s()
-        );
-    }
-
-    /// A goal revision posted through the handle moves the deadline just
-    /// like a scheduled extension — the live-reconfiguration seam.
+    /// A goal revision posted through the handle moves the deadline at
+    /// the controller's next tick — the live-reconfiguration seam.
     #[test]
     fn posted_goal_revision_moves_the_deadline() {
         let cfg = GoalConfig::paper(4000.0, SimDuration::from_secs(300));

@@ -464,10 +464,16 @@ impl ControlHook for Supervisor {
             });
             self.respond(app_i, now, view);
         }
-        let procs = view.processes();
         for i in 0..self.apps.len() {
             let pid = self.apps[i].pid;
-            let info = &procs[pid.index()];
+            // An iteration acts on its own app only.
+            #[expect(
+                clippy::expect_used,
+                reason = "watched apps are this machine's processes"
+            )]
+            let info = view
+                .process(pid.index())
+                .expect("watched pid not on the machine");
 
             // The attribution feed observes every tick so its estimate is
             // warm by the time detection starts.

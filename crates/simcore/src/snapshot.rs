@@ -52,7 +52,7 @@ use crate::units::{Joules, Watts};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODYSNAP1";
 
 /// Format version written into (and demanded from) the envelope.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot failed to decode (or a component refused to encode).
 ///
@@ -834,14 +834,14 @@ impl RunJournal {
 
 crate::impl_codec!(Checkpoint { seq, t, digest });
 
-/// The journal's layout is `interval`, `next_due`, a has-latest word,
-/// the undrained count, then the latest checkpoint (when present) and
-/// the undrained ones: the latest is written once even when it is also
-/// the newest undrained entry.
+/// The journal's layout is `interval`, a has-latest word, the undrained
+/// count, then the latest checkpoint (when present) and the undrained
+/// ones: the latest is written once even when it is also the newest
+/// undrained entry. The next due instant is not written: it is the first
+/// multiple of the interval after the latest checkpoint.
 impl Codec for RunJournal {
     fn put(&self, w: &mut SnapshotWriter) {
         w.put(&self.interval);
-        w.put(&self.next_due);
         w.put(&self.latest.is_some());
         w.put(&self.undrained.len());
         for c in self.latest.iter().chain(&self.undrained) {
@@ -854,7 +854,6 @@ impl Codec for RunJournal {
         if interval.is_zero() {
             return Err(SnapshotError::Corrupt("zero checkpoint interval"));
         }
-        let next_due = r.take()?;
         let has_latest: bool = r.take()?;
         let (n, mut undrained): (usize, Vec<Checkpoint>) = r.take_len()?;
         let latest = if has_latest { Some(r.take()?) } else { None };
@@ -868,9 +867,11 @@ impl Codec for RunJournal {
         if !dense || undrained.last().is_some_and(|c| Some(*c) != latest) {
             return Err(SnapshotError::Corrupt("undrained checkpoints"));
         }
+        let every = interval.as_micros();
+        let due = latest.map_or(1, |c: Checkpoint| c.t.as_micros() / every + 1);
         Ok(RunJournal {
             interval,
-            next_due,
+            next_due: SimTime::from_micros(due.saturating_mul(every)),
             latest,
             undrained,
         })
@@ -1211,7 +1212,6 @@ mod tests {
     fn undrained_checkpoints_must_end_at_the_latest() {
         let mut w = SnapshotWriter::new();
         w.put(&SimDuration::from_secs(10));
-        w.put(&SimTime::from_secs(20));
         w.put(&true);
         w.put(&1usize);
         for seq in [1u64, 0] {

@@ -338,19 +338,17 @@ simcore::impl_codec!(DeadLetter {
 #[derive(Clone, Debug, Default)]
 pub struct DeadLetterLedger {
     entries: VecDeque<DeadLetter>,
-    total: u64,
     dropped: u64,
 }
 
 impl DeadLetterLedger {
     fn push(&mut self, letter: DeadLetter) -> u64 {
-        self.total += 1;
         if self.entries.len() == DEAD_LETTER_CAPACITY {
             self.entries.pop_front();
             self.dropped += 1;
         }
         self.entries.push_back(letter);
-        self.total
+        self.total()
     }
 
     /// Retained entries, oldest first.
@@ -358,9 +356,10 @@ impl DeadLetterLedger {
         self.entries.iter()
     }
 
-    /// Dead letters recorded over the session's lifetime.
+    /// Dead letters recorded over the session's lifetime: those evicted
+    /// and those retained.
     pub fn total(&self) -> u64 {
-        self.total
+        self.dropped.saturating_add(self.entries.len() as u64)
     }
 
     /// Entries evicted to respect the capacity bound.
@@ -605,7 +604,6 @@ impl Session {
         // Only the horizon is mutable config (live reconfig).
         w.put(&self.cfg.horizon);
         self.trace.freeze_counters_into(&mut w);
-        w.put(&self.dead.total);
         w.put(&self.dead.dropped);
         w.put(&self.dead.entries);
         w.put(&self.dead_by_origin);
@@ -639,14 +637,10 @@ impl Session {
         self.cfg.horizon = r.take()?;
         self.trace.restore_counters_from(&mut r)?;
         let dead = &mut self.dead;
-        dead.total = r.take()?;
         dead.dropped = r.take()?;
         dead.entries = r.take()?;
         if dead.entries.len() > DEAD_LETTER_CAPACITY {
             return Err(SnapshotError::Corrupt("dead-letter ledger overflow"));
-        }
-        if dead.dropped.checked_add(dead.entries.len() as u64) != Some(dead.total) {
-            return Err(SnapshotError::Corrupt("dead-letter totals inconsistent"));
         }
         self.dead_by_origin = r.take()?;
         self.next_seq = r.take()?;
