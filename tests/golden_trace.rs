@@ -51,3 +51,70 @@ fn recording_is_deterministic_at_any_seed() {
         assert_eq!(a, b, "{scenario}: same-seed reruns diverge");
     }
 }
+
+/// The scheduler's event order, pinned: every `SchedDispatch` (instant,
+/// pid and procedure) of the supervise rig, each k with and without the
+/// supervisor, and of the Figure 20 composite goal rig, each goal, at
+/// the quick trials' streams, folded into one digest. Only `Sched` is
+/// traced. A CPU run that skips its per-quantum events must still
+/// dispatch, switch and park at the same instants in the same order.
+#[test]
+fn sched_dispatch_order_matches_its_pin() {
+    use experiments::{fig19::INITIAL_ENERGY_J, fig20::GOALS_S, goalrig, supervise, Trials};
+    use machine::{FaultConfig, Machine};
+    use odyssey::GoalConfig;
+    use simcore::{
+        SimDuration, SimRng, SnapshotHasher, TraceCategory, TraceEvent, TraceHandle, TraceSink,
+    };
+
+    let trials = Trials::quick();
+    let root = SimRng::new(trials.seed);
+    let (mut h, mut dispatches) = (SnapshotHasher::new(), 0u64);
+    let traced = |m: &mut Machine| {
+        let sink = TraceSink::new()
+            .with_capacity(usize::MAX)
+            .with_categories(&[TraceCategory::Sched]);
+        let trace = TraceHandle::new(sink);
+        m.set_trace(trace.clone());
+        trace
+    };
+    let mut fold = |trace: TraceHandle| {
+        assert_eq!(trace.evicted(), 0);
+        for rec in trace.records() {
+            let TraceEvent::SchedDispatch { pid, procedure } = rec.event else {
+                panic!("only Sched is traced: {rec:?}");
+            };
+            h.write_u64(rec.at.as_micros());
+            h.write_u64(pid);
+            h.write_bytes(procedure.as_bytes());
+            dispatches += 1;
+        }
+    };
+    for k in supervise::KS {
+        for supervised in [false, true] {
+            for i in 0..trials.n as u64 {
+                let mut rng = root.fork_indexed(&format!("supervise/{k}"), i);
+                let mut rig = supervise::build_one(k, supervised, &mut rng);
+                let trace = traced(&mut rig.machine);
+                let _ = rig.machine.run_until(rig.horizon);
+                fold(trace);
+            }
+        }
+    }
+    for goal_s in GOALS_S {
+        for i in 0..trials.n as u64 {
+            let mut rng = root.fork_indexed(&format!("fig20/{goal_s}"), i);
+            let cfg = GoalConfig::paper(INITIAL_ENERGY_J, SimDuration::from_secs(goal_s));
+            let mut rig =
+                goalrig::build_composite_goal(&cfg, false, FaultConfig::clean(), &mut rng);
+            let trace = traced(&mut rig.machine);
+            let _ = goalrig::finish(rig.machine, cfg, rig.priorities, rig.horizon, None);
+            fold(trace);
+        }
+    }
+    assert_eq!(
+        (dispatches, h.finish()),
+        (1_277_602, 0x815b_3b55_13fd_c8d3),
+        "dispatch count and digest"
+    );
+}
