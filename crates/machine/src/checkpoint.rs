@@ -43,13 +43,12 @@ impl ControlHook for CheckpointHook {
     }
 
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
-        w.put(&*self.journal.borrow());
+        self.journal.borrow().freeze_into(w);
         Ok(())
     }
 
     fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
-        *self.journal.borrow_mut() = r.take()?;
-        Ok(())
+        self.journal.borrow_mut().thaw_from(r)
     }
 }
 

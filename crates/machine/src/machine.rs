@@ -21,7 +21,7 @@ use hw560x::{
     PmPolicy, PowerBreakdown, RadioModel,
 };
 use netsim::{FlowId, LinkFaultTimeline, SharedLink, RPC_LATENCY, WAVELAN_CAPACITY_BPS};
-use simcore::event::EventId;
+use simcore::event::{EventId, Order};
 use simcore::time::round_to_u64;
 use simcore::{
     Codec, EventQueue, Joules, Names, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader,
@@ -235,6 +235,7 @@ impl MachineView<'_> {
     /// Issues a fidelity upcall to a process. Returns `true` if the
     /// workload changed level.
     pub fn upcall(&mut self, pid: Pid, dir: AdaptDirection) -> bool {
+        self.m.interval = None;
         let now = self.m.clock;
         let p = &mut self.m.procs[pid.0];
         let changed = p.workload.on_upcall(dir, now);
@@ -291,6 +292,7 @@ impl MachineView<'_> {
     /// until [`MachineView::restart`]. Returns `false` if the process is
     /// already suspended or done.
     pub fn suspend(&mut self, pid: Pid) -> bool {
+        self.m.interval = None;
         self.m.suspend_proc(pid)
     }
 
@@ -298,6 +300,7 @@ impl MachineView<'_> {
     /// [`Workload::on_restart`]. Returns `true` if the workload accepted
     /// the restart and is running again.
     pub fn restart(&mut self, pid: Pid) -> bool {
+        self.m.interval = None;
         self.m.restart_proc(pid)
     }
 
@@ -313,6 +316,7 @@ impl MachineView<'_> {
             factor.is_finite() && factor > 0.0 && factor <= 1.0,
             "invalid datapath clamp: {factor}"
         );
+        self.m.interval = None;
         self.m.procs[pid.0].clamp = factor;
         self.m.trace_emit(TraceEvent::DatapathClamp {
             pid: pid.0 as u64,
@@ -688,6 +692,11 @@ pub struct Machine {
     x_queue: VecDeque<CpuJob>,
     x_enqueued: bool,
     current: Option<(Source, SimDuration)>,
+    /// The running process's pending quantum end, `(instant, order
+    /// mark)`, while it has the CPU to itself: kept out of the queue,
+    /// settled by the event loop where its `CpuDone` would have fired,
+    /// and queued in that place only when the run is interrupted.
+    lone: Option<(SimTime, Order)>,
     // Devices.
     disk: DiskModel,
     radio: RadioModel,
@@ -707,9 +716,10 @@ pub struct Machine {
     source: EnergySource,
     observers: Vec<Box<dyn IntervalObserver>>,
     hooks: Vec<HookSlot>,
-    /// The interval `advance_to` built last, kept until the next event
-    /// is handled: every input it reads changes only inside `handle`
-    /// (or wholesale in `thaw`), which drop it.
+    /// The interval `advance_to` built last, kept until one of its
+    /// inputs moves: every site that moves one drops it, as do `thaw`
+    /// and `handle` for every event but a timer, a dim or spin-down
+    /// check and a hook tick.
     interval: Option<Interval>,
     /// The current interval's attribution shares, and the ledger key of
     /// each.
@@ -755,6 +765,7 @@ impl Machine {
             x_queue: VecDeque::new(),
             x_enqueued: false,
             current: None,
+            lone: None,
             disk,
             radio,
             link,
@@ -930,6 +941,12 @@ impl Machine {
             }
             if horizon.is_none() && self.alive == 0 {
                 break;
+            }
+            if self.lone.is_some() {
+                self.settle_lone(horizon);
+                if self.stopped {
+                    break;
+                }
             }
             let Some(t_next) = self.queue.peek_time() else {
                 if let Some(h) = horizon {
@@ -1180,8 +1197,15 @@ impl Machine {
     // ---- Event handling ------------------------------------------------
 
     fn handle(&mut self, ev: Event) {
-        // Every interval input changes only while an event is handled.
-        self.interval = None;
+        // A timer, a dim or spin-down check and a hook tick drop the kept
+        // interval only where they move one of its inputs; any other
+        // event may move one.
+        if !matches!(
+            ev,
+            Event::Timer(_) | Event::DimCheck | Event::SpinDownCheck | Event::HookTick(_)
+        ) {
+            self.interval = None;
+        }
         match ev {
             Event::Poll(pid) => self.do_poll(pid),
             Event::CpuDone => self.on_cpu_done(),
@@ -1198,7 +1222,9 @@ impl Machine {
             Event::DiskSpinupDone(pid) => self.on_disk_spinup(pid),
             Event::DiskDone(pid) => self.on_disk_done(pid),
             Event::SpinDownCheck => {
-                if !self.disk.try_spin_down(self.clock) {
+                if self.disk.try_spin_down(self.clock) {
+                    self.interval = None;
+                } else {
                     if let Some(dl) = self.disk.spin_down_deadline() {
                         if dl > self.clock {
                             self.queue.push(dl, Event::SpinDownCheck);
@@ -1210,7 +1236,7 @@ impl Machine {
                 self.dim_event = None;
                 if let Some(s) = self.quiet_since {
                     if self.clock.saturating_since(s) >= self.cfg.pm.display_dim_after {
-                        self.dim_active = true;
+                        self.set_dim(true);
                     }
                 }
             }
@@ -1224,8 +1250,10 @@ impl Machine {
     fn schedule_poll(&mut self, pid: Pid) {
         if self.procs[pid.0].suspended {
             // A device operation finished while the process was being
-            // quarantined; park instead of polling.
+            // quarantined; park instead of polling. A parked process
+            // needs no display.
             self.procs[pid.0].state = ProcState::Suspended;
+            self.interval = None;
             return;
         }
         self.procs[pid.0].state = ProcState::Start;
@@ -1280,6 +1308,7 @@ impl Machine {
                         procedure,
                         bucket,
                     });
+                    self.interrupt_lone();
                     self.run_queue.push_back(Source::Proc(pid));
                     self.dispatch();
                     break;
@@ -1295,6 +1324,7 @@ impl Machine {
                         });
                         if !self.x_enqueued {
                             self.x_enqueued = true;
+                            self.interrupt_lone();
                             self.run_queue.push_back(Source::XServer);
                         }
                         self.dispatch();
@@ -1425,6 +1455,7 @@ impl Machine {
             ProcState::ReadyCpu(_) if running => {
                 // Mid-slice on the CPU: the quantum finishes (at most
                 // 10 ms away) and `on_cpu_done` parks the process.
+                self.interrupt_lone();
             }
             ProcState::ReadyCpu(_) => {
                 self.run_queue.retain(|s| *s != Source::Proc(pid));
@@ -1569,6 +1600,7 @@ impl Machine {
         w.put(&self.x_queue);
         w.put(&self.x_enqueued);
         w.put(&self.current);
+        w.put(&self.lone);
         self.disk.freeze_into(w);
         self.link.freeze_into(w);
         w.put(&self.flows);
@@ -1613,10 +1645,11 @@ impl Machine {
         self.interval = None;
         self.clock = r.take()?;
         let next_seq = r.take()?;
-        let entries: Vec<(SimTime, u64, Event)> = r.take()?;
+        let entries: Vec<(SimTime, Order, Event)> = r.take()?;
         for &(_, _, ev) in &entries {
             ev.check(n_procs, n_hooks)?;
         }
+        let cpu_done_queued = entries.iter().any(|&(_, _, ev)| ev == Event::CpuDone);
         self.queue = EventQueue::restore(next_seq, entries)?;
         if r.take::<usize>()? != n_procs {
             return Err(SnapshotError::Corrupt("process count mismatch"));
@@ -1661,6 +1694,26 @@ impl Machine {
         self.current = r.take()?;
         if let Some((src, _)) = self.current {
             src.check(n_procs)?;
+        }
+        self.lone = r.take()?;
+        if let Some((end, mark)) = self.lone {
+            // A hook can stop the run at a quantum's end before the
+            // quantum settles, so the end may equal the clock.
+            if end < self.clock {
+                return Err(SnapshotError::Corrupt("lone quantum ends before the clock"));
+            }
+            if mark > self.queue.mark() {
+                return Err(SnapshotError::Corrupt("order mark beyond next_seq"));
+            }
+            let running = match self.current {
+                Some((Source::Proc(pid), _)) => {
+                    matches!(self.procs[pid.0].state, ProcState::ReadyCpu(_))
+                }
+                _ => false,
+            };
+            if !running || cpu_done_queued {
+                return Err(SnapshotError::Corrupt("lone quantum without a runner"));
+            }
         }
         self.disk.thaw_from(r)?;
         self.link.thaw_from(r)?;
@@ -1770,8 +1823,78 @@ impl Machine {
                 }
             }
             self.current = Some((src, slice));
-            self.queue.push(self.clock + slice, Event::CpuDone);
+            if remaining > QUANTUM && self.run_queue.is_empty() && src != Source::XServer {
+                // Alone on the CPU: its quanta end without events.
+                self.lone = Some((self.clock + QUANTUM, self.queue.mark()));
+            } else {
+                self.queue.push(self.clock + slice, Event::CpuDone);
+            }
             return;
+        }
+    }
+
+    /// Ends each quantum of the lone run that fires before the queue's
+    /// head, and not after `horizon`, as its `CpuDone` would have: it
+    /// charges the job and re-dispatches it at the quantum's end, in the
+    /// order that event would have held. The energy of the quanta is
+    /// booked with the interval around them. The last quantum is queued
+    /// as a real `CpuDone`. If the supply runs out inside a quantum, the
+    /// machine integrates to that instant and stops instead.
+    fn settle_lone(&mut self, horizon: Option<SimTime>) {
+        while let Some((end, mark)) = self.lone {
+            let head_first = self.queue.peek_key().is_some_and(|head| head < (end, mark));
+            if head_first || horizon.is_some_and(|h| end > h) {
+                return;
+            }
+            // The next advance checks (and reuses) the interval kept here.
+            let power_w = match self.interval {
+                Some(kept) => kept.power_w,
+                None => {
+                    let built = self.build_interval();
+                    self.interval = Some(built);
+                    built.power_w
+                }
+            };
+            if self.source.remaining_j() < power_w * end.since(self.clock) {
+                self.advance_to(end);
+                return;
+            }
+            #[expect(
+                clippy::expect_used,
+                reason = "a lone quantum is only pending while its process runs in ReadyCpu"
+            )]
+            let (pid, job) = match self.current {
+                Some((Source::Proc(pid), _)) => match &mut self.procs[pid.0].state {
+                    ProcState::ReadyCpu(job) => Some((pid, job)),
+                    _ => None,
+                },
+                _ => None,
+            }
+            .expect("lone quantum without a running process");
+            job.remaining = job.remaining.saturating_sub(QUANTUM);
+            let (remaining, procedure) = (job.remaining, job.procedure);
+            if self.trace_enabled(TraceCategory::Sched) {
+                if let Some(tr) = &self.trace {
+                    let pid = pid.0 as u64;
+                    tr.emit(end, TraceEvent::SchedDispatch { pid, procedure });
+                }
+            }
+            if remaining > QUANTUM {
+                self.lone = Some((end + QUANTUM, self.queue.mark()));
+            } else {
+                self.lone = None;
+                self.current = Some((Source::Proc(pid), remaining));
+                self.queue.push(end + remaining, Event::CpuDone);
+            }
+        }
+    }
+
+    /// Queues the lone run's pending quantum end as a real `CpuDone`, in
+    /// the place its own push would have taken: another source became
+    /// runnable, or the runner is being quarantined.
+    fn interrupt_lone(&mut self) {
+        if let Some((end, mark)) = self.lone.take() {
+            self.queue.push_at_mark(end, Event::CpuDone, mark);
         }
     }
 
@@ -2064,6 +2187,15 @@ impl Machine {
 
     // ---- Display dim tracking ------------------------------------------------
 
+    /// Sets the dim flag, dropping the kept interval if it flips: the
+    /// display state reads it.
+    fn set_dim(&mut self, on: bool) {
+        if self.dim_active != on {
+            self.dim_active = on;
+            self.interval = None;
+        }
+    }
+
     fn is_quiet(&self) -> bool {
         if self.current.is_some() || !self.x_queue.is_empty() || self.link.active_count() > 0 {
             return false;
@@ -2089,7 +2221,7 @@ impl Machine {
             }
             (false, Some(_)) => {
                 self.quiet_since = None;
-                self.dim_active = false;
+                self.set_dim(false);
                 if let Some(id) = self.dim_event.take() {
                     self.queue.cancel(id);
                 }
@@ -2331,6 +2463,135 @@ mod tests {
         );
     }
 
+    /// A checksum-valid snapshot whose lone CPU run is inconsistent is
+    /// refused on thaw instead of panicking later in the event loop: a
+    /// quantum end before the restored clock, an order mark beyond the
+    /// queue's next sequence number, and a lone run whose "runner" waits
+    /// on a timer.
+    #[test]
+    fn resealed_lone_quantum_before_the_clock_is_corrupt() {
+        let rig = || {
+            let mut m = idle_machine(PmPolicy::enabled());
+            m.add_process(Box::new(ScriptedWorkload::new(
+                "spin",
+                vec![Activity::Cpu {
+                    duration: SimDuration::from_secs(5),
+                    intensity: 0.5,
+                    procedure: "spin",
+                }],
+            )));
+            m.add_process(Box::new(ScriptedWorkload::idle_for(
+                "idler",
+                SimDuration::from_secs(9),
+            )));
+            m
+        };
+        let clock = SimTime::from_micros(1_234_567);
+        let mut m = rig();
+        let _ = m.run_until(clock);
+        let Some((end, mark)) = m.lone else {
+            panic!("the spinner runs alone");
+        };
+        assert_eq!(end, SimTime::from_micros(1_240_000));
+        let mut w = simcore::SnapshotWriter::new();
+        m.freeze(&mut w).expect("freeze");
+        let bytes = w.seal();
+        let words = |ws: &[u64]| ws.iter().flat_map(|w| w.to_le_bytes()).collect::<Vec<u8>>();
+        let patched = |from: &[u64], to: &[u64]| {
+            let (from, to) = (words(from), words(to));
+            let mut bytes = bytes.clone();
+            let at: Vec<usize> = (20..bytes.len() - 8 - from.len())
+                .filter(|&i| bytes[i..i + from.len()] == from)
+                .collect();
+            assert_eq!(at.len(), 1, "one match for {from:?}");
+            bytes[at[0]..at[0] + to.len()].copy_from_slice(&to);
+            reseal(&mut bytes);
+            let mut fresh = rig();
+            let names = fresh.names().clone();
+            let mut r = simcore::SnapshotReader::open(&bytes)
+                .expect("resealed envelope opens")
+                .with_names(&names);
+            fresh.thaw(&mut r)
+        };
+        // `current` is Some((Proc(0), one quantum)), then `lone` is
+        // Some((end, mark)).
+        let lone = [1, 0, 0, 10_000, 1, end.as_micros(), mark.raw()];
+        assert_eq!(
+            patched(&lone, &lone),
+            Ok(()),
+            "the unpatched snapshot thaws"
+        );
+        let before = [1, clock.as_micros() - 1];
+        assert_eq!(
+            patched(&lone[4..6], &before),
+            Err(SnapshotError::Corrupt("lone quantum ends before the clock"))
+        );
+        let beyond = [end.as_micros(), u64::MAX - 1];
+        assert_eq!(
+            patched(&lone[5..], &beyond),
+            Err(SnapshotError::Corrupt("order mark beyond next_seq"))
+        );
+        assert_eq!(
+            patched(&lone[..4], &[1, 0, 1, 10_000]),
+            Err(SnapshotError::Corrupt("lone quantum without a runner"))
+        );
+    }
+
+    /// A hook that stops the run at a lone quantum's end stops it before
+    /// the quantum settles, as it would stop it before the quantum's own
+    /// event: the machine freezes with the quantum ending at its clock,
+    /// and thaws to the same state.
+    #[test]
+    fn a_run_stopped_at_a_quantum_end_thaws() {
+        struct StopAt(SimTime);
+        impl ControlHook for StopAt {
+            fn on_tick(&mut self, now: SimTime, view: &mut MachineView<'_>) {
+                if now == self.0 {
+                    view.request_stop();
+                }
+            }
+            fn freeze(&self, _: &mut simcore::SnapshotWriter) -> Result<(), SnapshotError> {
+                Ok(())
+            }
+            fn thaw(&mut self, _: &mut simcore::SnapshotReader<'_>) -> Result<(), SnapshotError> {
+                Ok(())
+            }
+        }
+        let stop = SimTime::from_micros(200_000);
+        let rig = || {
+            let mut m = idle_machine(PmPolicy::enabled());
+            m.add_process(Box::new(ScriptedWorkload::new(
+                "spin",
+                vec![Activity::Cpu {
+                    duration: SimDuration::from_secs(1),
+                    intensity: 0.5,
+                    procedure: "spin",
+                }],
+            )));
+            m.add_hook(SimDuration::from_millis(100), Box::new(StopAt(stop)));
+            m
+        };
+        let mut m = rig();
+        let _ = m.run_until(SimTime::from_secs(1));
+        assert_eq!(m.clock, stop);
+        assert!(
+            matches!(m.lone, Some((end, _)) if end == stop),
+            "{:?}",
+            m.lone
+        );
+        let mut w = simcore::SnapshotWriter::new();
+        m.freeze(&mut w).expect("freeze");
+        let bytes = w.seal();
+        let mut fresh = rig();
+        let names = fresh.names().clone();
+        let mut r = simcore::SnapshotReader::open(&bytes)
+            .expect("open")
+            .with_names(&names);
+        fresh.thaw(&mut r).expect("thaw");
+        assert_eq!(fresh.state_digest(), m.state_digest());
+        assert_eq!(fresh.lone, m.lone);
+    }
+
     /// A checksum-valid snapshot whose link was advanced past the
     /// restored clock is refused on thaw instead of panicking in
     /// `SimTime::since` at the next link advance.
@@ -2502,6 +2763,10 @@ mod tests {
             check_codec_in(&state, &names);
         }
         check_codec(&Some((Source::Proc(Pid(2)), SimDuration::from_millis(10))));
+        check_codec(&Some((
+            SimTime::from_secs(1),
+            EventQueue::<Event>::new().mark(),
+        )));
         check_codec(&VecDeque::from([Source::XServer]));
         let p = Pid(1);
         check_codec(&vec![

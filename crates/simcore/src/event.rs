@@ -6,23 +6,33 @@
 //! seed — a property every experiment in this workspace relies on when it
 //! reports "mean of five trials" over seeded repetitions.
 //!
-//! The pending events live in one `Vec` sorted by descending `(at, seq)`,
-//! so the next event to fire is the last element: `pop` is `Vec::pop`
-//! and `peek_time` reads `last`. A `push` strictly before every pending
-//! event appends at the firing end without a search; 55–59% of pushes in
-//! the chaos and supervise sweeps land there. Any other `push`, a tie
-//! with the earliest included, finds its slot with a binary search and
-//! shifts the entries that fire before it; `cancel` scans from the firing
-//! end for its entry and removes it at once. Both are linear, and both are cheap
-//! because the queue stays shallow. The machine arms and cancels
-//! constantly — every RPC arms a timeout and cancels it on completion,
-//! and every relink and dim reset cancels too: 12.4 M pushes and 1.9 M
-//! cancels in one default chaos sweep — yet the live set peaks at 9
-//! events in chaos, 7 in supervise, 6 in the other goal-directed figures,
-//! 5 in fig15 and 2 elsewhere. On average a push shifts 0–1.4 entries and
-//! a cancel scans 2–5.9, which costs less than the sifts a binary heap
-//! pays on every push and pop, and a cancelled event leaves at once, so
-//! `pop` and `peek_time` never skip dead entries.
+//! An event may also be pushed late at an earlier place in that order.
+//! [`EventQueue::mark`] returns the place the next push would take, an
+//! [`Order`], without taking it; [`EventQueue::push_at_mark`] later
+//! queues an event there. At its instant it fires after every push made
+//! before the mark and before every push made after it, exactly where it
+//! would have fired had it been pushed when the mark was taken. The
+//! machine keeps an uncontended CPU run's quantum ends outside the queue
+//! this way and queues a real one only when the run is interrupted, with
+//! every event firing in the order per-quantum pushes would give.
+//!
+//! The pending events live in one `Vec` sorted by descending
+//! `(at, order)`, so the next event to fire is the last element: `pop` is
+//! `Vec::pop` and `peek_time` reads `last`. A `push` strictly before every
+//! pending event appends at the firing end without a search; 55–59% of
+//! pushes in the chaos and supervise sweeps land there. Any other `push`,
+//! a tie with the earliest included, finds its slot with a binary search
+//! and shifts the entries that fire before it; `cancel` scans from the
+//! firing end for its entry and removes it at once. Both are linear, and
+//! both are cheap because the queue stays shallow. The machine arms and
+//! cancels constantly — every RPC arms a timeout and cancels it on
+//! completion, and every relink and dim reset cancels too: 12.4 M pushes
+//! and 1.9 M cancels in one default chaos sweep — yet the live set peaks
+//! at 9 events in chaos, 7 in supervise, 6 in the other goal-directed
+//! figures, 5 in fig15 and 2 elsewhere. On average a push shifts 0–1.4
+//! entries and a cancel scans 2–5.9, which costs less than the sifts a
+//! binary heap pays on every push and pop, and a cancelled event leaves
+//! at once, so `pop` and `peek_time` never skip dead entries.
 
 use crate::snapshot::{Codec, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::SimTime;
@@ -48,9 +58,41 @@ impl Codec for EventId {
     }
 }
 
+/// An event's place among the events of one instant: a push made later
+/// takes a later place. Push `n` (counting from 0) holds `2n + 1`; a
+/// mark taken before push `n` holds `2n`, so it sits after every earlier
+/// push and before push `n`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct Order(u64);
+
+impl Order {
+    /// The underlying place; treat as opaque.
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+
+    fn of_push(seq: u64) -> Order {
+        Order(2 * seq + 1)
+    }
+
+    fn of_mark(next_seq: u64) -> Order {
+        Order(2 * next_seq)
+    }
+}
+
+impl Codec for Order {
+    fn put(&self, w: &mut SnapshotWriter) {
+        w.put(&self.0);
+    }
+
+    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(Order(r.take()?))
+    }
+}
+
 struct Entry<E> {
     at: SimTime,
-    seq: u64,
+    order: Order,
     event: E,
 }
 
@@ -101,17 +143,51 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let entry = Entry { at, seq, event };
+        let entry = Entry {
+            at,
+            order: Order::of_push(seq),
+            event,
+        };
         if self.entries.last().is_none_or(|e| e.at > at) {
             // Strictly before everything pending: it fires next.
             self.entries.push(entry);
         } else {
-            // `seq` is the largest yet, so the new entry goes in front of
-            // (fires after) every earlier push at the same instant.
+            // Its order is the largest yet, so the new entry goes in front
+            // of (fires after) every earlier entry at the same instant.
             let slot = self.entries.partition_point(|e| e.at > at);
             self.entries.insert(slot, entry);
         }
         EventId(seq)
+    }
+
+    /// The place the next [`Self::push`] would take, without taking it;
+    /// see [`Self::push_at_mark`].
+    #[inline]
+    pub fn mark(&self) -> Order {
+        Order::of_mark(self.next_seq)
+    }
+
+    /// Schedules `event` at instant `at` in the place `mark` holds: at
+    /// that instant it fires after every push made before the mark was
+    /// taken and before every push made after. It takes no sequence
+    /// number and cannot be cancelled. A mark serves one pending event at
+    /// a time: [`Self::restore`] refuses two entries in one place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` is past every place this queue has handed out.
+    pub fn push_at_mark(&mut self, at: SimTime, event: E, mark: Order) {
+        assert!(mark <= self.mark(), "{mark:?} is not a mark of this queue");
+        let key = (at, mark);
+        let slot = self.entries.partition_point(|e| (e.at, e.order) > key);
+        self.entries.insert(
+            slot,
+            Entry {
+                at,
+                order: mark,
+                event,
+            },
+        );
     }
 
     /// Removes and returns the earliest pending event.
@@ -126,12 +202,21 @@ impl<E> EventQueue<E> {
         self.entries.last().map(|e| e.at)
     }
 
+    /// The instant and place of the earliest pending event, if any: an
+    /// event kept outside the queue at `(at, mark)` fires before it iff
+    /// `(at, mark)` is the smaller.
+    #[inline]
+    pub fn peek_key(&self) -> Option<(SimTime, Order)> {
+        self.entries.last().map(|e| (e.at, e.order))
+    }
+
     /// Cancels a previously-scheduled event.
     ///
     /// Returns `true` if the event was pending and is now cancelled, `false`
     /// if it had already fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let Some(i) = self.entries.iter().rposition(|e| e.seq == id.0) else {
+        let order = Order::of_push(id.0);
+        let Some(i) = self.entries.iter().rposition(|e| e.order == order) else {
             return false;
         };
         self.entries.remove(i);
@@ -148,16 +233,16 @@ impl<E> EventQueue<E> {
         self.entries.is_empty()
     }
 
-    /// Pending entries as `(at, seq, event)`, sorted by `(at, seq)` — the
-    /// canonical order a snapshot encodes.
-    pub fn export_entries(&self) -> Vec<(SimTime, u64, E)>
+    /// Pending entries as `(at, order, event)`, sorted by `(at, order)` —
+    /// the canonical order a snapshot encodes.
+    pub fn export_entries(&self) -> Vec<(SimTime, Order, E)>
     where
         E: Clone,
     {
         self.entries
             .iter()
             .rev()
-            .map(|e| (e.at, e.seq, e.event.clone()))
+            .map(|e| (e.at, e.order, e.event.clone()))
             .collect()
     }
 
@@ -169,24 +254,29 @@ impl<E> EventQueue<E> {
     }
 
     /// Rebuilds a queue from a snapshot: `next_seq` plus the pending
-    /// entries in any order. Fails if an entry's sequence number is not
-    /// strictly below `next_seq` or appears twice.
+    /// entries in any order. Fails if `next_seq` has no place (it must
+    /// stay below 2^63), or if an entry holds a push's place at or beyond
+    /// `next_seq`, a mark's place beyond it, or the place of another
+    /// entry.
     pub fn restore(
         next_seq: u64,
-        entries: impl IntoIterator<Item = (SimTime, u64, E)>,
+        entries: impl IntoIterator<Item = (SimTime, Order, E)>,
     ) -> Result<Self, SnapshotError> {
+        if next_seq > u64::MAX / 2 {
+            return Err(SnapshotError::Corrupt("next_seq out of range"));
+        }
         let mut out = Vec::new();
         let mut seen = std::collections::BTreeSet::new();
-        for (at, seq, event) in entries {
-            if seq >= next_seq {
+        for (at, order, event) in entries {
+            if order > Order::of_mark(next_seq) {
                 return Err(SnapshotError::Corrupt("event seq beyond next_seq"));
             }
-            if !seen.insert(seq) {
+            if !seen.insert(order) {
                 return Err(SnapshotError::Corrupt("duplicate event seq"));
             }
-            out.push(Entry { at, seq, event });
+            out.push(Entry { at, order, event });
         }
-        out.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
+        out.sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.order)));
         Ok(EventQueue {
             entries: out,
             next_seq,
@@ -362,11 +452,47 @@ mod tests {
     #[test]
     fn restore_rejects_inconsistent_sequences() {
         let dup = [
-            (SimTime::from_secs(1), 0u64, 'a'),
-            (SimTime::from_secs(2), 0u64, 'b'),
+            (SimTime::from_secs(1), Order::of_push(0), 'a'),
+            (SimTime::from_secs(2), Order::of_push(0), 'b'),
         ];
         assert!(EventQueue::restore(5, dup).is_err());
-        let beyond = [(SimTime::from_secs(1), 7u64, 'a')];
+        let beyond = [(SimTime::from_secs(1), Order::of_push(7), 'a')];
         assert!(EventQueue::restore(5, beyond).is_err());
+        let at_next = [(SimTime::from_secs(1), Order::of_push(5), 'a')];
+        assert!(EventQueue::restore(5, at_next).is_err());
+        let mark_beyond = [(SimTime::from_secs(1), Order::of_mark(6), 'a')];
+        assert!(EventQueue::restore(5, mark_beyond).is_err());
+        let mark_at_next = [(SimTime::from_secs(1), Order::of_mark(5), 'a')];
+        assert!(EventQueue::restore(5, mark_at_next).is_ok());
+        assert!(EventQueue::<char>::restore(u64::MAX / 2, []).is_ok());
+        assert!(EventQueue::<char>::restore(u64::MAX / 2 + 1, []).is_err());
+    }
+
+    /// An event pushed at a mark fires, at its instant, after the pushes
+    /// made before the mark and before those made after it, however late
+    /// it is pushed, and a snapshot keeps its place.
+    #[test]
+    fn a_marked_push_fires_where_the_mark_was_taken() {
+        let t = SimTime::from_secs(1);
+        let mut q = EventQueue::new();
+        q.push(t, "before");
+        let mark = q.mark();
+        q.push(t, "after");
+        q.push(SimTime::from_secs(2), "later");
+        assert!(q.peek_key() < Some((t, mark)));
+        q.push_at_mark(t, "marked", mark);
+        assert_eq!(q.mark(), Order::of_mark(3), "a marked push takes no seq");
+        let mut back = EventQueue::restore(q.next_seq(), q.export_entries()).expect("restore");
+        for q in [&mut q, &mut back] {
+            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, ["before", "marked", "after", "later"]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not a mark of this queue")]
+    fn a_mark_from_the_future_panics() {
+        let mut q = EventQueue::new();
+        q.push_at_mark(SimTime::ZERO, 'a', Order::of_mark(1));
     }
 }

@@ -52,7 +52,7 @@ use crate::units::{Joules, Watts};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODYSNAP1";
 
 /// Format version written into (and demanded from) the envelope.
-pub const SNAPSHOT_VERSION: u32 = 5;
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot failed to decode (or a component refused to encode).
 ///
@@ -834,14 +834,14 @@ impl RunJournal {
 
 crate::impl_codec!(Checkpoint { seq, t, digest });
 
-/// The journal's layout is `interval`, a has-latest word, the undrained
-/// count, then the latest checkpoint (when present) and the undrained
-/// ones: the latest is written once even when it is also the newest
-/// undrained entry. The next due instant is not written: it is the first
-/// multiple of the interval after the latest checkpoint.
-impl Codec for RunJournal {
-    fn put(&self, w: &mut SnapshotWriter) {
-        w.put(&self.interval);
+impl RunJournal {
+    /// Writes the journal's state: a has-latest word, the undrained
+    /// count, then the latest checkpoint (when present) and the undrained
+    /// ones. The latest is written once even when it is also the newest
+    /// undrained entry. The interval is construction-time configuration,
+    /// and the next due instant is the first multiple of it after the
+    /// latest checkpoint, so neither is written.
+    pub fn freeze_into(&self, w: &mut SnapshotWriter) {
         w.put(&self.latest.is_some());
         w.put(&self.undrained.len());
         for c in self.latest.iter().chain(&self.undrained) {
@@ -849,11 +849,10 @@ impl Codec for RunJournal {
         }
     }
 
-    fn take(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-        let interval: SimDuration = r.take()?;
-        if interval.is_zero() {
-            return Err(SnapshotError::Corrupt("zero checkpoint interval"));
-        }
+    /// Restores the state written by [`Self::freeze_into`] onto this
+    /// journal, which must have been built with the frozen one's
+    /// interval.
+    pub fn thaw_from(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         let has_latest: bool = r.take()?;
         let (n, mut undrained): (usize, Vec<Checkpoint>) = r.take_len()?;
         let latest = if has_latest { Some(r.take()?) } else { None };
@@ -867,14 +866,12 @@ impl Codec for RunJournal {
         if !dense || undrained.last().is_some_and(|c| Some(*c) != latest) {
             return Err(SnapshotError::Corrupt("undrained checkpoints"));
         }
-        let every = interval.as_micros();
+        let every = self.interval.as_micros();
         let due = latest.map_or(1, |c: Checkpoint| c.t.as_micros() / every + 1);
-        Ok(RunJournal {
-            interval,
-            next_due: SimTime::from_micros(due.saturating_mul(every)),
-            latest,
-            undrained,
-        })
+        self.next_due = SimTime::from_micros(due.saturating_mul(every));
+        self.latest = latest;
+        self.undrained = undrained;
+        Ok(())
     }
 }
 
@@ -974,6 +971,7 @@ mod tests {
         check_codec(&SimTime::from_micros(u64::MAX));
         check_codec(&SimDuration::from_millis(1500));
         check_codec(&crate::EventQueue::new().push(SimTime::ZERO, ()));
+        check_codec(&crate::EventQueue::<()>::new().mark());
         let names = Names::new([
             "speech", "", "a", "bb", "x", "xanim", "decode", "Idle", "idle",
         ]);
@@ -998,8 +996,6 @@ mod tests {
             t: SimTime::from_secs(50),
             digest: u64::MAX,
         });
-        check_codec(&RunJournal::new(SimDuration::from_secs(1)));
-        check_codec(&journal());
         let mut series = crate::TimeSeries::new("level");
         series.record(SimTime::ZERO, 2.0);
         series.record(SimTime::from_secs(3), 1.0);
@@ -1202,16 +1198,44 @@ mod tests {
                 j.drain();
             }
             let mut w = SnapshotWriter::new();
-            w.put(&j);
+            j.freeze_into(&mut w);
             w.seal().len()
         };
         assert_eq!(frozen_len(100), frozen_len(100_000));
     }
 
+    /// A journal thaws onto one rebuilt with its interval, and picks up
+    /// its next due instant from the latest checkpoint; every cut of the
+    /// payload is `Truncated`.
+    #[test]
+    fn journal_thaws_onto_a_rebuilt_journal() {
+        let every = SimDuration::from_secs(10);
+        for want in [RunJournal::new(every), journal()] {
+            let mut w = SnapshotWriter::new();
+            want.freeze_into(&mut w);
+            let payload = w.payload().to_vec();
+            let thaw = |bytes: &[u8]| {
+                let mut r = SnapshotReader::open(bytes)?;
+                let mut j = RunJournal::new(every);
+                j.thaw_from(&mut r)?;
+                r.finish().map(|()| j)
+            };
+            assert_eq!(thaw(&w.seal()).as_ref(), Ok(&want));
+            for cut in 0..payload.len() {
+                let mut w = SnapshotWriter::new();
+                w.buf.extend_from_slice(&payload[..cut]);
+                assert_eq!(
+                    thaw(&w.seal()),
+                    Err(SnapshotError::Truncated),
+                    "cut at {cut}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn undrained_checkpoints_must_end_at_the_latest() {
         let mut w = SnapshotWriter::new();
-        w.put(&SimDuration::from_secs(10));
         w.put(&true);
         w.put(&1usize);
         for seq in [1u64, 0] {
@@ -1220,7 +1244,7 @@ mod tests {
         let bytes = w.seal();
         let mut r = SnapshotReader::open(&bytes).expect("open");
         assert_eq!(
-            r.take::<RunJournal>(),
+            RunJournal::new(SimDuration::from_secs(10)).thaw_from(&mut r),
             Err(SnapshotError::Corrupt("undrained checkpoints"))
         );
     }

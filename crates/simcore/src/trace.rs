@@ -662,13 +662,15 @@ impl TraceSink {
         self.next_seq
     }
 
-    /// Encodes the sink's ordering counters (`next_seq`, `evicted`,
-    /// `last_at`) into a snapshot payload. The ring contents and JSONL
-    /// backlog are deliberately excluded: they are O(history), and a
-    /// restored session only needs the counters so its post-thaw stream
-    /// continues the sequence numbering of the run it replaces.
+    /// Encodes the sink's ordering counters (`next_seq`, `evicted`) into
+    /// a snapshot payload. The ring contents and JSONL backlog are
+    /// deliberately excluded: they are O(history), and a restored session
+    /// only needs the counters so its post-thaw stream continues the
+    /// sequence numbering of the run it replaces. The last record's
+    /// instant is not written either: only a debug-build check reads it,
+    /// and a thawed sink starts that check afresh.
     pub fn freeze_counters_into(&self, w: &mut crate::snapshot::SnapshotWriter) {
-        w.put(&(self.next_seq, self.evicted, self.last_at));
+        w.put(&(self.next_seq, self.evicted));
     }
 
     /// Restores the counters written by [`Self::freeze_counters_into`]
@@ -677,7 +679,7 @@ impl TraceSink {
         &mut self,
         r: &mut crate::snapshot::SnapshotReader<'_>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        let (next_seq, evicted, last_at) = r.take()?;
+        let (next_seq, evicted) = r.take()?;
         if evicted > next_seq {
             return Err(crate::snapshot::SnapshotError::Corrupt(
                 "trace evicted exceeds emitted",
@@ -685,7 +687,6 @@ impl TraceSink {
         }
         self.next_seq = next_seq;
         self.evicted = evicted;
-        self.last_at = last_at;
         Ok(())
     }
 }

@@ -109,4 +109,7 @@ if [ "$par_1" != "$par_8" ]; then
     exit 1
 fi
 
+echo "== net non-test Rust lines (crates/ and src/) =="
+scripts/netlines.sh | tail -1
+
 echo "verify: OK"

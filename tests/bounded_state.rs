@@ -85,12 +85,12 @@ fn payload_hash(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
-/// Fails unless `bytes` is a version-5 envelope: the magic, the version,
+/// Fails unless `bytes` is a version-6 envelope: the magic, the version,
 /// the payload length, then the payload and its checksum.
 fn assert_envelope(what: &str, bytes: &[u8]) {
     let payload_len = bytes.len() - 28;
     assert_eq!(bytes[..8], SNAPSHOT_MAGIC, "{what}: magic");
-    assert_eq!(bytes[8..12], 5u32.to_le_bytes(), "{what}: version");
+    assert_eq!(bytes[8..12], 6u32.to_le_bytes(), "{what}: version");
     assert_eq!(
         bytes[12..20],
         (payload_len as u64).to_le_bytes(),
@@ -126,9 +126,9 @@ fn assert_pinned(what: &str, bytes: &[u8], want: u64, mut fresh: Session) {
 /// pins also move when the state digest's function changes.
 #[test]
 fn served_snapshots_are_byte_stable() {
-    const CHECKPOINT_PINS: [u64; 3] = [0x7b45830fd9a321b5, 0x2a45ef823ebc67a8, 0x83ee7043203ff607];
+    const CHECKPOINT_PINS: [u64; 3] = [0x3fad281cdd000af7, 0x9c5daa9cfa75f19d, 0x7b4aea2ae242cb9c];
     const HOSTILE_STREAM: u64 = 1;
-    const HOSTILE_PIN: u64 = 0x818afe5572ae6210;
+    const HOSTILE_PIN: u64 = 0x6995e407cbeb7616;
     let samples = serve::schedule(1).expect("golden trace present");
     for (k, want) in CHECKPOINT_PINS.into_iter().enumerate() {
         let kill = serve::kill_at(GOLDEN_SEED, &samples, k).expect("kill");

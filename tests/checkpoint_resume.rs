@@ -363,12 +363,12 @@ fn corrupted_snapshots_are_detected_and_replay_recovers() {
 
     // Version-mismatch header: the version field follows the 8-byte
     // magic as a little-endian u32. A snapshot sealed by format
-    // version 4 is refused, not read.
+    // version 5 is refused, not read.
     let mut wrong_version = snapshot.clone();
-    wrong_version[8..12].copy_from_slice(&4u32.to_le_bytes());
+    wrong_version[8..12].copy_from_slice(&5u32.to_le_bytes());
     assert_eq!(
         build().thaw(&wrong_version),
-        Err(SnapshotError::VersionMismatch { found: 4 }),
+        Err(SnapshotError::VersionMismatch { found: 5 }),
         "version mismatch not detected"
     );
 

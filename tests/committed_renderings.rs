@@ -66,7 +66,7 @@ fn web_figure_trial_statistics_match_their_pinned_digest() {
     }
     assert_eq!(
         h.finish(),
-        0x1751_21bc_639f_ce61,
+        0x6b9c_c0a2_5b42_2c7b,
         "fig13/fig14 trial statistics moved; a pure refactor must not move them"
     );
 }

@@ -14,6 +14,7 @@ use energy_adaptation::machine::workload::ScriptedWorkload;
 use energy_adaptation::machine::{Activity, Machine, MachineConfig};
 use energy_adaptation::netsim::SharedLink;
 use energy_adaptation::odyssey::Smoother;
+use energy_adaptation::simcore::event::Order;
 use energy_adaptation::simcore::time::round_to_u64;
 use energy_adaptation::simcore::{
     EventQueue, SimDuration, SimRng, SimTime, TimeSeries, TraceCategory, TraceEvent, TraceHandle,
@@ -281,11 +282,16 @@ fn event_queue_total_order() {
 }
 
 /// The queue against a naive reference — a `Vec` kept sorted by
-/// `(at, seq)` — under random interleavings of push, pop, peek and
-/// cancel, including cancels of events that already fired and second
-/// cancels of the same event. Every pop, peek, cancel verdict and length
-/// must match the reference step for step, and so must the exported
-/// entries, whose order is the order snapshot bytes are written in.
+/// `(at, seq)` — under random interleavings of push, pop, peek, cancel
+/// and pushes at a mark, including cancels of events that already fired
+/// and second cancels of the same event. The reference numbers every
+/// push and every mark in the order they happen, and inserts a marked
+/// push as if it had been pushed when its mark was taken. Every pop,
+/// peek, cancel verdict and length must match the reference step for
+/// step, and so must the exported entries, whose order is the order
+/// snapshot bytes are written in; a held mark must compare with the
+/// head as its reference place does; and a queue restored from the
+/// export must pop what the original pops.
 #[test]
 fn event_queue_matches_sorted_vec_model() {
     #[derive(Clone, Copy)]
@@ -295,93 +301,155 @@ fn event_queue_matches_sorted_vec_model() {
         Cancelled,
     }
     let (mut stale_cancels, mut repeat_cancels) = (0usize, 0usize);
-    let (mut ties, mut appends) = (0usize, 0usize);
+    let (mut ties, mut appends, mut marked_ties) = (0usize, 0usize, 0usize);
     cases("queue-model", 128, |rng| {
         let mut q = EventQueue::new();
-        let mut model: Vec<(SimTime, u64, u64)> = Vec::new();
+        // (at, reference seq, push id if not marked, payload).
+        let mut model: Vec<(SimTime, u64, Option<u64>, u64)> = Vec::new();
+        let mut next_ref = 0u64;
+        let mut held = None;
+        // Marks with a pending event, and that event's payload.
+        let mut marked: Vec<(Order, u64)> = Vec::new();
         let mut ids = Vec::new();
         let mut fates = Vec::new();
+        // A quarter of the pushes tie the earliest pending event (the new
+        // one must fire after it) and a quarter land strictly before it
+        // (the append at the firing end); the rest fall anywhere.
+        let mut draw_at = |rng: &mut SimRng, model: &[(SimTime, u64, Option<u64>, u64)]| {
+            let first = model.first().map(|&(at, ..)| at.as_micros());
+            let at = match (rng.uniform_u64(0, 3), first) {
+                (0, Some(first)) => {
+                    ties += 1;
+                    first
+                }
+                (1, Some(first)) if first > 0 => {
+                    appends += 1;
+                    rng.uniform_u64(0, first - 1)
+                }
+                _ => rng.uniform_u64(0, 499),
+            };
+            SimTime::from_micros(at)
+        };
+        let insert = |model: &mut Vec<_>, entry: (SimTime, u64, Option<u64>, u64)| {
+            let slot = model.partition_point(|&(a, r, _, _)| (a, r) < (entry.0, entry.1));
+            model.insert(slot, entry);
+        };
         for step in 0..400 {
-            match rng.uniform_u64(0, 19) {
+            match rng.uniform_u64(0, 21) {
                 0..=7 => {
-                    // A quarter of the pushes tie the earliest pending
-                    // event (the new one must fire after it) and a quarter
-                    // land strictly before it (the append at the firing
-                    // end); the rest fall anywhere.
-                    let first = model.first().map(|&(at, _, _)| at.as_micros());
-                    let at = match (rng.uniform_u64(0, 3), first) {
-                        (0, Some(first)) => {
-                            ties += 1;
-                            first
-                        }
-                        (1, Some(first)) if first > 0 => {
-                            appends += 1;
-                            rng.uniform_u64(0, first - 1)
-                        }
-                        _ => rng.uniform_u64(0, 499),
-                    };
-                    let at = SimTime::from_micros(at);
+                    let at = draw_at(rng, &model);
                     let payload = rng.uniform_u64(0, u64::MAX - 1);
                     let id = q.push(at, payload);
                     assert_eq!(id.raw(), ids.len() as u64, "step {step}: fresh seq");
-                    let key = (at, id.raw());
-                    let slot = model.partition_point(|&(a, s, _)| (a, s) < key);
-                    model.insert(slot, (at, id.raw(), payload));
+                    insert(&mut model, (at, next_ref, Some(id.raw()), payload));
+                    next_ref += 1;
                     ids.push(id);
                     fates.push(Fate::Pending);
                 }
                 8..=14 if !ids.is_empty() => {
-                    let k = rng.uniform_u64(0, ids.len() as u64 - 1) as usize;
-                    let want = match model.iter().position(|&(_, s, _)| s == k as u64) {
+                    let k = rng.uniform_u64(0, ids.len() as u64 - 1);
+                    let want = match model.iter().position(|&(_, _, id, _)| id == Some(k)) {
                         Some(i) => {
                             model.remove(i);
                             true
                         }
                         None => false,
                     };
-                    match fates[k] {
+                    match fates[k as usize] {
                         Fate::Fired => stale_cancels += 1,
                         Fate::Cancelled => repeat_cancels += 1,
-                        Fate::Pending => fates[k] = Fate::Cancelled,
+                        Fate::Pending => fates[k as usize] = Fate::Cancelled,
                     }
-                    assert_eq!(q.cancel(ids[k]), want, "step {step}: cancel verdict");
+                    assert_eq!(
+                        q.cancel(ids[k as usize]),
+                        want,
+                        "step {step}: cancel verdict"
+                    );
                 }
                 15..=17 => {
                     let want = (!model.is_empty()).then(|| model.remove(0));
-                    if let Some((_, seq, _)) = want {
-                        fates[seq as usize] = Fate::Fired;
+                    match want {
+                        Some((_, _, Some(id), _)) => fates[id as usize] = Fate::Fired,
+                        Some((_, _, None, payload)) => marked.retain(|&(_, p)| p != payload),
+                        None => {}
                     }
                     assert_eq!(
                         q.pop(),
-                        want.map(|(at, _, payload)| (at, payload)),
+                        want.map(|(at, _, _, payload)| (at, payload)),
                         "step {step}: pop"
                     );
                 }
-                _ => {
-                    let want = model.first().map(|&(at, _, _)| at);
+                18..=19 => {
+                    let want = model.first().map(|&(at, ..)| at);
                     assert_eq!(q.peek_time(), want, "step {step}: peek");
+                    if let (Some((mark, reference)), Some(&(head, head_ref, _, _))) =
+                        (held, model.first())
+                    {
+                        // A held mark at the head's instant, or at one
+                        // on either side of it.
+                        let at = SimTime::from_micros(
+                            (head.as_micros() + rng.uniform_u64(0, 2)).saturating_sub(1),
+                        );
+                        let first = (at, reference) < (head, head_ref);
+                        assert_eq!(
+                            Some((at, mark)) < q.peek_key(),
+                            first,
+                            "step {step}: a held mark against the head"
+                        );
+                    }
                 }
+                _ => match held.take() {
+                    // A mark serves one pending event at a time: without a
+                    // push since the last one, the next is the same place.
+                    None if marked.iter().any(|&(m, _)| m == q.mark()) => {}
+                    None => {
+                        held = Some((q.mark(), next_ref));
+                        next_ref += 1;
+                    }
+                    Some((mark, reference)) => {
+                        let at = draw_at(rng, &model);
+                        if model.iter().any(|&(a, ..)| a == at) {
+                            marked_ties += 1;
+                        }
+                        let payload = rng.uniform_u64(0, u64::MAX - 1);
+                        q.push_at_mark(at, payload, mark);
+                        insert(&mut model, (at, reference, None, payload));
+                        marked.push((mark, payload));
+                    }
+                },
             }
             assert_eq!(q.len(), model.len(), "step {step}: len");
             assert_eq!(q.is_empty(), model.is_empty(), "step {step}: is_empty");
-            assert_eq!(q.export_entries(), model, "step {step}: export order");
+            let exported: Vec<_> = q
+                .export_entries()
+                .into_iter()
+                .map(|(at, _, p)| (at, p))
+                .collect();
+            let want: Vec<_> = model.iter().map(|&(at, _, _, p)| (at, p)).collect();
+            assert_eq!(exported, want, "step {step}: export order");
         }
+        let drain = |q: &mut EventQueue<u64>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+        let mut back = EventQueue::restore(q.next_seq(), q.export_entries()).expect("restore");
+        assert_eq!(drain(&mut back), drain(&mut q), "restored queue");
     });
     assert!(
         stale_cancels > 0 && repeat_cancels > 0,
         "model test never cancelled a fired ({stale_cancels}) or cancelled ({repeat_cancels}) event"
     );
     assert!(
-        ties > 1_000 && appends > 1_000,
-        "model test pushed too few ties ({ties}) or appends ({appends}) at the firing end"
+        ties > 1_000 && appends > 1_000 && marked_ties > 100,
+        "model test pushed too few ties ({ties}), appends ({appends}) or marked ties \
+         ({marked_ties}) at the firing end"
     );
 }
 
 /// `round_to_u64` equals `x.round() as u64` for every `f64`: seeded
 /// random bit patterns over the whole type (NaN, infinities, negatives
-/// and subnormals among them) and a boundary set at each place a cheaper
-/// rounding goes wrong — just below one half, every `k + 0.5` below
-/// 2^52, the whole numbers from 2^52 on, and the saturation at 2^64.
+/// and subnormals among them), random values across the whole `u64`
+/// range, and a boundary set at each place a cheaper rounding goes
+/// wrong — just below one half, every `k + 0.5` below 2^52, the whole
+/// numbers from 2^52 on, the switch from the `i64` path at 2^63, and
+/// the saturation at 2^64.
 #[test]
 fn round_to_u64_matches_round() {
     let check = |x: f64| {
@@ -396,8 +464,15 @@ fn round_to_u64_matches_round() {
     for _ in 0..2_000_000 {
         check(f64::from_bits(rng.uniform_u64(0, u64::MAX)));
     }
+    for _ in 0..200_000 {
+        let x = rng.uniform_u64(0, u64::MAX) as f64 * rng.uniform(0.0, 1.0);
+        check(x);
+        check(x.floor() + 0.5);
+    }
     let specials = [
         0.0,
+        -0.0,
+        i64::MAX as f64,
         0.499_999_999_999_999_94,
         0.5,
         f64::MIN_POSITIVE,
@@ -427,11 +502,49 @@ fn round_to_u64_matches_round() {
     for e in 53..=70 {
         boundary.push(2f64.powi(e));
     }
+    // From 2^62 to 2^63 floats step by 1024; 2^63 to 2^64 by 2048.
+    boundary.extend((0..10_000u32).map(|j| 2f64.powi(63) - f64::from(j) * 1024.0));
+    boundary.extend((0..10_000u32).map(|j| 2f64.powi(63) + f64::from(j) * 2048.0));
     // Each point, its neighbours and their negatives.
     for x in boundary {
         for y in [x, x.next_down(), x.next_up()] {
             check(y);
             check(-y);
+        }
+    }
+}
+
+/// `as_secs_f64` on both tick types equals the plain `u64` conversion
+/// divided by a million, and `mul_f64` equals the plain conversion
+/// scaled and rounded, over the places the `i64` path could go wrong —
+/// 0, 2^53 ± 1, 2^63 − 1, 2^63 and `u64::MAX` — and seeded random words,
+/// small and large.
+#[test]
+fn tick_conversions_match_the_unsigned_ones() {
+    let check = |us: u64, factor: f64| {
+        let want = us as f64 / 1e6;
+        assert_eq!(
+            SimTime::from_micros(us).as_secs_f64().to_bits(),
+            want.to_bits(),
+            "{us}"
+        );
+        let d = SimDuration::from_micros(us);
+        assert_eq!(d.as_secs_f64().to_bits(), want.to_bits(), "{us}");
+        let scaled = (us as f64 * factor).round() as u64;
+        assert_eq!(d.mul_f64(factor).as_micros(), scaled, "{us} x {factor}");
+    };
+    let mut words = vec![0, 1, u64::MAX, u64::MAX - 1];
+    for k in [1u64 << 53, 1 << 63] {
+        words.extend([k - 1, k, k + 1]);
+    }
+    let mut rng = SimRng::new(0x71C5);
+    for _ in 0..200_000 {
+        words.push(rng.uniform_u64(0, u64::MAX));
+        words.push(rng.uniform_u64(0, 1 << 40));
+    }
+    for us in words {
+        for factor in [0.0, 0.5, 1.0, rng.uniform(0.0, 2.0)] {
+            check(us, factor);
         }
     }
 }
