@@ -7,37 +7,36 @@
 //! duplication, reordering, spliced crosstalk from a *different* golden
 //! scenario, and floods of hostile reconfiguration commands (NaN
 //! budgets, zero horizons, out-of-range process indices). Every stream
-//! is then driven through the serving layer under one of three rotating
-//! harnesses:
+//! is then driven through [`Server`] slots, the serving layer's own
+//! recovery path, under one of three rotating harnesses:
 //!
 //! 1. **determinism** — the same hostile stream twice through two
-//!    fresh sessions; digests, dead-letter totals, and ledger bounds
-//!    must agree;
-//! 2. **recovery** — serve to a mid-stream pivot keeping a `Server`
-//!    slot's two generations; the generation-flip operator flips one
-//!    seeded bit of the newest, and [`simserve::restore`] must come back
-//!    through the older one and land on the straight-run digest. The
+//!    fresh one-slot servers; digests, dead-letter totals, and ledger
+//!    bounds must agree;
+//! 2. **recovery** — a one-slot server fed through a mid-stream pivot is
+//!    killed twice ([`Server::kill`]) with its newest generation
+//!    corrupted through [`Server::newest_snapshot_mut`]. First the
 //!    name-flip operator rewrites one byte of a bucket or procedure name
-//!    in the newest and reseals its checksum, so only interior
-//!    validation can catch it: thaw must refuse it as corrupt, and
-//!    restore must fall back the same way;
+//!    and reseals the checksum, so only interior validation can catch
+//!    it: thaw must refuse it as corrupt. Then the generation-flip
+//!    operator flips one seeded bit of the newest the first kill
+//!    refroze. Each kill must come back through the older generation
+//!    (one more `fallbacks`), and the slot must then serve the rest of
+//!    the stream onto the straight-run digest;
 //! 3. **crosstalk** — a two-slot [`Server`] interleaving the hostile
 //!    stream with a clean one; the clean slot must end byte-identical
 //!    to a solo clean run, proving slot isolation under attack.
 //!
-//! The harness fails on any panic (contained or not), any invariant the
-//! session does not surface as a `Result`, any ledger exceeding its
-//! bound, or any recovery digest instability. Failures carry the root
-//! seed, stream index, and mutation list — enough to replay the exact
-//! stream — and the CLI saves them (plus the mutated stream and a
-//! snapshot of the surviving state) under `target/fuzz/` for CI upload.
-
-use std::panic::{catch_unwind, AssertUnwindSafe};
+//! The harness fails on any panic (the server contains it, and it still
+//! counts), any invariant the session does not surface as a `Result`,
+//! any ledger exceeding its bound, or any recovery digest instability.
+//! Failures carry the root seed, stream index, and mutation list —
+//! enough to replay the exact stream — and the CLI saves them (plus the
+//! mutated stream and a snapshot of the surviving state) under
+//! `target/fuzz/` for CI upload.
 
 use simcore::{Names, SimDuration, SimRng, SimTime, SnapshotError};
-use simserve::{
-    restore, Generation, ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth, BATCH,
-};
+use simserve::{ReconfigCommand, Sample, ServeError, Server, Session, SessionHealth, BATCH};
 
 use crate::serve;
 use simcore::Joules;
@@ -56,7 +55,7 @@ struct StreamStats {
     name_flipped: bool,
 }
 
-/// Outcome of feeding one hostile stream through a raw session:
+/// Outcome of feeding one hostile stream through a server slot:
 /// everything needed for the cross-run comparisons.
 struct HostileRun {
     digest: u64,
@@ -186,26 +185,51 @@ pub fn hostile_stream(
     (samples, applied)
 }
 
-/// Feeds `samples` to `session`, catching panics, and runs it out.
-/// Ingest errors end feeding (errors must be surfaced, not fatal);
-/// panics are failures.
-fn drive(mut session: Session, samples: &[Sample]) -> Result<HostileRun, String> {
+/// The slot of a one-slot server.
+const SLOT: usize = 0;
+
+/// A [`Server`] of `slots` slots, ids 0 up, each holding
+/// `serve::build_session(seed)`.
+fn fresh(seed: u64, slots: usize) -> Result<Server<'static>, String> {
+    let mut server = Server::new(slots).map_err(|e| format!("fuzz: server build: {e}"))?;
+    for _ in 0..slots {
+        server
+            .admit(Box::new(move || serve::build_session(seed)))
+            .map_err(|e| format!("fuzz: session build failed: {e}"))?;
+    }
+    Ok(server)
+}
+
+/// Fails if any slot ever contained a panic: the target is zero panics,
+/// not zero crashes.
+fn panic_free(server: &Server<'_>) -> Result<(), String> {
+    let panics: u64 = (0..server.len())
+        .filter_map(|id| server.stats(id).ok())
+        .map(|s| s.panics)
+        .sum();
+    match panics {
+        0 => Ok(()),
+        n => Err(format!("{n} PANIC(s) absorbed by the server")),
+    }
+}
+
+/// Feeds `samples` to a one-slot server and runs its session out. A
+/// refused batch ends feeding (errors must be surfaced, not fatal); a
+/// panic the server contains is a failure.
+fn drive(server: &mut Server<'_>, samples: &[Sample]) -> Result<HostileRun, String> {
     let mut ingest_errors = 0u64;
     let mut max_ledger_len = 0usize;
     let mut stopped = false;
     for chunk in samples.chunks(BATCH) {
         if !stopped {
-            match guarded_ingest(&mut session, chunk)? {
-                Ok(_) => {}
-                Err(_) => {
-                    // Surfaced as a Result: exactly the contract. The
-                    // session refuses further input in this state.
-                    ingest_errors += 1;
-                    stopped = true;
-                }
-            }
+            let refused = server.ingest(SLOT, chunk).is_err();
+            panic_free(server)?;
+            // Surfaced as a Result: exactly the contract. The session
+            // refuses further input in this state.
+            ingest_errors += u64::from(refused);
+            stopped = refused;
         }
-        if let Some(d) = session.dead_letters() {
+        if let Some(d) = server.session(SLOT).ok().and_then(Session::dead_letters) {
             if d.len() > d.capacity() {
                 return Err(format!(
                     "dead-letter ledger exceeded its bound: {} > {}",
@@ -216,11 +240,11 @@ fn drive(mut session: Session, samples: &[Sample]) -> Result<HostileRun, String>
             max_ledger_len = max_ledger_len.max(d.len());
         }
     }
-    let finished_cleanly = if stopped {
-        false
-    } else {
-        guarded_finish(&mut session)?.is_ok()
-    };
+    let finished_cleanly = !stopped && server.finish(SLOT).is_ok();
+    panic_free(server)?;
+    let session = server
+        .session(SLOT)
+        .map_err(|e| format!("fuzz: the slot lost its session: {e}"))?;
     Ok(HostileRun {
         digest: session.digest(),
         dead_total: session.dead_letters().map(|d| d.total()).unwrap_or(0),
@@ -230,37 +254,11 @@ fn drive(mut session: Session, samples: &[Sample]) -> Result<HostileRun, String>
     })
 }
 
-fn build(seed: u64) -> Result<Session, String> {
-    serve::build_session(seed).map_err(|e| format!("fuzz: session build failed: {e}"))
-}
-
-/// `ingest` with panic containment: the outer `Err` is a panic (a fuzz
-/// failure), the inner `Result` is the session's own verdict.
-fn guarded_ingest(
-    session: &mut Session,
-    chunk: &[Sample],
-) -> Result<Result<usize, ServeError>, String> {
-    catch_unwind(AssertUnwindSafe(|| session.ingest(chunk).map(|d| d.len())))
-        .map_err(|p| format!("PANIC during ingest: {}", panic_text(&p)))
-}
-
-fn guarded_finish(session: &mut Session) -> Result<Result<(), ServeError>, String> {
-    catch_unwind(AssertUnwindSafe(|| session.finish().map(|_| ())))
-        .map_err(|p| format!("PANIC during finish: {}", panic_text(&p)))
-}
-
-fn panic_text(p: &(dyn std::any::Any + Send)) -> String {
-    p.downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| p.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// Harness 1: the hostile stream is deterministic — two fresh sessions,
 /// identical digests and accounting.
 fn check_determinism(seed: u64, samples: &[Sample]) -> Result<StreamStats, String> {
-    let a = drive(build(seed)?, samples)?;
-    let b = drive(build(seed)?, samples)?;
+    let a = drive(&mut fresh(seed, 1)?, samples)?;
+    let b = drive(&mut fresh(seed, 1)?, samples)?;
     if a.digest != b.digest
         || a.dead_total != b.dead_total
         || a.ingest_errors != b.ingest_errors
@@ -281,40 +279,35 @@ fn check_determinism(seed: u64, samples: &[Sample]) -> Result<StreamStats, Strin
     })
 }
 
-/// Harness 2: mid-hostile-stream, with the newest of two generations
-/// corrupted, restore comes back through the older one and lands on the
-/// digest of serving straight through.
+/// Harness 2: a one-slot [`Server`] fed through a mid-stream pivot is
+/// killed twice, each time with its newest generation corrupted (the
+/// name flip, then a bit flip of the refrozen newest), and must come back
+/// through the older one each time; it then serves the rest of the
+/// stream onto the straight run's digest and dead-letter total.
 fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, String> {
-    let straight = drive(build(seed)?, samples)?;
+    let straight = drive(&mut fresh(seed, 1)?, samples)?;
     let chunks = samples.chunks(BATCH).count().max(1);
     let pivot = (i as usize * 7 + 1) % chunks;
-    // Serve through the pivot chunk, freezing after each one: the
-    // two-generation ladder a `Server` slot holds at that point.
-    let mut session = build(seed)?;
-    let mut ladder = [Generation::genesis(), Generation::genesis()];
+    let mut server = fresh(seed, 1)?;
     let mut fed = 0usize;
     for chunk in samples.chunks(BATCH).take(pivot + 1) {
-        guarded_ingest(&mut session, chunk)?
+        server
+            .ingest(SLOT, chunk)
             .map_err(|e| format!("ingest refused before the pivot: {e}"))?;
         fed += chunk.len();
-        let snapshot = session
-            .freeze()
-            .map_err(|e| format!("freeze refused: {e}"))?;
-        ladder.rotate_left(1);
-        ladder[1] = Generation {
-            snapshot: Some(snapshot),
-            covered: fed,
-        };
     }
-    // The name-flip operator, on a copy of the intact newest snapshot.
+    if server.stats(SLOT).map(|s| s.snapshot_failures) != Ok(0) {
+        return Err(format!("freeze refused before chunk {pivot}"));
+    }
+    let lost = |e: ServeError| format!("fuzz: slot lost at chunk {pivot}: {e}");
+    // The name-flip operator, on the newest generation.
     let mut rng = SimRng::new(seed).fork_indexed("fuzz/name", i);
-    let renamed = ladder[1]
-        .snapshot
-        .as_deref()
-        .and_then(|bytes| name_flip(bytes, session.names(), &mut rng));
+    let newest = server.newest_snapshot_mut(SLOT).map_err(lost)?.cloned();
+    let names = server.session(SLOT).map_err(lost)?.names();
+    let renamed = newest.and_then(|bytes| name_flip(&bytes, names, &mut rng));
     let name_flipped = renamed.is_some();
     if let Some(bytes) = renamed {
-        match build(seed)?.thaw(&bytes) {
+        match serve::build_session(seed).map_err(lost)?.thaw(&bytes) {
             Err(SnapshotError::Corrupt(_)) => {}
             other => {
                 return Err(format!(
@@ -322,24 +315,28 @@ fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, 
                 ))
             }
         }
-        let flipped = [
-            ladder[0].clone(),
-            Generation {
-                snapshot: Some(bytes),
-                covered: fed,
-            },
-        ];
-        restore_stable(seed, &flipped, samples, fed, &straight, pivot, "name flip")?;
+        if let Some(newest) = server.newest_snapshot_mut(SLOT).map_err(lost)? {
+            *newest = bytes;
+        }
+        kill_past(&mut server, 1, "name flip")?;
     }
     // The generation-flip operator: one seeded bit of the newest snapshot.
     let mut rng = SimRng::new(seed).fork_indexed("fuzz/generation", i);
-    if let Some(bytes) = ladder[1].snapshot.as_mut() {
+    if let Some(bytes) = server.newest_snapshot_mut(SLOT).map_err(lost)? {
         let at = rng.uniform_u64(0, bytes.len().saturating_sub(1) as u64) as usize;
         if let Some(byte) = bytes.get_mut(at) {
             *byte ^= 1 << rng.uniform_u64(0, 7);
         }
     }
-    restore_stable(seed, &ladder, samples, fed, &straight, pivot, "bit flip")?;
+    kill_past(&mut server, 1 + u64::from(name_flipped), "bit flip")?;
+    let recovered = drive(&mut server, samples.get(fed..).unwrap_or_default())?;
+    if (recovered.digest, recovered.dead_total) != (straight.digest, straight.dead_total) {
+        return Err(format!(
+            "recovery unstable: killed at chunk {pivot}: digest {:#018x}, {} dead letters; \
+             straight {:#018x}, {}",
+            recovered.digest, recovered.dead_total, straight.digest, straight.dead_total
+        ));
+    }
     Ok(StreamStats {
         samples: samples.len(),
         dead_letters: straight.dead_total,
@@ -350,40 +347,14 @@ fn check_recovery(seed: u64, samples: &[Sample], i: u64) -> Result<StreamStats, 
     })
 }
 
-/// Restores from `ladder`, whose newest generation covers the first
-/// `fed` samples and is corrupt, and requires the older one to come
-/// back and finish the stream on the straight run's digest and
-/// dead-letter total.
-fn restore_stable(
-    seed: u64,
-    ladder: &[Generation],
-    samples: &[Sample],
-    fed: usize,
-    straight: &HostileRun,
-    pivot: usize,
-    operator: &str,
-) -> Result<(), String> {
-    let log = samples.get(..fed).unwrap_or(samples);
-    let restored = match restore(|| serve::build_session(seed), ladder, log, 0) {
-        Ok((session, 0)) => session,
-        Ok(_) => {
-            return Err(format!(
-                "restore at chunk {pivot} used the {operator} generation"
-            ))
-        }
-        Err(e) => {
-            return Err(format!(
-                "no generation restored past the {operator} at chunk {pivot}: {e}"
-            ))
-        }
-    };
-    let recovered = drive(restored, samples.get(fed..).unwrap_or_default())?;
-    if (recovered.digest, recovered.dead_total) != (straight.digest, straight.dead_total) {
-        return Err(format!(
-            "recovery past the {operator} unstable: restored at chunk {pivot}: digest {:#018x}, \
-             {} dead letters; straight {:#018x}, {}",
-            recovered.digest, recovered.dead_total, straight.digest, straight.dead_total
-        ));
+/// Kills a one-slot server whose newest generation `operator` corrupted:
+/// the slot must come back through the older one, its `fallbacks`-th
+/// fallback.
+fn kill_past(server: &mut Server<'_>, fallbacks: u64, operator: &str) -> Result<(), String> {
+    let past = |e| format!("no generation restored past the {operator}: {e}");
+    server.kill(SLOT).map_err(past)?;
+    if server.stats(SLOT).map_err(past)?.fallbacks != fallbacks {
+        return Err(format!("restore used the {operator} generation"));
     }
     Ok(())
 }
@@ -431,14 +402,8 @@ fn check_crosstalk(
     clean: &[Sample],
     clean_digest: u64,
 ) -> Result<StreamStats, String> {
-    let mut server = Server::new(2).map_err(|e| format!("fuzz: server build: {e}"))?;
-    let hostile_id = server
-        .admit(Box::new(move || serve::build_session(seed)))
-        .map_err(|e| format!("fuzz: admit hostile: {e}"))?;
-    let clean_seed = seed;
-    let clean_id = server
-        .admit(Box::new(move || serve::build_session(clean_seed)))
-        .map_err(|e| format!("fuzz: admit clean: {e}"))?;
+    let mut server = fresh(seed, 2)?;
+    let (hostile_id, clean_id) = (0, 1);
     let mut hostile_open = true;
     let mut hostile_chunks = samples.chunks(BATCH);
     let mut stats = StreamStats {
@@ -468,11 +433,7 @@ fn check_crosstalk(
             .ingest(clean_id, chunk)
             .map_err(|e| format!("clean slot disturbed by hostile sibling: {e}"))?;
     }
-    let panics = server.stats(hostile_id).map(|s| s.panics).unwrap_or(0)
-        + server.stats(clean_id).map(|s| s.panics).unwrap_or(0);
-    if panics > 0 {
-        return Err(format!("{panics} PANIC(s) absorbed by the server"));
-    }
+    panic_free(&server)?;
     server
         .finish(clean_id)
         .map_err(|e| format!("clean slot failed to finish: {e}"))?;
@@ -548,6 +509,16 @@ impl From<String> for FuzzFailure {
     }
 }
 
+/// `scenario`'s golden schedule, and the one its crosstalk splices come
+/// from: a different golden clock.
+fn schedules(scenario: &str) -> Result<(Vec<Sample>, Vec<Sample>), String> {
+    let alt = if scenario == "goal" { "fig2" } else { "goal" };
+    Ok((
+        serve::schedule_for(scenario, 1)?,
+        serve::schedule_for(alt, 1)?,
+    ))
+}
+
 /// The CLI verb body: `streams` seeded hostile streams derived from
 /// `scenario`'s golden schedule, fanned across `threads` workers.
 /// `Ok` is an aggregate summary; `Err` is the first failing stream's
@@ -559,11 +530,8 @@ pub fn run_verb(
     threads: usize,
     scenario: &str,
 ) -> Result<String, FuzzFailure> {
-    let base = serve::schedule_for(scenario, 1)?;
-    // Crosstalk splices come from a different golden clock.
-    let alt_name = if scenario == "goal" { "fig2" } else { "goal" };
-    let alt = serve::schedule_for(alt_name, 1)?;
-    let clean_digest = drive(build(seed)?, &base)
+    let (base, alt) = schedules(scenario)?;
+    let clean_digest = drive(&mut fresh(seed, 1)?, &base)
         .map_err(|e| format!("fuzz: clean baseline failed: {e}"))?
         .digest;
     let idxs: Vec<u64> = (0..streams as u64).collect();
@@ -606,24 +574,21 @@ pub fn failure_artifacts(
     scenario: &str,
     i: u64,
 ) -> Result<(String, Option<Vec<u8>>), String> {
-    let base = serve::schedule_for(scenario, 1)?;
-    let alt_name = if scenario == "goal" { "fig2" } else { "goal" };
-    let alt = serve::schedule_for(alt_name, 1)?;
+    let (base, alt) = schedules(scenario)?;
     let (samples, applied) = hostile_stream(seed, &base, &alt, i);
     let mut text =
         format!("# fuzz stream {i} seed {seed} scenario {scenario} mutations {applied:?}\n");
     for s in &samples {
         text.push_str(&format!("{s:?}\n"));
     }
-    let mut session = build(seed)?;
+    let mut server = fresh(seed, 1)?;
     for chunk in samples.chunks(BATCH) {
-        match guarded_ingest(&mut session, chunk) {
-            Ok(Ok(_)) => {}
-            Ok(Err(_)) => break,
-            Err(_) => break,
+        if server.ingest(SLOT, chunk).is_err() {
+            break;
         }
     }
-    Ok((text, session.freeze().ok()))
+    let frozen = server.session(SLOT).ok().and_then(|s| s.freeze().ok());
+    Ok((text, frozen))
 }
 
 #[cfg(test)]
@@ -632,9 +597,7 @@ mod tests {
     use crate::tracerec::GOLDEN_SEED;
 
     fn streams() -> (Vec<Sample>, Vec<Sample>) {
-        let base = serve::schedule(1).expect("golden trace present");
-        let alt = serve::schedule_for("goal", 1).expect("golden trace present");
-        (base, alt)
+        schedules(serve::REPLAY_SCENARIO).expect("golden trace present")
     }
 
     /// Stream derivation is seeded (same index, same stream) and the

@@ -161,14 +161,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Standard-normal sample via Box-Muller.
-    pub fn normal(&mut self, mean: f64, sd: f64) -> f64 {
-        assert!(sd.is_finite() && sd >= 0.0, "invalid sd: {sd}");
-        let u1 = 1.0 - self.next_f64();
-        let u2 = self.next_f64();
-        mean + sd * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
     /// Picks an index according to non-negative weights.
     ///
     /// # Panics
@@ -279,16 +271,5 @@ mod tests {
     fn uniform_degenerate_range() {
         let mut rng = SimRng::new(4);
         assert_eq!(rng.uniform(2.5, 2.5), 2.5);
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = SimRng::new(8);
-        let n = 40_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05);
-        assert!((var.sqrt() - 2.0).abs() < 0.05);
     }
 }

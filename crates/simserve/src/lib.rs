@@ -17,7 +17,9 @@
 //!   state, not history, so the ladder stays bounded however long the
 //!   session runs, and a resumed session must stand on the salvaged
 //!   [`RunJournal`] checkpoint's digest. Crashing at *any* checkpoint
-//!   boundary loses nothing.
+//!   boundary loses nothing. A [`Server`] slot keeps the ladder (two
+//!   generations, refrozen after a fallback) and restores through it
+//!   after a contained panic or a [`Server::kill`].
 //! - **Reconfigurable.** Goal, budget, horizon, quarantine, and re-admit
 //!   commands arrive as [`Sample`]s mid-session. Every command is
 //!   validated and journaled as a first-class simtrace event

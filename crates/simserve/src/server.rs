@@ -10,11 +10,12 @@
 //! ([`std::panic::catch_unwind`] — the poisoned session object is
 //! discarded, never reused) and rebuilt by [`restore`]: newest generation
 //! first, the older one when the newest is corrupt. The offending batch
-//! is rejected as [`ServeError::Faulted`]; siblings never notice. Only
-//! when no generation restores is the slot quarantined
-//! ([`ServeError::Quarantined`], health `Dead`) and closed to input. A
-//! rig that cannot be frozen keeps its genesis generation and so its
-//! whole log: boundedness needs a freezable rig.
+//! is rejected as [`ServeError::Faulted`]; siblings never notice.
+//! [`Server::kill`] drops a live session as a crash would and rebuilds
+//! it the same way at once. Only when no generation restores is the slot
+//! quarantined ([`ServeError::Quarantined`], health `Dead`) and closed to
+//! input. A rig that cannot be frozen keeps its genesis generation and
+//! so its whole log: boundedness needs a freezable rig.
 //!
 //! [`run_fleet`] fans whole session lifecycles across the deterministic
 //! work pool: sessions share no state (each worker builds its own from
@@ -48,7 +49,8 @@ pub struct SlotStats {
     pub directives: u64,
     /// Panics caught and contained.
     pub panics: u64,
-    /// Sessions rebuilt by [`restore`] after a contained panic.
+    /// Sessions rebuilt by [`restore`] after a contained panic or a
+    /// [`Server::kill`].
     pub restores: u64,
     /// Restores that came back through the older generation because the
     /// newest one failed.
@@ -194,6 +196,30 @@ impl<'a> Server<'a> {
         let slot = self.slots.get_mut(id).ok_or(ServeError::UnknownSession)?;
         contained(slot, Session::finish)
     }
+
+    /// Kills the live session in slot `id` as a crash would and restores
+    /// it at once through the slot's ladder, as after a contained panic.
+    /// What it did since the newest freeze (a [`Server::finish`] too) is
+    /// lost. Counts a restore, not a panic; [`ServeError::Quarantined`]
+    /// when the slot is or becomes dead.
+    pub fn kill(&mut self, id: usize) -> Result<(), ServeError> {
+        let slot = self.slots.get_mut(id).ok_or(ServeError::UnknownSession)?;
+        if let SessionHealth::Dead { .. } = slot.health {
+            return Err(ServeError::Quarantined);
+        }
+        slot.session = None;
+        revive(slot)
+    }
+
+    /// The newest generation's frozen bytes in slot `id`, for fault
+    /// injection; `None` while the newest is the genesis.
+    pub fn newest_snapshot_mut(&mut self, id: usize) -> Result<Option<&mut Vec<u8>>, ServeError> {
+        let slot = self.slots.get_mut(id).ok_or(ServeError::UnknownSession)?;
+        Ok(slot
+            .generations
+            .last_mut()
+            .and_then(|g| g.snapshot.as_mut()))
+    }
 }
 
 /// Runs `op` on the slot's session with panics contained. The session is
@@ -213,7 +239,11 @@ fn contained<T>(
             slot.session = Some(session);
             r
         }
-        Err(_panic) => recover(slot),
+        Err(_panic) => {
+            slot.stats.panics += 1;
+            revive(slot)?;
+            Err(ServeError::Faulted)
+        }
     }
 }
 
@@ -246,11 +276,10 @@ fn take_snapshot(slot: &mut Slot<'_>) {
     slot.log_start += drained;
 }
 
-/// Rebuilds the slot's session after a contained panic. A restore
+/// Rebuilds the slot's lost session through its ladder. A restore
 /// through the older generation drops the failed newest one and freezes
 /// the restored state in its place. When nothing restores the slot dies.
-fn recover<T>(slot: &mut Slot<'_>) -> Result<T, ServeError> {
-    slot.stats.panics += 1;
+fn revive(slot: &mut Slot<'_>) -> Result<(), ServeError> {
     match restore(&slot.builder, &slot.generations, &slot.log, slot.log_start) {
         Ok((session, used)) => {
             slot.session = Some(session);
@@ -261,7 +290,7 @@ fn recover<T>(slot: &mut Slot<'_>) -> Result<T, ServeError> {
                 take_snapshot(slot);
             }
             slot.health = SessionHealth::Recovered;
-            Err(ServeError::Faulted)
+            Ok(())
         }
         Err(e) => {
             slot.session = None;
@@ -538,11 +567,11 @@ mod tests {
         server.finish(calm).expect("calm finish");
     }
 
-    /// Flips one payload byte of a slot's stored generation.
-    fn corrupt(server: &mut Server<'_>, id: usize, generation: usize) {
-        let bytes = server.slots[id].generations[generation]
-            .snapshot
-            .as_mut()
+    /// Flips one payload byte of a slot's newest generation.
+    fn corrupt(server: &mut Server<'_>, id: usize) {
+        let bytes = server
+            .newest_snapshot_mut(id)
+            .expect("a known slot")
             .expect("a frozen generation");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
@@ -557,7 +586,7 @@ mod tests {
         let digest_before = server.session(id).map(Session::digest).expect("digest");
         // The envelope checksum rejects the newest generation; restore
         // thaws the older one and catches up on the logged batch.
-        corrupt(&mut server, id, 1);
+        corrupt(&mut server, id);
         let err = server
             .ingest(id, &[Sample::tick(60.0)])
             .expect_err("tripped");
@@ -574,18 +603,103 @@ mod tests {
     }
 
     #[test]
+    fn kill_on_a_healthy_slot_keeps_the_digest() {
+        let mut server = Server::new(1).expect("server");
+        let id = server.admit(Box::new(|| idle_session(2))).expect("a");
+        server.ingest(id, &[Sample::tick(5.0)]).expect("first");
+        server.ingest(id, &[Sample::tick(10.0)]).expect("second");
+        let digest_before = server.session(id).map(Session::digest).expect("digest");
+        server.kill(id).expect("restores");
+        assert_eq!(
+            server.session(id).map(Session::digest).expect("digest"),
+            digest_before
+        );
+        let stats = server.stats(id).expect("stats");
+        assert_eq!((stats.restores, stats.fallbacks, stats.panics), (1, 0, 0));
+        assert_eq!(server.health(id).expect("health"), SessionHealth::Recovered);
+        server.ingest(id, &[Sample::tick(20.0)]).expect("serves on");
+    }
+
+    #[test]
+    fn a_fallback_refreezes_the_newest_in_place_of_the_corrupt_one() {
+        let mut server = Server::new(1).expect("server");
+        let id = server.admit(Box::new(|| idle_session(2))).expect("a");
+        server.ingest(id, &[Sample::tick(5.0)]).expect("first");
+        server.ingest(id, &[Sample::tick(10.0)]).expect("second");
+        let digest_before = server.session(id).map(Session::digest).expect("digest");
+        let newest = server.newest_snapshot_mut(id).expect("slot").cloned();
+        corrupt(&mut server, id);
+        server.kill(id).expect("falls back");
+        let stats = server.stats(id).expect("stats");
+        assert_eq!((stats.restores, stats.fallbacks), (1, 1));
+        // The restored state was frozen in place of the corrupt newest...
+        assert_eq!(
+            server.newest_snapshot_mut(id).expect("slot").cloned(),
+            newest
+        );
+        // ...so the next kill restores through it...
+        server.kill(id).expect("restores");
+        let stats = server.stats(id).expect("stats");
+        assert_eq!((stats.restores, stats.fallbacks), (2, 1));
+        // ...and the older generation it fell back to is still kept.
+        corrupt(&mut server, id);
+        server.kill(id).expect("falls back again");
+        let stats = server.stats(id).expect("stats");
+        assert_eq!((stats.restores, stats.fallbacks, stats.panics), (3, 2, 0));
+        assert_eq!(
+            server.session(id).map(Session::digest).expect("digest"),
+            digest_before
+        );
+        server.ingest(id, &[Sample::tick(20.0)]).expect("serves on");
+    }
+
+    #[test]
+    fn kill_refuses_unknown_and_dead_slots() {
+        let mut server = Server::new(2).expect("server");
+        let id = server.admit(Box::new(|| idle_session(1))).expect("a");
+        let calm = server.admit(Box::new(|| idle_session(1))).expect("c");
+        assert_eq!(server.kill(9), Err(ServeError::UnknownSession));
+        assert_eq!(
+            server.newest_snapshot_mut(9).map(|b| b.is_some()),
+            Err(ServeError::UnknownSession)
+        );
+        // Corrupt the newest, let a batch push it down to the older
+        // generation, and corrupt the new newest: nothing restores.
+        server.ingest(id, &[Sample::tick(5.0)]).expect("first");
+        corrupt(&mut server, id);
+        server.ingest(id, &[Sample::tick(10.0)]).expect("second");
+        corrupt(&mut server, id);
+        assert_eq!(server.kill(id), Err(ServeError::Quarantined));
+        assert!(matches!(
+            server.health(id).expect("health"),
+            SessionHealth::Dead { .. }
+        ));
+        assert_eq!(server.kill(id), Err(ServeError::Quarantined));
+        assert_eq!(
+            server.session(id).map(Session::digest),
+            Err(ServeError::Quarantined)
+        );
+        assert_eq!(server.stats(id).map(|s| s.panics), Ok(0));
+        assert_eq!(server.health(calm).expect("calm"), SessionHealth::Healthy);
+        server.ingest(calm, &[Sample::tick(20.0)]).expect("calm on");
+    }
+
+    #[test]
     fn both_generations_corrupt_kill_only_that_slot() {
         let mut server = Server::new(2).expect("server");
         let id = server.admit(Box::new(|| landmine_session(30))).expect("m");
         let calm = server.admit(Box::new(|| idle_session(1))).expect("c");
+        // The first batch's freeze, corrupted, becomes the older
+        // generation under the second's, which is corrupted in turn.
+        server.ingest(id, &[Sample::tick(5.0)]).expect("first");
+        corrupt(&mut server, id);
         server.ingest(id, &[Sample::tick(10.0)]).expect("pre-trip");
+        corrupt(&mut server, id);
         server.ingest(calm, &[Sample::tick(10.0)]).expect("calm");
         let calm_digest = server
             .session(calm)
             .map(Session::digest)
             .expect("calm digest");
-        corrupt(&mut server, id, 0);
-        corrupt(&mut server, id, 1);
         let err = server
             .ingest(id, &[Sample::tick(60.0)])
             .expect_err("tripped");

@@ -96,6 +96,14 @@ cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
 
 echo "== simserve: hostile-input fuzz smoke (30 seeded streams) =="
 cargo run --release -q -p experiments -- fuzz --streams 30
+# Every harness runs `Server` slots across the pool: the report must not
+# depend on how many workers share the streams.
+fuzz_1="$(cargo run --release -q -p experiments -- fuzz --streams 30 --threads 1 2>/dev/null)"
+fuzz_2="$(cargo run --release -q -p experiments -- fuzz --streams 30 --threads 2 2>/dev/null)"
+if [ "$fuzz_1" != "$fuzz_2" ]; then
+    echo "fuzz report differs between 1 and 2 worker threads" >&2
+    exit 1
+fi
 
 echo "== simpar: serial/parallel byte-equality smoke =="
 # The sweeps and every figure on the harness trial grid (the bar and
