@@ -14,11 +14,12 @@ use hw560x::DisplayState;
 use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
 use simcore::{SimDuration, SimRng, SimTime};
 
-use crate::datasets::{DEFAULT_THINK_S, MAPS, TRIAL_JITTER, UTTERANCES, VIDEO_CLIPS, WEB_IMAGES};
+use crate::datasets::{DEFAULT_THINK_S, MAPS, UTTERANCES, VIDEO_CLIPS, WEB_IMAGES};
 use crate::map::MapFidelity;
+use crate::speech::SpeechStrategy;
 use crate::units::{
-    map_unit, speech_unit, video_unit, web_unit, UnitStep, MAP_UNIT_NAMES, SPEECH_UNIT_NAMES,
-    VIDEO_UNIT_NAMES, WEB_UNIT_NAMES,
+    draw_jitter, map_unit, next_step, speech_unit, video_unit, web_unit, UnitStep, MAP_UNIT_NAMES,
+    SPEECH_UNIT_NAMES, VIDEO_UNIT_NAMES, WEB_UNIT_NAMES,
 };
 use crate::video::VideoVariant;
 use crate::web::WebFidelity;
@@ -70,8 +71,7 @@ pub struct BurstyMember {
     lit: bool,
     next_decision: SimTime,
     pending: VecDeque<UnitStep>,
-    level: usize,
-    levels: usize,
+    fidelity: FidelityView,
     item_idx: usize,
     jitter: f64,
     horizon: SimTime,
@@ -95,7 +95,7 @@ impl BurstyMember {
             BurstyRole::Web => "bursty-web",
         });
         let active = stream.bernoulli(INITIAL_ACTIVE_PROBABILITY);
-        let jitter = 1.0 + stream.uniform(-TRIAL_JITTER, TRIAL_JITTER);
+        let jitter = draw_jitter(&mut stream);
         let levels = match role {
             BurstyRole::Speech => 2,
             BurstyRole::Video => VideoVariant::ladder().len(),
@@ -109,8 +109,7 @@ impl BurstyMember {
             lit: false,
             next_decision: SimTime::ZERO,
             pending: VecDeque::new(),
-            level: levels - 1,
-            levels,
+            fidelity: FidelityView::new(levels - 1, levels),
             item_idx: 0,
             jitter,
             horizon,
@@ -119,6 +118,7 @@ impl BurstyMember {
 
     fn build_minute(&mut self) -> VecDeque<UnitStep> {
         let think = SimDuration::from_secs_f64(DEFAULT_THINK_S);
+        let level = self.fidelity.level;
         let steps = match self.role {
             BurstyRole::Speech => {
                 let a = self.item_idx % UTTERANCES.len();
@@ -126,7 +126,8 @@ impl BurstyMember {
                 self.item_idx += 2;
                 speech_unit(
                     &[UTTERANCES[a], UTTERANCES[b]],
-                    self.level == 0,
+                    SpeechStrategy::Local,
+                    level == 0,
                     self.jitter,
                 )
             }
@@ -136,7 +137,7 @@ impl BurstyMember {
                 video_unit(
                     clip.bitrate_bps,
                     clip.premiere_c_ratio,
-                    VideoVariant::ladder()[self.level],
+                    VideoVariant::ladder()[level],
                     self.jitter,
                     SLOT.as_secs_f64(),
                 )
@@ -148,7 +149,7 @@ impl BurstyMember {
                     self.item_idx += 1;
                     all.extend(map_unit(
                         &map,
-                        MapFidelity::ladder()[self.level],
+                        MapFidelity::ladder()[level],
                         self.jitter,
                         think,
                     ));
@@ -162,7 +163,7 @@ impl BurstyMember {
                     self.item_idx += 1;
                     all.extend(web_unit(
                         &img,
-                        WebFidelity::ladder()[self.level],
+                        WebFidelity::ladder()[level],
                         self.jitter,
                         think,
                     ));
@@ -210,11 +211,8 @@ impl Workload for BurstyMember {
     }
 
     fn poll(&mut self, now: SimTime) -> Step {
-        if let Some(step) = self.pending.pop_front() {
-            return match step {
-                UnitStep::Act(a) => Step::Run(a),
-                UnitStep::Pause(d) => Step::Run(Activity::Wait { until: now + d }),
-            };
+        if let Some(step) = next_step(&mut self.pending, now) {
+            return step;
         }
         self.lit = false;
         if now >= self.horizon {
@@ -241,21 +239,11 @@ impl Workload for BurstyMember {
     }
 
     fn fidelity(&self) -> FidelityView {
-        FidelityView::new(self.level, self.levels)
+        self.fidelity
     }
 
     fn on_upcall(&mut self, dir: AdaptDirection, _now: SimTime) -> bool {
-        match dir {
-            AdaptDirection::Degrade if self.level > 0 => {
-                self.level -= 1;
-                true
-            }
-            AdaptDirection::Upgrade if self.level + 1 < self.levels => {
-                self.level += 1;
-                true
-            }
-            _ => false,
-        }
+        self.fidelity.step(dir)
     }
 }
 

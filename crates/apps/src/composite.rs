@@ -23,12 +23,12 @@ use hw560x::DisplayState;
 use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
 use simcore::{SimDuration, SimRng, SimTime};
 
-use crate::datasets::{
-    MapObject, Utterance, WebImage, COMPOSITE_UTTERANCES, DEFAULT_THINK_S, TRIAL_JITTER,
-};
+use crate::datasets::{MapObject, Utterance, WebImage, COMPOSITE_UTTERANCES, DEFAULT_THINK_S};
 use crate::map::MapFidelity;
+use crate::speech::SpeechStrategy;
 use crate::units::{
-    map_unit, speech_unit, web_unit, UnitStep, MAP_UNIT_NAMES, SPEECH_UNIT_NAMES, WEB_UNIT_NAMES,
+    draw_jitter, map_unit, next_step, speech_unit, web_unit, UnitStep, MAP_UNIT_NAMES,
+    SPEECH_UNIT_NAMES, WEB_UNIT_NAMES,
 };
 use crate::web::WebFidelity;
 
@@ -102,8 +102,7 @@ pub struct CompositeMember {
     mode: CompositeMode,
     pending: VecDeque<UnitStep>,
     running_unit: bool,
-    level: usize,
-    levels: usize,
+    fidelity: FidelityView,
     adaptive: bool,
     item_idx: usize,
     jitter: f64,
@@ -142,11 +141,10 @@ impl CompositeMember {
             mode,
             pending: VecDeque::new(),
             running_unit: false,
-            level: levels - 1,
-            levels,
+            fidelity: FidelityView::new(levels - 1, levels),
             adaptive,
             item_idx: 0,
-            jitter: 1.0 + rng.uniform(-TRIAL_JITTER, TRIAL_JITTER),
+            jitter: draw_jitter(rng),
             think: SimDuration::from_secs_f64(DEFAULT_THINK_S),
             utterances: COMPOSITE_UTTERANCES.to_vec(),
             images: crate::datasets::WEB_IMAGES.to_vec(),
@@ -157,29 +155,35 @@ impl CompositeMember {
     /// Pins the member to its lowest fidelity (Figure 15's "Lowest
     /// Fidelity" bars).
     pub fn at_lowest_fidelity(mut self) -> Self {
-        self.level = 0;
+        self.fidelity.level = 0;
         self
     }
 
     fn build_unit(&mut self) -> VecDeque<UnitStep> {
+        let level = self.fidelity.level;
         let steps = match self.role {
             CompositeRole::Speech => {
                 // Spoken commands are short: the loop uses the dedicated
                 // command utterances, keeping six iterations inside the
                 // paper's 80-160 s envelope.
                 self.item_idx += 2;
-                speech_unit(&self.utterances, self.level == 0, self.jitter)
+                speech_unit(
+                    &self.utterances,
+                    SpeechStrategy::Local,
+                    level == 0,
+                    self.jitter,
+                )
             }
             CompositeRole::Web => {
                 let img = self.images[self.item_idx % self.images.len()];
                 self.item_idx += 1;
-                let fid = WebFidelity::ladder()[self.level];
+                let fid = WebFidelity::ladder()[level];
                 web_unit(&img, fid, self.jitter, self.think)
             }
             CompositeRole::Map => {
                 let map = self.maps[self.item_idx % self.maps.len()];
                 self.item_idx += 1;
-                let fid = MapFidelity::ladder()[self.level];
+                let fid = MapFidelity::ladder()[level];
                 map_unit(&map, fid, self.jitter, self.think)
             }
         };
@@ -219,11 +223,8 @@ impl Workload for CompositeMember {
     }
 
     fn poll(&mut self, now: SimTime) -> Step {
-        if let Some(step) = self.pending.pop_front() {
-            return match step {
-                UnitStep::Act(a) => Step::Run(a),
-                UnitStep::Pause(d) => Step::Run(Activity::Wait { until: now + d }),
-            };
+        if let Some(step) = next_step(&mut self.pending, now) {
+            return step;
         }
         let mut baton = self.baton.borrow_mut();
         if self.running_unit {
@@ -259,30 +260,17 @@ impl Workload for CompositeMember {
     }
 
     fn fidelity(&self) -> FidelityView {
-        FidelityView::new(self.level, self.levels)
+        self.fidelity
     }
 
     fn on_upcall(&mut self, dir: AdaptDirection, _now: SimTime) -> bool {
-        if !self.adaptive {
-            return false;
-        }
-        match dir {
-            AdaptDirection::Degrade if self.level > 0 => {
-                self.level -= 1;
-                true
-            }
-            AdaptDirection::Upgrade if self.level + 1 < self.levels => {
-                self.level += 1;
-                true
-            }
-            _ => false,
-        }
+        self.adaptive && self.fidelity.step(dir)
     }
 
     fn freeze(&self, w: &mut simcore::SnapshotWriter) -> Result<(), simcore::SnapshotError> {
         w.put(&self.pending);
         w.put(&self.running_unit);
-        w.put(&self.level);
+        w.put(&self.fidelity.level);
         w.put(&self.item_idx);
         // The three legs share one baton; the speech leg, first in loop
         // order, carries it for all of them.
@@ -298,10 +286,11 @@ impl Workload for CompositeMember {
     fn thaw(&mut self, r: &mut simcore::SnapshotReader<'_>) -> Result<(), simcore::SnapshotError> {
         self.pending = r.take()?;
         self.running_unit = r.take()?;
-        self.level = r.take()?;
-        if self.level >= self.levels {
+        let level = r.take()?;
+        if level >= self.fidelity.levels {
             return Err(simcore::SnapshotError::Corrupt("composite fidelity level"));
         }
+        self.fidelity.level = level;
         self.item_idx = r.take()?;
         if self.role == CompositeRole::Speech {
             let mut baton = self.baton.borrow_mut();
@@ -409,6 +398,27 @@ mod tests {
             "paced run took {}",
             report.duration_s()
         );
+    }
+
+    /// A thawed level past the member's ladder is corrupt.
+    #[test]
+    fn thaw_rejects_an_out_of_range_level() {
+        let mut rng = SimRng::new(3);
+        let mut map = composite_members(CompositeMode::Iterations(1), true, &mut rng)
+            .pop()
+            .unwrap();
+        let mut w = simcore::SnapshotWriter::new();
+        w.put(&VecDeque::<UnitStep>::new());
+        w.put(&false);
+        w.put(&MapFidelity::ladder().len());
+        w.put(&0usize);
+        let sealed = w.seal();
+        let mut r = simcore::SnapshotReader::open(&sealed).unwrap();
+        assert_eq!(
+            map.thaw(&mut r),
+            Err(simcore::SnapshotError::Corrupt("composite fidelity level"))
+        );
+        assert!(map.fidelity().is_full());
     }
 
     /// Members expose their ladders for the goal controller.

@@ -17,6 +17,13 @@
 //!   map) built from the same units;
 //! - [`bursty`] — the Section 5.4 stochastic on/off workload.
 //!
+//! Every application's work is built in one place, [`units`]. The
+//! standalone speech, map and web applications play those units through
+//! a [`UnitPlayer`]; the composite and bursty workloads pop the same
+//! units. Only the standalone [`VideoPlayer`] keeps its own frame loop:
+//! it paces frames against absolute deadlines, loops its clip, and
+//! carries the energy gate's decode inflation.
+//!
 //! Every quantitative constant lives in [`datasets`] next to the paper
 //! sentence it encodes, and is shared by isolation experiments, the
 //! composite, and the bursty workload so results stay comparable.
@@ -35,8 +42,9 @@ pub mod web;
 pub use bursty::{BurstyMember, BurstyRole};
 pub use calltree::{call_path, CallFrame, CostedBlock};
 pub use composite::{Baton, CompositeMember, CompositeMode, CompositeRole};
-pub use map::{MapFidelity, MapViewer};
+pub use map::MapFidelity;
 pub use misbehavior::Misbehavior;
-pub use speech::{SpeechApp, SpeechStrategy};
+pub use speech::SpeechStrategy;
+pub use units::UnitPlayer;
 pub use video::{VideoPlayer, VideoVariant};
-pub use web::{WebBrowser, WebFidelity};
+pub use web::WebFidelity;

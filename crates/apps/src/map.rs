@@ -9,17 +9,11 @@
 //! the paper attributes to the application, since it keeps the display
 //! backlit and the client powered.
 
-use hw560x::cpu::intensity;
 use hw560x::DisplayState;
-use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
-use netsim::RpcSpec;
-use simcore::time::round_to_u64;
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimRng};
 
-use crate::datasets::{
-    MapObject, DEFAULT_THINK_S, MAP_RENDER_S_PER_BYTE, MAP_SERVER_FIXED_S, MAP_SERVER_S_PER_BYTE,
-    MAP_X_RENDER_S, TRIAL_JITTER,
-};
+use crate::datasets::MapObject;
+use crate::units::{draw_jitter, map_unit, UnitPlayer, MAP_UNIT_NAMES};
 
 /// Road filtering level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -94,163 +88,25 @@ impl MapFidelity {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Phase {
-    Fetch,
-    Rasterise,
-    Paint,
-    Think,
-}
-
-/// The Anvil workload: views a sequence of maps.
-pub struct MapViewer {
-    maps: Vec<MapObject>,
-    ladder: Vec<MapFidelity>,
-    level: usize,
+/// The Anvil workload pinned to `fidelity` (Figures 10 and 11): views
+/// each of `maps` in turn, thinking `think` after each.
+pub fn viewer(
+    maps: &[MapObject],
+    fidelity: MapFidelity,
     think: SimDuration,
-    idx: usize,
-    phase: Phase,
-    jitter: f64,
-    received_bytes: u64,
-}
-
-impl std::fmt::Debug for MapViewer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MapViewer").finish_non_exhaustive()
-    }
-}
-
-impl MapViewer {
-    /// A viewer pinned to one fidelity, for Figure 10.
-    pub fn fixed(maps: Vec<MapObject>, fidelity: MapFidelity, rng: &mut SimRng) -> Self {
-        Self::build(maps, vec![fidelity], 0, rng)
-    }
-
-    /// An adaptive viewer starting at full fidelity.
-    pub fn adaptive(maps: Vec<MapObject>, rng: &mut SimRng) -> Self {
-        let ladder = MapFidelity::ladder();
-        let top = ladder.len() - 1;
-        Self::build(maps, ladder, top, rng)
-    }
-
-    /// Overrides the default 5-second think time (Figure 11's sensitivity
-    /// analysis uses 0, 5, 10 and 20 seconds).
-    pub fn with_think_time(mut self, think: SimDuration) -> Self {
-        self.think = think;
-        self
-    }
-
-    fn build(
-        maps: Vec<MapObject>,
-        ladder: Vec<MapFidelity>,
-        level: usize,
-        rng: &mut SimRng,
-    ) -> Self {
-        MapViewer {
-            maps,
-            ladder,
-            level,
-            think: SimDuration::from_secs_f64(DEFAULT_THINK_S),
-            idx: 0,
-            phase: Phase::Fetch,
-            jitter: 1.0 + rng.uniform(-TRIAL_JITTER, TRIAL_JITTER),
-            received_bytes: 0,
-        }
-    }
-
-    fn fidelity_point(&self) -> MapFidelity {
-        self.ladder[self.level]
-    }
-
-    fn map(&self) -> &MapObject {
-        &self.maps[self.idx]
-    }
-}
-
-impl Workload for MapViewer {
-    fn name(&self) -> &'static str {
-        "anvil"
-    }
-
-    fn names(&self) -> Vec<&'static str> {
-        crate::units::MAP_UNIT_NAMES.to_vec()
-    }
-
-    fn display_need(&self) -> DisplayState {
-        DisplayState::Bright
-    }
-
-    fn poll(&mut self, now: SimTime) -> Step {
-        if self.idx >= self.maps.len() {
-            return Step::Done;
-        }
-        match self.phase {
-            Phase::Fetch => {
-                let map = *self.map();
-                let bytes = round_to_u64(
-                    map.full_bytes as f64 * self.fidelity_point().data_ratio(&map) * self.jitter,
-                );
-                self.received_bytes = bytes;
-                // The server filters/crops the *full* map before sending.
-                let server_time = SimDuration::from_secs_f64(
-                    MAP_SERVER_FIXED_S + map.full_bytes as f64 * MAP_SERVER_S_PER_BYTE,
-                );
-                self.phase = Phase::Rasterise;
-                Step::Run(Activity::Rpc {
-                    spec: RpcSpec {
-                        request_bytes: 512,
-                        reply_bytes: bytes,
-                        server_time,
-                    },
-                    procedure: "fetch_map",
-                })
-            }
-            Phase::Rasterise => {
-                self.phase = Phase::Paint;
-                Step::Run(Activity::Cpu {
-                    duration: SimDuration::from_secs_f64(
-                        self.received_bytes as f64 * MAP_RENDER_S_PER_BYTE,
-                    ),
-                    intensity: intensity::MAP_RENDER,
-                    procedure: "rasterise",
-                })
-            }
-            Phase::Paint => {
-                self.phase = Phase::Think;
-                Step::Run(Activity::XRender {
-                    cost: SimDuration::from_secs_f64(MAP_X_RENDER_S * self.jitter),
-                })
-            }
-            Phase::Think => {
-                self.phase = Phase::Fetch;
-                self.idx += 1;
-                if self.think.is_zero() {
-                    return self.poll(now);
-                }
-                Step::Run(Activity::Wait {
-                    until: now + self.think,
-                })
-            }
-        }
-    }
-
-    fn fidelity(&self) -> FidelityView {
-        FidelityView::new(self.level, self.ladder.len())
-    }
-
-    fn on_upcall(&mut self, dir: AdaptDirection, _now: SimTime) -> bool {
-        match dir {
-            AdaptDirection::Degrade if self.level > 0 => {
-                self.level -= 1;
-                true
-            }
-            AdaptDirection::Upgrade if self.level + 1 < self.ladder.len() => {
-                self.level += 1;
-                true
-            }
-            _ => false,
-        }
-    }
+    rng: &mut SimRng,
+) -> UnitPlayer {
+    let jitter = draw_jitter(rng);
+    let steps = maps
+        .iter()
+        .flat_map(|map| map_unit(map, fidelity, jitter, think))
+        .collect();
+    UnitPlayer::new(
+        "anvil",
+        MAP_UNIT_NAMES.to_vec(),
+        DisplayState::Bright,
+        steps,
+    )
 }
 
 #[cfg(test)]
@@ -268,10 +124,8 @@ mod tests {
             MachineConfig::baseline()
         };
         let mut m = Machine::new(cfg);
-        m.add_process(Box::new(
-            MapViewer::fixed(vec![MAPS[0]], fidelity, &mut rng)
-                .with_think_time(SimDuration::from_secs_f64(think_s)),
-        ));
+        let think = SimDuration::from_secs_f64(think_s);
+        m.add_process(Box::new(viewer(&[MAPS[0]], fidelity, think, &mut rng)));
         m.run()
     }
 

@@ -16,17 +16,11 @@
 //! With hardware power management the display is off — "this assumes that
 //! user interactions occur solely through speech".
 
-use hw560x::cpu::intensity;
 use hw560x::DisplayState;
-use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
-use netsim::RpcSpec;
-use simcore::time::round_to_u64;
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::SimRng;
 
-use crate::datasets::{
-    Utterance, SPEECH_FRONTEND_FACTOR, SPEECH_HYBRID_DATA_RATIO, SPEECH_HYBRID_LOCAL_RATIO,
-    SPEECH_HYBRID_SERVER_FACTOR, SPEECH_SERVER_FACTOR, SPEECH_WAVEFORM_BPS, TRIAL_JITTER,
-};
+use crate::datasets::Utterance;
+use crate::units::{draw_jitter, speech_unit, UnitPlayer, SPEECH_OFFLOAD_NAMES, SPEECH_UNIT_NAMES};
 
 /// Where recognition runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -50,197 +44,22 @@ impl SpeechStrategy {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Phase {
-    FrontEnd,
-    Recognize,
-    NextUtterance,
-}
-
-/// The speech front-end workload.
-pub struct SpeechApp {
-    utterances: Vec<Utterance>,
+/// The speech front-end pinned to one configuration (Figure 8):
+/// recognizes each of `utterances` in turn with `strategy`, on the
+/// reduced model when `reduced`.
+pub fn recognizer(
+    utterances: &[Utterance],
     strategy: SpeechStrategy,
-    /// Level 1 = full vocabulary, level 0 = reduced (when adaptive).
-    level: usize,
-    levels: usize,
-    /// Vocabulary selection for non-adaptive (single-level) instances.
-    fixed_reduced: bool,
-    idx: usize,
-    phase: Phase,
-    jitter: f64,
-}
-
-impl std::fmt::Debug for SpeechApp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpeechApp").finish_non_exhaustive()
-    }
-}
-
-impl SpeechApp {
-    /// A recognizer pinned to one configuration, for Figure 8.
-    pub fn fixed(
-        utterances: Vec<Utterance>,
-        strategy: SpeechStrategy,
-        reduced: bool,
-        rng: &mut SimRng,
-    ) -> Self {
-        SpeechApp {
-            utterances,
-            strategy,
-            level: 0,
-            levels: 1,
-            fixed_reduced: reduced,
-            idx: 0,
-            phase: Phase::FrontEnd,
-            jitter: 1.0 + rng.uniform(-TRIAL_JITTER, TRIAL_JITTER),
-        }
-    }
-
-    /// An adaptive recognizer: two levels (reduced, full), starting full.
-    pub fn adaptive(
-        utterances: Vec<Utterance>,
-        strategy: SpeechStrategy,
-        rng: &mut SimRng,
-    ) -> Self {
-        let mut app = Self::fixed(utterances, strategy, false, rng);
-        app.levels = 2;
-        app.level = 1;
-        app
-    }
-
-    fn utterance(&self) -> &Utterance {
-        &self.utterances[self.idx]
-    }
-
-    fn reduced(&self) -> bool {
-        if self.levels == 1 {
-            self.fixed_reduced
-        } else {
-            self.level == 0
-        }
-    }
-
-    /// Full local recognition CPU time for the current utterance, at the
-    /// current fidelity.
-    fn local_cpu(&self) -> SimDuration {
-        let u = self.utterance();
-        let mut secs = u.speech_s * u.local_cpu_factor * self.jitter;
-        if self.reduced() {
-            secs *= u.reduced_ratio;
-        }
-        SimDuration::from_secs_f64(secs)
-    }
-
-    fn waveform_bytes(&self) -> u64 {
-        round_to_u64(self.utterance().speech_s * SPEECH_WAVEFORM_BPS / 8.0)
-    }
-}
-
-impl Workload for SpeechApp {
-    fn name(&self) -> &'static str {
-        "speech"
-    }
-
-    fn names(&self) -> Vec<&'static str> {
-        let mut names = crate::units::SPEECH_UNIT_NAMES.to_vec();
-        names.extend(["remote_recognize", "first_phase", "hybrid_recognize"]);
-        names
-    }
-
-    fn display_need(&self) -> DisplayState {
-        DisplayState::Off
-    }
-
-    fn poll(&mut self, _now: SimTime) -> Step {
-        if self.idx >= self.utterances.len() {
-            return Step::Done;
-        }
-        match self.phase {
-            Phase::FrontEnd => {
-                self.phase = Phase::Recognize;
-                Step::Run(Activity::Cpu {
-                    duration: SimDuration::from_secs_f64(
-                        self.utterance().speech_s * SPEECH_FRONTEND_FACTOR * self.jitter,
-                    ),
-                    intensity: intensity::SPEECH_FRONTEND,
-                    procedure: "frontend_dsp",
-                })
-            }
-            Phase::Recognize => match self.strategy {
-                SpeechStrategy::Local => {
-                    self.phase = Phase::NextUtterance;
-                    Step::Run(Activity::CpuAs {
-                        bucket: "janus",
-                        duration: self.local_cpu(),
-                        intensity: intensity::SPEECH_SEARCH,
-                        procedure: "viterbi_search",
-                    })
-                }
-                SpeechStrategy::Remote => {
-                    self.phase = Phase::NextUtterance;
-                    Step::Run(Activity::Rpc {
-                        spec: RpcSpec {
-                            request_bytes: self.waveform_bytes(),
-                            reply_bytes: 2_048,
-                            server_time: self.local_cpu().mul_f64(SPEECH_SERVER_FACTOR),
-                        },
-                        procedure: "remote_recognize",
-                    })
-                }
-                SpeechStrategy::Hybrid => {
-                    // First phase locally; the compact intermediate
-                    // representation ships in the next poll.
-                    self.phase = Phase::NextUtterance;
-                    Step::Run(Activity::CpuAs {
-                        bucket: "janus",
-                        duration: self.local_cpu().mul_f64(SPEECH_HYBRID_LOCAL_RATIO),
-                        intensity: intensity::SPEECH_SEARCH,
-                        procedure: "first_phase",
-                    })
-                }
-            },
-            Phase::NextUtterance => {
-                if self.strategy == SpeechStrategy::Hybrid {
-                    // Finish the hybrid RPC before moving on.
-                    let rpc = Activity::Rpc {
-                        spec: RpcSpec {
-                            request_bytes: round_to_u64(
-                                self.waveform_bytes() as f64 * SPEECH_HYBRID_DATA_RATIO,
-                            ),
-                            reply_bytes: 2_048,
-                            server_time: self.local_cpu().mul_f64(SPEECH_HYBRID_SERVER_FACTOR),
-                        },
-                        procedure: "hybrid_recognize",
-                    };
-                    self.phase = Phase::FrontEnd;
-                    self.idx += 1;
-                    return Step::Run(rpc);
-                }
-                self.phase = Phase::FrontEnd;
-                self.idx += 1;
-                self.poll(_now)
-            }
-        }
-    }
-
-    fn fidelity(&self) -> FidelityView {
-        FidelityView::new(self.level, self.levels)
-    }
-
-    fn on_upcall(&mut self, dir: AdaptDirection, _now: SimTime) -> bool {
-        match dir {
-            AdaptDirection::Degrade if self.level > 0 => {
-                self.level -= 1;
-                true
-            }
-            AdaptDirection::Upgrade if self.level + 1 < self.levels => {
-                self.level += 1;
-                true
-            }
-            _ => false,
-        }
-    }
+    reduced: bool,
+    rng: &mut SimRng,
+) -> UnitPlayer {
+    let jitter = draw_jitter(rng);
+    UnitPlayer::new(
+        "speech",
+        [SPEECH_UNIT_NAMES, SPEECH_OFFLOAD_NAMES].concat(),
+        DisplayState::Off,
+        speech_unit(utterances, strategy, reduced, jitter),
+    )
 }
 
 #[cfg(test)]
@@ -257,8 +76,8 @@ mod tests {
             MachineConfig::baseline()
         };
         let mut m = Machine::new(cfg);
-        m.add_process(Box::new(SpeechApp::fixed(
-            UTTERANCES.to_vec(),
+        m.add_process(Box::new(recognizer(
+            &UTTERANCES,
             strategy,
             reduced,
             &mut rng,
@@ -326,16 +145,5 @@ mod tests {
             janus,
             local.total_j
         );
-    }
-
-    /// Adaptive app exposes two fidelity levels.
-    #[test]
-    fn adaptive_levels() {
-        let mut rng = SimRng::new(5);
-        let mut app = SpeechApp::adaptive(UTTERANCES.to_vec(), SpeechStrategy::Local, &mut rng);
-        assert_eq!(app.fidelity(), FidelityView::new(1, 2));
-        assert!(app.on_upcall(AdaptDirection::Degrade, SimTime::ZERO));
-        assert!(!app.on_upcall(AdaptDirection::Degrade, SimTime::ZERO));
-        assert!(app.on_upcall(AdaptDirection::Upgrade, SimTime::ZERO));
     }
 }

@@ -17,9 +17,10 @@ use simcore::time::round_to_u64;
 use simcore::{Codec, SimDuration, SimRng, SimTime, SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::datasets::{
-    VideoClip, TRIAL_JITTER, VIDEO_DECODE_S_PER_BYTE, VIDEO_FPS, VIDEO_REDUCED_WINDOW_AREA,
+    VideoClip, VIDEO_DECODE_S_PER_BYTE, VIDEO_FPS, VIDEO_REDUCED_WINDOW_AREA,
     VIDEO_REDUCED_WINDOW_DATA_RATIO, VIDEO_RENDER_S_FULL,
 };
+use crate::units::draw_jitter;
 
 /// One point in the video fidelity space.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -107,7 +108,7 @@ impl Codec for Phase {
 pub struct VideoPlayer {
     clip: VideoClip,
     ladder: Vec<VideoVariant>,
-    level: usize,
+    fidelity: FidelityView,
     phase: Phase,
     frame: u64,
     frames_total: u64,
@@ -171,20 +172,20 @@ impl VideoPlayer {
         let frames_total = round_to_u64(clip.duration_s * VIDEO_FPS);
         VideoPlayer {
             clip,
+            fidelity: FidelityView::new(level, ladder.len()),
             ladder,
-            level,
             phase: Phase::Fetch,
             frame: 0,
             frames_total,
             next_frame_at: SimTime::ZERO,
-            jitter: 1.0 + rng.uniform(-TRIAL_JITTER, TRIAL_JITTER),
+            jitter: draw_jitter(rng),
             horizon: None,
             decode_inflation: 1.0,
         }
     }
 
     fn variant(&self) -> VideoVariant {
-        self.ladder[self.level]
+        self.ladder[self.fidelity.level]
     }
 
     fn bytes_per_frame(&self) -> u64 {
@@ -262,25 +263,15 @@ impl Workload for VideoPlayer {
     }
 
     fn fidelity(&self) -> FidelityView {
-        FidelityView::new(self.level, self.ladder.len())
+        self.fidelity
     }
 
     fn on_upcall(&mut self, dir: AdaptDirection, _now: SimTime) -> bool {
-        match dir {
-            AdaptDirection::Degrade if self.level > 0 => {
-                self.level -= 1;
-                true
-            }
-            AdaptDirection::Upgrade if self.level + 1 < self.ladder.len() => {
-                self.level += 1;
-                true
-            }
-            _ => false,
-        }
+        self.fidelity.step(dir)
     }
 
     fn freeze(&self, w: &mut SnapshotWriter) -> Result<(), SnapshotError> {
-        w.put(&self.level);
+        w.put(&self.fidelity.level);
         w.put(&self.phase);
         w.put(&self.frame);
         w.put(&self.next_frame_at);
@@ -288,10 +279,11 @@ impl Workload for VideoPlayer {
     }
 
     fn thaw(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
-        self.level = r.take()?;
-        if self.level >= self.ladder.len() {
+        let level = r.take()?;
+        if level >= self.fidelity.levels {
             return Err(SnapshotError::Corrupt("video fidelity level"));
         }
+        self.fidelity.level = level;
         self.phase = r.take()?;
         self.frame = r.take()?;
         if self.frame > self.frames_total {
@@ -313,13 +305,19 @@ mod tests {
     #[test]
     fn codec_laws_hold_for_every_impl() {
         use crate::datasets::UTTERANCES;
+        use crate::speech::SpeechStrategy;
         use crate::units::{speech_unit, UnitStep, SPEECH_UNIT_NAMES};
         use simcore::snapshot::{check_codec, check_codec_in};
         for phase in [Phase::Fetch, Phase::Decode, Phase::Render, Phase::Pace] {
             check_codec(&phase);
         }
         check_codec_in(
-            &std::collections::VecDeque::from(speech_unit(&UTTERANCES[..1], false, 1.0)),
+            &std::collections::VecDeque::from(speech_unit(
+                &UTTERANCES[..1],
+                SpeechStrategy::Local,
+                false,
+                1.0,
+            )),
             &simcore::Names::new(SPEECH_UNIT_NAMES),
         );
         check_codec(&UnitStep::Pause(SimDuration::from_millis(200)));
@@ -430,6 +428,24 @@ mod tests {
         assert!(p.on_upcall(AdaptDirection::Upgrade, SimTime::ZERO));
         assert!(p.fidelity().is_full());
         assert!(!p.on_upcall(AdaptDirection::Upgrade, SimTime::ZERO));
+    }
+
+    #[test]
+    fn thaw_rejects_an_out_of_range_level() {
+        let mut rng = SimRng::new(2);
+        let mut p = VideoPlayer::adaptive(short_clip(), &mut rng);
+        let mut w = SnapshotWriter::new();
+        w.put(&VideoVariant::ladder().len());
+        w.put(&Phase::Fetch);
+        w.put(&0u64);
+        w.put(&SimTime::ZERO);
+        let sealed = w.seal();
+        let mut r = SnapshotReader::open(&sealed).unwrap();
+        assert_eq!(
+            p.thaw(&mut r),
+            Err(SnapshotError::Corrupt("video fidelity level"))
+        );
+        assert!(p.fidelity().is_full());
     }
 
     #[test]

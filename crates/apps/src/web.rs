@@ -8,17 +8,12 @@
 //! user think time — spent at background power — dominates the energy of
 //! fetching small images.
 
-use hw560x::cpu::intensity;
 use hw560x::DisplayState;
-use machine::{Activity, AdaptDirection, FidelityView, Step, Workload};
-use netsim::RpcSpec;
 use simcore::time::round_to_u64;
-use simcore::{SimDuration, SimRng, SimTime};
+use simcore::{SimDuration, SimRng};
 
-use crate::datasets::{
-    WebImage, DEFAULT_THINK_S, TRIAL_JITTER, WEB_JPEG_RATIOS, WEB_MIN_BYTES, WEB_RENDER_S_PER_BYTE,
-    WEB_SERVER_FIXED_S, WEB_SERVER_S_PER_BYTE, WEB_X_RENDER_S,
-};
+use crate::datasets::{WebImage, WEB_JPEG_RATIOS, WEB_MIN_BYTES};
+use crate::units::{draw_jitter, web_unit, UnitPlayer, WEB_UNIT_NAMES};
 
 /// Distillation level.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -71,184 +66,31 @@ impl WebFidelity {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Phase {
-    Fetch,
-    ProxyRelay,
-    Render,
-    Paint,
-    Think,
-}
-
-/// The Netscape + proxy workload: views a sequence of images.
-pub struct WebBrowser {
-    images: Vec<WebImage>,
-    ladder: Vec<WebFidelity>,
-    level: usize,
+/// The Netscape + proxy workload pinned to `fidelity` (Figures 13 and
+/// 14): views each of `images` in turn, thinking `think` after each.
+pub fn browser(
+    images: &[WebImage],
+    fidelity: WebFidelity,
     think: SimDuration,
-    idx: usize,
-    phase: Phase,
-    jitter: f64,
-    received_bytes: u64,
-}
-
-impl std::fmt::Debug for WebBrowser {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WebBrowser").finish_non_exhaustive()
-    }
-}
-
-impl WebBrowser {
-    /// A browser pinned to one fidelity, for Figure 13.
-    pub fn fixed(images: Vec<WebImage>, fidelity: WebFidelity, rng: &mut SimRng) -> Self {
-        Self::build(images, vec![fidelity], 0, rng)
-    }
-
-    /// An adaptive browser starting at full fidelity.
-    pub fn adaptive(images: Vec<WebImage>, rng: &mut SimRng) -> Self {
-        let ladder = WebFidelity::ladder();
-        let top = ladder.len() - 1;
-        Self::build(images, ladder, top, rng)
-    }
-
-    /// Overrides the default 5-second think time (Figure 14).
-    pub fn with_think_time(mut self, think: SimDuration) -> Self {
-        self.think = think;
-        self
-    }
-
-    fn build(
-        images: Vec<WebImage>,
-        ladder: Vec<WebFidelity>,
-        level: usize,
-        rng: &mut SimRng,
-    ) -> Self {
-        WebBrowser {
-            images,
-            ladder,
-            level,
-            think: SimDuration::from_secs_f64(DEFAULT_THINK_S),
-            idx: 0,
-            phase: Phase::Fetch,
-            jitter: 1.0 + rng.uniform(-TRIAL_JITTER, TRIAL_JITTER),
-            received_bytes: 0,
-        }
-    }
-
-    fn fidelity_point(&self) -> WebFidelity {
-        self.ladder[self.level]
-    }
-
-    fn image(&self) -> &WebImage {
-        &self.images[self.idx]
-    }
-}
-
-impl Workload for WebBrowser {
-    fn name(&self) -> &'static str {
-        "netscape"
-    }
-
-    fn names(&self) -> Vec<&'static str> {
-        crate::units::WEB_UNIT_NAMES.to_vec()
-    }
-
-    fn display_need(&self) -> DisplayState {
-        DisplayState::Bright
-    }
-
-    fn poll(&mut self, now: SimTime) -> Step {
-        if self.idx >= self.images.len() {
-            return Step::Done;
-        }
-        match self.phase {
-            Phase::Fetch => {
-                let image = *self.image();
-                let bytes = self.fidelity_point().transcoded_bytes(&image);
-                self.received_bytes = bytes;
-                // The distillation server transcodes the original — unless
-                // transcoding would not shrink it (tiny images bypass).
-                let distill = if bytes >= image.bytes {
-                    0.0
-                } else {
-                    image.bytes as f64 * WEB_SERVER_S_PER_BYTE
-                };
-                self.phase = Phase::ProxyRelay;
-                Step::Run(Activity::Rpc {
-                    spec: RpcSpec {
-                        request_bytes: 800,
-                        reply_bytes: bytes,
-                        server_time: SimDuration::from_secs_f64(WEB_SERVER_FIXED_S + distill),
-                    },
-                    procedure: "http_get",
-                })
-            }
-            Phase::ProxyRelay => {
-                // The client-side proxy unpacks and hands the reply to
-                // Netscape; the paper's profiles show it as its own
-                // process.
-                self.phase = Phase::Render;
-                Step::Run(Activity::CpuAs {
-                    bucket: "proxy",
-                    duration: SimDuration::from_secs_f64(
-                        0.01 + self.received_bytes as f64 * 0.08e-6,
-                    ),
-                    intensity: intensity::WEB_RENDER,
-                    procedure: "relay_reply",
-                })
-            }
-            Phase::Render => {
-                self.phase = Phase::Paint;
-                Step::Run(Activity::Cpu {
-                    duration: SimDuration::from_secs_f64(
-                        self.received_bytes as f64 * WEB_RENDER_S_PER_BYTE * self.jitter,
-                    ),
-                    intensity: intensity::WEB_RENDER,
-                    procedure: "render_image",
-                })
-            }
-            Phase::Paint => {
-                self.phase = Phase::Think;
-                Step::Run(Activity::XRender {
-                    cost: SimDuration::from_secs_f64(WEB_X_RENDER_S * self.jitter),
-                })
-            }
-            Phase::Think => {
-                self.phase = Phase::Fetch;
-                self.idx += 1;
-                if self.think.is_zero() {
-                    return self.poll(now);
-                }
-                Step::Run(Activity::Wait {
-                    until: now + self.think,
-                })
-            }
-        }
-    }
-
-    fn fidelity(&self) -> FidelityView {
-        FidelityView::new(self.level, self.ladder.len())
-    }
-
-    fn on_upcall(&mut self, dir: AdaptDirection, _now: SimTime) -> bool {
-        match dir {
-            AdaptDirection::Degrade if self.level > 0 => {
-                self.level -= 1;
-                true
-            }
-            AdaptDirection::Upgrade if self.level + 1 < self.ladder.len() => {
-                self.level += 1;
-                true
-            }
-            _ => false,
-        }
-    }
+    rng: &mut SimRng,
+) -> UnitPlayer {
+    let jitter = draw_jitter(rng);
+    let steps = images
+        .iter()
+        .flat_map(|image| web_unit(image, fidelity, jitter, think))
+        .collect();
+    UnitPlayer::new(
+        "netscape",
+        WEB_UNIT_NAMES.to_vec(),
+        DisplayState::Bright,
+        steps,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::datasets::WEB_IMAGES;
+    use crate::datasets::{DEFAULT_THINK_S, WEB_IMAGES};
     use machine::{Machine, MachineConfig};
     use simcore::Joules;
 
@@ -260,7 +102,8 @@ mod tests {
             MachineConfig::baseline()
         };
         let mut m = Machine::new(cfg);
-        m.add_process(Box::new(WebBrowser::fixed(vec![image], fidelity, &mut rng)));
+        let think = SimDuration::from_secs_f64(DEFAULT_THINK_S);
+        m.add_process(Box::new(browser(&[image], fidelity, think, &mut rng)));
         m.run()
     }
 

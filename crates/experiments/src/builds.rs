@@ -8,10 +8,8 @@
 
 use machine::{Machine, MachineConfig};
 use odyssey_apps::datasets::{MapObject, Utterance, VideoClip, WebImage};
-use odyssey_apps::{
-    MapFidelity, MapViewer, SpeechApp, SpeechStrategy, VideoPlayer, VideoVariant, WebBrowser,
-    WebFidelity,
-};
+use odyssey_apps::{map, speech, web};
+use odyssey_apps::{MapFidelity, SpeechStrategy, VideoPlayer, VideoVariant, WebFidelity};
 use simcore::{SimDuration, SimRng};
 
 /// An empty machine: hardware power management on when `pm`, else the
@@ -47,8 +45,8 @@ pub fn speech(
     rng: &mut SimRng,
 ) -> Machine {
     let mut m = machine(pm);
-    m.add_process(Box::new(SpeechApp::fixed(
-        vec![utterance],
+    m.add_process(Box::new(speech::recognizer(
+        &[utterance],
         strategy,
         reduced,
         rng,
@@ -59,17 +57,15 @@ pub fn speech(
 /// The map viewer on `map` at `fidelity`, thinking `think_s` seconds
 /// after each map.
 pub fn map(
-    map: MapObject,
+    object: MapObject,
     fidelity: MapFidelity,
     pm: bool,
     think_s: f64,
     rng: &mut SimRng,
 ) -> Machine {
     let mut m = machine(pm);
-    m.add_process(Box::new(
-        MapViewer::fixed(vec![map], fidelity, rng)
-            .with_think_time(SimDuration::from_secs_f64(think_s)),
-    ));
+    let think = SimDuration::from_secs_f64(think_s);
+    m.add_process(Box::new(map::viewer(&[object], fidelity, think, rng)));
     m
 }
 
@@ -83,10 +79,8 @@ pub fn web(
     rng: &mut SimRng,
 ) -> Machine {
     let mut m = machine(pm);
-    m.add_process(Box::new(
-        WebBrowser::fixed(images, fidelity, rng)
-            .with_think_time(SimDuration::from_secs_f64(think_s)),
-    ));
+    let think = SimDuration::from_secs_f64(think_s);
+    m.add_process(Box::new(web::browser(&images, fidelity, think, rng)));
     m
 }
 

@@ -91,7 +91,7 @@ fn build(seed: u64, ckpt_every_s: u64) -> Result<Session, ServeError> {
     );
     let cfg = SessionConfig {
         checkpoint_every: SimDuration::from_secs(ckpt_every_s),
-        ..SessionConfig::standard(rig.horizon)
+        horizon: rig.horizon,
     };
     Session::serve(rig.machine, Some(rig.goal), rig.supervisor, trace, cfg)
 }

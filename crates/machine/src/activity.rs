@@ -224,6 +224,17 @@ impl FidelityView {
     pub fn is_full(&self) -> bool {
         self.level + 1 == self.levels
     }
+
+    /// Moves one level in `dir`, as a workload answers an upcall.
+    /// Returns `true` if the level changed; at either end it stays put.
+    pub fn step(&mut self, dir: AdaptDirection) -> bool {
+        match dir {
+            AdaptDirection::Degrade if self.can_degrade() => self.level -= 1,
+            AdaptDirection::Upgrade if self.can_upgrade() => self.level += 1,
+            _ => return false,
+        }
+        true
+    }
 }
 
 #[cfg(test)]
@@ -250,6 +261,19 @@ mod tests {
         assert!(!v.can_upgrade() && v.can_degrade() && v.is_full());
         let fixed = FidelityView::fixed();
         assert!(!fixed.can_upgrade() && !fixed.can_degrade() && fixed.is_full());
+        // A step moves one level and stops at either end.
+        let mut v = FidelityView::new(1, 3);
+        assert!(v.step(AdaptDirection::Degrade));
+        assert_eq!(v, FidelityView::new(0, 3));
+        assert!(!v.step(AdaptDirection::Degrade));
+        assert_eq!(v.level, 0);
+        assert!(v.step(AdaptDirection::Upgrade) && v.step(AdaptDirection::Upgrade));
+        assert!(v.is_full());
+        assert!(!v.step(AdaptDirection::Upgrade));
+        assert_eq!(v.level, 2);
+        let mut fixed = FidelityView::fixed();
+        assert!(!fixed.step(AdaptDirection::Degrade) && !fixed.step(AdaptDirection::Upgrade));
+        assert_eq!(fixed, FidelityView::fixed());
     }
 
     #[test]

@@ -28,35 +28,16 @@ use crate::symbols::{SymbolTable, UNKNOWN_PROCEDURE};
 use crate::SUPPLY_VOLTS;
 use simcore::Joules;
 
-/// Options for the correlation stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CorrelateOptions {
-    /// Cap on a single sample's quantum. When the multimeter drops
-    /// triggers, the surviving sample before a gap would otherwise absorb
-    /// the whole gap's energy and time, grossly over-attributing to
-    /// whatever happened to be running at that instant. With a cap, a
-    /// quantum longer than `max_quantum` is truncated: the profile then
-    /// covers only metered time, and `duration_s` shrinks by the
-    /// uncovered gaps instead of lying about attribution.
-    pub max_quantum: Option<simcore::SimDuration>,
-}
-
 /// Correlates a collected run into an energy profile.
 ///
 /// Samples must be in time order (as the multimeter produced them). The
 /// final sample's quantum extends to the trace end. PCs with no covering
 /// symbol resolve to [`UNKNOWN_PROCEDURE`].
 pub fn correlate(run: &CollectedRun) -> EnergyProfile {
-    correlate_with(run, CorrelateOptions::default())
-}
-
-/// [`correlate`] with explicit [`CorrelateOptions`] — used when the trace
-/// came from a faulty meter and may contain sampling gaps.
-pub fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfile {
     // One `(cpu_secs, energy)` sum per procedure id, `None` until a
     // sample lands on it: a procedure no sample resolved to gets no row.
     let mut by_proc: ByProcess<'_, Vec<Option<(f64, Joules)>>> = ByProcess::new(run);
-    let duration = for_each_quantum(run, opts, |s, dt, energy| {
+    let duration = for_each_quantum(run, |s, dt, energy| {
         let (symbols, sums) = by_proc.slot(s.process, |symbols| vec![None; symbols.names.len()]);
         let sum = sums[symbols.id(s.pc())].get_or_insert((0.0, Joules::ZERO));
         sum.0 += dt;
@@ -113,13 +94,8 @@ pub fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfi
 /// one process sum to that process's total. Rows come out in
 /// lexicographic path order (parents immediately before their subtrees).
 pub fn correlate_paths(run: &CollectedRun) -> PathProfile {
-    correlate_paths_with(run, CorrelateOptions::default())
-}
-
-/// [`correlate_paths`] with explicit [`CorrelateOptions`].
-pub fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathProfile {
     let mut by_proc: ByProcess<'_, PathBook> = ByProcess::new(run);
-    let duration = for_each_quantum(run, opts, |s, dt, energy| {
+    let duration = for_each_quantum(run, |s, dt, energy| {
         let (symbols, book) = by_proc.slot(s.process, |_| PathBook::default());
         // A degenerate empty stack still has to keep the books balanced:
         // its quantum goes to the unknown procedure (id 0, which the
@@ -183,15 +159,10 @@ pub fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathP
 }
 
 /// Calls `f(sample, dt, energy)` for every sample in order, each quantum
-/// running to the next sample (the last to the trace end) and capped at
-/// `opts.max_quantum`, and returns the summed duration.
-fn for_each_quantum(
-    run: &CollectedRun,
-    opts: CorrelateOptions,
-    mut f: impl FnMut(&Sample, f64, Joules),
-) -> f64 {
+/// running to the next sample (the last to the trace end), and returns
+/// the summed duration.
+fn for_each_quantum(run: &CollectedRun, mut f: impl FnMut(&Sample, f64, Joules)) -> f64 {
     let trace = &run.trace;
-    let cap_secs = opts.max_quantum.map(|q| q.as_secs_f64());
     let mut duration = 0.0;
     for (i, s) in trace.samples.iter().enumerate() {
         let next_at = trace
@@ -199,10 +170,7 @@ fn for_each_quantum(
             .get(i + 1)
             .map(|n| n.at)
             .unwrap_or(trace.end.max(s.at));
-        let mut dt = next_at.since(s.at).as_secs_f64();
-        if let Some(cap) = cap_secs {
-            dt = dt.min(cap);
-        }
+        let dt = next_at.since(s.at).as_secs_f64();
         let energy = Joules(s.current_a * SUPPLY_VOLTS * dt);
         duration += dt;
         f(s, dt, energy);
@@ -567,23 +535,5 @@ mod tests {
             assert!(header.contains(field), "missing {field} in {header}");
         }
         assert!(text.contains("a/b"), "{text}");
-    }
-
-    #[test]
-    fn max_quantum_caps_gap_attribution() {
-        // A 2 s sampling gap after the first sample: uncapped, process
-        // "a" absorbs all 2 s; capped at 100 ms, it absorbs only the
-        // metered window and the profile duration shrinks by the gap.
-        let run = run_with(vec![(0, 1.0, "a", "f"), (2000, 1.0, "b", "g")], 2100);
-        let uncapped = correlate(&run);
-        assert!((uncapped.process_energy_j("a") - Joules(12.0 * 2.0)).abs() < Joules(1e-9));
-        let capped = correlate_with(
-            &run,
-            CorrelateOptions {
-                max_quantum: Some(simcore::SimDuration::from_millis(100)),
-            },
-        );
-        assert!((capped.process_energy_j("a") - Joules(12.0 * 0.1)).abs() < Joules(1e-9));
-        assert!((capped.duration_s - 0.2).abs() < 1e-9);
     }
 }

@@ -27,9 +27,7 @@ pub mod sample;
 pub mod symbols;
 
 pub use attribution::AttributionFeed;
-pub use correlate::{
-    correlate, correlate_paths, correlate_paths_with, correlate_with, CorrelateOptions,
-};
+pub use correlate::{correlate, correlate_paths};
 pub use faults::{FaultyEnergySensor, MeterFaultPlan};
 pub use multimeter::{FrameResolver, PowerScope};
 pub use online::OnlinePowerMeter;

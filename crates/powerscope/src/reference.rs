@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 use machine::IntervalRecord;
 use simcore::{Joules, SimDuration, SimRng, SimTime};
 
-use crate::correlate::CorrelateOptions;
 use crate::multimeter::FrameResolver;
 use crate::profile::{EnergyProfile, PathProfile, PathRow, ProcedureRow, ProcessPaths, ProcessRow};
 use crate::sample::{CallStack, CollectedRun, Sample};
@@ -66,7 +65,7 @@ fn collect(
 }
 
 /// The quantum of sample `i`: `(dt, energy)`.
-fn quantum(run: &CollectedRun, i: usize, cap_secs: Option<f64>) -> (f64, Joules) {
+fn quantum(run: &CollectedRun, i: usize) -> (f64, Joules) {
     let trace = &run.trace;
     let s = &trace.samples[i];
     let next_at = trace
@@ -74,21 +73,17 @@ fn quantum(run: &CollectedRun, i: usize, cap_secs: Option<f64>) -> (f64, Joules)
         .get(i + 1)
         .map(|n| n.at)
         .unwrap_or(trace.end.max(s.at));
-    let mut dt = next_at.since(s.at).as_secs_f64();
-    if let Some(cap) = cap_secs {
-        dt = dt.min(cap);
-    }
+    let dt = next_at.since(s.at).as_secs_f64();
     (dt, Joules(s.current_a * SUPPLY_VOLTS * dt))
 }
 
 /// The flat stage, keyed by process and procedure name per sample.
-fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfile {
-    let cap_secs = opts.max_quantum.map(|q| q.as_secs_f64());
+fn model_correlate(run: &CollectedRun) -> EnergyProfile {
     let mut by_proc: BTreeMap<&'static str, BTreeMap<&'static str, (f64, Joules)>> =
         BTreeMap::new();
     let mut duration = 0.0;
     for (i, s) in run.trace.samples.iter().enumerate() {
-        let (dt, energy) = quantum(run, i, cap_secs);
+        let (dt, energy) = quantum(run, i);
         duration += dt;
         let procedure = run
             .symbols
@@ -139,7 +134,7 @@ fn correlate_with(run: &CollectedRun, opts: CorrelateOptions) -> EnergyProfile {
 }
 
 /// The path stage, building every frame's path string per sample.
-fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathProfile {
+fn model_correlate_paths(run: &CollectedRun) -> PathProfile {
     #[derive(Clone, Copy, Default)]
     struct Node {
         samples: u64,
@@ -148,11 +143,10 @@ fn correlate_paths_with(run: &CollectedRun, opts: CorrelateOptions) -> PathProfi
         inclusive_time_s: f64,
         inclusive_energy_j: Joules,
     }
-    let cap_secs = opts.max_quantum.map(|q| q.as_secs_f64());
     let mut by_proc: BTreeMap<&'static str, BTreeMap<String, Node>> = BTreeMap::new();
     let mut duration = 0.0;
     for (i, s) in run.trace.samples.iter().enumerate() {
-        let (dt, energy) = quantum(run, i, cap_secs);
+        let (dt, energy) = quantum(run, i);
         duration += dt;
         let table = run.symbols.get(s.process);
         let nodes = by_proc.entry(s.process).or_default();
@@ -214,7 +208,7 @@ mod tests {
     use super::*;
     use crate::sample::MAX_STACK_DEPTH;
     use crate::symbols::SymbolTable;
-    use crate::{correlate, PowerScope};
+    use crate::{correlate, correlate_paths, PowerScope};
     use hw560x::platform::PowerBreakdown;
     use hw560x::DeviceStates;
     use machine::ShareEntry;
@@ -345,12 +339,6 @@ mod tests {
 
     #[test]
     fn pipeline_matches_the_string_keyed_model() {
-        let caps = [
-            None,
-            Some(SimDuration::from_micros(1_000)),
-            Some(SimDuration::from_micros(2_500)),
-            Some(SimDuration::from_millis(40)),
-        ];
         let mut deepest = 0;
         for case in 0..48u64 {
             let mut rng = SimRng::new(case).fork("reference");
@@ -374,18 +362,16 @@ mod tests {
                     .unwrap_or(0),
             );
             for (v, run) in variants(&got, &mut rng).iter().enumerate() {
-                for opts in caps.map(|max_quantum| CorrelateOptions { max_quantum }) {
-                    assert_eq!(
-                        format!("{:?}", correlate::correlate_with(run, opts)),
-                        format!("{:?}", correlate_with(run, opts)),
-                        "case {case} variant {v} {opts:?}: flat profile"
-                    );
-                    assert_eq!(
-                        format!("{:?}", correlate::correlate_paths_with(run, opts)),
-                        format!("{:?}", correlate_paths_with(run, opts)),
-                        "case {case} variant {v} {opts:?}: path profile"
-                    );
-                }
+                assert_eq!(
+                    format!("{:?}", correlate(run)),
+                    format!("{:?}", model_correlate(run)),
+                    "case {case} variant {v}: flat profile"
+                );
+                assert_eq!(
+                    format!("{:?}", correlate_paths(run)),
+                    format!("{:?}", model_correlate_paths(run)),
+                    "case {case} variant {v}: path profile"
+                );
             }
         }
         assert_eq!(deepest, MAX_STACK_DEPTH, "no stream overflowed a stack");

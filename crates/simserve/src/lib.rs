@@ -114,14 +114,6 @@ pub struct SessionConfig {
 }
 
 impl SessionConfig {
-    /// Serving defaults: 30 s checkpoints.
-    pub fn standard(horizon: SimTime) -> SessionConfig {
-        SessionConfig {
-            checkpoint_every: SimDuration::from_secs(30),
-            horizon,
-        }
-    }
-
     fn validate(&self) -> Result<(), ServeError> {
         if self.checkpoint_every.is_zero() {
             return Err(ServeError::InvalidConfig("checkpoint_every is zero"));

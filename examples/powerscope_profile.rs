@@ -7,11 +7,11 @@
 //!
 //! Run with: `cargo run --release --example powerscope_profile`
 
-use energy_adaptation::apps::datasets::{UTTERANCES, WEB_IMAGES};
-use energy_adaptation::apps::{SpeechApp, SpeechStrategy, WebBrowser, WebFidelity};
+use energy_adaptation::apps::datasets::{DEFAULT_THINK_S, UTTERANCES, WEB_IMAGES};
+use energy_adaptation::apps::{speech, web, SpeechStrategy, WebFidelity};
 use energy_adaptation::machine::{Machine, MachineConfig};
 use energy_adaptation::powerscope::{correlate, PowerScope};
-use energy_adaptation::simcore::SimRng;
+use energy_adaptation::simcore::{SimDuration, SimRng};
 
 fn main() {
     let mut rng = SimRng::new(99);
@@ -19,15 +19,16 @@ fn main() {
 
     let mut machine = Machine::new(MachineConfig::baseline());
     machine.add_observer(observer);
-    machine.add_process(Box::new(SpeechApp::fixed(
-        UTTERANCES.to_vec(),
+    machine.add_process(Box::new(speech::recognizer(
+        &UTTERANCES,
         SpeechStrategy::Local,
         false,
         &mut rng,
     )));
-    machine.add_process(Box::new(WebBrowser::fixed(
-        WEB_IMAGES.to_vec(),
+    machine.add_process(Box::new(web::browser(
+        &WEB_IMAGES,
         WebFidelity::Full,
+        SimDuration::from_secs_f64(DEFAULT_THINK_S),
         &mut rng,
     )));
     let report = machine.run();

@@ -7,19 +7,20 @@
 //!
 //! Run with: `cargo run --release --example zoned_display`
 
-use energy_adaptation::apps::datasets::MAPS;
-use energy_adaptation::apps::map::{MapFilter, MapViewer};
+use energy_adaptation::apps::datasets::{DEFAULT_THINK_S, MAPS};
+use energy_adaptation::apps::map::{self, MapFilter};
 use energy_adaptation::apps::MapFidelity;
 use energy_adaptation::backlight::{project_report, ZoneGrid, MAP_FULL_WINDOW, MAP_LOWEST_WINDOW};
 use energy_adaptation::machine::{Machine, MachineConfig, RunReport};
-use energy_adaptation::simcore::SimRng;
+use energy_adaptation::simcore::{SimDuration, SimRng};
 
 fn view(fidelity: MapFidelity, seed: u64) -> RunReport {
     let mut rng = SimRng::new(seed);
     let mut machine = Machine::new(MachineConfig::default());
-    machine.add_process(Box::new(MapViewer::fixed(
-        MAPS.to_vec(),
+    machine.add_process(Box::new(map::viewer(
+        &MAPS,
         fidelity,
+        SimDuration::from_secs_f64(DEFAULT_THINK_S),
         &mut rng,
     )));
     machine.run()

@@ -9,7 +9,7 @@
 
 use std::path::Path;
 
-use experiments::{fig13, fig14, Trials, FIGURES};
+use experiments::{fig10, fig11, fig13, fig14, fig8, Trials, FIGURES};
 use simcore::SnapshotHasher;
 
 /// The application figures and the headline built on them.
@@ -68,5 +68,33 @@ fn web_figure_trial_statistics_match_their_pinned_digest() {
         h.finish(),
         0x6b9c_c0a2_5b42_2c7b,
         "fig13/fig14 trial statistics moved; a pure refactor must not move them"
+    );
+}
+
+/// The speech and map figures render to 0.1 J, so a one-ulp move in a
+/// step's duration would not show in them. This pins the mean and sd
+/// bits of every fig8 and fig10 bar and every fig11 think-time point.
+#[test]
+fn speech_and_map_trial_statistics_match_their_pinned_digest() {
+    let trials = Trials::quick();
+    let mut h = SnapshotHasher::new();
+    for bar in fig8::run(&trials)
+        .bars
+        .iter()
+        .chain(&fig10::run(&trials).bars)
+    {
+        h.write_f64(bar.stats.mean);
+        h.write_f64(bar.stats.sd);
+    }
+    for sweep in fig11::run(&trials) {
+        for (_, stats) in &sweep.points {
+            h.write_f64(stats.mean);
+            h.write_f64(stats.sd);
+        }
+    }
+    assert_eq!(
+        h.finish(),
+        0x4063_981a_87c5_4a52,
+        "fig8/fig10/fig11 trial statistics moved; a pure refactor must not move them"
     );
 }

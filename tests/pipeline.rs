@@ -4,9 +4,11 @@
 //! powerscope + odyssey together — the way a downstream user would.
 
 use energy_adaptation::apps::composite::{composite_members, CompositeMode};
-use energy_adaptation::apps::datasets::{VideoClip, MAPS, UTTERANCES, VIDEO_CLIPS};
-use energy_adaptation::apps::map::MapViewer;
-use energy_adaptation::apps::{MapFidelity, SpeechApp, SpeechStrategy, VideoPlayer, VideoVariant};
+use energy_adaptation::apps::datasets::{
+    VideoClip, DEFAULT_THINK_S, MAPS, UTTERANCES, VIDEO_CLIPS,
+};
+use energy_adaptation::apps::{map, speech};
+use energy_adaptation::apps::{MapFidelity, SpeechStrategy, VideoPlayer, VideoVariant};
 use energy_adaptation::hw560x::EnergySource;
 use energy_adaptation::machine::{Machine, MachineConfig};
 use energy_adaptation::odyssey::{GoalConfig, GoalController, PriorityTable};
@@ -54,8 +56,8 @@ fn runs_are_deterministic() {
     let run = || {
         let mut rng = SimRng::new(77);
         let mut m = Machine::new(MachineConfig::default());
-        m.add_process(Box::new(SpeechApp::fixed(
-            UTTERANCES.to_vec(),
+        m.add_process(Box::new(speech::recognizer(
+            &UTTERANCES,
             SpeechStrategy::Hybrid,
             false,
             &mut rng,
@@ -110,7 +112,8 @@ fn regimes_order_for_every_app() {
             MapFidelity::full()
         };
         let mut m = Machine::new(cfg);
-        m.add_process(Box::new(MapViewer::fixed(vec![MAPS[0]], fid, rng)));
+        let think = SimDuration::from_secs_f64(DEFAULT_THINK_S);
+        m.add_process(Box::new(map::viewer(&[MAPS[0]], fid, think, rng)));
         m
     });
     for (name, e) in [("video", video), ("map", map)] {
@@ -177,8 +180,8 @@ fn concurrency_accounting_balances() {
                 )));
             }
             _ => {
-                m.add_process(Box::new(SpeechApp::fixed(
-                    vec![UTTERANCES[2]],
+                m.add_process(Box::new(speech::recognizer(
+                    &[UTTERANCES[2]],
                     SpeechStrategy::Local,
                     false,
                     &mut rng,
@@ -195,8 +198,8 @@ fn concurrency_accounting_balances() {
             VideoVariant::Full,
             &mut rng,
         )));
-        m.add_process(Box::new(SpeechApp::fixed(
-            vec![UTTERANCES[2]],
+        m.add_process(Box::new(speech::recognizer(
+            &[UTTERANCES[2]],
             SpeechStrategy::Local,
             false,
             &mut rng,
