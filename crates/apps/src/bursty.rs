@@ -98,9 +98,9 @@ impl BurstyMember {
         let jitter = draw_jitter(&mut stream);
         let levels = match role {
             BurstyRole::Speech => 2,
-            BurstyRole::Video => VideoVariant::ladder().len(),
-            BurstyRole::Map => MapFidelity::ladder().len(),
-            BurstyRole::Web => WebFidelity::ladder().len(),
+            BurstyRole::Video => VideoVariant::LADDER.len(),
+            BurstyRole::Map => MapFidelity::LADDER.len(),
+            BurstyRole::Web => WebFidelity::LADDER.len(),
         };
         BurstyMember {
             role,
@@ -137,7 +137,7 @@ impl BurstyMember {
                 video_unit(
                     clip.bitrate_bps,
                     clip.premiere_c_ratio,
-                    VideoVariant::ladder()[level],
+                    VideoVariant::LADDER[level],
                     self.jitter,
                     SLOT.as_secs_f64(),
                 )
@@ -149,7 +149,7 @@ impl BurstyMember {
                     self.item_idx += 1;
                     all.extend(map_unit(
                         &map,
-                        MapFidelity::ladder()[level],
+                        MapFidelity::LADDER[level],
                         self.jitter,
                         think,
                     ));
@@ -163,7 +163,7 @@ impl BurstyMember {
                     self.item_idx += 1;
                     all.extend(web_unit(
                         &img,
-                        WebFidelity::ladder()[level],
+                        WebFidelity::LADDER[level],
                         self.jitter,
                         think,
                     ));

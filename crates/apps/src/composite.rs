@@ -132,8 +132,8 @@ impl CompositeMember {
     ) -> Self {
         let levels = match role {
             CompositeRole::Speech => 2,
-            CompositeRole::Web => WebFidelity::ladder().len(),
-            CompositeRole::Map => MapFidelity::ladder().len(),
+            CompositeRole::Web => WebFidelity::LADDER.len(),
+            CompositeRole::Map => MapFidelity::LADDER.len(),
         };
         CompositeMember {
             role,
@@ -177,13 +177,13 @@ impl CompositeMember {
             CompositeRole::Web => {
                 let img = self.images[self.item_idx % self.images.len()];
                 self.item_idx += 1;
-                let fid = WebFidelity::ladder()[level];
+                let fid = WebFidelity::LADDER[level];
                 web_unit(&img, fid, self.jitter, self.think)
             }
             CompositeRole::Map => {
                 let map = self.maps[self.item_idx % self.maps.len()];
                 self.item_idx += 1;
-                let fid = MapFidelity::ladder()[level];
+                let fid = MapFidelity::LADDER[level];
                 map_unit(&map, fid, self.jitter, self.think)
             }
         };
@@ -410,7 +410,7 @@ mod tests {
         let mut w = simcore::SnapshotWriter::new();
         w.put(&VecDeque::<UnitStep>::new());
         w.put(&false);
-        w.put(&MapFidelity::ladder().len());
+        w.put(&MapFidelity::LADDER.len());
         w.put(&0usize);
         let sealed = w.seal();
         let mut r = simcore::SnapshotReader::open(&sealed).unwrap();

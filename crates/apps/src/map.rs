@@ -37,7 +37,7 @@ pub struct MapFidelity {
 
 impl MapFidelity {
     /// Full fidelity: no filter, no crop.
-    pub fn full() -> Self {
+    pub const fn full() -> Self {
         MapFidelity {
             filter: MapFilter::None,
             cropped: false,
@@ -69,23 +69,21 @@ impl MapFidelity {
     }
 
     /// The adaptation ladder for goal-directed experiments, lowest first.
-    pub fn ladder() -> Vec<MapFidelity> {
-        vec![
-            MapFidelity {
-                filter: MapFilter::Secondary,
-                cropped: true,
-            },
-            MapFidelity {
-                filter: MapFilter::Secondary,
-                cropped: false,
-            },
-            MapFidelity {
-                filter: MapFilter::Minor,
-                cropped: false,
-            },
-            MapFidelity::full(),
-        ]
-    }
+    pub const LADDER: [MapFidelity; 4] = [
+        MapFidelity {
+            filter: MapFilter::Secondary,
+            cropped: true,
+        },
+        MapFidelity {
+            filter: MapFilter::Secondary,
+            cropped: false,
+        },
+        MapFidelity {
+            filter: MapFilter::Minor,
+            cropped: false,
+        },
+        MapFidelity::full(),
+    ];
 }
 
 /// The Anvil workload pinned to `fidelity` (Figures 10 and 11): views
@@ -166,7 +164,7 @@ mod tests {
 
     #[test]
     fn combined_filter_and_crop_is_cheapest() {
-        let rows: Vec<Joules> = MapFidelity::ladder()
+        let rows: Vec<Joules> = MapFidelity::LADDER
             .into_iter()
             .rev()
             .map(|f| view(f, true, 5.0).total_j)

@@ -70,14 +70,12 @@ impl VideoVariant {
 
     /// The adaptation ladder used for goal-directed experiments, lowest
     /// fidelity first.
-    pub fn ladder() -> Vec<VideoVariant> {
-        vec![
-            VideoVariant::Combined,
-            VideoVariant::PremiereC,
-            VideoVariant::PremiereB,
-            VideoVariant::Full,
-        ]
-    }
+    pub const LADDER: [VideoVariant; 4] = [
+        VideoVariant::Combined,
+        VideoVariant::PremiereC,
+        VideoVariant::PremiereB,
+        VideoVariant::Full,
+    ];
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -139,9 +137,8 @@ impl VideoPlayer {
     /// An adaptive player starting at full fidelity with the standard
     /// four-level ladder.
     pub fn adaptive(clip: VideoClip, rng: &mut SimRng) -> Self {
-        let ladder = VideoVariant::ladder();
-        let top = ladder.len() - 1;
-        Self::build(clip, ladder, top, rng)
+        let top = VideoVariant::LADDER.len() - 1;
+        Self::build(clip, VideoVariant::LADDER.to_vec(), top, rng)
     }
 
     /// Loops the clip until `horizon` instead of stopping at its end.
@@ -435,7 +432,7 @@ mod tests {
         let mut rng = SimRng::new(2);
         let mut p = VideoPlayer::adaptive(short_clip(), &mut rng);
         let mut w = SnapshotWriter::new();
-        w.put(&VideoVariant::ladder().len());
+        w.put(&VideoVariant::LADDER.len());
         w.put(&Phase::Fetch);
         w.put(&0u64);
         w.put(&SimTime::ZERO);

@@ -55,15 +55,13 @@ impl WebFidelity {
     }
 
     /// The adaptation ladder for goal-directed experiments, lowest first.
-    pub fn ladder() -> Vec<WebFidelity> {
-        vec![
-            WebFidelity::Jpeg5,
-            WebFidelity::Jpeg25,
-            WebFidelity::Jpeg50,
-            WebFidelity::Jpeg75,
-            WebFidelity::Full,
-        ]
-    }
+    pub const LADDER: [WebFidelity; 5] = [
+        WebFidelity::Jpeg5,
+        WebFidelity::Jpeg25,
+        WebFidelity::Jpeg50,
+        WebFidelity::Jpeg75,
+        WebFidelity::Full,
+    ];
 }
 
 /// The Netscape + proxy workload pinned to `fidelity` (Figures 13 and
@@ -159,7 +157,7 @@ mod tests {
 
     #[test]
     fn ladder_is_monotone_in_energy() {
-        let rows: Vec<Joules> = WebFidelity::ladder()
+        let rows: Vec<Joules> = WebFidelity::LADDER
             .into_iter()
             .rev()
             .map(|f| browse(WEB_IMAGES[0], f, true).total_j)

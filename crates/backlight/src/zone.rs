@@ -79,27 +79,6 @@ impl ZoneGrid {
         cols.min(self.cols) * rows.min(self.rows)
     }
 
-    /// Zones lit by a window at an arbitrary position `(x, y)` (top-left
-    /// corner, normalized): no snap-to. Used to quantify what the snap-to
-    /// feature buys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window extends past the screen.
-    pub fn zones_at(&self, w: WindowRect, x: f64, y: f64) -> u32 {
-        assert!(
-            x >= 0.0 && y >= 0.0 && x + w.width <= 1.0 + 1e-9 && y + w.height <= 1.0 + 1e-9,
-            "window out of bounds"
-        );
-        let zw = 1.0 / self.cols as f64;
-        let zh = 1.0 / self.rows as f64;
-        let col0 = (x / zw).floor() as u32;
-        let col1 = ((x + w.width) / zw).ceil() as u32;
-        let row0 = (y / zh).floor() as u32;
-        let row1 = ((y + w.height) / zh).ceil() as u32;
-        (col1.min(self.cols) - col0) * (row1.min(self.rows) - row0)
-    }
-
     /// Fraction of display power drawn when `lit` zones are bright and the
     /// rest are dark ("the power used by each zone was proportional to its
     /// area").
@@ -153,8 +132,6 @@ mod tests {
     fn snap_to_beats_straddling() {
         let grid = ZoneGrid::four_zone();
         let w = WindowRect::new(0.4, 0.4);
-        // Centered, the window straddles all four zones.
-        assert_eq!(grid.zones_at(w, 0.3, 0.3), 4);
         // Snapped, it fits in one.
         assert_eq!(grid.zones_snapped(w), 1);
     }
@@ -177,14 +154,5 @@ mod tests {
     #[should_panic(expected = "invalid window rect")]
     fn bad_rect_rejected() {
         let _ = WindowRect::new(0.0, 0.5);
-    }
-
-    #[test]
-    fn zones_at_edge_cases() {
-        let grid = ZoneGrid::eight_zone();
-        // A window exactly covering one zone.
-        assert_eq!(grid.zones_at(WindowRect::new(0.25, 0.5), 0.25, 0.5), 1);
-        // Full screen at origin.
-        assert_eq!(grid.zones_at(WindowRect::full_screen(), 0.0, 0.0), 8);
     }
 }

@@ -16,11 +16,12 @@
 //!   removed, shifting every anchor.
 
 use hw560x::{DeviceStates, PlatformPower, PlatformSpec};
+use machine::FaultConfig;
 use odyssey::GoalConfig;
 use simcore::{Joules, SimDuration, SimRng, Watts};
 
 use crate::fig19::INITIAL_ENERGY_J;
-use crate::goalrig::{run_composite_goal_custom, GoalRun};
+use crate::goalrig::{build_composite_goal, finish, GoalRun};
 use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
@@ -123,10 +124,8 @@ pub fn run(trials: &Trials) -> Ablation {
     let once = Trials { n: 1, ..*trials };
     let rows = run_grid(&once, &variants, |(variant, label, cfg, reversed), _| {
         let mut rng = root.fork(label);
-        summarize(
-            variant,
-            &run_composite_goal_custom(cfg.clone(), *reversed, &mut rng),
-        )
+        let rig = build_composite_goal(cfg, *reversed, FaultConfig::clean(), &mut rng);
+        summarize(variant, &finish(rig, cfg.clone(), None))
     })
     .into_iter()
     .flatten()

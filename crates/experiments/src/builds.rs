@@ -92,17 +92,17 @@ mod tests {
     /// The ladder ends are the paper's lowest and full fidelities.
     #[test]
     fn ladder_ends_are_lowest_and_full_fidelity() {
-        let video = VideoVariant::ladder();
+        let video = VideoVariant::LADDER;
         assert_eq!(ladder_end(&video, true), VideoVariant::Combined);
         assert_eq!(ladder_end(&video, false), VideoVariant::Full);
-        let map = MapFidelity::ladder();
+        let map = MapFidelity::LADDER;
         let lowest_map = MapFidelity {
             filter: MapFilter::Secondary,
             cropped: true,
         };
         assert_eq!(ladder_end(&map, true), lowest_map);
         assert_eq!(ladder_end(&map, false), MapFidelity::full());
-        let web = WebFidelity::ladder();
+        let web = WebFidelity::LADDER;
         assert_eq!(ladder_end(&web, true), WebFidelity::Jpeg5);
         assert_eq!(ladder_end(&web, false), WebFidelity::Full);
     }

@@ -20,7 +20,7 @@ use odyssey::{GoalConfig, Hardening};
 use powerscope::MeterFaultPlan;
 use simcore::{Joules, SimDuration, SimRng, TrialStats};
 
-use crate::goalrig::{composite_horizon, run_composite_goal_faulted};
+use crate::goalrig::{build_composite_goal, composite_horizon, finish, GoalRig, GoalRun};
 use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 
@@ -118,28 +118,16 @@ pub fn run_sweep(
         .flat_map(|&intensity| [(intensity, false), (intensity, true)])
         .collect();
     let root = SimRng::new(trials.seed);
-    let goal = SimDuration::from_secs(goal_s);
     let runs = run_grid(trials, &specs, |&(intensity, hardened), i| {
-        // Workload and fault streams are keyed by intensity and
-        // trial only, so the naive and hardened controllers face
-        // the identical substrate — a paired comparison.
-        let label = format!("chaos/{intensity:.2}");
-        let mut rng = root.fork_indexed(&label, i as u64);
-        let fault_seed = root.fork_indexed(&label, i as u64).fork("faults").seed();
-        let mut faults = FaultConfig::hostile(fault_seed, intensity, composite_horizon(goal));
-        // The composite workload multiplexes several transfers
-        // over the shared link; a timeout sized for a lone RPC
-        // would fire on legitimately slow concurrent ones.
-        faults.rpc = Some(RpcPolicy {
-            timeout: SimDuration::from_secs(12),
-            ..RpcPolicy::standard()
-        });
-        let mut cfg = GoalConfig::paper(initial_energy_j.0, goal)
-            .with_meter_faults(MeterFaultPlan::degraded(fault_seed, intensity));
-        if hardened {
-            cfg = cfg.with_hardening(Hardening::standard());
-        }
-        run_composite_goal_faulted(cfg, faults, &mut rng)
+        let (rig, cfg) = build_cell(
+            &root,
+            intensity,
+            hardened,
+            i as u64,
+            goal_s,
+            initial_energy_j,
+        );
+        finish(rig, cfg, None)
     });
     let cells = specs
         .iter()
@@ -155,14 +143,43 @@ pub fn run_sweep(
     }
 }
 
-/// Reduces one (intensity, controller) cell from its paired trial runs
-/// (in trial order).
-fn reduce_cell(
+/// Builds one chaos cell: the Figure 20 composite rig on the hostile
+/// substrate at `intensity`, and the paper or hardened controller
+/// config to run it under.
+pub fn build_cell(
+    root: &SimRng,
     intensity: f64,
     hardened: bool,
+    trial: u64,
     goal_s: u64,
-    runs: &[crate::goalrig::GoalRun],
-) -> ChaosCell {
+    initial_energy_j: Joules,
+) -> (GoalRig, GoalConfig) {
+    // Workload and fault streams are keyed by intensity and trial only,
+    // so the naive and hardened controllers face the identical
+    // substrate — a paired comparison.
+    let label = format!("chaos/{intensity:.2}");
+    let mut rng = root.fork_indexed(&label, trial);
+    let fault_seed = rng.fork("faults").seed();
+    let goal = SimDuration::from_secs(goal_s);
+    let mut faults = FaultConfig::hostile(fault_seed, intensity, composite_horizon(goal));
+    // The composite workload multiplexes several transfers over the
+    // shared link; a timeout sized for a lone RPC would fire on
+    // legitimately slow concurrent ones.
+    faults.rpc = Some(RpcPolicy {
+        timeout: SimDuration::from_secs(12),
+    });
+    let mut cfg = GoalConfig::paper(initial_energy_j.0, goal)
+        .with_meter_faults(MeterFaultPlan::degraded(fault_seed, intensity));
+    if hardened {
+        cfg = cfg.with_hardening(Hardening::standard());
+    }
+    let rig = build_composite_goal(&cfg, false, faults, &mut rng);
+    (rig, cfg)
+}
+
+/// Reduces one (intensity, controller) cell from its paired trial runs
+/// (in trial order).
+fn reduce_cell(intensity: f64, hardened: bool, goal_s: u64, runs: &[GoalRun]) -> ChaosCell {
     let mut met = 0usize;
     let mut hit95 = 0usize;
     let mut infeasible = Vec::new();

@@ -20,7 +20,7 @@ pub fn run(trials: &Trials) -> Vec<ThinkSweep> {
     let cases = [
         ("Baseline", MapFidelity::full(), false),
         ("Hardware-Only Power Mgmt.", MapFidelity::full(), true),
-        ("Lowest Fidelity", MapFidelity::ladder()[0], true),
+        ("Lowest Fidelity", MapFidelity::LADDER[0], true),
     ];
     thinktime::run(trials, "fig11", &cases, |fidelity, pm, t, rng| {
         builds::map(MAPS[0], fidelity, pm, t, rng)

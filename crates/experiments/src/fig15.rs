@@ -60,7 +60,7 @@ fn build(regime: Regime, with_video: bool, rng: &mut SimRng) -> Machine {
         m.add_process(Box::new(member));
     }
     if with_video {
-        let variant = builds::ladder_end(&VideoVariant::ladder(), lowest);
+        let variant = builds::ladder_end(&VideoVariant::LADDER, lowest);
         let player = VideoPlayer::fixed(VIDEO_CLIPS[0], variant, rng)
             .looping_until(SimTime::from_secs(100_000));
         m.add_background_process(Box::new(player));

@@ -119,7 +119,7 @@ fn trial_energy_j(root: &SimRng, (kind, o, c): (RowKind, usize, Condition), i: u
     let (lowest, pm) = (c.lowest(), c.pm());
     let mut machine = match kind {
         RowKind::Video => {
-            let variant = builds::ladder_end(&VideoVariant::ladder(), lowest);
+            let variant = builds::ladder_end(&VideoVariant::LADDER, lowest);
             builds::video(VIDEO_CLIPS[o], variant, pm, rng)
         }
         // Lowest speech fidelity: hybrid strategy with the reduced model —
@@ -129,11 +129,11 @@ fn trial_energy_j(root: &SimRng, (kind, o, c): (RowKind, usize, Condition), i: u
         }
         RowKind::Speech => builds::speech(UTTERANCES[o], SpeechStrategy::Local, false, pm, rng),
         RowKind::Map(think) => {
-            let fidelity = builds::ladder_end(&MapFidelity::ladder(), lowest);
+            let fidelity = builds::ladder_end(&MapFidelity::LADDER, lowest);
             builds::map(MAPS[o], fidelity, pm, think, rng)
         }
         RowKind::Web(think) => {
-            let fidelity = builds::ladder_end(&WebFidelity::ladder(), lowest);
+            let fidelity = builds::ladder_end(&WebFidelity::LADDER, lowest);
             builds::web(vec![WEB_IMAGES[o]], fidelity, pm, think, rng)
         }
     };

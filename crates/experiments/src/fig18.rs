@@ -85,11 +85,11 @@ fn zoned_triplet(m: &Measured, window: backlight::WindowRect, baseline_j: f64) -
 fn build(think_s: Option<f64>, lowest: bool, pm: bool, rng: &mut SimRng) -> Machine {
     match think_s {
         None => {
-            let variant = builds::ladder_end(&VideoVariant::ladder(), lowest);
+            let variant = builds::ladder_end(&VideoVariant::LADDER, lowest);
             builds::video(VIDEO_CLIPS[0], variant, pm, rng)
         }
         Some(think) => {
-            let fidelity = builds::ladder_end(&MapFidelity::ladder(), lowest);
+            let fidelity = builds::ladder_end(&MapFidelity::LADDER, lowest);
             builds::map(MAPS[0], fidelity, pm, think, rng)
         }
     }

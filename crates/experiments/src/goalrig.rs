@@ -8,9 +8,14 @@
 //! from a finite battery; the [`odyssey::GoalController`] observes power
 //! through the on-line meter and issues upcalls until the goal is reached
 //! or the supply is exhausted.
+//!
+//! This module is the one builder of that machine and workload:
+//! [`goal_machine`] and [`add_apps`] serve the goal-directed figures,
+//! the ablations, the chaos and supervision sweeps, the served session
+//! and the golden traces alike.
 
 use hw560x::EnergySource;
-use machine::{FaultConfig, Machine, MachineConfig, RunReport, Workload as _};
+use machine::{AdaptDirection, FaultConfig, Machine, MachineConfig, Pid, RunReport, Workload};
 use odyssey::goal::MONITOR_OVERHEAD_W;
 use odyssey::{GoalConfig, GoalController, GoalOutcome, PriorityTable};
 use odyssey_apps::bursty::{BurstyMember, BurstyRole};
@@ -68,38 +73,63 @@ pub fn composite_horizon(goal: SimDuration) -> SimTime {
     SimTime::ZERO + goal * 3 + SimDuration::from_secs(600)
 }
 
+/// The Section 5 machine: a battery holding the goal's supply, drawing
+/// the on-line monitor's own power, on the `faults` substrate.
+pub fn goal_machine(cfg: &GoalConfig, faults: FaultConfig) -> Machine {
+    Machine::new(MachineConfig {
+        source: EnergySource::battery(cfg.initial_energy_j),
+        monitor_overhead_w: MONITOR_OVERHEAD_W,
+        faults,
+        ..Default::default()
+    })
+}
+
+/// Adds the Section 5.2 workload to `m`: the adaptive composite members
+/// started every 25 s until `horizon`, then the adaptive video looping
+/// to `horizon` in the background. Each application passes through
+/// `wrap(join_index, workload)` as it joins; the join indices are 0
+/// speech, 1 web, 2 map and 3 video. Returns the pids lowest priority
+/// first: speech, video, map, web.
+pub fn add_apps(
+    m: &mut Machine,
+    horizon: SimTime,
+    rng: &mut SimRng,
+    mut wrap: impl FnMut(usize, Box<dyn Workload>) -> Box<dyn Workload>,
+) -> [Pid; 4] {
+    let mode = CompositeMode::Every {
+        period: SimDuration::from_secs(25),
+        horizon,
+    };
+    let members: Vec<Pid> = composite_members(mode, true, rng)
+        .into_iter()
+        .enumerate()
+        .map(|(i, member)| m.add_process(wrap(i, Box::new(member))))
+        .collect();
+    let video = VideoPlayer::adaptive(VIDEO_CLIPS[0], rng).looping_until(horizon);
+    let video = m.add_background_process(wrap(3, Box::new(video)));
+    [members[0], video, members[2], members[1]]
+}
+
+/// Pins a workload at its lowest fidelity by degrading it until it
+/// refuses.
+pub(crate) fn at_lowest(mut w: Box<dyn Workload>) -> Box<dyn Workload> {
+    while w.on_upcall(AdaptDirection::Degrade, SimTime::ZERO) {}
+    w
+}
+
 /// Runs the composite + video workload under a goal controller.
 pub fn run_composite_goal(cfg: GoalConfig, rng: &mut SimRng) -> GoalRun {
-    run_composite_goal_full(cfg, false, FaultConfig::clean(), rng)
+    let rig = build_composite_goal(&cfg, false, FaultConfig::clean(), rng);
+    finish(rig, cfg, None)
 }
 
-/// Like [`run_composite_goal`], optionally reversing the priority order
-/// (web lowest, speech highest) — the priority ablation.
-pub fn run_composite_goal_custom(
-    cfg: GoalConfig,
-    reverse_priorities: bool,
-    rng: &mut SimRng,
-) -> GoalRun {
-    run_composite_goal_full(cfg, reverse_priorities, FaultConfig::clean(), rng)
-}
-
-/// Like [`run_composite_goal`], with a fault-injection configuration for
-/// the substrate (link faults, RPC retry policy, lying battery gauge).
-pub fn run_composite_goal_faulted(
-    cfg: GoalConfig,
-    faults: FaultConfig,
-    rng: &mut SimRng,
-) -> GoalRun {
-    run_composite_goal_full(cfg, false, faults, rng)
-}
-
-/// A composite goal rig built but not yet run: the machine with all
-/// workloads added, the priority order for the controller, and the
-/// safety-net horizon. [`finish`] attaches the controller and runs; the
-/// trace recorder attaches a `TraceHandle` in between.
+/// A goal rig built but not yet run: the machine with all workloads
+/// added, the priority order for the controller, and the safety-net
+/// horizon. [`finish`] attaches the controller and runs; the trace
+/// recorder attaches a `TraceHandle` in between.
 #[derive(Debug)]
 pub struct GoalRig {
-    /// Machine with the composite members and background video added.
+    /// Machine with the workloads added.
     pub machine: Machine,
     /// Controller priority order, lowest first.
     pub priorities: PriorityTable,
@@ -107,7 +137,9 @@ pub struct GoalRig {
     pub horizon: SimTime,
 }
 
-/// Builds the Section 5.2 composite + video rig for a goal config.
+/// Builds the Section 5.2 composite + video rig for a goal config,
+/// optionally reversing the priority order (web lowest, speech
+/// highest): the priority ablation.
 pub fn build_composite_goal(
     cfg: &GoalConfig,
     reverse_priorities: bool,
@@ -115,101 +147,49 @@ pub fn build_composite_goal(
     rng: &mut SimRng,
 ) -> GoalRig {
     let horizon = composite_horizon(cfg.goal);
-    let mut m = Machine::new(MachineConfig {
-        source: EnergySource::battery(cfg.initial_energy_j),
-        monitor_overhead_w: MONITOR_OVERHEAD_W,
-        faults,
-        ..Default::default()
-    });
-    // Members arrive as [speech, web, map].
-    let members = composite_members(
-        CompositeMode::Every {
-            period: SimDuration::from_secs(25),
-            horizon,
-        },
-        true,
-        rng,
-    );
-    let mut pids = Vec::new();
-    for member in members {
-        pids.push(m.add_process(Box::new(member)));
-    }
-    let video = VideoPlayer::adaptive(VIDEO_CLIPS[0], rng).looping_until(horizon);
-    let video_pid = m.add_background_process(Box::new(video));
-    // Lowest to highest: speech, video, map, web.
-    let mut order = vec![pids[0], video_pid, pids[2], pids[1]];
+    let mut machine = goal_machine(cfg, faults);
+    let mut order = add_apps(&mut machine, horizon, rng, |_, w| w);
     if reverse_priorities {
         order.reverse();
     }
     GoalRig {
-        machine: m,
-        priorities: PriorityTable::new(order),
+        machine,
+        priorities: PriorityTable::new(order.to_vec()),
         horizon,
     }
-}
-
-fn run_composite_goal_full(
-    cfg: GoalConfig,
-    reverse_priorities: bool,
-    faults: FaultConfig,
-    rng: &mut SimRng,
-) -> GoalRun {
-    let rig = build_composite_goal(&cfg, reverse_priorities, faults, rng);
-    finish(rig.machine, cfg, rig.priorities, rig.horizon, None)
 }
 
 /// Runs the Section 5.4 bursty workload under a goal controller. A
 /// `revision` `(at, goal)` is the user's mid-run extension: from `at` on
 /// the goal is the new total duration.
-#[expect(clippy::expect_used, reason = "BurstyRole::all() includes Video")]
 pub fn run_bursty_goal(
     cfg: GoalConfig,
     revision: Option<(SimTime, SimDuration)>,
     rng: &mut SimRng,
 ) -> GoalRun {
-    let goal = cfg.goal;
-    let horizon = SimTime::ZERO + goal * 2 + SimDuration::from_secs(600);
-    let mut m = Machine::new(MachineConfig {
-        source: EnergySource::battery(cfg.initial_energy_j),
-        monitor_overhead_w: MONITOR_OVERHEAD_W,
-        ..Default::default()
-    });
-    let mut pids = Vec::new();
-    let mut video_pid = None;
-    for role in BurstyRole::all() {
-        let pid = m.add_process(Box::new(BurstyMember::new(role, horizon, rng)));
-        if role == BurstyRole::Video {
-            video_pid = Some(pid);
-        }
-        pids.push((role, pid));
-    }
-    #[expect(
-        clippy::unwrap_used,
-        reason = "the loop above adds a pid for every BurstyRole"
-    )]
-    let pid_of = |r: BurstyRole| pids.iter().find(|(x, _)| *x == r).unwrap().1;
-    let priorities = PriorityTable::new(vec![
-        pid_of(BurstyRole::Speech),
-        video_pid.expect("video present"),
-        pid_of(BurstyRole::Map),
-        pid_of(BurstyRole::Web),
-    ]);
-    finish(m, cfg, priorities, horizon, revision)
+    let horizon = SimTime::ZERO + cfg.goal * 2 + SimDuration::from_secs(600);
+    let mut machine = goal_machine(&cfg, FaultConfig::clean());
+    // The roles join lowest priority first.
+    let order = BurstyRole::all()
+        .into_iter()
+        .map(|role| machine.add_process(Box::new(BurstyMember::new(role, horizon, rng))))
+        .collect();
+    let rig = GoalRig {
+        machine,
+        priorities: PriorityTable::new(order),
+        horizon,
+    };
+    finish(rig, cfg, revision)
 }
 
-/// Attaches a [`GoalController`] with the given priorities and runs the
+/// Attaches a [`GoalController`] with the rig's priorities and runs the
 /// machine to the goal (or the safety-net horizon). A revision is posted
 /// through the controller's handle 1 µs before its instant, so the
 /// controller applies it at its first tick at or after that instant.
-pub fn finish(
-    mut m: Machine,
-    cfg: GoalConfig,
-    priorities: PriorityTable,
-    horizon: SimTime,
-    revision: Option<(SimTime, SimDuration)>,
-) -> GoalRun {
+pub fn finish(rig: GoalRig, cfg: GoalConfig, revision: Option<(SimTime, SimDuration)>) -> GoalRun {
+    let mut m = rig.machine;
     let sample_period = cfg.sample_period;
-    let (handle, hook) = GoalController::new(cfg, priorities);
+    let (handle, hook) = GoalController::new(cfg, rig.priorities);
     m.add_hook(sample_period, hook);
     if let Some((at, new_goal)) = revision {
         m.drive_until(at - SimDuration::from_micros(1));
@@ -217,7 +197,7 @@ pub fn finish(
     }
     // The controller stops the run at the goal; the horizon is a safety
     // net against runaway workloads.
-    let report = m.run_until(horizon);
+    let report = m.run_until(rig.horizon);
     GoalRun {
         outcome: handle.outcome(),
         report,
@@ -231,26 +211,12 @@ pub fn finish(
 pub fn uncontrolled_power_w(lowest: bool, secs: u64, rng: &mut SimRng) -> Watts {
     let horizon = SimTime::from_secs(secs);
     let mut m = Machine::new(MachineConfig::default());
-    for member in composite_members(
-        CompositeMode::Every {
-            period: SimDuration::from_secs(25),
-            horizon,
-        },
-        false,
+    add_apps(
+        &mut m,
+        horizon,
         rng,
-    ) {
-        let member = if lowest {
-            member.at_lowest_fidelity()
-        } else {
-            member
-        };
-        m.add_process(Box::new(member));
-    }
-    let mut video = VideoPlayer::adaptive(VIDEO_CLIPS[0], rng).looping_until(horizon);
-    if lowest {
-        while video.on_upcall(machine::AdaptDirection::Degrade, SimTime::ZERO) {}
-    }
-    m.add_background_process(Box::new(video));
+        |_, w| if lowest { at_lowest(w) } else { w },
+    );
     let report = m.run_until(horizon);
     report.total_j / report.end.since(SimTime::ZERO)
 }

@@ -145,7 +145,12 @@ impl Scenario {
                 let _ = m.run();
             }
             End::Goal(cfg, priorities, horizon) => {
-                let _ = goalrig::finish(m, cfg, priorities, horizon, None);
+                let rig = goalrig::GoalRig {
+                    machine: m,
+                    priorities,
+                    horizon,
+                };
+                let _ = goalrig::finish(rig, cfg, None);
             }
             End::Until(horizon) => {
                 let _ = m.run_until(horizon);

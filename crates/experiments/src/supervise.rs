@@ -11,26 +11,27 @@
 //! | ≥ 3  | web ignores every upcall while claiming adaptability     |
 //! | ≥ 4  | speech crashes at 300 s, leaking its fidelity slot       |
 //!
+//! The machine and workload come from [`crate::goalrig`], the one
+//! builder of the Section 5 rig; the misbehaviors wrap its applications
+//! as they join. With k = 0 and no supervisor a cell is the Figure 20
+//! rig run on this supply and goal.
+//!
 //! Each k runs twice on the identical substrate: once with the paper's
 //! unsupervised viceroy (the goal controller alone) and once with the
 //! [`Supervisor`] attached. Reported per cell: goal attainment, how far
 //! short the client fell, residue, and the supervisor's detection and
 //! response counters.
 
-use hw560x::EnergySource;
-use machine::{Machine, MachineConfig, Pid, RunReport};
-use odyssey::goal::MONITOR_OVERHEAD_W;
+use machine::{FaultConfig, Machine, RunReport};
 use odyssey::{
     supervisor, GoalConfig, GoalController, GoalOutcome, PriorityTable, Supervisor, SupervisorStats,
 };
-use odyssey_apps::composite::{composite_members, CompositeMode};
-use odyssey_apps::datasets::VIDEO_CLIPS;
-use odyssey_apps::{Misbehavior, VideoPlayer};
+use odyssey_apps::Misbehavior;
 use simcore::fault::{FaultSchedule, FaultWindow};
 use simcore::{SimDuration, SimRng, SimTime, TrialStats, Watts};
 
 use crate::chaos::{CHAOS_ENERGY_J, GOAL_S};
-use crate::goalrig::composite_horizon;
+use crate::goalrig::{add_apps, composite_horizon, goal_machine};
 use crate::harness::{run_grid, Trials};
 use crate::table::Table;
 use simcore::Joules;
@@ -141,55 +142,24 @@ pub struct SuperRig {
 /// optionally supervised. Both arms of a pair consume the rng
 /// identically, so they face the same workload.
 pub fn build_one(k: usize, supervised: bool, rng: &mut SimRng) -> SuperRig {
-    let goal = SimDuration::from_secs(GOAL_S);
-    let horizon = composite_horizon(goal);
-    let mut m = Machine::new(MachineConfig {
-        source: EnergySource::battery(Joules(CHAOS_ENERGY_J)),
-        monitor_overhead_w: MONITOR_OVERHEAD_W,
-        ..Default::default()
-    });
-
-    // Members arrive as [speech, web, map]; wrap per k.
-    let members = composite_members(
-        CompositeMode::Every {
-            period: SimDuration::from_secs(25),
-            horizon,
-        },
-        true,
-        rng,
-    );
-    let mut boxed: Vec<Box<dyn machine::Workload>> = Vec::new();
-    for (i, member) in members.into_iter().enumerate() {
-        let b: Box<dyn machine::Workload> = Box::new(member);
-        boxed.push(match i {
-            0 if k >= 4 => Box::new(Misbehavior::crash_at(b, CRASH_AT).restartable()),
-            1 if k >= 3 => Box::new(Misbehavior::ignore_upcalls(b)),
-            2 if k >= 2 => Box::new(Misbehavior::lie(b).restartable()),
-            _ => b,
+    let cfg = GoalConfig::paper(CHAOS_ENERGY_J, SimDuration::from_secs(GOAL_S));
+    let horizon = composite_horizon(cfg.goal);
+    let mut m = goal_machine(&cfg, FaultConfig::clean());
+    let [speech_pid, video_pid, map_pid, web_pid] =
+        add_apps(&mut m, horizon, rng, |i, w| match i {
+            0 if k >= 4 => Box::new(Misbehavior::crash_at(w, CRASH_AT).restartable()),
+            1 if k >= 3 => Box::new(Misbehavior::ignore_upcalls(w)),
+            2 if k >= 2 => Box::new(Misbehavior::lie(w).restartable()),
+            3 if k >= 1 => {
+                let wedge = FaultSchedule::new(vec![FaultWindow {
+                    start: HANG_AT,
+                    end: horizon,
+                }]);
+                Box::new(Misbehavior::hang(w, wedge).restartable())
+            }
+            _ => w,
         });
-    }
-    let mut pids: Vec<Pid> = Vec::new();
-    for b in boxed {
-        pids.push(m.add_process(b));
-    }
-    let (speech_pid, web_pid, map_pid) = (pids[0], pids[1], pids[2]);
-
-    let video: Box<dyn machine::Workload> =
-        Box::new(VideoPlayer::adaptive(VIDEO_CLIPS[0], rng).looping_until(horizon));
-    let video: Box<dyn machine::Workload> = if k >= 1 {
-        let wedge = FaultSchedule::new(vec![FaultWindow {
-            start: HANG_AT,
-            end: horizon,
-        }]);
-        Box::new(Misbehavior::hang(video, wedge).restartable())
-    } else {
-        video
-    };
-    let video_pid = m.add_background_process(video);
-
-    // Lowest to highest priority: speech, video, map, web.
     let priorities = PriorityTable::new(vec![speech_pid, video_pid, map_pid, web_pid]);
-    let cfg = GoalConfig::paper(CHAOS_ENERGY_J, goal);
     let sample_period = cfg.sample_period;
     let (goal_handle, controller) = GoalController::new(cfg, priorities);
     m.add_hook(sample_period, controller);
@@ -451,7 +421,8 @@ mod tests {
 #[cfg(test)]
 mod power_probe {
     use super::*;
-    use machine::{ControlHook, MachineView};
+    use crate::goalrig::at_lowest;
+    use machine::{ControlHook, MachineConfig, MachineView};
     use powerscope::AttributionFeed;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -489,34 +460,15 @@ mod power_probe {
             let mut rng = SimRng::new(17);
             let horizon = SimTime::from_secs(900);
             let mut m = Machine::new(MachineConfig::default());
-            let members = composite_members(
-                CompositeMode::Every {
-                    period: SimDuration::from_secs(25),
-                    horizon,
-                },
-                false,
-                &mut rng,
-            );
             let mut names = Vec::new();
-            for member in members {
-                let member = if lowest {
-                    member.at_lowest_fidelity()
+            add_apps(&mut m, horizon, &mut rng, |_, w| {
+                names.push(w.name());
+                if lowest {
+                    at_lowest(w)
                 } else {
-                    member
-                };
-                names.push(machine::Workload::name(&member));
-                m.add_process(Box::new(member));
-            }
-            let mut video = VideoPlayer::adaptive(VIDEO_CLIPS[0], &mut rng).looping_until(horizon);
-            if lowest {
-                while machine::Workload::on_upcall(
-                    &mut video,
-                    machine::AdaptDirection::Degrade,
-                    SimTime::ZERO,
-                ) {}
-            }
-            names.push(machine::Workload::name(&video));
-            m.add_background_process(Box::new(video));
+                    w
+                }
+            });
             let max = Rc::new(RefCell::new(vec![0.0; names.len()]));
             m.add_hook(
                 SimDuration::from_secs(1),

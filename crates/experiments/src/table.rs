@@ -37,38 +37,6 @@ impl Table {
         self
     }
 
-    /// Renders as CSV (RFC-4180-style quoting for cells containing
-    /// commas or quotes), header first; the caption is omitted.
-    pub fn to_csv(&self) -> String {
-        fn cell(c: &str) -> String {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        }
-        let mut out = String::new();
-        if !self.header.is_empty() {
-            let _ = writeln!(
-                out,
-                "{}",
-                self.header
-                    .iter()
-                    .map(|c| cell(c))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            );
-        }
-        for r in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                r.iter().map(|c| cell(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
     /// Renders with aligned columns (first column left, rest right).
     pub fn render(&self) -> String {
         let cols = self
@@ -180,18 +148,6 @@ mod tests {
         assert_eq!(pct(33.333), "33.3%");
         assert_eq!(ratio(0.666), "0.67");
         assert_eq!(band(0.1, 0.25), "0.10-0.25");
-    }
-
-    #[test]
-    fn csv_quotes_awkward_cells() {
-        let mut t = Table::new("t", &["A", "B"]);
-        t.push_row(vec!["plain".into(), "has,comma".into()]);
-        t.push_row(vec!["has\"quote".into(), "x".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "A,B");
-        assert_eq!(lines[1], "plain,\"has,comma\"");
-        assert_eq!(lines[2], "\"has\"\"quote\",x");
     }
 
     #[test]

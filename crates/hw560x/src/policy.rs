@@ -11,55 +11,42 @@
 
 use simcore::SimDuration;
 
-/// Hardware power-management policy knobs.
+/// Hardware power-management policy: the paper's regime or none of it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PmPolicy {
     /// Master switch; `false` reproduces the paper's "Baseline" bars.
     pub enabled: bool,
+}
+
+impl PmPolicy {
     /// Disk spin-down after this much inactivity (paper: 10 s).
-    pub disk_spin_down: SimDuration,
-    /// Radio in standby except during RPC / bulk-transfer windows.
-    pub radio_rpc_scoped: bool,
+    pub const DISK_SPIN_DOWN: SimDuration = SimDuration::from_secs(10);
+
     /// Dim the display after this much user inactivity. Think time counts
     /// as activity up to this threshold: the paper keeps the display
     /// backlit through a 5-second think pause, while its linear think-time
     /// models trend toward the 5.6 W dim background for long pauses.
-    pub display_dim_after: SimDuration,
-}
+    pub const DISPLAY_DIM_AFTER: SimDuration = SimDuration::from_secs(10);
 
-impl PmPolicy {
     /// The paper's hardware power management regime.
     pub fn enabled() -> Self {
-        PmPolicy {
-            enabled: true,
-            disk_spin_down: SimDuration::from_secs(10),
-            radio_rpc_scoped: true,
-            display_dim_after: SimDuration::from_secs(10),
-        }
+        PmPolicy { enabled: true }
     }
 
     /// The paper's baseline: all hardware power management off.
     pub fn disabled() -> Self {
-        PmPolicy {
-            enabled: false,
-            disk_spin_down: SimDuration::from_secs(10),
-            radio_rpc_scoped: false,
-            display_dim_after: SimDuration::from_secs(10),
-        }
+        PmPolicy { enabled: false }
     }
 
     /// Spin-down policy to hand the disk model (`None` when disabled).
     pub fn disk_policy(&self) -> Option<SimDuration> {
-        if self.enabled {
-            Some(self.disk_spin_down)
-        } else {
-            None
-        }
+        self.enabled.then_some(Self::DISK_SPIN_DOWN)
     }
 
-    /// Whether the radio may enter standby.
+    /// Whether the radio may enter standby: it stays in standby except
+    /// during RPC and bulk-transfer windows whenever the policy is on.
     pub fn radio_policy(&self) -> bool {
-        self.enabled && self.radio_rpc_scoped
+        self.enabled
     }
 }
 

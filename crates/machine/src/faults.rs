@@ -16,38 +16,39 @@ use hw560x::BatteryGauge;
 use netsim::LinkFaultPlan;
 use simcore::{SimDuration, SimTime};
 
-/// Timeout/retry policy for the RPC and bulk-fetch network path.
+/// Timeout/retry policy for the RPC and bulk-fetch network path: a
+/// settable timeout, then exponential backoff from 100 ms doubling to a
+/// 5 s cap.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RpcPolicy {
     /// An attempt that has not completed after this long is aborted.
     pub timeout: SimDuration,
-    /// Backoff before the first retry.
-    pub backoff_base: SimDuration,
-    /// Multiplier applied to the backoff on each further retry.
-    pub backoff_factor: f64,
-    /// Upper bound on the backoff, however many retries accumulate.
-    pub backoff_cap: SimDuration,
 }
 
 impl RpcPolicy {
-    /// A conventional policy: 4 s timeout, exponential backoff from
-    /// 100 ms doubling to a 5 s cap. The timeout sits well above the
+    /// Backoff before the first retry.
+    pub const BACKOFF_BASE: SimDuration = SimDuration::from_millis(100);
+
+    /// Multiplier applied to the backoff on each further retry.
+    pub const BACKOFF_FACTOR: f64 = 2.0;
+
+    /// Upper bound on the backoff, however many retries accumulate.
+    pub const BACKOFF_CAP: SimDuration = SimDuration::from_secs(5);
+
+    /// A conventional policy: a 4 s timeout. It sits well above the
     /// worst clean-link RPC in the workloads (a 2 s bulk fetch), so it
     /// only ever fires because the link actually failed.
     pub fn standard() -> Self {
         RpcPolicy {
             timeout: SimDuration::from_secs(4),
-            backoff_base: SimDuration::from_millis(100),
-            backoff_factor: 2.0,
-            backoff_cap: SimDuration::from_secs(5),
         }
     }
 
     /// Backoff before retry number `retry` (1-based).
-    pub fn backoff_after(&self, retry: u32) -> SimDuration {
-        let exp = self.backoff_factor.powi(retry.saturating_sub(1) as i32);
-        let raw = self.backoff_base.as_secs_f64() * exp;
-        SimDuration::from_secs_f64(raw.min(self.backoff_cap.as_secs_f64()))
+    pub fn backoff_after(retry: u32) -> SimDuration {
+        let exp = Self::BACKOFF_FACTOR.powi(retry.saturating_sub(1) as i32);
+        let raw = Self::BACKOFF_BASE.as_secs_f64() * exp;
+        SimDuration::from_secs_f64(raw.min(Self::BACKOFF_CAP.as_secs_f64()))
     }
 }
 
@@ -112,12 +113,11 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_to_the_cap() {
-        let p = RpcPolicy::standard();
-        assert_eq!(p.backoff_after(1), SimDuration::from_millis(100));
-        assert_eq!(p.backoff_after(2), SimDuration::from_millis(200));
-        assert_eq!(p.backoff_after(3), SimDuration::from_millis(400));
-        assert_eq!(p.backoff_after(10), SimDuration::from_secs(5));
-        assert_eq!(p.backoff_after(30), SimDuration::from_secs(5));
+        assert_eq!(RpcPolicy::backoff_after(1), SimDuration::from_millis(100));
+        assert_eq!(RpcPolicy::backoff_after(2), SimDuration::from_millis(200));
+        assert_eq!(RpcPolicy::backoff_after(3), SimDuration::from_millis(400));
+        assert_eq!(RpcPolicy::backoff_after(10), SimDuration::from_secs(5));
+        assert_eq!(RpcPolicy::backoff_after(30), SimDuration::from_secs(5));
     }
 
     #[test]

@@ -30,7 +30,7 @@ use simcore::{
 
 use crate::activity::{checked_intensity, Activity, AdaptDirection, FidelityView, Step};
 use crate::energy::{Key, KeyMemo, Ledger, RunReport};
-use crate::faults::FaultConfig;
+use crate::faults::{FaultConfig, RpcPolicy};
 use crate::observer::{IntervalObserver, IntervalRecord, ShareEntry};
 use crate::workload::Workload;
 use crate::{BUCKET_IDLE, BUCKET_KERNEL, BUCKET_ODYSSEY, BUCKET_WAVELAN, BUCKET_X};
@@ -1235,7 +1235,7 @@ impl Machine {
             Event::DimCheck => {
                 self.dim_event = None;
                 if let Some(s) = self.quiet_since {
-                    if self.clock.saturating_since(s) >= self.cfg.pm.display_dim_after {
+                    if self.clock.saturating_since(s) >= PmPolicy::DISPLAY_DIM_AFTER {
                         self.set_dim(true);
                     }
                 }
@@ -2077,12 +2077,7 @@ impl Machine {
             name: self.procs[pid.0].workload.name(),
             attempt: self.procs[pid.0].attempts as u64 + 1,
         });
-        #[expect(
-            clippy::expect_used,
-            reason = "RpcTimeout events are only scheduled when a retry policy exists"
-        )]
-        let policy = self.cfg.faults.rpc.expect("RpcTimeout without a policy");
-        let backoff = policy.backoff_after(self.procs[pid.0].attempts);
+        let backoff = RpcPolicy::backoff_after(self.procs[pid.0].attempts);
         self.procs[pid.0].state = ProcState::NetBackoff(plan);
         self.procs[pid.0].retry_ev =
             Some(self.queue.push(self.clock + backoff, Event::NetRetry(pid)));
@@ -2216,7 +2211,7 @@ impl Machine {
         match (quiet, self.quiet_since) {
             (true, None) => {
                 self.quiet_since = Some(self.clock);
-                let at = self.clock + self.cfg.pm.display_dim_after;
+                let at = self.clock + PmPolicy::DISPLAY_DIM_AFTER;
                 self.dim_event = Some(self.queue.push(at, Event::DimCheck));
             }
             (false, Some(_)) => {

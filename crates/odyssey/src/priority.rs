@@ -7,7 +7,7 @@
 //! upgrades occur in the reverse order."
 //!
 //! The paper's priorities were static, with a dynamic-priority interface
-//! listed as in progress; we implement both.
+//! listed as in progress; this table is static too.
 
 use machine::Pid;
 
@@ -44,28 +44,6 @@ impl PriorityTable {
     /// Pids in upgrade order (highest priority first).
     pub fn upgrade_order(&self) -> impl Iterator<Item = Pid> + '_ {
         self.order.iter().rev().copied()
-    }
-
-    /// Rank of a pid (0 = lowest priority), if present.
-    pub fn rank(&self, pid: Pid) -> Option<usize> {
-        self.order.iter().position(|p| *p == pid)
-    }
-
-    /// Dynamically moves a pid to a new rank (0 = lowest priority); the
-    /// interface the paper says it was implementing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pid is absent or the rank is out of range.
-    pub fn set_rank(&mut self, pid: Pid, rank: usize) {
-        #[expect(
-            clippy::expect_used,
-            reason = "documented # Panics contract of set_rank"
-        )]
-        let cur = self.rank(pid).expect("pid not in priority table");
-        assert!(rank < self.order.len(), "rank out of range");
-        let p = self.order.remove(cur);
-        self.order.insert(rank, p);
     }
 
     /// Number of processes in the table.
@@ -107,20 +85,8 @@ mod tests {
     #[test]
     fn ranks() {
         let ps = pids(3);
-        let t = PriorityTable::new(ps.clone());
-        assert_eq!(t.rank(ps[0]), Some(0));
-        assert_eq!(t.rank(ps[2]), Some(2));
+        let t = PriorityTable::new(ps);
         assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn dynamic_reprioritisation() {
-        let ps = pids(3);
-        let mut t = PriorityTable::new(ps.clone());
-        // Promote the lowest-priority app to the top.
-        t.set_rank(ps[0], 2);
-        let order: Vec<Pid> = t.degrade_order().collect();
-        assert_eq!(order, vec![ps[1], ps[2], ps[0]]);
     }
 
     #[test]

@@ -221,84 +221,6 @@ impl PathProfile {
     }
 }
 
-/// One row of a profile comparison.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DiffRow {
-    /// Process name.
-    pub process: String,
-    /// Energy in the first profile.
-    pub before_j: Joules,
-    /// Energy in the second profile.
-    pub after_j: Joules,
-}
-
-impl DiffRow {
-    /// Energy change (negative = saved).
-    pub fn delta_j(&self) -> Joules {
-        self.after_j - self.before_j
-    }
-}
-
-impl EnergyProfile {
-    /// Compares two profiles process by process, sorted by the magnitude
-    /// of the change — the workflow the paper built PowerScope for:
-    /// "By providing fine-grained feedback, PowerScope helps expose
-    /// system components most responsible for energy consumption."
-    pub fn diff(&self, after: &EnergyProfile) -> Vec<DiffRow> {
-        let mut names: Vec<&str> = self.processes.iter().map(|p| p.process.as_str()).collect();
-        for p in &after.processes {
-            if !names.contains(&p.process.as_str()) {
-                names.push(&p.process);
-            }
-        }
-        let mut rows: Vec<DiffRow> = names
-            .into_iter()
-            .map(|n| DiffRow {
-                process: n.to_string(),
-                before_j: self.process_energy_j(n),
-                after_j: after.process_energy_j(n),
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.delta_j()
-                .abs()
-                .total_cmp(&a.delta_j().abs())
-                .then_with(|| a.process.cmp(&b.process))
-        });
-        rows
-    }
-
-    /// Renders a diff as a table.
-    pub fn format_diff(&self, after: &EnergyProfile) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<28} {:>12} {:>12} {:>12}",
-            "Process", "Before(J)", "After(J)", "Delta(J)"
-        );
-        let _ = writeln!(out, "{}", "-".repeat(68));
-        for r in self.diff(after) {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>12.2} {:>12.2} {:>+12.2}",
-                r.process,
-                r.before_j,
-                r.after_j,
-                r.delta_j()
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<28} {:>12.2} {:>12.2} {:>+12.2}",
-            "Total",
-            self.total_energy_j(),
-            after.total_energy_j(),
-            after.total_energy_j() - self.total_energy_j()
-        );
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,42 +288,6 @@ mod tests {
         assert!(text.contains("Total"));
         assert!(text.contains("Energy Usage Detail for process"));
         assert!(text.contains("_Dispatcher"));
-    }
-
-    #[test]
-    fn diff_ranks_by_change_magnitude() {
-        let before = sample_profile();
-        let mut after = sample_profile();
-        after.processes[0].energy_j = Joules(300.0); // xanim saved ~343 J.
-        after.processes[1].energy_j = Joules(350.0); // kernel grew ~18 J.
-        let rows = before.diff(&after);
-        assert_eq!(rows[0].process, "/usr/odyssey/bin/xanim");
-        assert!((rows[0].delta_j() + Joules(343.17)).abs() < Joules(1e-9));
-        assert!(rows[1].delta_j() > Joules(0.0));
-        let text = before.format_diff(&after);
-        assert!(text.contains("Delta(J)"));
-        assert!(text.contains("Total"));
-    }
-
-    #[test]
-    fn diff_includes_processes_unique_to_either_side() {
-        let before = sample_profile();
-        let after = EnergyProfile {
-            processes: vec![ProcessRow {
-                process: "newcomer".into(),
-                cpu_secs: 1.0,
-                energy_j: Joules(5.0),
-                procedures: vec![],
-            }],
-            duration_s: 1.0,
-        };
-        let rows = before.diff(&after);
-        assert!(rows
-            .iter()
-            .any(|r| r.process == "newcomer" && r.before_j == Joules(0.0)));
-        assert!(rows
-            .iter()
-            .any(|r| r.process == "Kernel" && r.after_j == Joules(0.0)));
     }
 
     #[test]

@@ -664,11 +664,6 @@ impl Session {
         self.cursor
     }
 
-    /// True once [`Session::finish`] ran the session to its horizon.
-    pub fn is_finished(&self) -> bool {
-        self.finished
-    }
-
     /// The latest journal checkpoint, as a list of at most one. Earlier
     /// checkpoints left the session as [`Directive::Checkpointed`]; the
     /// journal keeps no history.
@@ -1105,7 +1100,6 @@ mod tests {
         assert_eq!((latest[0].seq, latest[0].t), (2, SimTime::from_secs(30)));
         let report = s.finish().expect("finish");
         assert_eq!(report.end, SimTime::from_secs(100));
-        assert!(s.is_finished());
         assert_eq!(s.finish().expect_err("twice"), ServeError::Finished);
         assert_eq!(
             s.ingest(&[Sample::tick(101.0)]).expect_err("finished"),

@@ -109,7 +109,7 @@ echo "== simpar: serial/parallel byte-equality smoke =="
 # The sweeps and every figure on the harness trial grid (the bar and
 # think-time figures, the fig16 summary and its headline, the
 # goal-directed figures and the ablations), serial against 8 workers.
-par_ids=(chaos fig6 fig8 fig10 fig11 fig13 fig14 fig15 fig16 fig18 fig19 fig20 fig21 fig22 sec54 headline ablate)
+par_ids=(chaos supervise fig6 fig8 fig10 fig11 fig13 fig14 fig15 fig16 fig18 fig19 fig20 fig21 fig22 sec54 headline ablate)
 par_1="$(cargo run --release -q -p experiments -- "${par_ids[@]}" --quick --threads 1 2>/dev/null)"
 par_8="$(cargo run --release -q -p experiments -- "${par_ids[@]}" --quick --threads 8 2>/dev/null)"
 if [ "$par_1" != "$par_8" ]; then

@@ -4,8 +4,9 @@
 //! upgrade faster than the paper's rate limit, must not beat network
 //! physics, and must replay bit-identically from the same seed.
 
-use energy_adaptation::experiments::chaos::{CHAOS_ENERGY_J, GOAL_S};
-use energy_adaptation::experiments::goalrig::{build_composite_goal, composite_horizon};
+use energy_adaptation::experiments::chaos::{self, CHAOS_ENERGY_J, GOAL_S};
+use energy_adaptation::experiments::goalrig::run_composite_goal;
+use energy_adaptation::experiments::supervise;
 use energy_adaptation::hw560x::{DisplayState, EnergySource};
 use energy_adaptation::machine::workload::ScriptedWorkload;
 use energy_adaptation::machine::{
@@ -234,7 +235,6 @@ fn rpc_timing_never_beats_physics_under_retries() {
         };
         faults.rpc = Some(RpcPolicy {
             timeout: SimDuration::from_secs(2),
-            ..RpcPolicy::standard()
         });
         let mut m = Machine::new(MachineConfig {
             faults,
@@ -285,26 +285,14 @@ fn faulted_runs_replay_bit_identically() {
     }
 }
 
-/// The chaos sweep's hardened cell at intensity 1.0 (seed 42, trial 0),
-/// built as `experiments::chaos::run_sweep` builds it, with the
-/// controller attached and not yet run. RPCs under the 12 s timeout
-/// complete and cancel their timers throughout, so the event queue
-/// carries cancelled entries at every instant.
+/// The chaos sweep's hardened cell at intensity 1.0 (seed 42, trial 0)
+/// from `experiments::chaos::build_cell`, with the controller attached
+/// and not yet run. RPCs under the 12 s timeout complete and cancel
+/// their timers throughout, so the event queue carries cancelled
+/// entries at every instant.
 fn hardened_chaos_rig() -> Machine {
     let root = SimRng::new(42);
-    let label = "chaos/1.00";
-    let mut rng = root.fork_indexed(label, 0);
-    let fault_seed = root.fork_indexed(label, 0).fork("faults").seed();
-    let goal = SimDuration::from_secs(GOAL_S);
-    let mut faults = FaultConfig::hostile(fault_seed, 1.0, composite_horizon(goal));
-    faults.rpc = Some(RpcPolicy {
-        timeout: SimDuration::from_secs(12),
-        ..RpcPolicy::standard()
-    });
-    let cfg = GoalConfig::paper(CHAOS_ENERGY_J, goal)
-        .with_meter_faults(MeterFaultPlan::degraded(fault_seed, 1.0))
-        .with_hardening(Hardening::standard());
-    let rig = build_composite_goal(&cfg, false, faults, &mut rng);
+    let (rig, cfg) = chaos::build_cell(&root, 1.0, true, 0, GOAL_S, Joules(CHAOS_ENERGY_J));
     let mut m = rig.machine;
     let (_handle, hook) = GoalController::new(cfg.clone(), rig.priorities);
     m.add_hook(cfg.sample_period, hook);
@@ -359,5 +347,34 @@ fn cancel_heavy_snapshots_are_byte_stable() {
             m.state_digest(),
             "thawed digest at {secs} s"
         );
+    }
+}
+
+/// The supervise sweep's k = 0 unsupervised cell is the Figure 20 rig:
+/// the same stream run through `supervise::build_one` and through
+/// `goalrig::run_composite_goal` on the sweep's supply and goal ends
+/// with the same energy bits, end instant and controller outcome.
+#[test]
+fn supervise_k0_rig_is_the_figure_20_rig() {
+    let root = SimRng::new(7);
+    for trial in 0..2 {
+        let mut rng = root.fork_indexed("supervise/0", trial);
+        let mut rig = supervise::build_one(0, false, &mut rng);
+        let report = rig.machine.run_until(rig.horizon);
+        let mut rng = root.fork_indexed("supervise/0", trial);
+        let cfg = GoalConfig::paper(CHAOS_ENERGY_J, SimDuration::from_secs(GOAL_S));
+        let run = run_composite_goal(cfg, &mut rng);
+        assert_eq!(
+            report.total_j.0.to_bits(),
+            run.report.total_j.0.to_bits(),
+            "total energy, trial {trial}"
+        );
+        assert_eq!(
+            report.residual_j.0.to_bits(),
+            run.report.residual_j.0.to_bits(),
+            "residual energy, trial {trial}"
+        );
+        assert_eq!(report.end, run.report.end, "end, trial {trial}");
+        assert_eq!(rig.goal.outcome(), run.outcome, "outcome, trial {trial}");
     }
 }

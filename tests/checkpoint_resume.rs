@@ -12,12 +12,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use energy_adaptation::apps::composite::{composite_members, CompositeMode};
-use energy_adaptation::apps::datasets::VIDEO_CLIPS;
-use energy_adaptation::apps::{Misbehavior, VideoPlayer};
-use energy_adaptation::hw560x::EnergySource;
-use energy_adaptation::machine::{CheckpointHook, Machine, MachineConfig, Workload};
-use energy_adaptation::odyssey::goal::MONITOR_OVERHEAD_W;
+use energy_adaptation::apps::Misbehavior;
+use energy_adaptation::experiments::goalrig::{add_apps, composite_horizon, goal_machine};
+use energy_adaptation::machine::{CheckpointHook, FaultConfig, Machine};
 use energy_adaptation::odyssey::{
     supervisor, GoalConfig, GoalController, GoalHandle, GoalOutcome, PriorityTable, Supervisor,
 };
@@ -59,40 +56,21 @@ struct Finished {
 fn rig(seed: u64, wedged: bool, supervised: bool) -> Rig {
     let mut rng = SimRng::new(seed);
     let cfg = GoalConfig::paper(ENERGY_J, SimDuration::from_secs(GOAL_S));
-    let goal = cfg.goal;
-    let horizon = SimTime::ZERO + goal * 3 + SimDuration::from_secs(600);
-    let mut m = Machine::new(MachineConfig {
-        source: EnergySource::battery(cfg.initial_energy_j),
-        monitor_overhead_w: MONITOR_OVERHEAD_W,
-        ..Default::default()
+    let horizon = composite_horizon(cfg.goal);
+    let mut m = goal_machine(&cfg, FaultConfig::clean());
+    let pids = add_apps(&mut m, horizon, &mut rng, |i, w| {
+        if wedged && i == 3 {
+            let wedge = FaultSchedule::new(vec![FaultWindow {
+                start: SimTime::from_secs(100),
+                end: horizon,
+            }]);
+            Box::new(Misbehavior::hang(w, wedge).restartable())
+        } else {
+            w
+        }
     });
-    // Members arrive as [speech, web, map].
-    let members = composite_members(
-        CompositeMode::Every {
-            period: SimDuration::from_secs(25),
-            horizon,
-        },
-        true,
-        &mut rng,
-    );
-    let mut pids = Vec::new();
-    for member in members {
-        pids.push(m.add_process(Box::new(member)));
-    }
-    let video: Box<dyn Workload> =
-        Box::new(VideoPlayer::adaptive(VIDEO_CLIPS[0], &mut rng).looping_until(horizon));
-    let video: Box<dyn Workload> = if wedged {
-        let wedge = FaultSchedule::new(vec![FaultWindow {
-            start: SimTime::from_secs(100),
-            end: horizon,
-        }]);
-        Box::new(Misbehavior::hang(video, wedge).restartable())
-    } else {
-        video
-    };
-    let video_pid = m.add_background_process(video);
-    // Lowest to highest priority: speech, video, map, web.
-    let priorities = PriorityTable::new(vec![pids[0], video_pid, pids[2], pids[1]]);
+    let video_pid = pids[1];
+    let priorities = PriorityTable::new(pids.to_vec());
     let sample_period = cfg.sample_period;
     let (handle, controller) = GoalController::new(cfg, priorities);
     m.add_hook(sample_period, controller);

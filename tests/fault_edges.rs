@@ -32,7 +32,6 @@ fn stormy(seed: u64, horizon: SimTime) -> FaultConfig {
     };
     faults.rpc = Some(RpcPolicy {
         timeout: SimDuration::from_secs(2),
-        ..RpcPolicy::standard()
     });
     faults
 }

@@ -108,7 +108,7 @@ fn sched_dispatch_order_matches_its_pin() {
             let mut rig =
                 goalrig::build_composite_goal(&cfg, false, FaultConfig::clean(), &mut rng);
             let trace = traced(&mut rig.machine);
-            let _ = goalrig::finish(rig.machine, cfg, rig.priorities, rig.horizon, None);
+            let _ = goalrig::finish(rig, cfg, None);
             fold(trace);
         }
     }

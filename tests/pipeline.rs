@@ -107,7 +107,7 @@ fn regimes_order_for_every_app() {
             MachineConfig::baseline()
         };
         let fid = if lowest {
-            MapFidelity::ladder()[0]
+            MapFidelity::LADDER[0]
         } else {
             MapFidelity::full()
         };
